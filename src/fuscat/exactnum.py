@@ -8,10 +8,11 @@ equal.  Binary operations align conductors through the lcm; there is
 no automatic descent to a smaller field, so the conductor of a value
 records the field it was constructed in, not the minimal one.
 
-Integrality testing goes through the characteristic polynomial of the
-multiplication-by-a map on Q(zeta_N); its squarefree part is the
-minimal polynomial, and both must agree on whether the coefficients
-are integers (asserted on every call).
+Integrality is read off the power basis: Z[zeta_N] is the full ring of
+integers of Q(zeta_N), and {1, z, ..., z^(phi(N)-1)} is a Z-basis of it
+(Washington, *Introduction to Cyclotomic Fields*, Thm 2.6), so a value is
+an algebraic integer iff every coefficient is an integer.  The minimal
+polynomial is the product of (x - c) over the distinct Galois conjugates c.
 """
 
 from __future__ import annotations
@@ -68,26 +69,6 @@ def _poly_divmod(num, den):
             for k, dk in enumerate(den):
                 num[i + k] -= c * dk
     return _trim(q), _trim(num)
-
-
-def _poly_deriv(p):
-    return _trim([k * c for k, c in enumerate(p)][1:])
-
-
-def _poly_monic(p):
-    p = _trim(p)
-    if not p:
-        return p
-    lead = p[-1]
-    return [c / lead for c in p]
-
-
-def _poly_gcd(a, b):
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    return _poly_monic(a)
 
 
 def _poly_sub(a, b):
@@ -497,39 +478,55 @@ def _charpoly(mat):
 
 
 def characteristic_polynomial(a: CycNum) -> tuple[Fraction, ...]:
-    """Char poly of multiplication by a on Q(zeta_N), degree phi(N), monic."""
+    """Char poly of multiplication by a on Q(zeta_N), degree phi(N), monic.
+
+    No verdict uses it; it is the independent route the tests compare
+    `minimal_polynomial` and `is_algebraic_integer` against.
+    """
     return _charpoly(_multiplication_matrix(a))
 
 
 def minimal_polynomial(a: CycNum) -> tuple[Fraction, ...]:
-    """Monic minimal polynomial of a over Q (squarefree part of the char poly)."""
-    p = list(characteristic_polynomial(a))
-    dp = _poly_deriv(p)
-    g = _poly_gcd(p, dp) if dp else [_ONE]
-    if len(g) <= 1:
-        m = _poly_monic(p)
-    else:
-        m, r = _poly_divmod(p, g)
-        assert not r
-        m = _poly_monic(m)
-    return tuple(m)
+    """Monic minimal polynomial of a over Q, constant term first.
+
+    The roots are the distinct conjugates sigma_k(a), gcd(k, N) = 1, so the
+    polynomial is their product of (x - c); its coefficients are fixed by
+    the Galois group and are read back as rationals, which raises
+    ValueError if the orbit was incomplete.
+    """
+    if a.is_rational():
+        return (-a.coeffs[0], _ONE)
+    n = a.conductor
+    seen = set()
+    poly = [ONE]
+    for k in range(1, n):
+        if math.gcd(k, n) != 1:
+            continue
+        c = a._galois(k)
+        if c.coeffs in seen:
+            continue
+        seen.add(c.coeffs)
+        # poly * (x - c)
+        poly = ([-(c * poly[0])]
+                + [poly[i - 1] - c * poly[i] for i in range(1, len(poly))]
+                + [poly[-1]])
+    return tuple(p.as_rational() for p in poly)
 
 
 def is_algebraic_integer(a: CycNum) -> bool:
-    """True iff the monic minimal polynomial of a has integer coefficients."""
-    p = characteristic_polynomial(a)
-    m = minimal_polynomial(a)
-    by_charpoly = all(c.denominator == 1 for c in p)
-    by_minpoly = all(c.denominator == 1 for c in m)
-    # charpoly is a power of the minimal polynomial; by Gauss's lemma the
-    # two integrality criteria can never disagree
-    assert by_charpoly == by_minpoly, f"integrality criteria disagree on {a}"
-    return by_minpoly
+    """True iff a lies in Z[zeta_N], the ring of integers of Q(zeta_N).
+
+    The power basis is a Z-basis of Z[zeta_N] (Washington, Thm 2.6), so
+    this holds iff every power-basis coefficient of a is an integer.
+    """
+    return all(c.denominator == 1 for c in a.coeffs)
 
 
 def integrality_witness(a: CycNum) -> IntPoly:
-    """Minimal polynomial as an IntPoly; raises if a is not an algebraic integer."""
-    m = minimal_polynomial(a)
+    """Minimal polynomial as an IntPoly; raises if a is not an algebraic integer.
+
+    Integrality is decided from the power basis before the polynomial is built.
+    """
     if not is_algebraic_integer(a):
         raise ValueError(f"{a} is not an algebraic integer")
-    return IntPoly.from_fractions(m)
+    return IntPoly.from_fractions(minimal_polynomial(a))

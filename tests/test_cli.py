@@ -182,3 +182,31 @@ def test_module_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "fib" in proc.stdout
+
+
+def test_verify_trivial_ring_over_conductor_53_is_fast(tmp_path, capsys):
+    # The trivial ring with every scalar written over Q(zeta_53), phi = 52.
+    # Integrality through a degree-52 characteristic polynomial made this
+    # run for minutes; the timeout turns such a regression into a failure
+    # rather than a hang.
+    def over_53(doc):
+        one = {"conductor": 53, "coeffs": [[1, 1]] + [[0, 1]] * 51}
+        doc.update(conductor=53, fpdims=[one], char_table=[[one]],
+                   smatrix=[[one]])
+
+    path = _write_entry(tmp_path, "trivial", mutate=over_53)
+    proc = subprocess.run([sys.executable, "-m", "fuscat", "verify", path,
+                           "--format", "json"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["summary"]["passed"] == 32
+    assert report["summary"]["failed"] == 0
+
+    assert main(["verify", "trivial", "--format", "json"]) == 0
+    expected = json.loads(capsys.readouterr().out)
+
+    def verdicts(rep):
+        return [(c["id"], c["params"], c["pass"]) for c in rep["checks"]]
+
+    assert verdicts(report) == verdicts(expected)

@@ -1,11 +1,15 @@
 """Cyclotomic field arithmetic: canonical forms, field axioms, integrality."""
 
+import json
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fuscat.exactnum
+from fuscat.catalog import BUILTIN_KEYS, builtin
+from fuscat.cli import main
 from fuscat.errors import ConductorNotDivisible, DivisionByZero
 from fuscat.exactnum import (
     CycNum,
@@ -290,3 +294,107 @@ def test_integer_combinations_stay_integral(a, b):
     ia, ib = clear(a), clear(b)
     assert is_algebraic_integer(ia + ib)
     assert is_algebraic_integer(ia * ib)
+
+
+# -- the characteristic-polynomial route, kept as the oracle -------------------
+#
+# Production decides integrality from the power basis and builds the minimal
+# polynomial from the Galois orbit.  The route below is independent of both:
+# the squarefree part p / gcd(p, p') of the characteristic polynomial is the
+# minimal polynomial, and (Gauss's lemma) p has integer coefficients iff the
+# minimal polynomial does.
+
+def _poly_trim(p):
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _poly_divmod(num, den):
+    num, den = _poly_trim(num), _poly_trim(den)
+    quot = [F(0)] * max(len(num) - len(den) + 1, 0)
+    for i in range(len(num) - len(den), -1, -1):
+        c = num[i + len(den) - 1] / den[-1]
+        quot[i] = c
+        for k, dk in enumerate(den):
+            num[i + k] -= c * dk
+    return quot, _poly_trim(num)
+
+
+def _poly_monic(p):
+    return [c / p[-1] for c in p]
+
+
+def _squarefree_part(p):
+    a, b = list(p), _poly_trim([k * c for k, c in enumerate(p)][1:])
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    quot, rem = _poly_divmod(p, _poly_monic(a))
+    assert not rem
+    return tuple(_poly_monic(quot))
+
+
+def _assert_matches_charpoly_oracle(a):
+    p = characteristic_polynomial(a)
+    assert minimal_polynomial(a) == _squarefree_part(p), a
+    assert is_algebraic_integer(a) == all(c.denominator == 1 for c in p), a
+
+
+def _distinct(values):
+    out, seen = [], set()
+    for v in values:
+        key = (v.conductor, v.coeffs)
+        if key not in seen:
+            seen.add(key)
+            out.append(v)
+    return out
+
+
+def _builtin_scalars(key):
+    """Every fpdim, character-table entry and S-matrix entry of one builtin."""
+    entry = builtin(key)
+    values = list(entry.ring.fpdims or ())
+    for rows in ((entry.table.alpha if entry.table else ()),
+                 (entry.smatrix.s if entry.smatrix else ())):
+        values += [v for row in rows for v in row]
+    return _distinct(values)
+
+
+@pytest.mark.parametrize("key", BUILTIN_KEYS)
+def test_catalog_values_match_charpoly_oracle(key):
+    scalars = _builtin_scalars(key)
+    derived = []
+    # a*b + a, a/2 and 1/a on a few scalars of each builtin
+    nonzero = [v for v in scalars if not v.is_zero()][:4]
+    for a, b in zip(nonzero, nonzero[1:] + nonzero[:1]):
+        derived += [a * b + a, a / 2, a.inverse()]
+    for a in _distinct(scalars + derived):
+        _assert_matches_charpoly_oracle(a)
+
+
+small_coeffs = st.one_of(st.integers(min_value=-3, max_value=3).map(F),
+                         st.fractions(min_value=-3, max_value=3,
+                                      max_denominator=4))
+
+
+@st.composite
+def small_cycnums(draw):
+    n = draw(st.sampled_from([1, 3, 4, 5, 8, 12]))
+    k = euler_phi(n)
+    return CycNum(n, draw(st.lists(small_coeffs, min_size=k, max_size=k)))
+
+
+@given(small_cycnums())
+@settings(max_examples=60, deadline=None)
+def test_small_cycnums_match_charpoly_oracle(a):
+    _assert_matches_charpoly_oracle(a)
+
+
+def test_verify_never_computes_a_characteristic_polynomial(monkeypatch, capsys):
+    def forbidden(mat):
+        raise AssertionError("characteristic polynomial on the production path")
+
+    monkeypatch.setattr(fuscat.exactnum, "_charpoly", forbidden)
+    assert main(["verify", "su2k-3", "--all-subcategories", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["failed"] == 0
