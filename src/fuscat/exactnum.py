@@ -1,23 +1,27 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-A `CycNum` is a vector of rationals in the power basis
-{1, z, ..., z^(phi(N)-1)} of Q(zeta_N), reduced modulo the N-th
-cyclotomic polynomial.  The representation is canonical: two elements
-over the same conductor are equal iff their coefficient tuples are
-equal.  Binary operations align conductors through the lcm; there is
-no automatic descent to a smaller field, so the conductor of a value
-records the field it was constructed in, not the minimal one.
+A `CycNum` stores an element of Q(zeta_N) in the power basis
+{1, z, ..., z^(phi(N)-1)} modulo the N-th cyclotomic polynomial, as phi(N)
+integer numerators over one positive denominator with gcd(den, *nums) == 1
+(Cohen, *A Course in Computational Algebraic Number Theory*, 4.2).  The form
+is canonical: two elements over the same conductor are equal iff their
+numerators and denominators are equal; `coeffs` shows it as `Fraction`s.
+Binary operations align conductors through the lcm, with no descent to a
+smaller field.  A product is an integer convolution reduced modulo the monic
+Phi_N; a rational operand only scales the other.  The inverse of a
+non-rational a is P / N(a), with P the product of the conjugates sigma_k(a),
+k != 1, and N(a) = a * P a nonzero rational (the norm).
 
-Integrality is read off the power basis: Z[zeta_N] is the full ring of
-integers of Q(zeta_N), and {1, z, ..., z^(phi(N)-1)} is a Z-basis of it
-(Washington, *Introduction to Cyclotomic Fields*, Thm 2.6), so a value is
-an algebraic integer iff every coefficient is an integer.  The minimal
-polynomial is the product of (x - c) over the distinct Galois conjugates c.
+Z[zeta_N] is the ring of integers of Q(zeta_N) with Z-basis the power basis
+(Washington, *Introduction to Cyclotomic Fields*, Thm 2.6), so a value is an
+algebraic integer iff its denominator is 1.  The minimal polynomial is the
+product of (x - c) over the distinct Galois conjugates c.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -29,67 +33,6 @@ Rational = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-# ---------------------------------------------------------------------------
-# dense polynomial helpers, constant term first
-# ---------------------------------------------------------------------------
-
-def _trim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _trim(out)
-
-
-def _poly_divmod(num, den):
-    """Long division over Q; `den` need not be monic."""
-    num = [Fraction(c) for c in num]
-    den = _trim([Fraction(c) for c in den])
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [_ZERO] * max(len(num) - len(den) + 1, 0)
-    lead = den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1] / lead
-        if c:
-            q[i] = c
-            for k, dk in enumerate(den):
-                num[i + k] -= c * dk
-    return _trim(q), _trim(num)
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [_ZERO] * (n - len(a))
-    b = list(b) + [_ZERO] * (n - len(b))
-    return _trim([x - y for x, y in zip(a, b)])
-
-
-def _poly_ext_gcd(a, m):
-    """Return (g, u) with u*a = g (mod m), g monic."""
-    r0, r1 = _trim([Fraction(c) for c in a]), _trim([Fraction(c) for c in m])
-    s0, s1 = [_ONE], []
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-    if not r0:
-        return [], s0
-    lead = r0[-1]
-    return [c / lead for c in r0], [c / lead for c in s0]
 
 
 def poly_eval(coeffs, x):
@@ -184,59 +127,106 @@ def cyclotomic_polynomial(n: int) -> IntPoly:
             return poly
         if n < 1:
             raise ValueError("conductor must be positive")
-        if n == 1:
-            poly = IntPoly((-1, 1))
-        else:
-            num = [Fraction(-1)] + [_ZERO] * (n - 1) + [Fraction(1)]
-            for d in range(1, n):
-                if n % d == 0:
-                    q, r = _poly_divmod(num, [Fraction(c) for c in
-                                              cyclotomic_polynomial(d).coeffs])
-                    assert not r, f"Phi_{d} must divide x^{n}-1"
-                    num = q
-            poly = IntPoly.from_fractions(num)
+        num = [-1] + [0] * (n - 1) + [1]
+        for d in range(1, n):
+            if n % d == 0:
+                k = _divide(num, d)
+                assert not any(num[:k]), f"Phi_{d} must divide x^{n}-1"
+                num = num[k:]
+        poly = IntPoly(tuple(num))
         assert poly.degree == euler_phi(n)
         _CYCLO_CACHE[n] = poly
         return poly
+
+
+@functools.cache
+def _phi_tail(n):
+    """phi(n) and the nonzero (k, c_k) of Phi_n below its leading term."""
+    phi = cyclotomic_polynomial(n).coeffs
+    return len(phi) - 1, tuple((k, c) for k, c in enumerate(phi[:-1]) if c)
+
+
+def _divide(p, n):
+    """Divide the coefficient list p by the monic Phi_n in place, so that
+    p[:deg] is the remainder and p[deg:] the quotient; return deg = phi(n)."""
+    deg, tail = _phi_tail(n)
+    for i in range(len(p) - 1, deg - 1, -1):
+        c = p[i]
+        if c:
+            for k, t in tail:
+                p[i - deg + k] -= c * t
+    return deg
+
+
+def _reduce(p, n):
+    """p modulo Phi_n, as phi(n) integers."""
+    deg = _divide(p, n)
+    return p[:deg] + [0] * (deg - len(p))
+
+
+def _int_mul(x, y, n):
+    """Product of two integer vectors over conductor n, reduced mod Phi_n."""
+    out = [0] * (len(x) + len(y) - 1)
+    for i, xi in enumerate(x):
+        if xi:
+            for k, yj in enumerate(y, i):
+                out[k] += xi * yj
+    return _reduce(out, n)
+
+
+def _spread(nums, step, m):
+    """sum_j nums[j] zeta_m^(j*step), reduced mod Phi_m."""
+    out = [0] * m
+    for j, x in enumerate(nums):
+        if x:
+            out[j * step % m] += x
+    return _reduce(out, m)
 
 
 # ---------------------------------------------------------------------------
 # cyclotomic numbers
 # ---------------------------------------------------------------------------
 
-def _reduce_mod_phi(coeffs, n):
-    """Reduce an arbitrary-degree coefficient list mod Phi_n, pad to phi(n)."""
-    deg = euler_phi(n)
-    phi = cyclotomic_polynomial(n).coeffs
-    p = [Fraction(c) for c in coeffs]
-    for i in range(len(p) - 1, deg - 1, -1):
-        c = p[i]
-        if c:
-            p[i] = _ZERO
-            for k in range(deg):
-                p[i - deg + k] -= c * phi[k]
-    p = p[:deg]
-    p += [_ZERO] * (deg - len(p))
-    return tuple(p)
-
-
 class CycNum:
     """An element of Q(zeta_N) in canonical power-basis form."""
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "_nums", "_den")
 
-    def __init__(self, conductor: int, coeffs):
-        object.__setattr__(self, "conductor", int(conductor))
-        object.__setattr__(self, "coeffs", _reduce_mod_phi(coeffs, int(conductor)))
+    def __new__(cls, conductor: int, coeffs):
+        n = int(conductor)
+        coeffs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        nums = [c.numerator * (den // c.denominator) for c in coeffs]
+        return cls._from_ints(n, _reduce(nums, n), den)
+
+    @classmethod
+    def _from_ints(cls, n, nums, den):
+        """Normalize phi(n) integer numerators over a nonzero denominator."""
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [x // g for x in nums]
+            den //= g
+        obj = object.__new__(cls)
+        _set_conductor(obj, n)
+        _set_nums(obj, tuple(nums))
+        _set_den(obj, den)
+        return obj
 
     def __setattr__(self, *a):
         raise AttributeError("CycNum is immutable")
+
+    def __reduce__(self):
+        return CycNum._from_ints, (self.conductor, self._nums, self._den)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_rational(cls, q) -> "CycNum":
-        return cls(1, (Fraction(q),))
+        if not isinstance(q, int):
+            q = Fraction(q)
+        return cls._from_ints(1, (q.numerator,), q.denominator)
 
     @classmethod
     def zeta(cls, n: int, power: int = 1) -> "CycNum":
@@ -245,16 +235,21 @@ class CycNum:
 
     # -- structure ---------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self._den
+        return tuple(Fraction(x, den) for x in self._nums)
+
     def is_zero(self) -> bool:
-        return all(not c for c in self.coeffs)
+        return not any(self._nums)
 
     def is_rational(self) -> bool:
-        return all(not c for c in self.coeffs[1:])
+        return not any(self._nums[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self._nums[0], self._den)
 
     def change_conductor(self, m: int) -> "CycNum":
         """Re-embed into Q(zeta_m); requires conductor | m (no descent)."""
@@ -263,12 +258,11 @@ class CycNum:
             return self
         if m % n != 0:
             raise ConductorNotDivisible(f"{n} does not divide {m}")
-        step = m // n
-        out = [_ZERO] * m
-        for j, c in enumerate(self.coeffs):
-            if c:
-                out[(j * step) % m] += c
-        return CycNum(m, out)
+        if self.is_rational():
+            nums = [self._nums[0]] + [0] * (_phi_tail(m)[0] - 1)
+        else:
+            nums = _spread(self._nums, m // n, m)
+        return CycNum._from_ints(m, nums, self._den)
 
     @staticmethod
     def _aligned(a: "CycNum", b: "CycNum"):
@@ -292,12 +286,16 @@ class CycNum:
         if other is None:
             return NotImplemented
         a, b = self._aligned(self, other)
-        return CycNum(a.conductor, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        da, db = a._den, b._den
+        return CycNum._from_ints(
+            a.conductor, [x * db + y * da for x, y in zip(a._nums, b._nums)],
+            da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum(self.conductor, [-c for c in self.coeffs])
+        return CycNum._from_ints(self.conductor, [-x for x in self._nums],
+                                 self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -315,20 +313,33 @@ class CycNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._aligned(self, other)
-        return CycNum(a.conductor, _poly_mul(list(a.coeffs), list(b.coeffs)))
+        a, b = (other, self) if self.is_rational() else (self, other)
+        if b.is_rational():
+            # scale a, in the field of the lcm
+            a = a.change_conductor(math.lcm(a.conductor, b.conductor))
+            nums = [b._nums[0] * x for x in a._nums]
+        else:
+            a, b = self._aligned(a, b)
+            nums = _int_mul(a._nums, b._nums, a.conductor)
+        return CycNum._from_ints(a.conductor, nums, a._den * b._den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        n = self.conductor
-        phi = [Fraction(c) for c in cyclotomic_polynomial(n).coeffs]
-        g, u = _poly_ext_gcd(list(self.coeffs), phi)
-        # Phi_n is irreducible over Q, so the gcd is the constant 1.
-        assert g == [_ONE], "power-basis representative shares a factor with Phi_n"
-        return CycNum(n, u)
+        n, nums, den = self.conductor, self._nums, self._den
+        if self.is_rational():
+            return CycNum._from_ints(n, (den,) + nums[1:], nums[0])
+        # a = A/den; P = prod_{k != 1} sigma_k(A), and A*P = N(A) is rational
+        cofactor = [1]
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                cofactor = _int_mul(cofactor, _spread(nums, k, n), n)
+        norm = _int_mul(nums, cofactor, n)
+        if any(norm[1:]) or not norm[0]:
+            raise ArithmeticError(f"norm of {self} is not a nonzero rational")
+        return CycNum._from_ints(n, [den * x for x in cofactor], norm[0])
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -360,11 +371,7 @@ class CycNum:
         n = self.conductor
         if math.gcd(k, n) != 1:
             raise ValueError(f"zeta -> zeta^{k} is not a field map for conductor {n}")
-        out = [_ZERO] * n
-        for j, c in enumerate(self.coeffs):
-            if c:
-                out[(j * k) % n] += c
-        return CycNum(n, out)
+        return CycNum._from_ints(n, _spread(self._nums, k, n), self._den)
 
     def conjugate(self) -> "CycNum":
         return self._galois(self.conductor - 1) if self.conductor > 1 else self
@@ -376,11 +383,7 @@ class CycNum:
         if other is None:
             return NotImplemented
         a, b = self._aligned(self, other)
-        return a.coeffs == b.coeffs
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
+        return a._den == b._den and a._nums == b._nums
 
     # equality crosses conductors, so there is no consistent hash
     __hash__ = None
@@ -391,9 +394,10 @@ class CycNum:
     # -- numeric views --------------------------------------------------------
 
     def embed_complex(self) -> complex:
-        n = self.conductor
-        return sum(float(c) * cmath.exp(2j * math.pi * j / n)
-                   for j, c in enumerate(self.coeffs))
+        # int / int is correctly rounded, so each term equals float(coeffs[j])
+        n, den = self.conductor, self._den
+        return sum((x / den) * cmath.exp(2j * math.pi * j / n)
+                   for j, x in enumerate(self._nums))
 
     # -- printing --------------------------------------------------------------
 
@@ -425,6 +429,11 @@ class CycNum:
         return f"CycNum({self.conductor}, {[str(c) for c in self.coeffs]})"
 
 
+# the slots' own setters, since CycNum.__setattr__ refuses every write
+_set_conductor = CycNum.conductor.__set__
+_set_nums = CycNum._nums.__set__
+_set_den = CycNum._den.__set__
+
 ZERO = CycNum.from_rational(0)
 ONE = CycNum.from_rational(1)
 
@@ -433,25 +442,13 @@ ONE = CycNum.from_rational(1)
 # minimal polynomials and integrality
 # ---------------------------------------------------------------------------
 
-def _zeta_shift(v, phi, deg):
-    """Coefficients of zeta * v, reduced; v has length deg."""
-    top = v[-1]
-    out = [_ZERO] + list(v[:-1])
-    if top:
-        for k in range(deg):
-            out[k] -= top * phi[k]
-    return out
-
-
 def _multiplication_matrix(a: CycNum):
-    n = a.conductor
-    deg = euler_phi(n)
-    phi = cyclotomic_polynomial(n).coeffs
+    n, deg = a.conductor, euler_phi(a.conductor)
     cols = []
-    v = list(a.coeffs)
-    for _ in range(deg):
-        cols.append(list(v))
-        v = _zeta_shift(v, phi, deg)
+    for j in range(deg):
+        v = [_ZERO] * j + list(a.coeffs)  # a * zeta^j before reduction
+        _divide(v, n)
+        cols.append(v[:deg])
     # cols[j] = coords of a * zeta^j; return row-major matrix
     return [[cols[j][i] for j in range(deg)] for i in range(deg)]
 
@@ -495,7 +492,7 @@ def minimal_polynomial(a: CycNum) -> tuple[Fraction, ...]:
     ValueError if the orbit was incomplete.
     """
     if a.is_rational():
-        return (-a.coeffs[0], _ONE)
+        return (-a.as_rational(), _ONE)
     n = a.conductor
     seen = set()
     poly = [ONE]
@@ -503,9 +500,10 @@ def minimal_polynomial(a: CycNum) -> tuple[Fraction, ...]:
         if math.gcd(k, n) != 1:
             continue
         c = a._galois(k)
-        if c.coeffs in seen:
+        key = (c._nums, c._den)
+        if key in seen:
             continue
-        seen.add(c.coeffs)
+        seen.add(key)
         # poly * (x - c)
         poly = ([-(c * poly[0])]
                 + [poly[i - 1] - c * poly[i] for i in range(1, len(poly))]
@@ -517,9 +515,9 @@ def is_algebraic_integer(a: CycNum) -> bool:
     """True iff a lies in Z[zeta_N], the ring of integers of Q(zeta_N).
 
     The power basis is a Z-basis of Z[zeta_N] (Washington, Thm 2.6), so
-    this holds iff every power-basis coefficient of a is an integer.
+    this holds iff every coefficient is an integer: iff the denominator is 1.
     """
-    return all(c.denominator == 1 for c in a.coeffs)
+    return a._den == 1
 
 
 def integrality_witness(a: CycNum) -> IntPoly:

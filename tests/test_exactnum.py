@@ -1,7 +1,10 @@
 """Cyclotomic field arithmetic: canonical forms, field axioms, integrality."""
 
+import cmath
+import copy
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -351,14 +354,18 @@ def _distinct(values):
     return out
 
 
-def _builtin_scalars(key):
-    """Every fpdim, character-table entry and S-matrix entry of one builtin."""
-    entry = builtin(key)
+def _entry_scalars(entry):
+    """Every fpdim, character-table entry and S-matrix entry, in order."""
     values = list(entry.ring.fpdims or ())
     for rows in ((entry.table.alpha if entry.table else ()),
                  (entry.smatrix.s if entry.smatrix else ())):
         values += [v for row in rows for v in row]
-    return _distinct(values)
+    return values
+
+
+def _builtin_scalars(key):
+    """The distinct scalars of one builtin."""
+    return _distinct(_entry_scalars(builtin(key)))
 
 
 @pytest.mark.parametrize("key", BUILTIN_KEYS)
@@ -398,3 +405,167 @@ def test_verify_never_computes_a_characteristic_polynomial(monkeypatch, capsys):
     monkeypatch.setattr(fuscat.exactnum, "_charpoly", forbidden)
     assert main(["verify", "su2k-3", "--all-subcategories", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["summary"]["failed"] == 0
+
+
+# -- copying and pickling -----------------------------------------------------
+
+def test_cycnum_copy_and_pickle_round_trip():
+    for a in (GOLDEN, RT2 / 3, CycNum.from_rational(F(-2, 7)).change_conductor(8)):
+        for clone in (copy.copy(a), copy.deepcopy(a),
+                      *(pickle.loads(pickle.dumps(a, protocol))
+                        for protocol in range(pickle.HIGHEST_PROTOCOL + 1))):
+            assert clone == a
+            assert (clone.conductor, clone.coeffs) == (a.conductor, a.coeffs)
+
+
+@pytest.mark.parametrize("key", BUILTIN_KEYS)
+def test_builtin_entry_copy_and_pickle_round_trip(key):
+    entry = builtin(key)
+    scalars = _entry_scalars(entry)
+    for clone in (copy.copy(entry), copy.deepcopy(entry),
+                  pickle.loads(pickle.dumps(entry))):
+        assert clone == entry
+        assert [(v.conductor, v.coeffs) for v in _entry_scalars(clone)] == \
+            [(v.conductor, v.coeffs) for v in scalars]
+
+
+# -- differential oracle: power-basis arithmetic over Fraction -----------------
+#
+# A value is (conductor, tuple of Fraction coefficients).  Products and
+# re-embeddings are reduced modulo Phi_N over Fraction, and the inverse is the
+# extended Euclidean algorithm against Phi_N.
+
+def _ref_reduce(coeffs, n):
+    deg = euler_phi(n)
+    phi = cyclotomic_polynomial(n).coeffs
+    p = [F(c) for c in coeffs]
+    for i in range(len(p) - 1, deg - 1, -1):
+        c, p[i] = p[i], F(0)
+        for k in range(deg):
+            p[i - deg + k] -= c * phi[k]
+    return (n, tuple(p[:deg] + [F(0)] * (deg - len(p))))
+
+
+def _ref_change(a, m):
+    n, coeffs = a
+    out = [F(0)] * m
+    for j, c in enumerate(coeffs):
+        out[j * (m // n) % m] += c
+    return _ref_reduce(out, m)
+
+
+def _ref_aligned(a, b):
+    m = math.lcm(a[0], b[0])
+    return _ref_change(a, m), _ref_change(b, m)
+
+
+def _ref_add(a, b):
+    (m, x), (_, y) = _ref_aligned(a, b)
+    return (m, tuple(p + q for p, q in zip(x, y)))
+
+
+def _ref_poly_mul(x, y):
+    out = [F(0)] * (len(x) + len(y) - 1)
+    for i, p in enumerate(x):
+        for j, q in enumerate(y):
+            out[i + j] += p * q
+    return out
+
+
+def _ref_mul(a, b):
+    (m, x), (_, y) = _ref_aligned(a, b)
+    return _ref_reduce(_ref_poly_mul(x, y), m)
+
+
+def _ref_inverse(a):
+    n, coeffs = a
+    r0 = _poly_trim(coeffs)
+    r1 = _poly_trim(F(c) for c in cyclotomic_polynomial(n).coeffs)
+    s0, s1 = [F(1)], []
+    while r1:
+        quot, rem = _poly_divmod(r0, r1)
+        prod = _ref_poly_mul(quot, s1) if s1 else []
+        width = max(len(s0), len(prod))
+        s0, s1 = s1, _poly_trim(
+            (s0[i] if i < len(s0) else 0) - (prod[i] if i < len(prod) else 0)
+            for i in range(width))
+        r0, r1 = r1, rem
+    assert len(r0) == 1, "gcd with Phi_N must be a constant"
+    return _ref_reduce([c / r0[0] for c in s0], n)
+
+
+def _view(x):
+    return (x.conductor, x.coeffs)
+
+
+def _assert_embed_matches_fraction_floats(a):
+    """embed_complex equals the sum over float(Fraction) terms, bit for bit."""
+    n = a.conductor
+    expect = sum(float(c) * cmath.exp(2j * math.pi * j / n)
+                 for j, c in enumerate(a.coeffs))
+    got = a.embed_complex()
+    assert (got.real.hex(), got.imag.hex()) == \
+        (expect.real.hex(), expect.imag.hex()), a
+
+
+ORACLE_CONDUCTORS = [1, 2, 3, 4, 5, 8, 12, 15, 24]
+
+
+@st.composite
+def oracle_cycnums(draw):
+    n = draw(st.sampled_from(ORACLE_CONDUCTORS))
+    k = euler_phi(n)
+    if draw(st.booleans()):
+        # a rational that carries conductor n
+        return CycNum(n, [draw(small_coeffs)] + [0] * (k - 1))
+    return CycNum(n, draw(st.lists(small_coeffs, min_size=k, max_size=k)))
+
+
+@given(oracle_cycnums(), oracle_cycnums(), st.sampled_from([1, 2, 3, 5]))
+@settings(max_examples=150, deadline=None)
+def test_arithmetic_matches_fraction_oracle(a, b, lift):
+    ra, rb = _view(a), _view(b)
+    assert _view(a + b) == _ref_add(ra, rb)
+    assert _view(a * b) == _ref_mul(ra, rb)
+    assert _view(b * a) == _ref_mul(rb, ra)
+    m = a.conductor * lift
+    assert _view(a.change_conductor(m)) == _ref_change(ra, m)
+    _assert_embed_matches_fraction_floats(a * b)
+    if not a.is_zero():
+        assert _view(a.inverse()) == _ref_inverse(ra)
+        _assert_embed_matches_fraction_floats(a.inverse())
+
+
+def test_rational_operand_keeps_its_conductor():
+    half8 = CycNum(8, [F(1, 2), 0, 0, 0])
+    z3 = CycNum.zeta(3) + F(1, 3)
+    for product in (half8 * z3, z3 * half8):
+        assert product.conductor == 24
+        assert _view(product) == _ref_mul(_view(half8), _view(z3))
+    assert (half8 * CycNum.from_rational(4)).conductor == 8
+    assert _view(half8.inverse()) == (8, (F(2), F(0), F(0), F(0)))
+
+
+@pytest.mark.parametrize("key", BUILTIN_KEYS)
+def test_embed_complex_is_bit_identical_to_fraction_floats(key):
+    for a in _builtin_scalars(key):
+        _assert_embed_matches_fraction_floats(a)
+
+
+# -- canonical integer form ----------------------------------------------------
+
+@given(oracle_cycnums(), oracle_cycnums())
+@settings(max_examples=100, deadline=None)
+def test_results_are_in_canonical_integer_form(a, b):
+    results = [a + b, a - b, a * b, -a, a.conjugate(), a.change_conductor(
+        a.conductor * 2)]
+    if not b.is_zero():
+        results += [b.inverse(), a / b]
+    for x in results:
+        assert x._den > 0
+        assert math.gcd(x._den, *x._nums) == 1
+        assert len(x._nums) == euler_phi(x.conductor)
+        rebuilt = CycNum(x.conductor, x.coeffs)
+        assert (rebuilt._nums, rebuilt._den) == (x._nums, x._den)
+        assert is_algebraic_integer(x) == all(c.denominator == 1
+                                              for c in x.coeffs)
