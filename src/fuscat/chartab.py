@@ -8,7 +8,8 @@ exact character values are never solved for numerically.
 
 Formal codegrees and class dimensions are derived from the table; the
 class dimension attached to the dimension character is always 1, and the
-class dimensions sum to the global dimension.
+class dimensions sum to the global dimension.  The two checks take a
+``verify.Target`` and read its derived data from it.
 """
 
 from __future__ import annotations
@@ -164,20 +165,19 @@ def support_JD(ring: FusionRing, table: CharacterTable,
     return tuple(out)
 
 
-def verify_eq_2_7(ring: FusionRing, table: CharacterTable,
-                  sub: Subcategory) -> CheckResult:
+def verify_eq_2_7(target, sub: Subcategory) -> CheckResult:
     """Class dimensions over the support sum to dim(C)/dim(D)."""
-    jd = support_JD(ring, table, sub)
     lhs = ZERO
-    for j in jd:
-        lhs = lhs + table.class_dims[j]
-    rhs = global_fpdim(ring) / sub_fpdim(ring, sub)
+    for j in target.support(sub):
+        lhs = lhs + target.table.class_dims[j]
+    rhs = target.global_dim / target.dim(sub)
     return CheckResult(check="eq-2.7", inputs={"D": list(sub.members)},
                        lhs=lhs, rhs=rhs, passed=lhs == rhs)
 
 
-def verify_eq_2_4(ring: FusionRing, table: CharacterTable) -> list[CheckResult]:
+def verify_eq_2_4(target) -> list[CheckResult]:
     """Dual-pairing orthogonality of table columns, all pairs."""
+    ring, table = target.ring, target.table
     r = ring.rank
     out = []
     for l in range(r):
@@ -185,7 +185,7 @@ def verify_eq_2_4(ring: FusionRing, table: CharacterTable) -> list[CheckResult]:
             s = ZERO
             for i in range(r):
                 s = s + table.alpha[i][l] * table.alpha[ring.dual[i]][k]
-            rhs = global_fpdim(ring) / table.class_dims[k] if l == k else ZERO
+            rhs = target.global_dim / table.class_dims[k] if l == k else ZERO
             out.append(CheckResult(check="eq-2.4", inputs={"l": l, "k": k},
                                    lhs=s, rhs=rhs, passed=s == rhs))
     return out

@@ -11,41 +11,30 @@ import argparse
 import os
 import sys
 
-from .catalog import BUILTIN_KEYS, CatalogEntry, builtin, entry_summary
+from .catalog import BUILTIN_KEYS, builtin, entry_summary
 from .chartab import characters_numeric, match_numeric_columns
-from .cosets import coset_partition, hecke_constants
+from .cosets import hecke_constants
 from .errors import FuscatError, SchemaError, UnknownKey, ValidationError
 from .exactnum import CycNum
-from .fusion import check_subcategory, global_fpdim
-from .premod import m_map
+from .fusion import check_subcategory
 from .serialize import from_document, load_document
-from .verify import (all_subcategories, render_json, render_markdown,
-                     run_checks)
+from .verify import (Target, _show, all_subcategories, render_json,
+                     render_markdown, run_checks)
 
 _INTEGRALITY_IDS = ("cor-3.9", "cor-4.16", "thm-1.1", "thm-1.3", "rem-4.25")
 
 
-class _Target:
-    """A resolved target: catalog entry or parsed document."""
-
-    def __init__(self, label, ring, table, smatrix):
-        self.label = label
-        self.ring = ring
-        self.table = table
-        self.smatrix = smatrix
-
-
-def _resolve_target(key_or_path: str) -> _Target:
+def _resolve_target(key_or_path: str) -> Target:
     """Catalog key first; falls back to a JSON document on disk."""
     try:
         entry = builtin(key_or_path)
-        return _Target(entry.key, entry.ring, entry.table, entry.smatrix)
+        return Target(entry.key, entry.ring, entry.table, entry.smatrix)
     except UnknownKey:
         pass
     if not os.path.exists(key_or_path):
         raise UnknownKey(f"'{key_or_path}' is neither a catalog key nor a file")
     ring, table, smatrix = from_document(load_document(key_or_path))
-    return _Target(key_or_path, ring, table, smatrix)
+    return Target(key_or_path, ring, table, smatrix)
 
 
 def _seed() -> int:
@@ -54,13 +43,6 @@ def _seed() -> int:
         return int(raw)
     except ValueError:
         raise SchemaError(f"FUSCAT_SEED must be an integer, got {raw!r}")
-
-
-def _fmt(value: CycNum) -> str:
-    z = value.embed_complex()
-    approx = (f"{z.real:.6g}" if abs(z.imag) < 1e-12
-              else f"{z.real:.6g}{z.imag:+.6g}j")
-    return f"{value} (~{approx})"
 
 
 def cmd_validate(args) -> int:
@@ -94,9 +76,7 @@ def cmd_verify(args) -> int:
     else:
         pool = None
     check_ids = args.checks.split(",") if args.checks else None
-    report = run_checks(target.ring, target.table, target.smatrix,
-                        target=target.label, subcategories=pool,
-                        check_ids=check_ids)
+    report = run_checks(target, subcategories=pool, check_ids=check_ids)
     if args.format == "json":
         sys.stdout.write(render_json(report))
     else:
@@ -118,13 +98,13 @@ def _blocks_str(blocks) -> str:
 
 def cmd_report(args) -> int:
     target = _resolve_target(args.target)
-    ring, table, smatrix = target.ring, target.table, target.smatrix
+    ring, table = target.ring, target.table
     out = [f"# report: {target.label}", ""]
     out.append(f"rank: {ring.rank}")
     out.append(f"names: {', '.join(ring.names)}")
-    out.append(f"global dimension: {_fmt(global_fpdim(ring))}")
+    out.append(f"global dimension: {_show(target.global_dim)}")
     if ring.fpdims is not None:
-        out.append("dimensions: " + ", ".join(_fmt(d) for d in ring.fpdims))
+        out.append("dimensions: " + ", ".join(_show(d) for d in ring.fpdims))
     out.append("")
 
     if table is not None:
@@ -133,24 +113,24 @@ def cmd_report(args) -> int:
         out.append("| column | dim(C^j) |")
         out.append("|---|---|")
         for j, c in enumerate(table.class_dims):
-            out.append(f"| {j} | {_fmt(c)} |")
+            out.append(f"| {j} | {_show(c)} |")
         out.append("")
 
-    analysis = None
-    if smatrix is not None and table is not None:
-        analysis = m_map(ring, table, smatrix)
+    if target.smatrix is not None and table is not None:
+        analysis = target.analysis
         out.append("## matching analysis")
         out.append("")
         out.append(f"center: {{{','.join(map(str, analysis.center.members))}}}")
         out.append(f"M: {list(analysis.M)}")
         out.append(f"fibers: {_blocks_str(analysis.fibers)}")
         out.append("cosets wrt center: " + _blocks_str(
-            coset_partition(ring, analysis.center).blocks))
+            target.cosets(analysis.center).blocks))
         out.append("")
 
     out.append("## coset decompositions and block structure constants")
-    for sub in all_subcategories(ring):
-        dec = coset_partition(ring, sub)
+    subs = all_subcategories(ring)
+    for sub in subs:
+        dec = target.cosets(sub)
         out.append("")
         out.append(f"### D = {{{','.join(map(str, sub.members))}}}")
         out.append("")
@@ -163,12 +143,11 @@ def cmd_report(args) -> int:
                 for p_i in range(dec.n_blocks):
                     v = h.structure[m_i][n_i][p_i]
                     if not v.is_zero():
-                        rows.append(f"| {m_i} | {n_i} | {p_i} | {_fmt(v)} |")
+                        rows.append(f"| {m_i} | {n_i} | {p_i} | {_show(v)} |")
         out.extend(rows)
     out.append("")
 
-    report = run_checks(ring, table, smatrix, target=target.label,
-                        subcategories=all_subcategories(ring),
+    report = run_checks(target, subcategories=subs,
                         check_ids=list(_INTEGRALITY_IDS))
     out.append("## integrality values")
     out.append("")
@@ -184,7 +163,7 @@ def cmd_report(args) -> int:
             verdict = "FAIL"
             any_failed = True
         params = ", ".join(f"{k}={v}" for k, v in sorted(c.params.items()))
-        value = _fmt(c.lhs) if isinstance(c.lhs, CycNum) else str(c.lhs)
+        value = _show(c.lhs) if isinstance(c.lhs, CycNum) else str(c.lhs)
         out.append(f"| {c.id} | {params} | {value} | {verdict} |")
     sys.stdout.write("\n".join(out) + "\n")
     return 1 if any_failed else 0

@@ -5,15 +5,16 @@ each row, normalized by its dimension, must be a character of the ring and
 therefore matches exactly one column of the character table.  That matching
 is the M-function; its fibers, the transparent subcategory (center), and a
 family of dimension and divisibility identities are verified here in exact
-arithmetic.
+arithmetic.  The checks take a ``verify.Target`` and read its derived data
+(among them the matching analysis) from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chartab import CharacterTable, ClassFunction, support_JD
-from .cosets import restricted_blocks, coset_partition
+from .chartab import CharacterTable, ClassFunction
+from .cosets import restricted_blocks
 from .errors import (
     AsymmetricS,
     BadFirstRow,
@@ -28,9 +29,7 @@ from .fusion import (
     FusionRing,
     Subcategory,
     check_subcategory,
-    global_fpdim,
     pointed_part,
-    sub_fpdim,
 )
 from .reports import CheckResult
 
@@ -226,9 +225,10 @@ def m_map(ring: FusionRing, table: CharacterTable, sm: SMatrix) -> PremodAnalysi
 # checks
 # ---------------------------------------------------------------------------
 
-def verify_eq_4_3(ring: FusionRing, table: CharacterTable, sm: SMatrix,
-                  analysis: PremodAnalysis) -> list[CheckResult]:
+def verify_eq_4_3(target) -> list[CheckResult]:
     """Normalized table entries at matched columns against normalized s-entries."""
+    ring, table, sm = target.ring, target.table, target.smatrix
+    analysis = target.analysis
     out = []
     for i in range(ring.rank):
         ok = all(table.alpha[i][analysis.M[ip]] * ring.fpdims[ip] == sm.s[i][ip]
@@ -239,9 +239,10 @@ def verify_eq_4_3(ring: FusionRing, table: CharacterTable, sm: SMatrix,
     return out
 
 
-def verify_thm_4_6(ring: FusionRing, table: CharacterTable, sm: SMatrix,
-                   analysis: PremodAnalysis) -> list[CheckResult]:
+def verify_thm_4_6(target) -> list[CheckResult]:
     """Central image of each basis character is its class sum, rescaled."""
+    ring, table, sm = target.ring, target.table, target.smatrix
+    analysis = target.analysis
     out = []
     for i in range(ring.rank):
         j = analysis.M[i]
@@ -253,28 +254,22 @@ def verify_thm_4_6(ring: FusionRing, table: CharacterTable, sm: SMatrix,
     return out
 
 
-def verify_thm_4_10(ring: FusionRing, table: CharacterTable,
-                    analysis: PremodAnalysis) -> list[CheckResult]:
+def verify_thm_4_10(target) -> list[CheckResult]:
     """Fibers of the matching equal the cosets with respect to the center,
     and the fiber count is the support size of the center."""
-    dec = coset_partition(ring, analysis.center)
+    analysis = target.analysis
+    dec = target.cosets(analysis.center)
     same = set(map(frozenset, analysis.fibers)) == set(map(frozenset, dec.blocks))
     out = [CheckResult(check="thm-4.10", inputs={},
                        lhs=[list(b) for b in analysis.fibers],
                        rhs=[list(b) for b in dec.blocks],
                        passed=same, detail="fibers vs center cosets")]
-    jz = support_JD(ring, table, analysis.center)
+    jz = target.support(analysis.center)
     ok = len(analysis.fibers) == len(analysis.J2) and set(analysis.J2) == set(jz)
     out.append(CheckResult(check="thm-4.10", inputs={},
                            lhs=len(analysis.fibers), rhs=len(jz),
                            passed=ok, detail="fiber count vs support size"))
     return out
-
-
-def _center_trace(ring: FusionRing, analysis: PremodAnalysis,
-                  sub: Subcategory) -> Subcategory:
-    return check_subcategory(
-        ring, set(sub.members) & set(analysis.center.members))
 
 
 def _rd_blocks(analysis: PremodAnalysis, sub: Subcategory) -> dict[int, tuple[int, ...]]:
@@ -285,19 +280,18 @@ def _rd_blocks(analysis: PremodAnalysis, sub: Subcategory) -> dict[int, tuple[in
     return {j: tuple(v) for j, v in grouped.items()}
 
 
-def verify_prop_4_12(ring: FusionRing, table: CharacterTable, sm: SMatrix,
-                     analysis: PremodAnalysis, sub: Subcategory) -> list[CheckResult]:
+def verify_prop_4_12(target, sub: Subcategory) -> list[CheckResult]:
     """Support of the centralizer is the matched image of D, and each matched
     group has dimension dim(D ∩ center) times the class dimension."""
-    dprime = centralizer(ring, sm, sub)
-    jdp = support_JD(ring, table, dprime)
+    ring, table, analysis = target.ring, target.table, target.analysis
+    dprime = target.centralizer(sub)
+    jdp = target.support(dprime)
     image = sorted({analysis.M[i] for i in sub.members})
     out = [CheckResult(check="prop-4.12",
                        inputs={"D": list(sub.members), "part": "image"},
                        lhs=image, rhs=sorted(jdp),
                        passed=set(image) == set(jdp))]
-    inter = _center_trace(ring, analysis, sub)
-    dim_inter = sub_fpdim(ring, inter)
+    dim_inter = target.dim(target.center_trace(sub))
     blocks = _rd_blocks(analysis, sub)
     total_block_dim = ZERO
     for j in sorted(blocks):
@@ -313,37 +307,31 @@ def verify_prop_4_12(ring: FusionRing, table: CharacterTable, sm: SMatrix,
     cd_sum = ZERO
     for j in jdp:
         cd_sum = cd_sum + table.class_dims[j]
-    total = global_fpdim(ring)
+    quotient = target.global_dim / target.dim(dprime)
     out.append(CheckResult(check="prop-4.12",
                            inputs={"D": list(sub.members), "part": "support-sum"},
-                           lhs=cd_sum, rhs=total / sub_fpdim(ring, dprime),
-                           passed=cd_sum == total / sub_fpdim(ring, dprime)))
+                           lhs=cd_sum, rhs=quotient, passed=cd_sum == quotient))
     out.append(CheckResult(check="prop-4.12",
                            inputs={"D": list(sub.members), "part": "dim-sum"},
-                           lhs=total_block_dim, rhs=sub_fpdim(ring, sub),
-                           passed=total_block_dim == sub_fpdim(ring, sub)))
+                           lhs=total_block_dim, rhs=target.dim(sub),
+                           passed=total_block_dim == target.dim(sub)))
     return out
 
 
-def verify_eq_4_15(ring: FusionRing, sm: SMatrix, analysis: PremodAnalysis,
-                   sub: Subcategory) -> CheckResult:
+def verify_eq_4_15(target, sub: Subcategory) -> CheckResult:
     """dim(D) dim(D') = dim(C) dim(D ∩ center)."""
-    dprime = centralizer(ring, sm, sub)
-    inter = _center_trace(ring, analysis, sub)
-    lhs = sub_fpdim(ring, sub) * sub_fpdim(ring, dprime)
-    rhs = global_fpdim(ring) * sub_fpdim(ring, inter)
+    lhs = target.dim(sub) * target.dim(target.centralizer(sub))
+    rhs = target.global_dim * target.dim(target.center_trace(sub))
     return CheckResult(check="eq-4.15", inputs={"D": list(sub.members)},
                        lhs=lhs, rhs=rhs, passed=lhs == rhs)
 
 
-def verify_cor_4_16(ring: FusionRing, table: CharacterTable, sm: SMatrix,
-                    analysis: PremodAnalysis, sub: Subcategory) -> list[CheckResult]:
+def verify_cor_4_16(target, sub: Subcategory) -> list[CheckResult]:
     """dim(C) dim(center ∩ D) / dim(R(D)_j) is an algebraic integer."""
-    dprime = centralizer(ring, sm, sub)
-    jdp = support_JD(ring, table, dprime)
-    inter = _center_trace(ring, analysis, sub)
-    blocks = _rd_blocks(analysis, sub)
-    total = global_fpdim(ring)
+    ring = target.ring
+    jdp = target.support(target.centralizer(sub))
+    blocks = _rd_blocks(target.analysis, sub)
+    numerator = target.global_dim * target.dim(target.center_trace(sub))
     out = []
     for j in sorted(jdp):
         if j not in blocks:
@@ -351,7 +339,7 @@ def verify_cor_4_16(ring: FusionRing, table: CharacterTable, sm: SMatrix,
         dim_j = ZERO
         for i in blocks[j]:
             dim_j = dim_j + ring.fpdims[i] * ring.fpdims[i]
-        value = total * sub_fpdim(ring, inter) / dim_j
+        value = numerator / dim_j
         ok = is_algebraic_integer(value)
         out.append(CheckResult(check="cor-4.16",
                                inputs={"D": list(sub.members), "j": j},
@@ -360,10 +348,10 @@ def verify_cor_4_16(ring: FusionRing, table: CharacterTable, sm: SMatrix,
     return out
 
 
-def verify_eq_4_20(ring: FusionRing, table: CharacterTable,
-                   analysis: PremodAnalysis) -> list[CheckResult]:
+def verify_eq_4_20(target) -> list[CheckResult]:
     """Fiber dimensions are dim(center) times the class dimensions."""
-    dim_center = sub_fpdim(ring, analysis.center)
+    ring, table, analysis = target.ring, target.table, target.analysis
+    dim_center = target.dim(analysis.center)
     out = []
     for fiber in analysis.fibers:
         j = analysis.M[fiber[0]]
@@ -376,13 +364,12 @@ def verify_eq_4_20(ring: FusionRing, table: CharacterTable,
     return out
 
 
-def verify_prop_4_21(ring: FusionRing, analysis: PremodAnalysis,
-                     sub: Subcategory) -> CheckResult:
+def verify_prop_4_21(target, sub: Subcategory) -> CheckResult:
     """Matched groups inside D are exactly the cosets of D by D ∩ center."""
-    inter = _center_trace(ring, analysis, sub)
-    blocks = {frozenset(b) for b in _rd_blocks(analysis, sub).values()}
-    inner = {frozenset(b)
-             for b in restricted_blocks(ring, sub.members, inter.members)}
+    inter = target.center_trace(sub)
+    blocks = {frozenset(b) for b in _rd_blocks(target.analysis, sub).values()}
+    inner = {frozenset(b) for b in
+             restricted_blocks(target.ring, sub.members, inter.members)}
     return CheckResult(check="prop-4.21", inputs={"D": list(sub.members)},
                        lhs=sorted(sorted(b) for b in blocks),
                        rhs=sorted(sorted(b) for b in inner),
@@ -402,39 +389,35 @@ def _squarefree(n: int) -> bool:
     return True
 
 
-def verify_cor_4_18(ring: FusionRing, analysis: PremodAnalysis,
-                    sub: Subcategory) -> CheckResult:
+def verify_cor_4_18(target, sub: Subcategory) -> CheckResult:
     """Integral ring, squarefree global dimension, trivial center trace:
     then the subcategory is pointed.  Vacuous pass when a hypothesis fails."""
+    ring = target.ring
     inputs = {"D": list(sub.members)}
     integral = all(d.is_rational() and d.as_rational().denominator == 1
                    for d in ring.fpdims)
     if not integral:
         return CheckResult(check="cor-4.18", inputs=inputs, lhs=None, rhs=None,
                            passed=True, detail="vacuous: ring not integral")
-    total = global_fpdim(ring).as_rational()
+    total = target.global_dim.as_rational()
     if total.denominator != 1 or not _squarefree(int(total)):
         return CheckResult(check="cor-4.18", inputs=inputs, lhs=None, rhs=None,
                            passed=True,
                            detail="vacuous: global dimension not squarefree")
-    inter = _center_trace(ring, analysis, sub)
-    if inter.members != (0,):
+    if target.center_trace(sub).members != (0,):
         return CheckResult(check="cor-4.18", inputs=inputs, lhs=None, rhs=None,
                            passed=True, detail="vacuous: center trace nontrivial")
-    pointed = set(pointed_part(ring).members)
-    ok = set(sub.members) <= pointed
+    ok = set(sub.members) <= set(target.pointed.members)
     return CheckResult(check="cor-4.18", inputs=inputs,
                        lhs=list(sub.members), rhs="pointed", passed=ok)
 
 
-def verify_thm_1_1(ring: FusionRing, table: CharacterTable, sm: SMatrix,
-                   analysis: PremodAnalysis, sub: Subcategory) -> list[CheckResult]:
+def verify_thm_1_1(target, sub: Subcategory) -> list[CheckResult]:
     """dim(C)/d_Y^2 is an algebraic integer for Y in D when D meets the
     center trivially; cross-checked through singleton matched groups."""
-    inter = _center_trace(ring, analysis, sub)
-    if inter.members != (0,):
+    if target.center_trace(sub).members != (0,):
         raise PreconditionFailed("subcategory meets the center nontrivially")
-    total = global_fpdim(ring)
+    ring, total = target.ring, target.global_dim
     out = []
     for y in sub.members:
         value = total / (ring.fpdims[y] * ring.fpdims[y])
@@ -443,7 +426,7 @@ def verify_thm_1_1(ring: FusionRing, table: CharacterTable, sm: SMatrix,
                                inputs={"D": list(sub.members), "Y": y},
                                lhs=value, rhs="algebraic integer", passed=ok,
                                detail=f"min poly {integrality_witness(value)}" if ok else ""))
-    blocks = _rd_blocks(analysis, sub)
+    blocks = _rd_blocks(target.analysis, sub)
     singletons = all(len(b) == 1 for b in blocks.values())
     out.append(CheckResult(check="thm-1.1", inputs={"D": list(sub.members)},
                            lhs=sorted(len(b) for b in blocks.values()),
@@ -452,16 +435,15 @@ def verify_thm_1_1(ring: FusionRing, table: CharacterTable, sm: SMatrix,
     return out
 
 
-def verify_thm_1_3(ring: FusionRing, table: CharacterTable, sm: SMatrix,
-                   analysis: PremodAnalysis) -> list[CheckResult]:
+def verify_thm_1_3(target) -> list[CheckResult]:
     """Divisibility by squared dimensions against the center: the product
     form for every simple; stabilizer-corrected class dimensions; the free
     quotient form when the center acts freely."""
-    pointed = set(pointed_part(ring).members)
-    if not set(analysis.center.members) <= pointed:
+    ring, table, analysis = target.ring, target.table, target.analysis
+    if not set(analysis.center.members) <= set(target.pointed.members):
         raise PreconditionFailed("center is not pointed")
-    total = global_fpdim(ring)
-    dim_center = sub_fpdim(ring, analysis.center)
+    total = target.global_dim
+    dim_center = target.dim(analysis.center)
     out = []
     for y in range(ring.rank):
         d2 = ring.fpdims[y] * ring.fpdims[y]
@@ -495,11 +477,11 @@ def verify_thm_1_3(ring: FusionRing, table: CharacterTable, sm: SMatrix,
     return out
 
 
-def verify_rem_4_25(ring: FusionRing, table: CharacterTable,
-                    analysis: PremodAnalysis) -> list[CheckResult]:
+def verify_rem_4_25(target) -> list[CheckResult]:
     """d_i^2 dim(C)/(dim(center) dim(C^{M(i)})) is an algebraic integer."""
-    total = global_fpdim(ring)
-    dim_center = sub_fpdim(ring, analysis.center)
+    ring, table, analysis = target.ring, target.table, target.analysis
+    total = target.global_dim
+    dim_center = target.dim(analysis.center)
     out = []
     for i in range(ring.rank):
         d2 = ring.fpdims[i] * ring.fpdims[i]

@@ -1,30 +1,36 @@
 """Check orchestration: run registered identity checks on a target.
 
-A target is a ring plus optional character table and symmetric matrix.  Every
-check has a stable string id; checks whose inputs are missing, or whose
-mathematical hypotheses fail, are reported as skipped with a reason rather
-than failed.  Records are ordered by check id, then by serialized parameters,
-so reports are byte-identical across runs.
+A target is a ring plus optional character table and symmetric matrix,
+together with the derived data the checks read (global dimension, supports,
+coset decompositions, centralizers, the matching analysis), each computed
+at most once per target.  Every check has a stable string id and a row in
+the registry that names what it requires and over what it ranges; checks
+whose inputs are missing, or whose mathematical hypotheses fail, are
+reported as skipped with a reason rather than failed.  Records are ordered
+by check id, then by serialized parameters, so reports are byte-identical
+across runs.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional, Sequence
 
 from .chartab import CharacterTable, support_JD, verify_eq_2_4, verify_eq_2_7
-from .cosets import (coset_partition, verify_cor_3_9_1, verify_cor_3_9_2,
-                     verify_eq_3_1, verify_eq_3_6, verify_eq_3_7,
-                     verify_lemma_3_12, verify_prop_3_4)
-from .errors import PreconditionFailed, UnknownKey
+from .cosets import (CosetDecomposition, coset_partition, verify_cor_3_9_1,
+                     verify_cor_3_9_2, verify_eq_3_1, verify_eq_3_6,
+                     verify_eq_3_7, verify_lemma_3_12, verify_prop_3_4)
+from .errors import FuscatError, PreconditionFailed, UnknownKey
+from .exactnum import CycNum
 from .fusion import (FusionRing, Subcategory, check_subcategory,
-                     enumerate_subcategories)
-from .premod import (SMatrix, m_map, verify_cor_4_16, verify_cor_4_18,
-                     verify_eq_4_3, verify_eq_4_15, verify_eq_4_20,
-                     verify_prop_4_12, verify_prop_4_21, verify_rem_4_25,
-                     verify_thm_1_1, verify_thm_1_3, verify_thm_4_6,
-                     verify_thm_4_10)
+                     enumerate_subcategories, global_fpdim, pointed_part,
+                     sub_fpdim)
+from .premod import (PremodAnalysis, SMatrix, centralizer, m_map,
+                     verify_cor_4_16, verify_cor_4_18, verify_eq_4_3,
+                     verify_eq_4_15, verify_eq_4_20, verify_prop_4_12,
+                     verify_prop_4_21, verify_rem_4_25, verify_thm_1_1,
+                     verify_thm_1_3, verify_thm_4_6, verify_thm_4_10)
 from .reports import CheckResult
 from .serialize import value_to_json
 
@@ -83,6 +89,66 @@ _NO_SMATRIX = "target carries no symmetric matrix"
 
 
 @dataclass(frozen=True)
+class Target:
+    """A ring with its optional table and matrix, and its derived data.
+
+    Each derived quantity is computed on first use and kept for as long as
+    the target lives; per-subcategory data are keyed by the members.  Build
+    one target per command.
+    """
+
+    label: str
+    ring: FusionRing
+    table: Optional[CharacterTable] = None
+    smatrix: Optional[SMatrix] = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
+
+    def _once(self, key, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    @property
+    def global_dim(self) -> CycNum:
+        return self._once("global_dim", lambda: global_fpdim(self.ring))
+
+    @property
+    def pointed(self) -> Subcategory:
+        return self._once("pointed", lambda: pointed_part(self.ring))
+
+    @property
+    def analysis(self) -> PremodAnalysis:
+        return self._once("analysis",
+                          lambda: m_map(self.ring, self.table, self.smatrix))
+
+    def dim(self, sub: Subcategory) -> CycNum:
+        return self._once(("dim", sub.members),
+                          lambda: sub_fpdim(self.ring, sub))
+
+    def support(self, sub: Subcategory) -> tuple[int, ...]:
+        """J_D: the table columns where the integral of `sub` is 1."""
+        return self._once(("support", sub.members),
+                          lambda: support_JD(self.ring, self.table, sub))
+
+    def cosets(self, sub: Subcategory) -> CosetDecomposition:
+        return self._once(("cosets", sub.members),
+                          lambda: coset_partition(self.ring, sub))
+
+    def centralizer(self, sub: Subcategory) -> Subcategory:
+        """D': the objects that centralize every member of `sub`."""
+        return self._once(("centralizer", sub.members),
+                          lambda: centralizer(self.ring, self.smatrix, sub))
+
+    def center_trace(self, sub: Subcategory) -> Subcategory:
+        """D intersect the center of the matching analysis."""
+        return self._once(("center_trace", sub.members),
+                          lambda: check_subcategory(
+                              self.ring, set(sub.members)
+                              & set(self.analysis.center.members)))
+
+
+@dataclass(frozen=True)
 class CheckRecord:
     """One executed or skipped check instance."""
 
@@ -138,11 +204,80 @@ def _sort_key(record: CheckRecord):
     return (record.id, params)
 
 
-def run_checks(ring: FusionRing,
-               table: Optional[CharacterTable] = None,
-               smatrix: Optional[SMatrix] = None,
-               *,
-               target: str = "",
+class _Row(NamedTuple):
+    """One registry row: the ids its runner emits, what the runner needs
+    ("", "table" or "analysis"), what it ranges over ("once", "D" for each
+    subcategory of the pool, "DA" for each ordered pair), the name of the
+    runner in this module, and params fixed for all of its records."""
+
+    ids: tuple[str, ...]
+    needs: str
+    scope: str
+    runner: str
+    extra: dict = {}
+
+
+def _eq_3_6(target: Target, sub: Subcategory) -> list[CheckResult]:
+    jd = target.support(sub)
+    return [verify_eq_3_6(target, sub, k, l) for k in jd for l in jd]
+
+
+def _eq_3_7(target: Target, sub: Subcategory) -> list[CheckResult]:
+    n = target.cosets(sub).n_blocks
+    return [verify_eq_3_7(target, sub, t, s)
+            for t in range(n) for s in range(n)]
+
+
+# Runners are looked up by name when they run, so a wrapper installed on
+# this module's attributes (a tracer, a test double) sees every call.
+_REGISTRY = (
+    _Row(("eq-2.4",), "table", "once", "verify_eq_2_4"),
+    _Row(("eq-2.7",), "table", "D", "verify_eq_2_7"),
+    _Row(("eq-3.1",), "", "D", "verify_eq_3_1"),
+    _Row(("prop-3.4",), "table", "D", "verify_prop_3_4"),
+    _Row(("eq-3.6",), "table", "D", "_eq_3_6"),
+    _Row(("eq-3.7",), "table", "D", "_eq_3_7"),
+    _Row(("cor-3.9",), "", "D", "verify_cor_3_9_1"),
+    _Row(("cor-3.9",), "table", "D", "verify_cor_3_9_2", {"claim": 2}),
+    _Row(("lemma-3.12",), "", "DA", "verify_lemma_3_12"),
+    _Row(("eq-4.3",), "analysis", "once", "verify_eq_4_3"),
+    _Row(("thm-4.6",), "analysis", "once", "verify_thm_4_6"),
+    _Row(("thm-4.10",), "analysis", "once", "verify_thm_4_10"),
+    _Row(("eq-4.20",), "analysis", "once", "verify_eq_4_20"),
+    _Row(("rem-4.25",), "analysis", "once", "verify_rem_4_25"),
+    _Row(("prop-4.12",), "analysis", "D", "verify_prop_4_12"),
+    _Row(("eq-4.15",), "analysis", "D", "verify_eq_4_15"),
+    _Row(("cor-4.16",), "analysis", "D", "verify_cor_4_16"),
+    _Row(("cor-4.18",), "analysis", "D", "verify_cor_4_18"),
+    _Row(("prop-4.21",), "analysis", "D", "verify_prop_4_21"),
+    _Row(("thm-1.1",), "analysis", "D", "verify_thm_1_1"),
+    _Row(("eq-4.23", "thm-1.3"), "analysis", "once", "verify_thm_1_3"),
+)
+
+
+def _missing(target: Target, needs: str) -> Optional[str]:
+    """Why rows with this requirement cannot run on the target, or None."""
+    if needs == "analysis" and target.smatrix is None:
+        return _NO_SMATRIX
+    if needs and target.table is None:
+        return _NO_TABLE
+    if needs == "analysis":
+        try:
+            target.analysis
+        except FuscatError as exc:  # data admitted no consistent matching
+            return f"matching analysis failed: {exc}"
+    return None
+
+
+def _scope_args(scope: str, pool: list[Subcategory]) -> list[tuple]:
+    if scope == "once":
+        return [()]
+    if scope == "D":
+        return [(sub,) for sub in pool]
+    return [(sub, amb) for sub in pool for amb in pool]
+
+
+def run_checks(target: Target, *,
                subcategories: Optional[Sequence[Subcategory]] = None,
                check_ids: Optional[Sequence[str]] = None) -> VerificationReport:
     """Run the requested checks (all by default) and assemble a report.
@@ -158,153 +293,42 @@ def run_checks(ring: FusionRing,
     wanted = set(wanted)
 
     if subcategories is None:
-        pool = default_subcategories(ring)
+        pool = default_subcategories(target.ring)
     else:
         pool = list(subcategories)
     pool = sorted(pool, key=lambda s: (len(s.members), s.members))
+    # Every subcategory of the pool has a coset decomposition; taking them
+    # first makes missing exact data fail whichever checks are wanted.
+    for sub in pool:
+        target.cosets(sub)
 
     records: list[CheckRecord] = []
-
-    def add(results):
-        records.extend(_from_result(r) for r in results if r.check in wanted)
-
-    analysis = None
-    analysis_reason = None
-    if smatrix is None:
-        analysis_reason = _NO_SMATRIX
-    elif table is None:
-        analysis_reason = _NO_TABLE
-    else:
-        try:
-            analysis = m_map(ring, table, smatrix)
-        except Exception as exc:  # data admitted no consistent matching
-            analysis_reason = f"matching analysis failed: {exc}"
-
-    decs = {sub.members: coset_partition(ring, sub) for sub in pool}
-
-    # ring-and-table checks -------------------------------------------------
-    if "eq-2.4" in wanted:
-        if table is None:
-            records.append(_skip("eq-2.4", {}, _NO_TABLE))
-        else:
-            add(verify_eq_2_4(ring, table))
-
-    if "eq-2.7" in wanted:
-        if table is None:
-            records.append(_skip("eq-2.7", {}, _NO_TABLE))
-        else:
-            for sub in pool:
-                add([verify_eq_2_7(ring, table, sub)])
-
-    if "eq-3.1" in wanted:
-        for sub in pool:
-            add(verify_eq_3_1(ring, decs[sub.members]))
-
-    if "prop-3.4" in wanted:
-        if table is None:
-            records.append(_skip("prop-3.4", {}, _NO_TABLE))
-        else:
-            for sub in pool:
-                add(verify_prop_3_4(ring, table, decs[sub.members]))
-
-    if "eq-3.6" in wanted:
-        if table is None:
-            records.append(_skip("eq-3.6", {}, _NO_TABLE))
-        else:
-            for sub in pool:
-                jd = support_JD(ring, table, sub)
-                dec = decs[sub.members]
-                add([verify_eq_3_6(ring, table, dec, k, l)
-                     for k in jd for l in jd])
-
-    if "eq-3.7" in wanted:
-        if table is None:
-            records.append(_skip("eq-3.7", {}, _NO_TABLE))
-        else:
-            for sub in pool:
-                dec = decs[sub.members]
-                add([verify_eq_3_7(ring, table, dec, t, s)
-                     for t in range(dec.n_blocks)
-                     for s in range(dec.n_blocks)])
-
-    if "cor-3.9" in wanted:
-        for sub in pool:
-            add(verify_cor_3_9_1(ring, decs[sub.members]))
-        if table is None:
-            records.append(_skip("cor-3.9", {"claim": 2}, _NO_TABLE))
-        else:
-            for sub in pool:
-                try:
-                    add(verify_cor_3_9_2(ring, table, decs[sub.members]))
-                except PreconditionFailed as exc:
-                    records.append(_skip(
-                        "cor-3.9", {"D": list(sub.members), "claim": 2},
-                        str(exc)))
-
-    if "lemma-3.12" in wanted:
-        for sub in pool:
-            for amb in pool:
-                add([verify_lemma_3_12(ring, sub, amb)])
-
-    # matching-dependent checks ---------------------------------------------
-    def analysis_checks():
-        yield "eq-4.3", lambda: verify_eq_4_3(ring, table, smatrix, analysis)
-        yield "thm-4.6", lambda: verify_thm_4_6(ring, table, smatrix, analysis)
-        yield "thm-4.10", lambda: verify_thm_4_10(ring, table, analysis)
-        yield "eq-4.20", lambda: verify_eq_4_20(ring, table, analysis)
-        yield "rem-4.25", lambda: verify_rem_4_25(ring, table, analysis)
-
-    for cid, runner in analysis_checks():
-        if cid not in wanted:
+    reasons: dict[str, Optional[str]] = {}
+    for row in _REGISTRY:
+        ids = [cid for cid in row.ids if cid in wanted]
+        if not ids:
             continue
-        if analysis is None:
-            records.append(_skip(cid, {}, analysis_reason))
-        else:
-            add(runner())
-
-    def per_sub_analysis_checks():
-        yield "prop-4.12", lambda s: verify_prop_4_12(ring, table, smatrix,
-                                                      analysis, s)
-        yield "eq-4.15", lambda s: [verify_eq_4_15(ring, smatrix, analysis, s)]
-        yield "cor-4.16", lambda s: verify_cor_4_16(ring, table, smatrix,
-                                                    analysis, s)
-        yield "cor-4.18", lambda s: [verify_cor_4_18(ring, analysis, s)]
-        yield "prop-4.21", lambda s: [verify_prop_4_21(ring, analysis, s)]
-
-    for cid, runner in per_sub_analysis_checks():
-        if cid not in wanted:
+        if row.needs not in reasons:
+            reasons[row.needs] = _missing(target, row.needs)
+        if reasons[row.needs] is not None:
+            records.extend(_skip(cid, dict(row.extra), reasons[row.needs])
+                           for cid in ids)
             continue
-        if analysis is None:
-            records.append(_skip(cid, {}, analysis_reason))
-        else:
-            for sub in pool:
-                add(runner(sub))
-
-    if "thm-1.1" in wanted:
-        if analysis is None:
-            records.append(_skip("thm-1.1", {}, analysis_reason))
-        else:
-            for sub in pool:
-                try:
-                    add(verify_thm_1_1(ring, table, smatrix, analysis, sub))
-                except PreconditionFailed as exc:
-                    records.append(_skip("thm-1.1", {"D": list(sub.members)},
-                                         str(exc)))
-
-    if wanted & {"thm-1.3", "eq-4.23"}:
-        if analysis is None:
-            for cid in sorted(wanted & {"thm-1.3", "eq-4.23"}):
-                records.append(_skip(cid, {}, analysis_reason))
-        else:
+        for args in _scope_args(row.scope, pool):
             try:
-                add(verify_thm_1_3(ring, table, smatrix, analysis))
+                results = globals()[row.runner](target, *args)
             except PreconditionFailed as exc:
-                for cid in sorted(wanted & {"thm-1.3", "eq-4.23"}):
-                    records.append(_skip(cid, {}, str(exc)))
+                params = {"D": list(args[0].members)} if args else {}
+                records.extend(_skip(cid, {**params, **row.extra}, str(exc))
+                               for cid in ids)
+                continue
+            if isinstance(results, CheckResult):
+                results = [results]
+            records.extend(_from_result(r) for r in results if r.check in wanted)
 
     records.sort(key=_sort_key)
     return VerificationReport(
-        target=target,
+        target=target.label,
         subcategories=tuple(sub.members for sub in pool),
         checks=tuple(records))
 
@@ -350,8 +374,6 @@ def render_json(report: VerificationReport) -> str:
 
 
 def _show(value) -> str:
-    from .exactnum import CycNum
-
     if value is None:
         return "-"
     if isinstance(value, CycNum):

@@ -34,10 +34,12 @@ from fuscat.fusion import (check_subcategory, enumerate_subcategories,
 from fuscat.premod import (m_map, validate_smatrix, verify_thm_1_1,
                             verify_thm_1_3, verify_thm_4_6)
 from fuscat.reports import all_passed
+from fuscat.verify import Target
 
 from rings import reps3_ring, reps3_table_rows, su2k4_adjoint_smatrix_rows
 
 ONE = CycNum.from_rational(1)
+ZERO = CycNum.from_rational(0)
 
 
 def _entries():
@@ -46,6 +48,20 @@ def _entries():
 
 def _analysis(entry):
     return m_map(entry.ring, entry.table, entry.smatrix)
+
+
+def _target(entry):
+    return Target(entry.key, entry.ring, entry.table, entry.smatrix)
+
+
+def _hecke_at(ring, dec, p, x, y):
+    """H_{mn}^p from one representative pair (X, Y) of blocks m and n:
+    sum over Z in block p of d_Z N_{XY}^Z / (d_X d_Y)."""
+    mass = ZERO
+    for z in dec.blocks[p]:
+        if ring.tensor[x][y][z]:
+            mass = mass + ring.fpdims[z] * ring.tensor[x][y][z]
+    return mass / (ring.fpdims[x] * ring.fpdims[y])
 
 
 def _su2k4_adjoint():
@@ -68,8 +84,9 @@ def test_criterion_01_rep_s3_class_dims_match_conjugacy_class_sizes():
 def test_criterion_02_support_sums_exact_on_every_subcategory():
     failures = []
     for entry in _entries():
+        target = _target(entry)
         for sub in enumerate_subcategories(entry.ring):
-            res = verify_eq_2_7(entry.ring, entry.table, sub)
+            res = verify_eq_2_7(target, sub)
             if not res.passed:
                 failures.append((entry.key, sub.members))
     assert not failures, failures
@@ -84,16 +101,17 @@ def test_criterion_03_both_orthogonality_relations_exact():
     failures = []
     for key, members in cases:
         entry = builtin(key)
+        target = _target(entry)
         sub = check_subcategory(entry.ring, members)
         dec = coset_partition(entry.ring, sub)
         jd = support_JD(entry.ring, entry.table, sub)
         for k in jd:
             for l in jd:
-                if not verify_eq_3_6(entry.ring, entry.table, dec, k, l).passed:
+                if not verify_eq_3_6(target, sub, k, l).passed:
                     failures.append((key, tuple(sub.members), "first", k, l))
         for t in range(dec.n_blocks):
             for s in range(dec.n_blocks):
-                if not verify_eq_3_7(entry.ring, entry.table, dec, t, s).passed:
+                if not verify_eq_3_7(target, sub, t, s).passed:
                     failures.append((key, tuple(sub.members), "second", t, s))
     assert not failures, failures
 
@@ -103,14 +121,20 @@ def test_criterion_04_block_constants_well_defined_stochastic_associative():
     for entry in _entries():
         for sub in enumerate_subcategories(entry.ring):
             dec = coset_partition(entry.ring, sub)
-            # construction recomputes the constants from every representative
-            # pair (X, Y) in m x n and raises on any disagreement
             h = hecke_constants(entry.ring, dec)
             for m_i in range(dec.n_blocks):
                 for n_i in range(dec.n_blocks):
                     total = CycNum.from_rational(0)
                     for p_i in range(dec.n_blocks):
                         total = total + h.structure[m_i][n_i][p_i]
+                        # well defined: every representative pair (X, Y) in
+                        # m x n gives the same constant
+                        for x in dec.blocks[m_i]:
+                            for y in dec.blocks[n_i]:
+                                if (_hecke_at(entry.ring, dec, p_i, x, y)
+                                        != h.structure[m_i][n_i][p_i]):
+                                    failures.append((entry.key, sub.members,
+                                                     m_i, n_i, p_i, x, y))
                     if total != ONE:
                         failures.append((entry.key, sub.members, m_i, n_i))
             if not hecke_associative(h):
@@ -148,8 +172,7 @@ def test_criterion_05_matching_fibers_are_center_cosets():
 def test_criterion_06_central_images_equal_scaled_class_sums():
     failures = []
     for entry in _entries():
-        results = verify_thm_4_6(entry.ring, entry.table, entry.smatrix,
-                                 _analysis(entry))
+        results = verify_thm_4_6(_target(entry))
         if not all_passed(results):
             failures.append(entry.key)
     assert not failures, failures
@@ -161,8 +184,7 @@ def test_criterion_07_divisibility_verdicts():
     # (a) golden-ratio ring, D = C: (5 - sqrt 5)/2 is an algebraic integer
     entry = builtin("fib")
     full = check_subcategory(entry.ring, {0, 1})
-    results = verify_thm_1_1(entry.ring, entry.table, entry.smatrix,
-                             _analysis(entry), full)
+    results = verify_thm_1_1(_target(entry), full)
     tau = [r for r in results if r.inputs.get("Y") == 1][0]
     if not (tau.passed and is_algebraic_integer(tau.lhs)
             and minimal_polynomial(tau.lhs) == (5, -5, 1)):
@@ -173,7 +195,7 @@ def test_criterion_07_divisibility_verdicts():
     #     |G_{X_2}| = 1, the center being {0}
     entry = builtin("su2k-4")
     analysis = _analysis(entry)
-    results = verify_thm_1_3(entry.ring, entry.table, entry.smatrix, analysis)
+    results = verify_thm_1_3(_target(entry))
     item1 = {r.inputs["Y"]: r for r in results
              if r.check == "thm-1.3" and r.inputs.get("item") == 1}
     eq423 = {r.inputs["Y"]: r for r in results if r.check == "eq-4.23"}
@@ -194,7 +216,7 @@ def test_criterion_07_divisibility_verdicts():
     #     because the center does not act freely
     entry = _su2k4_adjoint()
     analysis = _analysis(entry)
-    results = verify_thm_1_3(entry.ring, entry.table, entry.smatrix, analysis)
+    results = verify_thm_1_3(_target(entry))
     if len(analysis.stabilizers[2]) != 2:
         failures.append(("b", "adjoint", "|G_{X_2}|",
                          len(analysis.stabilizers[2]), "expected", 2))
@@ -211,8 +233,7 @@ def test_criterion_07_divisibility_verdicts():
 
     # (c) slightly degenerate product: value 2 at Y = (s, 1)
     entry = builtin("ising*svec")
-    results = verify_thm_1_3(entry.ring, entry.table, entry.smatrix,
-                             _analysis(entry))
+    results = verify_thm_1_3(_target(entry))
     item2 = {r.inputs["Y"]: r for r in results
              if r.check == "thm-1.3" and r.inputs.get("item") == 2}
     r = item2[4]
@@ -221,8 +242,8 @@ def test_criterion_07_divisibility_verdicts():
 
     # (d) rank-3 ring with D = {1, f}: value 4
     entry = builtin("ising")
-    dec = coset_partition(entry.ring, check_subcategory(entry.ring, {0, 1}))
-    results = verify_cor_3_9_1(entry.ring, dec)
+    results = verify_cor_3_9_1(_target(entry),
+                               check_subcategory(entry.ring, {0, 1}))
     sigma = [r for r in results if r.inputs["member"] == 2][0]
     if not (sigma.passed and sigma.lhs == 4):
         failures.append(("d", "value", sigma.lhs, "expected", 4))
@@ -231,7 +252,7 @@ def test_criterion_07_divisibility_verdicts():
     #     dimension of M(X_1) being d_1^2 by eq-4.23
     entry = builtin("su2k-4")
     from fuscat.premod import verify_rem_4_25
-    results = verify_rem_4_25(entry.ring, entry.table, _analysis(entry))
+    results = verify_rem_4_25(_target(entry))
     r = [x for x in results if x.inputs["i"] == 1][0]
     if not (r.passed and r.lhs == 12):  # stated: 6
         failures.append(("e", "value", r.lhs, "expected", 12))
@@ -271,12 +292,13 @@ def test_criterion_09_numeric_cross_checks_within_tolerance():
 def test_criterion_10_partition_compatibility_and_refinement():
     failures = []
     for entry in _entries():
+        target = _target(entry)
         subs = enumerate_subcategories(entry.ring)
         partitions = {sub.members: coset_partition(entry.ring, sub).blocks
                       for sub in subs}
         for sub in subs:
             for amb in subs:
-                res = verify_lemma_3_12(entry.ring, sub, amb)
+                res = verify_lemma_3_12(target, sub, amb)
                 if not res.passed:
                     failures.append((entry.key, sub.members, amb.members))
         for d1 in subs:

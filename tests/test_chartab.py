@@ -23,6 +23,7 @@ from fuscat.errors import (
 from fuscat.exactnum import CycNum
 from fuscat.fusion import Subcategory, check_subcategory, validate_fusion_ring
 from fuscat.reports import all_passed
+from fuscat.verify import Target
 
 from rings import (
     fib_ring,
@@ -158,14 +159,14 @@ def test_support_class_dim_sum(ring_fn, rows_fn):
     ring = ring_fn()
     table = validate_character_table(ring, rows_fn())
     full = check_subcategory(ring, range(ring.rank))
-    res = verify_eq_2_7(ring, table, full)
+    res = verify_eq_2_7(Target("", ring, table), full)
     assert res.passed and res.lhs == 1
 
 
 def test_class_dim_sum_ising_pointed():
     ring = ising_ring()
     table = validate_character_table(ring, ising_table_rows())
-    res = verify_eq_2_7(ring, table, check_subcategory(ring, (0, 1)))
+    res = verify_eq_2_7(Target("", ring, table), check_subcategory(ring, (0, 1)))
     assert res.passed
     assert res.lhs == 2 and res.rhs == 2
 
@@ -176,7 +177,7 @@ def test_orthogonality_scan():
                              (fib_ring, fib_table_rows)]:
         ring = ring_fn()
         table = validate_character_table(ring, rows_fn())
-        results = verify_eq_2_4(ring, table)
+        results = verify_eq_2_4(Target("", ring, table))
         assert len(results) == ring.rank ** 2
         assert all_passed(results)
 
@@ -219,7 +220,7 @@ def test_group_tables_validate(n):
         if n % d:
             continue
         sub = check_subcategory(ring, range(0, n, n // d))
-        res = verify_eq_2_7(ring, table, sub)
+        res = verify_eq_2_7(Target("", ring, table), sub)
         assert res.passed
         assert res.rhs == n // d
 

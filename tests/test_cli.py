@@ -210,3 +210,31 @@ def test_verify_trivial_ring_over_conductor_53_is_fast(tmp_path, capsys):
         return [(c["id"], c["params"], c["pass"]) for c in rep["checks"]]
 
     assert verdicts(report) == verdicts(expected)
+
+
+def _write_without_dimensions(tmp_path):
+    doc = to_document(builtin("ising").ring)
+    del doc["fpdims"]
+    p = tmp_path / "nodims.json"
+    p.write_text(dump_document(doc), encoding="utf-8")
+    return str(p)
+
+
+def test_verify_without_dimensions_fails_on_the_coset_partition(tmp_path,
+                                                               capsys):
+    path = _write_without_dimensions(tmp_path)
+    for argv in (["verify", path], ["verify", path, "--checks", "eq-4.3"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("invalid: coset partition needs exact "
+                                "dimensions\n")
+
+
+def test_report_without_dimensions_fails_on_the_global_dimension(tmp_path,
+                                                                capsys):
+    path = _write_without_dimensions(tmp_path)
+    assert main(["report", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid: global dimension needs exact dimensions\n"

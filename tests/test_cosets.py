@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fuscat.catalog import BUILTIN_KEYS, builtin
 from fuscat.chartab import validate_character_table
 from fuscat.errors import IndexNotInJD, PreconditionFailed
 from fuscat.exactnum import CycNum
@@ -24,6 +25,7 @@ from fuscat.cosets import (
 )
 from fuscat.fusion import check_subcategory, enumerate_subcategories
 from fuscat.reports import all_passed
+from fuscat.verify import Target
 
 from rings import (
     fib_ring,
@@ -86,6 +88,40 @@ def test_block_of():
     assert dec.block_of(2) == 1
 
 
+def _union_find_blocks(ring, sub):
+    """Oracle: the classes of the union-find closure of i ~ k whenever
+    N_{i s}^k > 0 for a member s, each sorted, in order of least member."""
+    parent = list(range(ring.rank))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(ring.rank):
+        for s in sub.members:
+            for k, n in enumerate(ring.tensor[i][s]):
+                if n:
+                    ri, rk = find(i), find(k)
+                    parent[max(ri, rk)] = min(ri, rk)
+    classes = {}
+    for i in range(ring.rank):
+        classes.setdefault(find(i), []).append(i)
+    return tuple(sorted(tuple(c) for c in classes.values()))
+
+
+PRODUCT_KEYS = ("svec*svec*svec", "pointed-z4-q2*svec", "pointed-z4-q1*svec",
+                "rep-s3*svec", "rep-s3*pointed-z2-q1")
+
+
+@pytest.mark.parametrize("key", BUILTIN_KEYS + PRODUCT_KEYS)
+def test_partition_matches_union_find_oracle(key):
+    ring = builtin(key).ring
+    for sub in enumerate_subcategories(ring):
+        assert coset_partition(ring, sub).blocks == _union_find_blocks(ring, sub)
+
+
 # ---------------------------------------------------------------------------
 # block algebra
 # ---------------------------------------------------------------------------
@@ -142,8 +178,8 @@ def test_block_elements_are_idempotent_for_unit_block():
 ])
 def test_regular_proportionality(ring_fn, members):
     ring = ring_fn()
-    dec = coset_partition(ring, check_subcategory(ring, members))
-    assert all_passed(verify_eq_3_1(ring, dec))
+    sub = check_subcategory(ring, members)
+    assert all_passed(verify_eq_3_1(Target("", ring), sub))
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +189,7 @@ def test_regular_proportionality(ring_fn, members):
 def test_block_count_equals_support_size():
     ring, sub = _ising_pointed()
     table = validate_character_table(ring, ising_table_rows())
-    results = verify_prop_3_4(ring, table, coset_partition(ring, sub))
+    results = verify_prop_3_4(Target("", ring, table), sub)
     assert all_passed(results)
     assert results[0].lhs == 2 and results[0].rhs == 2
 
@@ -161,28 +197,27 @@ def test_block_count_equals_support_size():
 def test_first_orthogonality_ising_oracle():
     ring, sub = _ising_pointed()
     table = validate_character_table(ring, ising_table_rows())
-    dec = coset_partition(ring, sub)
-    res = verify_eq_3_6(ring, table, dec, 0, 0)
+    t = Target("", ring, table)
+    res = verify_eq_3_6(t, sub, 0, 0)
     assert res.passed and res.lhs == 4
-    res = verify_eq_3_6(ring, table, dec, 0, 1)
+    res = verify_eq_3_6(t, sub, 0, 1)
     assert res.passed and res.lhs.is_zero()
 
 
 def test_first_orthogonality_rejects_outside_support():
     ring, sub = _ising_pointed()
     table = validate_character_table(ring, ising_table_rows())
-    dec = coset_partition(ring, sub)
     with pytest.raises(IndexNotInJD):
-        verify_eq_3_6(ring, table, dec, 0, 2)
+        verify_eq_3_6(Target("", ring, table), sub, 0, 2)
 
 
 def test_second_orthogonality_ising_oracle():
     ring, sub = _ising_pointed()
     table = validate_character_table(ring, ising_table_rows())
-    dec = coset_partition(ring, sub)
-    res = verify_eq_3_7(ring, table, dec, 1, 1)
+    t = Target("", ring, table)
+    res = verify_eq_3_7(t, sub, 1, 1)
     assert res.passed and res.lhs == 4
-    res = verify_eq_3_7(ring, table, dec, 0, 1)
+    res = verify_eq_3_7(t, sub, 0, 1)
     assert res.passed and res.lhs.is_zero()
 
 
@@ -195,15 +230,16 @@ def test_orthogonality_full_sweep(ring_fn, rows_fn):
     ring = ring_fn()
     table = validate_character_table(ring, rows_fn())
     from fuscat.chartab import support_JD
+    target = Target("", ring, table)
     for sub in enumerate_subcategories(ring):
         dec = coset_partition(ring, sub)
         jd = support_JD(ring, table, sub)
         for k in jd:
             for l in jd:
-                assert verify_eq_3_6(ring, table, dec, k, l).passed
+                assert verify_eq_3_6(target, sub, k, l).passed
         for t in range(dec.n_blocks):
             for s in range(dec.n_blocks):
-                assert verify_eq_3_7(ring, table, dec, t, s).passed
+                assert verify_eq_3_7(target, sub, t, s).passed
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +248,7 @@ def test_orthogonality_full_sweep(ring_fn, rows_fn):
 
 def test_integrality_claim_one_ising():
     ring, sub = _ising_pointed()
-    results = verify_cor_3_9_1(ring, coset_partition(ring, sub))
+    results = verify_cor_3_9_1(Target("", ring), sub)
     assert all_passed(results)
     sigma = [r for r in results if r.inputs["member"] == 2]
     assert len(sigma) == 1 and sigma[0].lhs == 4
@@ -223,7 +259,7 @@ def test_integrality_claim_two_requires_free_action():
     table = validate_character_table(ring, ising_table_rows())
     assert not free_action(ring, sub)   # f fixes s
     with pytest.raises(PreconditionFailed):
-        verify_cor_3_9_2(ring, table, coset_partition(ring, sub))
+        verify_cor_3_9_2(Target("", ring, table), sub)
 
 
 def test_integrality_claim_two_requires_pointed():
@@ -231,7 +267,7 @@ def test_integrality_claim_two_requires_pointed():
     table = validate_character_table(ring, reps3_table_rows())
     full = check_subcategory(ring, (0, 1, 2))
     with pytest.raises(PreconditionFailed):
-        verify_cor_3_9_2(ring, table, coset_partition(ring, full))
+        verify_cor_3_9_2(Target("", ring, table), full)
 
 
 def test_integrality_claim_two_on_free_group_action():
@@ -239,7 +275,7 @@ def test_integrality_claim_two_on_free_group_action():
     table = validate_character_table(ring, group_table_rows(4))
     sub = check_subcategory(ring, (0, 2))
     assert free_action(ring, sub)
-    results = verify_cor_3_9_2(ring, table, coset_partition(ring, sub))
+    results = verify_cor_3_9_2(Target("", ring, table), sub)
     assert all_passed(results)
     assert all(r.lhs == 2 for r in results)
 
@@ -250,14 +286,14 @@ def test_integrality_claim_two_on_free_group_action():
 
 def test_trace_compatibility_examples():
     ring, sub = _ising_pointed()
-    assert verify_lemma_3_12(ring, sub, sub).passed
+    assert verify_lemma_3_12(Target("", ring), sub, sub).passed
     vec = check_subcategory(ring, (0,))
-    assert verify_lemma_3_12(ring, sub, vec).passed
+    assert verify_lemma_3_12(Target("", ring), sub, vec).passed
 
     z6 = group_ring(6)
     d = check_subcategory(z6, (0, 3))
     a = check_subcategory(z6, (0, 2, 4))
-    res = verify_lemma_3_12(z6, d, a)
+    res = verify_lemma_3_12(Target("", z6), d, a)
     assert res.passed
     assert res.lhs == [[0], [2], [4]]
 
@@ -267,7 +303,7 @@ def test_trace_compatibility_all_pairs_reps3():
     subs = enumerate_subcategories(ring)
     for d in subs:
         for a in subs:
-            assert verify_lemma_3_12(ring, d, a).passed
+            assert verify_lemma_3_12(Target("", ring), d, a).passed
 
 
 def test_partition_refinement_chain():

@@ -37,6 +37,7 @@ from fuscat.premod import (
     verify_thm_4_10,
 )
 from fuscat.reports import all_passed
+from fuscat.verify import Target
 
 from rings import (
     dd_smatrix_rows,
@@ -218,8 +219,8 @@ def test_m_map_pointed_multiplication():
 @pytest.mark.parametrize("setup", [_ising, _svec, _reps3, _fib])
 def test_row_column_compatibility(setup):
     ring, table, sm = setup()
-    an = m_map(ring, table, sm)
-    assert all_passed(verify_eq_4_3(ring, table, sm, an))
+    t = Target("", ring, table, sm)
+    assert all_passed(verify_eq_4_3(t))
 
 
 # ---------------------------------------------------------------------------
@@ -230,16 +231,16 @@ def test_row_column_compatibility(setup):
                                    lambda: _pointed(4, 2), lambda: _pointed(5, 1)])
 def test_central_image_is_scaled_class_sum(setup):
     ring, table, sm = setup()
-    an = m_map(ring, table, sm)
-    assert all_passed(verify_thm_4_6(ring, table, sm, an))
+    t = Target("", ring, table, sm)
+    assert all_passed(verify_thm_4_6(t))
 
 
 @pytest.mark.parametrize("setup", [_ising, _svec, _reps3, _fib,
                                    lambda: _pointed(4, 2), lambda: _pointed(6, 3)])
 def test_fibers_equal_center_cosets(setup):
     ring, table, sm = setup()
-    an = m_map(ring, table, sm)
-    assert all_passed(verify_thm_4_10(ring, table, an))
+    t = Target("", ring, table, sm)
+    assert all_passed(verify_thm_4_10(t))
 
 
 def test_fiber_shapes():
@@ -251,20 +252,20 @@ def test_fiber_shapes():
 @pytest.mark.parametrize("setup", [_ising, _svec, _reps3, _fib, lambda: _pointed(4, 2)])
 def test_dimension_formulas_all_subcategories(setup):
     ring, table, sm = setup()
-    an = m_map(ring, table, sm)
+    t = Target("", ring, table, sm)
     for sub in enumerate_subcategories(ring):
-        assert all_passed(verify_prop_4_12(ring, table, sm, an, sub))
-        assert verify_eq_4_15(ring, sm, an, sub).passed
-        assert all_passed(verify_cor_4_16(ring, table, sm, an, sub))
-        assert verify_prop_4_21(ring, an, sub).passed
-    assert all_passed(verify_eq_4_20(ring, table, an))
+        assert all_passed(verify_prop_4_12(t, sub))
+        assert verify_eq_4_15(t, sub).passed
+        assert all_passed(verify_cor_4_16(t, sub))
+        assert verify_prop_4_21(t, sub).passed
+    assert all_passed(verify_eq_4_20(t))
 
 
 def test_prop_4_12_reps3_pointed():
     ring, table, sm = _reps3()
-    an = m_map(ring, table, sm)
+    t = Target("", ring, table, sm)
     sub = check_subcategory(ring, (0, 1))
-    results = verify_prop_4_12(ring, table, sm, an, sub)
+    results = verify_prop_4_12(t, sub)
     assert all_passed(results)
     # D' = C, support of C is the dimension column only, image of M is {0}
     assert results[0].lhs == [0]
@@ -276,30 +277,30 @@ def test_prop_4_12_reps3_pointed():
 
 def test_squarefree_conclusion_pointed_case():
     ring, table, sm = _pointed(3, 1)
-    an = m_map(ring, table, sm)
+    t = Target("", ring, table, sm)
     full = check_subcategory(ring, (0, 1, 2))
-    res = verify_cor_4_18(ring, an, full)
+    res = verify_cor_4_18(t, full)
     assert res.passed and res.detail == ""
 
 
 def test_squarefree_conclusion_vacuous_cases():
     ring, table, sm = _ising()
-    an = m_map(ring, table, sm)
-    res = verify_cor_4_18(ring, an, check_subcategory(ring, (0, 1)))
+    t = Target("", ring, table, sm)
+    res = verify_cor_4_18(t, check_subcategory(ring, (0, 1)))
     assert res.passed and "not integral" in res.detail
 
     r3, t3, sm3 = _reps3()
-    an3 = m_map(r3, t3, sm3)
-    res = verify_cor_4_18(r3, an3, check_subcategory(r3, (0, 1)))
+    target3 = Target("", r3, t3, sm3)
+    res = verify_cor_4_18(target3, check_subcategory(r3, (0, 1)))
     assert res.passed and "center trace" in res.detail
-    res_vec = verify_cor_4_18(r3, an3, check_subcategory(r3, (0,)))
+    res_vec = verify_cor_4_18(target3, check_subcategory(r3, (0,)))
     assert res_vec.passed and res_vec.detail == ""
 
 
 def test_squarefree_conclusion_square_dimension_is_vacuous():
     ring, table, sm = _pointed(4, 1)
-    an = m_map(ring, table, sm)
-    res = verify_cor_4_18(ring, an, check_subcategory(ring, (0,)))
+    t = Target("", ring, table, sm)
+    res = verify_cor_4_18(t, check_subcategory(ring, (0,)))
     assert res.passed and "squarefree" in res.detail
 
 
@@ -309,12 +310,12 @@ def test_squarefree_conclusion_square_dimension_is_vacuous():
 
 def test_thm_1_1_ising():
     ring, table, sm = _ising()
-    an = m_map(ring, table, sm)
+    t = Target("", ring, table, sm)
     sub = check_subcategory(ring, (0, 1))
-    results = verify_thm_1_1(ring, table, sm, an, sub)
+    results = verify_thm_1_1(t, sub)
     assert all_passed(results)
     full = check_subcategory(ring, (0, 1, 2))
-    results = verify_thm_1_1(ring, table, sm, an, full)
+    results = verify_thm_1_1(t, full)
     assert all_passed(results)
     sigma = [r for r in results if r.inputs.get("Y") == 2]
     assert sigma[0].lhs == 2
@@ -322,9 +323,9 @@ def test_thm_1_1_ising():
 
 def test_thm_1_1_fib_oracle():
     ring, table, sm = _fib()
-    an = m_map(ring, table, sm)
+    t = Target("", ring, table, sm)
     full = check_subcategory(ring, (0, 1))
-    results = verify_thm_1_1(ring, table, sm, an, full)
+    results = verify_thm_1_1(t, full)
     assert all_passed(results)
     tau = [r for r in results if r.inputs.get("Y") == 1][0]
     # (5 - sqrt5)/2, a root of x^2 - 5x + 5
@@ -333,16 +334,16 @@ def test_thm_1_1_fib_oracle():
 
 def test_thm_1_1_precondition():
     ring, table, sm = _svec()
-    an = m_map(ring, table, sm)
+    t = Target("", ring, table, sm)
     full = check_subcategory(ring, (0, 1))
     with pytest.raises(PreconditionFailed):
-        verify_thm_1_1(ring, table, sm, an, full)
+        verify_thm_1_1(t, full)
 
 
 def test_thm_1_3_svec():
     ring, table, sm = _svec()
-    an = m_map(ring, table, sm)
-    results = verify_thm_1_3(ring, table, sm, an)
+    t = Target("", ring, table, sm)
+    results = verify_thm_1_3(t)
     assert all_passed(results)
     item2 = [r for r in results if r.inputs.get("item") == 2]
     assert len(item2) == 2 and all(r.lhs == 1 for r in item2)
@@ -350,8 +351,8 @@ def test_thm_1_3_svec():
 
 def test_thm_1_3_pointed_degenerate():
     ring, table, sm = _pointed(4, 2)
-    an = m_map(ring, table, sm)
-    results = verify_thm_1_3(ring, table, sm, an)
+    t = Target("", ring, table, sm)
+    results = verify_thm_1_3(t)
     assert all_passed(results)
     # center {0,2} acts freely on Z_4, so the free-quotient form appears
     assert any(r.inputs.get("item") == 2 for r in results)
@@ -359,15 +360,15 @@ def test_thm_1_3_pointed_degenerate():
 
 def test_thm_1_3_precondition():
     ring, table, sm = _reps3()
-    an = m_map(ring, table, sm)
+    t = Target("", ring, table, sm)
     with pytest.raises(PreconditionFailed):
-        verify_thm_1_3(ring, table, sm, an)
+        verify_thm_1_3(t)
 
 
 def test_rem_4_25_oracle():
     ring, table, sm = _pointed(4, 2)
-    an = m_map(ring, table, sm)
-    results = verify_rem_4_25(ring, table, an)
+    t = Target("", ring, table, sm)
+    results = verify_rem_4_25(t)
     assert all_passed(results)
     assert all(r.lhs == 2 for r in results)
 
@@ -381,9 +382,10 @@ def test_rem_4_25_oracle():
 def test_pointed_forms_validate_and_match_center(n, c):
     cc = c % n
     ring, table, sm = _pointed(n, cc)
-    an = m_map(ring, table, sm)
+    t = Target("", ring, table, sm)
+    an = t.analysis
     # transparent objects: b with n | c*a*b for all a, i.e. multiples of n/gcd
     step = n // math.gcd(cc, n)
     assert an.center.members == tuple(range(0, n, step))
-    assert all_passed(verify_thm_4_10(ring, table, an))
-    assert all_passed(verify_thm_4_6(ring, table, sm, an))
+    assert all_passed(verify_thm_4_10(t))
+    assert all_passed(verify_thm_4_6(t))

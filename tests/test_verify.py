@@ -1,22 +1,27 @@
 """Orchestrated check runs: coverage, skip policy, ordering, rendering."""
 
 import json
+from collections import Counter
 
 import pytest
 
+import fuscat.verify
 from fuscat.catalog import BUILTIN_KEYS, builtin
+from fuscat.chartab import validate_character_table
 from fuscat.errors import UnknownKey
-from fuscat.verify import (CHECK_IDS, CHECK_LEGEND, VerificationReport,
-                           all_subcategories, default_subcategories,
-                           render_json, render_markdown, report_to_json,
-                           run_checks)
+from fuscat.exactnum import CycNum
+from fuscat.premod import SMatrix
+from fuscat.verify import (CHECK_IDS, CHECK_LEGEND, Target,
+                           VerificationReport, all_subcategories,
+                           default_subcategories, render_json,
+                           render_markdown, report_to_json, run_checks)
 
-from rings import ising_ring
+from rings import ising_ring, ising_table_rows
 
 
 def _full_run(key):
     entry = builtin(key)
-    return run_checks(entry.ring, entry.table, entry.smatrix, target=key,
+    return run_checks(Target(key, entry.ring, entry.table, entry.smatrix),
                       subcategories=all_subcategories(entry.ring))
 
 
@@ -52,7 +57,7 @@ def test_skip_policy_on_symmetric_entry():
 
 def test_ring_only_target_skips_table_and_matrix_checks():
     ring = ising_ring()
-    report = run_checks(ring, target="bare")
+    report = run_checks(Target("bare", ring))
     by_id = {}
     for c in report.checks:
         by_id.setdefault(c.id, []).append(c)
@@ -67,7 +72,7 @@ def test_ring_only_target_skips_table_and_matrix_checks():
 
 def test_check_filter_restricts_output():
     entry = builtin("ising")
-    report = run_checks(entry.ring, entry.table, entry.smatrix,
+    report = run_checks(Target("", entry.ring, entry.table, entry.smatrix),
                         check_ids=["eq-2.7", "thm-4.10"])
     assert {c.id for c in report.checks} == {"eq-2.7", "thm-4.10"}
 
@@ -75,7 +80,7 @@ def test_check_filter_restricts_output():
 def test_unknown_check_id_rejected():
     entry = builtin("ising")
     with pytest.raises(UnknownKey, match="thm-9.9"):
-        run_checks(entry.ring, entry.table, entry.smatrix,
+        run_checks(Target("", entry.ring, entry.table, entry.smatrix),
                    check_ids=["thm-9.9"])
 
 
@@ -103,8 +108,8 @@ def test_default_pool_is_unit_and_whole_ring():
 
 def test_json_rendering_round_trips():
     entry = builtin("pointed-z4-q2")
-    report = run_checks(entry.ring, entry.table, entry.smatrix,
-                        target="pointed-z4-q2")
+    report = run_checks(Target("pointed-z4-q2", entry.ring, entry.table,
+                               entry.smatrix))
     doc = report_to_json(report)
     assert json.loads(render_json(report)) == doc
     assert doc["summary"] == report.summary
@@ -159,3 +164,86 @@ def test_item_two_values_on_slightly_degenerate_product():
 def test_report_ok_property_reflects_failures():
     report = VerificationReport(target="x", subcategories=((0,),), checks=())
     assert report.ok and report.summary["total"] == 0
+
+
+ANALYSIS_IDS = ("cor-4.16", "cor-4.18", "eq-4.15", "eq-4.20", "eq-4.23",
+                "eq-4.3", "prop-4.12", "prop-4.21", "rem-4.25", "thm-1.1",
+                "thm-1.3", "thm-4.10", "thm-4.6")
+
+
+def _unmatched_ising():
+    """Ising ring and table with an unvalidated all-ones matrix: its first
+    row is no table column, so the matching analysis fails."""
+    ring = ising_ring()
+    table = validate_character_table(ring, ising_table_rows())
+    one = CycNum.from_rational(1)
+    return Target("unmatched", ring, table, SMatrix(s=((one,) * 3,) * 3))
+
+
+def test_failed_matching_analysis_skips_each_analysis_id_once():
+    report = run_checks(_unmatched_ising())
+    skipped = [c for c in report.checks
+               if c.skipped_reason is not None
+               and c.skipped_reason.startswith("matching analysis failed")]
+    assert sorted(c.id for c in skipped) == sorted(ANALYSIS_IDS)
+    assert all(c.params == {} for c in skipped)
+    assert skipped[0].skipped_reason == (
+        "matching analysis failed: s-matrix row 0 matches no character "
+        "table column")
+    assert {c.id for c in report.checks} == set(CHECK_IDS)
+
+
+def test_programming_error_in_matching_analysis_propagates(monkeypatch):
+    def broken(ring, table, sm):
+        raise TypeError("not a data error")
+
+    monkeypatch.setattr(fuscat.verify, "m_map", broken)
+    entry = builtin("ising")
+    with pytest.raises(TypeError, match="not a data error"):
+        run_checks(Target("ising", entry.ring, entry.table, entry.smatrix))
+
+
+def test_skip_records_carry_the_row_params():
+    entry = builtin("ising")
+    bare = run_checks(Target("bare", entry.ring),
+                      subcategories=all_subcategories(entry.ring))
+    skipped = {(c.id, json.dumps(c.params, sort_keys=True))
+               for c in bare.checks if c.passed is None}
+    assert skipped == ({("cor-3.9", '{"claim": 2}')}
+                       | {(cid, "{}") for cid in ("eq-2.4", "eq-2.7",
+                                                   "eq-3.6", "eq-3.7",
+                                                   "prop-3.4")}
+                       | {(cid, "{}") for cid in ANALYSIS_IDS})
+    report = _full_run("rep-s3")
+    skipped = sorted((c.id, json.dumps(c.params, sort_keys=True))
+                     for c in report.checks if c.passed is None)
+    assert skipped == [("cor-3.9", '{"D": [0, 1, 2], "claim": 2}'),
+                       ("cor-3.9", '{"D": [0, 1], "claim": 2}'),
+                       ("eq-4.23", "{}"),
+                       ("thm-1.1", '{"D": [0, 1, 2]}'),
+                       ("thm-1.1", '{"D": [0, 1]}'),
+                       ("thm-1.3", "{}")]
+
+
+@pytest.mark.parametrize("key", ["ising*svec", "rep-s3*svec"])
+def test_derived_data_is_computed_once_per_subcategory(key, monkeypatch):
+    calls = Counter()
+
+    def counting(name, at):
+        original = getattr(fuscat.verify, name)
+
+        def wrapper(*args):
+            calls[name, args[at].members] += 1
+            return original(*args)
+        monkeypatch.setattr(fuscat.verify, name, wrapper)
+
+    counting("support_JD", 2)
+    counting("coset_partition", 1)
+    counting("centralizer", 2)
+    entry = builtin(key)
+    report = run_checks(Target(key, entry.ring, entry.table, entry.smatrix),
+                        subcategories=all_subcategories(entry.ring))
+    assert report.ok
+    assert {name for name, _ in calls} == {"support_JD", "coset_partition",
+                                           "centralizer"}
+    assert max(calls.values()) == 1, calls.most_common(3)
