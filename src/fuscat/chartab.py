@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     DegenerateSpectrum,
     ExactDataMissing,
@@ -195,17 +193,17 @@ def verify_eq_2_4(target) -> list[CheckResult]:
 # numeric cross-check
 # ---------------------------------------------------------------------------
 
-def characters_numeric(ring: FusionRing, seed: int = 0,
-                       max_retries: int = 8) -> np.ndarray:
+def characters_numeric(ring: FusionRing, seed: int = 0, max_retries: int = 8):
     """Eigenvector characters of a random combination of fusion matrices.
 
-    Returns a complex array with the same orientation as the exact table
-    (rows index basis elements, columns index characters).  Retries with
-    fresh coefficients when the spectrum is degenerate.
+    Returns a complex numpy array with the same orientation as the exact
+    table (rows index basis elements, columns index characters).  Retries
+    with fresh coefficients when the spectrum is degenerate.
     """
+    import numpy as np
     rng = np.random.default_rng(seed)
     r = ring.rank
-    mats = [ring.fusion_matrix(i) for i in range(r)]
+    mats = [np.array(ring.tensor[i], dtype=float) for i in range(r)]
     for _ in range(max_retries):
         coeff = rng.uniform(0.5, 1.5, size=r)
         m = sum(c * mat for c, mat in zip(coeff, mats))
@@ -224,9 +222,10 @@ def characters_numeric(ring: FusionRing, seed: int = 0,
         alpha_num = np.array(cols).T  # rows = basis, columns = characters
         for i in range(r):
             for k in range(r):
-                resid = alpha_num[i] * alpha_num[k] - sum(
+                prod = alpha_num[i] * alpha_num[k]
+                resid = prod - sum(
                     ring.tensor[i][k][l] * alpha_num[l] for l in range(r))
-                if np.max(np.abs(resid)) > 1e-8:
+                if np.max(np.abs(resid)) > 1e-8 * max(1.0, np.max(np.abs(prod))):
                     ok = False
         if ok:
             order = np.lexsort((np.round(w.imag, 9), np.round(w.real, 9)))
@@ -234,19 +233,22 @@ def characters_numeric(ring: FusionRing, seed: int = 0,
     raise DegenerateSpectrum(f"no separated spectrum after {max_retries} draws")
 
 
-def match_numeric_columns(table: CharacterTable, numeric: np.ndarray,
+def match_numeric_columns(table: CharacterTable, numeric,
                           tol: float = 1e-8) -> list[int]:
-    """Bijection from exact columns to numeric ones within tolerance."""
+    """Bijection from exact columns to numeric ones.  Row i, the eigenvalues
+    of N_i, is matched to within tol * max(1, largest |exact value in row i|)."""
+    import numpy as np
     r = table.rank
     exact = np.array([[table.alpha[i][j].embed_complex() for j in range(r)]
                       for i in range(r)])
+    bound = tol * np.maximum(1.0, np.abs(exact).max(axis=1))
     used, perm = set(), []
     for j in range(r):
         best = None
         for jn in range(r):
             if jn in used:
                 continue
-            if np.max(np.abs(exact[:, j] - numeric[:, jn])) <= tol:
+            if np.all(np.abs(exact[:, j] - numeric[:, jn]) <= bound):
                 best = jn
                 break
         if best is None:

@@ -35,12 +35,8 @@ class ValidationError(FuscatError):
         super().__init__(text)
 
 
-class ConvergenceFailure(FuscatError):
-    pass
-
-
 class ExactDataMissing(FuscatError):
-    """Operation needs exact dimensions but the ring only has floats."""
+    """Operation needs exact dimensions but the ring carries none."""
 
 
 class RankTooLarge(FuscatError):

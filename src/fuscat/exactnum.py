@@ -183,6 +183,43 @@ def _spread(nums, step, m):
     return _reduce(out, m)
 
 
+@functools.cache
+def _cos_table(n, q):
+    """(C, E): integers C_j, j < phi(n), with |C_j - 2^q cos(2 pi j/n)| < E.
+
+    Errors are in units of 2^-q.  P ~ 2^q pi is Machin's 16 atan(1/5) -
+    4 atan(1/239), each atan(1/x) an alternating series of K floor-divided
+    terms, each off by < 3, with a tail < 2; so e_pi = 16 (3 K_5 + 2) +
+    4 (3 K_239 + 2).  The angle, folded to pi a/n with a/n <= 1/2 (cos is
+    even and cos t = -cos(pi - t)), is floor(P a/n), within e_pi/2 + 1, and
+    cos is 1-Lipschitz.  Its M Taylor terms (x^2 < 5/2) are each off by
+    < 3/2, with a tail < 3/2; so E = e_pi//2 + 2M + 4.
+    """
+    p = ep = 0
+    for x, w in ((5, 16), (239, -4)):
+        power, k = (1 << q) // x, 0
+        while power:
+            p += (-w if k & 1 else w) * (power // (2 * k + 1))
+            power //= x * x
+            k += 1
+        ep += abs(w) * (3 * k + 2)
+    out, terms = [], 0
+    for j in range(_phi_tail(n)[0]):
+        a, sign = 2 * min(j, n - j), 1
+        if 2 * a > n:
+            a, sign = n - a, -1
+        x2 = (p * a // n) ** 2 >> q
+        term = total = 1 << q
+        i = 0
+        while term:
+            i += 2
+            term = term * x2 // ((i - 1) * i << q)
+            total += -term if i & 2 else term
+        out.append(sign * total)
+        terms = max(terms, i // 2)
+    return tuple(out), ep // 2 + 2 * terms + 4
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic numbers
 # ---------------------------------------------------------------------------
@@ -390,6 +427,26 @@ class CycNum:
 
     def __bool__(self):
         return not self.is_zero()
+
+    def is_positive(self) -> bool:
+        """Whether this is a positive real, decided in integers only.
+
+        A non-rational real is sum_j a_j cos(2 pi j/N) / den, and nonzero.
+        At q bits S = sum_j a_j C_j (see `_cos_table`) lies within
+        E(q) sum_j |a_j| of 2^q den times it, so past that bound S has its
+        sign; q doubles from 64 until then, which ends as E(q) is O(q).
+        """
+        if self != self.conjugate():
+            return False
+        if self.is_rational():
+            return self._nums[0] > 0
+        q = 64
+        while True:
+            cosines, err = _cos_table(self.conductor, q)
+            s = sum(x * c for x, c in zip(self._nums, cosines))
+            if abs(s) > err * sum(map(abs, self._nums)):
+                return s > 0
+            q *= 2
 
     # -- numeric views --------------------------------------------------------
 

@@ -1,9 +1,10 @@
 """Fusion rings: based rings with duality, exact dimensions, subcategories.
 
 The multiplicity tensor N[i][j][k] counts the k-th basis element inside
-the product of the i-th and j-th.  Rings here are commutative; exact
-Frobenius-Perron dimensions are part of the input data and are verified
-against the homomorphism property rather than solved for.
+the product of the i-th and j-th.  Rings here are commutative.  FPdim is
+the only character that is positive real on the basis (Etingof-Gelaki-
+Nikshych-Ostrik, *Tensor Categories*, 3.3).  Given exact dimensions pass
+iff they are such a character and agree on duals; no float decides it.
 """
 
 from __future__ import annotations
@@ -11,14 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import (
-    ConvergenceFailure,
-    ExactDataMissing,
-    RankTooLarge,
-    ValidationError,
-)
+from .errors import ExactDataMissing, RankTooLarge, ValidationError
 from .exactnum import CycNum
 
 ONE = CycNum.from_rational(1)
@@ -34,14 +28,9 @@ class FusionRing:
     tensor: tuple[tuple[tuple[int, ...], ...], ...]
     dual: tuple[int, ...]
     fpdims: tuple[CycNum, ...] | None
-    fpdims_float: tuple[float, ...]
 
     def n(self, i, j, k) -> int:
         return self.tensor[i][j][k]
-
-    def fusion_matrix(self, i) -> np.ndarray:
-        """Left multiplication by basis element i, as (N_i)_{jk} = N[i][j][k]."""
-        return np.array(self.tensor[i], dtype=float)
 
     def basis(self, i) -> "KElement":
         return KElement(tuple(ONE if k == i else ZERO for k in range(self.rank)))
@@ -111,38 +100,6 @@ class Subcategory:
 # validation
 # ---------------------------------------------------------------------------
 
-def fpdim_numeric(tensor) -> tuple[float, ...]:
-    """Perron roots of the left-multiplication matrices, by power iteration.
-
-    Iterates on N_i + I so the dominant eigenvalue is strictly separated
-    in modulus even when N_i is a permutation matrix.
-    """
-    rank = len(tensor)
-    dims = []
-    for i in range(rank):
-        m = np.array(tensor[i], dtype=float) + np.eye(rank)
-        x = np.ones(rank)
-        lam_prev, stable = None, 0
-        for _ in range(200_000):
-            y = m @ x
-            lam = float(x @ y) / float(x @ x)
-            norm = np.linalg.norm(y)
-            if norm == 0:
-                raise ConvergenceFailure(f"matrix {i} annihilated the positive cone")
-            x = y / norm
-            if lam_prev is not None and abs(lam - lam_prev) <= 1e-12 * max(1.0, abs(lam)):
-                stable += 1
-                if stable >= 3:
-                    break
-            else:
-                stable = 0
-            lam_prev = lam
-        else:
-            raise ConvergenceFailure(f"power iteration did not settle for matrix {i}")
-        dims.append(lam - 1.0)
-    return tuple(dims)
-
-
 def validate_fusion_ring(tensor, dual, names=None, fpdims=None) -> FusionRing:
     """Check every axiom; raise ValidationError naming the first violated one."""
     rank = len(tensor)
@@ -200,8 +157,6 @@ def validate_fusion_ring(tensor, dual, names=None, fpdims=None) -> FusionRing:
                     if lhs != rhs:
                         raise ValidationError("associativity", (i, j, k, l))
 
-    dims_float = fpdim_numeric(tensor)
-
     exact = None
     if fpdims is not None:
         exact = tuple(d if isinstance(d, CycNum) else CycNum.from_rational(d)
@@ -211,13 +166,8 @@ def validate_fusion_ring(tensor, dual, names=None, fpdims=None) -> FusionRing:
         if exact[0] != 1:
             raise ValidationError("fpdims", (0,), "unit must have dimension 1")
         for i in range(rank):
-            z = exact[i].embed_complex()
-            if abs(z.imag) > 1e-9 or z.real <= 0:
+            if not exact[i].is_positive():
                 raise ValidationError("fpdims", (i,), "dimensions must embed positive real")
-            if abs(z.real - dims_float[i]) > 1e-9:
-                raise ValidationError("fpdims", (i,),
-                                      f"exact dimension embeds to {z.real}, "
-                                      f"Perron root is {dims_float[i]}")
             if exact[dual[i]] != exact[i]:
                 raise ValidationError("fpdims", (i,), "dual objects must share a dimension")
         for i in range(rank):
@@ -229,18 +179,9 @@ def validate_fusion_ring(tensor, dual, names=None, fpdims=None) -> FusionRing:
                 if exact[i] * exact[j] != rhs:
                     raise ValidationError("fpdims", (i, j),
                                           "dimensions are not a ring homomorphism")
-    else:
-        # float-only sanity: homomorphism residual
-        for i in range(rank):
-            for j in range(rank):
-                resid = dims_float[i] * dims_float[j] - sum(
-                    tensor[i][j][k] * dims_float[k] for k in range(rank))
-                if abs(resid) > 1e-8:
-                    raise ValidationError("fpdims", (i, j),
-                                          f"numeric homomorphism residual {resid}")
 
     return FusionRing(rank=rank, names=names, tensor=tensor, dual=dual,
-                      fpdims=exact, fpdims_float=dims_float)
+                      fpdims=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +256,9 @@ def enumerate_subcategories(ring: FusionRing, max_rank: int = 16) -> tuple[Subca
 
 
 def pointed_part(ring: FusionRing) -> Subcategory:
-    """The invertible objects: dimension exactly 1 (float screen, exact confirm)."""
-    if ring.fpdims is not None:
-        members = [i for i in range(ring.rank) if ring.fpdims[i] == 1]
-    else:
-        members = [i for i in range(ring.rank) if abs(ring.fpdims_float[i] - 1.0) <= 1e-9]
+    """The invertible objects: X with X (x) X* = 1, i.e. sum_k N_{X X*}^k = 1."""
+    members = [i for i in range(ring.rank)
+               if sum(ring.tensor[i][ring.dual[i]]) == 1]
     return check_subcategory(ring, members)
 
 

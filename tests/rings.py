@@ -4,10 +4,45 @@ Small rings are written out longhand here, independently of the built-in
 catalog, so library tests do not depend on the catalog module.
 """
 
+import numpy as np
+
 from fuscat.exactnum import CycNum
 from fuscat.fusion import validate_fusion_ring
 
 ONE = CycNum.from_rational(1)
+
+
+def fpdim_numeric(tensor) -> tuple[float, ...]:
+    """Perron roots of the left-multiplication matrices, by power iteration.
+
+    The float oracle for the exact dimensions.  Iterates on N_i + I so the
+    dominant eigenvalue is strictly separated in modulus even when N_i is a
+    permutation matrix.
+    """
+    rank = len(tensor)
+    dims = []
+    for i in range(rank):
+        m = np.array(tensor[i], dtype=float) + np.eye(rank)
+        x = np.ones(rank)
+        lam_prev, stable = None, 0
+        for _ in range(200_000):
+            y = m @ x
+            lam = float(x @ y) / float(x @ x)
+            norm = np.linalg.norm(y)
+            if norm == 0:
+                raise ArithmeticError(f"matrix {i} annihilated the positive cone")
+            x = y / norm
+            if lam_prev is not None and abs(lam - lam_prev) <= 1e-12 * max(1.0, abs(lam)):
+                stable += 1
+                if stable >= 3:
+                    break
+            else:
+                stable = 0
+            lam_prev = lam
+        else:
+            raise ArithmeticError(f"power iteration did not settle for matrix {i}")
+        dims.append(lam - 1.0)
+    return tuple(dims)
 
 
 def sqrt2() -> CycNum:
@@ -23,6 +58,15 @@ def sqrt5() -> CycNum:
 def golden() -> CycNum:
     """(1 + sqrt 5)/2, the Perron root of x^2 - x - 1."""
     return (sqrt5() + 1) / 2
+
+
+def lucas(m: int):
+    """Tensor of the rank-2 ring X*X = 1 + L_m X for odd m, with the roots
+    phi^m and psi^m of x^2 - L_m x - 1: the FP dimension of X and its
+    Galois conjugate (L_m is the m-th Lucas number, phi^m + psi^m)."""
+    phi, psi = golden() ** m, (1 - golden()) ** m
+    lucas_m = int((phi + psi).as_rational())
+    return [[[1, 0], [0, 1]], [[0, 1], [1, lucas_m]]], phi, psi
 
 
 def group_ring(n: int, prefix: str = "g"):

@@ -7,8 +7,12 @@ import sys
 import pytest
 
 from fuscat.catalog import builtin
+from fuscat.chartab import validate_character_table
 from fuscat.cli import main
+from fuscat.fusion import validate_fusion_ring
 from fuscat.serialize import dump_document, to_document
+
+from rings import lucas
 
 
 def _write_entry(tmp_path, key, name="ring.json", mutate=None):
@@ -169,6 +173,44 @@ def test_seed_env_is_honored(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FUSCAT_SEED", "not-an-int")
     assert main(["validate", path]) == 2
     assert "FUSCAT_SEED" in capsys.readouterr().err
+
+
+def _write_lucas(tmp_path, m):
+    tensor, phi, psi = lucas(m)
+    ring = validate_fusion_ring(tensor, (0, 1), fpdims=(1, phi))
+    table = validate_character_table(ring, ((1, 1), (phi, psi)))
+    p = tmp_path / f"lucas-{m}.json"
+    p.write_text(dump_document(to_document(ring, table)), encoding="utf-8")
+    return str(p)
+
+
+@pytest.mark.parametrize("m", [21, 25, 31, 35, 45])
+def test_validate_lucas_family_with_exact_table(tmp_path, capsys, m):
+    path = _write_lucas(tmp_path, m)
+    assert main(["validate", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.endswith(f"{path}: valid\n")
+    assert captured.err == ""
+
+
+def test_failed_numeric_cross_check_does_not_set_the_exit_code(tmp_path,
+                                                               capsys):
+    # L_1501 ~ 1e313 is no float, so the numeric check cannot even start
+    path = _write_lucas(tmp_path, 1501)
+    assert main(["validate", path]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[3].startswith("char_table: numeric cross-check inconclusive: ")
+    assert out[-1] == f"{path}: valid"
+
+
+def test_verify_does_not_import_numpy():
+    code = ("import sys\n"
+            "from fuscat.cli import main\n"
+            "code = main(['verify', 'ising', '--all-subcategories'])\n"
+            "sys.stderr.write(f'{code} {\"numpy\" in sys.modules}')\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.stderr == "0 False"
 
 
 def test_unknown_command_exits_two():

@@ -8,7 +8,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import fuscat.exactnum
 from fuscat.catalog import BUILTIN_KEYS, builtin
@@ -285,6 +285,27 @@ def test_zeta_powers_consistent(n, e):
     assert z == CycNum.zeta(n) ** e
     assert abs(z.embed_complex() - complex(math.cos(2 * math.pi * e / n),
                                            math.sin(2 * math.pi * e / n))) < 1e-9
+
+
+@given(st.sampled_from([5, 8, 12, 24]).flatmap(lambda n: cycnums(conductor=n)))
+@settings(max_examples=80, deadline=None)
+def test_is_positive_agrees_with_the_float_sign(a):
+    x = a + a.conjugate()
+    real = x.embed_complex().real
+    assume(abs(real) > 1e-6)
+    assert x.is_positive() == (real > 0)
+    assert (-x).is_positive() == (real < 0)
+
+
+def test_is_positive_below_float_resolution():
+    # psi = (1 - sqrt 5)/2: psi^m alternates in sign and shrinks to ~1e-21
+    # at m = 101, while its numerators grow to ~1e21
+    psi = (1 - RT5) / 2
+    for m in range(1, 102):
+        assert (psi ** m).is_positive() == (m % 2 == 0), m
+    assert not CycNum.zeta(4).is_positive()  # i is not real
+    assert not CycNum.zeta(5).is_positive()
+    assert not CycNum.from_rational(0).is_positive()
 
 
 @given(cycnums(conductor=8), cycnums(conductor=8))

@@ -10,7 +10,6 @@ from fuscat.fusion import (
     check_subcategory,
     deligne_product,
     enumerate_subcategories,
-    fpdim_numeric,
     global_fpdim,
     pointed_part,
     regular_element,
@@ -19,7 +18,8 @@ from fuscat.fusion import (
     validate_fusion_ring,
 )
 
-from rings import fib_ring, golden, group_ring, ising_ring, reps3_ring, sqrt2
+from rings import (fib_ring, fpdim_numeric, golden, group_ring, ising_ring,
+                   lucas, reps3_ring, sqrt2)
 
 ONE = CycNum.from_rational(1)
 ZERO = CycNum.from_rational(0)
@@ -41,7 +41,7 @@ def test_ising_validates():
 def test_fib_validates_with_golden_dim():
     ring = fib_ring()
     assert ring.fpdims[1] == golden()
-    assert abs(ring.fpdims_float[1] - 1.6180339887498949) < 1e-9
+    assert abs(ring.fpdims[1].embed_complex() - 1.6180339887498949) < 1e-9
 
 
 def test_default_names_are_indexed():
@@ -184,6 +184,25 @@ def test_axiom_fpdims_unit_must_be_one():
     with pytest.raises(ValidationError) as err:
         validate_fusion_ring(_z2_tensor(), (0, 1), fpdims=(2, 1))
     assert err.value.axiom == "fpdims"
+
+
+def test_axiom_fpdims_sign_character_is_not_positive():
+    # (1, -1) is a real character of Z/2, so only its sign rejects it
+    with pytest.raises(ValidationError) as err:
+        validate_fusion_ring(_z2_tensor(), (0, 1), fpdims=(1, -1))
+    assert (err.value.axiom, err.value.witness) == ("fpdims", (1,))
+
+
+@pytest.mark.parametrize("m", [21, 25, 31, 35, 45])
+def test_lucas_family_dimension_decided_exactly(m):
+    # psi^45 ~ -4e-10 has numerators near 1e9: the 64-bit cosines cannot
+    # certify its sign, so that case doubles the precision
+    tensor, phi, psi = lucas(m)
+    ring = validate_fusion_ring(tensor, (0, 1), fpdims=(1, phi))
+    assert ring.fpdims[1] == phi
+    with pytest.raises(ValidationError) as err:
+        validate_fusion_ring(tensor, (0, 1), fpdims=(1, psi))
+    assert (err.value.axiom, err.value.witness) == ("fpdims", (1,))
 
 
 # ---------------------------------------------------------------------------
