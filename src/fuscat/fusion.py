@@ -36,18 +36,18 @@ class FusionRing:
         return KElement(tuple(ONE if k == i else ZERO for k in range(self.rank)))
 
     def k_mul(self, x: "KElement", y: "KElement") -> "KElement":
+        """Product in the ring; only nonzero coefficients and entries are visited."""
         out = [ZERO] * self.rank
+        ys = [(j, yj) for j, yj in enumerate(y.coeffs) if not yj.is_zero()]
         for i, xi in enumerate(x.coeffs):
             if xi.is_zero():
                 continue
-            for j, yj in enumerate(y.coeffs):
-                if yj.is_zero():
-                    continue
+            plane = self.tensor[i]
+            for j, yj in ys:
                 prod = xi * yj
-                row = self.tensor[i][j]
-                for k in range(self.rank):
-                    if row[k]:
-                        out[k] = out[k] + prod * row[k]
+                row = plane[j]
+                for k in itertools.compress(range(self.rank), row):
+                    out[k] = out[k] + prod * row[k]
         return KElement(tuple(out))
 
     def dim(self, i) -> CycNum:
@@ -148,14 +148,25 @@ def validate_fusion_ring(tensor, dual, names=None, fpdims=None) -> FusionRing:
                 if tensor[i][j][k] != tensor[dual[i]][k][j]:
                     raise ValidationError("frobenius-reciprocity", (i, j, k))
 
+    # (X_i X_j) X_k = X_i (X_j X_k), compared as whole l-vectors per (i, j, k)
+    # over the nonzero N_{ij}^m only; a mismatch names its least l, so the
+    # first violated (i, j, k, l) is the one of the lexicographic order
+    nonzero = [[[(m, c) for m, c in enumerate(row) if c] for row in plane]
+               for plane in tensor]
     for i in range(rank):
         for j in range(rank):
             for k in range(rank):
-                for l in range(rank):
-                    lhs = sum(tensor[i][j][m] * tensor[m][k][l] for m in range(rank))
-                    rhs = sum(tensor[j][k][m] * tensor[i][m][l] for m in range(rank))
-                    if lhs != rhs:
-                        raise ValidationError("associativity", (i, j, k, l))
+                lhs = [0] * rank
+                for m, a in nonzero[i][j]:
+                    for l, b in nonzero[m][k]:
+                        lhs[l] += a * b
+                rhs = [0] * rank
+                for m, a in nonzero[j][k]:
+                    for l, b in nonzero[i][m]:
+                        rhs[l] += a * b
+                if lhs != rhs:
+                    l = next(l for l in range(rank) if lhs[l] != rhs[l])
+                    raise ValidationError("associativity", (i, j, k, l))
 
     exact = None
     if fpdims is not None:

@@ -13,6 +13,7 @@ mathematical problems surface through the ordinary validators afterwards.
 
 from __future__ import annotations
 
+import cmath
 import json
 from fractions import Fraction
 from math import lcm
@@ -57,12 +58,23 @@ def cycnum_from_json(obj) -> CycNum:
     return CycNum(n, parsed)
 
 
+def advisory_complex(value: CycNum) -> complex | None:
+    """The float embedding shown beside an exact value, or None when the
+    value has none (a coefficient or the sum beyond the float range).  It is
+    display only and never decides an outcome."""
+    try:
+        z = value.embed_complex()
+    except OverflowError:
+        return None
+    return z if cmath.isfinite(z) else None
+
+
 def value_to_json(value, approx: bool = True):
     """Report-value serialization: exact object plus an advisory float."""
     if isinstance(value, CycNum):
         out = cycnum_to_json(value)
-        if approx:
-            z = value.embed_complex()
+        z = advisory_complex(value) if approx else None
+        if z is not None:
             out["approx"] = [z.real, z.imag]
         return out
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):

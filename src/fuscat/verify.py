@@ -32,7 +32,7 @@ from .premod import (PremodAnalysis, SMatrix, centralizer, m_map,
                      verify_prop_4_21, verify_rem_4_25, verify_thm_1_1,
                      verify_thm_1_3, verify_thm_4_6, verify_thm_4_10)
 from .reports import CheckResult
-from .serialize import value_to_json
+from .serialize import advisory_complex, value_to_json
 
 #: One line per check id: what equality or membership the check decides.
 CHECK_LEGEND = {
@@ -377,7 +377,9 @@ def _show(value) -> str:
     if value is None:
         return "-"
     if isinstance(value, CycNum):
-        z = value.embed_complex()
+        z = advisory_complex(value)
+        if z is None:
+            return str(value)
         approx = (f"{z.real:.6g}" if abs(z.imag) < 1e-12
                   else f"{z.real:.6g}{z.imag:+.6g}j")
         return f"{value} (~{approx})"

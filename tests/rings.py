@@ -7,9 +7,57 @@ catalog, so library tests do not depend on the catalog module.
 import numpy as np
 
 from fuscat.exactnum import CycNum
-from fuscat.fusion import validate_fusion_ring
+from fuscat.fusion import KElement, validate_fusion_ring
 
 ONE = CycNum.from_rational(1)
+ZERO = CycNum.from_rational(0)
+
+
+# ---------------------------------------------------------------------------
+# dense oracles for the sparse fusion kernels
+# ---------------------------------------------------------------------------
+
+def hecke_associative_dense(h) -> bool:
+    """(e_m e_n) e_p = e_m (e_n e_p), contracted over all nb^5 index tuples."""
+    nb = h.n_blocks
+    H = h.structure
+    for m in range(nb):
+        for n in range(nb):
+            for p in range(nb):
+                for s in range(nb):
+                    lhs = ZERO
+                    rhs = ZERO
+                    for q in range(nb):
+                        lhs = lhs + H[m][n][q] * H[q][p][s]
+                        rhs = rhs + H[n][p][q] * H[m][q][s]
+                    if lhs != rhs:
+                        return False
+    return True
+
+
+def first_associativity_violation(tensor):
+    """The least (i, j, k, l) with sum_m N_ij^m N_mk^l != sum_m N_jk^m N_im^l,
+    over all rank^5 terms, or None."""
+    rank = len(tensor)
+    for i in range(rank):
+        for j in range(rank):
+            for k in range(rank):
+                for l in range(rank):
+                    lhs = sum(tensor[i][j][m] * tensor[m][k][l] for m in range(rank))
+                    rhs = sum(tensor[j][k][m] * tensor[i][m][l] for m in range(rank))
+                    if lhs != rhs:
+                        return (i, j, k, l)
+    return None
+
+
+def k_mul_dense(ring, x, y) -> KElement:
+    """sum_{i,j,k} x_i y_j N_ij^k [X_k] over every index triple."""
+    out = [ZERO] * ring.rank
+    for i in range(ring.rank):
+        for j in range(ring.rank):
+            for k in range(ring.rank):
+                out[k] = out[k] + x.coeffs[i] * y.coeffs[j] * ring.tensor[i][j][k]
+    return KElement(tuple(out))
 
 
 def fpdim_numeric(tensor) -> tuple[float, ...]:

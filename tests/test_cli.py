@@ -203,6 +203,25 @@ def test_failed_numeric_cross_check_does_not_set_the_exit_code(tmp_path,
     assert out[-1] == f"{path}: valid"
 
 
+@pytest.mark.parametrize("fmt", ["json", "md"])
+def test_verify_omits_the_approximation_of_values_beyond_floats(tmp_path, capsys,
+                                                               fmt):
+    # phi^1501 ~ 1e313: the exact value is printed, its float view is not
+    path = _write_lucas(tmp_path, 1501)
+    assert main(["verify", path, "--all-subcategories", "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if fmt == "json":
+        values = [v for c in json.loads(captured.out)["checks"]
+                  for v in (c["lhs"], c["rhs"]) if isinstance(v, dict)]
+        assert any("approx" in v for v in values)
+        assert any("approx" not in v for v in values)
+    else:
+        rows = [line for line in captured.out.splitlines() if line.startswith("| ")]
+        assert any("(~" in row for row in rows)
+        assert any("z5" in row and "(~" not in row for row in rows)
+
+
 def test_verify_does_not_import_numpy():
     code = ("import sys\n"
             "from fuscat.cli import main\n"
