@@ -3,19 +3,26 @@
 
 Usage (from the root of a git checkout):
 
-    python3 scripts/bench.py --base REV --repeats N --out BENCH_<n>.json
+    python3 scripts/bench.py --base REV --out BENCH_<n>.json
 
 Each op is one whole process, `python -m fuscat verify KEY
 --all-subcategories --format json`, so cold import and output are counted.
 Two source trees run: `src/` of revision REV (extracted with `git archive`
-into a temporary directory) and `src/` of the working tree.  Each side first
-runs every key once untimed (it writes the bytecode cache), then REPEATS
-rounds over the ladder, alternating which side runs first.
+into a temporary directory) and `src/` of the working tree.  Each side's
+`src/` is byte-compiled first, so that no timed process compiles modules
+(under PYTHONDONTWRITEBYTECODE only a tree that already held bytecode would
+be spared that cost).  Each side then runs every key once untimed, then
+ROUNDS rounds over the ladder, alternating which side runs first, so each
+key gets ROUNDS pairs.
 
-The JSON file records, per side and key, the median, the repeat count, every
-time, the exit code and the sha256 of the report; per key, the ratio of the
-medians and whether the reports match; and the Python version, the CPU count
-and the git sha of each side.  A speedup counts only where the reports match.
+The JSON file records, per side and key, the median and quartiles, the
+repeat count, every time, the exit code and the sha256 of the report; per
+key, the ratio of the medians, the pairs the change won and whether the
+reports match; and the Python version, the CPU count, the git sha of each
+side and a sha256 over the files of the `src/` it ran, which names the
+timed code also when the working tree is not committed.  A speedup counts
+only where the reports match, the change wins at least nine pairs in ten,
+and the medians differ by more than the base's interquartile range.
 """
 
 import argparse
@@ -38,6 +45,7 @@ LADDER = ("trivial", "svec", "ising", "fib", "rep-s3", "su2k-2", "su2k-3",
           "su2k-4", "pointed-z2-q1", "pointed-z3-q1", "pointed-z4-q1",
           "pointed-z4-q2", "ising*svec", "su2k-5", "su2k-6", "su2k-8",
           "su2k-4*fib")
+ROUNDS = 10
 
 
 def git(*args) -> str:
@@ -54,6 +62,16 @@ def extract_src(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
+def tree_sha256(src: Path) -> str:
+    """sha256 over the relative path and bytes of every file under `src`."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in src.rglob("*")
+                       if p.is_file() and "__pycache__" not in p.parts):
+        digest.update(path.relative_to(src).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def run_op(src: Path, key: str) -> tuple[float, int, str]:
     env = dict(os.environ, PYTHONPATH=str(src))
     argv = [sys.executable, "-m", "fuscat", "verify", key,
@@ -68,7 +86,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True,
                         help="git revision to compare the working tree against")
-    parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
 
@@ -82,10 +99,13 @@ def main(argv=None) -> int:
         times = {name: {key: [] for key in LADDER} for name in sides}
         outcome = {name: {} for name in sides}
         for name, side in sides.items():
+            side["src_sha256"] = tree_sha256(side["src"])
+            subprocess.run([sys.executable, "-m", "compileall", "-q", str(side["src"])],
+                           check=True)
             for key in LADDER:
                 _, code, digest = run_op(side["src"], key)
                 outcome[name][key] = (code, digest)
-        for r in range(args.repeats):
+        for r in range(ROUNDS):
             order = list(sides) if r % 2 == 0 else list(reversed(sides))
             for key in LADDER:
                 for name in order:
@@ -95,29 +115,35 @@ def main(argv=None) -> int:
                               file=sys.stderr)
                         return 1
                     times[name][key].append(seconds)
-            print(f"round {r + 1}/{args.repeats} done", file=sys.stderr)
+            print(f"round {r + 1}/{ROUNDS} done", file=sys.stderr)
 
     runs = {}
     for name, side in sides.items():
         keys = {}
         for key in LADDER:
             code, digest = outcome[name][key]
-            keys[key] = {"median_s": round(statistics.median(times[name][key]), 4),
+            q1, median, q3 = statistics.quantiles(times[name][key], n=4)
+            keys[key] = {"median_s": round(median, 4),
+                         "quartiles_s": [round(q1, 4), round(q3, 4)],
                          "repeats": len(times[name][key]),
                          "times_s": [round(t, 4) for t in times[name][key]],
                          "exit": code, "report_sha256": digest}
         runs[name] = {"git_sha": side["git_sha"], "dirty": side["dirty"],
+                      "src_sha256": side["src_sha256"],
                       "ladder_median_s": round(sum(k["median_s"]
                                                    for k in keys.values()), 4),
                       "keys": keys}
     delta = {key: {"change_over_base": round(runs["change"]["keys"][key]["median_s"]
                                              / runs["base"]["keys"][key]["median_s"], 3),
+                   "change_won_pairs": sum(c < b for b, c in zip(times["base"][key],
+                                                                 times["change"][key])),
                    "reports_match": outcome["base"][key] == outcome["change"][key]}
              for key in LADDER}
     result = {
         "command": "python -m fuscat verify KEY --all-subcategories --format json",
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
+        "rounds": ROUNDS,
         "ladder": list(LADDER),
         "runs": runs,
         "delta": delta,
@@ -126,6 +152,7 @@ def main(argv=None) -> int:
     for key in LADDER:
         print(f"{key:>16}: {runs['base']['keys'][key]['median_s']:8.3f} s -> "
               f"{runs['change']['keys'][key]['median_s']:8.3f} s  "
+              f"won {delta[key]['change_won_pairs']:2d}/{ROUNDS}  "
               f"reports {'match' if delta[key]['reports_match'] else 'DIFFER'}")
     return 0 if all(d["reports_match"] for d in delta.values()) else 1
 

@@ -7,6 +7,7 @@ subcategory of the builtins and the benchmark's product keys, and both
 reject the same mutated inputs.
 """
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -176,29 +177,70 @@ def test_bumped_tensor_fails_where_the_dense_oracle_does(data):
         assert first_associativity_violation(tensor) is None
 
 
-def _timed(build):
-    start = time.perf_counter()
-    ring = build()
-    return ring, time.perf_counter() - start
+def test_bumped_z4_fails_first_at_associativity_with_the_least_l():
+    ring = group_ring(4)
+    tensor = [[list(row) for row in plane] for plane in ring.tensor]
+    for a, b, c in _orbit(1, 2, 2, ring.dual):
+        tensor[a][b][c] += 1
+    with pytest.raises(ValidationError) as info:
+        validate_fusion_ring(tensor, ring.dual)
+    # (X1 X1) X2 and X1 (X1 X2) first differ at (1, 1, 2), in l = 1 and l = 2
+    assert info.value.axiom == "associativity"
+    assert info.value.witness == first_associativity_violation(tensor) == (1, 1, 2, 1)
 
 
-def test_svec_to_the_fifth_validates_quickly():
-    svec = builtin("svec").ring
+@pytest.mark.parametrize("ring", [group_ring(4), group_ring(5), ising_ring(),
+                                  deligne_product(group_ring(2), group_ring(3))],
+                         ids=["z4", "z5", "ising", "z2*z3"])
+def test_orbit_bumps_reach_associativity_at_the_oracles_tuple(ring):
+    reached = 0
+    for i, j, k in itertools.product(range(1, ring.rank), repeat=3):
+        tensor = [[list(row) for row in plane] for plane in ring.tensor]
+        for a, b, c in _orbit(i, j, k, ring.dual):
+            tensor[a][b][c] += 1
+        try:
+            validate_fusion_ring(tensor, ring.dual)
+        except ValidationError as err:
+            if err.axiom == "associativity":
+                assert err.witness == first_associativity_violation(tensor), (i, j, k)
+                reached += 1
+        else:
+            assert first_associativity_violation(tensor) is None
+    assert reached
 
-    def build():
-        ring = svec
-        for _ in range(4):
-            ring = deligne_product(ring, svec)
-        return ring
 
-    ring, seconds = _timed(build)
-    assert ring.rank == 32
-    assert seconds < 2.0
+def _least_cpu_seconds(work, runs=5) -> float:
+    """Least CPU time of `work` over `runs` calls; CPU time leaves out the
+    time the process waits for a core, so a loaded machine does not add."""
+    best = float("inf")
+    for _ in range(runs):
+        start = time.process_time()
+        work()
+        best = min(best, time.process_time() - start)
+    return best
 
 
-def test_ising_cubed_validates_quickly():
-    ising = builtin("ising").ring
-    ring, seconds = _timed(
-        lambda: deligne_product(deligne_product(ising, ising), ising))
-    assert ring.rank == 27
-    assert seconds < 2.0
+def _power(ring, n):
+    out = ring
+    for _ in range(n - 1):
+        out = deligne_product(out, ring)
+    return out
+
+
+@pytest.fixture(scope="module")
+def dense_rank_8_seconds():
+    """CPU time of the dense r^5 associativity loop on svec^3 (rank 8), the
+    yardstick of the large-rank guards: the sparse builds of svec^5 and
+    ising^3 took 2.5-4.5 of it, the dense loop on them 300-650."""
+    tensor = _power(builtin("svec").ring, 3).tensor
+    assert first_associativity_violation(tensor) is None
+    return _least_cpu_seconds(lambda: first_associativity_violation(tensor))
+
+
+@pytest.mark.parametrize("key,factors,rank", [("svec", 5, 32), ("ising", 3, 27)])
+def test_large_products_validate_in_a_few_small_dense_loops(
+        key, factors, rank, dense_rank_8_seconds):
+    base = builtin(key).ring
+    assert _power(base, factors).rank == rank
+    seconds = _least_cpu_seconds(lambda: _power(base, factors), runs=3)
+    assert seconds < 40 * dense_rank_8_seconds
