@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import json
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .chartab import CharacterTable, validate_character_table
 from .errors import SchemaError
@@ -26,10 +26,13 @@ from .premod import SMatrix, validate_smatrix
 
 
 def cycnum_to_json(a: CycNum) -> dict:
-    return {
-        "conductor": a.conductor,
-        "coeffs": [[c.numerator, c.denominator] for c in a.coeffs],
-    }
+    """Each coefficient as a reduced [num, den] pair; zero is [0, 1]."""
+    den = a._den
+    coeffs = []
+    for x in a._nums:
+        g = gcd(x, den)
+        coeffs.append([x // g, den // g])
+    return {"conductor": a.conductor, "coeffs": coeffs}
 
 
 def cycnum_from_json(obj) -> CycNum:
@@ -45,7 +48,6 @@ def cycnum_from_json(obj) -> CycNum:
     if not isinstance(coeffs, list) or len(coeffs) != euler_phi(n):
         raise SchemaError(
             f"scalar of conductor {n} needs exactly {euler_phi(n)} coefficients")
-    parsed = []
     for pair in coeffs:
         if (not isinstance(pair, list) or len(pair) != 2
                 or not all(isinstance(x, int) and not isinstance(x, bool)
@@ -54,8 +56,10 @@ def cycnum_from_json(obj) -> CycNum:
                               "integer pairs")
         if pair[1] == 0:
             raise SchemaError("zero denominator in coefficient")
-        parsed.append(Fraction(pair[0], pair[1]))
-    return CycNum(n, parsed)
+    # num/den == num * (den_lcm // den) / den_lcm, also for a negative den
+    den_lcm = lcm(*(den for _, den in coeffs))
+    nums = [num * (den_lcm // den) for num, den in coeffs]
+    return CycNum._from_ints(n, nums, den_lcm)
 
 
 def advisory_complex(value: CycNum) -> complex | None:

@@ -343,14 +343,38 @@ def all_subcategories(ring: FusionRing) -> list[Subcategory]:
 # ---------------------------------------------------------------------------
 
 def report_to_json(report: VerificationReport) -> dict:
+    """The JSON object of a report.
+
+    Each distinct exact value is converted once: repeats of it, within the
+    report and with the same ``approx`` flag, are the same object.
+    """
+    return _report_doc(report, {})
+
+
+def _report_doc(report: VerificationReport, values: dict) -> dict:
+    """`report_to_json`, keeping each converted exact value in ``values``
+    under (conductor, numerators, denominator, approx)."""
+
+    def value(v, approx):
+        if isinstance(v, CycNum):
+            key = (v.conductor, v._nums, v._den, approx)
+            obj = values.get(key)
+            if obj is None:
+                obj = values[key] = value_to_json(v, approx)
+            return obj
+        if isinstance(v, (list, tuple)):
+            return [x if type(x) is int else value(x, approx) for x in v]
+        if v is None or isinstance(v, (int, str)):  # bool is an int
+            return v
+        return value_to_json(v, approx)
+
     checks = []
     for c in report.checks:
         entry = {
             "id": c.id,
-            "params": {k: value_to_json(v, approx=False)
-                       for k, v in c.params.items()},
-            "lhs": value_to_json(c.lhs),
-            "rhs": value_to_json(c.rhs),
+            "params": {k: value(v, False) for k, v in c.params.items()},
+            "lhs": value(c.lhs, True),
+            "rhs": value(c.rhs, True),
             "pass": c.passed,
         }
         if c.skipped_reason is not None:
@@ -370,7 +394,77 @@ def report_to_json(report: VerificationReport) -> dict:
 
 
 def render_json(report: VerificationReport) -> str:
-    return json.dumps(report_to_json(report), sort_keys=True, indent=2) + "\n"
+    """The report as ``json.dumps(report_to_json(report), sort_keys=True,
+    indent=2)`` plus a newline, byte for byte, written in one pass."""
+    values = {}
+    doc = _report_doc(report, values)
+    out = []
+    _write(doc, "\n", out, {id(v): {} for v in values.values()})
+    out.append("\n")
+    return "".join(out)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+# The text of a JSON scalar, by its exact type.
+_SCALARS = {str: _encode_str, bool: lambda b: "true" if b else "false",
+            int: int.__repr__, float: float.__repr__,
+            type(None): lambda _: "null"}
+
+
+def _write(obj, nl: str, out: list, memo: dict) -> None:
+    """Append the ``indent=2, sort_keys=True`` JSON text of the list or
+    dict ``obj`` to ``out``; ``nl`` is the newline plus the indent of the
+    line ``obj`` starts on, and scalars are written by their container.
+    ``memo`` maps the id of each shared exact value to its text per ``nl``,
+    so a value repeated at one depth is written once.  Floats are finite
+    here: they come only from `advisory_complex`."""
+    if isinstance(obj, dict):
+        texts = memo.get(id(obj))
+        if texts is None:
+            _write_dict(obj, nl, out, memo)
+            return
+        text = texts.get(nl)
+        if text is None:
+            chunks = []
+            _write_dict(obj, nl, chunks, memo)
+            text = texts[nl] = "".join(chunks)
+        out.append(text)
+    elif isinstance(obj, list):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        lead = "[" + inner
+        for item in obj:
+            scalar = _SCALARS.get(type(item))
+            if scalar is None:
+                out.append(lead)
+                _write(item, inner, out, memo)
+            else:
+                out.append(lead + scalar(item))
+            lead = "," + inner
+        out.append(nl + "]")
+    else:
+        raise TypeError(f"cannot render {type(obj).__name__} as JSON")
+
+
+def _write_dict(obj: dict, nl: str, out: list, memo: dict) -> None:
+    if not obj:
+        out.append("{}")
+        return
+    inner = nl + "  "
+    lead = "{" + inner
+    for k in sorted(obj):
+        v = obj[k]
+        scalar = _SCALARS.get(type(v))
+        if scalar is None:
+            out.append(lead + _encode_str(k) + ": ")
+            _write(v, inner, out, memo)
+        else:
+            out.append(lead + _encode_str(k) + ": " + scalar(v))
+        lead = "," + inner
+    out.append(nl + "}")
 
 
 def _show(value) -> str:

@@ -1,12 +1,14 @@
 """Document round-trips and schema-error reporting."""
 
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuscat.catalog import BUILTIN_KEYS, builtin
 from fuscat.errors import SchemaError, ValidationError
-from fuscat.exactnum import CycNum
+from fuscat.exactnum import CycNum, euler_phi
 from fuscat.serialize import (cycnum_from_json, cycnum_to_json, dump_document,
                               from_document, load_document, to_document,
                               value_to_json)
@@ -179,3 +181,42 @@ def test_cycnum_from_json_rejects_junk():
         cycnum_from_json({"conductor": 4, "coeffs": [[1, 1]], "other": 0})
     with pytest.raises(SchemaError):
         cycnum_from_json({"conductor": 4, "coeffs": [[1.5, 1]]})
+
+
+@pytest.mark.parametrize("coeffs,message", [
+    ([[1, 1], [1.5, 1]], "integer pairs"),
+    ([[1, 0], [True, 1]], "zero denominator"),
+    ([[1, 1], [1, 0, 1]], "integer pairs"),
+    ([[0, 1], [2, 0]], "zero denominator"),
+])
+def test_cycnum_from_json_reports_the_first_bad_pair(coeffs, message):
+    with pytest.raises(SchemaError, match=message):
+        cycnum_from_json({"conductor": 4, "coeffs": coeffs})
+
+
+@st.composite
+def _scalar_objects(draw):
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 12, 15]))
+    nums = st.integers(-5, 5) | st.integers(-2 ** 100, 2 ** 100)
+    dens = st.integers(-12, 12).filter(bool) | st.integers(1, 2 ** 80)
+    pairs = draw(st.lists(st.tuples(nums, dens).map(list),
+                          min_size=euler_phi(n), max_size=euler_phi(n)))
+    return {"conductor": n, "coeffs": pairs}
+
+
+@given(_scalar_objects())
+@settings(max_examples=200, deadline=None)
+def test_cycnum_json_agrees_with_a_fraction_reference(obj):
+    n = obj["conductor"]
+    reference = CycNum(n, [Fraction(a, b) for a, b in obj["coeffs"]])
+    value = cycnum_from_json(obj)
+    assert value == reference
+    assert (value.conductor, value._nums, value._den) == (
+        reference.conductor, reference._nums, reference._den)
+    out = cycnum_to_json(value)
+    assert out == {"conductor": n,
+                   "coeffs": [[c.numerator, c.denominator]
+                              for c in reference.coeffs]}
+    back = cycnum_from_json(json.loads(json.dumps(out)))
+    assert (back.conductor, back._nums, back._den) == (
+        value.conductor, value._nums, value._den)

@@ -1,17 +1,22 @@
 """Orchestrated check runs: coverage, skip policy, ordering, rendering."""
 
+import functools
 import json
 from collections import Counter
+from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import fuscat.serialize
 import fuscat.verify
 from fuscat.catalog import BUILTIN_KEYS, builtin
 from fuscat.chartab import validate_character_table
 from fuscat.errors import UnknownKey
 from fuscat.exactnum import CycNum
 from fuscat.premod import SMatrix
-from fuscat.verify import (CHECK_IDS, CHECK_LEGEND, Target,
+from fuscat.verify import (CHECK_IDS, CHECK_LEGEND, CheckRecord, Target,
                            VerificationReport, all_subcategories,
                            default_subcategories, render_json,
                            render_markdown, report_to_json, run_checks)
@@ -114,6 +119,101 @@ def test_json_rendering_round_trips():
     assert json.loads(render_json(report)) == doc
     assert doc["summary"] == report.summary
     assert set(doc["legend"]) == {c.id for c in report.checks}
+
+
+def _oracle(report):
+    """The stdlib rendering that `render_json` must equal byte for byte."""
+    return json.dumps(report_to_json(report), sort_keys=True, indent=2) + "\n"
+
+
+# the keys of the benchmark's product workload
+PRODUCT_KEYS = ("svec*svec*svec", "pointed-z4-q2*svec", "pointed-z4-q1*svec",
+                "rep-s3*svec", "rep-s3*pointed-z2-q1")
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_full_run(key):
+    return _full_run(key)
+
+
+@pytest.mark.parametrize("key", BUILTIN_KEYS + PRODUCT_KEYS)
+def test_render_json_matches_the_stdlib_encoder(key):
+    report = _cached_full_run(key)
+    assert render_json(report) == _oracle(report)
+
+
+def test_render_json_keeps_no_values_between_reports():
+    # the same exact values sit at different depths in the two reports
+    a, b = _cached_full_run("su2k-2"), _cached_full_run("ising*svec")
+    for report in (a, b, a):
+        assert render_json(report) == _oracle(report)
+
+
+def test_repeated_exact_values_share_one_json_object():
+    doc = report_to_json(_cached_full_run("fib"))
+    seen = {}
+    for check in doc["checks"]:
+        for side in ("lhs", "rhs"):
+            value = check[side]
+            if isinstance(value, dict):
+                key = json.dumps(value, sort_keys=True)
+                assert seen.setdefault(key, value) is value
+
+
+_TEXT = (st.text(st.sampled_from('a"\\\n\t\x00\x1f\x7f/é✓\U0001d11e '),
+                 max_size=6)
+         | st.text(max_size=4))
+_INTS = st.integers(-3, 3) | st.integers(-2 ** 200, 2 ** 200)
+_CYCNUMS = st.builds(
+    lambda n, nums, den: CycNum(n, [Fraction(x, den) for x in nums]),
+    st.sampled_from([1, 4]), st.lists(_INTS, min_size=2, max_size=2),
+    st.integers(1, 10 ** 30))
+_FLOATS = (st.sampled_from([-0.0, 0.0, 1e-300, 1e16, -1.5, 2.0 ** 70])
+           | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _reports(draw):
+    pool = draw(st.lists(_CYCNUMS, min_size=1, max_size=4))
+    scalar = (st.sampled_from(pool) | _INTS | _TEXT | st.none()
+              | st.booleans()
+              | st.fractions(max_denominator=10 ** 20))
+    values = st.recursive(scalar, lambda inner: st.lists(inner, max_size=3)
+                          | st.tuples(inner, inner), max_leaves=6)
+    records = [CheckRecord(
+        id=draw(st.sampled_from(CHECK_IDS)),
+        params=draw(st.dictionaries(_TEXT, values, max_size=3)),
+        lhs=draw(values), rhs=draw(values),
+        passed=draw(st.sampled_from([True, False, None])),
+        skipped_reason=draw(st.none() | _TEXT), detail=draw(_TEXT))
+        for _ in range(draw(st.integers(0, 4)))]
+    # one value as a param (no approx) and as lhs and rhs (with approx), at
+    # three depths
+    shared = pool[0]
+    records.append(CheckRecord(id="eq-2.4",
+                               params={"x": shared, "l": [shared]},
+                               lhs=shared, rhs=[[shared]], passed=True))
+    subs = draw(st.lists(st.lists(st.integers(0, 9), max_size=3).map(tuple),
+                         max_size=3))
+    return VerificationReport(target=draw(_TEXT), subcategories=tuple(subs),
+                              checks=tuple(records))
+
+
+@given(_reports(), st.lists(st.none() | _FLOATS, min_size=1, max_size=5))
+@example(VerificationReport(target="", subcategories=(), checks=()), [None])
+@settings(max_examples=150, deadline=None)
+def test_render_json_matches_the_stdlib_encoder_on_built_reports(report,
+                                                                  floats):
+    def approx(value):
+        # a function of the value alone, as the float embedding is
+        i = (sum(value._nums) + value._den + value.conductor) % len(floats)
+        if floats[i] is None:
+            return None
+        imag = floats[i - 1]
+        return complex(floats[i], 0.0 if imag is None else imag)
+
+    with mock.patch.object(fuscat.serialize, "advisory_complex", approx):
+        assert render_json(report) == _oracle(report)
 
 
 def test_rendering_is_deterministic():
