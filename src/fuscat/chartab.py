@@ -26,7 +26,7 @@ from .errors import (
 )
 from .exactnum import CycNum
 from .fusion import FusionRing, Subcategory, global_fpdim, sub_fpdim
-from .reports import CheckResult
+from .reports import CheckRecord
 
 ZERO = CycNum.from_rational(0)
 
@@ -43,13 +43,6 @@ class CharacterTable:
     @property
     def rank(self):
         return len(self.alpha)
-
-    def value(self, i, j) -> CycNum:
-        """Value of character j on basis element i."""
-        return self.alpha[i][j]
-
-    def column(self, j) -> tuple[CycNum, ...]:
-        return tuple(self.alpha[i][j] for i in range(self.rank))
 
 
 @dataclass(frozen=True)
@@ -163,17 +156,17 @@ def support_JD(ring: FusionRing, table: CharacterTable,
     return tuple(out)
 
 
-def verify_eq_2_7(target, sub: Subcategory) -> CheckResult:
+def verify_eq_2_7(target, sub: Subcategory) -> CheckRecord:
     """Class dimensions over the support sum to dim(C)/dim(D)."""
     lhs = ZERO
     for j in target.support(sub):
         lhs = lhs + target.table.class_dims[j]
     rhs = target.global_dim / target.dim(sub)
-    return CheckResult(check="eq-2.7", inputs={"D": list(sub.members)},
+    return CheckRecord(id="eq-2.7", params={"D": list(sub.members)},
                        lhs=lhs, rhs=rhs, passed=lhs == rhs)
 
 
-def verify_eq_2_4(target) -> list[CheckResult]:
+def verify_eq_2_4(target) -> list[CheckRecord]:
     """Dual-pairing orthogonality of table columns, all pairs."""
     ring, table = target.ring, target.table
     r = ring.rank
@@ -184,7 +177,7 @@ def verify_eq_2_4(target) -> list[CheckResult]:
             for i in range(r):
                 s = s + table.alpha[i][l] * table.alpha[ring.dual[i]][k]
             rhs = target.global_dim / table.class_dims[k] if l == k else ZERO
-            out.append(CheckResult(check="eq-2.4", inputs={"l": l, "k": k},
+            out.append(CheckRecord(id="eq-2.4", params={"l": l, "k": k},
                                    lhs=s, rhs=rhs, passed=s == rhs))
     return out
 

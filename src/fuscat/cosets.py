@@ -18,14 +18,15 @@ from .errors import (
     IndexNotInJD,
     PreconditionFailed,
 )
-from .exactnum import CycNum, integrality_witness, is_algebraic_integer
+from .exactnum import CycNum
 from .fusion import (
     FusionRing,
     KElement,
     Subcategory,
     check_subcategory,
+    sub_fpdim,
 )
-from .reports import CheckResult
+from .reports import CheckRecord, _integrality
 
 ZERO = CycNum.from_rational(0)
 ONE = CycNum.from_rational(1)
@@ -108,15 +109,9 @@ def coset_partition(ring: FusionRing, sub: Subcategory) -> CosetDecomposition:
         if td != t and reps[td] is None:
             reps[td] = ring.dual[block[0]]
 
-    reg_dims = []
-    for block in blocks:
-        total = ZERO
-        for i in block:
-            total = total + ring.fpdims[i] * ring.fpdims[i]
-        reg_dims.append(total)
-
     return CosetDecomposition(sub=sub, blocks=tuple(blocks), reps=tuple(reps),
-                              reg_dims=tuple(reg_dims), dual_map=tuple(dual_map))
+                              reg_dims=tuple(sub_fpdim(ring, b) for b in blocks),
+                              dual_map=tuple(dual_map))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +215,7 @@ def hecke_dual_symmetric(h: HeckeAlgebra) -> bool:
 # checks
 # ---------------------------------------------------------------------------
 
-def verify_eq_3_1(target, sub: Subcategory) -> list[CheckResult]:
+def verify_eq_3_1(target, sub: Subcategory) -> list[CheckRecord]:
     """[X] R_D / d_X is the same element for all X in a block — and equals
     FPdim(D) e_t — while different blocks give different elements."""
     ring, dec = target.ring, target.cosets(sub)
@@ -237,39 +232,39 @@ def verify_eq_3_1(target, sub: Subcategory) -> list[CheckResult]:
             if lhs != expected:
                 ok = False
         normalized.append(expected)
-        out.append(CheckResult(check="eq-3.1",
-                               inputs={"D": list(sub.members), "block": list(block)},
+        out.append(CheckRecord(id="eq-3.1",
+                               params={"D": list(sub.members), "block": list(block)},
                                lhs="[X]R_D/d_X for X in block", rhs="FPdim(D) e_t",
                                passed=ok))
     distinct = all(normalized[a] != normalized[b]
                    for a in range(len(normalized)) for b in range(a + 1, len(normalized)))
-    out.append(CheckResult(check="eq-3.1",
-                           inputs={"D": list(sub.members), "blocks": "pairwise"},
+    out.append(CheckRecord(id="eq-3.1",
+                           params={"D": list(sub.members), "blocks": "pairwise"},
                            lhs="normalized block elements", rhs="pairwise distinct",
                            passed=distinct))
     return out
 
 
-def verify_prop_3_4(target, sub: Subcategory) -> list[CheckResult]:
+def verify_prop_3_4(target, sub: Subcategory) -> list[CheckRecord]:
     """Block count equals |J_D|; the block algebra is well-formed."""
     ring, dec = target.ring, target.cosets(sub)
     jd = target.support(sub)
-    out = [CheckResult(check="prop-3.4",
-                       inputs={"D": list(dec.sub.members)},
+    out = [CheckRecord(id="prop-3.4",
+                       params={"D": list(dec.sub.members)},
                        lhs=dec.n_blocks, rhs=len(jd),
                        passed=dec.n_blocks == len(jd),
                        detail="algebra dimension = support size")]
     h = hecke_constants(ring, dec)   # raises InconsistentCoset on malformation
-    out.append(CheckResult(check="prop-3.4", inputs={"D": list(dec.sub.members)},
+    out.append(CheckRecord(id="prop-3.4", params={"D": list(dec.sub.members)},
                            lhs="structure constants", rhs="associative",
                            passed=hecke_associative(h)))
-    out.append(CheckResult(check="prop-3.4", inputs={"D": list(dec.sub.members)},
+    out.append(CheckRecord(id="prop-3.4", params={"D": list(dec.sub.members)},
                            lhs="structure constants", rhs="dual-symmetric",
                            passed=hecke_dual_symmetric(h)))
     return out
 
 
-def verify_eq_3_6(target, sub: Subcategory, k: int, l: int) -> CheckResult:
+def verify_eq_3_6(target, sub: Subcategory, k: int, l: int) -> CheckRecord:
     """First orthogonality: block sums of products of normalized character
     values at the representatives, against the class dimension of column k."""
     ring, table, dec = target.ring, target.table, target.cosets(sub)
@@ -285,12 +280,12 @@ def verify_eq_3_6(target, sub: Subcategory, k: int, l: int) -> CheckResult:
         d2 = ring.fpdims[xt] * ring.fpdims[xt]
         lhs = lhs + (dec.reg_dims[t] / d2) * table.alpha[xt][k] * table.alpha[xts][l]
     rhs = target.global_dim / table.class_dims[k] if k == l else ZERO
-    return CheckResult(check="eq-3.6",
-                       inputs={"D": list(dec.sub.members), "k": k, "l": l},
+    return CheckRecord(id="eq-3.6",
+                       params={"D": list(dec.sub.members), "k": k, "l": l},
                        lhs=lhs, rhs=rhs, passed=lhs == rhs)
 
 
-def verify_eq_3_7(target, sub: Subcategory, t: int, s: int) -> CheckResult:
+def verify_eq_3_7(target, sub: Subcategory, t: int, s: int) -> CheckRecord:
     """Second orthogonality: support-weighted column sums at two representatives."""
     ring, table, dec = target.ring, target.table, target.cosets(sub)
     jd = target.support(sub)
@@ -304,27 +299,19 @@ def verify_eq_3_7(target, sub: Subcategory, t: int, s: int) -> CheckResult:
         rhs = ring.fpdims[xt] * ring.fpdims[xs] * target.global_dim / dec.reg_dims[t]
     else:
         rhs = ZERO
-    return CheckResult(check="eq-3.7",
-                       inputs={"D": list(dec.sub.members), "t": t, "s": s},
+    return CheckRecord(id="eq-3.7",
+                       params={"D": list(dec.sub.members), "t": t, "s": s},
                        lhs=lhs, rhs=rhs, passed=lhs == rhs)
 
 
-def verify_cor_3_9_1(target, sub: Subcategory) -> list[CheckResult]:
+def verify_cor_3_9_1(target, sub: Subcategory) -> list[CheckRecord]:
     """d_Z^2 FPdim(C) / FPdim(R_t) is an algebraic integer, every Z in every block."""
     ring, dec = target.ring, target.cosets(sub)
     total = target.global_dim
-    out = []
-    for t, block in enumerate(dec.blocks):
-        for z in block:
-            value = ring.fpdims[z] * ring.fpdims[z] * total / dec.reg_dims[t]
-            ok = is_algebraic_integer(value)
-            out.append(CheckResult(
-                check="cor-3.9",
-                inputs={"D": list(dec.sub.members), "claim": 1, "block": t, "member": z},
-                lhs=value, rhs="algebraic integer",
-                passed=ok,
-                detail=f"min poly {integrality_witness(value)}" if ok else ""))
-    return out
+    return [_integrality("cor-3.9", {"D": list(dec.sub.members), "claim": 1,
+                                     "block": t, "member": z},
+                         ring.fpdims[z] * ring.fpdims[z] * total / dec.reg_dims[t])
+            for t, block in enumerate(dec.blocks) for z in block]
 
 
 def free_action(ring: FusionRing, sub: Subcategory) -> bool:
@@ -334,7 +321,7 @@ def free_action(ring: FusionRing, sub: Subcategory) -> bool:
                for i in range(ring.rank))
 
 
-def verify_cor_3_9_2(target, sub: Subcategory) -> list[CheckResult]:
+def verify_cor_3_9_2(target, sub: Subcategory) -> list[CheckRecord]:
     """FPdim(C) / (FPdim(D) dim(C^j)) is an algebraic integer for j in the
     support, when D is pointed and acts freely."""
     ring, table = target.ring, target.table
@@ -344,21 +331,13 @@ def verify_cor_3_9_2(target, sub: Subcategory) -> list[CheckResult]:
         raise PreconditionFailed("pointed subcategory fixes a basis element")
     total = target.global_dim
     dim_d = target.dim(sub)
-    out = []
-    for j in target.support(sub):
-        value = total / (dim_d * table.class_dims[j])
-        ok = is_algebraic_integer(value)
-        out.append(CheckResult(
-            check="cor-3.9",
-            inputs={"D": list(sub.members), "claim": 2, "j": j},
-            lhs=value, rhs="algebraic integer",
-            passed=ok,
-            detail=f"min poly {integrality_witness(value)}" if ok else ""))
-    return out
+    return [_integrality("cor-3.9", {"D": list(sub.members), "claim": 2, "j": j},
+                         total / (dim_d * table.class_dims[j]))
+            for j in target.support(sub)]
 
 
 def verify_lemma_3_12(target, sub: Subcategory,
-                      amb: Subcategory) -> CheckResult:
+                      amb: Subcategory) -> CheckRecord:
     """Nonempty traces of the blocks on a subcategory A are exactly the
     blocks of A with respect to A∩D."""
     ring, dec = target.ring, target.cosets(sub)
@@ -370,8 +349,8 @@ def verify_lemma_3_12(target, sub: Subcategory,
         if trace:
             traces.add(trace)
     inner = {frozenset(b) for b in restricted_blocks(ring, amb.members, inter.members)}
-    return CheckResult(check="lemma-3.12",
-                       inputs={"D": list(sub.members), "A": list(amb.members)},
+    return CheckRecord(id="lemma-3.12",
+                       params={"D": list(sub.members), "A": list(amb.members)},
                        lhs=sorted(sorted(b) for b in traces),
                        rhs=sorted(sorted(b) for b in inner),
                        passed=traces == inner)

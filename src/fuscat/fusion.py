@@ -203,10 +203,7 @@ def global_fpdim(ring: FusionRing) -> CycNum:
     """Sum of squared dimensions."""
     if ring.fpdims is None:
         raise ExactDataMissing("global dimension needs exact dimensions")
-    total = ZERO
-    for d in ring.fpdims:
-        total = total + d * d
-    return total
+    return sub_fpdim(ring, range(ring.rank))
 
 
 def check_subcategory(ring: FusionRing, members) -> Subcategory:
@@ -281,12 +278,13 @@ def regular_element(ring: FusionRing, sub: Subcategory) -> KElement:
                           for i in range(ring.rank)))
 
 
-def sub_fpdim(ring: FusionRing, sub: Subcategory) -> CycNum:
-    """Sum of squared dimensions over a subcategory."""
+def sub_fpdim(ring: FusionRing, members) -> CycNum:
+    """Sum of squared dimensions over basis indices: a subcategory, a block
+    or a fiber of them, or the whole basis."""
     if ring.fpdims is None:
         raise ExactDataMissing("subcategory dimension needs exact dimensions")
     total = ZERO
-    for i in sub:
+    for i in members:
         total = total + ring.fpdims[i] * ring.fpdims[i]
     return total
 

@@ -24,14 +24,15 @@ from .errors import (
     PsiNotCharacter,
     ValidationError,
 )
-from .exactnum import CycNum, integrality_witness, is_algebraic_integer
+from .exactnum import CycNum
 from .fusion import (
     FusionRing,
     Subcategory,
     check_subcategory,
     pointed_part,
+    sub_fpdim,
 )
-from .reports import CheckResult
+from .reports import CheckRecord, _integrality
 
 ZERO = CycNum.from_rational(0)
 
@@ -193,7 +194,7 @@ def m_map(ring: FusionRing, table: CharacterTable, sm: SMatrix) -> PremodAnalysi
 # checks
 # ---------------------------------------------------------------------------
 
-def verify_eq_4_3(target) -> list[CheckResult]:
+def verify_eq_4_3(target) -> list[CheckRecord]:
     """Normalized table entries at matched columns against normalized s-entries."""
     ring, table, sm = target.ring, target.table, target.smatrix
     analysis = target.analysis
@@ -201,13 +202,13 @@ def verify_eq_4_3(target) -> list[CheckResult]:
     for i in range(ring.rank):
         ok = all(table.alpha[i][analysis.M[ip]] * ring.fpdims[ip] == sm.s[i][ip]
                  for ip in range(ring.rank))
-        out.append(CheckResult(check="eq-4.3", inputs={"i": i},
+        out.append(CheckRecord(id="eq-4.3", params={"i": i},
                                lhs="alpha_{i M(i')} d_{i'}", rhs="s_{i i'}",
                                passed=ok))
     return out
 
 
-def verify_thm_4_6(target) -> list[CheckResult]:
+def verify_thm_4_6(target) -> list[CheckRecord]:
     """Central image of each basis character is its class sum, rescaled."""
     ring, table, sm = target.ring, target.table, target.smatrix
     analysis = target.analysis
@@ -216,25 +217,25 @@ def verify_thm_4_6(target) -> list[CheckResult]:
         j = analysis.M[i]
         lhs = _f_q_basis(ring, sm, i)
         rhs = class_sum(ring, table, j).scale(ring.fpdims[i] / table.class_dims[j])
-        out.append(CheckResult(check="thm-4.6", inputs={"i": i, "column": j},
+        out.append(CheckRecord(id="thm-4.6", params={"i": i, "column": j},
                                lhs=list(lhs.e_coords), rhs=list(rhs.e_coords),
                                passed=lhs == rhs))
     return out
 
 
-def verify_thm_4_10(target) -> list[CheckResult]:
+def verify_thm_4_10(target) -> list[CheckRecord]:
     """Fibers of the matching equal the cosets with respect to the center,
     and the fiber count is the support size of the center."""
     analysis = target.analysis
     dec = target.cosets(analysis.center)
     same = set(map(frozenset, analysis.fibers)) == set(map(frozenset, dec.blocks))
-    out = [CheckResult(check="thm-4.10", inputs={},
+    out = [CheckRecord(id="thm-4.10", params={},
                        lhs=[list(b) for b in analysis.fibers],
                        rhs=[list(b) for b in dec.blocks],
                        passed=same, detail="fibers vs center cosets")]
     jz = target.support(analysis.center)
     ok = len(analysis.fibers) == len(analysis.J2) and set(analysis.J2) == set(jz)
-    out.append(CheckResult(check="thm-4.10", inputs={},
+    out.append(CheckRecord(id="thm-4.10", params={},
                            lhs=len(analysis.fibers), rhs=len(jz),
                            passed=ok, detail="fiber count vs support size"))
     return out
@@ -248,97 +249,81 @@ def _rd_blocks(analysis: PremodAnalysis, sub: Subcategory) -> dict[int, tuple[in
     return {j: tuple(v) for j, v in grouped.items()}
 
 
-def verify_prop_4_12(target, sub: Subcategory) -> list[CheckResult]:
+def verify_prop_4_12(target, sub: Subcategory) -> list[CheckRecord]:
     """Support of the centralizer is the matched image of D, and each matched
     group has dimension dim(D ∩ center) times the class dimension."""
     ring, table, analysis = target.ring, target.table, target.analysis
     dprime = target.centralizer(sub)
     jdp = target.support(dprime)
     image = sorted({analysis.M[i] for i in sub.members})
-    out = [CheckResult(check="prop-4.12",
-                       inputs={"D": list(sub.members), "part": "image"},
+    out = [CheckRecord(id="prop-4.12",
+                       params={"D": list(sub.members), "part": "image"},
                        lhs=image, rhs=sorted(jdp),
                        passed=set(image) == set(jdp))]
     dim_inter = target.dim(target.center_trace(sub))
     blocks = _rd_blocks(analysis, sub)
     total_block_dim = ZERO
     for j in sorted(blocks):
-        dim_j = ZERO
-        for i in blocks[j]:
-            dim_j = dim_j + ring.fpdims[i] * ring.fpdims[i]
+        dim_j = sub_fpdim(ring, blocks[j])
         total_block_dim = total_block_dim + dim_j
         rhs = dim_inter * table.class_dims[j]
-        out.append(CheckResult(check="prop-4.12",
-                               inputs={"D": list(sub.members), "j": j},
+        out.append(CheckRecord(id="prop-4.12",
+                               params={"D": list(sub.members), "j": j},
                                lhs=dim_j, rhs=rhs, passed=dim_j == rhs))
     # support sum over the centralizer, and its consequence for dim(D)
     cd_sum = ZERO
     for j in jdp:
         cd_sum = cd_sum + table.class_dims[j]
     quotient = target.global_dim / target.dim(dprime)
-    out.append(CheckResult(check="prop-4.12",
-                           inputs={"D": list(sub.members), "part": "support-sum"},
+    out.append(CheckRecord(id="prop-4.12",
+                           params={"D": list(sub.members), "part": "support-sum"},
                            lhs=cd_sum, rhs=quotient, passed=cd_sum == quotient))
-    out.append(CheckResult(check="prop-4.12",
-                           inputs={"D": list(sub.members), "part": "dim-sum"},
+    out.append(CheckRecord(id="prop-4.12",
+                           params={"D": list(sub.members), "part": "dim-sum"},
                            lhs=total_block_dim, rhs=target.dim(sub),
                            passed=total_block_dim == target.dim(sub)))
     return out
 
 
-def verify_eq_4_15(target, sub: Subcategory) -> CheckResult:
+def verify_eq_4_15(target, sub: Subcategory) -> CheckRecord:
     """dim(D) dim(D') = dim(C) dim(D ∩ center)."""
     lhs = target.dim(sub) * target.dim(target.centralizer(sub))
     rhs = target.global_dim * target.dim(target.center_trace(sub))
-    return CheckResult(check="eq-4.15", inputs={"D": list(sub.members)},
+    return CheckRecord(id="eq-4.15", params={"D": list(sub.members)},
                        lhs=lhs, rhs=rhs, passed=lhs == rhs)
 
 
-def verify_cor_4_16(target, sub: Subcategory) -> list[CheckResult]:
+def verify_cor_4_16(target, sub: Subcategory) -> list[CheckRecord]:
     """dim(C) dim(center ∩ D) / dim(R(D)_j) is an algebraic integer."""
-    ring = target.ring
     jdp = target.support(target.centralizer(sub))
     blocks = _rd_blocks(target.analysis, sub)
     numerator = target.global_dim * target.dim(target.center_trace(sub))
-    out = []
-    for j in sorted(jdp):
-        if j not in blocks:
-            continue
-        dim_j = ZERO
-        for i in blocks[j]:
-            dim_j = dim_j + ring.fpdims[i] * ring.fpdims[i]
-        value = numerator / dim_j
-        ok = is_algebraic_integer(value)
-        out.append(CheckResult(check="cor-4.16",
-                               inputs={"D": list(sub.members), "j": j},
-                               lhs=value, rhs="algebraic integer", passed=ok,
-                               detail=f"min poly {integrality_witness(value)}" if ok else ""))
-    return out
+    return [_integrality("cor-4.16", {"D": list(sub.members), "j": j},
+                         numerator / sub_fpdim(target.ring, blocks[j]))
+            for j in sorted(jdp) if j in blocks]
 
 
-def verify_eq_4_20(target) -> list[CheckResult]:
+def verify_eq_4_20(target) -> list[CheckRecord]:
     """Fiber dimensions are dim(center) times the class dimensions."""
     ring, table, analysis = target.ring, target.table, target.analysis
     dim_center = target.dim(analysis.center)
     out = []
     for fiber in analysis.fibers:
         j = analysis.M[fiber[0]]
-        dim_f = ZERO
-        for i in fiber:
-            dim_f = dim_f + ring.fpdims[i] * ring.fpdims[i]
+        dim_f = sub_fpdim(ring, fiber)
         rhs = dim_center * table.class_dims[j]
-        out.append(CheckResult(check="eq-4.20", inputs={"j": j, "fiber": list(fiber)},
+        out.append(CheckRecord(id="eq-4.20", params={"j": j, "fiber": list(fiber)},
                                lhs=dim_f, rhs=rhs, passed=dim_f == rhs))
     return out
 
 
-def verify_prop_4_21(target, sub: Subcategory) -> CheckResult:
+def verify_prop_4_21(target, sub: Subcategory) -> CheckRecord:
     """Matched groups inside D are exactly the cosets of D by D ∩ center."""
     inter = target.center_trace(sub)
     blocks = {frozenset(b) for b in _rd_blocks(target.analysis, sub).values()}
     inner = {frozenset(b) for b in
              restricted_blocks(target.ring, sub.members, inter.members)}
-    return CheckResult(check="prop-4.21", inputs={"D": list(sub.members)},
+    return CheckRecord(id="prop-4.21", params={"D": list(sub.members)},
                        lhs=sorted(sorted(b) for b in blocks),
                        rhs=sorted(sorted(b) for b in inner),
                        passed=blocks == inner)
@@ -357,53 +342,48 @@ def _squarefree(n: int) -> bool:
     return True
 
 
-def verify_cor_4_18(target, sub: Subcategory) -> CheckResult:
+def verify_cor_4_18(target, sub: Subcategory) -> CheckRecord:
     """Integral ring, squarefree global dimension, trivial center trace:
     then the subcategory is pointed.  Vacuous pass when a hypothesis fails."""
     ring = target.ring
-    inputs = {"D": list(sub.members)}
+    params = {"D": list(sub.members)}
     integral = all(d.is_rational() and d.as_rational().denominator == 1
                    for d in ring.fpdims)
     if not integral:
-        return CheckResult(check="cor-4.18", inputs=inputs, lhs=None, rhs=None,
+        return CheckRecord(id="cor-4.18", params=params, lhs=None, rhs=None,
                            passed=True, detail="vacuous: ring not integral")
     total = target.global_dim.as_rational()
     if total.denominator != 1 or not _squarefree(int(total)):
-        return CheckResult(check="cor-4.18", inputs=inputs, lhs=None, rhs=None,
+        return CheckRecord(id="cor-4.18", params=params, lhs=None, rhs=None,
                            passed=True,
                            detail="vacuous: global dimension not squarefree")
     if target.center_trace(sub).members != (0,):
-        return CheckResult(check="cor-4.18", inputs=inputs, lhs=None, rhs=None,
+        return CheckRecord(id="cor-4.18", params=params, lhs=None, rhs=None,
                            passed=True, detail="vacuous: center trace nontrivial")
     ok = set(sub.members) <= set(target.pointed.members)
-    return CheckResult(check="cor-4.18", inputs=inputs,
+    return CheckRecord(id="cor-4.18", params=params,
                        lhs=list(sub.members), rhs="pointed", passed=ok)
 
 
-def verify_thm_1_1(target, sub: Subcategory) -> list[CheckResult]:
+def verify_thm_1_1(target, sub: Subcategory) -> list[CheckRecord]:
     """dim(C)/d_Y^2 is an algebraic integer for Y in D when D meets the
     center trivially; cross-checked through singleton matched groups."""
     if target.center_trace(sub).members != (0,):
         raise PreconditionFailed("subcategory meets the center nontrivially")
     ring, total = target.ring, target.global_dim
-    out = []
-    for y in sub.members:
-        value = total / (ring.fpdims[y] * ring.fpdims[y])
-        ok = is_algebraic_integer(value)
-        out.append(CheckResult(check="thm-1.1",
-                               inputs={"D": list(sub.members), "Y": y},
-                               lhs=value, rhs="algebraic integer", passed=ok,
-                               detail=f"min poly {integrality_witness(value)}" if ok else ""))
+    out = [_integrality("thm-1.1", {"D": list(sub.members), "Y": y},
+                        total / (ring.fpdims[y] * ring.fpdims[y]))
+           for y in sub.members]
     blocks = _rd_blocks(target.analysis, sub)
     singletons = all(len(b) == 1 for b in blocks.values())
-    out.append(CheckResult(check="thm-1.1", inputs={"D": list(sub.members)},
+    out.append(CheckRecord(id="thm-1.1", params={"D": list(sub.members)},
                            lhs=sorted(len(b) for b in blocks.values()),
                            rhs="all singleton", passed=singletons,
                            detail="matched groups inside D"))
     return out
 
 
-def verify_thm_1_3(target) -> list[CheckResult]:
+def verify_thm_1_3(target) -> list[CheckRecord]:
     """Divisibility by squared dimensions against the center: the product
     form for every simple; stabilizer-corrected class dimensions; the free
     quotient form when the center acts freely."""
@@ -415,47 +395,30 @@ def verify_thm_1_3(target) -> list[CheckResult]:
     out = []
     for y in range(ring.rank):
         d2 = ring.fpdims[y] * ring.fpdims[y]
-        value = total * dim_center / d2
-        ok = is_algebraic_integer(value)
-        out.append(CheckResult(check="thm-1.3",
-                               inputs={"Y": y, "item": 1},
-                               lhs=value, rhs="algebraic integer", passed=ok,
-                               detail=f"min poly {integrality_witness(value)}" if ok else ""))
+        out.append(_integrality("thm-1.3", {"Y": y, "item": 1},
+                                total * dim_center / d2))
         g_y = analysis.stabilizers[y]
         cd = table.class_dims[analysis.M[y]]
-        out.append(CheckResult(check="eq-4.23",
-                               inputs={"Y": y, "stabilizer": list(g_y)},
+        out.append(CheckRecord(id="eq-4.23",
+                               params={"Y": y, "stabilizer": list(g_y)},
                                lhs=cd * len(g_y), rhs=d2,
                                passed=cd * len(g_y) == d2))
-        mid = total * len(g_y) / d2
-        ok_mid = is_algebraic_integer(mid)
-        out.append(CheckResult(check="thm-1.3",
-                               inputs={"Y": y, "item": "4.24"},
-                               lhs=mid, rhs="algebraic integer", passed=ok_mid,
-                               detail=f"min poly {integrality_witness(mid)}" if ok_mid else ""))
+        out.append(_integrality("thm-1.3", {"Y": y, "item": "4.24"},
+                                total * len(g_y) / d2))
     if all(len(g) == 1 for g in analysis.stabilizers):
         for y in range(ring.rank):
             d2 = ring.fpdims[y] * ring.fpdims[y]
-            value = total / (dim_center * d2)
-            ok = is_algebraic_integer(value)
-            out.append(CheckResult(check="thm-1.3",
-                                   inputs={"Y": y, "item": 2},
-                                   lhs=value, rhs="algebraic integer", passed=ok,
-                                   detail=f"min poly {integrality_witness(value)}" if ok else ""))
+            out.append(_integrality("thm-1.3", {"Y": y, "item": 2},
+                                    total / (dim_center * d2)))
     return out
 
 
-def verify_rem_4_25(target) -> list[CheckResult]:
+def verify_rem_4_25(target) -> list[CheckRecord]:
     """d_i^2 dim(C)/(dim(center) dim(C^{M(i)})) is an algebraic integer."""
     ring, table, analysis = target.ring, target.table, target.analysis
     total = target.global_dim
     dim_center = target.dim(analysis.center)
-    out = []
-    for i in range(ring.rank):
-        d2 = ring.fpdims[i] * ring.fpdims[i]
-        value = d2 * total / (dim_center * table.class_dims[analysis.M[i]])
-        ok = is_algebraic_integer(value)
-        out.append(CheckResult(check="rem-4.25", inputs={"i": i},
-                               lhs=value, rhs="algebraic integer", passed=ok,
-                               detail=f"min poly {integrality_witness(value)}" if ok else ""))
-    return out
+    return [_integrality("rem-4.25", {"i": i},
+                         ring.fpdims[i] * ring.fpdims[i] * total
+                         / (dim_center * table.class_dims[analysis.M[i]]))
+            for i in range(ring.rank)]

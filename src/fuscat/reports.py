@@ -1,33 +1,41 @@
-"""Check results: the atomic unit every verification routine returns."""
+"""Check records: the one record type every check builds and every report
+holds, and the builder of the integrality verdicts."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Optional
+
+from .exactnum import CycNum, integrality_witness, is_algebraic_integer
 
 
 @dataclass(frozen=True)
-class CheckResult:
-    """One verified identity (or set equality, or integrality verdict).
+class CheckRecord:
+    """One executed or skipped check instance.
 
-    `check` is the stable identifier used by the command line interface,
-    `inputs` locates the instance (subcategory, indices), and lhs/rhs
-    hold the two sides in serializable form.
+    `id` is the stable identifier used by the command line interface,
+    `params` locates the instance (subcategory, indices) in JSON-native
+    values, and lhs/rhs hold the two sides.  `passed` is None for a skipped
+    check, whose reason is `skipped_reason`.
     """
 
-    check: str
-    inputs: dict = field(default_factory=dict)
-    lhs: object = None
-    rhs: object = None
-    passed: bool = True
+    id: str
+    params: dict
+    lhs: object
+    rhs: object
+    passed: Optional[bool]
+    skipped_reason: Optional[str] = None
     detail: str = ""
 
-    def __bool__(self):
-        return self.passed
+
+def _integrality(check_id: str, params: dict, value: CycNum) -> CheckRecord:
+    """The verdict that `value` is an algebraic integer; when it is, the
+    detail names its minimal polynomial."""
+    ok = is_algebraic_integer(value)
+    return CheckRecord(id=check_id, params=params, lhs=value,
+                       rhs="algebraic integer", passed=ok,
+                       detail=f"min poly {integrality_witness(value)}" if ok else "")
 
 
-def all_passed(results) -> bool:
-    return all(r.passed for r in results)
-
-
-def failures(results):
-    return [r for r in results if not r.passed]
+def all_passed(records) -> bool:
+    return all(r.passed for r in records)

@@ -131,6 +131,16 @@ def _require(obj, key, kind, rank=None):
     return value
 
 
+def _scalar(value, key, conductor) -> CycNum:
+    """One scalar of field `key`, whose conductor must divide the document's."""
+    c = cycnum_from_json(value)
+    if conductor % c.conductor:
+        raise SchemaError(
+            f"scalar conductor {c.conductor} in '{key}' does not "
+            f"divide the document conductor {conductor}")
+    return c
+
+
 def _scalar_matrix(obj, key, rank, conductor):
     rows = obj[key]
     if not isinstance(rows, list) or len(rows) != rank:
@@ -139,15 +149,7 @@ def _scalar_matrix(obj, key, rank, conductor):
     for row in rows:
         if not isinstance(row, list) or len(row) != rank:
             raise SchemaError(f"field '{key}' must be a {rank} x {rank} matrix")
-        parsed_row = []
-        for v in row:
-            c = cycnum_from_json(v)
-            if conductor % c.conductor:
-                raise SchemaError(
-                    f"scalar conductor {c.conductor} in '{key}' does not "
-                    f"divide the document conductor {conductor}")
-            parsed_row.append(c)
-        out.append(parsed_row)
+        out.append([_scalar(v, key, conductor) for v in row])
     return out
 
 
@@ -195,16 +197,8 @@ def from_document(obj):
 
     fpdims = None
     if obj.get("fpdims") is not None:
-        raw = _require(obj, "fpdims", list, rank)
-        fpdims = []
-        for v in raw:
-            c = cycnum_from_json(v)
-            if conductor % c.conductor:
-                raise SchemaError(
-                    f"scalar conductor {c.conductor} in 'fpdims' does not "
-                    f"divide the document conductor {conductor}")
-            fpdims.append(c)
-        fpdims = tuple(fpdims)
+        fpdims = tuple(_scalar(v, "fpdims", conductor)
+                       for v in _require(obj, "fpdims", list, rank))
 
     table_rows = None
     if obj.get("char_table") is not None:

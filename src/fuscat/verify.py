@@ -31,7 +31,7 @@ from .premod import (PremodAnalysis, SMatrix, centralizer, m_map,
                      verify_eq_4_15, verify_eq_4_20, verify_prop_4_12,
                      verify_prop_4_21, verify_rem_4_25, verify_thm_1_1,
                      verify_thm_1_3, verify_thm_4_6, verify_thm_4_10)
-from .reports import CheckResult
+from .reports import CheckRecord
 from .serialize import advisory_complex, value_to_json
 
 #: One line per check id: what equality or membership the check decides.
@@ -149,19 +149,6 @@ class Target:
 
 
 @dataclass(frozen=True)
-class CheckRecord:
-    """One executed or skipped check instance."""
-
-    id: str
-    params: dict
-    lhs: object
-    rhs: object
-    passed: Optional[bool]
-    skipped_reason: Optional[str] = None
-    detail: str = ""
-
-
-@dataclass(frozen=True)
 class VerificationReport:
     target: str
     subcategories: tuple[tuple[int, ...], ...]
@@ -180,11 +167,6 @@ class VerificationReport:
         return all(c.passed is not False for c in self.checks)
 
 
-def _from_result(res: CheckResult) -> CheckRecord:
-    return CheckRecord(id=res.check, params=dict(res.inputs), lhs=res.lhs,
-                       rhs=res.rhs, passed=res.passed, detail=res.detail)
-
-
 def _skip(check_id: str, params: dict, reason: str) -> CheckRecord:
     return CheckRecord(id=check_id, params=params, lhs=None, rhs=None,
                        passed=None, skipped_reason=reason)
@@ -199,9 +181,8 @@ def default_subcategories(ring: FusionRing) -> list[Subcategory]:
 
 
 def _sort_key(record: CheckRecord):
-    params = json.dumps({k: value_to_json(v, approx=False)
-                         for k, v in record.params.items()}, sort_keys=True)
-    return (record.id, params)
+    # params hold only JSON-native values (ints, strings and lists of them)
+    return (record.id, json.dumps(record.params, sort_keys=True))
 
 
 class _Row(NamedTuple):
@@ -217,12 +198,12 @@ class _Row(NamedTuple):
     extra: dict = {}
 
 
-def _eq_3_6(target: Target, sub: Subcategory) -> list[CheckResult]:
+def _eq_3_6(target: Target, sub: Subcategory) -> list[CheckRecord]:
     jd = target.support(sub)
     return [verify_eq_3_6(target, sub, k, l) for k in jd for l in jd]
 
 
-def _eq_3_7(target: Target, sub: Subcategory) -> list[CheckResult]:
+def _eq_3_7(target: Target, sub: Subcategory) -> list[CheckRecord]:
     n = target.cosets(sub).n_blocks
     return [verify_eq_3_7(target, sub, t, s)
             for t in range(n) for s in range(n)]
@@ -322,9 +303,9 @@ def run_checks(target: Target, *,
                 records.extend(_skip(cid, {**params, **row.extra}, str(exc))
                                for cid in ids)
                 continue
-            if isinstance(results, CheckResult):
+            if isinstance(results, CheckRecord):
                 results = [results]
-            records.extend(_from_result(r) for r in results if r.check in wanted)
+            records.extend(r for r in results if r.id in wanted)
 
     records.sort(key=_sort_key)
     return VerificationReport(

@@ -185,7 +185,7 @@ def test_criterion_07_divisibility_verdicts():
     entry = builtin("fib")
     full = check_subcategory(entry.ring, {0, 1})
     results = verify_thm_1_1(_target(entry), full)
-    tau = [r for r in results if r.inputs.get("Y") == 1][0]
+    tau = [r for r in results if r.params.get("Y") == 1][0]
     if not (tau.passed and is_algebraic_integer(tau.lhs)
             and minimal_polynomial(tau.lhs) == (5, -5, 1)):
         failures.append(("a", "value", tau.lhs))
@@ -196,9 +196,9 @@ def test_criterion_07_divisibility_verdicts():
     entry = builtin("su2k-4")
     analysis = _analysis(entry)
     results = verify_thm_1_3(_target(entry))
-    item1 = {r.inputs["Y"]: r for r in results
-             if r.check == "thm-1.3" and r.inputs.get("item") == 1}
-    eq423 = {r.inputs["Y"]: r for r in results if r.check == "eq-4.23"}
+    item1 = {r.params["Y"]: r for r in results
+             if r.id == "thm-1.3" and r.params.get("item") == 1}
+    eq423 = {r.params["Y"]: r for r in results if r.id == "eq-4.23"}
     for y, want in ((1, 4), (2, 3)):  # stated: 8 (Y=1) and 6 (Y=2)
         r = item1[y]
         if not (r.passed and r.lhs == want):
@@ -220,22 +220,22 @@ def test_criterion_07_divisibility_verdicts():
     if len(analysis.stabilizers[2]) != 2:
         failures.append(("b", "adjoint", "|G_{X_2}|",
                          len(analysis.stabilizers[2]), "expected", 2))
-    r = [r for r in results if r.check == "eq-4.23" and r.inputs["Y"] == 2][0]
+    r = [r for r in results if r.id == "eq-4.23" and r.params["Y"] == 2][0]
     if not (r.passed and r.lhs == 4):
         failures.append(("b", "adjoint", "class-dim identity", r.lhs))
-    r = [r for r in results if r.check == "thm-1.3"
-         and r.inputs == {"Y": 2, "item": 1}][0]
+    r = [r for r in results if r.id == "thm-1.3"
+         and r.params == {"Y": 2, "item": 1}][0]
     if not (r.passed and r.lhs == 3):
         failures.append(("b", "adjoint", "value", r.lhs, "expected", 3))
-    if any(r.check == "thm-1.3" and r.inputs.get("item") == 2
+    if any(r.id == "thm-1.3" and r.params.get("item") == 2
            for r in results):
         failures.append(("b", "adjoint", "item-2 record on a non-free action"))
 
     # (c) slightly degenerate product: value 2 at Y = (s, 1)
     entry = builtin("ising*svec")
     results = verify_thm_1_3(_target(entry))
-    item2 = {r.inputs["Y"]: r for r in results
-             if r.check == "thm-1.3" and r.inputs.get("item") == 2}
+    item2 = {r.params["Y"]: r for r in results
+             if r.id == "thm-1.3" and r.params.get("item") == 2}
     r = item2[4]
     if not (r.passed and r.lhs == 2):
         failures.append(("c", "value", r.lhs, "expected", 2))
@@ -244,7 +244,7 @@ def test_criterion_07_divisibility_verdicts():
     entry = builtin("ising")
     results = verify_cor_3_9_1(_target(entry),
                                check_subcategory(entry.ring, {0, 1}))
-    sigma = [r for r in results if r.inputs["member"] == 2][0]
+    sigma = [r for r in results if r.params["member"] == 2][0]
     if not (sigma.passed and sigma.lhs == 4):
         failures.append(("d", "value", sigma.lhs, "expected", 4))
 
@@ -253,7 +253,7 @@ def test_criterion_07_divisibility_verdicts():
     entry = builtin("su2k-4")
     from fuscat.premod import verify_rem_4_25
     results = verify_rem_4_25(_target(entry))
-    r = [x for x in results if x.inputs["i"] == 1][0]
+    r = [x for x in results if x.params["i"] == 1][0]
     if not (r.passed and r.lhs == 12):  # stated: 6
         failures.append(("e", "value", r.lhs, "expected", 12))
 

@@ -250,7 +250,7 @@ def test_integrality_claim_one_ising():
     ring, sub = _ising_pointed()
     results = verify_cor_3_9_1(Target("", ring), sub)
     assert all_passed(results)
-    sigma = [r for r in results if r.inputs["member"] == 2]
+    sigma = [r for r in results if r.params["member"] == 2]
     assert len(sigma) == 1 and sigma[0].lhs == 4
 
 

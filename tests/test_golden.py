@@ -9,6 +9,8 @@ Every command here exits 0.
 import contextlib
 import hashlib
 import io
+import subprocess
+import sys
 
 import pytest
 
@@ -124,3 +126,13 @@ def test_cli_output_bytes_are_pinned(key):
                     "--format", "json"]) == (0, VERIFY_ALL_JSON[key])
     assert _digest(["verify", key]) == (0, VERIFY_MD[key])
     assert _digest(["report", key]) == (0, REPORT[key])
+
+
+@pytest.mark.parametrize("key", ["ising", "su2k-4"])
+def test_output_bytes_do_not_depend_on_asserts(key):
+    # -O strips every assert statement; the report must not change
+    proc = subprocess.run([sys.executable, "-O", "-m", "fuscat", "verify", key,
+                           "--all-subcategories", "--format", "json"],
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_ALL_JSON[key]

@@ -317,7 +317,7 @@ def test_thm_1_1_ising():
     full = check_subcategory(ring, (0, 1, 2))
     results = verify_thm_1_1(t, full)
     assert all_passed(results)
-    sigma = [r for r in results if r.inputs.get("Y") == 2]
+    sigma = [r for r in results if r.params.get("Y") == 2]
     assert sigma[0].lhs == 2
 
 
@@ -327,7 +327,7 @@ def test_thm_1_1_fib_oracle():
     full = check_subcategory(ring, (0, 1))
     results = verify_thm_1_1(t, full)
     assert all_passed(results)
-    tau = [r for r in results if r.inputs.get("Y") == 1][0]
+    tau = [r for r in results if r.params.get("Y") == 1][0]
     # (5 - sqrt5)/2, a root of x^2 - 5x + 5
     assert minimal_polynomial(tau.lhs) == (5, -5, 1)
 
@@ -345,7 +345,7 @@ def test_thm_1_3_svec():
     t = Target("", ring, table, sm)
     results = verify_thm_1_3(t)
     assert all_passed(results)
-    item2 = [r for r in results if r.inputs.get("item") == 2]
+    item2 = [r for r in results if r.params.get("item") == 2]
     assert len(item2) == 2 and all(r.lhs == 1 for r in item2)
 
 
@@ -355,7 +355,7 @@ def test_thm_1_3_pointed_degenerate():
     results = verify_thm_1_3(t)
     assert all_passed(results)
     # center {0,2} acts freely on Z_4, so the free-quotient form appears
-    assert any(r.inputs.get("item") == 2 for r in results)
+    assert any(r.params.get("item") == 2 for r in results)
 
 
 def test_thm_1_3_precondition():

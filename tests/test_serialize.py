@@ -125,11 +125,20 @@ def test_schema_rejects_zero_denominator():
         from_document(doc)
 
 
-def test_schema_rejects_conductor_mismatch():
+@pytest.mark.parametrize("key", ["fpdims", "char_table", "smatrix"])
+def test_schema_rejects_conductor_mismatch(key):
     doc = _base_doc()
-    doc["conductor"] = 3
-    with pytest.raises(SchemaError, match="divide"):
+    assert doc["conductor"] == 2
+    # 1 written over Q(zeta_4), whose conductor does not divide 2
+    over_4 = {"conductor": 4, "coeffs": [[1, 1], [0, 1]]}
+    if key == "fpdims":
+        doc[key][-1] = over_4
+    else:
+        doc[key][-1][-1] = over_4
+    with pytest.raises(SchemaError) as exc:
         from_document(doc)
+    assert str(exc.value) == (f"scalar conductor 4 in '{key}' does not "
+                              "divide the document conductor 2")
 
 
 def test_schema_rejects_smatrix_without_table():

@@ -142,6 +142,24 @@ def test_render_json_matches_the_stdlib_encoder(key):
     assert render_json(report) == _oracle(report)
 
 
+def _json_native(value):
+    if isinstance(value, list):
+        return all(_json_native(v) for v in value)
+    return type(value) in (int, str)
+
+
+@pytest.mark.parametrize("key", BUILTIN_KEYS + PRODUCT_KEYS)
+def test_record_params_are_json_native(key):
+    # The sort key serializes params as they are.  The key it replaced
+    # converted them with value_to_json first; it stays here as the oracle.
+    for record in _cached_full_run(key).checks:
+        assert all(_json_native(v) for v in record.params.values()), record
+        converted = {k: fuscat.serialize.value_to_json(v, approx=False)
+                     for k, v in record.params.items()}
+        assert fuscat.verify._sort_key(record) == (
+            record.id, json.dumps(converted, sort_keys=True))
+
+
 def test_render_json_keeps_no_values_between_reports():
     # the same exact values sit at different depths in the two reports
     a, b = _cached_full_run("su2k-2"), _cached_full_run("ising*svec")
