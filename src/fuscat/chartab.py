@@ -119,9 +119,7 @@ def validate_character_table(ring: FusionRing, rows) -> CharacterTable:
         codegrees.append(cod)
         class_dims.append(total_dim / cod)
 
-    total = ZERO
-    for c in class_dims:
-        total = total + c
+    total = sum(class_dims, ZERO)
     assert total == total_dim, "class dimensions must sum to the global dimension"
     assert class_dims[fp_column] == 1, "dimension character must have class dimension 1"
 
@@ -158,9 +156,7 @@ def support_JD(ring: FusionRing, table: CharacterTable,
 
 def verify_eq_2_7(target, sub: Subcategory) -> CheckRecord:
     """Class dimensions over the support sum to dim(C)/dim(D)."""
-    lhs = ZERO
-    for j in target.support(sub):
-        lhs = lhs + target.table.class_dims[j]
+    lhs = sum((target.table.class_dims[j] for j in target.support(sub)), ZERO)
     rhs = target.global_dim / target.dim(sub)
     return CheckRecord(id="eq-2.7", params={"D": list(sub.members)},
                        lhs=lhs, rhs=rhs, passed=lhs == rhs)

@@ -29,7 +29,6 @@ from .fusion import (
 from .reports import CheckRecord, _integrality
 
 ZERO = CycNum.from_rational(0)
-ONE = CycNum.from_rational(1)
 
 
 @dataclass(frozen=True)
@@ -130,8 +129,8 @@ class HeckeAlgebra:
 
 def block_element(ring: FusionRing, dec: CosetDecomposition, t: int) -> KElement:
     """e_t: the regular element of block t divided by its dimension."""
-    block = set(dec.blocks[t])
-    return KElement(tuple(ring.fpdims[i] / dec.reg_dims[t] if i in block else ZERO
+    block, inv = set(dec.blocks[t]), dec.reg_dims[t].inverse()
+    return KElement(tuple(ring.fpdims[i] * inv if i in block else ZERO
                           for i in range(ring.rank)))
 
 
@@ -144,6 +143,9 @@ def hecke_constants(ring: FusionRing, dec: CosetDecomposition) -> HeckeAlgebra:
     """
     nb = dec.n_blocks
     es = [block_element(ring, dec, t) for t in range(nb)]
+    # R_p / d_i for each i in block p, taken once per decomposition
+    ratio = {i: dec.reg_dims[p] / ring.fpdims[i]
+             for p, block in enumerate(dec.blocks) for i in block}
     structure = []
     for m in range(nb):
         row = []
@@ -151,15 +153,12 @@ def hecke_constants(ring: FusionRing, dec: CosetDecomposition) -> HeckeAlgebra:
             prod = ring.k_mul(es[m], es[n])
             consts = []
             for p in range(nb):
-                vals = [prod.coeffs[i] * dec.reg_dims[p] / ring.fpdims[i]
-                        for i in dec.blocks[p]]
+                vals = [prod.coeffs[i] * ratio[i] for i in dec.blocks[p]]
                 if any(v != vals[0] for v in vals[1:]):
                     raise InconsistentCoset(
                         f"e_{m} e_{n} is not dimension-proportional on block {p}")
                 consts.append(vals[0])
-            total = ZERO
-            for c in consts:
-                total = total + c
+            total = sum(consts, ZERO)
             if total != 1:
                 raise InconsistentCoset(f"row ({m},{n}) sums to {total}, not 1")
             row.append(tuple(consts))
@@ -228,7 +227,7 @@ def verify_eq_3_1(target, sub: Subcategory) -> list[CheckRecord]:
         expected = block_element(ring, dec, t).scale(dim_d)
         ok = True
         for x in block:
-            lhs = ring.k_mul(ring.basis(x), r_d).scale(ONE / ring.fpdims[x])
+            lhs = ring.k_mul(ring.basis(x), r_d).scale(target.inv_dims[x])
             if lhs != expected:
                 ok = False
         normalized.append(expected)
@@ -267,18 +266,17 @@ def verify_prop_3_4(target, sub: Subcategory) -> list[CheckRecord]:
 def verify_eq_3_6(target, sub: Subcategory, k: int, l: int) -> CheckRecord:
     """First orthogonality: block sums of products of normalized character
     values at the representatives, against the class dimension of column k."""
-    ring, table, dec = target.ring, target.table, target.cosets(sub)
+    table, dec = target.table, target.cosets(sub)
     jd = target.support(sub)
     if k not in jd:
         raise IndexNotInJD(f"column {k} outside the support of D")
     if l not in jd:
         raise IndexNotInJD(f"column {l} outside the support of D")
     lhs = ZERO
-    for t in range(dec.n_blocks):
+    for t, w in enumerate(target.weights(sub)):
         xt = dec.reps[t]
         xts = dec.reps[dec.dual_map[t]]
-        d2 = ring.fpdims[xt] * ring.fpdims[xt]
-        lhs = lhs + (dec.reg_dims[t] / d2) * table.alpha[xt][k] * table.alpha[xts][l]
+        lhs = lhs + w * table.alpha[xt][k] * table.alpha[xts][l]
     rhs = target.global_dim / table.class_dims[k] if k == l else ZERO
     return CheckRecord(id="eq-3.6",
                        params={"D": list(dec.sub.members), "k": k, "l": l},
@@ -296,7 +294,8 @@ def verify_eq_3_7(target, sub: Subcategory, t: int, s: int) -> CheckRecord:
         lhs = lhs + table.class_dims[k] * table.alpha[xt][k] * table.alpha[xss][k]
     if s == t:
         xs = dec.reps[s]
-        rhs = ring.fpdims[xt] * ring.fpdims[xs] * target.global_dim / dec.reg_dims[t]
+        rhs = (ring.fpdims[xt] * ring.fpdims[xs] * target.global_dim
+               * target.inv_reg_dims(sub)[t])
     else:
         rhs = ZERO
     return CheckRecord(id="eq-3.7",
@@ -307,10 +306,10 @@ def verify_eq_3_7(target, sub: Subcategory, t: int, s: int) -> CheckRecord:
 def verify_cor_3_9_1(target, sub: Subcategory) -> list[CheckRecord]:
     """d_Z^2 FPdim(C) / FPdim(R_t) is an algebraic integer, every Z in every block."""
     ring, dec = target.ring, target.cosets(sub)
-    total = target.global_dim
+    total, inv = target.global_dim, target.inv_reg_dims(sub)
     return [_integrality("cor-3.9", {"D": list(dec.sub.members), "claim": 1,
                                      "block": t, "member": z},
-                         ring.fpdims[z] * ring.fpdims[z] * total / dec.reg_dims[t])
+                         ring.fpdims[z] * ring.fpdims[z] * total * inv[t])
             for t, block in enumerate(dec.blocks) for z in block]
 
 

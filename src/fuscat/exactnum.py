@@ -8,7 +8,9 @@ is canonical: two elements over the same conductor are equal iff their
 numerators and denominators are equal; `coeffs` shows it as `Fraction`s.
 Binary operations align conductors through the lcm, with no descent to a
 smaller field.  A product is an integer convolution reduced modulo the monic
-Phi_N; a rational operand only scales the other.  The inverse of a
+Phi_N; a rational operand only scales the other.  When both operands are
+rational, the sum or product is built from two integers and one two-integer
+gcd, at the lcm conductor, in the same canonical form.  The inverse of a
 non-rational a is P / N(a), with P the product of the conjugates sigma_k(a),
 k != 1, and N(a) = a * P a nonzero rational (the norm).
 
@@ -146,6 +148,12 @@ def _phi_tail(n):
     return len(phi) - 1, tuple((k, c) for k, c in enumerate(phi[:-1]) if c)
 
 
+@functools.cache
+def _zero_tail(n):
+    """The phi(n) - 1 zero numerators that follow a rational's first one."""
+    return (0,) * (_phi_tail(n)[0] - 1)
+
+
 def _divide(p, n):
     """Divide the coefficient list p by the monic Phi_n in place, so that
     p[:deg] is the remainder and p[deg:] the quotient; return deg = phi(n)."""
@@ -251,6 +259,21 @@ class CycNum:
         _set_den(obj, den)
         return obj
 
+    @classmethod
+    def _rational(cls, n, num, den):
+        """num/den over conductor n, normalized by one two-integer gcd."""
+        g = math.gcd(num, den)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num //= g
+            den //= g
+        obj = object.__new__(cls)
+        _set_conductor(obj, n)
+        _set_nums(obj, (num,) + _zero_tail(n))
+        _set_den(obj, den)
+        return obj
+
     def __setattr__(self, *a):
         raise AttributeError("CycNum is immutable")
 
@@ -263,7 +286,7 @@ class CycNum:
     def from_rational(cls, q) -> "CycNum":
         if not isinstance(q, int):
             q = Fraction(q)
-        return cls._from_ints(1, (q.numerator,), q.denominator)
+        return cls._rational(1, q.numerator, q.denominator)
 
     @classmethod
     def zeta(cls, n: int, power: int = 1) -> "CycNum":
@@ -296,10 +319,8 @@ class CycNum:
         if m % n != 0:
             raise ConductorNotDivisible(f"{n} does not divide {m}")
         if self.is_rational():
-            nums = [self._nums[0]] + [0] * (_phi_tail(m)[0] - 1)
-        else:
-            nums = _spread(self._nums, m // n, m)
-        return CycNum._from_ints(m, nums, self._den)
+            return CycNum._rational(m, self._nums[0], self._den)
+        return CycNum._from_ints(m, _spread(self._nums, m // n, m), self._den)
 
     @staticmethod
     def _aligned(a: "CycNum", b: "CycNum"):
@@ -322,6 +343,11 @@ class CycNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.is_rational() and other.is_rational():
+            da, db = self._den, other._den
+            return CycNum._rational(math.lcm(self.conductor, other.conductor),
+                                    self._nums[0] * db + other._nums[0] * da,
+                                    da * db)
         a, b = self._aligned(self, other)
         da, db = a._den, b._den
         return CycNum._from_ints(
@@ -350,15 +376,19 @@ class CycNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = (other, self) if self.is_rational() else (self, other)
+        a, b = self, other
+        if not a.is_rational():
+            if not b.is_rational():
+                a, b = self._aligned(a, b)
+                return CycNum._from_ints(a.conductor, _int_mul(
+                    a._nums, b._nums, a.conductor), a._den * b._den)
+            a, b = b, a
+        # a is rational: it scales b, in the field of the lcm
+        n, q = math.lcm(a.conductor, b.conductor), a._nums[0]
         if b.is_rational():
-            # scale a, in the field of the lcm
-            a = a.change_conductor(math.lcm(a.conductor, b.conductor))
-            nums = [b._nums[0] * x for x in a._nums]
-        else:
-            a, b = self._aligned(a, b)
-            nums = _int_mul(a._nums, b._nums, a.conductor)
-        return CycNum._from_ints(a.conductor, nums, a._den * b._den)
+            return CycNum._rational(n, q * b._nums[0], a._den * b._den)
+        b = b.change_conductor(n)
+        return CycNum._from_ints(n, [q * x for x in b._nums], a._den * b._den)
 
     __rmul__ = __mul__
 
@@ -367,7 +397,7 @@ class CycNum:
             raise DivisionByZero("inverse of zero")
         n, nums, den = self.conductor, self._nums, self._den
         if self.is_rational():
-            return CycNum._from_ints(n, (den,) + nums[1:], nums[0])
+            return CycNum._rational(n, den, nums[0])
         # a = A/den; P = prod_{k != 1} sigma_k(A), and A*P = N(A) is rational
         cofactor = [1]
         for k in range(2, n):

@@ -283,10 +283,7 @@ def sub_fpdim(ring: FusionRing, members) -> CycNum:
     or a fiber of them, or the whole basis."""
     if ring.fpdims is None:
         raise ExactDataMissing("subcategory dimension needs exact dimensions")
-    total = ZERO
-    for i in members:
-        total = total + ring.fpdims[i] * ring.fpdims[i]
-    return total
+    return sum((ring.fpdims[i] * ring.fpdims[i] for i in members), ZERO)
 
 
 def deligne_product(a: FusionRing, b: FusionRing) -> FusionRing:

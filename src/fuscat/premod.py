@@ -106,8 +106,8 @@ def validate_smatrix(ring: FusionRing, table: CharacterTable, rows) -> SMatrix:
         if s[0][i] != ring.fpdims[i]:
             raise BadFirstRow(f"entry {i} of the first row is not the dimension")
     for i in range(r):
-        di = ring.fpdims[i]
-        psi = [s[i][a] / di for a in range(r)]
+        inv = ring.fpdims[i].inverse()
+        psi = [s[i][a] * inv for a in range(r)]
         for a in range(r):
             for b in range(a, r):
                 rhs = ZERO
@@ -155,14 +155,13 @@ def f_Q(ring: FusionRing, sm: SMatrix, cf: ClassFunction) -> CentralElement:
     return CentralElement(tuple(coords))
 
 
-def _f_q_basis(ring: FusionRing, sm: SMatrix, i: int) -> CentralElement:
-    return CentralElement(tuple(sm.s[i][ip] / ring.fpdims[ip]
-                                for ip in range(ring.rank)))
-
-
-def class_sum(ring: FusionRing, table: CharacterTable, j: int) -> CentralElement:
-    """C_j: class dimension times the dimension-normalized column j."""
-    coords = tuple(table.alpha[ip][j] / ring.fpdims[ip] for ip in range(ring.rank))
+def class_sum(ring: FusionRing, table: CharacterTable, j: int,
+              inv_dims=None) -> CentralElement:
+    """C_j: class dimension times the dimension-normalized column j.
+    ``inv_dims``, the 1/d_i, is taken when the caller already holds it."""
+    if inv_dims is None:
+        inv_dims = [d.inverse() for d in ring.fpdims]
+    coords = tuple(table.alpha[ip][j] * inv_dims[ip] for ip in range(ring.rank))
     return CentralElement(coords).scale(table.class_dims[j])
 
 
@@ -211,12 +210,14 @@ def verify_eq_4_3(target) -> list[CheckRecord]:
 def verify_thm_4_6(target) -> list[CheckRecord]:
     """Central image of each basis character is its class sum, rescaled."""
     ring, table, sm = target.ring, target.table, target.smatrix
-    analysis = target.analysis
+    analysis, inv_dims = target.analysis, target.inv_dims
     out = []
     for i in range(ring.rank):
         j = analysis.M[i]
-        lhs = _f_q_basis(ring, sm, i)
-        rhs = class_sum(ring, table, j).scale(ring.fpdims[i] / table.class_dims[j])
+        # f_Q of basis character i: row i of s times the 1/d_{i'}
+        lhs = CentralElement(tuple(x * y for x, y in zip(sm.s[i], inv_dims)))
+        rhs = class_sum(ring, table, j, inv_dims).scale(
+            ring.fpdims[i] / table.class_dims[j])
         out.append(CheckRecord(id="thm-4.6", params={"i": i, "column": j},
                                lhs=list(lhs.e_coords), rhs=list(rhs.e_coords),
                                passed=lhs == rhs))
@@ -271,9 +272,7 @@ def verify_prop_4_12(target, sub: Subcategory) -> list[CheckRecord]:
                                params={"D": list(sub.members), "j": j},
                                lhs=dim_j, rhs=rhs, passed=dim_j == rhs))
     # support sum over the centralizer, and its consequence for dim(D)
-    cd_sum = ZERO
-    for j in jdp:
-        cd_sum = cd_sum + table.class_dims[j]
+    cd_sum = sum((table.class_dims[j] for j in jdp), ZERO)
     quotient = target.global_dim / target.dim(dprime)
     out.append(CheckRecord(id="prop-4.12",
                            params={"D": list(sub.members), "part": "support-sum"},

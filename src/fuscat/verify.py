@@ -2,8 +2,9 @@
 
 A target is a ring plus optional character table and symmetric matrix,
 together with the derived data the checks read (global dimension, supports,
-coset decompositions, centralizers, the matching analysis), each computed
-at most once per target.  Every check has a stable string id and a row in
+coset decompositions, centralizers, the matching analysis, the reciprocals
+of the dimensions the checks divide by), each computed at most once per
+target.  Every check has a stable string id and a row in
 the registry that names what it requires and over what it ranges; checks
 whose inputs are missing, or whose mathematical hypotheses fail, are
 reported as skipped with a reason rather than failed.  Records are ordered
@@ -121,6 +122,23 @@ class Target:
     def analysis(self) -> PremodAnalysis:
         return self._once("analysis",
                           lambda: m_map(self.ring, self.table, self.smatrix))
+
+    @property
+    def inv_dims(self) -> tuple[CycNum, ...]:
+        """1/d_i for every basis element i."""
+        return self._once("inv_dims", lambda: tuple(
+            d.inverse() for d in self.ring.fpdims))
+
+    def inv_reg_dims(self, sub: Subcategory) -> tuple[CycNum, ...]:
+        """1/FPdim(R_t) for every block t of the cosets of `sub`."""
+        return self._once(("inv_reg_dims", sub.members), lambda: tuple(
+            r.inverse() for r in self.cosets(sub).reg_dims))
+
+    def weights(self, sub: Subcategory) -> tuple[CycNum, ...]:
+        """FPdim(R_t)/d_{X_t}^2 for every block t: the eq-3.6 weights."""
+        dec, inv = self.cosets(sub), self.inv_dims
+        return self._once(("weights", sub.members), lambda: tuple(
+            r * (inv[x] * inv[x]) for r, x in zip(dec.reg_dims, dec.reps)))
 
     def dim(self, sub: Subcategory) -> CycNum:
         return self._once(("dim", sub.members),

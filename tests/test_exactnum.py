@@ -8,7 +8,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import fuscat.exactnum
 from fuscat.catalog import BUILTIN_KEYS, builtin
@@ -565,6 +565,59 @@ def test_rational_operand_keeps_its_conductor():
         assert _view(product) == _ref_mul(_view(half8), _view(z3))
     assert (half8 * CycNum.from_rational(4)).conductor == 8
     assert _view(half8.inverse()) == (8, (F(2), F(0), F(0), F(0)))
+
+
+# Rationals carried at any oracle conductor: zero, negative values and
+# unequal conductors are drawn often, as both operands are always rational.
+oracle_rational_values = st.one_of(
+    st.sampled_from([F(0), F(1), F(-1), F(-7, 4)]),
+    st.fractions(min_value=-50, max_value=50, max_denominator=30))
+
+
+@st.composite
+def oracle_rationals(draw):
+    n = draw(st.sampled_from(ORACLE_CONDUCTORS))
+    q = draw(oracle_rational_values)
+    return CycNum(n, [q] + [0] * (euler_phi(n) - 1))
+
+
+def _assert_canonical(x):
+    assert x._den > 0
+    assert math.gcd(x._den, *x._nums) == 1
+    assert len(x._nums) == euler_phi(x.conductor)
+    rebuilt = CycNum(x.conductor, x.coeffs)
+    assert (rebuilt._nums, rebuilt._den) == (x._nums, x._den)
+
+
+@given(oracle_rationals(), oracle_rationals())
+@example(CycNum(3, [F(-1, 2), 0]), CycNum(4, [0, 0]))
+@example(CycNum(24, [F(5, 3)] + [0] * 7), CycNum(15, [F(-5, 3)] + [0] * 7))
+@settings(max_examples=200, deadline=None)
+def test_rational_pairs_match_fraction_oracle(a, b):
+    ra, rb = _view(a), _view(b)
+    m = math.lcm(a.conductor, b.conductor)
+    neg_b = (b.conductor, tuple(-c for c in rb[1]))
+    q = b.as_rational()
+    results = [(a + b, _ref_add(ra, rb)), (b + a, _ref_add(rb, ra)),
+               (a - b, _ref_add(ra, neg_b)), (a * b, _ref_mul(ra, rb)),
+               (b * a, _ref_mul(rb, ra))]
+    if not b.is_zero():
+        results.append((a / b, _ref_mul(ra, _ref_inverse(rb))))
+    for got, want in results:
+        assert _view(got) == want
+        assert got.conductor == m
+        _assert_canonical(got)
+    # a plain rational operand is coerced at conductor 1
+    for got, want in ((a * q, _ref_mul(ra, (1, (q,)))),
+                      (q + a, _ref_add((1, (q,)), ra))):
+        assert _view(got) == want and got.conductor == a.conductor
+        _assert_canonical(got)
+    assert (a == b) == (_ref_change(ra, m) == _ref_change(rb, m))
+    assert (a == b) == (a.as_rational() == q)
+    if not b.is_zero():
+        inv = b.inverse()
+        assert _view(inv) == _ref_inverse(rb)
+        _assert_canonical(inv)
 
 
 @pytest.mark.parametrize("key", BUILTIN_KEYS)

@@ -6,6 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fuscat.catalog import builtin
 from fuscat.chartab import class_function_from_chi, validate_character_table
 from fuscat.errors import (
     AsymmetricS,
@@ -389,3 +390,19 @@ def test_pointed_forms_validate_and_match_center(n, c):
     assert an.center.members == tuple(range(0, n, step))
     assert all_passed(verify_thm_4_10(t))
     assert all_passed(verify_thm_4_6(t))
+
+
+def test_validate_smatrix_inverts_each_dimension_once(monkeypatch):
+    """Row i is divided by d_i through one inverse: at most rank inverses
+    (an operation count, so the bound holds on any load), not rank^2."""
+    entry = builtin("su2k-4")
+    calls = []
+    inverse = CycNum.inverse
+
+    def counting(self):
+        calls.append(self)
+        return inverse(self)
+    monkeypatch.setattr(CycNum, "inverse", counting)
+    sm = validate_smatrix(entry.ring, entry.table, entry.smatrix.s)
+    assert sm.s == entry.smatrix.s
+    assert 0 < len(calls) <= entry.ring.rank

@@ -365,3 +365,22 @@ def test_derived_data_is_computed_once_per_subcategory(key, monkeypatch):
     assert {name for name, _ in calls} == {"support_JD", "coset_partition",
                                            "centralizer"}
     assert max(calls.values()) == 1, calls.most_common(3)
+
+
+def test_run_checks_inverts_each_repeated_divisor_once(monkeypatch):
+    """An operation count, not a time, so the bound holds on any load.  The
+    checks read 1/d_i, 1/FPdim(R_t) and the eq-3.6 weights from the target,
+    so svec*svec*svec over all its subcategories makes 539 inverses; when
+    every loop divided by them afresh it made 3598."""
+    entry = builtin("svec*svec*svec")
+    target = Target("svec*svec*svec", entry.ring, entry.table, entry.smatrix)
+    subs = all_subcategories(entry.ring)
+    calls = Counter()
+    inverse = CycNum.inverse
+
+    def counting(self):
+        calls["inverse"] += 1
+        return inverse(self)
+    monkeypatch.setattr(CycNum, "inverse", counting)
+    assert run_checks(target, subcategories=subs).ok
+    assert 0 < calls["inverse"] <= 539
