@@ -33,7 +33,11 @@ ZERO = CycNum.from_rational(0)
 
 @dataclass(frozen=True)
 class CharacterTable:
-    """Validated table with derived codegrees and class dimensions."""
+    """Validated table with derived codegrees and class dimensions.
+
+    Only `validate_character_table` builds one, so every column is a proven
+    character; `premod.validate_smatrix` relies on this to accept an S-matrix
+    row that equals a column without scanning it again."""
 
     alpha: tuple[tuple[CycNum, ...], ...]
     fp_column: int

@@ -8,7 +8,8 @@ is canonical: two elements over the same conductor are equal iff their
 numerators and denominators are equal; `coeffs` shows it as `Fraction`s.
 Binary operations align conductors through the lcm, with no descent to a
 smaller field.  A product is an integer convolution reduced modulo the monic
-Phi_N; a rational operand only scales the other.  When both operands are
+Phi_N; a rational operand only scales the other, and an `int` operand scales
+the numerators with no `CycNum` built for it.  When both operands are
 rational, the sum or product is built from two integers and one two-integer
 gcd, at the lcm conductor, in the same canonical form.  The inverse of a
 non-rational a is P / N(a), with P the product of the conjugates sigma_k(a),
@@ -373,6 +374,15 @@ class CycNum:
         return other + (-self)
 
     def __mul__(self, other):
+        if type(other) is int:
+            # an integer scales the numerators; no CycNum is built for it
+            if other == 1:
+                return self
+            if self.is_rational():
+                return CycNum._rational(self.conductor, other * self._nums[0],
+                                        self._den)
+            return CycNum._from_ints(self.conductor,
+                                     [other * x for x in self._nums], self._den)
         other = self._coerce(other)
         if other is None:
             return NotImplemented

@@ -80,17 +80,38 @@ class PremodAnalysis:
 # validation
 # ---------------------------------------------------------------------------
 
-def _match_column(ring: FusionRing, table: CharacterTable, s, i: int) -> int:
-    """Table column equal to row i of s divided by d_i; unique by distinctness."""
-    di = ring.fpdims[i]
-    for j in range(ring.rank):
-        if all(table.alpha[a][j] * di == s[i][a] for a in range(ring.rank)):
+def _match_column(table: CharacterTable, psi) -> int | None:
+    """Table column equal to the normalized row psi, unique because the
+    columns are distinct; None when there is none."""
+    for j in range(table.rank):
+        if all(table.alpha[a][j] == x for a, x in enumerate(psi)):
             return j
-    raise NoMatchingColumn(i)
+    return None
+
+
+def _raise_if_not_character(ring: FusionRing, psi, i: int) -> None:
+    """PsiNotCharacter(i, (a, b)) at the first a <= b with
+    psi(a) psi(b) != sum_c N_ab^c psi(c)."""
+    r = ring.rank
+    for a in range(r):
+        for b in range(a, r):
+            rhs = ZERO
+            for c in range(r):
+                n = ring.tensor[a][b][c]
+                if n:
+                    rhs = rhs + psi[c] * n
+            if psi[a] * psi[b] != rhs:
+                raise PsiNotCharacter(i, (a, b))
 
 
 def validate_smatrix(ring: FusionRing, table: CharacterTable, rows) -> SMatrix:
-    """Symmetry, first row, per-row character property, column matching."""
+    """Symmetry, first row, and each normalized row psi_i = s_i / d_i equal
+    to a table column.
+
+    A row that equals a column is a character: the table was validated, and
+    `validate_character_table` checks the same identities psi(a) psi(b) =
+    sum_c N_ab^c psi(c), a <= b.  Only a row that matches no column is scanned,
+    so that the first failing pair is named in PsiNotCharacter."""
     if ring.fpdims is None:
         raise ExactDataMissing("s-matrix validation needs exact dimensions")
     r = ring.rank
@@ -107,17 +128,12 @@ def validate_smatrix(ring: FusionRing, table: CharacterTable, rows) -> SMatrix:
             raise BadFirstRow(f"entry {i} of the first row is not the dimension")
     for i in range(r):
         inv = ring.fpdims[i].inverse()
-        psi = [s[i][a] * inv for a in range(r)]
-        for a in range(r):
-            for b in range(a, r):
-                rhs = ZERO
-                for c in range(r):
-                    n = ring.tensor[a][b][c]
-                    if n:
-                        rhs = rhs + psi[c] * n
-                if psi[a] * psi[b] != rhs:
-                    raise PsiNotCharacter(i, (a, b))
-        _match_column(ring, table, s, i)
+        psi = [x * inv for x in s[i]]
+        if _match_column(table, psi) is None:
+            _raise_if_not_character(ring, psi, i)
+            # unreachable for a validated table: its r distinct columns are
+            # all r characters of the ring, so a character matches one
+            raise NoMatchingColumn(i)
     return SMatrix(s=s)
 
 
@@ -169,11 +185,18 @@ def class_sum(ring: FusionRing, table: CharacterTable, j: int,
 # analysis
 # ---------------------------------------------------------------------------
 
-def m_map(ring: FusionRing, table: CharacterTable, sm: SMatrix) -> PremodAnalysis:
+def m_map(ring: FusionRing, table: CharacterTable, sm: SMatrix,
+          inv_dims=None) -> PremodAnalysis:
     """Match every row to its table column; derive fibers, image, center and
-    stabilizers (`validate_smatrix` proved the rest, so nothing is re-checked)."""
+    stabilizers (`validate_smatrix` proved the rest, so nothing is re-checked).
+    ``inv_dims``, the 1/d_i, is taken when the caller already holds it."""
     r = ring.rank
-    m = tuple(_match_column(ring, table, sm.s, i) for i in range(r))
+    if inv_dims is None:
+        inv_dims = [d.inverse() for d in ring.fpdims]
+    m = tuple(_match_column(table, [x * inv_dims[i] for x in sm.s[i]])
+              for i in range(r))
+    if None in m:
+        raise NoMatchingColumn(m.index(None))
 
     fiber_map = {}
     for i in range(r):

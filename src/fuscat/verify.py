@@ -121,7 +121,8 @@ class Target:
     @property
     def analysis(self) -> PremodAnalysis:
         return self._once("analysis",
-                          lambda: m_map(self.ring, self.table, self.smatrix))
+                          lambda: m_map(self.ring, self.table, self.smatrix,
+                                        self.inv_dims))
 
     @property
     def inv_dims(self) -> tuple[CycNum, ...]:

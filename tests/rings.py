@@ -6,8 +6,10 @@ catalog, so library tests do not depend on the catalog module.
 
 import numpy as np
 
+from fuscat.errors import NoMatchingColumn, PsiNotCharacter
 from fuscat.exactnum import CycNum
 from fuscat.fusion import KElement, validate_fusion_ring
+from fuscat.premod import SMatrix
 
 ONE = CycNum.from_rational(1)
 ZERO = CycNum.from_rational(0)
@@ -58,6 +60,29 @@ def k_mul_dense(ring, x, y) -> KElement:
             for k in range(ring.rank):
                 out[k] = out[k] + x.coeffs[i] * y.coeffs[j] * ring.tensor[i][j][k]
     return KElement(tuple(out))
+
+
+def smatrix_rows_scan_first(ring, table, s) -> SMatrix:
+    """Row loop of `validate_smatrix` that proves every row a character by
+    the full a <= b product scan, then finds its column by alpha_aj d_i ==
+    s_ia.  It starts after the symmetry and first-row checks, so `s` must
+    pass them."""
+    r = ring.rank
+    for i in range(r):
+        inv = ring.fpdims[i].inverse()
+        psi = [s[i][a] * inv for a in range(r)]
+        for a in range(r):
+            for b in range(a, r):
+                rhs = ZERO
+                for c in range(r):
+                    rhs = rhs + psi[c] * ring.tensor[a][b][c]
+                if psi[a] * psi[b] != rhs:
+                    raise PsiNotCharacter(i, (a, b))
+        di = ring.fpdims[i]
+        if not any(all(table.alpha[a][j] * di == s[i][a] for a in range(r))
+                   for j in range(r)):
+            raise NoMatchingColumn(i)
+    return SMatrix(s=tuple(tuple(row) for row in s))
 
 
 def fpdim_numeric(tensor) -> tuple[float, ...]:

@@ -620,6 +620,31 @@ def test_rational_pairs_match_fraction_oracle(a, b):
         _assert_canonical(inv)
 
 
+@st.composite
+def scaled_values(draw):
+    n = draw(st.sampled_from([1, 3, 4, 5, 8, 12]))
+    k = euler_phi(n)
+    if draw(st.booleans()):
+        return CycNum(n, [draw(small_fractions)] + [0] * (k - 1))
+    return CycNum(n, draw(st.lists(small_fractions, min_size=k, max_size=k)))
+
+
+@given(scaled_values(), st.sampled_from([0, 1, -1, 2, 7, 2**70]))
+@settings(max_examples=150, deadline=None)
+def test_int_operand_scales_like_its_coerced_cycnum(x, n):
+    """An int multiplies without a CycNum built for it, to the same value;
+    1 returns x itself, and a bool still takes the coerced route."""
+    def form(v):
+        return v.conductor, v._nums, v._den
+
+    want = form(x * CycNum.from_rational(n))
+    assert form(x * n) == want
+    assert form(n * x) == want
+    assert x * 1 is x
+    true = x * True
+    assert true is not x and form(true) == form(x * CycNum.from_rational(1))
+
+
 @pytest.mark.parametrize("key", BUILTIN_KEYS)
 def test_embed_complex_is_bit_identical_to_fraction_floats(key):
     for a in _builtin_scalars(key):

@@ -6,11 +6,12 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuscat.catalog import builtin
+from fuscat.catalog import BUILTIN_KEYS, builtin
 from fuscat.chartab import class_function_from_chi, validate_character_table
 from fuscat.errors import (
     AsymmetricS,
     BadFirstRow,
+    NoMatchingColumn,
     PreconditionFailed,
     PsiNotCharacter,
 )
@@ -53,6 +54,7 @@ from rings import (
     pointed_smatrix_rows,
     reps3_ring,
     reps3_table_rows,
+    smatrix_rows_scan_first,
     sqrt2,
 )
 
@@ -129,6 +131,34 @@ def test_tampered_entry_breaks_character_row():
     with pytest.raises(PsiNotCharacter) as err:
         validate_smatrix(ring, table, rows)
     assert err.value.row == 2
+
+
+def _outcome(validate, *args):
+    """The SMatrix, or the exception type with its row and witness."""
+    try:
+        return validate(*args)
+    except (PsiNotCharacter, NoMatchingColumn) as err:
+        return type(err), err.row, getattr(err, "witness", None)
+
+
+@pytest.mark.parametrize("key", BUILTIN_KEYS)
+def test_validate_smatrix_matches_the_scan_first_oracle(key):
+    """Matching a row to a column before scanning it gives the outcome of
+    scanning every row first: on the entry and under each symmetric
+    one-pair corruption off the first row and column."""
+    entry = builtin(key)
+    ring, table = entry.ring, entry.table
+    r = ring.rank
+    corrupted = [entry.smatrix.s]
+    for i in range(1, r):
+        for a in range(i, r):
+            rows = [list(row) for row in entry.smatrix.s]
+            rows[i][a] = rows[i][a] + 1
+            rows[a][i] = rows[i][a]
+            corrupted.append(tuple(tuple(row) for row in rows))
+    for s in corrupted:
+        assert (_outcome(validate_smatrix, ring, table, s)
+                == _outcome(smatrix_rows_scan_first, ring, table, s))
 
 
 # ---------------------------------------------------------------------------

@@ -312,7 +312,7 @@ def test_failed_matching_analysis_skips_each_analysis_id_once():
 
 
 def test_programming_error_in_matching_analysis_propagates(monkeypatch):
-    def broken(ring, table, sm):
+    def broken(ring, table, sm, inv_dims=None):
         raise TypeError("not a data error")
 
     monkeypatch.setattr(fuscat.verify, "m_map", broken)
