@@ -24,6 +24,7 @@ from .fusion import (
     KElement,
     Subcategory,
     check_subcategory,
+    restricted_blocks,
     sub_fpdim,
 )
 from .reports import CheckRecord, _integrality
@@ -44,36 +45,6 @@ class CosetDecomposition:
     @property
     def n_blocks(self):
         return len(self.blocks)
-
-    def block_of(self, i) -> int:
-        for t, block in enumerate(self.blocks):
-            if i in block:
-                return t
-        raise IndexError(f"index {i} in no block")
-
-
-def restricted_blocks(ring: FusionRing, members, sub_members) -> list[tuple[int, ...]]:
-    """Connected components of `members` under x ~ k iff N_{x s}^k > 0, s in sub."""
-    members = sorted(members)
-    member_set = set(members)
-    seen, blocks = set(), []
-    for start in members:
-        if start in seen:
-            continue
-        frontier, block = [start], {start}
-        seen.add(start)
-        while frontier:
-            x = frontier.pop()
-            for s in sub_members:
-                row = ring.tensor[x][s]
-                for k in member_set:
-                    if row[k] and k not in seen:
-                        seen.add(k)
-                        block.add(k)
-                        frontier.append(k)
-        blocks.append(tuple(sorted(block)))
-    blocks.sort(key=lambda b: b[0])
-    return blocks
 
 
 def coset_partition(ring: FusionRing, sub: Subcategory) -> CosetDecomposition:
@@ -353,9 +324,3 @@ def verify_lemma_3_12(target, sub: Subcategory,
                        lhs=sorted(sorted(b) for b in traces),
                        rhs=sorted(sorted(b) for b in inner),
                        passed=traces == inner)
-
-
-def refines(fine, coarse) -> bool:
-    """Every block of `fine` is contained in some block of `coarse`."""
-    coarse_sets = [set(b) for b in coarse]
-    return all(any(set(b) <= c for c in coarse_sets) for b in fine)

@@ -38,14 +38,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def poly_eval(coeffs, x):
-    """Horner evaluation; works for any type supporting * and +."""
-    acc = None
-    for c in reversed(list(coeffs)):
-        acc = c if acc is None else acc * x + c
-    return acc if acc is not None else 0 * x
-
-
 # ---------------------------------------------------------------------------
 # integer polynomials and the cyclotomic tower
 # ---------------------------------------------------------------------------
@@ -77,9 +69,6 @@ class IntPoly:
     @property
     def degree(self):
         return len(self.coeffs) - 1
-
-    def is_monic(self):
-        return self.coeffs[-1] == 1
 
     def __str__(self):
         terms = []

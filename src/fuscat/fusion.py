@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ExactDataMissing, RankTooLarge, ValidationError
 from .exactnum import CycNum
 
 ONE = CycNum.from_rational(1)
 ZERO = CycNum.from_rational(0)
+
+#: Largest rank whose subcategories are enumerated.
+ENUMERATION_BOUND = 16
 
 
 @dataclass(frozen=True)
@@ -31,6 +35,14 @@ class FusionRing:
 
     def n(self, i, j, k) -> int:
         return self.tensor[i][j][k]
+
+    @cached_property
+    def supports(self) -> tuple[tuple[int, ...], ...]:
+        """supports[i][j]: the bitmask of the k with N_ij^k > 0.  The
+        subcategory functions of this module work on such bitmasks; no other
+        module reads them."""
+        return tuple(tuple(sum(1 << k for k, n in enumerate(row) if n)
+                           for row in plane) for plane in self.tensor)
 
     def basis(self, i) -> "KElement":
         return KElement(tuple(ONE if k == i else ZERO for k in range(self.rank)))
@@ -206,61 +218,90 @@ def global_fpdim(ring: FusionRing) -> CycNum:
     return sub_fpdim(ring, range(ring.rank))
 
 
+def _mask(indices) -> int:
+    return sum(1 << i for i in set(indices))
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _close(ring: FusionRing, mask: int) -> int:
+    """Least fusion- and dual-closed mask containing the unit and `mask`."""
+    supports, dual = ring.supports, ring.dual
+    mask |= 1
+    while True:
+        members = _members(mask)
+        grown = mask
+        for i in members:
+            grown |= 1 << dual[i]
+            row = supports[i]
+            for j in members:
+                grown |= row[j]
+        if grown == mask:
+            return mask
+        mask = grown
+
+
 def check_subcategory(ring: FusionRing, members) -> Subcategory:
     members = tuple(sorted(set(int(i) for i in members)))
     if 0 not in members:
         raise ValidationError("subcategory", members, "must contain the unit")
-    mset = set(members)
     for i in members:
-        if ring.dual[i] not in mset:
+        if not 0 <= i < ring.rank:
+            raise ValidationError("subcategory", (i,), "not a basis index")
+    mask, supports = _mask(members), ring.supports
+    for i in members:
+        if not mask >> ring.dual[i] & 1:
             raise ValidationError("subcategory", (i,), "not closed under duals")
         for j in members:
-            for k in range(ring.rank):
-                if ring.tensor[i][j][k] and k not in mset:
-                    raise ValidationError("subcategory", (i, j, k),
-                                          "not closed under fusion")
+            outside = supports[i][j] & ~mask
+            if outside:
+                raise ValidationError("subcategory",
+                                      (i, j, (outside & -outside).bit_length() - 1),
+                                      "not closed under fusion")
     return Subcategory(members)
 
 
 def subcategory_closure(ring: FusionRing, generators) -> Subcategory:
     """Least fusion- and dual-closed set containing the unit and the generators."""
-    closed = {0}
-    closed.update(int(g) for g in generators)
-    closed.update(ring.dual[g] for g in list(closed))
-    while True:
-        new = set()
-        for i in closed:
-            for j in closed:
-                row = ring.tensor[i][j]
-                new.update(k for k in range(ring.rank) if row[k] and k not in closed)
-        if not new:
-            break
-        closed.update(new)
-        closed.update(ring.dual[i] for i in new)
-    return Subcategory(tuple(sorted(closed)))
+    return Subcategory(_members(_close(ring, _mask(int(g) for g in generators))))
 
 
-def enumerate_subcategories(ring: FusionRing, max_rank: int = 16) -> tuple[Subcategory, ...]:
-    """All subcategories, as closures of subsets of the distinct singleton closures."""
-    if ring.rank > max_rank:
-        raise RankTooLarge(f"rank {ring.rank} exceeds enumeration bound {max_rank}")
-    singles = []
-    seen = set()
-    for i in range(ring.rank):
-        c = subcategory_closure(ring, (i,))
-        if c.members not in seen:
-            seen.add(c.members)
-            singles.append(c)
-    found = {}
-    for r in range(len(singles) + 1):
-        for combo in itertools.combinations(singles, r):
-            gens = frozenset(itertools.chain.from_iterable(c.members for c in combo))
-            if gens in found:
-                continue
-            closure = subcategory_closure(ring, gens)
-            found[gens] = closure
-    uniq = {c.members: c for c in found.values()}
-    return tuple(uniq[m] for m in sorted(uniq, key=lambda m: (len(m), m)))
+def enumerate_subcategories(ring: FusionRing) -> tuple[Subcategory, ...]:
+    """All subcategories, ordered by size, then members: each is the join of
+    the singleton closures of its members, so joins from the unit with the
+    distinct singleton closures reach them all."""
+    if ring.rank > ENUMERATION_BOUND:
+        raise RankTooLarge(
+            f"rank {ring.rank} exceeds enumeration bound {ENUMERATION_BOUND}")
+    singles = {_close(ring, 1 << i) for i in range(ring.rank)}
+    found, frontier = {1}, {1}
+    while frontier:
+        frontier = {_close(ring, m | s) for m in frontier for s in singles} - found
+        found |= frontier
+    return tuple(Subcategory(m) for m in
+                 sorted(map(_members, found), key=lambda m: (len(m), m)))
+
+
+def restricted_blocks(ring: FusionRing, members, sub_members) -> list[tuple[int, ...]]:
+    """Connected components of `members` under x ~ k iff N_{x s}^k > 0, s in
+    sub, in the order of their least members."""
+    supports = ring.supports
+    left, blocks = _mask(members), []
+    while left:
+        block = frontier = left & -left
+        while frontier:
+            reached = 0
+            for x in _members(frontier):
+                row = supports[x]
+                for s in sub_members:
+                    reached |= row[s]
+            frontier = reached & left & ~block
+            block |= frontier
+        left &= ~block
+        blocks.append(_members(block))
+    return blocks
 
 
 def pointed_part(ring: FusionRing) -> Subcategory:
@@ -268,14 +309,6 @@ def pointed_part(ring: FusionRing) -> Subcategory:
     members = [i for i in range(ring.rank)
                if sum(ring.tensor[i][ring.dual[i]]) == 1]
     return check_subcategory(ring, members)
-
-
-def regular_element(ring: FusionRing, sub: Subcategory) -> KElement:
-    """R_D = sum of d_s * [X_s] over the subcategory."""
-    if ring.fpdims is None:
-        raise ExactDataMissing("regular element needs exact dimensions")
-    return KElement(tuple(ring.fpdims[i] if i in sub else ZERO
-                          for i in range(ring.rank)))
 
 
 def sub_fpdim(ring: FusionRing, members) -> CycNum:

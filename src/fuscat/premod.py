@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chartab import CharacterTable, ClassFunction
-from .cosets import restricted_blocks
+from .chartab import CharacterTable
 from .errors import (
     AsymmetricS,
     BadFirstRow,
@@ -30,6 +29,7 @@ from .fusion import (
     Subcategory,
     check_subcategory,
     pointed_part,
+    restricted_blocks,
     sub_fpdim,
 )
 from .reports import CheckRecord, _integrality
@@ -156,20 +156,6 @@ def muger_center(ring: FusionRing, sm: SMatrix) -> Subcategory:
 # ---------------------------------------------------------------------------
 # central elements
 # ---------------------------------------------------------------------------
-
-def f_Q(ring: FusionRing, sm: SMatrix, cf: ClassFunction) -> CentralElement:
-    """Algebra map from class functions to central elements, row-by-dimension."""
-    r = ring.rank
-    coords = []
-    for ip in range(r):
-        total = ZERO
-        for i in range(r):
-            x = cf.chi_coords[i]
-            if not x.is_zero():
-                total = total + x * sm.s[i][ip] / ring.fpdims[ip]
-        coords.append(total)
-    return CentralElement(tuple(coords))
-
 
 def class_sum(ring: FusionRing, table: CharacterTable, j: int,
               inv_dims=None) -> CentralElement:

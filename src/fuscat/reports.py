@@ -35,7 +35,3 @@ def _integrality(check_id: str, params: dict, value: CycNum) -> CheckRecord:
     return CheckRecord(id=check_id, params=params, lhs=value,
                        rhs="algebraic integer", passed=ok,
                        detail=f"min poly {integrality_witness(value)}" if ok else "")
-
-
-def all_passed(records) -> bool:
-    return all(r.passed for r in records)

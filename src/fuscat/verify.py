@@ -334,8 +334,7 @@ def run_checks(target: Target, *,
 
 
 def all_subcategories(ring: FusionRing) -> list[Subcategory]:
-    subs = enumerate_subcategories(ring)
-    return sorted(subs, key=lambda s: (len(s.members), s.members))
+    return list(enumerate_subcategories(ring))
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ Small rings are written out longhand here, independently of the built-in
 catalog, so library tests do not depend on the catalog module.
 """
 
+import itertools
+
 import numpy as np
 
-from fuscat.errors import NoMatchingColumn, PsiNotCharacter
+from fuscat.errors import ExactDataMissing, NoMatchingColumn, PsiNotCharacter
 from fuscat.exactnum import CycNum
-from fuscat.fusion import KElement, validate_fusion_ring
-from fuscat.premod import SMatrix
+from fuscat.fusion import KElement, Subcategory, validate_fusion_ring
+from fuscat.premod import CentralElement, SMatrix
 
 ONE = CycNum.from_rational(1)
 ZERO = CycNum.from_rational(0)
@@ -60,6 +62,130 @@ def k_mul_dense(ring, x, y) -> KElement:
             for k in range(ring.rank):
                 out[k] = out[k] + x.coeffs[i] * y.coeffs[j] * ring.tensor[i][j][k]
     return KElement(tuple(out))
+
+
+# ---------------------------------------------------------------------------
+# set-based oracles for the subcategory lattice
+# ---------------------------------------------------------------------------
+
+def subcategory_closure_sets(ring, generators) -> Subcategory:
+    """Least fusion- and dual-closed set containing the unit and the
+    generators, grown as a Python set over every (i, j, k)."""
+    closed = {0}
+    closed.update(int(g) for g in generators)
+    closed.update(ring.dual[g] for g in list(closed))
+    while True:
+        new = set()
+        for i in closed:
+            for j in closed:
+                row = ring.tensor[i][j]
+                new.update(k for k in range(ring.rank) if row[k] and k not in closed)
+        if not new:
+            break
+        closed.update(new)
+        closed.update(ring.dual[i] for i in new)
+    return Subcategory(tuple(sorted(closed)))
+
+
+def enumerate_subcategories_powerset(ring) -> tuple[Subcategory, ...]:
+    """All subcategories, as closures of every subset of the distinct
+    singleton closures (2^s closures), ordered by size, then members."""
+    singles = []
+    seen = set()
+    for i in range(ring.rank):
+        c = subcategory_closure_sets(ring, (i,))
+        if c.members not in seen:
+            seen.add(c.members)
+            singles.append(c)
+    found = {}
+    for r in range(len(singles) + 1):
+        for combo in itertools.combinations(singles, r):
+            gens = frozenset(itertools.chain.from_iterable(c.members for c in combo))
+            if gens not in found:
+                found[gens] = subcategory_closure_sets(ring, gens)
+    uniq = {c.members: c for c in found.values()}
+    return tuple(uniq[m] for m in sorted(uniq, key=lambda m: (len(m), m)))
+
+
+def restricted_blocks_sets(ring, members, sub_members) -> list[tuple[int, ...]]:
+    """Connected components of `members` under x ~ k iff N_{x s}^k > 0, s in
+    sub, by a search over Python sets; sorted by least member."""
+    members = sorted(members)
+    member_set = set(members)
+    seen, blocks = set(), []
+    for start in members:
+        if start in seen:
+            continue
+        frontier, block = [start], {start}
+        seen.add(start)
+        while frontier:
+            x = frontier.pop()
+            for s in sub_members:
+                row = ring.tensor[x][s]
+                for k in member_set:
+                    if row[k] and k not in seen:
+                        seen.add(k)
+                        block.add(k)
+                        frontier.append(k)
+        blocks.append(tuple(sorted(block)))
+    blocks.sort(key=lambda b: b[0])
+    return blocks
+
+
+# ---------------------------------------------------------------------------
+# helpers that only tests call
+# ---------------------------------------------------------------------------
+
+def poly_eval(coeffs, x):
+    """Horner evaluation; works for any type supporting * and +."""
+    acc = None
+    for c in reversed(list(coeffs)):
+        acc = c if acc is None else acc * x + c
+    return acc if acc is not None else 0 * x
+
+
+def is_monic(poly) -> bool:
+    return poly.coeffs[-1] == 1
+
+
+def block_of(dec, i) -> int:
+    """Index of the block of a coset decomposition that holds `i`."""
+    for t, block in enumerate(dec.blocks):
+        if i in block:
+            return t
+    raise IndexError(f"index {i} in no block")
+
+
+def refines(fine, coarse) -> bool:
+    """Every block of `fine` is contained in some block of `coarse`."""
+    coarse_sets = [set(b) for b in coarse]
+    return all(any(set(b) <= c for c in coarse_sets) for b in fine)
+
+
+def regular_element(ring, sub) -> KElement:
+    """R_D = sum of d_s * [X_s] over the subcategory."""
+    if ring.fpdims is None:
+        raise ExactDataMissing("regular element needs exact dimensions")
+    return KElement(tuple(ring.fpdims[i] if i in sub else ZERO
+                          for i in range(ring.rank)))
+
+
+def all_passed(records) -> bool:
+    return all(r.passed for r in records)
+
+
+def f_Q(ring, sm, cf) -> CentralElement:
+    """Algebra map from class functions to central elements, row-by-dimension."""
+    r = ring.rank
+    coords = []
+    for ip in range(r):
+        total = ZERO
+        for i in range(r):
+            x = cf.chi_coords[i]
+            if not x.is_zero():
+                total = total + x * sm.s[i][ip] / ring.fpdims[ip]
+        coords.append(total)
+    return CentralElement(tuple(coords))
 
 
 def smatrix_rows_scan_first(ring, table, s) -> SMatrix:

@@ -26,17 +26,16 @@ from fuscat.chartab import (characters_numeric, match_numeric_columns,
                             verify_eq_2_7)
 from fuscat.cli import main
 from fuscat.cosets import (coset_partition, hecke_associative,
-                           hecke_constants, refines, verify_cor_3_9_1,
+                           hecke_constants, verify_cor_3_9_1,
                            verify_eq_3_6, verify_eq_3_7, verify_lemma_3_12)
 from fuscat.exactnum import (CycNum, is_algebraic_integer, minimal_polynomial)
 from fuscat.fusion import check_subcategory, enumerate_subcategories
 from fuscat.premod import (m_map, validate_smatrix, verify_thm_1_1,
                             verify_thm_1_3, verify_thm_4_6)
-from fuscat.reports import all_passed
 from fuscat.verify import Target
 
-from rings import (fpdim_numeric, reps3_ring, reps3_table_rows,
-                   su2k4_adjoint_smatrix_rows)
+from rings import (all_passed, fpdim_numeric, refines, reps3_ring,
+                   reps3_table_rows, su2k4_adjoint_smatrix_rows)
 
 ONE = CycNum.from_rational(1)
 ZERO = CycNum.from_rational(0)

@@ -1,0 +1,74 @@
+"""Every function and method in ``src/`` has a caller in ``src/``.
+
+A helper that only tests call belongs beside the oracles in ``rings.py``.
+A name counts as used when some module of ``src/`` reads it as a name or an
+attribute, or holds it as a string: the check registry of ``verify`` names
+its runners that way.  Dunder methods are called by the interpreter.  The
+allow-list names what callers outside ``src/`` use, with the reason.
+"""
+
+import ast
+import pathlib
+
+import fuscat
+
+SRC = pathlib.Path(fuscat.__file__).resolve().parent
+
+ALLOWED = {
+    "serialize.to_document": "the README writes documents with it",
+    "serialize.dump_document": "the README writes documents with it",
+    "catalog.product": "the product of two keys; perfbench/run.py LAYERS "
+                       "names it",
+    "verify.report_to_json": "the README states the report bytes by it, "
+                             "and perfbench/run.py LAYERS names it",
+    "exactnum.characteristic_polynomial":
+        "perfbench/run.py LAYERS names it, and test_layers.py needs every "
+        "pattern there to match; it moves to the tests once perfbench reads "
+        "in-package spans (ROADMAP item 1)",
+    "fusion.subcategory_closure": "the closure of a generator set, the "
+                                  "fusion API beside enumerate_subcategories",
+}
+
+
+def _definitions():
+    """(qualified name, name) of every module-level function and method."""
+    for path in sorted(SRC.glob("*.py")):
+        module = path.stem
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef):
+                yield f"{module}.{node.name}", node.name
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        yield f"{module}.{node.name}.{item.name}", item.name
+
+
+def _used_names():
+    used = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    return used
+
+
+def _allowed(qualname, name):
+    return (qualname in ALLOWED or name in fuscat.__all__
+            or name.startswith("cmd_")
+            or (name.startswith("__") and name.endswith("__")))
+
+
+def test_every_definition_in_src_has_a_caller_in_src():
+    used = _used_names()
+    uncalled = [qualname for qualname, name in _definitions()
+                if name not in used and not _allowed(qualname, name)]
+    assert uncalled == []
+
+
+def test_allow_list_names_definitions():
+    defined = {qualname for qualname, _ in _definitions()}
+    assert set(ALLOWED) <= defined

@@ -1,5 +1,7 @@
 """Catalog entries against independently constructed oracles."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -106,6 +108,30 @@ def test_su2k_generator_fusion_rule():
             if j + 1 <= k:
                 expected[j + 1] = 1
             assert tuple(ring.tensor[1][j]) == tuple(expected)
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_su2k_structure_constants_match_admissibility(k):
+    # each entry re-derived from the admissibility condition, stated as an
+    # iff per triple, independently of the catalog's range enumeration
+    tensor = builtin(f"su2k-{k}").ring.tensor
+    for i in range(k + 1):
+        for j in range(k + 1):
+            for l in range(k + 1):
+                admissible = (abs(i - j) <= l <= min(i + j, 2 * k - i - j)
+                              and (i + j + l) % 2 == 0)
+                assert tensor[i][j][l] == (1 if admissible else 0), (i, j, l)
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_su2k_matrix_entries_match_their_sine_values(k):
+    # S_ij = sin((i+1)(j+1) pi/(k+2)) / sin(pi/(k+2))
+    s = builtin(f"su2k-{k}").smatrix.s
+    denom = math.sin(math.pi / (k + 2))
+    for i in range(k + 1):
+        for j in range(k + 1):
+            target = math.sin((i + 1) * (j + 1) * math.pi / (k + 2)) / denom
+            assert abs(s[i][j].embed_complex() - target) <= 1e-9, (i, j)
 
 
 def test_su2k_matrix_is_symmetric_with_dimension_first_row():

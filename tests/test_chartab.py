@@ -22,10 +22,10 @@ from fuscat.errors import (
 )
 from fuscat.exactnum import CycNum
 from fuscat.fusion import Subcategory, check_subcategory, validate_fusion_ring
-from fuscat.reports import all_passed
 from fuscat.verify import Target
 
 from rings import (
+    all_passed,
     fib_ring,
     fib_table_rows,
     golden,

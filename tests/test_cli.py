@@ -112,6 +112,18 @@ def test_verify_unclosed_subcategory_is_usage_error(capsys):
     assert "not a subcategory" in capsys.readouterr().err
 
 
+def test_verify_all_subcategories_above_rank_16_is_refused(capsys):
+    assert main(["verify", "ising*ising*svec", "--all-subcategories"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid: rank 18 exceeds enumeration bound 16\n"
+
+
+def test_verify_subcategory_outside_the_basis_is_usage_error(capsys):
+    assert main(["verify", "ising", "--subcategory", "0,5"]) == 2
+    assert "(5,): not a basis index" in capsys.readouterr().err
+
+
 def test_verify_bad_subcategory_syntax(capsys):
     assert main(["verify", "ising", "--subcategory", "0,x"]) == 2
     assert "comma-separated integers" in capsys.readouterr().err

@@ -14,7 +14,6 @@ from fuscat.cosets import (
     hecke_associative,
     hecke_constants,
     hecke_dual_symmetric,
-    refines,
     verify_cor_3_9_1,
     verify_cor_3_9_2,
     verify_eq_3_1,
@@ -24,16 +23,18 @@ from fuscat.cosets import (
     verify_prop_3_4,
 )
 from fuscat.fusion import check_subcategory, enumerate_subcategories
-from fuscat.reports import all_passed
 from fuscat.verify import Target
 
 from rings import (
+    all_passed,
+    block_of,
     fib_ring,
     fib_table_rows,
     group_ring,
     group_table_rows,
     ising_ring,
     ising_table_rows,
+    refines,
     reps3_ring,
     reps3_table_rows,
 )
@@ -84,8 +85,8 @@ def test_partition_z6_and_dual_rep_convention():
 def test_block_of():
     ring, sub = _ising_pointed()
     dec = coset_partition(ring, sub)
-    assert dec.block_of(1) == 0
-    assert dec.block_of(2) == 1
+    assert block_of(dec, 1) == 0
+    assert block_of(dec, 2) == 1
 
 
 def _union_find_blocks(ring, sub):

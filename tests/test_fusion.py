@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuscat.errors import ExactDataMissing, ValidationError
+from fuscat.errors import ExactDataMissing, RankTooLarge, ValidationError
 from fuscat.exactnum import CycNum
 from fuscat.fusion import (
     KElement,
@@ -12,14 +12,13 @@ from fuscat.fusion import (
     enumerate_subcategories,
     global_fpdim,
     pointed_part,
-    regular_element,
     sub_fpdim,
     subcategory_closure,
     validate_fusion_ring,
 )
 
 from rings import (fib_ring, fpdim_numeric, golden, group_ring, ising_ring,
-                   lucas, reps3_ring, sqrt2)
+                   lucas, regular_element, reps3_ring, sqrt2)
 
 ONE = CycNum.from_rational(1)
 ZERO = CycNum.from_rational(0)
@@ -253,6 +252,30 @@ def test_check_subcategory_requires_unit():
         check_subcategory(ising_ring(), (1,))
 
 
+@pytest.mark.parametrize("ring,members,witness,message", [
+    (ising_ring(), (1,), (1,), "must contain the unit"),
+    (group_ring(3), (0, 1), (1,), "not closed under duals"),
+    (ising_ring(), (0, 2), (2, 2, 1), "not closed under fusion"),
+    # (s,s) x (s,s) = (1,1) + (1,f) + (f,1) + (f,f): the least k is named
+    (deligne_product(ising_ring(), ising_ring()), (0, 8), (8, 8, 1),
+     "not closed under fusion"),
+])
+def test_check_subcategory_names_the_first_failure(ring, members, witness,
+                                                   message):
+    # the --subcategory error text is built from this axiom and witness
+    with pytest.raises(ValidationError) as err:
+        check_subcategory(ring, members)
+    assert (err.value.axiom, err.value.witness) == ("subcategory", witness)
+    assert str(err.value) == f"subcategory failed at {witness}: {message}"
+
+
+@pytest.mark.parametrize("members,witness", [((0, 3), (3,)), ((-1, 0), (-1,))])
+def test_check_subcategory_rejects_an_index_outside_the_basis(members, witness):
+    with pytest.raises(ValidationError) as err:
+        check_subcategory(ising_ring(), members)
+    assert str(err.value) == f"subcategory failed at {witness}: not a basis index"
+
+
 def test_closure_from_generator():
     ring = ising_ring()
     assert subcategory_closure(ring, (2,)).members == (0, 1, 2)
@@ -269,6 +292,12 @@ def test_enumerate_subcategories_group_counts_divisors():
     # subgroups of Z_n <-> divisors of n
     for n, ndiv in [(1, 1), (2, 2), (4, 3), (6, 4), (8, 4), (12, 6)]:
         assert len(enumerate_subcategories(group_ring(n))) == ndiv
+
+
+def test_enumerate_subcategories_refuses_rank_above_16():
+    with pytest.raises(RankTooLarge) as err:
+        enumerate_subcategories(group_ring(18))
+    assert str(err.value) == "rank 18 exceeds enumeration bound 16"
 
 
 def test_pointed_part():

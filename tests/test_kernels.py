@@ -4,7 +4,9 @@
 `FusionRing.k_mul` visit only nonzero structure constants.  The dense loops
 in `rings.py` contract every index tuple; here both agree on every
 subcategory of the builtins and the benchmark's product keys, and both
-reject the same mutated inputs.
+reject the same mutated inputs.  The subcategory lattice, closures and
+restricted blocks, computed on support bitmasks, match the set-based
+powerset and search oracles.
 """
 
 import itertools
@@ -21,10 +23,12 @@ from fuscat.cosets import (HeckeAlgebra, coset_partition, hecke_associative,
 from fuscat.errors import ValidationError
 from fuscat.exactnum import CycNum
 from fuscat.fusion import (KElement, deligne_product, enumerate_subcategories,
+                           restricted_blocks, subcategory_closure,
                            validate_fusion_ring)
 
 from rings import (
     ZERO,
+    enumerate_subcategories_powerset,
     first_associativity_violation,
     fib_ring,
     group_ring,
@@ -33,6 +37,8 @@ from rings import (
     k_mul_dense,
     lucas,
     reps3_ring,
+    restricted_blocks_sets,
+    subcategory_closure_sets,
 )
 
 PRODUCT_KEYS = ("svec*svec*svec", "pointed-z4-q2*svec", "pointed-z4-q1*svec",
@@ -244,3 +250,41 @@ def test_large_products_validate_in_a_few_small_dense_loops(
     assert _power(base, factors).rank == rank
     seconds = _least_cpu_seconds(lambda: _power(base, factors), runs=3)
     assert seconds < 40 * dense_rank_8_seconds
+
+
+# ---------------------------------------------------------------------------
+# the subcategory lattice against the set-based oracles
+# ---------------------------------------------------------------------------
+
+LATTICE_KEYS = KEYS + ("ising*svec*svec", "su2k-8")
+
+
+def _assert_lattice_matches_oracles(ring):
+    subs = enumerate_subcategories(ring)
+    assert subs == enumerate_subcategories_powerset(ring)
+    for gens in itertools.combinations(range(ring.rank), 2):
+        assert (subcategory_closure(ring, gens)
+                == subcategory_closure_sets(ring, gens)), gens
+    for d in subs:
+        for a in subs:
+            assert (restricted_blocks(ring, a.members, d.members)
+                    == restricted_blocks_sets(ring, a.members, d.members)), \
+                (d.members, a.members)
+
+
+@pytest.mark.parametrize("key", LATTICE_KEYS)
+def test_subcategory_lattice_matches_set_oracles(key):
+    _assert_lattice_matches_oracles(builtin(key).ring)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_group_product_lattice_matches_set_oracles(data):
+    ring = group_ring(data.draw(st.integers(min_value=1, max_value=12)))
+    while ring.rank <= 6 and data.draw(st.booleans()):
+        n = data.draw(st.integers(min_value=2, max_value=12 // ring.rank))
+        ring = deligne_product(ring, group_ring(n))
+    _assert_lattice_matches_oracles(ring)
+    gens = data.draw(st.sets(st.integers(min_value=0, max_value=ring.rank - 1),
+                             max_size=4))
+    assert subcategory_closure(ring, gens) == subcategory_closure_sets(ring, gens)

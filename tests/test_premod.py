@@ -21,7 +21,6 @@ from fuscat.premod import (
     CentralElement,
     centralizer,
     class_sum,
-    f_Q,
     m_map,
     muger_center,
     validate_smatrix,
@@ -38,11 +37,12 @@ from fuscat.premod import (
     verify_thm_4_6,
     verify_thm_4_10,
 )
-from fuscat.reports import all_passed
 from fuscat.verify import Target
 
 from rings import (
+    all_passed,
     dd_smatrix_rows,
+    f_Q,
     fib_ring,
     fib_smatrix_rows,
     fib_table_rows,
