@@ -25,7 +25,8 @@ from .errors import (
     SingularTable,
 )
 from .exactnum import CycNum
-from .fusion import FusionRing, Subcategory, global_fpdim, sub_fpdim
+from .fusion import (FusionRing, Subcategory, _first_non_character,
+                     global_fpdim, sub_fpdim)
 from .reports import CheckRecord
 
 ZERO = CycNum.from_rational(0)
@@ -89,15 +90,9 @@ def validate_character_table(ring: FusionRing, rows) -> CharacterTable:
     for j in range(r):
         if alpha[0][j] != 1:
             raise NotAlgebraMap(j, (0,))
-        for i in range(r):
-            for k in range(i, r):
-                rhs = ZERO
-                for l in range(r):
-                    n = ring.tensor[i][k][l]
-                    if n:
-                        rhs = rhs + alpha[l][j] * n
-                if alpha[i][j] * alpha[k][j] != rhs:
-                    raise NotAlgebraMap(j, (i, k))
+        pair = _first_non_character(ring, [row[j] for row in alpha])
+        if pair is not None:
+            raise NotAlgebraMap(j, pair)
 
     for j in range(r):
         for jj in range(j + 1, r):
@@ -196,7 +191,8 @@ def characters_numeric(ring: FusionRing, seed: int = 0, max_retries: int = 8):
     import numpy as np
     rng = np.random.default_rng(seed)
     r = ring.rank
-    mats = [np.array(ring.tensor[i], dtype=float) for i in range(r)]
+    tensor = np.array(ring.tensor, dtype=float)
+    mats = list(tensor)
     for _ in range(max_retries):
         coeff = rng.uniform(0.5, 1.5, size=r)
         m = sum(c * mat for c, mat in zip(coeff, mats))
@@ -206,24 +202,36 @@ def characters_numeric(ring: FusionRing, seed: int = 0, max_retries: int = 8):
         if gap < 1e-6:
             continue
         cols = []
-        ok = True
         for idx in range(r):
             v = vec[:, idx]
             anchor = int(np.argmax(np.abs(v)))
             mu = np.array([(mat @ v)[anchor] / v[anchor] for mat in mats])
             cols.append(mu)
         alpha_num = np.array(cols).T  # rows = basis, columns = characters
-        for i in range(r):
-            for k in range(r):
-                prod = alpha_num[i] * alpha_num[k]
-                resid = prod - sum(
-                    ring.tensor[i][k][l] * alpha_num[l] for l in range(r))
-                if np.max(np.abs(resid)) > 1e-8 * max(1.0, np.max(np.abs(prod))):
-                    ok = False
-        if ok:
+        if _is_numeric_character_table(tensor, alpha_num):
             order = np.lexsort((np.round(w.imag, 9), np.round(w.real, 9)))
             return alpha_num[:, order]
     raise DegenerateSpectrum(f"no separated spectrum after {max_retries} draws")
+
+
+def _is_numeric_character_table(tensor, alpha_num) -> bool:
+    """Whether every column is a character to within 1e-8: for all (i, k),
+    max |a_i a_k - sum_l N_ik^l a_l| <= 1e-8 max(1, max |a_i a_k|), with
+    `tensor` the float N.
+
+    All (i, k) at once, summing over l in increasing order.  NaN compares
+    false, so a NaN residual passes its pair and a NaN max |a_i a_k| gives
+    the bound 1e-8."""
+    import numpy as np
+    r = len(alpha_num)
+    prod = alpha_num[:, None, :] * alpha_num[None, :, :]
+    rhs = np.zeros(prod.shape, dtype=prod.dtype)
+    for l in range(r):
+        rhs = rhs + tensor[:, :, l, None] * alpha_num[l]
+    resid = np.abs(prod - rhs).max(axis=2)
+    big = np.abs(prod).max(axis=2)
+    bound = 1e-8 * np.where(big > 1.0, big, 1.0)
+    return not np.any(resid > bound)
 
 
 def match_numeric_columns(table: CharacterTable, numeric,

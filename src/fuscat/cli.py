@@ -8,6 +8,7 @@ FUSCAT_SEED (default 0) seeds the advisory numeric cross-check printed by
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -182,7 +183,10 @@ def cmd_list_builtins(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; it holds no command function, so
+    `main` looks each one up when it is called."""
     parser = argparse.ArgumentParser(
         prog="fuscat",
         description="Exact verification of fusion-ring and premodular "
@@ -192,7 +196,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser("validate",
                               help="validate a JSON document on disk")
     p.add_argument("path", help="path to a ring document")
-    p.set_defaults(func=cmd_validate)
 
     p = subparsers.add_parser("verify",
                               help="run identity checks on a catalog key or "
@@ -206,25 +209,22 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run parameterized checks over every subcategory")
     p.add_argument("--checks", help="comma-separated check ids to run")
     p.add_argument("--format", choices=("json", "md"), default="md")
-    p.set_defaults(func=cmd_verify)
 
     p = subparsers.add_parser("report",
                               help="render coset, block, matching, and "
                                    "integrality data for a target")
     p.add_argument("target", help="catalog key or path")
-    p.set_defaults(func=cmd_report)
 
-    p = subparsers.add_parser("list-builtins",
-                              help="list catalog keys with basic invariants")
-    p.set_defaults(func=cmd_list_builtins)
+    subparsers.add_parser("list-builtins",
+                          help="list catalog keys with basic invariants")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (SchemaError, UnknownKey) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,11 +10,12 @@ iff they are such a character and agree on duals; no float decides it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ExactDataMissing, RankTooLarge, ValidationError
-from .exactnum import CycNum
+from .exactnum import CycNum, _int_mul
 
 ONE = CycNum.from_rational(1)
 ZERO = CycNum.from_rational(0)
@@ -42,6 +43,13 @@ class FusionRing:
         subcategory functions of this module work on such bitmasks; no other
         module reads them."""
         return tuple(tuple(sum(1 << k for k, n in enumerate(row) if n)
+                           for row in plane) for plane in self.tensor)
+
+    @cached_property
+    def nonzero(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+        """nonzero[i][j]: the (k, N_ij^k) with N_ij^k > 0, in increasing k.
+        Associativity and `_first_non_character` walk only these."""
+        return tuple(tuple(tuple((k, n) for k, n in enumerate(row) if n)
                            for row in plane) for plane in self.tensor)
 
     def basis(self, i) -> "KElement":
@@ -160,11 +168,19 @@ def validate_fusion_ring(tensor, dual, names=None, fpdims=None) -> FusionRing:
                 if tensor[i][j][k] != tensor[dual[i]][k][j]:
                     raise ValidationError("frobenius-reciprocity", (i, j, k))
 
+    exact = None
+    if fpdims is not None:
+        exact = tuple(d if isinstance(d, CycNum) else CycNum.from_rational(d)
+                      for d in fpdims)
+    # built before the last checks so that they read its cached `nonzero`;
+    # it is returned only if they pass
+    ring = FusionRing(rank=rank, names=names, tensor=tensor, dual=dual,
+                      fpdims=exact)
+
     # (X_i X_j) X_k = X_i (X_j X_k), compared as whole l-vectors per (i, j, k)
     # over the nonzero N_{ij}^m only; a mismatch names its least l, so the
     # first violated (i, j, k, l) is the one of the lexicographic order
-    nonzero = [[[(m, c) for m, c in enumerate(row) if c] for row in plane]
-               for plane in tensor]
+    nonzero = ring.nonzero
     for i in range(rank):
         for j in range(rank):
             for k in range(rank):
@@ -180,10 +196,7 @@ def validate_fusion_ring(tensor, dual, names=None, fpdims=None) -> FusionRing:
                     l = next(l for l in range(rank) if lhs[l] != rhs[l])
                     raise ValidationError("associativity", (i, j, k, l))
 
-    exact = None
-    if fpdims is not None:
-        exact = tuple(d if isinstance(d, CycNum) else CycNum.from_rational(d)
-                      for d in fpdims)
+    if exact is not None:
         if len(exact) != rank:
             raise ValidationError("fpdims", None, "one dimension per basis element")
         if exact[0] != 1:
@@ -193,18 +206,37 @@ def validate_fusion_ring(tensor, dual, names=None, fpdims=None) -> FusionRing:
                 raise ValidationError("fpdims", (i,), "dimensions must embed positive real")
             if exact[dual[i]] != exact[i]:
                 raise ValidationError("fpdims", (i,), "dual objects must share a dimension")
-        for i in range(rank):
-            for j in range(rank):
-                rhs = ZERO
-                for k in range(rank):
-                    if tensor[i][j][k]:
-                        rhs = rhs + exact[k] * tensor[i][j][k]
-                if exact[i] * exact[j] != rhs:
-                    raise ValidationError("fpdims", (i, j),
-                                          "dimensions are not a ring homomorphism")
+        # the tensor is commutative, so the first failing (i, j) has i <= j
+        pair = _first_non_character(ring, exact)
+        if pair is not None:
+            raise ValidationError("fpdims", pair,
+                                  "dimensions are not a ring homomorphism")
+    return ring
 
-    return FusionRing(rank=rank, names=names, tensor=tensor, dual=dual,
-                      fpdims=exact)
+
+def _first_non_character(ring: FusionRing, values):
+    """The first (i, k), i <= k, with v_i v_k != sum_l N_ik^l v_l, or None.
+
+    Every v_i is put over the lcm conductor m and one common denominator D
+    as an integer numerator vector A_i, so that v_i = A_i / D.  Then the
+    identity holds iff A_i A_k mod Phi_m == D sum_l N_ik^l A_l, and the
+    scan builds no `CycNum` beyond the r re-embedded values."""
+    m = math.lcm(*(v.conductor for v in values))
+    values = [v.change_conductor(m) for v in values]
+    den = math.lcm(*(v._den for v in values))
+    nums = [[x * (den // v._den) for x in v._nums] for v in values]
+    scaled = [[den * x for x in a] for a in nums]
+    zero = [0] * len(nums[0])
+    nonzero = ring.nonzero
+    for i, a in enumerate(nums):
+        row = nonzero[i]
+        for k in range(i, len(nums)):
+            rhs = zero
+            for l, n in row[k]:
+                rhs = [x + n * y for x, y in zip(rhs, scaled[l])]
+            if _int_mul(a, nums[k], m) != rhs:
+                return i, k
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .exactnum import CycNum
 from .fusion import (
     FusionRing,
     Subcategory,
+    _first_non_character,
     check_subcategory,
     pointed_part,
     restricted_blocks,
@@ -89,21 +90,6 @@ def _match_column(table: CharacterTable, psi) -> int | None:
     return None
 
 
-def _raise_if_not_character(ring: FusionRing, psi, i: int) -> None:
-    """PsiNotCharacter(i, (a, b)) at the first a <= b with
-    psi(a) psi(b) != sum_c N_ab^c psi(c)."""
-    r = ring.rank
-    for a in range(r):
-        for b in range(a, r):
-            rhs = ZERO
-            for c in range(r):
-                n = ring.tensor[a][b][c]
-                if n:
-                    rhs = rhs + psi[c] * n
-            if psi[a] * psi[b] != rhs:
-                raise PsiNotCharacter(i, (a, b))
-
-
 def validate_smatrix(ring: FusionRing, table: CharacterTable, rows) -> SMatrix:
     """Symmetry, first row, and each normalized row psi_i = s_i / d_i equal
     to a table column.
@@ -130,7 +116,9 @@ def validate_smatrix(ring: FusionRing, table: CharacterTable, rows) -> SMatrix:
         inv = ring.fpdims[i].inverse()
         psi = [x * inv for x in s[i]]
         if _match_column(table, psi) is None:
-            _raise_if_not_character(ring, psi, i)
+            pair = _first_non_character(ring, psi)
+            if pair is not None:
+                raise PsiNotCharacter(i, pair)
             # unreachable for a validated table: its r distinct columns are
             # all r characters of the ring, so a character matches one
             raise NoMatchingColumn(i)

@@ -8,7 +8,9 @@ import itertools
 
 import numpy as np
 
-from fuscat.errors import ExactDataMissing, NoMatchingColumn, PsiNotCharacter
+from fuscat.errors import (DegenerateSpectrum, ExactDataMissing,
+                           NoMatchingColumn, NotAlgebraMap, PsiNotCharacter,
+                           ValidationError)
 from fuscat.exactnum import CycNum
 from fuscat.fusion import KElement, Subcategory, validate_fusion_ring
 from fuscat.premod import CentralElement, SMatrix
@@ -188,27 +190,125 @@ def f_Q(ring, sm, cf) -> CentralElement:
     return CentralElement(tuple(coords))
 
 
+# ---------------------------------------------------------------------------
+# CycNum scans for the integer multiplicativity kernel
+# ---------------------------------------------------------------------------
+
+def first_product_violation(tensor, values):
+    """The first (i, k), i <= k, with v_i v_k != sum_l N_ik^l v_l, or None:
+    the scan the table and S-matrix validators ran before the integer
+    kernel, with a new CycNum for every product and partial sum."""
+    r = len(values)
+    for i in range(r):
+        for k in range(i, r):
+            rhs = ZERO
+            for l in range(r):
+                n = tensor[i][k][l]
+                if n:
+                    rhs = rhs + values[l] * n
+            if values[i] * values[k] != rhs:
+                return (i, k)
+    return None
+
+
+def validate_fpdims_scan(ring, fpdims) -> None:
+    """The dimension checks of `validate_fusion_ring`, on a ring whose other
+    axioms hold, with the homomorphism identity scanned over every (i, j)."""
+    exact = tuple(d if isinstance(d, CycNum) else CycNum.from_rational(d)
+                  for d in fpdims)
+    rank, tensor, dual = ring.rank, ring.tensor, ring.dual
+    if len(exact) != rank:
+        raise ValidationError("fpdims", None, "one dimension per basis element")
+    if exact[0] != 1:
+        raise ValidationError("fpdims", (0,), "unit must have dimension 1")
+    for i in range(rank):
+        if not exact[i].is_positive():
+            raise ValidationError("fpdims", (i,), "dimensions must embed positive real")
+        if exact[dual[i]] != exact[i]:
+            raise ValidationError("fpdims", (i,), "dual objects must share a dimension")
+    for i in range(rank):
+        for j in range(rank):
+            rhs = ZERO
+            for k in range(rank):
+                if tensor[i][j][k]:
+                    rhs = rhs + exact[k] * tensor[i][j][k]
+            if exact[i] * exact[j] != rhs:
+                raise ValidationError("fpdims", (i, j),
+                                      "dimensions are not a ring homomorphism")
+
+
+def table_columns_scan(ring, rows) -> None:
+    """The column loop of `validate_character_table`: NotAlgebraMap(j, w)
+    for the first column j that is not a character, by the CycNum scan."""
+    r = ring.rank
+    for j in range(r):
+        column = [rows[i][j] for i in range(r)]
+        if column[0] != 1:
+            raise NotAlgebraMap(j, (0,))
+        pair = first_product_violation(ring.tensor, column)
+        if pair is not None:
+            raise NotAlgebraMap(j, pair)
+
+
 def smatrix_rows_scan_first(ring, table, s) -> SMatrix:
     """Row loop of `validate_smatrix` that proves every row a character by
-    the full a <= b product scan, then finds its column by alpha_aj d_i ==
-    s_ia.  It starts after the symmetry and first-row checks, so `s` must
-    pass them."""
+    the CycNum scan, then finds its column by alpha_aj d_i == s_ia.  It
+    starts after the symmetry and first-row checks, so `s` must pass them."""
     r = ring.rank
     for i in range(r):
         inv = ring.fpdims[i].inverse()
-        psi = [s[i][a] * inv for a in range(r)]
-        for a in range(r):
-            for b in range(a, r):
-                rhs = ZERO
-                for c in range(r):
-                    rhs = rhs + psi[c] * ring.tensor[a][b][c]
-                if psi[a] * psi[b] != rhs:
-                    raise PsiNotCharacter(i, (a, b))
+        pair = first_product_violation(ring.tensor,
+                                       [s[i][a] * inv for a in range(r)])
+        if pair is not None:
+            raise PsiNotCharacter(i, pair)
         di = ring.fpdims[i]
         if not any(all(table.alpha[a][j] * di == s[i][a] for a in range(r))
                    for j in range(r)):
             raise NoMatchingColumn(i)
     return SMatrix(s=tuple(tuple(row) for row in s))
+
+
+# ---------------------------------------------------------------------------
+# the numeric cross-check with its residual scanned pair by pair
+# ---------------------------------------------------------------------------
+
+def numeric_residual_ok_loop(tensor, alpha_num) -> bool:
+    """The residual test of `characters_numeric` before it was vectorized:
+    one numpy expression per (i, k), with Python's max and >."""
+    r = len(tensor)
+    ok = True
+    for i in range(r):
+        for k in range(r):
+            prod = alpha_num[i] * alpha_num[k]
+            resid = prod - sum(tensor[i][k][l] * alpha_num[l] for l in range(r))
+            if np.max(np.abs(resid)) > 1e-8 * max(1.0, np.max(np.abs(prod))):
+                ok = False
+    return ok
+
+
+def characters_numeric_loop(ring, seed: int = 0, max_retries: int = 8):
+    """`characters_numeric` with the pair-by-pair residual."""
+    rng = np.random.default_rng(seed)
+    r = ring.rank
+    mats = [np.array(ring.tensor[i], dtype=float) for i in range(r)]
+    for _ in range(max_retries):
+        coeff = rng.uniform(0.5, 1.5, size=r)
+        m = sum(c * mat for c, mat in zip(coeff, mats))
+        w, vec = np.linalg.eig(m)
+        gap = min(abs(w[a] - w[b]) for a in range(r) for b in range(a + 1, r)) \
+            if r > 1 else 1.0
+        if gap < 1e-6:
+            continue
+        cols = []
+        for idx in range(r):
+            v = vec[:, idx]
+            anchor = int(np.argmax(np.abs(v)))
+            cols.append(np.array([(mat @ v)[anchor] / v[anchor] for mat in mats]))
+        alpha_num = np.array(cols).T
+        if numeric_residual_ok_loop(ring.tensor, alpha_num):
+            order = np.lexsort((np.round(w.imag, 9), np.round(w.real, 9)))
+            return alpha_num[:, order]
+    raise DegenerateSpectrum(f"no separated spectrum after {max_retries} draws")
 
 
 def fpdim_numeric(tensor) -> tuple[float, ...]:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fuscat.catalog import builtin
 from fuscat.chartab import (
     characters_numeric,
     class_function_from_chi,
@@ -203,6 +204,32 @@ def test_numeric_characters_deterministic():
     a = characters_numeric(reps3_ring(), seed=7)
     b = characters_numeric(reps3_ring(), seed=7)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("key", ("su2k-10", "ising"))
+def test_validate_character_table_builds_o_r_values_per_column(key, monkeypatch):
+    """Columns are proven characters on integer numerators: the whole
+    validation builds at most 4 (r + 1) CycNums per column (re-embedding,
+    equality across conductors, codegrees, class dimensions).  It is an
+    operation count, so the bound holds on any load.  A scan with one CycNum
+    per product and partial sum built 3353 on su2k-10 (bound 528) and 83 on
+    ising (bound 48)."""
+    entry = builtin(key)
+    ring, r = entry.ring, entry.ring.rank
+    # rationals over conductor 1 beside sqrt 2 over 8 make ising re-embed
+    rows = [[CycNum.from_rational(v.as_rational()) if v.is_rational() else v
+             for v in row] for row in entry.table.alpha]
+    built = []
+    for name in ("_from_ints", "_rational"):
+        make = getattr(CycNum, name).__func__
+
+        def counting(cls, *args, make=make):
+            built.append(args[0])
+            return make(cls, *args)
+        monkeypatch.setattr(CycNum, name, classmethod(counting))
+    table = validate_character_table(ring, rows)
+    assert 0 < len(built) <= 4 * (r + 1) * r
+    assert table.alpha == entry.table.alpha
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, output shape, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 from fuscat.catalog import builtin
 from fuscat.chartab import validate_character_table
+from fuscat import cli
 from fuscat.cli import main
 from fuscat.fusion import validate_fusion_ring
 from fuscat.serialize import dump_document, to_document
@@ -311,3 +313,39 @@ def test_report_without_dimensions_fails_on_the_global_dimension(tmp_path,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "invalid: global dimension needs exact dimensions\n"
+
+
+VERIFY_ISING_THM_1_3_SHA256 = (
+    "70befc14b2ebc2e792cb7a8e441e293f22faf844fb0e85ea92e112acdfc6ebe7")
+FORMAT_USAGE_ERROR = (
+    "usage: fuscat verify [-h] [--subcategory SUBCATEGORY | --all-subcategories]\n"
+    "                     [--checks CHECKS] [--format {json,md}]\n"
+    "                     target\n"
+    "fuscat verify: error: argument --format: invalid choice: 'xml' "
+    "(choose from 'json', 'md')\n")
+
+
+def test_one_parser_serves_every_call_and_commands_are_looked_up_per_call(
+        capsys, monkeypatch):
+    """The parser is built once per process; a usage error in between leaves
+    the next call's bytes as they were, and `main` calls whatever `cmd_*`
+    the module holds at that moment (a tracer's wrapper, a test double)."""
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["verify", "ising", "--checks", "thm-1.3"]
+    assert main(argv) == 0
+    first = capsys.readouterr()
+    assert hashlib.sha256(first.out.encode()).hexdigest() \
+        == VERIFY_ISING_THM_1_3_SHA256
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "ising", "--format", "xml"])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", FORMAT_USAGE_ERROR)
+    assert main(argv) == 0
+    assert capsys.readouterr() == first
+    assert cli._build_parser() is cli._build_parser()
+
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify",
+                        lambda args: seen.append(args.target) or 7)
+    assert main(["verify", "fib"]) == 7
+    assert seen == ["fib"]

@@ -6,7 +6,10 @@ in `rings.py` contract every index tuple; here both agree on every
 subcategory of the builtins and the benchmark's product keys, and both
 reject the same mutated inputs.  The subcategory lattice, closures and
 restricted blocks, computed on support bitmasks, match the set-based
-powerset and search oracles.
+powerset and search oracles.  The integer multiplicativity kernel behind the
+dimension, table-column and S-matrix-row checks names the pair the CycNum
+scans name, and the vectorized numeric residual gives the pair-by-pair
+verdict.
 """
 
 import itertools
@@ -14,31 +17,42 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuscat.catalog import BUILTIN_KEYS, builtin
+from fuscat.chartab import (_is_numeric_character_table, characters_numeric,
+                            validate_character_table)
 from fuscat.cosets import (HeckeAlgebra, coset_partition, hecke_associative,
                            hecke_constants)
-from fuscat.errors import ValidationError
+from fuscat.errors import (DegenerateSpectrum, FuscatError, NoMatchingColumn,
+                           NotAlgebraMap, PsiNotCharacter, ValidationError)
 from fuscat.exactnum import CycNum
-from fuscat.fusion import (KElement, deligne_product, enumerate_subcategories,
-                           restricted_blocks, subcategory_closure,
-                           validate_fusion_ring)
+from fuscat.fusion import (KElement, _first_non_character, deligne_product,
+                           enumerate_subcategories, restricted_blocks,
+                           subcategory_closure, validate_fusion_ring)
+from fuscat.premod import validate_smatrix
 
 from rings import (
     ZERO,
+    characters_numeric_loop,
     enumerate_subcategories_powerset,
     first_associativity_violation,
+    first_product_violation,
     fib_ring,
     group_ring,
     hecke_associative_dense,
     ising_ring,
     k_mul_dense,
     lucas,
+    numeric_residual_ok_loop,
     reps3_ring,
     restricted_blocks_sets,
+    smatrix_rows_scan_first,
     subcategory_closure_sets,
+    table_columns_scan,
+    validate_fpdims_scan,
 )
 
 PRODUCT_KEYS = ("svec*svec*svec", "pointed-z4-q2*svec", "pointed-z4-q1*svec",
@@ -288,3 +302,192 @@ def test_group_product_lattice_matches_set_oracles(data):
     gens = data.draw(st.sets(st.integers(min_value=0, max_value=ring.rank - 1),
                              max_size=4))
     assert subcategory_closure(ring, gens) == subcategory_closure_sets(ring, gens)
+
+
+# ---------------------------------------------------------------------------
+# the integer multiplicativity kernel against the CycNum scans
+# ---------------------------------------------------------------------------
+
+# Keys of the benchmark's `doc-ingest` workload that are not builtins.
+DOC_KEYS = ("su2k-6", "su2k-8", "su2k-10", "ising*ising", "su2k-4*svec",
+            "pointed-z4-q1*pointed-z4-q2")
+
+# One-entry corruptions: rational shifts (some with a denominator, so that
+# the common denominator D is not 1), shifts by roots of unity of a new
+# conductor, and maps that keep the entry's field.
+CORRUPTIONS = (
+    lambda v: v + 1,
+    lambda v: v - 1,
+    lambda v: v + Fraction(1, 2),
+    lambda v: v * Fraction(-2, 3),
+    lambda v: v + CycNum.zeta(3),
+    lambda v: v - CycNum.zeta(8, 3),
+    lambda v: v + CycNum.zeta(5) * Fraction(1, 4),
+    lambda v: -v,
+    lambda v: v.conjugate(),
+)
+
+
+def _lowered(v):
+    """A rational value over conductor 1, anything else as it is."""
+    return CycNum.from_rational(v.as_rational()) if v.is_rational() else v
+
+
+def _scan_outcome(validate, *args):
+    """The exception a multiplicativity scan raises, with its witness in the
+    message; None when the scans pass, also if a later check raises."""
+    try:
+        validate(*args)
+    except (ValidationError, NotAlgebraMap, PsiNotCharacter,
+            NoMatchingColumn) as err:
+        return type(err), str(err)
+    except FuscatError:
+        return None
+    return None
+
+
+def _assert_same_table_outcome(ring, rows):
+    assert (_scan_outcome(validate_character_table, ring, rows)
+            == _scan_outcome(table_columns_scan, ring, rows))
+    for j in range(ring.rank):
+        column = [row[j] for row in rows]
+        assert (_first_non_character(ring, column)
+                == first_product_violation(ring.tensor, column)), j
+
+
+def _assert_same_fpdims_outcome(ring, dims):
+    assert (_scan_outcome(validate_fusion_ring, ring.tensor, ring.dual,
+                          ring.names, dims)
+            == _scan_outcome(validate_fpdims_scan, ring, dims))
+
+
+def _assert_same_smatrix_outcome(ring, table, s):
+    assert (_scan_outcome(validate_smatrix, ring, table, s)
+            == _scan_outcome(smatrix_rows_scan_first, ring, table, s))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_kernel_names_the_scans_pair_on_one_entry_corruptions(data):
+    entry = builtin(data.draw(st.sampled_from(BUILTIN_KEYS)))
+    ring, table, r = entry.ring, entry.table, entry.ring.rank
+    corrupt = data.draw(st.sampled_from(CORRUPTIONS))
+    lower = _lowered if data.draw(st.booleans()) else (lambda v: v)
+    where = data.draw(st.sampled_from(("fpdims", "table", "smatrix")))
+    if where == "fpdims":
+        dims = [lower(d) for d in ring.fpdims]
+        i = data.draw(st.integers(0, r - 1))
+        dims[i] = corrupt(dims[i])
+        _assert_same_fpdims_outcome(ring, dims)
+    elif where == "table":
+        rows = [[lower(v) for v in row] for row in table.alpha]
+        i, j = data.draw(st.integers(0, r - 1)), data.draw(st.integers(0, r - 1))
+        rows[i][j] = corrupt(rows[i][j])
+        _assert_same_table_outcome(ring, rows)
+    elif r > 1:
+        # off the first row and column, and symmetric, so that only the
+        # unmatched rows' scan can reject it
+        s = [[lower(v) for v in row] for row in entry.smatrix.s]
+        i = data.draw(st.integers(1, r - 1))
+        a = data.draw(st.integers(i, r - 1))
+        s[i][a] = s[a][i] = corrupt(s[i][a])
+        _assert_same_smatrix_outcome(ring, table, s)
+
+
+def test_kernel_on_columns_that_mix_conductor_one_with_conductor_eight():
+    """Every one-entry corruption of the Ising table, dimensions and S-matrix
+    with its rationals over conductor 1 beside sqrt 2 over conductor 8."""
+    entry = builtin("ising")
+    ring, table, r = entry.ring, entry.table, entry.ring.rank
+    rows = [[_lowered(v) for v in row] for row in table.alpha]
+    assert any({v.conductor for v in column} == {1, 8}
+               for column in zip(*rows))
+    witnesses = set()
+    for i in range(r):
+        for j in range(r):
+            for corrupt in CORRUPTIONS:
+                bad = [list(row) for row in rows]
+                bad[i][j] = corrupt(bad[i][j])
+                _assert_same_table_outcome(ring, bad)
+                witnesses.add(_scan_outcome(table_columns_scan, ring, bad))
+        for corrupt in CORRUPTIONS:
+            dims = [_lowered(d) for d in ring.fpdims]
+            dims[i] = corrupt(dims[i])
+            _assert_same_fpdims_outcome(ring, dims)
+    for i in range(1, r):
+        for a in range(i, r):
+            for corrupt in CORRUPTIONS:
+                s = [[_lowered(v) for v in row] for row in entry.smatrix.s]
+                s[i][a] = s[a][i] = corrupt(s[i][a])
+                _assert_same_smatrix_outcome(ring, table, s)
+    # witnesses off the diagonal and on it, and corruptions that pass
+    named = {w for w in witnesses if w is not None}
+    assert None in witnesses and len(named) > 3
+
+
+@pytest.mark.parametrize("key", BUILTIN_KEYS + DOC_KEYS)
+def test_kernel_accepts_every_valid_character(key):
+    entry = builtin(key)
+    ring = entry.ring
+    assert _first_non_character(ring, ring.fpdims) is None
+    for column in zip(*entry.table.alpha):
+        assert _first_non_character(ring, column) is None
+    for i, row in enumerate(entry.smatrix.s):
+        inv = ring.fpdims[i].inverse()
+        assert _first_non_character(ring, [x * inv for x in row]) is None
+
+
+# ---------------------------------------------------------------------------
+# the vectorized numeric residual against the pair-by-pair loop
+# ---------------------------------------------------------------------------
+
+def _numeric_outcome(characters, ring, seed):
+    try:
+        return characters(ring, seed=seed)
+    except DegenerateSpectrum as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("key", BUILTIN_KEYS + DOC_KEYS)
+def test_characters_numeric_is_bit_identical_to_the_loop(key):
+    ring = builtin(key).ring
+    for seed in range(5):
+        fast = _numeric_outcome(characters_numeric, ring, seed)
+        slow = _numeric_outcome(characters_numeric_loop, ring, seed)
+        if isinstance(slow, str):
+            assert fast == slow
+        else:
+            assert np.array_equal(fast, slow)
+            assert fast.dtype == slow.dtype and fast.tobytes() == slow.tobytes()
+
+
+@pytest.mark.parametrize("key", ("trivial", "ising", "fib", "rep-s3",
+                                 "su2k-4", "pointed-z4-q1", "ising*svec"))
+def test_numeric_residual_verdict_matches_the_loop_on_bad_values(key):
+    """Perturbed, NaN and infinite entries, in complex and real arrays: a NaN
+    residual passes a pair and a NaN product bound is 1e-8 in both."""
+    ring = builtin(key).ring
+    tensor = np.array(ring.tensor, dtype=float)
+    base = characters_numeric(ring, seed=0)
+    specials = (np.nan, np.inf, -np.inf, complex(np.nan, 0.0),
+                complex(0.0, np.inf), complex(np.inf, np.nan), 0.0, 1e300)
+    shifts = (1e-12, 1e-9, 1e-7, 1e-3)
+    rng = random.Random(key)
+    verdicts = set()
+    for trial in range(60):
+        a = base.real.copy() if trial % 3 == 2 and not base.imag.any() \
+            else base.copy()
+        for _ in range(rng.randint(1, 2)):
+            i, j = rng.randrange(ring.rank), rng.randrange(ring.rank)
+            if rng.random() < 0.5:
+                value = rng.choice(specials)
+            else:
+                value = a[i, j] * (1 + rng.choice(shifts))
+            if not np.iscomplexobj(a):
+                value = complex(value).real
+            a[i, j] = value
+        with np.errstate(all="ignore"):
+            verdict = _is_numeric_character_table(tensor, a)
+            assert verdict == numeric_residual_ok_loop(ring.tensor, a), trial
+        verdicts.add(verdict)
+    assert verdicts == {True, False}

@@ -197,10 +197,25 @@ def test_cycnum_from_json_rejects_junk():
     ([[1, 0], [True, 1]], "zero denominator"),
     ([[1, 1], [1, 0, 1]], "integer pairs"),
     ([[0, 1], [2, 0]], "zero denominator"),
+    ([[1, 1], [1, True]], "integer pairs"),
+    ([[False, 1], [1, 0]], "integer pairs"),
+    ([[1, 2], (1, 1)], "integer pairs"),
+    ([[1, 2], "1/2"], "integer pairs"),
+    ([[1, 2], [3]], "integer pairs"),
 ])
 def test_cycnum_from_json_reports_the_first_bad_pair(coeffs, message):
     with pytest.raises(SchemaError, match=message):
         cycnum_from_json({"conductor": 4, "coeffs": coeffs})
+
+
+class _Int(int):
+    pass
+
+
+def test_cycnum_from_json_accepts_int_subclass_pairs():
+    value = cycnum_from_json({"conductor": 4,
+                              "coeffs": [[_Int(3), _Int(-6)], [1, _Int(4)]]})
+    assert value == CycNum(4, [Fraction(-1, 2), Fraction(1, 4)])
 
 
 @st.composite
