@@ -47,10 +47,9 @@ class FusionRing:
 
     @cached_property
     def nonzero(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
-        """nonzero[i][j]: the (k, N_ij^k) with N_ij^k > 0, in increasing k.
-        Associativity and `_first_non_character` walk only these."""
-        return tuple(tuple(tuple((k, n) for k, n in enumerate(row) if n)
-                           for row in plane) for plane in self.tensor)
+        """The `_nonzero` view of the tensor, which the table and S-matrix
+        validators hand to `_first_non_character`."""
+        return _nonzero(self.tensor)
 
     def basis(self, i) -> "KElement":
         return KElement(tuple(ONE if k == i else ZERO for k in range(self.rank)))
@@ -168,19 +167,10 @@ def validate_fusion_ring(tensor, dual, names=None, fpdims=None) -> FusionRing:
                 if tensor[i][j][k] != tensor[dual[i]][k][j]:
                     raise ValidationError("frobenius-reciprocity", (i, j, k))
 
-    exact = None
-    if fpdims is not None:
-        exact = tuple(d if isinstance(d, CycNum) else CycNum.from_rational(d)
-                      for d in fpdims)
-    # built before the last checks so that they read its cached `nonzero`;
-    # it is returned only if they pass
-    ring = FusionRing(rank=rank, names=names, tensor=tensor, dual=dual,
-                      fpdims=exact)
-
     # (X_i X_j) X_k = X_i (X_j X_k), compared as whole l-vectors per (i, j, k)
     # over the nonzero N_{ij}^m only; a mismatch names its least l, so the
     # first violated (i, j, k, l) is the one of the lexicographic order
-    nonzero = ring.nonzero
+    nonzero = _nonzero(tensor)
     for i in range(rank):
         for j in range(rank):
             for k in range(rank):
@@ -196,7 +186,10 @@ def validate_fusion_ring(tensor, dual, names=None, fpdims=None) -> FusionRing:
                     l = next(l for l in range(rank) if lhs[l] != rhs[l])
                     raise ValidationError("associativity", (i, j, k, l))
 
-    if exact is not None:
+    exact = None
+    if fpdims is not None:
+        exact = tuple(d if isinstance(d, CycNum) else CycNum.from_rational(d)
+                      for d in fpdims)
         if len(exact) != rank:
             raise ValidationError("fpdims", None, "one dimension per basis element")
         if exact[0] != 1:
@@ -207,15 +200,24 @@ def validate_fusion_ring(tensor, dual, names=None, fpdims=None) -> FusionRing:
             if exact[dual[i]] != exact[i]:
                 raise ValidationError("fpdims", (i,), "dual objects must share a dimension")
         # the tensor is commutative, so the first failing (i, j) has i <= j
-        pair = _first_non_character(ring, exact)
+        pair = _first_non_character(nonzero, exact)
         if pair is not None:
             raise ValidationError("fpdims", pair,
                                   "dimensions are not a ring homomorphism")
-    return ring
+
+    return FusionRing(rank=rank, names=names, tensor=tensor, dual=dual,
+                      fpdims=exact)
 
 
-def _first_non_character(ring: FusionRing, values):
-    """The first (i, k), i <= k, with v_i v_k != sum_l N_ik^l v_l, or None.
+def _nonzero(tensor):
+    """nonzero[i][j]: the (k, N_ij^k) with N_ij^k > 0, in increasing k."""
+    return tuple(tuple(tuple((k, n) for k, n in enumerate(row) if n)
+                       for row in plane) for plane in tensor)
+
+
+def _first_non_character(nonzero, values):
+    """The first (i, k), i <= k, with v_i v_k != sum_l N_ik^l v_l, or None;
+    `nonzero` is the `_nonzero` view of the tensor N.
 
     Every v_i is put over the lcm conductor m and one common denominator D
     as an integer numerator vector A_i, so that v_i = A_i / D.  Then the
@@ -227,7 +229,6 @@ def _first_non_character(ring: FusionRing, values):
     nums = [[x * (den // v._den) for x in v._nums] for v in values]
     scaled = [[den * x for x in a] for a in nums]
     zero = [0] * len(nums[0])
-    nonzero = ring.nonzero
     for i, a in enumerate(nums):
         row = nonzero[i]
         for k in range(i, len(nums)):

@@ -116,7 +116,7 @@ def validate_smatrix(ring: FusionRing, table: CharacterTable, rows) -> SMatrix:
         inv = ring.fpdims[i].inverse()
         psi = [x * inv for x in s[i]]
         if _match_column(table, psi) is None:
-            pair = _first_non_character(ring, psi)
+            pair = _first_non_character(ring.nonzero, psi)
             if pair is not None:
                 raise PsiNotCharacter(i, pair)
             # unreachable for a validated table: its r distinct columns are

@@ -49,14 +49,9 @@ def cycnum_from_json(obj) -> CycNum:
         raise SchemaError(
             f"scalar of conductor {n} needs exactly {euler_phi(n)} coefficients")
     for pair in coeffs:
-        # the common case, two ints (no bools) over a nonzero denominator,
-        # passes at once; anything else meets the checks below in order
-        if (type(pair) is list and len(pair) == 2 and type(pair[0]) is int
-                and type(pair[1]) is int and pair[1]):
-            continue
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(x, int) and not isinstance(x, bool)
-                           for x in pair)):
+                or not isinstance(pair[0], int) or isinstance(pair[0], bool)
+                or not isinstance(pair[1], int) or isinstance(pair[1], bool)):
             raise SchemaError("coefficients must be [numerator, denominator] "
                               "integer pairs")
         if pair[1] == 0:

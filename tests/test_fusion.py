@@ -160,6 +160,11 @@ def test_axiom_associativity():
     with pytest.raises(ValidationError) as err:
         validate_fusion_ring(tensor, (0, 1, 2))
     assert err.value.axiom == "associativity"
+    # the dimensions are read only once the tensor is a ring, so a
+    # non-numeric one does not mask the associativity failure
+    with pytest.raises(ValidationError) as err:
+        validate_fusion_ring(tensor, (0, 1, 2), fpdims=("one", "x", "y"))
+    assert err.value.axiom == "associativity"
 
 
 @pytest.mark.parametrize("dims", [

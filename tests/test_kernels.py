@@ -351,7 +351,7 @@ def _assert_same_table_outcome(ring, rows):
             == _scan_outcome(table_columns_scan, ring, rows))
     for j in range(ring.rank):
         column = [row[j] for row in rows]
-        assert (_first_non_character(ring, column)
+        assert (_first_non_character(ring.nonzero, column)
                 == first_product_violation(ring.tensor, column)), j
 
 
@@ -429,12 +429,12 @@ def test_kernel_on_columns_that_mix_conductor_one_with_conductor_eight():
 def test_kernel_accepts_every_valid_character(key):
     entry = builtin(key)
     ring = entry.ring
-    assert _first_non_character(ring, ring.fpdims) is None
+    assert _first_non_character(ring.nonzero, ring.fpdims) is None
     for column in zip(*entry.table.alpha):
-        assert _first_non_character(ring, column) is None
+        assert _first_non_character(ring.nonzero, column) is None
     for i, row in enumerate(entry.smatrix.s):
         inv = ring.fpdims[i].inverse()
-        assert _first_non_character(ring, [x * inv for x in row]) is None
+        assert _first_non_character(ring.nonzero, [x * inv for x in row]) is None
 
 
 # ---------------------------------------------------------------------------
