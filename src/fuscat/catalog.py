@@ -268,27 +268,20 @@ def product(a: str, b: str) -> CatalogEntry:
     return builtin(f"{a}*{b}")
 
 
-def classification(entry: CatalogEntry) -> str:
-    """"modular", "symmetric", or "degenerate" by the size of the center;
-    "no-smatrix" when the entry carries no symmetric matrix."""
-    if entry.smatrix is None:
-        return "no-smatrix"
-    center = muger_center(entry.ring, entry.smatrix)
-    if len(center.members) == 1:
-        return "modular"
-    if len(center.members) == entry.ring.rank:
-        return "symmetric"
-    return "degenerate"
-
-
 def entry_summary(entry: CatalogEntry) -> dict:
-    """Plain-data line for the builtin listing."""
-    center_size = (0 if entry.smatrix is None else
-                   len(muger_center(entry.ring, entry.smatrix).members))
+    """Plain-data line for the builtin listing.  The class is "modular",
+    "symmetric" or "degenerate" by the size of the Müger center, and
+    "no-smatrix" when the entry carries no symmetric matrix."""
+    center_size, cls = 0, "no-smatrix"
+    if entry.smatrix is not None:
+        center_size = len(muger_center(entry.ring, entry.smatrix).members)
+        cls = ("modular" if center_size == 1 else
+               "symmetric" if center_size == entry.ring.rank else
+               "degenerate")
     return {
         "key": entry.key,
         "rank": entry.ring.rank,
         "fpdim": float(global_fpdim(entry.ring).embed_complex().real),
         "center_size": center_size,
-        "class": classification(entry),
+        "class": cls,
     }

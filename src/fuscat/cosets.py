@@ -11,6 +11,7 @@ take a ``verify.Target`` and read its derived data from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     ExactDataMissing,
@@ -23,7 +24,6 @@ from .fusion import (
     FusionRing,
     KElement,
     Subcategory,
-    check_subcategory,
     restricted_blocks,
     sub_fpdim,
 )
@@ -45,6 +45,11 @@ class CosetDecomposition:
     @property
     def n_blocks(self):
         return len(self.blocks)
+
+    @cached_property
+    def inv_reg_dims(self) -> tuple[CycNum, ...]:
+        """1/FPdim(R_t) for every block t."""
+        return tuple(r.inverse() for r in self.reg_dims)
 
 
 def coset_partition(ring: FusionRing, sub: Subcategory) -> CosetDecomposition:
@@ -100,7 +105,7 @@ class HeckeAlgebra:
 
 def block_element(ring: FusionRing, dec: CosetDecomposition, t: int) -> KElement:
     """e_t: the regular element of block t divided by its dimension."""
-    block, inv = set(dec.blocks[t]), dec.reg_dims[t].inverse()
+    block, inv = set(dec.blocks[t]), dec.inv_reg_dims[t]
     return KElement(tuple(ring.fpdims[i] * inv if i in block else ZERO
                           for i in range(ring.rank)))
 
@@ -266,7 +271,7 @@ def verify_eq_3_7(target, sub: Subcategory, t: int, s: int) -> CheckRecord:
     if s == t:
         xs = dec.reps[s]
         rhs = (ring.fpdims[xt] * ring.fpdims[xs] * target.global_dim
-               * target.inv_reg_dims(sub)[t])
+               * dec.inv_reg_dims[t])
     else:
         rhs = ZERO
     return CheckRecord(id="eq-3.7",
@@ -277,7 +282,7 @@ def verify_eq_3_7(target, sub: Subcategory, t: int, s: int) -> CheckRecord:
 def verify_cor_3_9_1(target, sub: Subcategory) -> list[CheckRecord]:
     """d_Z^2 FPdim(C) / FPdim(R_t) is an algebraic integer, every Z in every block."""
     ring, dec = target.ring, target.cosets(sub)
-    total, inv = target.global_dim, target.inv_reg_dims(sub)
+    total, inv = target.global_dim, dec.inv_reg_dims
     return [_integrality("cor-3.9", {"D": list(dec.sub.members), "claim": 1,
                                      "block": t, "member": z},
                          ring.fpdims[z] * ring.fpdims[z] * total * inv[t])
@@ -310,15 +315,15 @@ def verify_lemma_3_12(target, sub: Subcategory,
                       amb: Subcategory) -> CheckRecord:
     """Nonempty traces of the blocks on a subcategory A are exactly the
     blocks of A with respect to A∩D."""
-    ring, dec = target.ring, target.cosets(sub)
-    inter = check_subcategory(ring, set(sub.members) & set(amb.members))
+    dec = target.cosets(sub)
     traces = set()
     amb_set = set(amb.members)
     for block in dec.blocks:
         trace = frozenset(set(block) & amb_set)
         if trace:
             traces.add(trace)
-    inner = {frozenset(b) for b in restricted_blocks(ring, amb.members, inter.members)}
+    inner = {frozenset(b)
+             for b in target.blocks(amb, target.meet(sub, amb))}
     return CheckRecord(id="lemma-3.12",
                        params={"D": list(sub.members), "A": list(amb.members)},
                        lhs=sorted(sorted(b) for b in traces),

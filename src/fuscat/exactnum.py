@@ -182,6 +182,13 @@ def _spread(nums, step, m):
 
 
 @functools.cache
+def _roots(n):
+    """exp(2 pi i j/n) for j < phi(n), the floats `embed_complex` weights."""
+    return tuple(cmath.exp(2j * math.pi * j / n)
+                 for j in range(_phi_tail(n)[0]))
+
+
+@functools.cache
 def _cos_table(n, q):
     """(C, E): integers C_j, j < phi(n), with |C_j - 2^q cos(2 pi j/n)| < E.
 
@@ -481,9 +488,9 @@ class CycNum:
 
     def embed_complex(self) -> complex:
         # int / int is correctly rounded, so each term equals float(coeffs[j])
-        n, den = self.conductor, self._den
-        return sum((x / den) * cmath.exp(2j * math.pi * j / n)
-                   for j, x in enumerate(self._nums))
+        den = self._den
+        return sum((x / den) * z
+                   for x, z in zip(self._nums, _roots(self.conductor)))
 
     # -- printing --------------------------------------------------------------
 

@@ -169,11 +169,14 @@ def validate_fusion_ring(tensor, dual, names=None, fpdims=None) -> FusionRing:
 
     # (X_i X_j) X_k = X_i (X_j X_k), compared as whole l-vectors per (i, j, k)
     # over the nonzero N_{ij}^m only; a mismatch names its least l, so the
-    # first violated (i, j, k, l) is the one of the lexicographic order
+    # first violated (i, j, k, l) is the one of the lexicographic order.
+    # The tensor is commutative, so the (k, j, i) identity is the (i, j, k)
+    # one with its two sides swapped: they fail at the same l, and the
+    # first violation has i <= k.
     nonzero = _nonzero(tensor)
     for i in range(rank):
         for j in range(rank):
-            for k in range(rank):
+            for k in range(i, rank):
                 lhs = [0] * rank
                 for m, a in nonzero[i][j]:
                     for l, b in nonzero[m][k]:
@@ -216,8 +219,13 @@ def _nonzero(tensor):
 
 
 def _first_non_character(nonzero, values):
-    """The first (i, k), i <= k, with v_i v_k != sum_l N_ik^l v_l, or None;
-    `nonzero` is the `_nonzero` view of the tensor N.
+    """The first (i, k), 1 <= i <= k, with v_i v_k != sum_l N_ik^l v_l, or
+    None; `nonzero` is the `_nonzero` view of the tensor N.
+
+    The caller has shown v_0 = 1, so by the unit axiom every pair (0, k)
+    holds and is not scanned: the dimensions' and the table columns' unit
+    checks show it, and for an S-matrix row psi_0 = s_i0 / d_i = 1 follows
+    from symmetry and the first row.
 
     Every v_i is put over the lcm conductor m and one common denominator D
     as an integer numerator vector A_i, so that v_i = A_i / D.  Then the
@@ -229,8 +237,8 @@ def _first_non_character(nonzero, values):
     nums = [[x * (den // v._den) for x in v._nums] for v in values]
     scaled = [[den * x for x in a] for a in nums]
     zero = [0] * len(nums[0])
-    for i, a in enumerate(nums):
-        row = nonzero[i]
+    for i in range(1, len(nums)):
+        a, row = nums[i], nonzero[i]
         for k in range(i, len(nums)):
             rhs = zero
             for l, n in row[k]:
@@ -260,14 +268,22 @@ def _members(mask: int) -> tuple[int, ...]:
 
 
 def _close(ring: FusionRing, mask: int) -> int:
-    """Least fusion- and dual-closed mask containing the unit and `mask`."""
-    supports, dual = ring.supports, ring.dual
+    """Least fusion- and dual-closed mask containing the unit and `mask`.
+
+    A fusion-closed set S containing the unit is dual-closed, so only
+    products are added.  Let R = sum_{Y in S} d_Y Y, d the FP dimensions,
+    which every fusion ring has and which are positive on the basis.  For X
+    in S the coefficient of Z in X R is c_Z = sum_{Y in S} d_Y N_{X* Z}^Y
+    (Frobenius reciprocity), at most d_{X*} d_Z = d_X d_Z, with equality iff
+    every term of X* Z lies in S.  X R has no term outside S, so
+    d_X FPdim(R) = sum_{Z in S} c_Z d_Z <= d_X sum_{Z in S} d_Z^2
+    = d_X FPdim(R): equality holds for every Z, and Z = 1 gives X* in S."""
+    supports = ring.supports
     mask |= 1
     while True:
         members = _members(mask)
         grown = mask
         for i in members:
-            grown |= 1 << dual[i]
             row = supports[i]
             for j in members:
                 grown |= row[j]

@@ -29,8 +29,6 @@ from .fusion import (
     Subcategory,
     _first_non_character,
     check_subcategory,
-    pointed_part,
-    restricted_blocks,
     sub_fpdim,
 )
 from .reports import CheckRecord, _integrality
@@ -145,13 +143,12 @@ def muger_center(ring: FusionRing, sm: SMatrix) -> Subcategory:
 # central elements
 # ---------------------------------------------------------------------------
 
-def class_sum(ring: FusionRing, table: CharacterTable, j: int,
-              inv_dims=None) -> CentralElement:
-    """C_j: class dimension times the dimension-normalized column j.
-    ``inv_dims``, the 1/d_i, is taken when the caller already holds it."""
-    if inv_dims is None:
-        inv_dims = [d.inverse() for d in ring.fpdims]
-    coords = tuple(table.alpha[ip][j] * inv_dims[ip] for ip in range(ring.rank))
+def class_sum(target, j: int) -> CentralElement:
+    """C_j: class dimension times the dimension-normalized column j of the
+    target's table."""
+    table, inv_dims = target.table, target.inv_dims
+    coords = tuple(table.alpha[ip][j] * inv_dims[ip]
+                   for ip in range(target.ring.rank))
     return CentralElement(coords).scale(table.class_dims[j])
 
 
@@ -159,14 +156,13 @@ def class_sum(ring: FusionRing, table: CharacterTable, j: int,
 # analysis
 # ---------------------------------------------------------------------------
 
-def m_map(ring: FusionRing, table: CharacterTable, sm: SMatrix,
-          inv_dims=None) -> PremodAnalysis:
-    """Match every row to its table column; derive fibers, image, center and
-    stabilizers (`validate_smatrix` proved the rest, so nothing is re-checked).
-    ``inv_dims``, the 1/d_i, is taken when the caller already holds it."""
-    r = ring.rank
-    if inv_dims is None:
-        inv_dims = [d.inverse() for d in ring.fpdims]
+def m_map(target) -> PremodAnalysis:
+    """Match every row of the target's matrix to its table column; derive
+    fibers, image, center and stabilizers (`validate_smatrix` proved the rest,
+    so nothing is re-checked).  The center is the target's centralizer of the
+    whole ring, and the invertible objects are its pointed part."""
+    ring, table, sm = target.ring, target.table, target.smatrix
+    inv_dims, r = target.inv_dims, ring.rank
     m = tuple(_match_column(table, [x * inv_dims[i] for x in sm.s[i]])
               for i in range(r))
     if None in m:
@@ -177,8 +173,8 @@ def m_map(ring: FusionRing, table: CharacterTable, sm: SMatrix,
         fiber_map.setdefault(m[i], []).append(i)
     fibers = tuple(sorted((tuple(v) for v in fiber_map.values()), key=lambda b: b[0]))
     j2 = tuple(sorted(fiber_map))
-    center = muger_center(ring, sm)
-    invertible = set(pointed_part(ring).members)
+    center = target.centralizer(Subcategory(tuple(range(r))))
+    invertible = set(target.pointed.members)
     stabs = tuple(tuple(g for g in center.members
                         if g in invertible and ring.tensor[g][y][y] >= 1)
                   for y in range(r))
@@ -213,7 +209,7 @@ def verify_thm_4_6(target) -> list[CheckRecord]:
         j = analysis.M[i]
         # f_Q of basis character i: row i of s times the 1/d_{i'}
         lhs = CentralElement(tuple(x * y for x, y in zip(sm.s[i], inv_dims)))
-        rhs = class_sum(ring, table, j, inv_dims).scale(
+        rhs = class_sum(target, j).scale(
             ring.fpdims[i] / table.class_dims[j])
         out.append(CheckRecord(id="thm-4.6", params={"i": i, "column": j},
                                lhs=list(lhs.e_coords), rhs=list(rhs.e_coords),
@@ -239,30 +235,31 @@ def verify_thm_4_10(target) -> list[CheckRecord]:
     return out
 
 
-def _rd_blocks(analysis: PremodAnalysis, sub: Subcategory) -> dict[int, tuple[int, ...]]:
-    """Basis members of `sub` grouped by matched column."""
+def matched_groups(ring: FusionRing, analysis: PremodAnalysis,
+                   sub: Subcategory) -> dict:
+    """R(D)_j for each matched column j of `sub`, in increasing j: j maps to
+    the members of `sub` matched to it and their dimension."""
     grouped: dict[int, list[int]] = {}
     for i in sub.members:
         grouped.setdefault(analysis.M[i], []).append(i)
-    return {j: tuple(v) for j, v in grouped.items()}
+    return {j: (tuple(v), sub_fpdim(ring, v))
+            for j, v in sorted(grouped.items())}
 
 
 def verify_prop_4_12(target, sub: Subcategory) -> list[CheckRecord]:
     """Support of the centralizer is the matched image of D, and each matched
     group has dimension dim(D ∩ center) times the class dimension."""
-    ring, table, analysis = target.ring, target.table, target.analysis
+    table, groups = target.table, target.matched_groups(sub)
     dprime = target.centralizer(sub)
     jdp = target.support(dprime)
-    image = sorted({analysis.M[i] for i in sub.members})
+    image = list(groups)
     out = [CheckRecord(id="prop-4.12",
                        params={"D": list(sub.members), "part": "image"},
                        lhs=image, rhs=sorted(jdp),
                        passed=set(image) == set(jdp))]
     dim_inter = target.dim(target.center_trace(sub))
-    blocks = _rd_blocks(analysis, sub)
     total_block_dim = ZERO
-    for j in sorted(blocks):
-        dim_j = sub_fpdim(ring, blocks[j])
+    for j, (_, dim_j) in groups.items():
         total_block_dim = total_block_dim + dim_j
         rhs = dim_inter * table.class_dims[j]
         out.append(CheckRecord(id="prop-4.12",
@@ -292,21 +289,21 @@ def verify_eq_4_15(target, sub: Subcategory) -> CheckRecord:
 def verify_cor_4_16(target, sub: Subcategory) -> list[CheckRecord]:
     """dim(C) dim(center ∩ D) / dim(R(D)_j) is an algebraic integer."""
     jdp = target.support(target.centralizer(sub))
-    blocks = _rd_blocks(target.analysis, sub)
+    groups = target.matched_groups(sub)
     numerator = target.global_dim * target.dim(target.center_trace(sub))
     return [_integrality("cor-4.16", {"D": list(sub.members), "j": j},
-                         numerator / sub_fpdim(target.ring, blocks[j]))
-            for j in sorted(jdp) if j in blocks]
+                         numerator / groups[j][1])
+            for j in sorted(jdp) if j in groups]
 
 
 def verify_eq_4_20(target) -> list[CheckRecord]:
-    """Fiber dimensions are dim(center) times the class dimensions."""
-    ring, table, analysis = target.ring, target.table, target.analysis
+    """Fiber dimensions are dim(center) times the class dimensions; the
+    fibers are the matched groups of the whole ring."""
+    table, analysis = target.table, target.analysis
     dim_center = target.dim(analysis.center)
+    whole = Subcategory(tuple(range(target.ring.rank)))
     out = []
-    for fiber in analysis.fibers:
-        j = analysis.M[fiber[0]]
-        dim_f = sub_fpdim(ring, fiber)
+    for j, (fiber, dim_f) in target.matched_groups(whole).items():
         rhs = dim_center * table.class_dims[j]
         out.append(CheckRecord(id="eq-4.20", params={"j": j, "fiber": list(fiber)},
                                lhs=dim_f, rhs=rhs, passed=dim_f == rhs))
@@ -315,10 +312,9 @@ def verify_eq_4_20(target) -> list[CheckRecord]:
 
 def verify_prop_4_21(target, sub: Subcategory) -> CheckRecord:
     """Matched groups inside D are exactly the cosets of D by D ∩ center."""
-    inter = target.center_trace(sub)
-    blocks = {frozenset(b) for b in _rd_blocks(target.analysis, sub).values()}
-    inner = {frozenset(b) for b in
-             restricted_blocks(target.ring, sub.members, inter.members)}
+    blocks = {frozenset(b) for b, _ in target.matched_groups(sub).values()}
+    inner = {frozenset(b)
+             for b in target.blocks(sub, target.center_trace(sub))}
     return CheckRecord(id="prop-4.21", params={"D": list(sub.members)},
                        lhs=sorted(sorted(b) for b in blocks),
                        rhs=sorted(sorted(b) for b in inner),
@@ -370,10 +366,10 @@ def verify_thm_1_1(target, sub: Subcategory) -> list[CheckRecord]:
     out = [_integrality("thm-1.1", {"D": list(sub.members), "Y": y},
                         total / (ring.fpdims[y] * ring.fpdims[y]))
            for y in sub.members]
-    blocks = _rd_blocks(target.analysis, sub)
-    singletons = all(len(b) == 1 for b in blocks.values())
+    sizes = sorted(len(b) for b, _ in target.matched_groups(sub).values())
+    singletons = all(n == 1 for n in sizes)
     out.append(CheckRecord(id="thm-1.1", params={"D": list(sub.members)},
-                           lhs=sorted(len(b) for b in blocks.values()),
+                           lhs=sizes,
                            rhs="all singleton", passed=singletons,
                            detail="matched groups inside D"))
     return out

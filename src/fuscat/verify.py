@@ -2,9 +2,9 @@
 
 A target is a ring plus optional character table and symmetric matrix,
 together with the derived data the checks read (global dimension, supports,
-coset decompositions, centralizers, the matching analysis, the reciprocals
-of the dimensions the checks divide by), each computed at most once per
-target.  Every check has a stable string id and a row in
+coset decompositions, centralizers, meets, blocks, the matching analysis
+and its matched groups, the reciprocals of the dimensions), each computed
+at most once per target.  Every check has a stable string id and a row in
 the registry that names what it requires and over what it ranges; checks
 whose inputs are missing, or whose mathematical hypotheses fail, are
 reported as skipped with a reason rather than failed.  Records are ordered
@@ -26,12 +26,13 @@ from .errors import FuscatError, PreconditionFailed, UnknownKey
 from .exactnum import CycNum
 from .fusion import (FusionRing, Subcategory, check_subcategory,
                      enumerate_subcategories, global_fpdim, pointed_part,
-                     sub_fpdim)
+                     restricted_blocks, sub_fpdim)
 from .premod import (PremodAnalysis, SMatrix, centralizer, m_map,
-                     verify_cor_4_16, verify_cor_4_18, verify_eq_4_3,
-                     verify_eq_4_15, verify_eq_4_20, verify_prop_4_12,
-                     verify_prop_4_21, verify_rem_4_25, verify_thm_1_1,
-                     verify_thm_1_3, verify_thm_4_6, verify_thm_4_10)
+                     matched_groups, verify_cor_4_16, verify_cor_4_18,
+                     verify_eq_4_3, verify_eq_4_15, verify_eq_4_20,
+                     verify_prop_4_12, verify_prop_4_21, verify_rem_4_25,
+                     verify_thm_1_1, verify_thm_1_3, verify_thm_4_6,
+                     verify_thm_4_10)
 from .reports import CheckRecord
 from .serialize import advisory_complex, value_to_json
 
@@ -120,20 +121,13 @@ class Target:
 
     @property
     def analysis(self) -> PremodAnalysis:
-        return self._once("analysis",
-                          lambda: m_map(self.ring, self.table, self.smatrix,
-                                        self.inv_dims))
+        return self._once("analysis", lambda: m_map(self))
 
     @property
     def inv_dims(self) -> tuple[CycNum, ...]:
         """1/d_i for every basis element i."""
         return self._once("inv_dims", lambda: tuple(
             d.inverse() for d in self.ring.fpdims))
-
-    def inv_reg_dims(self, sub: Subcategory) -> tuple[CycNum, ...]:
-        """1/FPdim(R_t) for every block t of the cosets of `sub`."""
-        return self._once(("inv_reg_dims", sub.members), lambda: tuple(
-            r.inverse() for r in self.cosets(sub).reg_dims))
 
     def weights(self, sub: Subcategory) -> tuple[CycNum, ...]:
         """FPdim(R_t)/d_{X_t}^2 for every block t: the eq-3.6 weights."""
@@ -154,6 +148,22 @@ class Target:
         return self._once(("cosets", sub.members),
                           lambda: coset_partition(self.ring, sub))
 
+    def blocks(self, amb: Subcategory,
+               inner: Subcategory) -> Sequence[tuple[int, ...]]:
+        """The blocks of `amb` with respect to its subcategory `inner`; those
+        of the whole ring are the cosets of `inner`."""
+        if len(amb) == self.ring.rank:
+            return self.cosets(inner).blocks
+        return self._once(("blocks", amb.members, inner.members),
+                          lambda: restricted_blocks(self.ring, amb.members,
+                                                    inner.members))
+
+    def meet(self, a: Subcategory, b: Subcategory) -> Subcategory:
+        """The intersection of two subcategories."""
+        members = tuple(sorted(set(a.members) & set(b.members)))
+        return self._once(("meet", members),
+                          lambda: check_subcategory(self.ring, members))
+
     def centralizer(self, sub: Subcategory) -> Subcategory:
         """D': the objects that centralize every member of `sub`."""
         return self._once(("centralizer", sub.members),
@@ -161,10 +171,14 @@ class Target:
 
     def center_trace(self, sub: Subcategory) -> Subcategory:
         """D intersect the center of the matching analysis."""
-        return self._once(("center_trace", sub.members),
-                          lambda: check_subcategory(
-                              self.ring, set(sub.members)
-                              & set(self.analysis.center.members)))
+        return self.meet(sub, self.analysis.center)
+
+    def matched_groups(self, sub: Subcategory) -> dict:
+        """R(D)_j: the members of `sub` matched to column j, with their
+        dimension, for each matched column j in increasing order."""
+        return self._once(("matched_groups", sub.members),
+                          lambda: matched_groups(self.ring, self.analysis,
+                                                 sub))
 
 
 @dataclass(frozen=True)

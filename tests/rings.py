@@ -4,7 +4,9 @@ Small rings are written out longhand here, independently of the built-in
 catalog, so library tests do not depend on the catalog module.
 """
 
+import cmath
 import itertools
+import math
 
 import numpy as np
 
@@ -54,6 +56,14 @@ def first_associativity_violation(tensor):
                     if lhs != rhs:
                         return (i, j, k, l)
     return None
+
+
+def embed_complex_terms(v: CycNum) -> complex:
+    """The complex value of v: each power-basis coefficient times its own
+    cmath.exp(2 pi i j/n), computed anew, summed in increasing j."""
+    n, den = v.conductor, v._den
+    return sum((x / den) * cmath.exp(2j * math.pi * j / n)
+               for j, x in enumerate(v._nums))
 
 
 def k_mul_dense(ring, x, y) -> KElement:

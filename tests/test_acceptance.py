@@ -46,7 +46,7 @@ def _entries():
 
 
 def _analysis(entry):
-    return m_map(entry.ring, entry.table, entry.smatrix)
+    return m_map(_target(entry))
 
 
 def _target(entry):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuscat.catalog import (BUILTIN_KEYS, CatalogEntry, builtin,
-                            classification, entry_summary, product)
+                            entry_summary, product)
 from fuscat.errors import UnknownKey
 from fuscat.exactnum import CycNum
 from fuscat.fusion import global_fpdim
@@ -176,7 +176,7 @@ def test_classifications():
         "ising*svec": "degenerate",
     }
     for key, cls in expected.items():
-        assert classification(builtin(key)) == cls, key
+        assert entry_summary(builtin(key))["class"] == cls, key
 
 
 def test_product_ising_svec():
@@ -206,7 +206,7 @@ def test_product_with_trivial_preserves_data():
 def test_triple_product_key():
     entry = builtin("svec*svec*svec")
     assert entry.ring.rank == 8
-    assert classification(entry) == "symmetric"
+    assert entry_summary(entry)["class"] == "symmetric"
 
 
 def test_entry_summary_fields():

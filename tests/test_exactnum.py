@@ -25,7 +25,7 @@ from fuscat.exactnum import (
     minimal_polynomial,
 )
 
-from rings import is_monic, poly_eval
+from rings import embed_complex_terms, is_monic, poly_eval
 
 
 def F(a, b=1):
@@ -142,6 +142,27 @@ def test_rt5_squares_to_five():
 def test_embed_complex_zeta():
     z = CycNum.zeta(8)
     assert abs(z.embed_complex() - complex(math.cos(math.pi / 4), math.sin(math.pi / 4))) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 60), data=st.data())
+def test_embed_complex_is_bit_identical_to_the_per_coefficient_formula(n, data):
+    nums = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=1,
+                              max_size=euler_phi(n)))
+    den = data.draw(st.integers(1, 10**4))
+    v = CycNum(n, [Fraction(x, den) for x in nums])
+    assert v.embed_complex() == embed_complex_terms(v)
+
+
+def test_embed_complex_of_every_builtin_value_is_bit_identical():
+    for key in BUILTIN_KEYS:
+        entry = builtin(key)
+        values = [*entry.ring.fpdims, *(v for row in entry.table.alpha
+                                        for v in row)]
+        if entry.smatrix is not None:
+            values += [v for row in entry.smatrix.s for v in row]
+        for v in values:
+            assert v.embed_complex() == embed_complex_terms(v), (key, v)
 
 
 def test_rational_detection():

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fuscat.fusion
 from fuscat.catalog import BUILTIN_KEYS, builtin
 from fuscat.chartab import (_is_numeric_character_table, characters_numeric,
                             validate_character_table)
@@ -28,7 +29,7 @@ from fuscat.cosets import (HeckeAlgebra, coset_partition, hecke_associative,
                            hecke_constants)
 from fuscat.errors import (DegenerateSpectrum, FuscatError, NoMatchingColumn,
                            NotAlgebraMap, PsiNotCharacter, ValidationError)
-from fuscat.exactnum import CycNum
+from fuscat.exactnum import CycNum, _int_mul
 from fuscat.fusion import (KElement, _first_non_character, deligne_product,
                            enumerate_subcategories, restricted_blocks,
                            subcategory_closure, validate_fusion_ring)
@@ -210,9 +211,14 @@ def test_bumped_z4_fails_first_at_associativity_with_the_least_l():
 
 
 @pytest.mark.parametrize("ring", [group_ring(4), group_ring(5), ising_ring(),
-                                  deligne_product(group_ring(2), group_ring(3))],
-                         ids=["z4", "z5", "ising", "z2*z3"])
+                                  deligne_product(group_ring(2), group_ring(3)),
+                                  builtin("rep-s3").ring, builtin("su2k-4").ring,
+                                  builtin("ising*svec").ring],
+                         ids=["z4", "z5", "ising", "z2*z3", "rep-s3", "su2k-4",
+                              "ising*svec"])
 def test_orbit_bumps_reach_associativity_at_the_oracles_tuple(ring):
+    """A bumped orbit keeps every axiom before associativity, so the tensor
+    is commutative and the scan over k >= i names the oracle's witness."""
     reached = 0
     for i, j, k in itertools.product(range(1, ring.rank), repeat=3):
         tensor = [[list(row) for row in plane] for plane in ring.tensor]
@@ -351,8 +357,9 @@ def _assert_same_table_outcome(ring, rows):
             == _scan_outcome(table_columns_scan, ring, rows))
     for j in range(ring.rank):
         column = [row[j] for row in rows]
-        assert (_first_non_character(ring.nonzero, column)
-                == first_product_violation(ring.tensor, column)), j
+        if column[0] == 1:  # the kernel's precondition
+            assert (_first_non_character(ring.nonzero, column)
+                    == first_product_violation(ring.tensor, column)), j
 
 
 def _assert_same_fpdims_outcome(ring, dims):
@@ -423,6 +430,21 @@ def test_kernel_on_columns_that_mix_conductor_one_with_conductor_eight():
     # witnesses off the diagonal and on it, and corruptions that pass
     named = {w for w in witnesses if w is not None}
     assert None in witnesses and len(named) > 3
+
+
+def test_kernel_multiplies_no_unit_pair(monkeypatch):
+    """Its callers have shown v_0 = 1, so of the 15 pairs i <= k on the
+    rank-5 su2k-4 dimensions the 5 pairs (0, k) are not multiplied."""
+    products = []
+
+    def counted(x, y, n):
+        products.append((x, y))
+        return _int_mul(x, y, n)
+
+    monkeypatch.setattr(fuscat.fusion, "_int_mul", counted)
+    ring = builtin("su2k-4").ring
+    assert _first_non_character(ring.nonzero, ring.fpdims) is None
+    assert len(products) == 10
 
 
 @pytest.mark.parametrize("key", BUILTIN_KEYS + DOC_KEYS)

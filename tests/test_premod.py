@@ -210,9 +210,10 @@ def test_f_q_svec_f():
 
 def test_class_sum_oracles():
     ring, table, _ = _ising()
-    assert class_sum(ring, table, 0) == CentralElement((ONE, ONE, ONE))
+    t = Target("", ring, table)
+    assert class_sum(t, 0) == CentralElement((ONE, ONE, ONE))
     two = CycNum.from_rational(2)
-    assert class_sum(ring, table, 2) == CentralElement((two, -two, ZERO))
+    assert class_sum(t, 2) == CentralElement((two, -two, ZERO))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +222,7 @@ def test_class_sum_oracles():
 
 def test_m_map_ising_injective():
     ring, table, sm = _ising()
-    an = m_map(ring, table, sm)
+    an = m_map(Target("", ring, table, sm))
     assert an.M == (0, 1, 2)
     assert an.J2 == (0, 1, 2)
     assert an.fibers == ((0,), (1,), (2,))
@@ -231,7 +232,7 @@ def test_m_map_ising_injective():
 
 def test_m_map_svec_constant():
     ring, table, sm = _svec()
-    an = m_map(ring, table, sm)
+    an = m_map(Target("", ring, table, sm))
     assert an.M == (0, 0)
     assert an.J2 == (0,)
     assert an.fibers == ((0, 1),)
@@ -240,10 +241,10 @@ def test_m_map_svec_constant():
 
 def test_m_map_pointed_multiplication():
     ring, table, sm = _pointed(6, 1)
-    an = m_map(ring, table, sm)
+    an = m_map(Target("", ring, table, sm))
     assert an.M == tuple(i % 6 for i in range(6))
     _, _, sm5 = _pointed(6, 5)
-    an5 = m_map(ring, table, sm5)
+    an5 = m_map(Target("", ring, table, sm5))
     assert an5.M == tuple((5 * i) % 6 for i in range(6))
 
 
@@ -276,7 +277,7 @@ def test_fibers_equal_center_cosets(setup):
 
 def test_fiber_shapes():
     ring, table, sm = _pointed(4, 2)
-    an = m_map(ring, table, sm)
+    an = m_map(Target("", ring, table, sm))
     assert an.fibers == ((0, 2), (1, 3))
 
 

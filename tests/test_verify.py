@@ -9,6 +9,9 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import fuscat.cosets
+import fuscat.fusion
+import fuscat.premod
 import fuscat.serialize
 import fuscat.verify
 from fuscat.catalog import BUILTIN_KEYS, builtin
@@ -311,8 +314,40 @@ def test_failed_matching_analysis_skips_each_analysis_id_once():
     assert {c.id for c in report.checks} == set(CHECK_IDS)
 
 
+def test_each_derived_quantity_is_computed_once_per_target(monkeypatch):
+    """One run over every subcategory of ising*svec computes each centralizer
+    and each group of matched columns once, the pointed part once, and the
+    blocks once per distinct (members, subcategory)."""
+    calls, args = Counter(), Counter()
+
+    def counted(name, fn):
+        def wrapper(*a):
+            calls[name] += 1
+            if name == "restricted_blocks":
+                args[tuple(a[1]), tuple(a[2])] += 1
+            return fn(*a)
+        return wrapper
+
+    for module in (fuscat.fusion, fuscat.cosets, fuscat.premod,
+                   fuscat.verify):
+        for name in ("centralizer", "pointed_part", "matched_groups",
+                     "restricted_blocks"):
+            if name in vars(module):
+                monkeypatch.setattr(module, name,
+                                    counted(name, vars(module)[name]))
+    report = _full_run("ising*svec")
+    assert report.ok
+    n_subs = len(report.subcategories)
+    assert n_subs == 8
+    assert calls["centralizer"] == n_subs
+    assert calls["matched_groups"] == n_subs
+    assert calls["pointed_part"] == 1
+    assert calls["restricted_blocks"] == len(args)
+    assert set(args.values()) == {1}
+
+
 def test_programming_error_in_matching_analysis_propagates(monkeypatch):
-    def broken(ring, table, sm, inv_dims=None):
+    def broken(target):
         raise TypeError("not a data error")
 
     monkeypatch.setattr(fuscat.verify, "m_map", broken)
