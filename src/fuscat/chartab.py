@@ -24,7 +24,7 @@ from .errors import (
     NotIdempotent,
     SingularTable,
 )
-from .exactnum import CycNum
+from .exactnum import CycNum, _dot
 from .fusion import (FusionRing, Subcategory, _first_non_character,
                      global_fpdim, sub_fpdim)
 from .reports import CheckRecord
@@ -66,15 +66,10 @@ class ClassFunction:
 def class_function_from_chi(table: CharacterTable, chi_coords) -> ClassFunction:
     chi = tuple(c if isinstance(c, CycNum) else CycNum.from_rational(c)
                 for c in chi_coords)
-    r = table.rank
-    f = []
-    for j in range(r):
-        total = ZERO
-        for i in range(r):
-            if not chi[i].is_zero():
-                total = total + table.alpha[i][j] * chi[i]
-        f.append(total)
-    return ClassFunction(chi, tuple(f))
+    terms = [(i, c) for i, c in enumerate(chi) if not c.is_zero()]
+    f = tuple(_dot([(table.alpha[i][j], c) for i, c in terms])
+              for j in range(table.rank))
+    return ClassFunction(chi, f)
 
 
 def validate_character_table(ring: FusionRing, rows) -> CharacterTable:
@@ -168,9 +163,8 @@ def verify_eq_2_4(target) -> list[CheckRecord]:
     out = []
     for l in range(r):
         for k in range(r):
-            s = ZERO
-            for i in range(r):
-                s = s + table.alpha[i][l] * table.alpha[ring.dual[i]][k]
+            s = _dot([(table.alpha[i][l], table.alpha[ring.dual[i]][k])
+                      for i in range(r)])
             rhs = target.global_dim / table.class_dims[k] if l == k else ZERO
             out.append(CheckRecord(id="eq-2.4", params={"l": l, "k": k},
                                    lhs=s, rhs=rhs, passed=s == rhs))

@@ -10,7 +10,7 @@ take a ``verify.Target`` and read its derived data from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import (
@@ -19,7 +19,7 @@ from .errors import (
     IndexNotInJD,
     PreconditionFailed,
 )
-from .exactnum import CycNum
+from .exactnum import CycNum, _dot, _int_mul, _numerators
 from .fusion import (
     FusionRing,
     KElement,
@@ -34,13 +34,15 @@ ZERO = CycNum.from_rational(0)
 
 @dataclass(frozen=True)
 class CosetDecomposition:
-    """Blocks (sorted by least member), representatives, block dims, dual action."""
+    """Blocks (sorted by least member), representatives, block dims, dual
+    action, and the ring they partition."""
 
     sub: Subcategory
     blocks: tuple[tuple[int, ...], ...]
     reps: tuple[int, ...]
     reg_dims: tuple[CycNum, ...]
     dual_map: tuple[int, ...]
+    ring: FusionRing = field(repr=False, compare=False)
 
     @property
     def n_blocks(self):
@@ -50,6 +52,12 @@ class CosetDecomposition:
     def inv_reg_dims(self) -> tuple[CycNum, ...]:
         """1/FPdim(R_t) for every block t."""
         return tuple(r.inverse() for r in self.reg_dims)
+
+    @cached_property
+    def block_elements(self) -> tuple[KElement, ...]:
+        """e_t for every block t (see `block_element`)."""
+        return tuple(block_element(self.ring, self, t)
+                     for t in range(self.n_blocks))
 
 
 def coset_partition(ring: FusionRing, sub: Subcategory) -> CosetDecomposition:
@@ -86,7 +94,7 @@ def coset_partition(ring: FusionRing, sub: Subcategory) -> CosetDecomposition:
 
     return CosetDecomposition(sub=sub, blocks=tuple(blocks), reps=tuple(reps),
                               reg_dims=tuple(sub_fpdim(ring, b) for b in blocks),
-                              dual_map=tuple(dual_map))
+                              dual_map=tuple(dual_map), ring=ring)
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +125,7 @@ def hecke_constants(ring: FusionRing, dec: CosetDecomposition) -> HeckeAlgebra:
     coefficients must be proportional to dimensions; each row must sum to 1
     and H must be symmetric in m and n.
     """
-    nb = dec.n_blocks
-    es = [block_element(ring, dec, t) for t in range(nb)]
+    nb, es = dec.n_blocks, dec.block_elements
     # R_p / d_i for each i in block p, taken once per decomposition
     ratio = {i: dec.reg_dims[p] / ring.fpdims[i]
              for p, block in enumerate(dec.blocks) for i in block}
@@ -154,27 +161,45 @@ def hecke_associative(h: HeckeAlgebra) -> bool:
     checked closure e_m e_n = sum_p H_{mn}^p e_p is exact, and the ring
     product is associative (`validate_fusion_ring`).  Expanding both sides
     in the e_s then gives sum_q H_{mn}^q H_{qp}^s = sum_q H_{np}^q H_{mq}^s.
-    The verdict is still computed, as a check on that chain.  Each side is
-    accumulated as a whole s-vector per (m, n, p) over the nonzero
-    H_{mn}^q only.
+    The verdict is still computed, as a check on that chain.
+
+    H is put over one conductor and one denominator D, so each side is a
+    sum of `_int_mul` products of numerator vectors over D^2, accumulated as
+    a whole s-vector over the nonzero H_{mn}^q only.  If H_{mn} = H_{nm}
+    for all m, n, which `hecke_constants` demands, then with
+    T(m, n, p) = (e_m e_n) e_p the right side is T(n, p, m) and T(m, n, p)
+    = T(n, m, p); so H is associative iff T is symmetric in its three
+    indices, which holds iff T(m, n, p) = T(min(n, p), max(n, p), m) for
+    m <= n (the three swaps and cyclic shifts involved link the whole
+    orbit of each index triple), and T is built only for m <= n.  Any
+    other H gets both sides for every (m, n, p).
     """
     nb = h.n_blocks
-    nonzero = [[[(q, c) for q, c in enumerate(row) if not c.is_zero()]
-                for row in plane] for plane in h.structure]
-    for m in range(nb):
-        for n in range(nb):
-            for p in range(nb):
-                lhs = [ZERO] * nb
-                for q, a in nonzero[m][n]:
-                    for s, b in nonzero[q][p]:
-                        lhs[s] = lhs[s] + a * b
-                rhs = [ZERO] * nb
-                for q, a in nonzero[n][p]:
-                    for s, b in nonzero[m][q]:
-                        rhs[s] = rhs[s] + a * b
-                if lhs != rhs:
-                    return False
-    return True
+    cond, _, flat = _numerators([c for plane in h.structure
+                                 for row in plane for c in row])
+    vecs = iter(flat)
+    H = [[[next(vecs) for _ in range(nb)] for _ in range(nb)]
+         for _ in range(nb)]
+    nonzero = [[[(q, a) for q, a in enumerate(row) if any(a)]
+                for row in plane] for plane in H]
+    zero = [0] * len(flat[0])
+
+    def side(outer, inner):
+        """sum_q a_q inner(q)_s over (q, a_q) in outer, as s-vectors."""
+        out = [zero] * nb
+        for q, a in outer:
+            for s, b in inner(q):
+                out[s] = [x + y for x, y in zip(out[s], _int_mul(a, b, cond))]
+        return out
+
+    if all(H[m][n] == H[n][m] for m in range(nb) for n in range(m)):
+        T = {(m, n, p): side(nonzero[m][n], lambda q: nonzero[q][p])
+             for m in range(nb) for n in range(m, nb) for p in range(nb)}
+        return all(T[m, n, p] == T[min(n, p), max(n, p), m]
+                   for m, n, p in T)
+    return all(side(nonzero[m][n], lambda q: nonzero[q][p])
+               == side(nonzero[n][p], lambda q: nonzero[m][q])
+               for m in range(nb) for n in range(nb) for p in range(nb))
 
 
 def hecke_dual_symmetric(h: HeckeAlgebra) -> bool:
@@ -199,8 +224,8 @@ def verify_eq_3_1(target, sub: Subcategory) -> list[CheckRecord]:
                          for i in range(ring.rank)))
     out = []
     normalized = []
-    for t, block in enumerate(dec.blocks):
-        expected = block_element(ring, dec, t).scale(dim_d)
+    for block, e in zip(dec.blocks, dec.block_elements):
+        expected = e.scale(dim_d)
         ok = True
         for x in block:
             lhs = ring.k_mul(ring.basis(x), r_d).scale(target.inv_dims[x])
@@ -248,11 +273,9 @@ def verify_eq_3_6(target, sub: Subcategory, k: int, l: int) -> CheckRecord:
         raise IndexNotInJD(f"column {k} outside the support of D")
     if l not in jd:
         raise IndexNotInJD(f"column {l} outside the support of D")
-    lhs = ZERO
-    for t, w in enumerate(target.weights(sub)):
-        xt = dec.reps[t]
-        xts = dec.reps[dec.dual_map[t]]
-        lhs = lhs + w * table.alpha[xt][k] * table.alpha[xts][l]
+    reps, dual_map, alpha = dec.reps, dec.dual_map, table.alpha
+    lhs = _dot([(w, alpha[reps[t]][k], alpha[reps[dual_map[t]]][l])
+                for t, w in enumerate(target.weights(sub))])
     rhs = target.global_dim / table.class_dims[k] if k == l else ZERO
     return CheckRecord(id="eq-3.6",
                        params={"D": list(dec.sub.members), "k": k, "l": l},
@@ -265,9 +288,8 @@ def verify_eq_3_7(target, sub: Subcategory, t: int, s: int) -> CheckRecord:
     jd = target.support(sub)
     xt = dec.reps[t]
     xss = dec.reps[dec.dual_map[s]]
-    lhs = ZERO
-    for k in jd:
-        lhs = lhs + table.class_dims[k] * table.alpha[xt][k] * table.alpha[xss][k]
+    alpha = table.alpha
+    lhs = _dot([(table.class_dims[k], alpha[xt][k], alpha[xss][k]) for k in jd])
     if s == t:
         xs = dec.reps[s]
         rhs = (ring.fpdims[xt] * ring.fpdims[xs] * target.global_dim

@@ -532,6 +532,78 @@ ONE = CycNum.from_rational(1)
 
 
 # ---------------------------------------------------------------------------
+# integer numerators
+# ---------------------------------------------------------------------------
+
+def _numerators(values):
+    """(m, den, nums): the values over their lcm conductor m and one common
+    denominator den, values[i] = nums[i] / den with nums[i] phi(m) integers;
+    no `CycNum` is built."""
+    m = math.lcm(*(v.conductor for v in values))
+    den = math.lcm(*(v._den for v in values))
+    out = []
+    for v in values:
+        n, scale = v.conductor, den // v._den
+        nums = v._nums if n == m else _spread(v._nums, m // n, m)
+        out.append([scale * x for x in nums])
+    return m, den, out
+
+
+def _dot(terms):
+    """The sum over `terms` of the product of each term's factors, which
+    are `CycNum`s or `int`s, as one `CycNum` at the lcm m of the
+    conductors of every `CycNum` factor given (conductor 1 for none).
+
+    That is the value, conductor and canonical form of the loop
+    ``ZERO + a*b*... + ...``: each operation there lands at the lcm of its
+    operands' conductors.  Here the sum is built on integer numerators over
+    one running denominator.  Rational factors and ints scale a term; the
+    other factors multiply through `_int_mul` at the lcm of their own
+    conductors, and the product is re-embedded at m once.  A term with a
+    zero factor adds nothing but its conductors.
+    """
+    m = math.lcm(*{f.conductor for term in terms for f in term
+                   if type(f) is not int})
+    acc, den = [0] * _phi_tail(m)[0], 1
+    for term in terms:
+        num, d, vec, n = 1, 1, None, 1
+        for f in term:
+            if type(f) is int:
+                num *= f
+                continue
+            nums = f._nums
+            d *= f._den
+            if not any(nums[1:]):
+                num *= nums[0]
+            elif vec is None:
+                vec, n = nums, f.conductor
+            else:
+                c = f.conductor
+                if c != n:
+                    joint = math.lcm(n, c)
+                    if joint != n:
+                        vec = _spread(vec, joint // n, joint)
+                    if joint != c:
+                        nums = _spread(nums, joint // c, joint)
+                    n = joint
+                vec = _int_mul(vec, nums, n)
+        if not num:
+            continue
+        if den % d:
+            common = math.lcm(den, d)
+            acc = [x * (common // den) for x in acc]
+            den = common
+        num *= den // d
+        if vec is None:
+            acc[0] += num
+        else:
+            if n != m:
+                vec = _spread(vec, m // n, m)
+            acc = [x + num * y for x, y in zip(acc, vec)]
+    return CycNum._from_ints(m, acc, den)
+
+
+# ---------------------------------------------------------------------------
 # minimal polynomials and integrality
 # ---------------------------------------------------------------------------
 

@@ -10,12 +10,11 @@ iff they are such a character and agree on duals; no float decides it.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ExactDataMissing, RankTooLarge, ValidationError
-from .exactnum import CycNum, _int_mul
+from .exactnum import CycNum, _dot, _int_mul, _numerators
 
 ONE = CycNum.from_rational(1)
 ZERO = CycNum.from_rational(0)
@@ -55,19 +54,20 @@ class FusionRing:
         return KElement(tuple(ONE if k == i else ZERO for k in range(self.rank)))
 
     def k_mul(self, x: "KElement", y: "KElement") -> "KElement":
-        """Product in the ring; only nonzero coefficients and entries are visited."""
-        out = [ZERO] * self.rank
+        """Product in the ring; only nonzero coefficients and entries are
+        visited, and each output coefficient is one `_dot` of the terms
+        x_i y_j N_ij^k, so it lies at the lcm of their conductors."""
+        terms = [[] for _ in range(self.rank)]
         ys = [(j, yj) for j, yj in enumerate(y.coeffs) if not yj.is_zero()]
         for i, xi in enumerate(x.coeffs):
             if xi.is_zero():
                 continue
             plane = self.tensor[i]
             for j, yj in ys:
-                prod = xi * yj
                 row = plane[j]
                 for k in itertools.compress(range(self.rank), row):
-                    out[k] = out[k] + prod * row[k]
-        return KElement(tuple(out))
+                    terms[k].append((xi, yj, row[k]))
+        return KElement(tuple(_dot(t) if t else ZERO for t in terms))
 
     def dim(self, i) -> CycNum:
         if self.fpdims is None:
@@ -230,11 +230,8 @@ def _first_non_character(nonzero, values):
     Every v_i is put over the lcm conductor m and one common denominator D
     as an integer numerator vector A_i, so that v_i = A_i / D.  Then the
     identity holds iff A_i A_k mod Phi_m == D sum_l N_ik^l A_l, and the
-    scan builds no `CycNum` beyond the r re-embedded values."""
-    m = math.lcm(*(v.conductor for v in values))
-    values = [v.change_conductor(m) for v in values]
-    den = math.lcm(*(v._den for v in values))
-    nums = [[x * (den // v._den) for x in v._nums] for v in values]
+    scan builds no `CycNum`."""
+    m, den, nums = _numerators(values)
     scaled = [[den * x for x in a] for a in nums]
     zero = [0] * len(nums[0])
     for i in range(1, len(nums)):

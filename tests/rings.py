@@ -77,6 +77,78 @@ def k_mul_dense(ring, x, y) -> KElement:
 
 
 # ---------------------------------------------------------------------------
+# CycNum loops behind the integer sum-of-products kernel
+# ---------------------------------------------------------------------------
+
+def sum_of_products(terms) -> CycNum:
+    """ZERO + a*b*... + ..., one CycNum operation at a time."""
+    total = ZERO
+    for term in terms:
+        prod = term[0]
+        for f in term[1:]:
+            prod = prod * f
+        total = total + prod
+    return total
+
+
+def k_mul_loop(ring, x, y) -> KElement:
+    """The ring product as a running CycNum sum per output coefficient,
+    over the nonzero x_i, y_j and N_ij^k, with x_i y_j built once."""
+    out = [ZERO] * ring.rank
+    ys = [(j, yj) for j, yj in enumerate(y.coeffs) if not yj.is_zero()]
+    for i, xi in enumerate(x.coeffs):
+        if xi.is_zero():
+            continue
+        for j, yj in ys:
+            prod = xi * yj
+            row = ring.tensor[i][j]
+            for k in range(ring.rank):
+                if row[k]:
+                    out[k] = out[k] + prod * row[k]
+    return KElement(tuple(out))
+
+
+def f_coords_loop(table, chi) -> tuple[CycNum, ...]:
+    """f_j = sum_i alpha[i][j] chi_i over the nonzero chi_i."""
+    out = []
+    for j in range(table.rank):
+        total = ZERO
+        for i in range(table.rank):
+            if not chi[i].is_zero():
+                total = total + table.alpha[i][j] * chi[i]
+        out.append(total)
+    return tuple(out)
+
+
+def eq_3_6_lhs_loop(target, sub, k, l) -> CycNum:
+    """sum_t w_t alpha[X_t][k] alpha[X_{t*}][l]."""
+    dec, alpha = target.cosets(sub), target.table.alpha
+    lhs = ZERO
+    for t, w in enumerate(target.weights(sub)):
+        lhs = lhs + w * alpha[dec.reps[t]][k] * alpha[dec.reps[dec.dual_map[t]]][l]
+    return lhs
+
+
+def eq_3_7_lhs_loop(target, sub, t, s) -> CycNum:
+    """sum_{k in J_D} dim(C^k) alpha[X_t][k] alpha[X_{s*}][k]."""
+    dec, table = target.cosets(sub), target.table
+    xt, xss = dec.reps[t], dec.reps[dec.dual_map[s]]
+    lhs = ZERO
+    for k in target.support(sub):
+        lhs = lhs + table.class_dims[k] * table.alpha[xt][k] * table.alpha[xss][k]
+    return lhs
+
+
+def eq_2_4_lhs_loop(target, l, k) -> CycNum:
+    """sum_i alpha[i][l] alpha[i*][k]."""
+    ring, alpha = target.ring, target.table.alpha
+    s = ZERO
+    for i in range(ring.rank):
+        s = s + alpha[i][l] * alpha[ring.dual[i]][k]
+    return s
+
+
+# ---------------------------------------------------------------------------
 # set-based oracles for the subcategory lattice
 # ---------------------------------------------------------------------------
 

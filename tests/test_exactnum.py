@@ -17,6 +17,7 @@ from fuscat.errors import ConductorNotDivisible, DivisionByZero
 from fuscat.exactnum import (
     CycNum,
     IntPoly,
+    _dot,
     characteristic_polynomial,
     cyclotomic_polynomial,
     euler_phi,
@@ -25,7 +26,7 @@ from fuscat.exactnum import (
     minimal_polynomial,
 )
 
-from rings import embed_complex_terms, is_monic, poly_eval
+from rings import embed_complex_terms, is_monic, poly_eval, sum_of_products
 
 
 def F(a, b=1):
@@ -690,3 +691,39 @@ def test_results_are_in_canonical_integer_form(a, b):
         assert (rebuilt._nums, rebuilt._den) == (x._nums, x._den)
         assert is_algebraic_integer(x) == all(c.denominator == 1
                                               for c in x.coeffs)
+
+
+# -- the integer sum-of-products kernel -----------------------------------------
+
+DOT_CONDUCTORS = [1, 3, 4, 5, 8, 40]
+
+
+@st.composite
+def dot_factors(draw):
+    """An int (zero included) or a CycNum over a drawn conductor: zero, a
+    rational carried there, or a general value."""
+    kind = draw(st.sampled_from(("int", "zero", "rational", "general")))
+    if kind == "int":
+        return draw(st.integers(min_value=-3, max_value=3))
+    n = draw(st.sampled_from(DOT_CONDUCTORS))
+    k = euler_phi(n)
+    if kind == "zero":
+        return CycNum(n, [0] * k)
+    if kind == "rational":
+        return CycNum(n, [draw(small_fractions)] + [0] * (k - 1))
+    return CycNum(n, draw(st.lists(small_fractions, min_size=k, max_size=k)))
+
+
+@given(st.lists(st.lists(dot_factors(), min_size=1, max_size=3), max_size=5))
+@example([])
+@example([[0, CycNum(40, [0] * 16)]])
+@example([[CycNum.zeta(8), CycNum.zeta(5)], [F(1, 2), CycNum.zeta(8, 3)]])
+@settings(max_examples=100, deadline=None)
+def test_dot_matches_the_cycnum_loop(terms):
+    """_dot gives the value, conductor, numerators and denominator of
+    ZERO + a*b*... + ..., also for empty sums, zero and int factors."""
+    terms = [[CycNum.from_rational(f) if isinstance(f, Fraction) else f
+              for f in term] for term in terms]
+    got, want = _dot(terms), sum_of_products(terms)
+    assert (got.conductor, got._nums, got._den) == \
+        (want.conductor, want._nums, want._den)

@@ -1,9 +1,11 @@
-"""Output bytes of the CLI, pinned by sha256 for every builtin.
+"""Output bytes of the CLI, pinned by sha256 for every builtin and for two
+products that mix conductors.
 
-The digests were recorded before the checks read their inputs from a
-``Target`` with memoized derived data and ran from a registry; any change to
-a verdict, a value, a record's order or the rendering changes a digest.
-Every command here exits 0.
+The builtin digests were recorded before the checks read their inputs from
+a ``Target`` with memoized derived data and ran from a registry, the product
+digests before the sums of products were built on integer numerators; any
+change to a verdict, a value, a conductor, a record's order or the rendering
+changes a digest.  Every command here exits 0.
 """
 
 import contextlib
@@ -108,6 +110,19 @@ REPORT = {
 }
 
 
+# fuscat verify KEY --all-subcategories --format json, then fuscat report KEY,
+# on products that mix conductors (1, 5, 8, 40; 24, 120): the conductor of each
+# value is in the output, as the json field and as z_n in the report
+PRODUCTS = {
+    "fib*ising": (
+        "d898951aa31e2fe35066b77b54b578c2ee655fc1e723fa55f4eefb9336f4a693",
+        "f7ce5a3bf0424b787ce478f81e05ff7095c55ba7ae53a45bb632c106e2192c38"),
+    "su2k-4*fib": (
+        "b6c7a750d60b3b9113df70efbeb98e12b8a2f77b85e9a11a9f2547e7a01bba0d",
+        "4e09c4b1c9e96fbd82f615bc7836b981eefd3ad88512d1b91b8367a025173542"),
+}
+
+
 def _digest(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -126,6 +141,14 @@ def test_cli_output_bytes_are_pinned(key):
                     "--format", "json"]) == (0, VERIFY_ALL_JSON[key])
     assert _digest(["verify", key]) == (0, VERIFY_MD[key])
     assert _digest(["report", key]) == (0, REPORT[key])
+
+
+@pytest.mark.parametrize("key", PRODUCTS)
+def test_mixed_conductor_output_bytes_are_pinned(key):
+    verify_json, report = PRODUCTS[key]
+    assert _digest(["verify", key, "--all-subcategories",
+                    "--format", "json"]) == (0, verify_json)
+    assert _digest(["report", key]) == (0, report)
 
 
 @pytest.mark.parametrize("key", ["ising", "su2k-4"])

@@ -4,12 +4,18 @@
 `FusionRing.k_mul` visit only nonzero structure constants.  The dense loops
 in `rings.py` contract every index tuple; here both agree on every
 subcategory of the builtins and the benchmark's product keys, and both
-reject the same mutated inputs.  The subcategory lattice, closures and
-restricted blocks, computed on support bitmasks, match the set-based
-powerset and search oracles.  The integer multiplicativity kernel behind the
-dimension, table-column and S-matrix-row checks names the pair the CycNum
-scans name, and the vectorized numeric residual gives the pair-by-pair
-verdict.
+reject the same mutated inputs.  `hecke_associative` accumulates each side
+as `_int_mul` products of integer numerator vectors over one conductor and
+denominator.  A commutative H takes its symmetric-triple-product path,
+which perturbing H_{mn}^p and H_{nm}^p together reaches; any other H takes
+the two-sided loop, which a single perturbed H_{mn}^p with m != n reaches.
+`k_mul` and the eq-2.4/3.6/3.7 and integral sums, built by the integer
+kernel `_dot`, give the conductor and canonical form of the `CycNum` loops
+in `rings.py`.  The subcategory lattice, closures and restricted blocks,
+computed on support bitmasks, match the set-based powerset and search
+oracles.  The integer multiplicativity kernel behind the dimension,
+table-column and S-matrix-row checks names the pair the CycNum scans name,
+and the vectorized numeric residual gives the pair-by-pair verdict.
 """
 
 import itertools
@@ -24,9 +30,10 @@ from hypothesis import given, settings, strategies as st
 import fuscat.fusion
 from fuscat.catalog import BUILTIN_KEYS, builtin
 from fuscat.chartab import (_is_numeric_character_table, characters_numeric,
-                            validate_character_table)
+                            class_function_from_chi, validate_character_table,
+                            verify_eq_2_4)
 from fuscat.cosets import (HeckeAlgebra, coset_partition, hecke_associative,
-                           hecke_constants)
+                           hecke_constants, verify_eq_3_6, verify_eq_3_7)
 from fuscat.errors import (DegenerateSpectrum, FuscatError, NoMatchingColumn,
                            NotAlgebraMap, PsiNotCharacter, ValidationError)
 from fuscat.exactnum import CycNum, _int_mul
@@ -34,11 +41,16 @@ from fuscat.fusion import (KElement, _first_non_character, deligne_product,
                            enumerate_subcategories, restricted_blocks,
                            subcategory_closure, validate_fusion_ring)
 from fuscat.premod import validate_smatrix
+from fuscat.verify import Target
 
 from rings import (
     ZERO,
     characters_numeric_loop,
     enumerate_subcategories_powerset,
+    eq_2_4_lhs_loop,
+    eq_3_6_lhs_loop,
+    eq_3_7_lhs_loop,
+    f_coords_loop,
     first_associativity_violation,
     first_product_violation,
     fib_ring,
@@ -46,6 +58,7 @@ from rings import (
     hecke_associative_dense,
     ising_ring,
     k_mul_dense,
+    k_mul_loop,
     lucas,
     numeric_residual_ok_loop,
     reps3_ring,
@@ -82,6 +95,42 @@ def test_hecke_associative_matches_dense_oracle(key):
     for sub, h in _algebras(builtin(key).ring):
         assert hecke_associative(h) is True
         assert hecke_associative_dense(h) is True, sub.members
+
+
+def _form(v):
+    return v.conductor, v._nums, v._den
+
+
+@pytest.mark.parametrize("key", BUILTIN_KEYS + ("rep-s3*svec", "fib*ising",
+                                                "su2k-4*fib"))
+def test_sums_of_products_match_the_cycnum_loops(key):
+    """k_mul, the integral's f-coordinates and the eq-2.4/3.6/3.7 sums give
+    the conductor, numerators and denominator of the CycNum loops they
+    replaced; fib*ising and su2k-4*fib mix conductors 1, 5, 8, 40 and
+    24, 120."""
+    entry = builtin(key)
+    ring, table = entry.ring, entry.table
+    target = Target(key, ring, table, entry.smatrix)
+    for rec in verify_eq_2_4(target):
+        want = eq_2_4_lhs_loop(target, rec.params["l"], rec.params["k"])
+        assert _form(rec.lhs) == _form(want), rec.params
+    for sub in enumerate_subcategories(ring):
+        chi = tuple(ring.fpdims[i] if i in sub else ZERO
+                    for i in range(ring.rank))
+        got = class_function_from_chi(table, chi).f_coords
+        assert list(map(_form, got)) == \
+            list(map(_form, f_coords_loop(table, chi)))
+        es = target.cosets(sub).block_elements
+        for x, y in itertools.combinations_with_replacement(es, 2):
+            assert list(map(_form, ring.k_mul(x, y).coeffs)) == \
+                list(map(_form, k_mul_loop(ring, x, y).coeffs))
+        jd, nb = target.support(sub), target.cosets(sub).n_blocks
+        for k, l in itertools.product(jd, repeat=2):
+            assert _form(verify_eq_3_6(target, sub, k, l).lhs) == \
+                _form(eq_3_6_lhs_loop(target, sub, k, l))
+        for t, u in itertools.product(range(nb), repeat=2):
+            assert _form(verify_eq_3_7(target, sub, t, u).lhs) == \
+                _form(eq_3_7_lhs_loop(target, sub, t, u))
 
 
 @pytest.mark.parametrize("key", KEYS)
@@ -128,6 +177,37 @@ def test_perturbed_hecke_constants_fail_both_checks(key):
         assert hecke_associative_dense(bad) is False
         seen += 1
     assert seen
+
+
+def _perturbed_pair(h, m, n, p, delta):
+    """H with delta added to H_{mn}^p and to H_{nm}^p (once if m == n), so
+    a commutative H stays commutative."""
+    structure = [[list(row) for row in plane] for plane in h.structure]
+    for a, b in {(m, n), (n, m)}:
+        structure[a][b][p] = structure[a][b][p] + delta
+    return HeckeAlgebra(h.dec, tuple(tuple(tuple(row) for row in plane)
+                                     for plane in structure))
+
+
+@pytest.mark.parametrize("key", ("fib", "rep-s3", "su2k-3", "ising*svec"))
+def test_every_commutative_perturbation_gets_the_dense_verdict(key):
+    # these reach the symmetric-triple-product path of hecke_associative
+    verdicts = set()
+    for _, h in _algebras(builtin(key).ring):
+        nb = h.n_blocks
+        for m in range(nb):
+            for n in range(m, nb):
+                for p in range(nb):
+                    if h.structure[m][n][p].is_zero():
+                        continue
+                    bad = _perturbed_pair(h, m, n, p,
+                                          CycNum.from_rational(Fraction(1, 3)))
+                    assert all(bad.structure[a][b] == bad.structure[b][a]
+                               for a in range(nb) for b in range(nb))
+                    verdict = hecke_associative(bad)
+                    assert verdict == hecke_associative_dense(bad), (m, n, p)
+                    verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("key", ("fib", "rep-s3", "su2k-3", "ising*svec"))

@@ -402,6 +402,25 @@ def test_derived_data_is_computed_once_per_subcategory(key, monkeypatch):
     assert max(calls.values()) == 1, calls.most_common(3)
 
 
+@pytest.mark.parametrize("key", ["ising*svec", "su2k-4"])
+def test_each_block_element_is_built_once(key, monkeypatch):
+    """eq-3.1 and the Hecke constants read e_t from the decomposition."""
+    calls = Counter()
+    block_element = fuscat.cosets.block_element
+
+    def counting(ring, dec, t):
+        calls[dec.sub.members, t] += 1
+        return block_element(ring, dec, t)
+    monkeypatch.setattr(fuscat.cosets, "block_element", counting)
+    entry = builtin(key)
+    target = Target(key, entry.ring, entry.table, entry.smatrix)
+    subs = all_subcategories(entry.ring)
+    assert run_checks(target, subcategories=subs).ok
+    assert set(calls) == {(sub.members, t) for sub in subs
+                          for t in range(target.cosets(sub).n_blocks)}
+    assert set(calls.values()) == {1}
+
+
 def test_run_checks_inverts_each_repeated_divisor_once(monkeypatch):
     """An operation count, not a time, so the bound holds on any load.  The
     checks read 1/d_i, 1/FPdim(R_t) and the eq-3.6 weights from the target,
