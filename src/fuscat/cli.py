@@ -142,7 +142,7 @@ def cmd_report(args) -> int:
         out.append("")
         out.append(f"blocks: {_blocks_str(dec.blocks)}")
         out.append(f"representatives: {list(dec.reps)}")
-        h = hecke_constants(ring, dec)
+        h = hecke_constants(target, sub)
         rows = ["| m | n | p | H |", "|---|---|---|---|"]
         for m_i in range(dec.n_blocks):
             for n_i in range(dec.n_blocks):

@@ -13,7 +13,7 @@ import numpy as np
 from fuscat.errors import (DegenerateSpectrum, ExactDataMissing,
                            NoMatchingColumn, NotAlgebraMap, PsiNotCharacter,
                            ValidationError)
-from fuscat.exactnum import CycNum
+from fuscat.exactnum import CycNum, _int_mul, _numerators
 from fuscat.fusion import KElement, Subcategory, validate_fusion_ring
 from fuscat.premod import CentralElement, SMatrix
 
@@ -22,7 +22,7 @@ ZERO = CycNum.from_rational(0)
 
 
 # ---------------------------------------------------------------------------
-# dense oracles for the sparse fusion kernels
+# oracles for the prop-3.4 algebra verdicts and the sparse fusion kernels
 # ---------------------------------------------------------------------------
 
 def hecke_associative_dense(h) -> bool:
@@ -41,6 +41,61 @@ def hecke_associative_dense(h) -> bool:
                     if lhs != rhs:
                         return False
     return True
+
+
+def hecke_associative(h) -> bool:
+    """(e_m e_n) e_p = e_m (e_n e_p) in the structure constants.
+
+    For algebras built by `hecke_constants` this holds by construction
+    (the proof is the docstring of `cosets.verify_prop_3_4`), so only the
+    tests compute it, as an oracle on that proof.
+
+    H is put over one conductor and one denominator D, so each side is a
+    sum of `_int_mul` products of numerator vectors over D^2, accumulated as
+    a whole s-vector over the nonzero H_{mn}^q only.  If H_{mn} = H_{nm}
+    for all m, n, which `hecke_constants` demands, then with
+    T(m, n, p) = (e_m e_n) e_p the right side is T(n, p, m) and T(m, n, p)
+    = T(n, m, p); so H is associative iff T is symmetric in its three
+    indices, which holds iff T(m, n, p) = T(min(n, p), max(n, p), m) for
+    m <= n (the three swaps and cyclic shifts involved link the whole
+    orbit of each index triple), and T is built only for m <= n.  Any
+    other H gets both sides for every (m, n, p).
+    """
+    nb = h.n_blocks
+    cond, _, flat = _numerators([c for plane in h.structure
+                                 for row in plane for c in row])
+    vecs = iter(flat)
+    H = [[[next(vecs) for _ in range(nb)] for _ in range(nb)]
+         for _ in range(nb)]
+    nonzero = [[[(q, a) for q, a in enumerate(row) if any(a)]
+                for row in plane] for plane in H]
+    zero = [0] * len(flat[0])
+
+    def side(outer, inner):
+        """sum_q a_q inner(q)_s over (q, a_q) in outer, as s-vectors."""
+        out = [zero] * nb
+        for q, a in outer:
+            for s, b in inner(q):
+                out[s] = [x + y for x, y in zip(out[s], _int_mul(a, b, cond))]
+        return out
+
+    if all(H[m][n] == H[n][m] for m in range(nb) for n in range(m)):
+        T = {(m, n, p): side(nonzero[m][n], lambda q: nonzero[q][p])
+             for m in range(nb) for n in range(m, nb) for p in range(nb)}
+        return all(T[m, n, p] == T[min(n, p), max(n, p), m]
+                   for m, n, p in T)
+    return all(side(nonzero[m][n], lambda q: nonzero[q][p])
+               == side(nonzero[n][p], lambda q: nonzero[m][q])
+               for m in range(nb) for n in range(nb) for p in range(nb))
+
+
+def hecke_dual_symmetric(h) -> bool:
+    """H_{mn}^p = H_{n* m*}^{p*} under the dual action on blocks."""
+    nb = h.n_blocks
+    d = h.dec.dual_map
+    H = h.structure
+    return all(H[m][n][p] == H[d[n]][d[m]][d[p]]
+               for m in range(nb) for n in range(nb) for p in range(nb))
 
 
 def first_associativity_violation(tensor):

@@ -25,17 +25,17 @@ from fuscat.chartab import (characters_numeric, match_numeric_columns,
                             support_JD, validate_character_table,
                             verify_eq_2_7)
 from fuscat.cli import main
-from fuscat.cosets import (coset_partition, hecke_associative,
-                           hecke_constants, verify_cor_3_9_1,
-                           verify_eq_3_6, verify_eq_3_7, verify_lemma_3_12)
+from fuscat.cosets import (coset_partition, hecke_constants,
+                           verify_cor_3_9_1, verify_eq_3_6, verify_eq_3_7,
+                           verify_lemma_3_12)
 from fuscat.exactnum import (CycNum, is_algebraic_integer, minimal_polynomial)
 from fuscat.fusion import check_subcategory, enumerate_subcategories
 from fuscat.premod import (m_map, validate_smatrix, verify_thm_1_1,
                             verify_thm_1_3, verify_thm_4_6)
 from fuscat.verify import Target
 
-from rings import (all_passed, fpdim_numeric, refines, reps3_ring,
-                   reps3_table_rows, su2k4_adjoint_smatrix_rows)
+from rings import (all_passed, fpdim_numeric, hecke_associative, refines,
+                   reps3_ring, reps3_table_rows, su2k4_adjoint_smatrix_rows)
 
 ONE = CycNum.from_rational(1)
 ZERO = CycNum.from_rational(0)
@@ -118,9 +118,10 @@ def test_criterion_03_both_orthogonality_relations_exact():
 def test_criterion_04_block_constants_well_defined_stochastic_associative():
     failures = []
     for entry in _entries():
+        target = _target(entry)
         for sub in enumerate_subcategories(entry.ring):
             dec = coset_partition(entry.ring, sub)
-            h = hecke_constants(entry.ring, dec)
+            h = hecke_constants(target, sub)
             for m_i in range(dec.n_blocks):
                 for n_i in range(dec.n_blocks):
                     total = CycNum.from_rational(0)

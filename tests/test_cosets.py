@@ -11,9 +11,7 @@ from fuscat.cosets import (
     block_element,
     coset_partition,
     free_action,
-    hecke_associative,
     hecke_constants,
-    hecke_dual_symmetric,
     verify_cor_3_9_1,
     verify_cor_3_9_2,
     verify_eq_3_1,
@@ -32,6 +30,8 @@ from rings import (
     fib_table_rows,
     group_ring,
     group_table_rows,
+    hecke_associative,
+    hecke_dual_symmetric,
     ising_ring,
     ising_table_rows,
     refines,
@@ -129,7 +129,7 @@ def test_partition_matches_union_find_oracle(key):
 
 def test_hecke_ising_oracle():
     ring, sub = _ising_pointed()
-    h = hecke_constants(ring, coset_partition(ring, sub))
+    h = hecke_constants(Target("", ring), sub)
     a, b = 0, 1
     assert h.structure[b][b][a] == 1
     assert h.structure[b][b][b].is_zero()
@@ -139,8 +139,9 @@ def test_hecke_ising_oracle():
 
 def test_hecke_unit_block_acts_as_identity():
     ring = reps3_ring()
-    dec = coset_partition(ring, check_subcategory(ring, (0, 1)))
-    h = hecke_constants(ring, dec)
+    sub = check_subcategory(ring, (0, 1))
+    dec = coset_partition(ring, sub)
+    h = hecke_constants(Target("", ring), sub)
     for n in range(dec.n_blocks):
         for p in range(dec.n_blocks):
             assert h.structure[0][n][p] == (1 if n == p else 0)
@@ -154,8 +155,8 @@ def test_hecke_unit_block_acts_as_identity():
 ])
 def test_hecke_well_formed(ring_fn, members):
     ring = ring_fn()
-    dec = coset_partition(ring, check_subcategory(ring, members))
-    h = hecke_constants(ring, dec)   # internal cross-checks would raise
+    sub = check_subcategory(ring, members)
+    h = hecke_constants(Target("", ring), sub)   # internal cross-checks would raise
     assert hecke_associative(h)
     assert hecke_dual_symmetric(h)
 
@@ -335,5 +336,5 @@ def test_group_partition_matches_subgroup_cosets(n, data):
     expected = sorted(tuple(sorted((r + k * step) % n for k in range(d)))
                       for r in range(step))
     assert sorted(dec.blocks) == expected
-    h = hecke_constants(ring, dec)
+    h = hecke_constants(Target("", ring), sub)
     assert hecke_associative(h)

@@ -1,14 +1,22 @@
-"""Sparse fusion kernels against their dense oracles.
+"""Sparse fusion kernels and the prop-3.4 oracles against their dense loops.
 
-`hecke_associative`, the associativity axiom of `validate_fusion_ring` and
-`FusionRing.k_mul` visit only nonzero structure constants.  The dense loops
-in `rings.py` contract every index tuple; here both agree on every
-subcategory of the builtins and the benchmark's product keys, and both
-reject the same mutated inputs.  `hecke_associative` accumulates each side
-as `_int_mul` products of integer numerator vectors over one conductor and
-denominator.  A commutative H takes its symmetric-triple-product path,
-which perturbing H_{mn}^p and H_{nm}^p together reaches; any other H takes
-the two-sided loop, which a single perturbed H_{mn}^p with m != n reaches.
+The associativity axiom of `validate_fusion_ring` and `FusionRing.k_mul`
+visit only nonzero structure constants.  The dense loops in `rings.py`
+contract every index tuple; here both agree on every subcategory of the
+builtins and the benchmark's product keys, and both reject the same
+mutated inputs.
+
+`verify_prop_3_4` proves its associativity and dual-symmetry records once
+`hecke_constants` has returned, so the scans that recompute them,
+`hecke_associative` and `hecke_dual_symmetric`, live in `rings.py` as
+oracles.  Both hold on every H `hecke_constants` returns, and a corrupted
+product coefficient or block dimension either makes `hecke_constants`
+raise or gives an H the oracles reject.  `hecke_associative` agrees with
+its dense loop; it accumulates each side as `_int_mul` products of integer
+numerator vectors over one conductor and denominator.  A commutative H
+takes its symmetric-triple-product path, which perturbing H_{mn}^p and
+H_{nm}^p together reaches; any other H takes the two-sided loop, which a
+single perturbed H_{mn}^p with m != n reaches.
 `k_mul` and the eq-2.4/3.6/3.7 and integral sums, built by the integer
 kernel `_dot`, give the conductor and canonical form of the `CycNum` loops
 in `rings.py`.  The subcategory lattice, closures and restricted blocks,
@@ -18,6 +26,7 @@ table-column and S-matrix-row checks names the pair the CycNum scans name,
 and the vectorized numeric residual gives the pair-by-pair verdict.
 """
 
+import dataclasses
 import itertools
 import random
 import time
@@ -32,14 +41,16 @@ from fuscat.catalog import BUILTIN_KEYS, builtin
 from fuscat.chartab import (_is_numeric_character_table, characters_numeric,
                             class_function_from_chi, validate_character_table,
                             verify_eq_2_4)
-from fuscat.cosets import (HeckeAlgebra, coset_partition, hecke_associative,
-                           hecke_constants, verify_eq_3_6, verify_eq_3_7)
-from fuscat.errors import (DegenerateSpectrum, FuscatError, NoMatchingColumn,
-                           NotAlgebraMap, PsiNotCharacter, ValidationError)
+from fuscat.cosets import (HeckeAlgebra, hecke_constants, verify_eq_3_6,
+                           verify_eq_3_7)
+from fuscat.errors import (DegenerateSpectrum, FuscatError, InconsistentCoset,
+                           NoMatchingColumn, NotAlgebraMap, PsiNotCharacter,
+                           ValidationError)
 from fuscat.exactnum import CycNum, _int_mul
-from fuscat.fusion import (KElement, _first_non_character, deligne_product,
-                           enumerate_subcategories, restricted_blocks,
-                           subcategory_closure, validate_fusion_ring)
+from fuscat.fusion import (FusionRing, KElement, _first_non_character,
+                           deligne_product, enumerate_subcategories,
+                           restricted_blocks, subcategory_closure,
+                           validate_fusion_ring)
 from fuscat.premod import validate_smatrix
 from fuscat.verify import Target
 
@@ -55,7 +66,9 @@ from rings import (
     first_product_violation,
     fib_ring,
     group_ring,
+    hecke_associative,
     hecke_associative_dense,
+    hecke_dual_symmetric,
     ising_ring,
     k_mul_dense,
     k_mul_loop,
@@ -75,8 +88,9 @@ KEYS = BUILTIN_KEYS + PRODUCT_KEYS
 
 
 def _algebras(ring):
+    target = Target("", ring)
     for sub in enumerate_subcategories(ring):
-        yield sub, hecke_constants(ring, coset_partition(ring, sub))
+        yield sub, hecke_constants(target, sub)
 
 
 def _restrict(tensor, members):
@@ -229,17 +243,131 @@ def test_every_single_perturbation_gets_the_dense_verdict(key):
     assert verdicts == {True, False}
 
 
-def _base_tensor(draw):
+# Every builtin and product key, and su2k-5 to su2k-14, whose unit
+# subcategory has up to 15 blocks.
+ORACLE_KEYS = KEYS + tuple(f"su2k-{k}" for k in range(5, 15))
+
+
+def _assert_prop_3_4_oracles_hold(ring):
+    for sub, h in _algebras(ring):
+        assert hecke_associative(h), sub.members
+        assert hecke_dual_symmetric(h), sub.members
+
+
+@pytest.mark.parametrize("key", ORACLE_KEYS)
+def test_prop_3_4_oracles_hold_on_every_hecke_algebra(key):
+    _assert_prop_3_4_oracles_hold(builtin(key).ring)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_prop_3_4_oracles_hold_on_deligne_products(data):
+    _assert_prop_3_4_oracles_hold(_base_ring(data.draw))
+
+
+# Both pointed-z3-q1 and ising*svec have blocks that are not self-dual.
+MUTATION_KEYS = ("ising", "rep-s3", "pointed-z3-q1", "su2k-4", "ising*svec")
+THIRD = CycNum.from_rational(Fraction(1, 3))
+
+
+def _hecke_outcome(target, sub):
+    """'raised' when `hecke_constants` refuses, 'rejected' when an oracle
+    rejects the H it returns; an H both oracles accept fails the test."""
+    try:
+        h = hecke_constants(target, sub)
+    except InconsistentCoset:
+        return "raised"
+    assert not (hecke_associative(h) and hecke_dual_symmetric(h)), sub.members
+    return "rejected"
+
+
+def _corrupt_products(mp, es, changes):
+    """Patch `FusionRing.k_mul` so that the product of the block elements
+    es[m], es[n], named by identity, gets changes[m, n] added."""
+    k_mul = FusionRing.k_mul
+    by_id = {(id(es[m]), id(es[n])): delta
+             for (m, n), delta in changes.items()}
+
+    def corrupted(ring, x, y):
+        prod = k_mul(ring, x, y)
+        delta = by_id.get((id(x), id(y)))
+        return prod if delta is None else prod + delta
+    mp.setattr(FusionRing, "k_mul", corrupted)
+
+
+@pytest.mark.parametrize("key", MUTATION_KEYS)
+def test_corrupted_closure_is_refused_or_rejected(key, monkeypatch):
+    """Adding 1/3 to one coefficient of one e_m e_n breaks dimension
+    proportionality or the row sum, and doubling one block dimension R_t
+    breaks the row sum of e_t e_t* (its unit coefficient is positive), so
+    `hecke_constants` raises.  Moving 1/3 of e_0 e_n = e_n onto e_p, in
+    both orders, passes it, but (e_0 e_0) e_n = e_0 e_n has coefficient
+    2/3 at e_n where e_0 (e_0 e_n) has 4/9, so the oracles reject H."""
+    ring = builtin(key).ring
+    target = Target(key, ring)
+    outcomes = {"coefficient": set(), "dimension": set(), "unit block": set()}
+    for sub in enumerate_subcategories(ring):
+        dec = target.cosets(sub)
+        nb, es = dec.n_blocks, dec.block_elements
+        for m, n, i in itertools.product(range(nb), range(nb), range(ring.rank)):
+            bump = KElement(tuple(THIRD if k == i else ZERO
+                                  for k in range(ring.rank)))
+            with monkeypatch.context() as mp:
+                _corrupt_products(mp, es, {(m, n): bump})
+                outcomes["coefficient"].add(_hecke_outcome(target, sub))
+        for t in range(nb):
+            bad = dataclasses.replace(dec, reg_dims=tuple(
+                r * 2 if u == t else r for u, r in enumerate(dec.reg_dims)))
+            with monkeypatch.context() as mp:
+                mp.setattr(Target, "cosets", lambda self, s, bad=bad: bad)
+                outcomes["dimension"].add(_hecke_outcome(target, sub))
+        for n, p in itertools.product(range(1, nb), range(nb)):
+            if p == n:
+                continue
+            move = (es[p] - es[n]).scale(THIRD)
+            with monkeypatch.context() as mp:
+                _corrupt_products(mp, es, {(0, n): move, (n, 0): move})
+                outcomes["unit block"].add(_hecke_outcome(target, sub))
+    assert outcomes == {"coefficient": {"raised"}, "dimension": {"raised"},
+                        "unit block": {"rejected"}}
+
+
+def test_associative_corruption_fails_only_dual_symmetry(monkeypatch):
+    """On the cosets of the unit of pointed-z3-q1, e_m = X_m and the blocks
+    1 and 2 are dual.  Moving 2/3 of e_1 e_2 = e_0 onto e_1 and 2/3 of
+    e_2 e_2 = e_1 onto e_2 turns the group algebra into K[x]/(x^3 - 2x/3 -
+    1/3) with x = e_1: commutative, associative and with rows summing to 1,
+    so `hecke_constants` returns it, but e_1 e_1 = e_2 while e_2 e_2 has
+    1/3 at e_1."""
+    ring = builtin("pointed-z3-q1").ring
+    target = Target("pointed-z3-q1", ring)
+    sub = enumerate_subcategories(ring)[0]
+    es = target.cosets(sub).block_elements
+    assert sub.members == (0,) and target.cosets(sub).dual_map == (0, 2, 1)
+    onto_1, onto_2 = ((es[1] - es[0]).scale(2 * THIRD),
+                      (es[2] - es[1]).scale(2 * THIRD))
+    _corrupt_products(monkeypatch, es, {(1, 2): onto_1, (2, 1): onto_1,
+                                        (2, 2): onto_2})
+    h = hecke_constants(target, sub)
+    assert hecke_associative(h) and hecke_associative_dense(h)
+    assert not hecke_dual_symmetric(h)
+
+
+def _base_ring(draw):
     kind = draw(st.sampled_from(("group", "group*group", "ising*group",
                                  "fib*fib", "reps3*group")))
     n = draw(st.integers(min_value=2, max_value=5))
-    ring = {
+    return {
         "group": lambda: group_ring(n),
         "group*group": lambda: deligne_product(group_ring(n), group_ring(2)),
         "ising*group": lambda: deligne_product(ising_ring(), group_ring(n % 3 + 1)),
         "fib*fib": lambda: deligne_product(fib_ring(), fib_ring()),
         "reps3*group": lambda: deligne_product(reps3_ring(), group_ring(2)),
     }[kind]()
+
+
+def _base_tensor(draw):
+    ring = _base_ring(draw)
     return [[list(row) for row in plane] for plane in ring.tensor], ring.dual
 
 
