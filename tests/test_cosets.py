@@ -139,11 +139,9 @@ def test_hecke_ising_oracle():
 
 def test_hecke_unit_block_acts_as_identity():
     ring = reps3_ring()
-    sub = check_subcategory(ring, (0, 1))
-    dec = coset_partition(ring, sub)
-    h = hecke_constants(Target("", ring), sub)
-    for n in range(dec.n_blocks):
-        for p in range(dec.n_blocks):
+    h = hecke_constants(Target("", ring), check_subcategory(ring, (0, 1)))
+    for n in range(h.n_blocks):
+        for p in range(h.n_blocks):
             assert h.structure[0][n][p] == (1 if n == p else 0)
 
 
