@@ -25,8 +25,7 @@ from .errors import (
     SingularTable,
 )
 from .exactnum import CycNum, _dot
-from .fusion import (FusionRing, Subcategory, _first_non_character,
-                     global_fpdim, sub_fpdim)
+from .fusion import FusionRing, Subcategory, _first_non_character, global_fpdim
 from .reports import CheckRecord
 
 ZERO = CycNum.from_rational(0)
@@ -48,28 +47,6 @@ class CharacterTable:
     @property
     def rank(self):
         return len(self.alpha)
-
-
-@dataclass(frozen=True)
-class ClassFunction:
-    """Element of the character algebra, in both natural bases.
-
-    chi_coords expands over the basis characters chi_i; f_coords over the
-    primitive idempotents F_j, so f_coords[j] is the value of the j-th
-    algebra map on the element.
-    """
-
-    chi_coords: tuple[CycNum, ...]
-    f_coords: tuple[CycNum, ...]
-
-
-def class_function_from_chi(table: CharacterTable, chi_coords) -> ClassFunction:
-    chi = tuple(c if isinstance(c, CycNum) else CycNum.from_rational(c)
-                for c in chi_coords)
-    terms = [(i, c) for i, c in enumerate(chi) if not c.is_zero()]
-    f = tuple(_dot([(table.alpha[i][j], c) for i, c in terms])
-              for j in range(table.rank))
-    return ClassFunction(chi, f)
 
 
 def validate_character_table(ring: FusionRing, rows) -> CharacterTable:
@@ -105,9 +82,7 @@ def validate_character_table(ring: FusionRing, rows) -> CharacterTable:
     total_dim = global_fpdim(ring)
     codegrees, class_dims = [], []
     for j in range(r):
-        cod = ZERO
-        for i in range(r):
-            cod = cod + alpha[i][j] * alpha[ring.dual[i]][j]
+        cod = _dot([(alpha[i][j], alpha[ring.dual[i]][j]) for i in range(r)])
         if cod.is_zero():
             raise SingularTable(f"column {j} has zero codegree")
         codegrees.append(cod)
@@ -125,26 +100,23 @@ def validate_character_table(ring: FusionRing, rows) -> CharacterTable:
 # subcategory integrals and their support
 # ---------------------------------------------------------------------------
 
-def lambda_subcategory(ring: FusionRing, table: CharacterTable,
-                       sub: Subcategory) -> ClassFunction:
-    """Normalized integral of a subcategory: (1/dim D) sum of d_i chi_i over D."""
-    dim_d = sub_fpdim(ring, sub)
-    chi = tuple(ring.fpdims[i] / dim_d if i in sub else ZERO
-                for i in range(ring.rank))
-    return class_function_from_chi(table, chi)
-
-
 def support_JD(ring: FusionRing, table: CharacterTable,
                sub: Subcategory) -> tuple[int, ...]:
-    """Columns where the subcategory integral evaluates to 1 (elsewhere 0)."""
-    lam = lambda_subcategory(ring, table, sub)
+    """Columns where the normalized integral (1/dim D) sum_{i in D} d_i chi_i
+    evaluates to 1; it must vanish at every other column.
+
+    Column j of the unnormalized integral is s_j = sum_{i in D} d_i alpha_ij.
+    The dimension column has alpha_i,fp = d_i, so s_fp = dim D and the
+    support is {j : s_j == s_fp}, with no division."""
+    sums = [_dot([(ring.fpdims[i], table.alpha[i][j]) for i in sub.members])
+            for j in range(table.rank)]
+    dim_d = sums[table.fp_column]
     out = []
-    for j, v in enumerate(lam.f_coords):
-        if v == 1:
+    for j, v in enumerate(sums):
+        if v == dim_d:
             out.append(j)
         elif not v.is_zero():
-            raise NotIdempotent(f"integral evaluates to {v} at column {j}")
-    assert table.fp_column in out, "dimension character always lies in the support"
+            raise NotIdempotent(f"integral evaluates to {v / dim_d} at column {j}")
     return tuple(out)
 
 

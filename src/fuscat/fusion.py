@@ -33,9 +33,6 @@ class FusionRing:
     dual: tuple[int, ...]
     fpdims: tuple[CycNum, ...] | None
 
-    def n(self, i, j, k) -> int:
-        return self.tensor[i][j][k]
-
     @cached_property
     def supports(self) -> tuple[tuple[int, ...], ...]:
         """supports[i][j]: the bitmask of the k with N_ij^k > 0.  The
@@ -68,11 +65,6 @@ class FusionRing:
                 for k in itertools.compress(range(self.rank), row):
                     terms[k].append((xi, yj, row[k]))
         return KElement(tuple(_dot(t) if t else ZERO for t in terms))
-
-    def dim(self, i) -> CycNum:
-        if self.fpdims is None:
-            raise ExactDataMissing("ring carries no exact dimensions")
-        return self.fpdims[i]
 
 
 @dataclass(frozen=True)
@@ -362,7 +354,7 @@ def sub_fpdim(ring: FusionRing, members) -> CycNum:
     or a fiber of them, or the whole basis."""
     if ring.fpdims is None:
         raise ExactDataMissing("subcategory dimension needs exact dimensions")
-    return sum((ring.fpdims[i] * ring.fpdims[i] for i in members), ZERO)
+    return _dot([(ring.fpdims[i], ring.fpdims[i]) for i in members])
 
 
 def deligne_product(a: FusionRing, b: FusionRing) -> FusionRing:

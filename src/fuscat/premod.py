@@ -42,9 +42,6 @@ class SMatrix:
 
     s: tuple[tuple[CycNum, ...], ...]
 
-    def entry(self, i, j) -> CycNum:
-        return self.s[i][j]
-
 
 @dataclass(frozen=True)
 class CentralElement:

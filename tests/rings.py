@@ -175,6 +175,21 @@ def f_coords_loop(table, chi) -> tuple[CycNum, ...]:
     return tuple(out)
 
 
+def support_jd_loop(ring, table, members):
+    """J_D by the class-function route: the f-coordinates of the normalized
+    integral, chi_i = d_i / dim D on D and 0 elsewhere, are 1 on J_D.  None
+    when some f_j is neither 0 nor 1 (the integral is not idempotent)."""
+    dim_d = ZERO
+    for i in members:
+        dim_d = dim_d + ring.fpdims[i] * ring.fpdims[i]
+    chi = tuple(ring.fpdims[i] / dim_d if i in members else ZERO
+                for i in range(ring.rank))
+    f = f_coords_loop(table, chi)
+    if not all(v == 1 or v.is_zero() for v in f):
+        return None
+    return tuple(j for j, v in enumerate(f) if v == 1)
+
+
 def eq_3_6_lhs_loop(target, sub, k, l) -> CycNum:
     """sum_t w_t alpha[X_t][k] alpha[X_{t*}][l]."""
     dec, alpha = target.cosets(sub), target.table.alpha
@@ -313,14 +328,15 @@ def all_passed(records) -> bool:
     return all(r.passed for r in records)
 
 
-def f_Q(ring, sm, cf) -> CentralElement:
-    """Algebra map from class functions to central elements, row-by-dimension."""
+def f_Q(ring, sm, chi) -> CentralElement:
+    """Algebra map from class functions, given by their coordinates chi_i over
+    the basis characters, to central elements, row-by-dimension."""
     r = ring.rank
     coords = []
     for ip in range(r):
         total = ZERO
         for i in range(r):
-            x = cf.chi_coords[i]
+            x = chi[i]
             if not x.is_zero():
                 total = total + x * sm.s[i][ip] / ring.fpdims[ip]
         coords.append(total)

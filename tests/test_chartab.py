@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 from fuscat.catalog import builtin
 from fuscat.chartab import (
     characters_numeric,
-    class_function_from_chi,
-    lambda_subcategory,
     match_numeric_columns,
     support_JD,
     validate_character_table,
@@ -105,22 +103,8 @@ def test_unit_row_must_be_ones():
 
 
 # ---------------------------------------------------------------------------
-# class functions and subcategory support
+# subcategory support
 # ---------------------------------------------------------------------------
-
-def test_unit_class_function_evaluates_to_one_everywhere():
-    table = validate_character_table(reps3_ring(), reps3_table_rows())
-    cf = class_function_from_chi(table, (1, 0, 0))
-    assert all(v == 1 for v in cf.f_coords)
-
-
-def test_lambda_full_category_is_fp_indicator():
-    ring = ising_ring()
-    table = validate_character_table(ring, ising_table_rows())
-    lam = lambda_subcategory(ring, table, check_subcategory(ring, (0, 1, 2)))
-    assert lam.f_coords[0] == 1
-    assert lam.f_coords[1].is_zero() and lam.f_coords[2].is_zero()
-
 
 @pytest.mark.parametrize("members,expected", [
     ((0,), (0, 1, 2)),

@@ -34,7 +34,7 @@ def test_ising_validates():
     assert ring.names == ("1", "f", "s")
     assert ring.dual == (0, 1, 2)
     assert ring.fpdims[2] == sqrt2()
-    assert ring.n(2, 2, 1) == 1
+    assert ring.tensor[2][2][1] == 1
 
 
 def test_fib_validates_with_golden_dim():
@@ -58,8 +58,6 @@ def test_float_only_ring_accepted_but_exact_ops_fail():
     assert ring.fpdims is None
     with pytest.raises(ExactDataMissing):
         global_fpdim(ring)
-    with pytest.raises(ExactDataMissing):
-        ring.dim(1)
 
 
 def test_fpdim_numeric_oracles():

@@ -6,6 +6,7 @@ contract every index tuple; here both agree on every subcategory of the
 builtins and the benchmark's product keys, and both reject the same
 mutated inputs.
 
+`hecke_constants` multiplies each unordered pair of block elements once.
 `verify_prop_3_4` proves its associativity and dual-symmetry records once
 `hecke_constants` has returned, so the scans that recompute them,
 `hecke_associative` and `hecke_dual_symmetric`, live in `rings.py` as
@@ -17,10 +18,11 @@ numerator vectors over one conductor and denominator.  A commutative H
 takes its symmetric-triple-product path, which perturbing H_{mn}^p and
 H_{nm}^p together reaches; any other H takes the two-sided loop, which a
 single perturbed H_{mn}^p with m != n reaches.
-`k_mul` and the eq-2.4/3.6/3.7 and integral sums, built by the integer
-kernel `_dot`, give the conductor and canonical form of the `CycNum` loops
-in `rings.py`.  The subcategory lattice, closures and restricted blocks,
-computed on support bitmasks, match the set-based powerset and search
+`k_mul`, the codegrees, subcategory dimensions and eq-2.4/3.6/3.7 sums,
+built by the integer kernel `_dot`, give the conductor and canonical form of
+the `CycNum` loops in `rings.py`, and `support_JD` gives the support of the
+class-function route.  The subcategory lattice, closures and restricted
+blocks, computed on support bitmasks, match the set-based powerset and search
 oracles.  The integer multiplicativity kernel behind the dimension,
 table-column and S-matrix-row checks names the pair the CycNum scans name,
 and the vectorized numeric residual gives the pair-by-pair verdict.
@@ -39,17 +41,17 @@ from hypothesis import given, settings, strategies as st
 import fuscat.fusion
 from fuscat.catalog import BUILTIN_KEYS, builtin
 from fuscat.chartab import (_is_numeric_character_table, characters_numeric,
-                            class_function_from_chi, validate_character_table,
-                            verify_eq_2_4)
+                            support_JD, validate_character_table, verify_eq_2_4)
 from fuscat.cosets import (HeckeAlgebra, hecke_constants, verify_eq_3_6,
                            verify_eq_3_7)
 from fuscat.errors import (DegenerateSpectrum, FuscatError, InconsistentCoset,
-                           NoMatchingColumn, NotAlgebraMap, PsiNotCharacter,
-                           ValidationError)
+                           NoMatchingColumn, NotAlgebraMap, NotIdempotent,
+                           PsiNotCharacter, ValidationError)
 from fuscat.exactnum import CycNum, _int_mul
-from fuscat.fusion import (FusionRing, KElement, _first_non_character,
-                           deligne_product, enumerate_subcategories,
-                           restricted_blocks, subcategory_closure,
+from fuscat.fusion import (FusionRing, KElement, Subcategory,
+                           _first_non_character, deligne_product,
+                           enumerate_subcategories, restricted_blocks,
+                           sub_fpdim, subcategory_closure,
                            validate_fusion_ring)
 from fuscat.premod import validate_smatrix
 from fuscat.verify import Target
@@ -61,7 +63,6 @@ from rings import (
     eq_2_4_lhs_loop,
     eq_3_6_lhs_loop,
     eq_3_7_lhs_loop,
-    f_coords_loop,
     first_associativity_violation,
     first_product_violation,
     fib_ring,
@@ -78,6 +79,8 @@ from rings import (
     restricted_blocks_sets,
     smatrix_rows_scan_first,
     subcategory_closure_sets,
+    sum_of_products,
+    support_jd_loop,
     table_columns_scan,
     validate_fpdims_scan,
 )
@@ -118,22 +121,21 @@ def _form(v):
 @pytest.mark.parametrize("key", BUILTIN_KEYS + ("rep-s3*svec", "fib*ising",
                                                 "su2k-4*fib"))
 def test_sums_of_products_match_the_cycnum_loops(key):
-    """k_mul, the integral's f-coordinates and the eq-2.4/3.6/3.7 sums give
-    the conductor, numerators and denominator of the CycNum loops they
-    replaced; fib*ising and su2k-4*fib mix conductors 1, 5, 8, 40 and
-    24, 120."""
+    """k_mul, the codegrees, the subcategory dimensions and the
+    eq-2.4/3.6/3.7 sums give the conductor, numerators and denominator of
+    the CycNum loops they replaced; fib*ising and su2k-4*fib mix conductors
+    1, 5, 8, 40 and 24, 120."""
     entry = builtin(key)
     ring, table = entry.ring, entry.table
     target = Target(key, ring, table, entry.smatrix)
     for rec in verify_eq_2_4(target):
         want = eq_2_4_lhs_loop(target, rec.params["l"], rec.params["k"])
         assert _form(rec.lhs) == _form(want), rec.params
+    for j, cod in enumerate(table.codegrees):
+        assert _form(cod) == _form(eq_2_4_lhs_loop(target, j, j)), j
     for sub in enumerate_subcategories(ring):
-        chi = tuple(ring.fpdims[i] if i in sub else ZERO
-                    for i in range(ring.rank))
-        got = class_function_from_chi(table, chi).f_coords
-        assert list(map(_form, got)) == \
-            list(map(_form, f_coords_loop(table, chi)))
+        assert _form(sub_fpdim(ring, sub)) == _form(sum_of_products(
+            [(ring.fpdims[i], ring.fpdims[i]) for i in sub])), sub.members
         es = target.cosets(sub).block_elements
         for x, y in itertools.combinations_with_replacement(es, 2):
             assert list(map(_form, ring.k_mul(x, y).coeffs)) == \
@@ -176,6 +178,73 @@ def test_k_mul_matches_dense_oracle_with_multiplicities():
     # the catalog rings are multiplicity-free; X*X = 1 + 4X is not
     tensor, phi, _ = lucas(3)
     _assert_k_mul_agrees(validate_fusion_ring(tensor, (0, 1), fpdims=(1, phi)), 3)
+
+
+def _assert_support_matches_the_class_function_route(ring, table):
+    for sub in enumerate_subcategories(ring):
+        assert (support_JD(ring, table, sub)
+                == support_jd_loop(ring, table, sub.members)), sub.members
+
+
+@pytest.mark.parametrize("key", KEYS + tuple(f"su2k-{k}" for k in range(5, 9)))
+def test_support_matches_the_class_function_route(key):
+    """Also with the columns reversed, which moves the dimension column."""
+    entry = builtin(key)
+    _assert_support_matches_the_class_function_route(entry.ring, entry.table)
+    reversed_table = validate_character_table(
+        entry.ring, [row[::-1] for row in entry.table.alpha])
+    assert reversed_table.fp_column == entry.ring.rank - 1 - entry.table.fp_column
+    _assert_support_matches_the_class_function_route(entry.ring, reversed_table)
+
+
+# Small builtins whose pairwise products stay within rank 16.
+FACTOR_KEYS = ("trivial", "svec", "ising", "fib", "rep-s3", "su2k-2", "su2k-3",
+               "pointed-z2-q1", "pointed-z3-q1", "pointed-z4-q1")
+
+
+@settings(max_examples=20, deadline=None)
+@given(a=st.sampled_from(FACTOR_KEYS), b=st.sampled_from(FACTOR_KEYS))
+def test_support_matches_the_class_function_route_on_deligne_products(a, b):
+    entry = builtin(f"{a}*{b}")
+    _assert_support_matches_the_class_function_route(entry.ring, entry.table)
+
+
+@pytest.mark.parametrize("key", ("ising", "fib", "rep-s3", "su2k-3", "su2k-4",
+                                 "pointed-z4-q1"))
+def test_support_refuses_where_the_class_function_route_is_not_idempotent(key):
+    """Every member set with the unit, closed or not: `support_JD` raises
+    `NotIdempotent` exactly where some f_j is neither 0 nor 1."""
+    entry = builtin(key)
+    refused = 0
+    for k in range(entry.ring.rank):
+        for rest in itertools.combinations(range(1, entry.ring.rank), k):
+            members = (0,) + rest
+            want = support_jd_loop(entry.ring, entry.table, members)
+            try:
+                got = support_JD(entry.ring, entry.table, Subcategory(members))
+            except NotIdempotent:
+                got = None
+                refused += 1
+            assert got == want, members
+    assert refused or key == "fib"
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_hecke_constants_multiplies_each_unordered_pair_once(key, monkeypatch):
+    ring = builtin(key).ring
+    target = Target(key, ring)
+    calls = []
+    k_mul = FusionRing.k_mul
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return k_mul(self, x, y)
+    monkeypatch.setattr(FusionRing, "k_mul", counted)
+    for sub in enumerate_subcategories(ring):
+        nb = target.cosets(sub).n_blocks
+        calls.clear()
+        hecke_constants(target, sub)
+        assert len(calls) == nb * (nb + 1) // 2, sub.members
 
 
 @pytest.mark.parametrize("key", ("ising", "rep-s3", "su2k-4", "ising*svec",
@@ -298,19 +367,21 @@ def _corrupt_products(mp, es, changes):
 
 @pytest.mark.parametrize("key", MUTATION_KEYS)
 def test_corrupted_closure_is_refused_or_rejected(key, monkeypatch):
-    """Adding 1/3 to one coefficient of one e_m e_n breaks dimension
-    proportionality or the row sum, and doubling one block dimension R_t
-    breaks the row sum of e_t e_t* (its unit coefficient is positive), so
-    `hecke_constants` raises.  Moving 1/3 of e_0 e_n = e_n onto e_p, in
-    both orders, passes it, but (e_0 e_0) e_n = e_0 e_n has coefficient
-    2/3 at e_n where e_0 (e_0 e_n) has 4/9, so the oracles reject H."""
+    """Adding 1/3 to one coefficient of one e_m e_n, m <= n (the only
+    products `hecke_constants` builds), breaks dimension proportionality or
+    the row sum, and doubling one block dimension R_t breaks the row sum of
+    e_t e_t* (its unit coefficient is positive), so `hecke_constants`
+    raises.  Moving 1/3 of e_0 e_n = e_n onto e_p passes it, but
+    (e_0 e_0) e_n = e_0 e_n has coefficient 2/3 at e_n where e_0 (e_0 e_n)
+    has 4/9, so the oracles reject H."""
     ring = builtin(key).ring
     target = Target(key, ring)
     outcomes = {"coefficient": set(), "dimension": set(), "unit block": set()}
     for sub in enumerate_subcategories(ring):
         dec = target.cosets(sub)
         nb, es = dec.n_blocks, dec.block_elements
-        for m, n, i in itertools.product(range(nb), range(nb), range(ring.rank)):
+        pairs = itertools.combinations_with_replacement(range(nb), 2)
+        for (m, n), i in itertools.product(pairs, range(ring.rank)):
             bump = KElement(tuple(THIRD if k == i else ZERO
                                   for k in range(ring.rank)))
             with monkeypatch.context() as mp:
@@ -327,7 +398,7 @@ def test_corrupted_closure_is_refused_or_rejected(key, monkeypatch):
                 continue
             move = (es[p] - es[n]).scale(THIRD)
             with monkeypatch.context() as mp:
-                _corrupt_products(mp, es, {(0, n): move, (n, 0): move})
+                _corrupt_products(mp, es, {(0, n): move})
                 outcomes["unit block"].add(_hecke_outcome(target, sub))
     assert outcomes == {"coefficient": {"raised"}, "dimension": {"raised"},
                         "unit block": {"rejected"}}
@@ -347,8 +418,7 @@ def test_associative_corruption_fails_only_dual_symmetry(monkeypatch):
     assert sub.members == (0,) and target.cosets(sub).dual_map == (0, 2, 1)
     onto_1, onto_2 = ((es[1] - es[0]).scale(2 * THIRD),
                       (es[2] - es[1]).scale(2 * THIRD))
-    _corrupt_products(monkeypatch, es, {(1, 2): onto_1, (2, 1): onto_1,
-                                        (2, 2): onto_2})
+    _corrupt_products(monkeypatch, es, {(1, 2): onto_1, (2, 2): onto_2})
     h = hecke_constants(target, sub)
     assert hecke_associative(h) and hecke_associative_dense(h)
     assert not hecke_dual_symmetric(h)
