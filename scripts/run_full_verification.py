@@ -16,8 +16,8 @@ import pathlib
 import sys
 
 from fuscat.catalog import BUILTIN_KEYS, builtin
-from fuscat.verify import (Target, all_subcategories, render_json,
-                           render_markdown, run_checks)
+from fuscat.fusion import enumerate_subcategories
+from fuscat.verify import Target, render_json, render_markdown, run_checks
 
 
 def main(argv=None) -> int:
@@ -36,7 +36,7 @@ def main(argv=None) -> int:
     for key in BUILTIN_KEYS:
         entry = builtin(key)
         report = run_checks(Target(key, entry.ring, entry.table, entry.smatrix),
-                            subcategories=all_subcategories(entry.ring))
+                            subcategories=enumerate_subcategories(entry.ring))
         s = report.summary
         for field in totals:
             totals[field] += s[field]

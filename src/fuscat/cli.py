@@ -17,10 +17,9 @@ from .chartab import characters_numeric, match_numeric_columns
 from .cosets import hecke_constants
 from .errors import FuscatError, SchemaError, UnknownKey, ValidationError
 from .exactnum import CycNum
-from .fusion import check_subcategory
+from .fusion import check_subcategory, enumerate_subcategories
 from .serialize import from_document, load_document
-from .verify import (Target, _show, all_subcategories, render_json,
-                     render_markdown, run_checks)
+from .verify import Target, _show, render_json, render_markdown, run_checks
 
 _INTEGRALITY_IDS = ("cor-3.9", "cor-4.16", "thm-1.1", "thm-1.3", "rem-4.25")
 
@@ -71,7 +70,7 @@ def cmd_validate(args) -> int:
 def cmd_verify(args) -> int:
     target = _resolve_target(args.target)
     if args.all_subcategories:
-        pool = all_subcategories(target.ring)
+        pool = enumerate_subcategories(target.ring)
     elif args.subcategory is not None:
         members = _parse_members(args.subcategory)
         try:
@@ -81,7 +80,7 @@ def cmd_verify(args) -> int:
                               f"subcategory of the target: {exc}")
     else:
         pool = None
-    check_ids = args.checks.split(",") if args.checks else None
+    check_ids = args.checks.split(",") if args.checks is not None else None
     report = run_checks(target, subcategories=pool, check_ids=check_ids)
     if args.format == "json":
         sys.stdout.write(render_json(report))
@@ -134,7 +133,7 @@ def cmd_report(args) -> int:
         out.append("")
 
     out.append("## coset decompositions and block structure constants")
-    subs = all_subcategories(ring)
+    subs = enumerate_subcategories(ring)
     for sub in subs:
         dec = target.cosets(sub)
         out.append("")
@@ -142,12 +141,12 @@ def cmd_report(args) -> int:
         out.append("")
         out.append(f"blocks: {_blocks_str(dec.blocks)}")
         out.append(f"representatives: {list(dec.reps)}")
-        h = hecke_constants(target, sub)
+        H = hecke_constants(target, sub)
         rows = ["| m | n | p | H |", "|---|---|---|---|"]
         for m_i in range(dec.n_blocks):
             for n_i in range(dec.n_blocks):
                 for p_i in range(dec.n_blocks):
-                    v = h.structure[m_i][n_i][p_i]
+                    v = H[m_i][n_i][p_i]
                     if not v.is_zero():
                         rows.append(f"| {m_i} | {n_i} | {p_i} | {_show(v)} |")
         out.extend(rows)

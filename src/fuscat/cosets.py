@@ -13,20 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import (
-    ExactDataMissing,
-    InconsistentCoset,
-    IndexNotInJD,
-    PreconditionFailed,
-)
+from .errors import ExactDataMissing, InconsistentCoset, PreconditionFailed
 from .exactnum import CycNum, _dot
-from .fusion import (
-    FusionRing,
-    KElement,
-    Subcategory,
-    restricted_blocks,
-    sub_fpdim,
-)
+from .fusion import FusionRing, Subcategory, restricted_blocks, sub_fpdim
 from .reports import CheckRecord, _integrality
 
 ZERO = CycNum.from_rational(0)
@@ -54,7 +43,7 @@ class CosetDecomposition:
         return tuple(r.inverse() for r in self.reg_dims)
 
     @cached_property
-    def block_elements(self) -> tuple[KElement, ...]:
+    def block_elements(self) -> tuple[tuple[CycNum, ...], ...]:
         """e_t for every block t (see `block_element`)."""
         return tuple(block_element(self.ring, self, t)
                      for t in range(self.n_blocks))
@@ -101,26 +90,17 @@ def coset_partition(ring: FusionRing, sub: Subcategory) -> CosetDecomposition:
 # the algebra spanned by normalized block elements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HeckeAlgebra:
-    dec: CosetDecomposition
-    structure: tuple[tuple[tuple[CycNum, ...], ...], ...]   # H[m][n][p]
-
-    @property
-    def n_blocks(self):
-        return self.dec.n_blocks
-
-
-def block_element(ring: FusionRing, dec: CosetDecomposition, t: int) -> KElement:
+def block_element(ring: FusionRing, dec: CosetDecomposition,
+                  t: int) -> tuple[CycNum, ...]:
     """e_t: the regular element of block t divided by its dimension."""
     block, inv = set(dec.blocks[t]), dec.inv_reg_dims[t]
-    return KElement(tuple(ring.fpdims[i] * inv if i in block else ZERO
-                          for i in range(ring.rank)))
+    return tuple(ring.fpdims[i] * inv if i in block else ZERO
+                 for i in range(ring.rank))
 
 
-def hecke_constants(target, sub: Subcategory) -> HeckeAlgebra:
-    """Structure constants of e_m e_n = sum_p H_{mn}^p e_p over the cosets
-    of `sub`.
+def hecke_constants(target, sub: Subcategory) -> tuple:
+    """H, with H[m][n][p] the structure constant H_{mn}^p of
+    e_m e_n = sum_p H_{mn}^p e_p over the cosets of `sub`.
 
     H is read off the product of normalized block elements, whose in-block
     coefficients must be proportional to dimensions; each row must sum to 1.
@@ -140,7 +120,7 @@ def hecke_constants(target, sub: Subcategory) -> HeckeAlgebra:
             prod = ring.k_mul(es[m], es[n])
             consts = []
             for p in range(nb):
-                vals = [prod.coeffs[i] * ratio[i] for i in dec.blocks[p]]
+                vals = [prod[i] * ratio[i] for i in dec.blocks[p]]
                 if any(v != vals[0] for v in vals[1:]):
                     raise InconsistentCoset(
                         f"e_{m} e_{n} is not dimension-proportional on block {p}")
@@ -149,7 +129,7 @@ def hecke_constants(target, sub: Subcategory) -> HeckeAlgebra:
             if total != 1:
                 raise InconsistentCoset(f"row ({m},{n}) sums to {total}, not 1")
             structure[m][n] = structure[n][m] = tuple(consts)
-    return HeckeAlgebra(dec=dec, structure=tuple(map(tuple, structure)))
+    return tuple(map(tuple, structure))
 
 
 # ---------------------------------------------------------------------------
@@ -161,16 +141,15 @@ def verify_eq_3_1(target, sub: Subcategory) -> list[CheckRecord]:
     FPdim(D) e_t — while different blocks give different elements."""
     ring, dec = target.ring, target.cosets(sub)
     dim_d = target.dim(sub)
-    r_d = KElement(tuple(ring.fpdims[i] if i in sub else ZERO
-                         for i in range(ring.rank)))
+    r_d = tuple(ring.fpdims[i] if i in sub else ZERO for i in range(ring.rank))
     out = []
     normalized = []
     for block, e in zip(dec.blocks, dec.block_elements):
-        expected = e.scale(dim_d)
+        expected = tuple(a * dim_d for a in e)
         ok = True
         for x in block:
-            lhs = ring.k_mul(ring.basis(x), r_d).scale(target.inv_dims[x])
-            if lhs != expected:
+            inv = target.inv_dims[x]
+            if tuple(a * inv for a in ring.k_mul(ring.basis(x), r_d)) != expected:
                 ok = False
         normalized.append(expected)
         out.append(CheckRecord(id="eq-3.1",
@@ -229,41 +208,46 @@ def verify_prop_3_4(target, sub: Subcategory) -> list[CheckRecord]:
     return out
 
 
-def verify_eq_3_6(target, sub: Subcategory, k: int, l: int) -> CheckRecord:
-    """First orthogonality: block sums of products of normalized character
-    values at the representatives, against the class dimension of column k."""
+def verify_eq_3_6(target, sub: Subcategory) -> list[CheckRecord]:
+    """First orthogonality, for every k, l in J_D: block sums of products of
+    normalized character values at the representatives, against the class
+    dimension of column k."""
     table, dec = target.table, target.cosets(sub)
-    jd = target.support(sub)
-    if k not in jd:
-        raise IndexNotInJD(f"column {k} outside the support of D")
-    if l not in jd:
-        raise IndexNotInJD(f"column {l} outside the support of D")
+    jd, weights = target.support(sub), target.weights(sub)
     reps, dual_map, alpha = dec.reps, dec.dual_map, table.alpha
-    lhs = _dot([(w, alpha[reps[t]][k], alpha[reps[dual_map[t]]][l])
-                for t, w in enumerate(target.weights(sub))])
-    rhs = target.global_dim / table.class_dims[k] if k == l else ZERO
-    return CheckRecord(id="eq-3.6",
-                       params={"D": list(dec.sub.members), "k": k, "l": l},
-                       lhs=lhs, rhs=rhs, passed=lhs == rhs)
+    out = []
+    for k in jd:
+        for l in jd:
+            lhs = _dot([(w, alpha[reps[t]][k], alpha[reps[dual_map[t]]][l])
+                        for t, w in enumerate(weights)])
+            rhs = target.global_dim / table.class_dims[k] if k == l else ZERO
+            out.append(CheckRecord(id="eq-3.6",
+                                   params={"D": list(sub.members), "k": k, "l": l},
+                                   lhs=lhs, rhs=rhs, passed=lhs == rhs))
+    return out
 
 
-def verify_eq_3_7(target, sub: Subcategory, t: int, s: int) -> CheckRecord:
-    """Second orthogonality: support-weighted column sums at two representatives."""
+def verify_eq_3_7(target, sub: Subcategory) -> list[CheckRecord]:
+    """Second orthogonality, for every pair of blocks t, s: support-weighted
+    column sums at two representatives."""
     ring, table, dec = target.ring, target.table, target.cosets(sub)
-    jd = target.support(sub)
-    xt = dec.reps[t]
-    xss = dec.reps[dec.dual_map[s]]
-    alpha = table.alpha
-    lhs = _dot([(table.class_dims[k], alpha[xt][k], alpha[xss][k]) for k in jd])
-    if s == t:
-        xs = dec.reps[s]
-        rhs = (ring.fpdims[xt] * ring.fpdims[xs] * target.global_dim
-               * dec.inv_reg_dims[t])
-    else:
-        rhs = ZERO
-    return CheckRecord(id="eq-3.7",
-                       params={"D": list(dec.sub.members), "t": t, "s": s},
-                       lhs=lhs, rhs=rhs, passed=lhs == rhs)
+    jd, reps, alpha = target.support(sub), dec.reps, table.alpha
+    out = []
+    for t in range(dec.n_blocks):
+        xt = reps[t]
+        for s in range(dec.n_blocks):
+            xss = reps[dec.dual_map[s]]
+            lhs = _dot([(table.class_dims[k], alpha[xt][k], alpha[xss][k])
+                        for k in jd])
+            if s == t:
+                rhs = (ring.fpdims[xt] * ring.fpdims[reps[s]] * target.global_dim
+                       * dec.inv_reg_dims[t])
+            else:
+                rhs = ZERO
+            out.append(CheckRecord(id="eq-3.7",
+                                   params={"D": list(sub.members), "t": t, "s": s},
+                                   lhs=lhs, rhs=rhs, passed=lhs == rhs))
+    return out
 
 
 def verify_cor_3_9_1(target, sub: Subcategory) -> list[CheckRecord]:

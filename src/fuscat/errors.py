@@ -68,10 +68,6 @@ class NotIdempotent(FuscatError):
     pass
 
 
-class IndexNotInJD(FuscatError):
-    pass
-
-
 # -- cosets ----------------------------------------------------------------
 
 class InconsistentCoset(FuscatError):

@@ -47,16 +47,16 @@ class FusionRing:
         validators hand to `_first_non_character`."""
         return _nonzero(self.tensor)
 
-    def basis(self, i) -> "KElement":
-        return KElement(tuple(ONE if k == i else ZERO for k in range(self.rank)))
+    def basis(self, i) -> tuple[CycNum, ...]:
+        return tuple(ONE if k == i else ZERO for k in range(self.rank))
 
-    def k_mul(self, x: "KElement", y: "KElement") -> "KElement":
-        """Product in the ring; only nonzero coefficients and entries are
-        visited, and each output coefficient is one `_dot` of the terms
-        x_i y_j N_ij^k, so it lies at the lcm of their conductors."""
+    def k_mul(self, x: tuple, y: tuple) -> tuple[CycNum, ...]:
+        """Product of two coefficient vectors; only nonzero coefficients and
+        entries are visited, and each output coefficient is one `_dot` of
+        the terms x_i y_j N_ij^k, so it lies at the lcm of their conductors."""
         terms = [[] for _ in range(self.rank)]
-        ys = [(j, yj) for j, yj in enumerate(y.coeffs) if not yj.is_zero()]
-        for i, xi in enumerate(x.coeffs):
+        ys = [(j, yj) for j, yj in enumerate(y) if not yj.is_zero()]
+        for i, xi in enumerate(x):
             if xi.is_zero():
                 continue
             plane = self.tensor[i]
@@ -64,31 +64,7 @@ class FusionRing:
                 row = plane[j]
                 for k in itertools.compress(range(self.rank), row):
                     terms[k].append((xi, yj, row[k]))
-        return KElement(tuple(_dot(t) if t else ZERO for t in terms))
-
-
-@dataclass(frozen=True)
-class KElement:
-    """Element of the ring with scalar coefficients in the basis."""
-
-    coeffs: tuple[CycNum, ...]
-
-    def __add__(self, other):
-        return KElement(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        return KElement(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scale(self, c) -> "KElement":
-        return KElement(tuple(a * c for a in self.coeffs))
-
-    def __eq__(self, other):
-        if not isinstance(other, KElement):
-            return NotImplemented
-        return len(self.coeffs) == len(other.coeffs) and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs))
-
-    __hash__ = None
+        return tuple(_dot(t) if t else ZERO for t in terms)
 
 
 @dataclass(frozen=True)

@@ -44,24 +44,6 @@ class SMatrix:
 
 
 @dataclass(frozen=True)
-class CentralElement:
-    """Coordinates in the idempotent basis dual to the basis elements."""
-
-    e_coords: tuple[CycNum, ...]
-
-    def scale(self, c) -> "CentralElement":
-        return CentralElement(tuple(a * c for a in self.e_coords))
-
-    def __eq__(self, other):
-        if not isinstance(other, CentralElement):
-            return NotImplemented
-        return len(self.e_coords) == len(other.e_coords) and all(
-            a == b for a, b in zip(self.e_coords, other.e_coords))
-
-    __hash__ = None
-
-
-@dataclass(frozen=True)
 class PremodAnalysis:
     """The M-function, its fibers and image, the center, and stabilizers."""
 
@@ -140,13 +122,14 @@ def muger_center(ring: FusionRing, sm: SMatrix) -> Subcategory:
 # central elements
 # ---------------------------------------------------------------------------
 
-def class_sum(target, j: int) -> CentralElement:
-    """C_j: class dimension times the dimension-normalized column j of the
+def class_sum(target, j: int) -> tuple[CycNum, ...]:
+    """C_j, in coordinates over the idempotent basis dual to the basis
+    elements: class dimension times the dimension-normalized column j of the
     target's table."""
     table, inv_dims = target.table, target.inv_dims
-    coords = tuple(table.alpha[ip][j] * inv_dims[ip]
-                   for ip in range(target.ring.rank))
-    return CentralElement(coords).scale(table.class_dims[j])
+    c = table.class_dims[j]
+    return tuple(table.alpha[ip][j] * inv_dims[ip] * c
+                 for ip in range(target.ring.rank))
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +188,11 @@ def verify_thm_4_6(target) -> list[CheckRecord]:
     for i in range(ring.rank):
         j = analysis.M[i]
         # f_Q of basis character i: row i of s times the 1/d_{i'}
-        lhs = CentralElement(tuple(x * y for x, y in zip(sm.s[i], inv_dims)))
-        rhs = class_sum(target, j).scale(
-            ring.fpdims[i] / table.class_dims[j])
+        lhs = [x * y for x, y in zip(sm.s[i], inv_dims)]
+        c = ring.fpdims[i] / table.class_dims[j]
+        rhs = [a * c for a in class_sum(target, j)]
         out.append(CheckRecord(id="thm-4.6", params={"i": i, "column": j},
-                               lhs=list(lhs.e_coords), rhs=list(rhs.e_coords),
-                               passed=lhs == rhs))
+                               lhs=lhs, rhs=rhs, passed=lhs == rhs))
     return out
 
 

@@ -45,7 +45,14 @@ def cycnum_from_json(obj) -> CycNum:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise SchemaError("scalar conductor must be a positive integer")
     coeffs = obj.get("coeffs")
-    if not isinstance(coeffs, list) or len(coeffs) != euler_phi(n):
+    count = len(coeffs) if isinstance(coeffs, list) else 0
+    # phi(n) >= sqrt(n/2) for every n, so phi(n) > count when n > 2 count^2;
+    # refusing those first keeps euler_phi's trial division to sqrt(n) away
+    # from a hostile conductor
+    if n > 2 * count * count:
+        raise SchemaError(
+            f"scalar of conductor {n} needs more than {count} coefficients")
+    if not isinstance(coeffs, list) or count != euler_phi(n):
         raise SchemaError(
             f"scalar of conductor {n} needs exactly {euler_phi(n)} coefficients")
     for pair in coeffs:

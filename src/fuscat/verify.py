@@ -25,8 +25,7 @@ from .cosets import (CosetDecomposition, coset_partition, verify_cor_3_9_1,
 from .errors import FuscatError, PreconditionFailed, UnknownKey
 from .exactnum import CycNum
 from .fusion import (FusionRing, Subcategory, check_subcategory,
-                     enumerate_subcategories, global_fpdim, pointed_part,
-                     restricted_blocks, sub_fpdim)
+                     global_fpdim, pointed_part, restricted_blocks, sub_fpdim)
 from .premod import (PremodAnalysis, SMatrix, centralizer, m_map,
                      matched_groups, verify_cor_4_16, verify_cor_4_18,
                      verify_eq_4_3, verify_eq_4_15, verify_eq_4_20,
@@ -231,17 +230,6 @@ class _Row(NamedTuple):
     extra: dict = {}
 
 
-def _eq_3_6(target: Target, sub: Subcategory) -> list[CheckRecord]:
-    jd = target.support(sub)
-    return [verify_eq_3_6(target, sub, k, l) for k in jd for l in jd]
-
-
-def _eq_3_7(target: Target, sub: Subcategory) -> list[CheckRecord]:
-    n = target.cosets(sub).n_blocks
-    return [verify_eq_3_7(target, sub, t, s)
-            for t in range(n) for s in range(n)]
-
-
 # Runners are looked up by name when they run, so a wrapper installed on
 # this module's attributes (a tracer, a test double) sees every call.
 _REGISTRY = (
@@ -249,8 +237,8 @@ _REGISTRY = (
     _Row(("eq-2.7",), "table", "D", "verify_eq_2_7"),
     _Row(("eq-3.1",), "", "D", "verify_eq_3_1"),
     _Row(("prop-3.4",), "table", "D", "verify_prop_3_4"),
-    _Row(("eq-3.6",), "table", "D", "_eq_3_6"),
-    _Row(("eq-3.7",), "table", "D", "_eq_3_7"),
+    _Row(("eq-3.6",), "table", "D", "verify_eq_3_6"),
+    _Row(("eq-3.7",), "table", "D", "verify_eq_3_7"),
     _Row(("cor-3.9",), "", "D", "verify_cor_3_9_1"),
     _Row(("cor-3.9",), "table", "D", "verify_cor_3_9_2", {"claim": 2}),
     _Row(("lemma-3.12",), "", "DA", "verify_lemma_3_12"),
@@ -345,10 +333,6 @@ def run_checks(target: Target, *,
         target=target.label,
         subcategories=tuple(sub.members for sub in pool),
         checks=tuple(records))
-
-
-def all_subcategories(ring: FusionRing) -> list[Subcategory]:
-    return list(enumerate_subcategories(ring))
 
 
 # ---------------------------------------------------------------------------

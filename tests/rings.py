@@ -14,8 +14,8 @@ from fuscat.errors import (DegenerateSpectrum, ExactDataMissing,
                            NoMatchingColumn, NotAlgebraMap, PsiNotCharacter,
                            ValidationError)
 from fuscat.exactnum import CycNum, _int_mul, _numerators
-from fuscat.fusion import KElement, Subcategory, validate_fusion_ring
-from fuscat.premod import CentralElement, SMatrix
+from fuscat.fusion import Subcategory, validate_fusion_ring
+from fuscat.premod import SMatrix
 
 ONE = CycNum.from_rational(1)
 ZERO = CycNum.from_rational(0)
@@ -25,10 +25,9 @@ ZERO = CycNum.from_rational(0)
 # oracles for the prop-3.4 algebra verdicts and the sparse fusion kernels
 # ---------------------------------------------------------------------------
 
-def hecke_associative_dense(h) -> bool:
+def hecke_associative_dense(H) -> bool:
     """(e_m e_n) e_p = e_m (e_n e_p), contracted over all nb^5 index tuples."""
-    nb = h.n_blocks
-    H = h.structure
+    nb = len(H)
     for m in range(nb):
         for n in range(nb):
             for p in range(nb):
@@ -43,8 +42,8 @@ def hecke_associative_dense(h) -> bool:
     return True
 
 
-def hecke_associative(h) -> bool:
-    """(e_m e_n) e_p = e_m (e_n e_p) in the structure constants.
+def hecke_associative(H) -> bool:
+    """(e_m e_n) e_p = e_m (e_n e_p) in the structure constants H[m][n][p].
 
     For algebras built by `hecke_constants` this holds by construction
     (the proof is the docstring of `cosets.verify_prop_3_4`), so only the
@@ -61,9 +60,8 @@ def hecke_associative(h) -> bool:
     orbit of each index triple), and T is built only for m <= n.  Any
     other H gets both sides for every (m, n, p).
     """
-    nb = h.n_blocks
-    cond, _, flat = _numerators([c for plane in h.structure
-                                 for row in plane for c in row])
+    nb = len(H)
+    cond, _, flat = _numerators([c for plane in H for row in plane for c in row])
     vecs = iter(flat)
     H = [[[next(vecs) for _ in range(nb)] for _ in range(nb)]
          for _ in range(nb)]
@@ -89,11 +87,9 @@ def hecke_associative(h) -> bool:
                for m in range(nb) for n in range(nb) for p in range(nb))
 
 
-def hecke_dual_symmetric(h) -> bool:
-    """H_{mn}^p = H_{n* m*}^{p*} under the dual action on blocks."""
-    nb = h.n_blocks
-    d = h.dec.dual_map
-    H = h.structure
+def hecke_dual_symmetric(H, d) -> bool:
+    """H_{mn}^p = H_{n* m*}^{p*} under the dual action d on blocks."""
+    nb = len(H)
     return all(H[m][n][p] == H[d[n]][d[m]][d[p]]
                for m in range(nb) for n in range(nb) for p in range(nb))
 
@@ -121,14 +117,14 @@ def embed_complex_terms(v: CycNum) -> complex:
                for j, x in enumerate(v._nums))
 
 
-def k_mul_dense(ring, x, y) -> KElement:
+def k_mul_dense(ring, x, y) -> tuple[CycNum, ...]:
     """sum_{i,j,k} x_i y_j N_ij^k [X_k] over every index triple."""
     out = [ZERO] * ring.rank
     for i in range(ring.rank):
         for j in range(ring.rank):
             for k in range(ring.rank):
-                out[k] = out[k] + x.coeffs[i] * y.coeffs[j] * ring.tensor[i][j][k]
-    return KElement(tuple(out))
+                out[k] = out[k] + x[i] * y[j] * ring.tensor[i][j][k]
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +142,12 @@ def sum_of_products(terms) -> CycNum:
     return total
 
 
-def k_mul_loop(ring, x, y) -> KElement:
+def k_mul_loop(ring, x, y) -> tuple[CycNum, ...]:
     """The ring product as a running CycNum sum per output coefficient,
     over the nonzero x_i, y_j and N_ij^k, with x_i y_j built once."""
     out = [ZERO] * ring.rank
-    ys = [(j, yj) for j, yj in enumerate(y.coeffs) if not yj.is_zero()]
-    for i, xi in enumerate(x.coeffs):
+    ys = [(j, yj) for j, yj in enumerate(y) if not yj.is_zero()]
+    for i, xi in enumerate(x):
         if xi.is_zero():
             continue
         for j, yj in ys:
@@ -160,7 +156,7 @@ def k_mul_loop(ring, x, y) -> KElement:
             for k in range(ring.rank):
                 if row[k]:
                     out[k] = out[k] + prod * row[k]
-    return KElement(tuple(out))
+    return tuple(out)
 
 
 def f_coords_loop(table, chi) -> tuple[CycNum, ...]:
@@ -316,19 +312,18 @@ def refines(fine, coarse) -> bool:
     return all(any(set(b) <= c for c in coarse_sets) for b in fine)
 
 
-def regular_element(ring, sub) -> KElement:
+def regular_element(ring, sub) -> tuple[CycNum, ...]:
     """R_D = sum of d_s * [X_s] over the subcategory."""
     if ring.fpdims is None:
         raise ExactDataMissing("regular element needs exact dimensions")
-    return KElement(tuple(ring.fpdims[i] if i in sub else ZERO
-                          for i in range(ring.rank)))
+    return tuple(ring.fpdims[i] if i in sub else ZERO for i in range(ring.rank))
 
 
 def all_passed(records) -> bool:
     return all(r.passed for r in records)
 
 
-def f_Q(ring, sm, chi) -> CentralElement:
+def f_Q(ring, sm, chi) -> tuple[CycNum, ...]:
     """Algebra map from class functions, given by their coordinates chi_i over
     the basis characters, to central elements, row-by-dimension."""
     r = ring.rank
@@ -340,7 +335,7 @@ def f_Q(ring, sm, chi) -> CentralElement:
             if not x.is_zero():
                 total = total + x * sm.s[i][ip] / ring.fpdims[ip]
         coords.append(total)
-    return CentralElement(tuple(coords))
+    return tuple(coords)
 
 
 # ---------------------------------------------------------------------------

@@ -104,14 +104,16 @@ def test_criterion_03_both_orthogonality_relations_exact():
         sub = check_subcategory(entry.ring, members)
         dec = coset_partition(entry.ring, sub)
         jd = support_JD(entry.ring, entry.table, sub)
-        for k in jd:
-            for l in jd:
-                if not verify_eq_3_6(target, sub, k, l).passed:
-                    failures.append((key, tuple(sub.members), "first", k, l))
-        for t in range(dec.n_blocks):
-            for s in range(dec.n_blocks):
-                if not verify_eq_3_7(target, sub, t, s).passed:
-                    failures.append((key, tuple(sub.members), "second", t, s))
+        first = verify_eq_3_6(target, sub)
+        assert [(r.params["k"], r.params["l"]) for r in first] == \
+            [(k, l) for k in jd for l in jd]
+        failures.extend((key, tuple(sub.members), "first", r.params["k"],
+                         r.params["l"]) for r in first if not r.passed)
+        second = verify_eq_3_7(target, sub)
+        assert [(r.params["t"], r.params["s"]) for r in second] == \
+            [(t, s) for t in range(dec.n_blocks) for s in range(dec.n_blocks)]
+        failures.extend((key, tuple(sub.members), "second", r.params["t"],
+                         r.params["s"]) for r in second if not r.passed)
     assert not failures, failures
 
 
@@ -121,23 +123,23 @@ def test_criterion_04_block_constants_well_defined_stochastic_associative():
         target = _target(entry)
         for sub in enumerate_subcategories(entry.ring):
             dec = coset_partition(entry.ring, sub)
-            h = hecke_constants(target, sub)
+            H = hecke_constants(target, sub)
             for m_i in range(dec.n_blocks):
                 for n_i in range(dec.n_blocks):
                     total = CycNum.from_rational(0)
                     for p_i in range(dec.n_blocks):
-                        total = total + h.structure[m_i][n_i][p_i]
+                        total = total + H[m_i][n_i][p_i]
                         # well defined: every representative pair (X, Y) in
                         # m x n gives the same constant
                         for x in dec.blocks[m_i]:
                             for y in dec.blocks[n_i]:
                                 if (_hecke_at(entry.ring, dec, p_i, x, y)
-                                        != h.structure[m_i][n_i][p_i]):
+                                        != H[m_i][n_i][p_i]):
                                     failures.append((entry.key, sub.members,
                                                      m_i, n_i, p_i, x, y))
                     if total != ONE:
                         failures.append((entry.key, sub.members, m_i, n_i))
-            if not hecke_associative(h):
+            if not hecke_associative(H):
                 failures.append((entry.key, sub.members, "associativity"))
     assert not failures, failures
 

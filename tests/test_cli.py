@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from fuscat.catalog import builtin
+from fuscat.catalog import BUILTIN_KEYS, builtin
 from fuscat.chartab import validate_character_table
 from fuscat import cli
 from fuscat.cli import main
@@ -134,6 +134,31 @@ def test_verify_bad_subcategory_syntax(capsys):
 def test_verify_unknown_check_id(capsys):
     assert main(["verify", "ising", "--checks", "eq-9.9"]) == 2
     assert "unknown check id" in capsys.readouterr().err
+
+
+def test_verify_empty_check_id_is_refused(capsys):
+    # an empty --checks names the empty id, as a trailing comma does
+    for checks in ("", "eq-2.4,"):
+        assert main(["verify", "ising", f"--checks={checks}"]) == 2
+        captured = capsys.readouterr()
+        assert "unknown check id ''" in captured.err
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("key", BUILTIN_KEYS)
+def test_verify_product_with_trivial_reproduces_the_report(key, capsys):
+    """A*trivial and trivial*A index the basis as A does, so their reports
+    are A's own, apart from the target's name."""
+    def report(target):
+        argv = ["verify", target, "--all-subcategories", "--format", "json"]
+        code = main(argv)
+        doc = json.loads(capsys.readouterr().out)
+        assert doc.pop("target") == target
+        return code, doc
+
+    own = report(key)
+    assert report(f"{key}*trivial") == own
+    assert report(f"trivial*{key}") == own
 
 
 def test_verify_unknown_target(capsys):
@@ -285,6 +310,20 @@ def test_verify_trivial_ring_over_conductor_53_is_fast(tmp_path, capsys):
         return [(c["id"], c["params"], c["pass"]) for c in rep["checks"]]
 
     assert verdicts(report) == verdicts(expected)
+
+
+def test_validate_refuses_a_huge_conductor_at_once(tmp_path):
+    # phi(10^40 + 1) takes trial division to 10^20; one coefficient can
+    # only fit a conductor of at most 2, since phi(n) >= sqrt(n/2)
+    def huge(doc):
+        n = 10 ** 40 + 1
+        doc.update(conductor=n, fpdims=[{"conductor": n, "coeffs": [[1, 1]]}])
+
+    path = _write_entry(tmp_path, "trivial", mutate=huge)
+    proc = subprocess.run([sys.executable, "-m", "fuscat", "validate", path],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert "coefficients" in proc.stderr
 
 
 def _write_without_dimensions(tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from fuscat.catalog import BUILTIN_KEYS, builtin
 from fuscat.chartab import validate_character_table
-from fuscat.errors import IndexNotInJD, PreconditionFailed
+from fuscat.errors import PreconditionFailed
 from fuscat.exactnum import CycNum
 from fuscat.cosets import (
     block_element,
@@ -129,20 +129,20 @@ def test_partition_matches_union_find_oracle(key):
 
 def test_hecke_ising_oracle():
     ring, sub = _ising_pointed()
-    h = hecke_constants(Target("", ring), sub)
+    H = hecke_constants(Target("", ring), sub)
     a, b = 0, 1
-    assert h.structure[b][b][a] == 1
-    assert h.structure[b][b][b].is_zero()
-    assert h.structure[a][b][b] == 1
-    assert h.structure[a][a] == (ONE, CycNum.from_rational(0))
+    assert H[b][b][a] == 1
+    assert H[b][b][b].is_zero()
+    assert H[a][b][b] == 1
+    assert H[a][a] == (ONE, CycNum.from_rational(0))
 
 
 def test_hecke_unit_block_acts_as_identity():
     ring = reps3_ring()
-    h = hecke_constants(Target("", ring), check_subcategory(ring, (0, 1)))
-    for n in range(h.n_blocks):
-        for p in range(h.n_blocks):
-            assert h.structure[0][n][p] == (1 if n == p else 0)
+    H = hecke_constants(Target("", ring), check_subcategory(ring, (0, 1)))
+    for n in range(len(H)):
+        for p in range(len(H)):
+            assert H[0][n][p] == (1 if n == p else 0)
 
 
 @pytest.mark.parametrize("ring_fn,members", [
@@ -154,9 +154,10 @@ def test_hecke_unit_block_acts_as_identity():
 def test_hecke_well_formed(ring_fn, members):
     ring = ring_fn()
     sub = check_subcategory(ring, members)
-    h = hecke_constants(Target("", ring), sub)   # internal cross-checks would raise
-    assert hecke_associative(h)
-    assert hecke_dual_symmetric(h)
+    target = Target("", ring)
+    H = hecke_constants(target, sub)   # internal cross-checks would raise
+    assert hecke_associative(H)
+    assert hecke_dual_symmetric(H, target.cosets(sub).dual_map)
 
 
 def test_block_elements_are_idempotent_for_unit_block():
@@ -198,27 +199,30 @@ def test_first_orthogonality_ising_oracle():
     ring, sub = _ising_pointed()
     table = validate_character_table(ring, ising_table_rows())
     t = Target("", ring, table)
-    res = verify_eq_3_6(t, sub, 0, 0)
-    assert res.passed and res.lhs == 4
-    res = verify_eq_3_6(t, sub, 0, 1)
-    assert res.passed and res.lhs.is_zero()
+    res = {(r.params["k"], r.params["l"]): r for r in verify_eq_3_6(t, sub)}
+    assert res[0, 0].passed and res[0, 0].lhs == 4
+    assert res[0, 1].passed and res[0, 1].lhs.is_zero()
 
 
-def test_first_orthogonality_rejects_outside_support():
+def test_first_orthogonality_ranges_over_the_support():
+    # J_D = (0, 1) for the pointed part of Ising: column 2 is never paired
     ring, sub = _ising_pointed()
     table = validate_character_table(ring, ising_table_rows())
-    with pytest.raises(IndexNotInJD):
-        verify_eq_3_6(Target("", ring, table), sub, 0, 2)
+    records = verify_eq_3_6(Target("", ring, table), sub)
+    assert [(r.params["k"], r.params["l"]) for r in records] == \
+        [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert all(r.id == "eq-3.6" and r.params["D"] == [0, 1] for r in records)
+    assert all_passed(records)
 
 
 def test_second_orthogonality_ising_oracle():
     ring, sub = _ising_pointed()
     table = validate_character_table(ring, ising_table_rows())
     t = Target("", ring, table)
-    res = verify_eq_3_7(t, sub, 1, 1)
-    assert res.passed and res.lhs == 4
-    res = verify_eq_3_7(t, sub, 0, 1)
-    assert res.passed and res.lhs.is_zero()
+    res = {(r.params["t"], r.params["s"]): r for r in verify_eq_3_7(t, sub)}
+    assert list(res) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert res[1, 1].passed and res[1, 1].lhs == 4
+    assert res[0, 1].passed and res[0, 1].lhs.is_zero()
 
 
 @pytest.mark.parametrize("ring_fn,rows_fn", [
@@ -232,14 +236,11 @@ def test_orthogonality_full_sweep(ring_fn, rows_fn):
     from fuscat.chartab import support_JD
     target = Target("", ring, table)
     for sub in enumerate_subcategories(ring):
-        dec = coset_partition(ring, sub)
+        nb = coset_partition(ring, sub).n_blocks
         jd = support_JD(ring, table, sub)
-        for k in jd:
-            for l in jd:
-                assert verify_eq_3_6(target, sub, k, l).passed
-        for t in range(dec.n_blocks):
-            for s in range(dec.n_blocks):
-                assert verify_eq_3_7(target, sub, t, s).passed
+        first, second = verify_eq_3_6(target, sub), verify_eq_3_7(target, sub)
+        assert len(first) == len(jd) ** 2 and all_passed(first)
+        assert len(second) == nb ** 2 and all_passed(second)
 
 
 # ---------------------------------------------------------------------------
@@ -334,5 +335,4 @@ def test_group_partition_matches_subgroup_cosets(n, data):
     expected = sorted(tuple(sorted((r + k * step) % n for k in range(d)))
                       for r in range(step))
     assert sorted(dec.blocks) == expected
-    h = hecke_constants(Target("", ring), sub)
-    assert hecke_associative(h)
+    assert hecke_associative(hecke_constants(Target("", ring), sub))

@@ -118,6 +118,22 @@ def test_schema_rejects_wrong_coefficient_count():
         from_document(doc)
 
 
+@pytest.mark.parametrize("n,coeffs,message", [
+    (4, [[1, 1]], "needs more than 1 coefficients"),
+    (3, [[1, 1]], "needs more than 1 coefficients"),
+    (8, "x", "needs more than 0 coefficients"),
+    (5, [[1, 1], [0, 1]], "needs exactly 4 coefficients"),
+    (2, [[1, 1], [0, 1]], "needs exactly 1 coefficients"),
+])
+def test_scalar_coefficient_count_is_refused_before_phi_when_too_short(
+        n, coeffs, message):
+    """phi(n) >= sqrt(n/2), so c coefficients never fit a conductor above
+    2 c^2; that refusal takes no trial division, and every other count
+    that is not phi(n) is refused by its value."""
+    with pytest.raises(SchemaError, match=message):
+        cycnum_from_json({"conductor": n, "coeffs": coeffs})
+
+
 def test_schema_rejects_zero_denominator():
     doc = _base_doc()
     doc["fpdims"][0]["coeffs"][0] = [1, 0]

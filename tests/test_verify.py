@@ -18,11 +18,12 @@ from fuscat.catalog import BUILTIN_KEYS, builtin
 from fuscat.chartab import validate_character_table
 from fuscat.errors import UnknownKey
 from fuscat.exactnum import CycNum
+from fuscat.fusion import enumerate_subcategories
 from fuscat.premod import SMatrix
 from fuscat.verify import (CHECK_IDS, CHECK_LEGEND, CheckRecord, Target,
-                           VerificationReport, all_subcategories,
-                           default_subcategories, render_json,
-                           render_markdown, report_to_json, run_checks)
+                           VerificationReport, default_subcategories,
+                           render_json, render_markdown, report_to_json,
+                           run_checks)
 
 from rings import ising_ring, ising_table_rows
 
@@ -30,7 +31,7 @@ from rings import ising_ring, ising_table_rows
 def _full_run(key):
     entry = builtin(key)
     return run_checks(Target(key, entry.ring, entry.table, entry.smatrix),
-                      subcategories=all_subcategories(entry.ring))
+                      subcategories=enumerate_subcategories(entry.ring))
 
 
 @pytest.mark.parametrize("key", BUILTIN_KEYS)
@@ -359,7 +360,7 @@ def test_programming_error_in_matching_analysis_propagates(monkeypatch):
 def test_skip_records_carry_the_row_params():
     entry = builtin("ising")
     bare = run_checks(Target("bare", entry.ring),
-                      subcategories=all_subcategories(entry.ring))
+                      subcategories=enumerate_subcategories(entry.ring))
     skipped = {(c.id, json.dumps(c.params, sort_keys=True))
                for c in bare.checks if c.passed is None}
     assert skipped == ({("cor-3.9", '{"claim": 2}')}
@@ -395,7 +396,7 @@ def test_derived_data_is_computed_once_per_subcategory(key, monkeypatch):
     counting("centralizer", 2)
     entry = builtin(key)
     report = run_checks(Target(key, entry.ring, entry.table, entry.smatrix),
-                        subcategories=all_subcategories(entry.ring))
+                        subcategories=enumerate_subcategories(entry.ring))
     assert report.ok
     assert {name for name, _ in calls} == {"support_JD", "coset_partition",
                                            "centralizer"}
@@ -414,7 +415,7 @@ def test_each_block_element_is_built_once(key, monkeypatch):
     monkeypatch.setattr(fuscat.cosets, "block_element", counting)
     entry = builtin(key)
     target = Target(key, entry.ring, entry.table, entry.smatrix)
-    subs = all_subcategories(entry.ring)
+    subs = enumerate_subcategories(entry.ring)
     assert run_checks(target, subcategories=subs).ok
     assert set(calls) == {(sub.members, t) for sub in subs
                           for t in range(target.cosets(sub).n_blocks)}
@@ -428,7 +429,7 @@ def test_run_checks_inverts_each_repeated_divisor_once(monkeypatch):
     every loop divided by them afresh it made 3598."""
     entry = builtin("svec*svec*svec")
     target = Target("svec*svec*svec", entry.ring, entry.table, entry.smatrix)
-    subs = all_subcategories(entry.ring)
+    subs = enumerate_subcategories(entry.ring)
     calls = Counter()
     inverse = CycNum.inverse
 
