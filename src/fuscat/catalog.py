@@ -177,20 +177,26 @@ def _su2k(k: int) -> CatalogEntry:
     conductor = 4 * (k + 2)
     tensor = _su2k_tensor(k)
 
-    def gap(m: int) -> CycNum:
-        # zeta^(2m) - zeta^(-2m), a scalar multiple of sin(m*pi/(k+2))
-        return (CycNum.zeta(conductor, (2 * m) % conductor)
-                - CycNum.zeta(conductor, (-2 * m) % conductor))
+    def qint(m: int, b: int) -> CycNum:
+        """The quantum integer [m] at q^b, q = zeta^2 of order 2(k+2):
+        sum_{l<m} q^(b(m-1-2l)), one sum of powers of zeta reduced once.
 
-    unit_gap = gap(1)
-    smatrix = [[gap((i + 1) * (j + 1)) / unit_gap for j in range(rank)]
+        s_ij = (q^m - q^-m)/(q - q^-1), m = (i+1)(j+1), is [m] at q; and
+        alpha_ij = s_ij/s_0j is [i+1] at q^(j+1), since
+        [(i+1)(j+1)]_q = [i+1]_(q^(j+1)) [j+1]_q and [j+1]_q != 0 for j <= k.
+        """
+        coeffs = [0] * conductor
+        for l in range(m):
+            coeffs[2 * b * (m - 1 - 2 * l) % conductor] += 1
+        return CycNum(conductor, coeffs)
+
+    smatrix = [[qint((i + 1) * (j + 1), 1) for j in range(rank)]
                for i in range(rank)]
     dims = tuple(smatrix[0][j] for j in range(rank))
     ring = validate_fusion_ring(tensor, tuple(range(rank)),
                                 names=tuple(f"X{i}" for i in range(rank)),
                                 fpdims=dims)
-    table = [[smatrix[i][j] / dims[j] for j in range(rank)]
-             for i in range(rank)]
+    table = [[qint(i + 1, j + 1) for j in range(rank)] for i in range(rank)]
     return _entry(f"su2k-{k}", ring, table, smatrix,
                   f"level-{k} truncated Clebsch-Gordan ring on {rank} "
                   f"self-dual objects; matrix entries are exact difference "

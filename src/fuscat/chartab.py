@@ -130,14 +130,14 @@ def verify_eq_2_7(target, sub: Subcategory) -> CheckRecord:
 
 def verify_eq_2_4(target) -> list[CheckRecord]:
     """Dual-pairing orthogonality of table columns, all pairs."""
-    ring, table = target.ring, target.table
+    ring, table, inv_cd = target.ring, target.table, target.inv_class_dims
     r = ring.rank
     out = []
     for l in range(r):
         for k in range(r):
             s = _dot([(table.alpha[i][l], table.alpha[ring.dual[i]][k])
                       for i in range(r)])
-            rhs = target.global_dim / table.class_dims[k] if l == k else ZERO
+            rhs = target.global_dim * inv_cd[k] if l == k else ZERO
             out.append(CheckRecord(id="eq-2.4", params={"l": l, "k": k},
                                    lhs=s, rhs=rhs, passed=s == rhs))
     return out

@@ -215,12 +215,13 @@ def verify_eq_3_6(target, sub: Subcategory) -> list[CheckRecord]:
     table, dec = target.table, target.cosets(sub)
     jd, weights = target.support(sub), target.weights(sub)
     reps, dual_map, alpha = dec.reps, dec.dual_map, table.alpha
+    inv_cd = target.inv_class_dims
     out = []
     for k in jd:
         for l in jd:
             lhs = _dot([(w, alpha[reps[t]][k], alpha[reps[dual_map[t]]][l])
                         for t, w in enumerate(weights)])
-            rhs = target.global_dim / table.class_dims[k] if k == l else ZERO
+            rhs = target.global_dim * inv_cd[k] if k == l else ZERO
             out.append(CheckRecord(id="eq-3.6",
                                    params={"D": list(sub.members), "k": k, "l": l},
                                    lhs=lhs, rhs=rhs, passed=lhs == rhs))

@@ -182,14 +182,14 @@ def verify_eq_4_3(target) -> list[CheckRecord]:
 
 def verify_thm_4_6(target) -> list[CheckRecord]:
     """Central image of each basis character is its class sum, rescaled."""
-    ring, table, sm = target.ring, target.table, target.smatrix
-    analysis, inv_dims = target.analysis, target.inv_dims
+    ring, sm, analysis = target.ring, target.smatrix, target.analysis
+    inv_dims, inv_cd = target.inv_dims, target.inv_class_dims
     out = []
     for i in range(ring.rank):
         j = analysis.M[i]
         # f_Q of basis character i: row i of s times the 1/d_{i'}
         lhs = [x * y for x, y in zip(sm.s[i], inv_dims)]
-        c = ring.fpdims[i] / table.class_dims[j]
+        c = ring.fpdims[i] * inv_cd[j]
         rhs = [a * c for a in class_sum(target, j)]
         out.append(CheckRecord(id="thm-4.6", params={"i": i, "column": j},
                                lhs=lhs, rhs=rhs, passed=lhs == rhs))

@@ -128,6 +128,12 @@ class Target:
         return self._once("inv_dims", lambda: tuple(
             d.inverse() for d in self.ring.fpdims))
 
+    @property
+    def inv_class_dims(self) -> tuple[CycNum, ...]:
+        """1/dim(C^j) for every table column j."""
+        return self._once("inv_class_dims", lambda: tuple(
+            c.inverse() for c in self.table.class_dims))
+
     def weights(self, sub: Subcategory) -> tuple[CycNum, ...]:
         """FPdim(R_t)/d_{X_t}^2 for every block t: the eq-3.6 weights."""
         dec, inv = self.cosets(sub), self.inv_dims

@@ -10,12 +10,13 @@ import math
 
 import numpy as np
 
+from fuscat.chartab import validate_character_table
 from fuscat.errors import (DegenerateSpectrum, ExactDataMissing,
                            NoMatchingColumn, NotAlgebraMap, PsiNotCharacter,
                            ValidationError)
 from fuscat.exactnum import CycNum, _int_mul, _numerators
 from fuscat.fusion import Subcategory, validate_fusion_ring
-from fuscat.premod import SMatrix
+from fuscat.premod import SMatrix, validate_smatrix
 
 ONE = CycNum.from_rational(1)
 ZERO = CycNum.from_rational(0)
@@ -626,6 +627,30 @@ def su2k4_adjoint_smatrix_rows():
         (1, 1, 2),
         (2, 2, -2),
     )
+
+
+def su2k_division(k: int):
+    """(ring, table, smatrix) of level k by division: s_ij = gap((i+1)(j+1))
+    / gap(1) with gap(m) = zeta^(2m) - zeta^(-2m), zeta = zeta_(4(k+2)), and
+    alpha_ij = s_ij / s_0j, one norm inverse per entry.  The tensor is the
+    truncated Clebsch-Gordan rule, longhand.  The oracle for the
+    quantum-integer construction of `catalog._su2k`."""
+    rank, n = k + 1, 4 * (k + 2)
+    tensor = [[[1 if abs(i - j) <= l <= min(i + j, 2 * k - i - j)
+                and (i + j + l) % 2 == 0 else 0 for l in range(rank)]
+               for j in range(rank)] for i in range(rank)]
+
+    def gap(m):
+        return CycNum.zeta(n, 2 * m) - CycNum.zeta(n, -2 * m)
+
+    s = [[gap((i + 1) * (j + 1)) / gap(1) for j in range(rank)]
+         for i in range(rank)]
+    ring = validate_fusion_ring(tensor, tuple(range(rank)),
+                                names=tuple(f"X{i}" for i in range(rank)),
+                                fpdims=tuple(s[0]))
+    table = validate_character_table(
+        ring, [[s[i][j] / s[0][j] for j in range(rank)] for i in range(rank)])
+    return ring, table, validate_smatrix(ring, table, s)
 
 
 def dd_smatrix_rows(ring):

@@ -6,16 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuscat.catalog import (BUILTIN_KEYS, CatalogEntry, builtin,
+from fuscat.catalog import (BUILTIN_KEYS, CatalogEntry, _su2k, builtin,
                             entry_summary, product)
 from fuscat.errors import UnknownKey
 from fuscat.exactnum import CycNum
 from fuscat.fusion import global_fpdim
 from fuscat.premod import muger_center
+from fuscat.serialize import dump_document, to_document
 
 from rings import (fib_ring, golden, ising_ring, ising_smatrix_rows,
                    ising_table_rows, pointed_smatrix_rows, reps3_ring, sqrt2,
-                   su2k4_adjoint_smatrix_rows)
+                   su2k4_adjoint_smatrix_rows, su2k_division)
 
 ONE = CycNum.from_rational(1)
 
@@ -142,6 +143,42 @@ def test_su2k_matrix_is_symmetric_with_dimension_first_row():
         for i in range(entry.ring.rank):
             for j in range(entry.ring.rank):
                 assert s[i][j] == s[j][i]
+
+
+def _form(v):
+    return v.conductor, v._nums, v._den
+
+
+@pytest.mark.parametrize("k", range(15))
+def test_su2k_quantum_integers_match_the_division_oracle(k):
+    """Every entry, class dimension and fpdim equals the division route's
+    in conductor, numerators and denominator, and so does the document."""
+    entry = _su2k(k)
+    ring, table, sm = su2k_division(k)
+    for built, oracle in ((entry.smatrix.s, sm.s),
+                          (entry.table.alpha, table.alpha),
+                          ((entry.table.class_dims,), (table.class_dims,)),
+                          ((entry.ring.fpdims,), (ring.fpdims,))):
+        assert [[_form(v) for v in row] for row in built] == \
+            [[_form(v) for v in row] for row in oracle]
+    assert (dump_document(to_document(entry.ring, entry.table, entry.smatrix))
+            == dump_document(to_document(ring, table, sm)))
+
+
+@pytest.mark.parametrize("k", (10, 14))
+def test_su2k_build_takes_no_inverse_beyond_the_validators(k, monkeypatch):
+    """The entries are sums of powers of zeta; the only inverses are the
+    validators' class dimensions and S-matrix row normalization, at most
+    2 rank (an operation count, so the bound holds on any load)."""
+    calls = []
+    inverse = CycNum.inverse
+
+    def counting(self):
+        calls.append(self)
+        return inverse(self)
+    monkeypatch.setattr(CycNum, "inverse", counting)
+    entry = _su2k(k)
+    assert 0 < len(calls) <= 2 * entry.ring.rank
 
 
 def test_pointed_matrix_matches_polarization_oracle():

@@ -79,6 +79,24 @@ def test_ring_only_target_skips_table_and_matrix_checks():
     assert claim1 and all(c.passed for c in claim1)
 
 
+def test_all_subcategory_run_inverts_each_class_dimension_once(monkeypatch):
+    """eq-2.4, eq-3.6 and thm-4.6 read 1/dim(C^j) from the target, so a run
+    over every subcategory inverts each class dimension at most once (an
+    operation count, so the bound holds on any load)."""
+    entry = builtin("su2k-4*fib")
+    inverted = Counter()
+    inverse = CycNum.inverse
+
+    def counting(self):
+        inverted[id(self)] += 1
+        return inverse(self)
+    monkeypatch.setattr(CycNum, "inverse", counting)
+    report = _full_run("su2k-4*fib")
+    assert report.ok
+    counts = [inverted[id(c)] for c in entry.table.class_dims]
+    assert max(counts) == 1, counts
+
+
 def test_check_filter_restricts_output():
     entry = builtin("ising")
     report = run_checks(Target("", entry.ring, entry.table, entry.smatrix),
