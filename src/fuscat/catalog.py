@@ -49,7 +49,6 @@ class CatalogEntry:
     ring: FusionRing
     table: CharacterTable
     smatrix: Optional[SMatrix]
-    description: str
 
 
 def _sqrt2() -> CycNum:
@@ -62,18 +61,17 @@ def _sqrt5() -> CycNum:
     return _ONE + (z + z ** 4) * 2
 
 
-def _entry(key, ring, table_rows, smatrix_rows, description) -> CatalogEntry:
+def _entry(key, ring, table_rows, smatrix_rows) -> CatalogEntry:
     table = validate_character_table(ring, table_rows)
     sm = None
     if smatrix_rows is not None:
         sm = validate_smatrix(ring, table, smatrix_rows)
-    return CatalogEntry(key, ring, table, sm, description)
+    return CatalogEntry(key, ring, table, sm)
 
 
 def _trivial() -> CatalogEntry:
     ring = validate_fusion_ring([[[1]]], (0,), names=("1",), fpdims=(_ONE,))
-    return _entry("trivial", ring, [[_ONE]], [[_ONE]],
-                  "rank-1 ring of the tensor unit")
+    return _entry("trivial", ring, [[_ONE]], [[_ONE]])
 
 
 def _group_ring(n: int, names) -> FusionRing:
@@ -91,9 +89,7 @@ def _group_table_rows(n: int):
 def _svec() -> CatalogEntry:
     ring = _group_ring(2, ("1", "f"))
     smatrix = [[_ONE, _ONE], [_ONE, _ONE]]
-    return _entry("svec", ring, _group_table_rows(2), smatrix,
-                  "rank-2 pointed ring on Z/2 with the all-ones symmetric "
-                  "matrix; every object is transparent")
+    return _entry("svec", ring, _group_table_rows(2), smatrix)
 
 
 def _ising() -> CatalogEntry:
@@ -115,10 +111,7 @@ def _ising() -> CatalogEntry:
         [_ONE, _ONE, -r2],
         [r2, -r2, CycNum.from_rational(0)],
     ]
-    return _entry("ising", ring, table, smatrix,
-                  "rank-3 ring with s*s = 1 + f; the dimension of s is "
-                  "zeta_8 - zeta_8^3 and the symmetric matrix is the "
-                  "standard one in Q(zeta_8)")
+    return _entry("ising", ring, table, smatrix)
 
 
 def _fib() -> CatalogEntry:
@@ -131,9 +124,7 @@ def _fib() -> CatalogEntry:
                                 fpdims=(_ONE, phi))
     table = [[_ONE, _ONE], [phi, _ONE - phi]]
     smatrix = [[_ONE, phi], [phi, -_ONE]]
-    return _entry("fib", ring, table, smatrix,
-                  "rank-2 ring with t*t = 1 + t; golden-ratio dimension "
-                  "(1 + sqrt 5)/2 realized in Q(zeta_5)")
+    return _entry("fib", ring, table, smatrix)
 
 
 def _rep_s3() -> CatalogEntry:
@@ -152,10 +143,7 @@ def _rep_s3() -> CatalogEntry:
     ]
     dims = ring.fpdims
     smatrix = [[dims[i] * dims[j] for j in range(3)] for i in range(3)]
-    return _entry("rep-s3", ring, table, smatrix,
-                  "character ring of the symmetric group on three letters; "
-                  "the symmetric matrix is the rank-one form d d^T, so every "
-                  "object is transparent")
+    return _entry("rep-s3", ring, table, smatrix)
 
 
 def _su2k_tensor(k: int):
@@ -197,10 +185,7 @@ def _su2k(k: int) -> CatalogEntry:
                                 names=tuple(f"X{i}" for i in range(rank)),
                                 fpdims=dims)
     table = [[qint(i + 1, j + 1) for j in range(rank)] for i in range(rank)]
-    return _entry(f"su2k-{k}", ring, table, smatrix,
-                  f"level-{k} truncated Clebsch-Gordan ring on {rank} "
-                  f"self-dual objects; matrix entries are exact difference "
-                  f"quotients of powers of zeta_{conductor}")
+    return _entry(f"su2k-{k}", ring, table, smatrix)
 
 
 def _pointed(n: int, c: int) -> CatalogEntry:
@@ -210,10 +195,7 @@ def _pointed(n: int, c: int) -> CatalogEntry:
     cc = c % n
     smatrix = [[CycNum.zeta(n, (cc * a * b) % n) for b in range(n)]
                for a in range(n)]
-    return _entry(f"pointed-z{n}-q{c}", ring, _group_table_rows(n), smatrix,
-                  f"pointed ring on Z/{n} with the bilinear symmetric matrix "
-                  f"s_ab = zeta_{n}^({c}ab), the polarization of the "
-                  f"quadratic form a -> zeta_{2 * n}^({c}a^2)")
+    return _entry(f"pointed-z{n}-q{c}", ring, _group_table_rows(n), smatrix)
 
 
 def _product_entry(a: CatalogEntry, b: CatalogEntry) -> CatalogEntry:
@@ -227,8 +209,7 @@ def _product_entry(a: CatalogEntry, b: CatalogEntry) -> CatalogEntry:
         smatrix = [[a.smatrix.s[i][j] * b.smatrix.s[ip][jp]
                     for j in range(ra) for jp in range(rb)]
                    for i in range(ra) for ip in range(rb)]
-    return _entry(f"{a.key}*{b.key}", ring, table, smatrix,
-                  f"entrywise product of '{a.key}' and '{b.key}'")
+    return _entry(f"{a.key}*{b.key}", ring, table, smatrix)
 
 
 _SU2K = re.compile(r"su2k-(\d+)\Z")

@@ -33,7 +33,7 @@ ZERO = CycNum.from_rational(0)
 
 @dataclass(frozen=True)
 class CharacterTable:
-    """Validated table with derived codegrees and class dimensions.
+    """Validated table with derived class dimensions.
 
     Only `validate_character_table` builds one, so every column is a proven
     character; `premod.validate_smatrix` relies on this to accept an S-matrix
@@ -41,7 +41,6 @@ class CharacterTable:
 
     alpha: tuple[tuple[CycNum, ...], ...]
     fp_column: int
-    codegrees: tuple[CycNum, ...]
     class_dims: tuple[CycNum, ...]
 
     @property
@@ -80,12 +79,11 @@ def validate_character_table(ring: FusionRing, rows) -> CharacterTable:
         raise NoFPColumn("no column equals the dimension vector")
 
     total_dim = global_fpdim(ring)
-    codegrees, class_dims = [], []
+    class_dims = []
     for j in range(r):
         cod = _dot([(alpha[i][j], alpha[ring.dual[i]][j]) for i in range(r)])
         if cod.is_zero():
             raise SingularTable(f"column {j} has zero codegree")
-        codegrees.append(cod)
         class_dims.append(total_dim / cod)
 
     total = sum(class_dims, ZERO)
@@ -93,7 +91,7 @@ def validate_character_table(ring: FusionRing, rows) -> CharacterTable:
     assert class_dims[fp_column] == 1, "dimension character must have class dimension 1"
 
     return CharacterTable(alpha=alpha, fp_column=fp_column,
-                          codegrees=tuple(codegrees), class_dims=tuple(class_dims))
+                          class_dims=tuple(class_dims))
 
 
 # ---------------------------------------------------------------------------

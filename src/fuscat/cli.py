@@ -122,14 +122,15 @@ def cmd_report(args) -> int:
         out.append("")
 
     if target.smatrix is not None and table is not None:
-        analysis = target.analysis
+        center = target.analysis.center
+        fibers = sorted(b for b, _ in target.matched_groups(target.whole).values())
         out.append("## matching analysis")
         out.append("")
-        out.append(f"center: {{{','.join(map(str, analysis.center.members))}}}")
-        out.append(f"M: {list(analysis.M)}")
-        out.append(f"fibers: {_blocks_str(analysis.fibers)}")
+        out.append(f"center: {{{','.join(map(str, center.members))}}}")
+        out.append(f"M: {list(target.smatrix.M)}")
+        out.append(f"fibers: {_blocks_str(fibers)}")
         out.append("cosets wrt center: " + _blocks_str(
-            target.cosets(analysis.center).blocks))
+            target.cosets(center).blocks))
         out.append("")
 
     out.append("## coset decompositions and block structure constants")
@@ -143,10 +144,9 @@ def cmd_report(args) -> int:
         out.append(f"representatives: {list(dec.reps)}")
         H = hecke_constants(target, sub)
         rows = ["| m | n | p | H |", "|---|---|---|---|"]
-        for m_i in range(dec.n_blocks):
-            for n_i in range(dec.n_blocks):
-                for p_i in range(dec.n_blocks):
-                    v = H[m_i][n_i][p_i]
+        for m_i, plane in enumerate(H):
+            for n_i, row in enumerate(plane):
+                for p_i, v in enumerate(row):
                     if not v.is_zero():
                         rows.append(f"| {m_i} | {n_i} | {p_i} | {_show(v)} |")
         out.extend(rows)

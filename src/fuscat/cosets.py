@@ -15,7 +15,7 @@ from functools import cached_property
 
 from .errors import ExactDataMissing, InconsistentCoset, PreconditionFailed
 from .exactnum import CycNum, _dot
-from .fusion import FusionRing, Subcategory, restricted_blocks, sub_fpdim
+from .fusion import FusionRing, Subcategory, restricted_blocks
 from .reports import CheckRecord, _integrality
 
 ZERO = CycNum.from_rational(0)
@@ -26,16 +26,11 @@ class CosetDecomposition:
     """Blocks (sorted by least member), representatives, block dims, dual
     action, and the ring they partition."""
 
-    sub: Subcategory
     blocks: tuple[tuple[int, ...], ...]
     reps: tuple[int, ...]
     reg_dims: tuple[CycNum, ...]
     dual_map: tuple[int, ...]
     ring: FusionRing = field(repr=False, compare=False)
-
-    @property
-    def n_blocks(self):
-        return len(self.blocks)
 
     @cached_property
     def inv_reg_dims(self) -> tuple[CycNum, ...]:
@@ -46,12 +41,14 @@ class CosetDecomposition:
     def block_elements(self) -> tuple[tuple[CycNum, ...], ...]:
         """e_t for every block t (see `block_element`)."""
         return tuple(block_element(self.ring, self, t)
-                     for t in range(self.n_blocks))
+                     for t in range(len(self.blocks)))
 
 
-def coset_partition(ring: FusionRing, sub: Subcategory) -> CosetDecomposition:
-    """Partition the basis into the cosets of `sub`, with representatives,
-    block dimensions and the dual action on blocks."""
+def coset_partition(target, sub: Subcategory) -> CosetDecomposition:
+    """Partition the target's basis into the cosets of `sub`, with
+    representatives, block dimensions (`target.dim`) and the dual action on
+    blocks."""
+    ring = target.ring
     if ring.fpdims is None:
         raise ExactDataMissing("coset partition needs exact dimensions")
     blocks = restricted_blocks(ring, range(ring.rank), sub.members)
@@ -81,8 +78,8 @@ def coset_partition(ring: FusionRing, sub: Subcategory) -> CosetDecomposition:
         if td != t and reps[td] is None:
             reps[td] = ring.dual[block[0]]
 
-    return CosetDecomposition(sub=sub, blocks=tuple(blocks), reps=tuple(reps),
-                              reg_dims=tuple(sub_fpdim(ring, b) for b in blocks),
+    return CosetDecomposition(blocks=tuple(blocks), reps=tuple(reps),
+                              reg_dims=tuple(map(target.dim, blocks)),
                               dual_map=tuple(dual_map), ring=ring)
 
 
@@ -110,7 +107,7 @@ def hecke_constants(target, sub: Subcategory) -> tuple:
     form.  So H_{nm} = H_{mn}, and a pair fails a check in both orders.
     """
     ring, dec, inv = target.ring, target.cosets(sub), target.inv_dims
-    nb, es = dec.n_blocks, dec.block_elements
+    nb, es = len(dec.blocks), dec.block_elements
     # R_p / d_i for each i in block p
     ratio = {i: dec.reg_dims[p] * inv[i]
              for p, block in enumerate(dec.blocks) for i in block}
@@ -192,17 +189,16 @@ def verify_prop_3_4(target, sub: Subcategory) -> list[CheckRecord]:
     gives sum_p H_{m* n*}^{p*} e_{p*}.  Independence and the commutativity
     of N, by which H_{m* n*} = H_{n* m*}, give H_{mn}^p = H_{n* m*}^{p*}.
     """
-    dec, jd = target.cosets(sub), target.support(sub)
+    nb, jd = len(target.cosets(sub).blocks), target.support(sub)
     out = [CheckRecord(id="prop-3.4",
-                       params={"D": list(dec.sub.members)},
-                       lhs=dec.n_blocks, rhs=len(jd),
-                       passed=dec.n_blocks == len(jd),
+                       params={"D": list(sub.members)},
+                       lhs=nb, rhs=len(jd), passed=nb == len(jd),
                        detail="algebra dimension = support size")]
     hecke_constants(target, sub)   # raises InconsistentCoset on malformation
-    out.append(CheckRecord(id="prop-3.4", params={"D": list(dec.sub.members)},
+    out.append(CheckRecord(id="prop-3.4", params={"D": list(sub.members)},
                            lhs="structure constants", rhs="associative",
                            passed=True))
-    out.append(CheckRecord(id="prop-3.4", params={"D": list(dec.sub.members)},
+    out.append(CheckRecord(id="prop-3.4", params={"D": list(sub.members)},
                            lhs="structure constants", rhs="dual-symmetric",
                            passed=True))
     return out
@@ -234,9 +230,9 @@ def verify_eq_3_7(target, sub: Subcategory) -> list[CheckRecord]:
     ring, table, dec = target.ring, target.table, target.cosets(sub)
     jd, reps, alpha = target.support(sub), dec.reps, table.alpha
     out = []
-    for t in range(dec.n_blocks):
+    for t in range(len(reps)):
         xt = reps[t]
-        for s in range(dec.n_blocks):
+        for s in range(len(reps)):
             xss = reps[dec.dual_map[s]]
             lhs = _dot([(table.class_dims[k], alpha[xt][k], alpha[xss][k])
                         for k in jd])
@@ -255,7 +251,7 @@ def verify_cor_3_9_1(target, sub: Subcategory) -> list[CheckRecord]:
     """d_Z^2 FPdim(C) / FPdim(R_t) is an algebraic integer, every Z in every block."""
     ring, dec = target.ring, target.cosets(sub)
     total, inv = target.global_dim, dec.inv_reg_dims
-    return [_integrality("cor-3.9", {"D": list(dec.sub.members), "claim": 1,
+    return [_integrality("cor-3.9", {"D": list(sub.members), "claim": 1,
                                      "block": t, "member": z},
                          ring.fpdims[z] * ring.fpdims[z] * total * inv[t])
             for t, block in enumerate(dec.blocks) for z in block]

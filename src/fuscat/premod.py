@@ -3,10 +3,10 @@
 The S-matrix of a braided ring is symmetric with first row the dimensions;
 each row, normalized by its dimension, must be a character of the ring and
 therefore matches exactly one column of the character table.  That matching
-is the M-function; its fibers, the transparent subcategory (center), and a
-family of dimension and divisibility identities are verified here in exact
-arithmetic.  The checks take a ``verify.Target`` and read its derived data
-(among them the matching analysis) from it.
+is the M-function, which validation keeps.  Its fibers, the transparent
+subcategory (center), and a family of dimension and divisibility identities
+are verified here in exact arithmetic.  The checks take a ``verify.Target``
+and read its derived data (among them the matching analysis) from it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .fusion import (
     Subcategory,
     _first_non_character,
     check_subcategory,
-    sub_fpdim,
 )
 from .reports import CheckRecord, _integrality
 
@@ -38,18 +37,17 @@ ZERO = CycNum.from_rational(0)
 
 @dataclass(frozen=True)
 class SMatrix:
-    """Validated symmetric matrix whose normalized rows are characters."""
+    """Validated symmetric matrix whose normalized rows are characters;
+    M[i] is the table column that row i divided by d_i equals."""
 
     s: tuple[tuple[CycNum, ...], ...]
+    M: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class PremodAnalysis:
-    """The M-function, its fibers and image, the center, and stabilizers."""
+    """The center, and for each basis element Y its stabilizer G_Y."""
 
-    M: tuple[int, ...]
-    J2: tuple[int, ...]
-    fibers: tuple[tuple[int, ...], ...]
     center: Subcategory
     stabilizers: tuple[tuple[int, ...], ...]
 
@@ -69,7 +67,7 @@ def _match_column(table: CharacterTable, psi) -> int | None:
 
 def validate_smatrix(ring: FusionRing, table: CharacterTable, rows) -> SMatrix:
     """Symmetry, first row, and each normalized row psi_i = s_i / d_i equal
-    to a table column.
+    to a table column, which is M[i].
 
     A row that equals a column is a character: the table was validated, and
     `validate_character_table` checks the same identities psi(a) psi(b) =
@@ -89,17 +87,20 @@ def validate_smatrix(ring: FusionRing, table: CharacterTable, rows) -> SMatrix:
     for i in range(r):
         if s[0][i] != ring.fpdims[i]:
             raise BadFirstRow(f"entry {i} of the first row is not the dimension")
+    m = []
     for i in range(r):
         inv = ring.fpdims[i].inverse()
         psi = [x * inv for x in s[i]]
-        if _match_column(table, psi) is None:
+        j = _match_column(table, psi)
+        if j is None:
             pair = _first_non_character(ring.nonzero, psi)
             if pair is not None:
                 raise PsiNotCharacter(i, pair)
             # unreachable for a validated table: its r distinct columns are
             # all r characters of the ring, so a character matches one
             raise NoMatchingColumn(i)
-    return SMatrix(s=s)
+        m.append(j)
+    return SMatrix(s=s, M=tuple(m))
 
 
 # ---------------------------------------------------------------------------
@@ -137,29 +138,17 @@ def class_sum(target, j: int) -> tuple[CycNum, ...]:
 # ---------------------------------------------------------------------------
 
 def m_map(target) -> PremodAnalysis:
-    """Match every row of the target's matrix to its table column; derive
-    fibers, image, center and stabilizers (`validate_smatrix` proved the rest,
-    so nothing is re-checked).  The center is the target's centralizer of the
-    whole ring, and the invertible objects are its pointed part."""
-    ring, table, sm = target.ring, target.table, target.smatrix
-    inv_dims, r = target.inv_dims, ring.rank
-    m = tuple(_match_column(table, [x * inv_dims[i] for x in sm.s[i]])
-              for i in range(r))
-    if None in m:
-        raise NoMatchingColumn(m.index(None))
-
-    fiber_map = {}
-    for i in range(r):
-        fiber_map.setdefault(m[i], []).append(i)
-    fibers = tuple(sorted((tuple(v) for v in fiber_map.values()), key=lambda b: b[0]))
-    j2 = tuple(sorted(fiber_map))
-    center = target.centralizer(Subcategory(tuple(range(r))))
+    """The center and stabilizers of the target's matching, whose M
+    `validate_smatrix` found; its fibers are the matched groups of the whole
+    ring.  The center is the target's centralizer of the whole ring, and the
+    invertible objects are its pointed part."""
+    ring = target.ring
+    center = target.centralizer(target.whole)
     invertible = set(target.pointed.members)
     stabs = tuple(tuple(g for g in center.members
                         if g in invertible and ring.tensor[g][y][y] >= 1)
-                  for y in range(r))
-    return PremodAnalysis(M=m, J2=j2, fibers=fibers, center=center,
-                          stabilizers=stabs)
+                  for y in range(ring.rank))
+    return PremodAnalysis(center=center, stabilizers=stabs)
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +158,9 @@ def m_map(target) -> PremodAnalysis:
 def verify_eq_4_3(target) -> list[CheckRecord]:
     """Normalized table entries at matched columns against normalized s-entries."""
     ring, table, sm = target.ring, target.table, target.smatrix
-    analysis = target.analysis
     out = []
     for i in range(ring.rank):
-        ok = all(table.alpha[i][analysis.M[ip]] * ring.fpdims[ip] == sm.s[i][ip]
+        ok = all(table.alpha[i][sm.M[ip]] * ring.fpdims[ip] == sm.s[i][ip]
                  for ip in range(ring.rank))
         out.append(CheckRecord(id="eq-4.3", params={"i": i},
                                lhs="alpha_{i M(i')} d_{i'}", rhs="s_{i i'}",
@@ -182,11 +170,11 @@ def verify_eq_4_3(target) -> list[CheckRecord]:
 
 def verify_thm_4_6(target) -> list[CheckRecord]:
     """Central image of each basis character is its class sum, rescaled."""
-    ring, sm, analysis = target.ring, target.smatrix, target.analysis
+    ring, sm = target.ring, target.smatrix
     inv_dims, inv_cd = target.inv_dims, target.inv_class_dims
     out = []
     for i in range(ring.rank):
-        j = analysis.M[i]
+        j = sm.M[i]
         # f_Q of basis character i: row i of s times the 1/d_{i'}
         lhs = [x * y for x, y in zip(sm.s[i], inv_dims)]
         c = ring.fpdims[i] * inv_cd[j]
@@ -198,31 +186,32 @@ def verify_thm_4_6(target) -> list[CheckRecord]:
 
 def verify_thm_4_10(target) -> list[CheckRecord]:
     """Fibers of the matching equal the cosets with respect to the center,
-    and the fiber count is the support size of the center."""
-    analysis = target.analysis
-    dec = target.cosets(analysis.center)
-    same = set(map(frozenset, analysis.fibers)) == set(map(frozenset, dec.blocks))
+    and the fiber count is the support size of the center.  The fibers are
+    the matched groups of the whole ring; their columns are J_2."""
+    center = target.analysis.center
+    groups = target.matched_groups(target.whole)
+    fibers = sorted(b for b, _ in groups.values())   # disjoint: by least member
+    dec = target.cosets(center)
+    same = set(map(frozenset, fibers)) == set(map(frozenset, dec.blocks))
     out = [CheckRecord(id="thm-4.10", params={},
-                       lhs=[list(b) for b in analysis.fibers],
+                       lhs=[list(b) for b in fibers],
                        rhs=[list(b) for b in dec.blocks],
                        passed=same, detail="fibers vs center cosets")]
-    jz = target.support(analysis.center)
-    ok = len(analysis.fibers) == len(analysis.J2) and set(analysis.J2) == set(jz)
+    jz = target.support(center)
     out.append(CheckRecord(id="thm-4.10", params={},
-                           lhs=len(analysis.fibers), rhs=len(jz),
-                           passed=ok, detail="fiber count vs support size"))
+                           lhs=len(fibers), rhs=len(jz),
+                           passed=set(groups) == set(jz),
+                           detail="fiber count vs support size"))
     return out
 
 
-def matched_groups(ring: FusionRing, analysis: PremodAnalysis,
-                   sub: Subcategory) -> dict:
+def matched_groups(target, sub: Subcategory) -> dict:
     """R(D)_j for each matched column j of `sub`, in increasing j: j maps to
     the members of `sub` matched to it and their dimension."""
     grouped: dict[int, list[int]] = {}
     for i in sub.members:
-        grouped.setdefault(analysis.M[i], []).append(i)
-    return {j: (tuple(v), sub_fpdim(ring, v))
-            for j, v in sorted(grouped.items())}
+        grouped.setdefault(target.smatrix.M[i], []).append(i)
+    return {j: (tuple(v), target.dim(v)) for j, v in sorted(grouped.items())}
 
 
 def verify_prop_4_12(target, sub: Subcategory) -> list[CheckRecord]:
@@ -278,11 +267,10 @@ def verify_cor_4_16(target, sub: Subcategory) -> list[CheckRecord]:
 def verify_eq_4_20(target) -> list[CheckRecord]:
     """Fiber dimensions are dim(center) times the class dimensions; the
     fibers are the matched groups of the whole ring."""
-    table, analysis = target.table, target.analysis
-    dim_center = target.dim(analysis.center)
-    whole = Subcategory(tuple(range(target.ring.rank)))
+    table = target.table
+    dim_center = target.dim(target.analysis.center)
     out = []
-    for j, (fiber, dim_f) in target.matched_groups(whole).items():
+    for j, (fiber, dim_f) in target.matched_groups(target.whole).items():
         rhs = dim_center * table.class_dims[j]
         out.append(CheckRecord(id="eq-4.20", params={"j": j, "fiber": list(fiber)},
                                lhs=dim_f, rhs=rhs, passed=dim_f == rhs))
@@ -369,7 +357,7 @@ def verify_thm_1_3(target) -> list[CheckRecord]:
         out.append(_integrality("thm-1.3", {"Y": y, "item": 1},
                                 total * dim_center / d2))
         g_y = analysis.stabilizers[y]
-        cd = table.class_dims[analysis.M[y]]
+        cd = table.class_dims[target.smatrix.M[y]]
         out.append(CheckRecord(id="eq-4.23",
                                params={"Y": y, "stabilizer": list(g_y)},
                                lhs=cd * len(g_y), rhs=d2,
@@ -386,10 +374,10 @@ def verify_thm_1_3(target) -> list[CheckRecord]:
 
 def verify_rem_4_25(target) -> list[CheckRecord]:
     """d_i^2 dim(C)/(dim(center) dim(C^{M(i)})) is an algebraic integer."""
-    ring, table, analysis = target.ring, target.table, target.analysis
+    ring, table, m = target.ring, target.table, target.smatrix.M
     total = target.global_dim
-    dim_center = target.dim(analysis.center)
+    dim_center = target.dim(target.analysis.center)
     return [_integrality("rem-4.25", {"i": i},
                          ring.fpdims[i] * ring.fpdims[i] * total
-                         / (dim_center * table.class_dims[analysis.M[i]]))
+                         / (dim_center * table.class_dims[m[i]]))
             for i in range(ring.rank)]

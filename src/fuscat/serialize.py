@@ -229,13 +229,14 @@ def from_document(obj):
 
 
 def load_document(path: str) -> dict:
-    """Read a JSON document from disk; malformed JSON raises SchemaError."""
+    """Read a JSON document from disk; malformed JSON raises SchemaError, as do
+    bytes that are not UTF-8, an over-long integer and too deep nesting."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
 
 

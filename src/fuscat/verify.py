@@ -111,8 +111,16 @@ class Target:
         return self._memo[key]
 
     @property
+    def whole(self) -> Subcategory:
+        """The whole ring, as a subcategory."""
+        return Subcategory(tuple(range(self.ring.rank)))
+
+    @property
     def global_dim(self) -> CycNum:
-        return self._once("global_dim", lambda: global_fpdim(self.ring))
+        """`dim` of the whole basis, computed by `global_fpdim` so that a
+        ring without dimensions names the global dimension."""
+        return self._once(("dim", self.whole.members),
+                          lambda: global_fpdim(self.ring))
 
     @property
     def pointed(self) -> Subcategory:
@@ -140,9 +148,11 @@ class Target:
         return self._once(("weights", sub.members), lambda: tuple(
             r * (inv[x] * inv[x]) for r, x in zip(dec.reg_dims, dec.reps)))
 
-    def dim(self, sub: Subcategory) -> CycNum:
-        return self._once(("dim", sub.members),
-                          lambda: sub_fpdim(self.ring, sub))
+    def dim(self, members) -> CycNum:
+        """FPdim of any index set in increasing order (a subcategory, block,
+        matched group or the whole basis), keyed by its member tuple."""
+        members = tuple(members)
+        return self._once(("dim", members), lambda: sub_fpdim(self.ring, members))
 
     def support(self, sub: Subcategory) -> tuple[int, ...]:
         """J_D: the table columns where the integral of `sub` is 1."""
@@ -151,7 +161,7 @@ class Target:
 
     def cosets(self, sub: Subcategory) -> CosetDecomposition:
         return self._once(("cosets", sub.members),
-                          lambda: coset_partition(self.ring, sub))
+                          lambda: coset_partition(self, sub))
 
     def blocks(self, amb: Subcategory,
                inner: Subcategory) -> Sequence[tuple[int, ...]]:
@@ -182,8 +192,7 @@ class Target:
         """R(D)_j: the members of `sub` matched to column j, with their
         dimension, for each matched column j in increasing order."""
         return self._once(("matched_groups", sub.members),
-                          lambda: matched_groups(self.ring, self.analysis,
-                                                 sub))
+                          lambda: matched_groups(self, sub))
 
 
 @dataclass(frozen=True)

@@ -401,9 +401,10 @@ def table_columns_scan(ring, rows) -> None:
 
 def smatrix_rows_scan_first(ring, table, s) -> SMatrix:
     """Row loop of `validate_smatrix` that proves every row a character by
-    the CycNum scan, then finds its column by alpha_aj d_i == s_ia.  It
+    the CycNum scan, then finds its column M[i] by alpha_aj d_i == s_ia.  It
     starts after the symmetry and first-row checks, so `s` must pass them."""
     r = ring.rank
+    m = []
     for i in range(r):
         inv = ring.fpdims[i].inverse()
         pair = first_product_violation(ring.tensor,
@@ -411,10 +412,12 @@ def smatrix_rows_scan_first(ring, table, s) -> SMatrix:
         if pair is not None:
             raise PsiNotCharacter(i, pair)
         di = ring.fpdims[i]
-        if not any(all(table.alpha[a][j] * di == s[i][a] for a in range(r))
-                   for j in range(r)):
+        cols = [j for j in range(r)
+                if all(table.alpha[a][j] * di == s[i][a] for a in range(r))]
+        if not cols:
             raise NoMatchingColumn(i)
-    return SMatrix(s=tuple(tuple(row) for row in s))
+        m.append(cols[0])
+    return SMatrix(s=tuple(tuple(row) for row in s), M=tuple(m))
 
 
 # ---------------------------------------------------------------------------

@@ -70,8 +70,7 @@ def _su2k4_adjoint():
     table = validate_character_table(ring, reps3_table_rows())
     smatrix = validate_smatrix(ring, table, su2k4_adjoint_smatrix_rows())
     return CatalogEntry(key="su2k-4 adjoint", ring=ring, table=table,
-                        smatrix=smatrix,
-                        description="X_0, X_4, X_2 of the level-4 ring")
+                        smatrix=smatrix)
 
 
 def test_criterion_01_rep_s3_class_dims_match_conjugacy_class_sizes():
@@ -102,7 +101,7 @@ def test_criterion_03_both_orthogonality_relations_exact():
         entry = builtin(key)
         target = _target(entry)
         sub = check_subcategory(entry.ring, members)
-        dec = coset_partition(entry.ring, sub)
+        dec = coset_partition(target, sub)
         jd = support_JD(entry.ring, entry.table, sub)
         first = verify_eq_3_6(target, sub)
         assert [(r.params["k"], r.params["l"]) for r in first] == \
@@ -111,7 +110,8 @@ def test_criterion_03_both_orthogonality_relations_exact():
                          r.params["l"]) for r in first if not r.passed)
         second = verify_eq_3_7(target, sub)
         assert [(r.params["t"], r.params["s"]) for r in second] == \
-            [(t, s) for t in range(dec.n_blocks) for s in range(dec.n_blocks)]
+            [(t, s) for t in range(len(dec.blocks))
+             for s in range(len(dec.blocks))]
         failures.extend((key, tuple(sub.members), "second", r.params["t"],
                          r.params["s"]) for r in second if not r.passed)
     assert not failures, failures
@@ -122,12 +122,13 @@ def test_criterion_04_block_constants_well_defined_stochastic_associative():
     for entry in _entries():
         target = _target(entry)
         for sub in enumerate_subcategories(entry.ring):
-            dec = coset_partition(entry.ring, sub)
+            dec = coset_partition(target, sub)
             H = hecke_constants(target, sub)
-            for m_i in range(dec.n_blocks):
-                for n_i in range(dec.n_blocks):
+            nb = len(dec.blocks)
+            for m_i in range(nb):
+                for n_i in range(nb):
                     total = CycNum.from_rational(0)
-                    for p_i in range(dec.n_blocks):
+                    for p_i in range(nb):
                         total = total + H[m_i][n_i][p_i]
                         # well defined: every representative pair (X, Y) in
                         # m x n gives the same constant
@@ -157,17 +158,21 @@ def test_criterion_05_matching_fibers_are_center_cosets():
     # a pointed center with a fixed point: X_4 fixes X_2, one fiber is {0, 1}
     cases.append((_su2k4_adjoint(), ((0, 1), (2,))))
     for entry, fibers in cases:
-        key = entry.key
-        analysis = _analysis(entry)
-        if analysis.fibers != fibers:
-            failures.append((key, "fibers", analysis.fibers, fibers))
-        cosets = coset_partition(entry.ring, analysis.center).blocks
-        if analysis.fibers != cosets:
-            failures.append((key, "fibers-vs-cosets", analysis.fibers, cosets))
-        j_center = support_JD(entry.ring, entry.table, analysis.center)
-        if not (len(analysis.fibers) == len(analysis.J2) == len(j_center)):
-            failures.append((key, "counts", len(analysis.fibers),
-                             len(analysis.J2), len(j_center)))
+        key, target = entry.key, _target(entry)
+        center = _analysis(entry).center
+        # the fibers are the matched groups of the whole ring, over J_2
+        groups = target.matched_groups(target.whole)
+        got = tuple(sorted(b for b, _ in groups.values()))
+        if got != fibers:
+            failures.append((key, "fibers", got, fibers))
+        cosets = coset_partition(target, center).blocks
+        if got != cosets:
+            failures.append((key, "fibers-vs-cosets", got, cosets))
+        j_center = support_JD(entry.ring, entry.table, center)
+        if not (len(got) == len(groups) == len(j_center)
+                and set(groups) == set(j_center)):
+            failures.append((key, "counts", len(got), tuple(groups),
+                             j_center))
     assert not failures, failures
 
 
@@ -296,7 +301,7 @@ def test_criterion_10_partition_compatibility_and_refinement():
     for entry in _entries():
         target = _target(entry)
         subs = enumerate_subcategories(entry.ring)
-        partitions = {sub.members: coset_partition(entry.ring, sub).blocks
+        partitions = {sub.members: coset_partition(target, sub).blocks
                       for sub in subs}
         for sub in subs:
             for amb in subs:

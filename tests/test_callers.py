@@ -7,6 +7,11 @@ name or an attribute, or holds it as a string: the check registry of
 attribute or held as a string, since a local variable of the same name calls
 nothing.  Dunder methods are called by the interpreter.  The allow-list names
 what callers outside ``src/`` use, with the reason.
+
+Every annotated field of a class in ``src/`` is read there too, as an
+attribute or by a name held as a string: a field that only tests read is
+a second copy of data the program does not use.  ``UNREAD_FIELDS`` names
+the exceptions, with the reason.
 """
 
 import ast
@@ -30,6 +35,8 @@ ALLOWED = {
     "fusion.subcategory_closure": "the closure of a generator set, the "
                                   "fusion API beside enumerate_subcategories",
 }
+
+UNREAD_FIELDS: dict[str, str] = {}
 
 
 def _definitions():
@@ -79,3 +86,40 @@ def test_every_definition_in_src_has_a_caller_in_src():
 def test_allow_list_names_definitions():
     defined = {qualname for qualname, _, _ in _definitions()}
     assert set(ALLOWED) <= defined
+
+
+def _fields():
+    """The qualified name and name of every annotated field of a class."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, ast.AnnAssign)
+                            and isinstance(item.target, ast.Name)):
+                        name = item.target.id
+                        yield f"{path.stem}.{node.name}.{name}", name
+
+
+def _read_attributes():
+    """The attributes read (not assigned) anywhere in ``src/``, and the
+    strings held there."""
+    read = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return read
+
+
+def test_every_field_in_src_is_read_in_src():
+    read = _read_attributes()
+    unread = [qualname for qualname, name in _fields()
+              if name not in read and qualname not in UNREAD_FIELDS]
+    assert unread == []
+
+
+def test_unread_field_list_names_fields():
+    assert set(UNREAD_FIELDS) <= {qualname for qualname, _ in _fields()}

@@ -27,7 +27,6 @@ def test_all_listed_keys_load():
         assert isinstance(entry, CatalogEntry)
         assert entry.key == key
         assert entry.ring.fpdims is not None
-        assert entry.description
 
 
 def test_entries_are_cached():

@@ -45,10 +45,15 @@ ONE = CycNum.from_rational(1)
 # ---------------------------------------------------------------------------
 
 def test_ising_table_class_dims():
-    table = validate_character_table(ising_ring(), ising_table_rows())
+    ring = ising_ring()
+    table = validate_character_table(ring, ising_table_rows())
     assert table.fp_column == 0
-    assert table.codegrees == (CycNum.from_rational(4), CycNum.from_rational(4),
-                               CycNum.from_rational(2))
+    # the formal codegrees sum_i alpha_ij alpha_i*j, and dim(C) = 4 over them
+    codegrees = [sum((table.alpha[i][j] * table.alpha[ring.dual[i]][j]
+                      for i in range(3)), CycNum.from_rational(0))
+                 for j in range(3)]
+    assert codegrees == [CycNum.from_rational(4), CycNum.from_rational(4),
+                         CycNum.from_rational(2)]
     assert table.class_dims == (ONE, ONE, CycNum.from_rational(2))
 
 

@@ -388,3 +388,67 @@ def test_one_parser_serves_every_call_and_commands_are_looked_up_per_call(
                         lambda args: seen.append(args.target) or 7)
     assert main(["verify", "fib"]) == 7
     assert seen == ["fib"]
+
+
+# Documents that are no JSON the parser can hold: nesting past the
+# recursion limit, bytes that are not UTF-8 (a UTF-16 byte-order mark) and
+# an integer literal past the interpreter's 4,300-digit limit.
+HOSTILE_JSON = {
+    "deep.json": b"[" * 100_000,
+    "utf16.json": b"\xff\xfe{}",
+    "long-int.json": b'{"rank": ' + b"1" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_JSON))
+@pytest.mark.parametrize("command", ["validate", "verify"])
+def test_unreadable_json_is_a_schema_error(tmp_path, capsys, command, name):
+    path = tmp_path / name
+    path.write_bytes(HOSTILE_JSON[name])
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: not valid JSON (")
+    assert captured.err.endswith(")\n")
+
+
+def _set(path, value):
+    """A mutation that sets doc[path[0]][path[1]]... to value."""
+    def mutate(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value(doc[last]) if callable(value) else value
+    return mutate
+
+
+SCHEMA_REFUSALS = [
+    ("svec", _set(["rank"], "2"), 2, "error: field 'rank' must be an integer"),
+    ("svec", _set(["names"], {"1": 0, "f": 1}), 2,
+     "error: field 'names' must be a list"),
+    ("svec", _set(["names", 1], 1), 2, "error: names must be strings"),
+    ("svec", _set(["conductor"], 0), 2,
+     "error: conductor must be a positive integer"),
+    ("svec", _set(["tensor", 1], lambda plane: plane[:1]), 2,
+     "error: tensor must be rank x rank x rank"),
+    ("svec", _set(["tensor", 1, 1], lambda row: row[:1]), 2,
+     "error: tensor must be rank x rank x rank"),
+    ("svec", _set(["dual", 1], "1"), 2, "error: dual entries must be integers"),
+    ("svec", _set(["char_table"], lambda rows: rows[:1]), 2,
+     "error: field 'char_table' must be a 2 x 2 matrix"),
+    ("svec", _set(["char_table", 1], lambda row: row[:1]), 2,
+     "error: field 'char_table' must be a 2 x 2 matrix"),
+    ("pointed-z4-q1", _set(["dual"], [0, 2, 3, 1]), 1,
+     "invalid: duality failed at (1,): dual is not an involution"),
+]
+
+
+@pytest.mark.parametrize("key,mutate,code,message", SCHEMA_REFUSALS)
+@pytest.mark.parametrize("command", ["validate", "verify"])
+def test_schema_refusal_exit_code_and_message(tmp_path, capsys, command, key,
+                                              mutate, code, message):
+    path = _write_entry(tmp_path, key, mutate=mutate)
+    assert main([command, path]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"

@@ -53,7 +53,7 @@ def _ising_pointed():
 
 def test_partition_ising_pointed():
     ring, sub = _ising_pointed()
-    dec = coset_partition(ring, sub)
+    dec = coset_partition(Target("", ring), sub)
     assert dec.blocks == ((0, 1), (2,))
     assert dec.reps == (0, 2)
     assert dec.reg_dims == (CycNum.from_rational(2), CycNum.from_rational(2))
@@ -62,20 +62,20 @@ def test_partition_ising_pointed():
 
 def test_partition_wrt_unit_is_discrete():
     ring = reps3_ring()
-    dec = coset_partition(ring, check_subcategory(ring, (0,)))
+    dec = coset_partition(Target("", ring), check_subcategory(ring, (0,)))
     assert dec.blocks == ((0,), (1,), (2,))
     assert dec.reps == (0, 1, 2)
 
 
 def test_partition_wrt_full_is_single_block():
     ring = fib_ring()
-    dec = coset_partition(ring, check_subcategory(ring, (0, 1)))
+    dec = coset_partition(Target("", ring), check_subcategory(ring, (0, 1)))
     assert dec.blocks == ((0, 1),)
 
 
 def test_partition_z6_and_dual_rep_convention():
     ring = group_ring(6)
-    dec = coset_partition(ring, check_subcategory(ring, (0, 3)))
+    dec = coset_partition(Target("", ring), check_subcategory(ring, (0, 3)))
     assert dec.blocks == ((0, 3), (1, 4), (2, 5))
     assert dec.dual_map == (0, 2, 1)
     # the partner of block (1,4) takes the dual of its representative: 5, not 2
@@ -84,7 +84,7 @@ def test_partition_z6_and_dual_rep_convention():
 
 def test_block_of():
     ring, sub = _ising_pointed()
-    dec = coset_partition(ring, sub)
+    dec = coset_partition(Target("", ring), sub)
     assert block_of(dec, 1) == 0
     assert block_of(dec, 2) == 1
 
@@ -120,7 +120,7 @@ PRODUCT_KEYS = ("svec*svec*svec", "pointed-z4-q2*svec", "pointed-z4-q1*svec",
 def test_partition_matches_union_find_oracle(key):
     ring = builtin(key).ring
     for sub in enumerate_subcategories(ring):
-        assert coset_partition(ring, sub).blocks == _union_find_blocks(ring, sub)
+        assert coset_partition(Target("", ring), sub).blocks == _union_find_blocks(ring, sub)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +162,7 @@ def test_hecke_well_formed(ring_fn, members):
 
 def test_block_elements_are_idempotent_for_unit_block():
     ring, sub = _ising_pointed()
-    dec = coset_partition(ring, sub)
+    dec = coset_partition(Target("", ring), sub)
     e0 = block_element(ring, dec, 0)
     assert ring.k_mul(e0, e0) == e0
 
@@ -236,7 +236,7 @@ def test_orthogonality_full_sweep(ring_fn, rows_fn):
     from fuscat.chartab import support_JD
     target = Target("", ring, table)
     for sub in enumerate_subcategories(ring):
-        nb = coset_partition(ring, sub).n_blocks
+        nb = len(target.cosets(sub).blocks)
         jd = support_JD(ring, table, sub)
         first, second = verify_eq_3_6(target, sub), verify_eq_3_7(target, sub)
         assert len(first) == len(jd) ** 2 and all_passed(first)
@@ -310,7 +310,7 @@ def test_trace_compatibility_all_pairs_reps3():
 def test_partition_refinement_chain():
     ring = group_ring(12)
     subs = enumerate_subcategories(ring)
-    decs = {s.members: coset_partition(ring, s) for s in subs}
+    decs = {s.members: coset_partition(Target("", ring), s) for s in subs}
     for s1 in subs:
         for s2 in subs:
             if set(s1.members) <= set(s2.members):
@@ -329,7 +329,7 @@ def test_group_partition_matches_subgroup_cosets(n, data):
     d = data.draw(st.sampled_from(divisors))
     sub = check_subcategory(ring, range(0, n, n // d)) if d > 1 else \
         check_subcategory(ring, (0,))
-    dec = coset_partition(ring, sub)
+    dec = coset_partition(Target("", ring), sub)
     # oracle: cosets of the subgroup generated by n//d
     step = n // d
     expected = sorted(tuple(sorted((r + k * step) % n for k in range(d)))

@@ -311,49 +311,62 @@ ANALYSIS_IDS = ("cor-4.16", "cor-4.18", "eq-4.15", "eq-4.20", "eq-4.23",
                 "thm-1.3", "thm-4.10", "thm-4.6")
 
 
-def _unmatched_ising():
-    """Ising ring and table with an unvalidated all-ones matrix: its first
-    row is no table column, so the matching analysis fails."""
+def _unclosed_center_ising():
+    """Ising ring and table with a hand-built, unvalidated S-matrix whose
+    transparent set {0, 2} is not fusion-closed (s s = 1 + f), so the
+    center, and with it the matching analysis, fails."""
     ring = ising_ring()
     table = validate_character_table(ring, ising_table_rows())
-    one = CycNum.from_rational(1)
-    return Target("unmatched", ring, table, SMatrix(s=((one,) * 3,) * 3))
+    one, r2 = CycNum.from_rational(1), ring.fpdims[2]
+    s = ((one, one, r2), (one, -one, r2), (r2, r2, r2 * r2))
+    return Target("unclosed", ring, table, SMatrix(s=s, M=(0, 1, 2)))
 
 
 def test_failed_matching_analysis_skips_each_analysis_id_once():
-    report = run_checks(_unmatched_ising())
+    report = run_checks(_unclosed_center_ising())
     skipped = [c for c in report.checks
                if c.skipped_reason is not None
                and c.skipped_reason.startswith("matching analysis failed")]
     assert sorted(c.id for c in skipped) == sorted(ANALYSIS_IDS)
     assert all(c.params == {} for c in skipped)
-    assert skipped[0].skipped_reason == (
-        "matching analysis failed: s-matrix row 0 matches no character "
-        "table column")
+    assert {c.skipped_reason for c in skipped} == {
+        "matching analysis failed: subcategory failed at (2, 2, 1): not "
+        "closed under fusion"}
     assert {c.id for c in report.checks} == set(CHECK_IDS)
 
 
-def test_each_derived_quantity_is_computed_once_per_target(monkeypatch):
-    """One run over every subcategory of ising*svec computes each centralizer
-    and each group of matched columns once, the pointed part once, and the
-    blocks once per distinct (members, subcategory)."""
-    calls, args = Counter(), Counter()
-
+def _count_derived_calls(monkeypatch, calls, args):
+    """Count, in every module that holds them, the calls of the functions
+    behind the target's derived data, with the index sets that
+    `restricted_blocks` and `sub_fpdim` are given (the latter per ring)."""
     def counted(name, fn):
         def wrapper(*a):
             calls[name] += 1
             if name == "restricted_blocks":
-                args[tuple(a[1]), tuple(a[2])] += 1
+                args[name, tuple(a[1]), tuple(a[2])] += 1
+            elif name == "sub_fpdim":
+                args[name, id(a[0]), tuple(a[1])] += 1
             return fn(*a)
         return wrapper
 
     for module in (fuscat.fusion, fuscat.cosets, fuscat.premod,
                    fuscat.verify):
         for name in ("centralizer", "pointed_part", "matched_groups",
-                     "restricted_blocks"):
+                     "restricted_blocks", "sub_fpdim", "_match_column"):
             if name in vars(module):
                 monkeypatch.setattr(module, name,
                                     counted(name, vars(module)[name]))
+
+
+def test_each_derived_quantity_is_computed_once_per_target(monkeypatch):
+    """One run over every subcategory of ising*svec, catalog entry built,
+    computes each centralizer and each group of matched columns once, the
+    pointed part once, the blocks once per distinct (members, subcategory)
+    and the dimension once per distinct index set; it matches no S-matrix
+    row, since validation kept the matching."""
+    builtin("ising*svec")
+    calls, args = Counter(), Counter()
+    _count_derived_calls(monkeypatch, calls, args)
     report = _full_run("ising*svec")
     assert report.ok
     n_subs = len(report.subcategories)
@@ -361,8 +374,26 @@ def test_each_derived_quantity_is_computed_once_per_target(monkeypatch):
     assert calls["centralizer"] == n_subs
     assert calls["matched_groups"] == n_subs
     assert calls["pointed_part"] == 1
-    assert calls["restricted_blocks"] == len(args)
+    for name in ("restricted_blocks", "sub_fpdim"):
+        assert calls[name] == sum(1 for key in args if key[0] == name) > 0
     assert set(args.values()) == {1}
+    assert calls["_match_column"] == 0
+
+
+def test_builtin_sweep_sums_each_index_set_once(monkeypatch):
+    """An all-subcategory run of each of the 13 builtins, catalog built,
+    sums the squared dimensions of 80 distinct index sets (subcategories,
+    blocks, matched groups and whole bases), each once, and matches no
+    S-matrix row."""
+    for key in BUILTIN_KEYS:
+        builtin(key)
+    calls, args = Counter(), Counter()
+    _count_derived_calls(monkeypatch, calls, args)
+    for key in BUILTIN_KEYS:
+        assert _full_run(key).ok
+    sums = [n for key, n in args.items() if key[0] == "sub_fpdim"]
+    assert len(sums) == calls["sub_fpdim"] == 80
+    assert calls["_match_column"] == 0
 
 
 def test_programming_error_in_matching_analysis_propagates(monkeypatch):
@@ -428,7 +459,7 @@ def test_each_block_element_is_built_once(key, monkeypatch):
     block_element = fuscat.cosets.block_element
 
     def counting(ring, dec, t):
-        calls[dec.sub.members, t] += 1
+        calls[dec.blocks[0], t] += 1   # the block of the unit is D
         return block_element(ring, dec, t)
     monkeypatch.setattr(fuscat.cosets, "block_element", counting)
     entry = builtin(key)
@@ -436,7 +467,7 @@ def test_each_block_element_is_built_once(key, monkeypatch):
     subs = enumerate_subcategories(entry.ring)
     assert run_checks(target, subcategories=subs).ok
     assert set(calls) == {(sub.members, t) for sub in subs
-                          for t in range(target.cosets(sub).n_blocks)}
+                          for t in range(len(target.cosets(sub).blocks))}
     assert set(calls.values()) == {1}
 
 
