@@ -25,7 +25,8 @@ from .errors import (
     SingularTable,
 )
 from .exactnum import CycNum, _dot
-from .fusion import FusionRing, Subcategory, _first_non_character, global_fpdim
+from .fusion import (FusionRing, Subcategory, _dense, _first_non_character,
+                     global_fpdim)
 from .reports import CheckRecord
 
 ZERO = CycNum.from_rational(0)
@@ -155,7 +156,7 @@ def characters_numeric(ring: FusionRing, seed: int = 0, max_retries: int = 8):
     import numpy as np
     rng = np.random.default_rng(seed)
     r = ring.rank
-    tensor = np.array(ring.tensor, dtype=float)
+    tensor = np.array(_dense(ring), dtype=float)
     mats = list(tensor)
     for _ in range(max_retries):
         coeff = rng.uniform(0.5, 1.5, size=r)

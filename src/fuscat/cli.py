@@ -227,9 +227,6 @@ def main(argv=None) -> int:
     except (SchemaError, UnknownKey) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValidationError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return 1
     except FuscatError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 1

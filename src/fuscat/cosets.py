@@ -259,7 +259,7 @@ def verify_cor_3_9_1(target, sub: Subcategory) -> list[CheckRecord]:
 
 def free_action(ring: FusionRing, sub: Subcategory) -> bool:
     """No non-unit member fixes any basis element by left multiplication."""
-    return all(ring.tensor[g][i][i] == 0
+    return all(not ring.supports[g][i] >> i & 1
                for g in sub.members if g != 0
                for i in range(ring.rank))
 

@@ -25,27 +25,22 @@ ENUMERATION_BOUND = 16
 
 @dataclass(frozen=True)
 class FusionRing:
-    """A validated fusion ring.  `rank` counts basis elements (unit included)."""
+    """A validated fusion ring.  `rank` counts basis elements (unit included);
+    `nonzero`, the `_nonzero` view of the tensor N, is the one stored form of N."""
 
     rank: int
     names: tuple[str, ...]
-    tensor: tuple[tuple[tuple[int, ...], ...], ...]
+    nonzero: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
     dual: tuple[int, ...]
     fpdims: tuple[CycNum, ...] | None
 
     @cached_property
     def supports(self) -> tuple[tuple[int, ...], ...]:
         """supports[i][j]: the bitmask of the k with N_ij^k > 0.  The
-        subcategory functions of this module work on such bitmasks; no other
-        module reads them."""
-        return tuple(tuple(sum(1 << k for k, n in enumerate(row) if n)
-                           for row in plane) for plane in self.tensor)
-
-    @cached_property
-    def nonzero(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
-        """The `_nonzero` view of the tensor, which the table and S-matrix
-        validators hand to `_first_non_character`."""
-        return _nonzero(self.tensor)
+        subcategory functions of this module work on such bitmasks, and
+        `cosets` and `premod` test single bits of them."""
+        return tuple(tuple(sum(1 << k for k, _ in row) for row in plane)
+                     for plane in self.nonzero)
 
     def basis(self, i) -> tuple[CycNum, ...]:
         return tuple(ONE if k == i else ZERO for k in range(self.rank))
@@ -59,11 +54,10 @@ class FusionRing:
         for i, xi in enumerate(x):
             if xi.is_zero():
                 continue
-            plane = self.tensor[i]
+            plane = self.nonzero[i]
             for j, yj in ys:
-                row = plane[j]
-                for k in itertools.compress(range(self.rank), row):
-                    terms[k].append((xi, yj, row[k]))
+                for k, n in plane[j]:
+                    terms[k].append((xi, yj, n))
         return tuple(_dot(t) if t else ZERO for t in terms)
 
 
@@ -176,7 +170,7 @@ def validate_fusion_ring(tensor, dual, names=None, fpdims=None) -> FusionRing:
             raise ValidationError("fpdims", pair,
                                   "dimensions are not a ring homomorphism")
 
-    return FusionRing(rank=rank, names=names, tensor=tensor, dual=dual,
+    return FusionRing(rank=rank, names=names, nonzero=nonzero, dual=dual,
                       fpdims=exact)
 
 
@@ -184,6 +178,13 @@ def _nonzero(tensor):
     """nonzero[i][j]: the (k, N_ij^k) with N_ij^k > 0, in increasing k."""
     return tuple(tuple(tuple((k, n) for k, n in enumerate(row) if n)
                        for row in plane) for plane in tensor)
+
+
+def _dense(ring):
+    """The dense tensor N[i][j][k] as nested lists: the form of documents
+    and of the numeric cross-check."""
+    return [[[row.get(k, 0) for k in range(ring.rank)] for row in map(dict, plane)]
+            for plane in ring.nonzero]
 
 
 def _first_non_character(nonzero, values):
@@ -319,9 +320,10 @@ def restricted_blocks(ring: FusionRing, members, sub_members) -> list[tuple[int,
 
 
 def pointed_part(ring: FusionRing) -> Subcategory:
-    """The invertible objects: X with X (x) X* = 1, i.e. sum_k N_{X X*}^k = 1."""
+    """The invertible objects: X with X (x) X* = 1.  N_{X X*}^0 = 1 by the
+    duality axiom, so that is X (x) X* having no other term."""
     members = [i for i in range(ring.rank)
-               if sum(ring.tensor[i][ring.dual[i]]) == 1]
+               if ring.nonzero[i][ring.dual[i]] == ((0, 1),)]
     return check_subcategory(ring, members)
 
 
@@ -344,18 +346,11 @@ def deligne_product(a: FusionRing, b: FusionRing) -> FusionRing:
         return i * rb + ip
 
     tensor = [[[0] * rank for _ in range(rank)] for _ in range(rank)]
-    for i in range(ra):
-        for ip in range(rb):
-            for j in range(ra):
-                for jp in range(rb):
-                    for k in range(ra):
-                        nk = a.tensor[i][j][k]
-                        if not nk:
-                            continue
-                        for kp in range(rb):
-                            nkp = b.tensor[ip][jp][kp]
-                            if nkp:
-                                tensor[flat(i, ip)][flat(j, jp)][flat(k, kp)] = nk * nkp
+    for i, ip, j, jp in itertools.product(range(ra), range(rb), repeat=2):
+        row = tensor[flat(i, ip)][flat(j, jp)]
+        for k, nk in a.nonzero[i][j]:
+            for kp, nkp in b.nonzero[ip][jp]:
+                row[flat(k, kp)] = nk * nkp
     names = tuple(f"({a.names[i]},{b.names[ip]})"
                   for i in range(ra) for ip in range(rb))
     dual = tuple(flat(a.dual[i], b.dual[ip]) for i in range(ra) for ip in range(rb))

@@ -146,7 +146,7 @@ def m_map(target) -> PremodAnalysis:
     center = target.centralizer(target.whole)
     invertible = set(target.pointed.members)
     stabs = tuple(tuple(g for g in center.members
-                        if g in invertible and ring.tensor[g][y][y] >= 1)
+                        if g in invertible and ring.supports[g][y] >> y & 1)
                   for y in range(ring.rank))
     return PremodAnalysis(center=center, stabilizers=stabs)
 

@@ -21,7 +21,7 @@ from math import gcd, lcm
 from .chartab import CharacterTable, validate_character_table
 from .errors import SchemaError
 from .exactnum import CycNum, euler_phi
-from .fusion import FusionRing, validate_fusion_ring
+from .fusion import FusionRing, _dense, validate_fusion_ring
 from .premod import SMatrix, validate_smatrix
 
 
@@ -109,7 +109,7 @@ def to_document(ring: FusionRing, table: CharacterTable | None = None,
     doc = {
         "rank": ring.rank,
         "names": list(ring.names),
-        "tensor": [[list(row) for row in plane] for plane in ring.tensor],
+        "tensor": _dense(ring),
         "dual": list(ring.dual),
         "conductor": conductor,
     }

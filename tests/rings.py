@@ -15,7 +15,7 @@ from fuscat.errors import (DegenerateSpectrum, ExactDataMissing,
                            NoMatchingColumn, NotAlgebraMap, PsiNotCharacter,
                            ValidationError)
 from fuscat.exactnum import CycNum, _int_mul, _numerators
-from fuscat.fusion import Subcategory, validate_fusion_ring
+from fuscat.fusion import Subcategory, _dense, validate_fusion_ring
 from fuscat.premod import SMatrix, validate_smatrix
 
 ONE = CycNum.from_rational(1)
@@ -120,12 +120,33 @@ def embed_complex_terms(v: CycNum) -> complex:
 
 def k_mul_dense(ring, x, y) -> tuple[CycNum, ...]:
     """sum_{i,j,k} x_i y_j N_ij^k [X_k] over every index triple."""
-    out = [ZERO] * ring.rank
+    out, tensor = [ZERO] * ring.rank, _dense(ring)
     for i in range(ring.rank):
         for j in range(ring.rank):
             for k in range(ring.rank):
-                out[k] = out[k] + x[i] * y[j] * ring.tensor[i][j][k]
+                out[k] = out[k] + x[i] * y[j] * tensor[i][j][k]
     return tuple(out)
+
+
+def deligne_product_dense(a, b):
+    """The dense tensor of the product ring on pairs (i, i') -> i rank_b + i',
+    filled over every index sextuple of the factors' dense tensors."""
+    ta, tb, ra, rb = _dense(a), _dense(b), a.rank, b.rank
+    rank = ra * rb
+    tensor = [[[0] * rank for _ in range(rank)] for _ in range(rank)]
+    for i in range(ra):
+        for ip in range(rb):
+            for j in range(ra):
+                for jp in range(rb):
+                    for k in range(ra):
+                        nk = ta[i][j][k]
+                        if not nk:
+                            continue
+                        for kp in range(rb):
+                            nkp = tb[ip][jp][kp]
+                            if nkp:
+                                tensor[i * rb + ip][j * rb + jp][k * rb + kp] = nk * nkp
+    return tensor
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +167,14 @@ def sum_of_products(terms) -> CycNum:
 def k_mul_loop(ring, x, y) -> tuple[CycNum, ...]:
     """The ring product as a running CycNum sum per output coefficient,
     over the nonzero x_i, y_j and N_ij^k, with x_i y_j built once."""
-    out = [ZERO] * ring.rank
+    out, tensor = [ZERO] * ring.rank, _dense(ring)
     ys = [(j, yj) for j, yj in enumerate(y) if not yj.is_zero()]
     for i, xi in enumerate(x):
         if xi.is_zero():
             continue
         for j, yj in ys:
             prod = xi * yj
-            row = ring.tensor[i][j]
+            row = tensor[i][j]
             for k in range(ring.rank):
                 if row[k]:
                     out[k] = out[k] + prod * row[k]
@@ -222,14 +243,14 @@ def eq_2_4_lhs_loop(target, l, k) -> CycNum:
 def subcategory_closure_sets(ring, generators) -> Subcategory:
     """Least fusion- and dual-closed set containing the unit and the
     generators, grown as a Python set over every (i, j, k)."""
-    closed = {0}
+    closed, tensor = {0}, _dense(ring)
     closed.update(int(g) for g in generators)
     closed.update(ring.dual[g] for g in list(closed))
     while True:
         new = set()
         for i in closed:
             for j in closed:
-                row = ring.tensor[i][j]
+                row = tensor[i][j]
                 new.update(k for k in range(ring.rank) if row[k] and k not in closed)
         if not new:
             break
@@ -261,7 +282,7 @@ def enumerate_subcategories_powerset(ring) -> tuple[Subcategory, ...]:
 def restricted_blocks_sets(ring, members, sub_members) -> list[tuple[int, ...]]:
     """Connected components of `members` under x ~ k iff N_{x s}^k > 0, s in
     sub, by a search over Python sets; sorted by least member."""
-    members = sorted(members)
+    members, tensor = sorted(members), _dense(ring)
     member_set = set(members)
     seen, blocks = set(), []
     for start in members:
@@ -272,7 +293,7 @@ def restricted_blocks_sets(ring, members, sub_members) -> list[tuple[int, ...]]:
         while frontier:
             x = frontier.pop()
             for s in sub_members:
-                row = ring.tensor[x][s]
+                row = tensor[x][s]
                 for k in member_set:
                     if row[k] and k not in seen:
                         seen.add(k)
@@ -365,7 +386,7 @@ def validate_fpdims_scan(ring, fpdims) -> None:
     axioms hold, with the homomorphism identity scanned over every (i, j)."""
     exact = tuple(d if isinstance(d, CycNum) else CycNum.from_rational(d)
                   for d in fpdims)
-    rank, tensor, dual = ring.rank, ring.tensor, ring.dual
+    rank, tensor, dual = ring.rank, _dense(ring), ring.dual
     if len(exact) != rank:
         raise ValidationError("fpdims", None, "one dimension per basis element")
     if exact[0] != 1:
@@ -389,12 +410,12 @@ def validate_fpdims_scan(ring, fpdims) -> None:
 def table_columns_scan(ring, rows) -> None:
     """The column loop of `validate_character_table`: NotAlgebraMap(j, w)
     for the first column j that is not a character, by the CycNum scan."""
-    r = ring.rank
+    r, tensor = ring.rank, _dense(ring)
     for j in range(r):
         column = [rows[i][j] for i in range(r)]
         if column[0] != 1:
             raise NotAlgebraMap(j, (0,))
-        pair = first_product_violation(ring.tensor, column)
+        pair = first_product_violation(tensor, column)
         if pair is not None:
             raise NotAlgebraMap(j, pair)
 
@@ -403,11 +424,11 @@ def smatrix_rows_scan_first(ring, table, s) -> SMatrix:
     """Row loop of `validate_smatrix` that proves every row a character by
     the CycNum scan, then finds its column M[i] by alpha_aj d_i == s_ia.  It
     starts after the symmetry and first-row checks, so `s` must pass them."""
-    r = ring.rank
+    r, tensor = ring.rank, _dense(ring)
     m = []
     for i in range(r):
         inv = ring.fpdims[i].inverse()
-        pair = first_product_violation(ring.tensor,
+        pair = first_product_violation(tensor,
                                        [s[i][a] * inv for a in range(r)])
         if pair is not None:
             raise PsiNotCharacter(i, pair)
@@ -441,8 +462,8 @@ def numeric_residual_ok_loop(tensor, alpha_num) -> bool:
 def characters_numeric_loop(ring, seed: int = 0, max_retries: int = 8):
     """`characters_numeric` with the pair-by-pair residual."""
     rng = np.random.default_rng(seed)
-    r = ring.rank
-    mats = [np.array(ring.tensor[i], dtype=float) for i in range(r)]
+    r, tensor = ring.rank, _dense(ring)
+    mats = [np.array(tensor[i], dtype=float) for i in range(r)]
     for _ in range(max_retries):
         coeff = rng.uniform(0.5, 1.5, size=r)
         m = sum(c * mat for c, mat in zip(coeff, mats))
@@ -457,7 +478,7 @@ def characters_numeric_loop(ring, seed: int = 0, max_retries: int = 8):
             anchor = int(np.argmax(np.abs(v)))
             cols.append(np.array([(mat @ v)[anchor] / v[anchor] for mat in mats]))
         alpha_num = np.array(cols).T
-        if numeric_residual_ok_loop(ring.tensor, alpha_num):
+        if numeric_residual_ok_loop(tensor, alpha_num):
             order = np.lexsort((np.round(w.imag, 9), np.round(w.real, 9)))
             return alpha_num[:, order]
     raise DegenerateSpectrum(f"no separated spectrum after {max_retries} draws")

@@ -29,7 +29,7 @@ from fuscat.cosets import (coset_partition, hecke_constants,
                            verify_cor_3_9_1, verify_eq_3_6, verify_eq_3_7,
                            verify_lemma_3_12)
 from fuscat.exactnum import (CycNum, is_algebraic_integer, minimal_polynomial)
-from fuscat.fusion import check_subcategory, enumerate_subcategories
+from fuscat.fusion import _dense, check_subcategory, enumerate_subcategories
 from fuscat.premod import (m_map, validate_smatrix, verify_thm_1_1,
                             verify_thm_1_3, verify_thm_4_6)
 from fuscat.verify import Target
@@ -56,10 +56,10 @@ def _target(entry):
 def _hecke_at(ring, dec, p, x, y):
     """H_{mn}^p from one representative pair (X, Y) of blocks m and n:
     sum over Z in block p of d_Z N_{XY}^Z / (d_X d_Y)."""
-    mass = ZERO
+    mass, row = ZERO, _dense(ring)[x][y]
     for z in dec.blocks[p]:
-        if ring.tensor[x][y][z]:
-            mass = mass + ring.fpdims[z] * ring.tensor[x][y][z]
+        if row[z]:
+            mass = mass + ring.fpdims[z] * row[z]
     return mass / (ring.fpdims[x] * ring.fpdims[y])
 
 
@@ -289,7 +289,7 @@ def test_criterion_09_numeric_cross_checks_within_tolerance():
             match_numeric_columns(entry.table, numeric, tol=1e-8)
         except ValueError as exc:
             failures.append((entry.key, str(exc)))
-        approx = fpdim_numeric(entry.ring.tensor)
+        approx = fpdim_numeric(_dense(entry.ring))
         for i, d in enumerate(entry.ring.fpdims):
             if abs(approx[i] - d.embed_complex().real) > 1e-9:
                 failures.append((entry.key, "dim", i))

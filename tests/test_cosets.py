@@ -20,7 +20,7 @@ from fuscat.cosets import (
     verify_lemma_3_12,
     verify_prop_3_4,
 )
-from fuscat.fusion import check_subcategory, enumerate_subcategories
+from fuscat.fusion import _dense, check_subcategory, enumerate_subcategories
 from fuscat.verify import Target
 
 from rings import (
@@ -92,7 +92,7 @@ def test_block_of():
 def _union_find_blocks(ring, sub):
     """Oracle: the classes of the union-find closure of i ~ k whenever
     N_{i s}^k > 0 for a member s, each sorted, in order of least member."""
-    parent = list(range(ring.rank))
+    parent, tensor = list(range(ring.rank)), _dense(ring)
 
     def find(i):
         while parent[i] != i:
@@ -102,7 +102,7 @@ def _union_find_blocks(ring, sub):
 
     for i in range(ring.rank):
         for s in sub.members:
-            for k, n in enumerate(ring.tensor[i][s]):
+            for k, n in enumerate(tensor[i][s]):
                 if n:
                     ri, rk = find(i), find(k)
                     parent[max(ri, rk)] = min(ri, rk)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from fuscat.errors import ExactDataMissing, RankTooLarge, ValidationError
 from fuscat.exactnum import CycNum
 from fuscat.fusion import (
+    _dense,
     check_subcategory,
     deligne_product,
     enumerate_subcategories,
@@ -33,7 +34,7 @@ def test_ising_validates():
     assert ring.names == ("1", "f", "s")
     assert ring.dual == (0, 1, 2)
     assert ring.fpdims[2] == sqrt2()
-    assert ring.tensor[2][2][1] == 1
+    assert _dense(ring)[2][2][1] == 1
 
 
 def test_fib_validates_with_golden_dim():
@@ -60,7 +61,7 @@ def test_float_only_ring_accepted_but_exact_ops_fail():
 
 
 def test_fpdim_numeric_oracles():
-    dims = fpdim_numeric(ising_ring().tensor)
+    dims = fpdim_numeric(_dense(ising_ring()))
     assert abs(dims[0] - 1.0) < 1e-9
     assert abs(dims[1] - 1.0) < 1e-9
     assert abs(dims[2] - 2 ** 0.5) < 1e-9

@@ -4,7 +4,9 @@ The associativity axiom of `validate_fusion_ring` and `FusionRing.k_mul`
 visit only nonzero structure constants.  The dense loops in `rings.py`
 contract every index tuple; here both agree on every subcategory of the
 builtins and the benchmark's product keys, and both reject the same
-mutated inputs.
+mutated inputs.  The ring stores N once, as the `nonzero` view that one
+`_nonzero` call builds, and `deligne_product` fills its dense validator
+input from the factors' nonzero rows, matching the six-loop dense oracle.
 
 `hecke_constants` multiplies each unordered pair of block elements once.
 `verify_prop_3_4` proves its associativity and dual-symmetry records once
@@ -47,7 +49,7 @@ from fuscat.errors import (DegenerateSpectrum, FuscatError, InconsistentCoset,
                            NoMatchingColumn, NotAlgebraMap, NotIdempotent,
                            PsiNotCharacter, ValidationError)
 from fuscat.exactnum import CycNum, _int_mul
-from fuscat.fusion import (FusionRing, Subcategory,
+from fuscat.fusion import (FusionRing, Subcategory, _dense,
                            _first_non_character, deligne_product,
                            enumerate_subcategories, restricted_blocks,
                            sub_fpdim, subcategory_closure,
@@ -58,6 +60,7 @@ from fuscat.verify import Target
 from rings import (
     ZERO,
     characters_numeric_loop,
+    deligne_product_dense,
     enumerate_subcategories_powerset,
     eq_2_4_lhs_loop,
     eq_3_6_lhs_loop,
@@ -153,7 +156,7 @@ def test_ring_associativity_matches_dense_oracle(key):
     ring = builtin(key).ring
     for sub in enumerate_subcategories(ring):
         members = sub.members
-        tensor = _restrict(ring.tensor, members)
+        tensor = _restrict(_dense(ring), members)
         dual = [members.index(ring.dual[i]) for i in members]
         validate_fusion_ring(tensor, dual)
         assert first_associativity_violation(tensor) is None, members
@@ -177,6 +180,30 @@ def test_k_mul_matches_dense_oracle_with_multiplicities():
     # the catalog rings are multiplicity-free; X*X = 1 + 4X is not
     tensor, phi, _ = lucas(3)
     _assert_k_mul_agrees(validate_fusion_ring(tensor, (0, 1), fpdims=(1, phi)), 3)
+
+
+@pytest.mark.parametrize("a,b", itertools.product(
+    ("trivial", "svec", "ising", "fib", "rep-s3"), repeat=2))
+def test_deligne_product_matches_dense_oracle(a, b):
+    ra, rb = builtin(a).ring, builtin(b).ring
+    assert _dense(deligne_product(ra, rb)) == deligne_product_dense(ra, rb)
+
+
+def test_ring_stores_n_once(monkeypatch):
+    """N is stored once, as `nonzero`, which one `_nonzero` call builds per
+    ring: the validator's view for associativity is the ring's own.  The
+    cache is warmed first, so `ising*svec` builds only its product ring."""
+    for key in BUILTIN_KEYS:
+        builtin(key)
+    calls = []
+    nonzero = fuscat.fusion._nonzero
+    monkeypatch.setattr(fuscat.fusion, "_nonzero",
+                        lambda tensor: calls.append(1) or nonzero(tensor))
+    for key in BUILTIN_KEYS:
+        builtin.__wrapped__(key)
+    assert len(calls) == len(BUILTIN_KEYS) == 13
+    names = {f.name for f in dataclasses.fields(FusionRing)}
+    assert "nonzero" in names and "tensor" not in names
 
 
 def _assert_support_matches_the_class_function_route(ring, table):
@@ -440,7 +467,7 @@ def _base_ring(draw):
 
 def _base_tensor(draw):
     ring = _base_ring(draw)
-    return [[list(row) for row in plane] for plane in ring.tensor], ring.dual
+    return _dense(ring), ring.dual
 
 
 def _orbit(i, j, k, dual):
@@ -480,7 +507,7 @@ def test_bumped_tensor_fails_where_the_dense_oracle_does(data):
 
 def test_bumped_z4_fails_first_at_associativity_with_the_least_l():
     ring = group_ring(4)
-    tensor = [[list(row) for row in plane] for plane in ring.tensor]
+    tensor = _dense(ring)
     for a, b, c in _orbit(1, 2, 2, ring.dual):
         tensor[a][b][c] += 1
     with pytest.raises(ValidationError) as info:
@@ -501,7 +528,7 @@ def test_orbit_bumps_reach_associativity_at_the_oracles_tuple(ring):
     is commutative and the scan over k >= i names the oracle's witness."""
     reached = 0
     for i, j, k in itertools.product(range(1, ring.rank), repeat=3):
-        tensor = [[list(row) for row in plane] for plane in ring.tensor]
+        tensor = _dense(ring)
         for a, b, c in _orbit(i, j, k, ring.dual):
             tensor[a][b][c] += 1
         try:
@@ -538,7 +565,7 @@ def dense_rank_8_seconds():
     """CPU time of the dense r^5 associativity loop on svec^3 (rank 8), the
     yardstick of the large-rank guards: the sparse builds of svec^5 and
     ising^3 took 2.5-4.5 of it, the dense loop on them 300-650."""
-    tensor = _power(builtin("svec").ring, 3).tensor
+    tensor = _dense(_power(builtin("svec").ring, 3))
     assert first_associativity_violation(tensor) is None
     return _least_cpu_seconds(lambda: first_associativity_violation(tensor))
 
@@ -639,11 +666,11 @@ def _assert_same_table_outcome(ring, rows):
         column = [row[j] for row in rows]
         if column[0] == 1:  # the kernel's precondition
             assert (_first_non_character(ring.nonzero, column)
-                    == first_product_violation(ring.tensor, column)), j
+                    == first_product_violation(_dense(ring), column)), j
 
 
 def _assert_same_fpdims_outcome(ring, dims):
-    assert (_scan_outcome(validate_fusion_ring, ring.tensor, ring.dual,
+    assert (_scan_outcome(validate_fusion_ring, _dense(ring), ring.dual,
                           ring.names, dims)
             == _scan_outcome(validate_fpdims_scan, ring, dims))
 
@@ -769,7 +796,8 @@ def test_numeric_residual_verdict_matches_the_loop_on_bad_values(key):
     """Perturbed, NaN and infinite entries, in complex and real arrays: a NaN
     residual passes a pair and a NaN product bound is 1e-8 in both."""
     ring = builtin(key).ring
-    tensor = np.array(ring.tensor, dtype=float)
+    dense = _dense(ring)
+    tensor = np.array(dense, dtype=float)
     base = characters_numeric(ring, seed=0)
     specials = (np.nan, np.inf, -np.inf, complex(np.nan, 0.0),
                 complex(0.0, np.inf), complex(np.inf, np.nan), 0.0, 1e300)
@@ -790,6 +818,6 @@ def test_numeric_residual_verdict_matches_the_loop_on_bad_values(key):
             a[i, j] = value
         with np.errstate(all="ignore"):
             verdict = _is_numeric_character_table(tensor, a)
-            assert verdict == numeric_residual_ok_loop(ring.tensor, a), trial
+            assert verdict == numeric_residual_ok_loop(dense, a), trial
         verdicts.add(verdict)
     assert verdicts == {True, False}

@@ -32,7 +32,7 @@ def test_catalog_documents_round_trip_bit_exactly(key):
     doc = to_document(entry.ring, entry.table, entry.smatrix)
     text = dump_document(doc)
     ring, table, smatrix = from_document(json.loads(text))
-    assert ring.tensor == entry.ring.tensor
+    assert ring.nonzero == entry.ring.nonzero
     assert ring.dual == entry.ring.dual
     assert ring.names == entry.ring.names
     assert ring.fpdims == entry.ring.fpdims
