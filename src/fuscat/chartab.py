@@ -87,9 +87,19 @@ def validate_character_table(ring: FusionRing, rows) -> CharacterTable:
             raise SingularTable(f"column {j} has zero codegree")
         class_dims.append(total_dim / cod)
 
+    # Neither raise can fire once the checks above pass (they are raises,
+    # not asserts, so that `python -O` keeps them).  The columns are r
+    # distinct characters of the r-dimensional semisimple algebra, so the
+    # idempotents e_j = (1/cod_j) sum_i alpha[i*][j] b_i sum to the unit;
+    # the unit coefficient of sum_j e_j = 1 is sum_j 1/cod_j = 1, so the
+    # class dimensions dim(C)/cod_j sum to dim(C).
     total = sum(class_dims, ZERO)
-    assert total == total_dim, "class dimensions must sum to the global dimension"
-    assert class_dims[fp_column] == 1, "dimension character must have class dimension 1"
+    if total != total_dim:
+        raise SingularTable("class dimensions must sum to the global dimension")
+    # The FP column is d, and d_{i*} = d_i was checked with the ring, so its
+    # codegree is sum_i d_i d_{i*} = sum_i d_i^2 = dim(C).
+    if class_dims[fp_column] != 1:
+        raise SingularTable("dimension character must have class dimension 1")
 
     return CharacterTable(alpha=alpha, fp_column=fp_column,
                           class_dims=tuple(class_dims))

@@ -251,8 +251,9 @@ def verify_cor_3_9_1(target, sub: Subcategory) -> list[CheckRecord]:
     """d_Z^2 FPdim(C) / FPdim(R_t) is an algebraic integer, every Z in every block."""
     ring, dec = target.ring, target.cosets(sub)
     total, inv = target.global_dim, dec.inv_reg_dims
-    return [_integrality("cor-3.9", {"D": list(sub.members), "claim": 1,
-                                     "block": t, "member": z},
+    return [_integrality(target, "cor-3.9",
+                         {"D": list(sub.members), "claim": 1,
+                          "block": t, "member": z},
                          ring.fpdims[z] * ring.fpdims[z] * total * inv[t])
             for t, block in enumerate(dec.blocks) for z in block]
 
@@ -274,7 +275,8 @@ def verify_cor_3_9_2(target, sub: Subcategory) -> list[CheckRecord]:
         raise PreconditionFailed("pointed subcategory fixes a basis element")
     total = target.global_dim
     dim_d = target.dim(sub)
-    return [_integrality("cor-3.9", {"D": list(sub.members), "claim": 2, "j": j},
+    return [_integrality(target, "cor-3.9",
+                         {"D": list(sub.members), "claim": 2, "j": j},
                          total / (dim_d * table.class_dims[j]))
             for j in target.support(sub)]
 

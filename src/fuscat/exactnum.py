@@ -163,12 +163,16 @@ def _reduce(p, n):
 
 
 def _int_mul(x, y, n):
-    """Product of two integer vectors over conductor n, reduced mod Phi_n."""
+    """Product of two integer vectors over conductor n, reduced mod Phi_n.
+
+    Only nonzero pairs are multiplied: y's nonzero (j, y_j) are listed once
+    and each nonzero x_i meets just those."""
+    ys = [(j, yj) for j, yj in enumerate(y) if yj]
     out = [0] * (len(x) + len(y) - 1)
     for i, xi in enumerate(x):
         if xi:
-            for k, yj in enumerate(y, i):
-                out[k] += xi * yj
+            for j, yj in ys:
+                out[i + j] += xi * yj
     return _reduce(out, n)
 
 

@@ -259,7 +259,8 @@ def verify_cor_4_16(target, sub: Subcategory) -> list[CheckRecord]:
     jdp = target.support(target.centralizer(sub))
     groups = target.matched_groups(sub)
     numerator = target.global_dim * target.dim(target.center_trace(sub))
-    return [_integrality("cor-4.16", {"D": list(sub.members), "j": j},
+    return [_integrality(target, "cor-4.16",
+                         {"D": list(sub.members), "j": j},
                          numerator / groups[j][1])
             for j in sorted(jdp) if j in groups]
 
@@ -330,7 +331,8 @@ def verify_thm_1_1(target, sub: Subcategory) -> list[CheckRecord]:
     if target.center_trace(sub).members != (0,):
         raise PreconditionFailed("subcategory meets the center nontrivially")
     ring, total = target.ring, target.global_dim
-    out = [_integrality("thm-1.1", {"D": list(sub.members), "Y": y},
+    out = [_integrality(target, "thm-1.1",
+                        {"D": list(sub.members), "Y": y},
                         total / (ring.fpdims[y] * ring.fpdims[y]))
            for y in sub.members]
     sizes = sorted(len(b) for b, _ in target.matched_groups(sub).values())
@@ -354,7 +356,7 @@ def verify_thm_1_3(target) -> list[CheckRecord]:
     out = []
     for y in range(ring.rank):
         d2 = ring.fpdims[y] * ring.fpdims[y]
-        out.append(_integrality("thm-1.3", {"Y": y, "item": 1},
+        out.append(_integrality(target, "thm-1.3", {"Y": y, "item": 1},
                                 total * dim_center / d2))
         g_y = analysis.stabilizers[y]
         cd = table.class_dims[target.smatrix.M[y]]
@@ -362,12 +364,14 @@ def verify_thm_1_3(target) -> list[CheckRecord]:
                                params={"Y": y, "stabilizer": list(g_y)},
                                lhs=cd * len(g_y), rhs=d2,
                                passed=cd * len(g_y) == d2))
-        out.append(_integrality("thm-1.3", {"Y": y, "item": "4.24"},
+        out.append(_integrality(target, "thm-1.3",
+                                {"Y": y, "item": "4.24"},
                                 total * len(g_y) / d2))
     if all(len(g) == 1 for g in analysis.stabilizers):
         for y in range(ring.rank):
             d2 = ring.fpdims[y] * ring.fpdims[y]
-            out.append(_integrality("thm-1.3", {"Y": y, "item": 2},
+            out.append(_integrality(target, "thm-1.3",
+                                    {"Y": y, "item": 2},
                                     total / (dim_center * d2)))
     return out
 
@@ -377,7 +381,7 @@ def verify_rem_4_25(target) -> list[CheckRecord]:
     ring, table, m = target.ring, target.table, target.smatrix.M
     total = target.global_dim
     dim_center = target.dim(target.analysis.center)
-    return [_integrality("rem-4.25", {"i": i},
+    return [_integrality(target, "rem-4.25", {"i": i},
                          ring.fpdims[i] * ring.fpdims[i] * total
                          / (dim_center * table.class_dims[m[i]]))
             for i in range(ring.rank)]

@@ -28,10 +28,33 @@ class CheckRecord:
     detail: str = ""
 
 
-def _integrality(check_id: str, params: dict, value: CycNum) -> CheckRecord:
+def _exact_key(value):
+    """A key that two report values share only if they are written alike.
+
+    A `CycNum` is keyed by its canonical form (conductor, numerators,
+    denominator): values equal by ``==`` at different conductors are
+    written differently.  Other scalars are keyed with their type, so that
+    True, 1 and Fraction(1) stay apart.  The first entry tells the kinds
+    apart: the conductor for a `CycNum`, `list` for a list and the type for
+    a scalar."""
+    if type(value) is CycNum:
+        return (value.conductor, value._nums, value._den)
+    if isinstance(value, (list, tuple)):
+        return (list, *map(_exact_key, value))
+    return (type(value), value)
+
+
+def _integrality(target, check_id: str, params: dict,
+                 value: CycNum) -> CheckRecord:
     """The verdict that `value` is an algebraic integer; when it is, the
-    detail names its minimal polynomial."""
-    ok = is_algebraic_integer(value)
+    detail names its minimal polynomial.  The verdict is decided and the
+    polynomial built once per exact value of the target."""
+
+    def verdict():
+        if not is_algebraic_integer(value):
+            return False, ""
+        return True, f"min poly {integrality_witness(value)}"
+
+    ok, detail = target._once(("integrality", *_exact_key(value)), verdict)
     return CheckRecord(id=check_id, params=params, lhs=value,
-                       rhs="algebraic integer", passed=ok,
-                       detail=f"min poly {integrality_witness(value)}" if ok else "")
+                       rhs="algebraic integer", passed=ok, detail=detail)

@@ -32,7 +32,7 @@ from .premod import (PremodAnalysis, SMatrix, centralizer, m_map,
                      verify_prop_4_12, verify_prop_4_21, verify_rem_4_25,
                      verify_thm_1_1, verify_thm_1_3, verify_thm_4_6,
                      verify_thm_4_10)
-from .reports import CheckRecord
+from .reports import CheckRecord, _exact_key
 from .serialize import advisory_complex, value_to_json
 
 #: One line per check id: what equality or membership the check decides.
@@ -227,9 +227,12 @@ def default_subcategories(ring: FusionRing) -> list[Subcategory]:
     return subs
 
 
+_compact = json.JSONEncoder(sort_keys=True).encode
+
+
 def _sort_key(record: CheckRecord):
     # params hold only JSON-native values (ints, strings and lists of them)
-    return (record.id, json.dumps(record.params, sort_keys=True))
+    return (record.id, _compact(record.params))
 
 
 class _Row(NamedTuple):
@@ -360,12 +363,7 @@ def report_to_json(report: VerificationReport) -> dict:
     Each distinct exact value is converted once: repeats of it, within the
     report and with the same ``approx`` flag, are the same object.
     """
-    return _report_doc(report, {})
-
-
-def _report_doc(report: VerificationReport, values: dict) -> dict:
-    """`report_to_json`, keeping each converted exact value in ``values``
-    under (conductor, numerators, denominator, approx)."""
+    values = {}
 
     def value(v, approx):
         if isinstance(v, CycNum):
@@ -394,89 +392,121 @@ def _report_doc(report: VerificationReport, values: dict) -> dict:
         if c.detail:
             entry["detail"] = c.detail
         checks.append(entry)
-    legend = {cid: CHECK_LEGEND[cid]
-              for cid in sorted({c.id for c in report.checks})}
+    return {"checks": checks, **_report_fields(report)}
+
+
+def _report_fields(report: VerificationReport) -> dict:
+    """Every field of the JSON report but its checks."""
     return {
         "target": report.target,
         "subcategories": [list(m) for m in report.subcategories],
-        "checks": checks,
         "summary": report.summary,
-        "legend": legend,
+        "legend": {cid: CHECK_LEGEND[cid]
+                   for cid in sorted({c.id for c in report.checks})},
     }
 
 
-def render_json(report: VerificationReport) -> str:
-    """The report as ``json.dumps(report_to_json(report), sort_keys=True,
-    indent=2)`` plus a newline, byte for byte, written in one pass."""
-    values = {}
-    doc = _report_doc(report, values)
-    out = []
-    _write(doc, "\n", out, {id(v): {} for v in values.values()})
-    out.append("\n")
-    return "".join(out)
-
-
+_indented = json.JSONEncoder(sort_keys=True, indent=2).encode
 _encode_str = json.encoder.encode_basestring_ascii
 
 # The text of a JSON scalar, by its exact type.
 _SCALARS = {str: _encode_str, bool: lambda b: "true" if b else "false",
-            int: int.__repr__, float: float.__repr__,
-            type(None): lambda _: "null"}
+            int: int.__repr__, type(None): lambda _: "null"}
+
+# A newline and the indent of each depth of the report: its fields, the
+# records, their fields and their params.
+_NL2, _NL4, _NL6, _NL8 = ("\n" + " " * n for n in (2, 4, 6, 8))
 
 
-def _write(obj, nl: str, out: list, memo: dict) -> None:
-    """Append the ``indent=2, sort_keys=True`` JSON text of the list or
-    dict ``obj`` to ``out``; ``nl`` is the newline plus the indent of the
-    line ``obj`` starts on, and scalars are written by their container.
-    ``memo`` maps the id of each shared exact value to its text per ``nl``,
-    so a value repeated at one depth is written once.  Floats are finite
-    here: they come only from `advisory_complex`."""
-    if isinstance(obj, dict):
-        texts = memo.get(id(obj))
-        if texts is None:
-            _write_dict(obj, nl, out, memo)
-            return
-        text = texts.get(nl)
-        if text is None:
-            chunks = []
-            _write_dict(obj, nl, chunks, memo)
-            text = texts[nl] = "".join(chunks)
-        out.append(text)
-    elif isinstance(obj, list):
-        if not obj:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        lead = "[" + inner
-        for item in obj:
-            scalar = _SCALARS.get(type(item))
-            if scalar is None:
-                out.append(lead)
-                _write(item, inner, out, memo)
-            else:
-                out.append(lead + scalar(item))
-            lead = "," + inner
-        out.append(nl + "]")
-    else:
-        raise TypeError(f"cannot render {type(obj).__name__} as JSON")
+def _cycnum_text(obj: dict) -> str:
+    """The ``indent=2, sort_keys=True`` text, at depth 0, of the object
+    `value_to_json` makes of a `CycNum`: its approx floats are finite, and
+    it has at least one coefficient pair."""
+    pairs = ",\n    ".join(f"[\n      {n},\n      {d}\n    ]"
+                            for n, d in obj["coeffs"])
+    fields = [f'"coeffs": [\n    {pairs}\n  ]',
+              f'"conductor": {obj["conductor"]}']
+    if "approx" in obj:
+        re, im = obj["approx"]
+        fields.insert(0, f'"approx": [\n    {re!r},\n    {im!r}\n  ]')
+    return "{\n  " + ",\n  ".join(fields) + "\n}"
 
 
-def _write_dict(obj: dict, nl: str, out: list, memo: dict) -> None:
-    if not obj:
-        out.append("{}")
-        return
-    inner = nl + "  "
-    lead = "{" + inner
-    for k in sorted(obj):
-        v = obj[k]
+def render_json(report: VerificationReport) -> str:
+    """The report as ``json.dumps(report_to_json(report), sort_keys=True,
+    indent=2)`` plus a newline, byte for byte.
+
+    A record is written as head + params + tail: the head holds its detail,
+    id and lhs, the tail its pass, rhs and skipped reason.  Both are kept
+    for this call under (id, detail, pass, skipped reason, lhs, rhs), each
+    side by `_exact_key` (a `CycNum` by its canonical form, not by ``==``),
+    so a repeated pair is written once.  Params take their key order once
+    per key tuple, and each exact value and list of ints its text once.
+    """
+    halves, values, int_lists, orders = {}, {}, {}, {}
+
+    def value_text(v, approx: bool, nl: str) -> str:
+        # A value that starts on a line whose newline and indent are `nl`
+        # is its text at depth 0 with `nl` for each newline: JSON strings
+        # escape theirs.
         scalar = _SCALARS.get(type(v))
-        if scalar is None:
-            out.append(lead + _encode_str(k) + ": ")
-            _write(v, inner, out, memo)
+        if scalar is not None:
+            return scalar(v)
+        if type(v) is CycNum:
+            key = (v.conductor, v._nums, v._den, approx)
+            flat = values.get(key)
+            if flat is None:
+                flat = values[key] = _cycnum_text(value_to_json(v, approx))
+            return flat.replace("\n", nl)
+        if not isinstance(v, (list, tuple)) or not v:
+            return _indented(value_to_json(v, approx)).replace("\n", nl)
+        inner = nl + "  "
+        if all(type(x) is int for x in v):
+            key = (tuple(v), nl)
+            text = int_lists.get(key)
+            if text is None:
+                text = int_lists[key] = (
+                    "[" + inner + ("," + inner).join(map(int.__repr__, v))
+                    + nl + "]")
+            return text
+        return ("[" + inner + ("," + inner).join(
+            value_text(x, approx, inner) for x in v) + nl + "]")
+
+    def halves_of(c: CheckRecord) -> tuple[str, str]:
+        detail = (f'"detail": {_encode_str(c.detail)},{_NL6}'
+                  if c.detail else "")
+        reason = ("" if c.skipped_reason is None else
+                  f',{_NL6}"skipped_reason": {_encode_str(c.skipped_reason)}')
+        return (f'{{{_NL6}{detail}"id": {_encode_str(c.id)},{_NL6}'
+                f'"lhs": {value_text(c.lhs, True, _NL6)},{_NL6}"params": ',
+                f',{_NL6}"pass": {value_text(c.passed, True, _NL6)},{_NL6}'
+                f'"rhs": {value_text(c.rhs, True, _NL6)}{reason}{_NL4}}}')
+
+    records = []
+    for c in report.checks:
+        key = (c.id, c.detail, c.passed, c.skipped_reason,
+               _exact_key(c.lhs), _exact_key(c.rhs))
+        pair = halves.get(key)
+        if pair is None:
+            pair = halves[key] = halves_of(c)
+        params = c.params
+        if params:
+            keys = tuple(params)
+            order = orders.get(keys)
+            if order is None:
+                order = orders[keys] = [(k, _encode_str(k) + ": ")
+                                        for k in sorted(keys)]
+            text = ("{" + _NL8 + ("," + _NL8).join(
+                [lead + value_text(params[k], False, _NL8)
+                 for k, lead in order]) + _NL6 + "}")
         else:
-            out.append(lead + _encode_str(k) + ": " + scalar(v))
-        lead = "," + inner
-    out.append(nl + "}")
+            text = "{}"
+        records.append(pair[0] + text + pair[1])
+    checks = ("[" + _NL4 + ("," + _NL4).join(records) + _NL2 + "]"
+              if records else "[]")
+    # the other fields sort after "checks"; their text opens with "{"
+    rest = _indented(_report_fields(report))
+    return "{" + _NL2 + '"checks": ' + checks + "," + rest[1:] + "\n"
 
 
 def _show(value) -> str:

@@ -14,7 +14,7 @@ from fuscat.chartab import validate_character_table
 from fuscat.errors import (DegenerateSpectrum, ExactDataMissing,
                            NoMatchingColumn, NotAlgebraMap, PsiNotCharacter,
                            ValidationError)
-from fuscat.exactnum import CycNum, _int_mul, _numerators
+from fuscat.exactnum import CycNum, _int_mul, _numerators, _reduce
 from fuscat.fusion import Subcategory, _dense, validate_fusion_ring
 from fuscat.premod import SMatrix, validate_smatrix
 
@@ -152,6 +152,17 @@ def deligne_product_dense(a, b):
 # ---------------------------------------------------------------------------
 # CycNum loops behind the integer sum-of-products kernel
 # ---------------------------------------------------------------------------
+
+def int_mul_dense(x, y, n):
+    """`exactnum._int_mul` before it skipped zeros of y: every nonzero x_i
+    meets every slot of y."""
+    out = [0] * (len(x) + len(y) - 1)
+    for i, xi in enumerate(x):
+        if xi:
+            for k, yj in enumerate(y, i):
+                out[k] += xi * yj
+    return _reduce(out, n)
+
 
 def sum_of_products(terms) -> CycNum:
     """ZERO + a*b*... + ..., one CycNum operation at a time."""

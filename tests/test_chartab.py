@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuscat.catalog import builtin
+from fuscat.catalog import BUILTIN_KEYS, builtin
 from fuscat.chartab import (
     characters_numeric,
     match_numeric_columns,
@@ -38,6 +38,7 @@ from rings import (
 )
 
 ONE = CycNum.from_rational(1)
+ZERO = CycNum.from_rational(0)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +194,35 @@ def test_numeric_characters_deterministic():
     a = characters_numeric(reps3_ring(), seed=7)
     b = characters_numeric(reps3_ring(), seed=7)
     assert np.array_equal(a, b)
+
+
+def _sum(values):
+    return sum(values, ZERO)
+
+
+@pytest.mark.parametrize("key", BUILTIN_KEYS
+                         + tuple(f"su2k-{k}" for k in range(5, 15)))
+def test_identities_that_keep_the_class_dimension_raises_unreached(key):
+    """The last two raises of `validate_character_table` cannot fire after
+    its checks: the FP column's codegree is sum_i d_i d_{i*} = sum_i d_i^2,
+    and the idempotents e_j = (1/cod_j) sum_i alpha[i*][j] b_i sum to the
+    unit, whose unit coefficient is sum_j 1/cod_j = 1.  Both are recomputed
+    here one CycNum operation at a time."""
+    entry = builtin(key)
+    ring, table = entry.ring, entry.table
+    r, d, dual, alpha = ring.rank, ring.fpdims, ring.dual, table.alpha
+    cod = [_sum(alpha[i][j] * alpha[dual[i]][j] for i in range(r))
+           for j in range(r)]
+    dim = _sum(x * x for x in d)
+    assert cod[table.fp_column] == _sum(d[i] * d[dual[i]] for i in range(r))
+    assert cod[table.fp_column] == dim
+    inv = [c.inverse() for c in cod]
+    for i in range(r):
+        unit_part = 1 if i == 0 else 0
+        assert _sum(alpha[dual[i]][j] * inv[j] for j in range(r)) == unit_part
+    assert _sum(inv) == 1
+    assert table.class_dims[table.fp_column] == 1
+    assert _sum(table.class_dims) == dim
 
 
 @pytest.mark.parametrize("key", ("su2k-10", "ising"))

@@ -18,6 +18,7 @@ from fuscat.exactnum import (
     CycNum,
     IntPoly,
     _dot,
+    _int_mul,
     characteristic_polynomial,
     cyclotomic_polynomial,
     euler_phi,
@@ -26,7 +27,8 @@ from fuscat.exactnum import (
     minimal_polynomial,
 )
 
-from rings import embed_complex_terms, is_monic, poly_eval, sum_of_products
+from rings import (embed_complex_terms, int_mul_dense, is_monic, poly_eval,
+                   sum_of_products)
 
 
 def F(a, b=1):
@@ -727,3 +729,32 @@ def test_dot_matches_the_cycnum_loop(terms):
     got, want = _dot(terms), sum_of_products(terms)
     assert (got.conductor, got._nums, got._den) == \
         (want.conductor, want._nums, want._den)
+
+
+# -- the sparse integer product kernel ---------------------------------------
+
+_BIG = 2 ** 1000
+
+
+def int_vectors(n):
+    """phi(n) integer numerators: zeros, small values of either sign, and
+    1,000-bit ones."""
+    entry = (st.just(0) | st.integers(-3, 3)
+             | st.integers(-_BIG, _BIG) | st.sampled_from([_BIG, -_BIG]))
+    return st.lists(entry, min_size=euler_phi(n), max_size=euler_phi(n))
+
+
+_INT_MUL_CASES = st.sampled_from([1, 4, 5, 8, 15, 48, 64]).flatmap(
+    lambda n: st.tuples(st.just(n), int_vectors(n), int_vectors(n)))
+
+
+@given(_INT_MUL_CASES)
+@example((64, [0] * 31 + [_BIG], [0] * 31 + [-_BIG]))
+@example((8, [0] * 4, [1, -2, 3, _BIG]))
+@settings(max_examples=150, deadline=None)
+def test_int_mul_matches_the_dense_loop(case):
+    """The kernel multiplies only nonzero pairs; the product it reduces is
+    the one the loop over every slot of y reduces."""
+    n, x, y = case
+    assert _int_mul(x, y, n) == int_mul_dense(x, y, n)
+    assert _int_mul(y, x, n) == int_mul_dense(y, x, n)

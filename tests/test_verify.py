@@ -1,5 +1,6 @@
 """Orchestrated check runs: coverage, skip policy, ordering, rendering."""
 
+import dataclasses
 import functools
 import json
 from collections import Counter
@@ -12,10 +13,12 @@ from hypothesis import example, given, settings, strategies as st
 import fuscat.cosets
 import fuscat.fusion
 import fuscat.premod
+import fuscat.reports
 import fuscat.serialize
 import fuscat.verify
 from fuscat.catalog import BUILTIN_KEYS, builtin
 from fuscat.chartab import validate_character_table
+from fuscat.cli import main
 from fuscat.errors import UnknownKey
 from fuscat.exactnum import CycNum
 from fuscat.fusion import enumerate_subcategories
@@ -488,3 +491,51 @@ def test_run_checks_inverts_each_repeated_divisor_once(monkeypatch):
     monkeypatch.setattr(CycNum, "inverse", counting)
     assert run_checks(target, subcategories=subs).ok
     assert 0 < calls["inverse"] <= 539
+
+
+@pytest.mark.parametrize("key", ["su2k-4", "ising*svec"])
+def test_each_integrality_witness_is_built_once_per_value(key, monkeypatch,
+                                                         capsys):
+    """One command builds the minimal polynomial of each exact value once,
+    however many divisibility records carry it."""
+    calls = Counter()
+    witness = fuscat.reports.integrality_witness
+
+    def counting(value):
+        calls[value.conductor, value._nums, value._den] += 1
+        return witness(value)
+    monkeypatch.setattr(fuscat.reports, "integrality_witness", counting)
+    assert main(["verify", key, "--all-subcategories", "--format", "json"]) == 0
+    assert calls and max(calls.values()) == 1, calls.most_common(3)
+
+
+def test_render_json_keeps_apart_records_that_are_written_differently():
+    """Records are written from a memo; each pair below differs in one
+    thing that changes its text, so a memo that keyed values by ``==`` or
+    left out a field would write one record of a pair for the other."""
+    one, one_at_8 = CycNum.from_rational(1), CycNum(8, [1, 0, 0, 0])
+    assert one == one_at_8 and one_at_8.conductor == 8
+    v = CycNum(8, [Fraction(1, 2), 0, -3, 0])
+    base = CheckRecord(id="cor-3.9", params={"D": [0, 1]}, lhs=v,
+                       rhs="algebraic integer", passed=True,
+                       detail="min poly x^2 + 1")
+    checks = (
+        # equal by ==, at conductors 1 and 8
+        CheckRecord(id="eq-2.4", params={"l": 0, "k": 0}, lhs=one,
+                    rhs=one, passed=True),
+        CheckRecord(id="eq-2.4", params={"l": 0, "k": 0}, lhs=one_at_8,
+                    rhs=one_at_8, passed=True),
+        # v as a param (no approx) and as lhs (approx)
+        CheckRecord(id="eq-2.4", params={"v": v}, lhs=v, rhs=v, passed=True),
+        # only the params differ
+        CheckRecord(id="eq-2.4", params={"l": 1, "k": 0}, lhs=one,
+                    rhs=one, passed=True),
+        base,
+        # only passed, only the skipped reason, only the detail differ
+        dataclasses.replace(base, passed=False),
+        dataclasses.replace(base, skipped_reason="not pointed"),
+        dataclasses.replace(base, detail=""),
+    )
+    report = VerificationReport(target="memo", subcategories=((0,), (0, 1)),
+                                checks=checks)
+    assert render_json(report) == _oracle(report)
