@@ -44,7 +44,8 @@ ROOT = Path(__file__).resolve().parent.parent
 LADDER = ("trivial", "svec", "ising", "fib", "rep-s3", "su2k-2", "su2k-3",
           "su2k-4", "pointed-z2-q1", "pointed-z3-q1", "pointed-z4-q1",
           "pointed-z4-q2", "ising*svec", "su2k-5", "su2k-6", "su2k-8",
-          "su2k-10", "su2k-12", "su2k-14", "su2k-4*fib")
+          "su2k-10", "su2k-12", "su2k-14", "su2k-4*fib",
+          "svec*svec*svec*svec")
 ROUNDS = 10
 
 

@@ -109,7 +109,13 @@ _CYCLO_LOCK = threading.RLock()  # reentrant: Phi_n recurses into its divisors
 
 
 def cyclotomic_polynomial(n: int) -> IntPoly:
-    """Phi_n, computed by dividing x^n - 1 by Phi_d over proper divisors d."""
+    """Phi_n, computed by dividing x^n - 1 by Phi_d over proper divisors d.
+
+    x^n - 1 is the product of the monic integer Phi_d over all d | n, so each
+    division is exact and leaves Phi_n, of degree n - sum_{d | n, d < n}
+    phi(d) = phi(n).  The two raises below cannot fire for any n >= 1; they
+    are raises, not asserts, so that ``python -O`` keeps them.
+    """
     poly = _CYCLO_CACHE.get(n)
     if poly is not None:
         return poly
@@ -123,10 +129,12 @@ def cyclotomic_polynomial(n: int) -> IntPoly:
         for d in range(1, n):
             if n % d == 0:
                 k = _divide(num, d)
-                assert not any(num[:k]), f"Phi_{d} must divide x^{n}-1"
+                if any(num[:k]):
+                    raise ArithmeticError(f"Phi_{d} must divide x^{n}-1")
                 num = num[k:]
         poly = IntPoly(tuple(num))
-        assert poly.degree == euler_phi(n)
+        if poly.degree != euler_phi(n):
+            raise ArithmeticError(f"Phi_{n} must have degree phi({n})")
         _CYCLO_CACHE[n] = poly
         return poly
 
@@ -166,7 +174,10 @@ def _int_mul(x, y, n):
     """Product of two integer vectors over conductor n, reduced mod Phi_n.
 
     Only nonzero pairs are multiplied: y's nonzero (j, y_j) are listed once
-    and each nonzero x_i meets just those."""
+    and each nonzero x_i meets just those.  Below conductor 3, phi(n) = 1:
+    the product of two constants, with nothing to reduce."""
+    if n < 3:
+        return [x[0] * y[0]]
     ys = [(j, yj) for j, yj in enumerate(y) if yj]
     out = [0] * (len(x) + len(y) - 1)
     for i, xi in enumerate(x):
@@ -545,12 +556,16 @@ def _numerators(values):
     no `CycNum` is built."""
     m = math.lcm(*(v.conductor for v in values))
     den = math.lcm(*(v._den for v in values))
-    out = []
-    for v in values:
-        n, scale = v.conductor, den // v._den
-        nums = v._nums if n == m else _spread(v._nums, m // n, m)
-        out.append([scale * x for x in nums])
-    return m, den, out
+    return m, den, [_over(v, m, den) for v in values]
+
+
+def _over(v, m, den):
+    """den * v as phi(m) integers, for v in Q(zeta_m) with a denominator
+    that divides den."""
+    n = v.conductor
+    nums = v._nums if n == m else _spread(v._nums, m // n, m)
+    scale = den // v._den
+    return [scale * x for x in nums]
 
 
 def _dot(terms):

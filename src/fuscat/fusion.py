@@ -16,9 +16,6 @@ from functools import cached_property
 from .errors import ExactDataMissing, RankTooLarge, ValidationError
 from .exactnum import CycNum, _dot, _int_mul, _numerators
 
-ONE = CycNum.from_rational(1)
-ZERO = CycNum.from_rational(0)
-
 #: Largest rank whose subcategories are enumerated.
 ENUMERATION_BOUND = 16
 
@@ -41,24 +38,6 @@ class FusionRing:
         `cosets` and `premod` test single bits of them."""
         return tuple(tuple(sum(1 << k for k, _ in row) for row in plane)
                      for plane in self.nonzero)
-
-    def basis(self, i) -> tuple[CycNum, ...]:
-        return tuple(ONE if k == i else ZERO for k in range(self.rank))
-
-    def k_mul(self, x: tuple, y: tuple) -> tuple[CycNum, ...]:
-        """Product of two coefficient vectors; only nonzero coefficients and
-        entries are visited, and each output coefficient is one `_dot` of
-        the terms x_i y_j N_ij^k, so it lies at the lcm of their conductors."""
-        terms = [[] for _ in range(self.rank)]
-        ys = [(j, yj) for j, yj in enumerate(y) if not yj.is_zero()]
-        for i, xi in enumerate(x):
-            if xi.is_zero():
-                continue
-            plane = self.nonzero[i]
-            for j, yj in ys:
-                for k, n in plane[j]:
-                    terms[k].append((xi, yj, n))
-        return tuple(_dot(t) if t else ZERO for t in terms)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 A target is a ring plus optional character table and symmetric matrix,
 together with the derived data the checks read (global dimension, supports,
 coset decompositions, centralizers, meets, blocks, the matching analysis
-and its matched groups, the reciprocals of the dimensions), each computed
+and its matched groups, the reciprocals of the dimensions, the dimensions
+as integer numerators and the products of pairs of them), each computed
 at most once per target.  Every check has a stable string id and a row in
 the registry that names what it requires and over what it ranges; checks
 whose inputs are missing, or whose mathematical hypotheses fail, are
@@ -23,7 +24,7 @@ from .cosets import (CosetDecomposition, coset_partition, verify_cor_3_9_1,
                      verify_cor_3_9_2, verify_eq_3_1, verify_eq_3_6,
                      verify_eq_3_7, verify_lemma_3_12, verify_prop_3_4)
 from .errors import FuscatError, PreconditionFailed, UnknownKey
-from .exactnum import CycNum
+from .exactnum import CycNum, _int_mul, _numerators
 from .fusion import (FusionRing, Subcategory, check_subcategory,
                      global_fpdim, pointed_part, restricted_blocks, sub_fpdim)
 from .premod import (PremodAnalysis, SMatrix, centralizer, m_map,
@@ -137,6 +138,24 @@ class Target:
             d.inverse() for d in self.ring.fpdims))
 
     @property
+    def numerators(self) -> tuple[int, int, list[list[int]]]:
+        """(m, den, A): the dimensions over their lcm conductor m and one
+        common denominator den, d_i = A_i / den with A_i phi(m) integers."""
+        return self._once("numerators", lambda: _numerators(self.ring.fpdims))
+
+    def pair(self, i: int, j: int) -> list[int]:
+        """A_i A_j mod Phi_m (see `numerators`), built once per unordered
+        pair and shared by every subcategory."""
+        if i > j:
+            i, j = j, i
+        pairs = self._once("pairs", dict)
+        product = pairs.get((i, j))
+        if product is None:
+            m, _, nums = self.numerators
+            product = pairs[i, j] = _int_mul(nums[i], nums[j], m)
+        return product
+
+    @property
     def inv_class_dims(self) -> tuple[CycNum, ...]:
         """1/dim(C^j) for every table column j."""
         return self._once("inv_class_dims", lambda: tuple(
@@ -227,12 +246,17 @@ def default_subcategories(ring: FusionRing) -> list[Subcategory]:
     return subs
 
 
-_compact = json.JSONEncoder(sort_keys=True).encode
+# The C encoder behind ``json.dumps(obj, sort_keys=True)``, built once:
+# `json.JSONEncoder.encode` builds a new one for every call.  It writes a dict
+# as one chunk.
+_compact = json.encoder.c_make_encoder(
+    None, None, json.encoder.encode_basestring_ascii, None, ": ", ", ",
+    True, False, True)
 
 
 def _sort_key(record: CheckRecord):
     # params hold only JSON-native values (ints, strings and lists of them)
-    return (record.id, _compact(record.params))
+    return (record.id, _compact(record.params, 0)[0])
 
 
 class _Row(NamedTuple):

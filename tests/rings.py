@@ -12,9 +12,9 @@ import numpy as np
 
 from fuscat.chartab import validate_character_table
 from fuscat.errors import (DegenerateSpectrum, ExactDataMissing,
-                           NoMatchingColumn, NotAlgebraMap, PsiNotCharacter,
-                           ValidationError)
-from fuscat.exactnum import CycNum, _int_mul, _numerators, _reduce
+                           InconsistentCoset, NoMatchingColumn, NotAlgebraMap,
+                           PsiNotCharacter, ValidationError)
+from fuscat.exactnum import CycNum, _dot, _int_mul, _numerators, _reduce
 from fuscat.fusion import Subcategory, _dense, validate_fusion_ring
 from fuscat.premod import SMatrix, validate_smatrix
 
@@ -116,6 +116,89 @@ def embed_complex_terms(v: CycNum) -> complex:
     n, den = v.conductor, v._den
     return sum((x / den) * cmath.exp(2j * math.pi * j / n)
                for j, x in enumerate(v._nums))
+
+
+def basis(ring, i) -> tuple[CycNum, ...]:
+    """The basis element X_i as a coefficient tuple."""
+    return tuple(ONE if k == i else ZERO for k in range(ring.rank))
+
+
+def k_mul(ring, x, y) -> tuple[CycNum, ...]:
+    """Product of two coefficient vectors; only nonzero coefficients and
+    entries are visited, and each output coefficient is one `_dot` of the
+    terms x_i y_j N_ij^k, so it lies at the lcm of their conductors."""
+    terms = [[] for _ in range(ring.rank)]
+    ys = [(j, yj) for j, yj in enumerate(y) if not yj.is_zero()]
+    for i, xi in enumerate(x):
+        if xi.is_zero():
+            continue
+        plane = ring.nonzero[i]
+        for j, yj in ys:
+            for k, n in plane[j]:
+                terms[k].append((xi, yj, n))
+    return tuple(_dot(t) if t else ZERO for t in terms)
+
+
+def block_element(ring, dec, t) -> tuple[CycNum, ...]:
+    """e_t: the regular element of block t divided by its dimension."""
+    block, inv = set(dec.blocks[t]), dec.inv_reg_dims[t]
+    return tuple(ring.fpdims[i] * inv if i in block else ZERO
+                 for i in range(ring.rank))
+
+
+def block_elements(ring, dec) -> tuple[tuple[CycNum, ...], ...]:
+    """e_t for every block t."""
+    return tuple(block_element(ring, dec, t) for t in range(len(dec.blocks)))
+
+
+def eq_3_1_loop(target, sub) -> list[bool]:
+    """The eq-3.1 verdicts, one per block and then the pairwise one, with
+    [X] R_D / d_X and FPdim(D) e_t built as coefficient tuples and compared
+    by `==`."""
+    ring, dec = target.ring, target.cosets(sub)
+    dim_d = target.dim(sub)
+    r_d = tuple(ring.fpdims[i] if i in sub else ZERO for i in range(ring.rank))
+    verdicts, normalized = [], []
+    for block, e in zip(dec.blocks, block_elements(ring, dec)):
+        expected = tuple(a * dim_d for a in e)
+        ok = True
+        for x in block:
+            inv = target.inv_dims[x]
+            if tuple(a * inv for a in k_mul(ring, basis(ring, x), r_d)) != expected:
+                ok = False
+        normalized.append(expected)
+        verdicts.append(ok)
+    verdicts.append(all(normalized[a] != normalized[b]
+                        for a in range(len(normalized))
+                        for b in range(a + 1, len(normalized))))
+    return verdicts
+
+
+def hecke_constants_loop(target, sub) -> tuple:
+    """H read off the products e_m e_n of the block elements as coefficient
+    tuples, m <= n, with each block's coefficients times R_p / d_i compared
+    by `==` and each row summed as a `CycNum`; raises `InconsistentCoset`
+    as `cosets.hecke_closure` does."""
+    ring, dec, inv = target.ring, target.cosets(sub), target.inv_dims
+    nb, es = len(dec.blocks), block_elements(ring, dec)
+    ratio = {i: dec.reg_dims[p] * inv[i]
+             for p, block in enumerate(dec.blocks) for i in block}
+    structure = [[None] * nb for _ in range(nb)]
+    for m in range(nb):
+        for n in range(m, nb):
+            prod = k_mul(ring, es[m], es[n])
+            consts = []
+            for p in range(nb):
+                vals = [prod[i] * ratio[i] for i in dec.blocks[p]]
+                if any(v != vals[0] for v in vals[1:]):
+                    raise InconsistentCoset(
+                        f"e_{m} e_{n} is not dimension-proportional on block {p}")
+                consts.append(vals[0])
+            total = sum(consts, ZERO)
+            if total != 1:
+                raise InconsistentCoset(f"row ({m},{n}) sums to {total}, not 1")
+            structure[m][n] = structure[n][m] = tuple(consts)
+    return tuple(map(tuple, structure))
 
 
 def k_mul_dense(ring, x, y) -> tuple[CycNum, ...]:

@@ -8,7 +8,6 @@ from fuscat.chartab import validate_character_table
 from fuscat.errors import PreconditionFailed
 from fuscat.exactnum import CycNum
 from fuscat.cosets import (
-    block_element,
     coset_partition,
     free_action,
     hecke_constants,
@@ -25,6 +24,7 @@ from fuscat.verify import Target
 
 from rings import (
     all_passed,
+    block_element,
     block_of,
     fib_ring,
     fib_table_rows,
@@ -34,6 +34,7 @@ from rings import (
     hecke_dual_symmetric,
     ising_ring,
     ising_table_rows,
+    k_mul,
     refines,
     reps3_ring,
     reps3_table_rows,
@@ -164,7 +165,7 @@ def test_block_elements_are_idempotent_for_unit_block():
     ring, sub = _ising_pointed()
     dec = coset_partition(Target("", ring), sub)
     e0 = block_element(ring, dec, 0)
-    assert ring.k_mul(e0, e0) == e0
+    assert k_mul(ring, e0, e0) == e0
 
 
 # ---------------------------------------------------------------------------

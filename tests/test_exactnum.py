@@ -5,6 +5,7 @@ import copy
 import json
 import math
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -65,6 +66,21 @@ def test_cyclotomic_product_recovers_xn_minus_1():
                 prod = out
         expect = [F(-1)] + [F(0)] * (n - 1) + [F(1)]
         assert prod == expect
+
+
+@pytest.mark.parametrize("split,message", [
+    (lambda p, n: 1, "Phi_1 must divide x^9973-1"),   # leaves a remainder
+    (lambda p, n: 0, "Phi_9973 must have degree phi(9973)"),   # divides nothing
+])
+def test_cyclotomic_invariants_raise_under_a_broken_division(
+        split, message, monkeypatch):
+    """The two invariants of `cyclotomic_polynomial` are raises, which
+    ``python -O`` keeps; only a broken division reaches them, and then
+    nothing is cached."""
+    monkeypatch.setattr(fuscat.exactnum, "_divide", split)
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        cyclotomic_polynomial(9973)
+    assert 9973 not in fuscat.exactnum._CYCLO_CACHE
 
 
 def test_euler_phi():

@@ -1,6 +1,6 @@
 """Sparse fusion kernels and the prop-3.4 oracles against their dense loops.
 
-The associativity axiom of `validate_fusion_ring` and `FusionRing.k_mul`
+The associativity axiom of `validate_fusion_ring` and the `k_mul` oracle
 visit only nonzero structure constants.  The dense loops in `rings.py`
 contract every index tuple; here both agree on every subcategory of the
 builtins and the benchmark's product keys, and both reject the same
@@ -8,18 +8,24 @@ mutated inputs.  The ring stores N once, as the `nonzero` view that one
 `_nonzero` call builds, and `deligne_product` fills its dense validator
 input from the factors' nonzero rows, matching the six-loop dense oracle.
 
-`hecke_constants` multiplies each unordered pair of block elements once.
+eq-3.1 and the Hecke closure are decided on integer numerators of the
+dimensions (`Target.numerators`, `Target.pair`); their verdicts, the
+constants `hecke_constants` reads off at each block's first member, and
+the text of every raise equal those of the `CycNum` loops over block
+elements in `rings.py`, also on rings whose dimensions were corrupted after
+validation.  `hecke_closure` builds the product of each unordered pair of
+blocks once.
 `verify_prop_3_4` proves its associativity and dual-symmetry records once
-`hecke_constants` has returned, so the scans that recompute them,
+`hecke_closure` has returned, so the scans that recompute them,
 `hecke_associative` and `hecke_dual_symmetric`, live in `rings.py` as
-oracles.  Both hold on every H `hecke_constants` returns, and a corrupted
-product coefficient or block dimension either makes `hecke_constants`
-raise or gives an H the oracles reject.  `hecke_associative` agrees with
-its dense loop; it accumulates each side as `_int_mul` products of integer
-numerator vectors over one conductor and denominator.  A commutative H
-takes its symmetric-triple-product path, which perturbing H_{mn}^p and
-H_{nm}^p together reaches; any other H takes the two-sided loop, which a
-single perturbed H_{mn}^p with m != n reaches.
+oracles.  Both hold on every H `hecke_constants` returns; a corrupted
+block product or block dimension makes `hecke_closure` raise, and a
+corrupted row of H gives an H the oracles reject.  `hecke_associative`
+agrees with its dense loop; it accumulates each side as `_int_mul` products
+of integer numerator vectors over one conductor and denominator.  A
+commutative H takes its symmetric-triple-product path, which perturbing
+H_{mn}^p and H_{nm}^p together reaches; any other H takes the two-sided
+loop, which a single perturbed H_{mn}^p with m != n reaches.
 `k_mul`, the codegrees, subcategory dimensions and eq-2.4/3.6/3.7 sums,
 built by the integer kernel `_dot`, give the conductor and canonical form of
 the `CycNum` loops in `rings.py`, and `support_JD` gives the support of the
@@ -40,11 +46,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fuscat.cosets
 import fuscat.fusion
 from fuscat.catalog import BUILTIN_KEYS, builtin
 from fuscat.chartab import (_is_numeric_character_table, characters_numeric,
                             support_JD, validate_character_table, verify_eq_2_4)
-from fuscat.cosets import hecke_constants, verify_eq_3_6, verify_eq_3_7
+from fuscat.cosets import (hecke_constants, verify_eq_3_1, verify_eq_3_6,
+                           verify_eq_3_7)
 from fuscat.errors import (DegenerateSpectrum, FuscatError, InconsistentCoset,
                            NoMatchingColumn, NotAlgebraMap, NotIdempotent,
                            PsiNotCharacter, ValidationError)
@@ -59,10 +67,12 @@ from fuscat.verify import Target
 
 from rings import (
     ZERO,
+    block_elements,
     characters_numeric_loop,
     deligne_product_dense,
     enumerate_subcategories_powerset,
     eq_2_4_lhs_loop,
+    eq_3_1_loop,
     eq_3_6_lhs_loop,
     eq_3_7_lhs_loop,
     first_associativity_violation,
@@ -71,8 +81,10 @@ from rings import (
     group_ring,
     hecke_associative,
     hecke_associative_dense,
+    hecke_constants_loop,
     hecke_dual_symmetric,
     ising_ring,
+    k_mul,
     k_mul_dense,
     k_mul_loop,
     lucas,
@@ -139,9 +151,9 @@ def test_sums_of_products_match_the_cycnum_loops(key):
     for sub in enumerate_subcategories(ring):
         assert _form(sub_fpdim(ring, sub)) == _form(sum_of_products(
             [(ring.fpdims[i], ring.fpdims[i]) for i in sub])), sub.members
-        es = target.cosets(sub).block_elements
+        es = block_elements(ring, target.cosets(sub))
         for x, y in itertools.combinations_with_replacement(es, 2):
-            assert list(map(_form, ring.k_mul(x, y))) == \
+            assert list(map(_form, k_mul(ring, x, y))) == \
                 list(map(_form, k_mul_loop(ring, x, y)))
         for rec in verify_eq_3_6(target, sub):
             k, l = rec.params["k"], rec.params["l"]
@@ -168,7 +180,7 @@ def _assert_k_mul_agrees(ring, seed):
     for _ in range(6):
         x = tuple(rng.choice(scalars) for _ in range(ring.rank))
         y = tuple(rng.choice(scalars) for _ in range(ring.rank))
-        assert ring.k_mul(x, y) == k_mul_dense(ring, x, y)
+        assert k_mul(ring, x, y) == k_mul_dense(ring, x, y)
 
 
 @pytest.mark.parametrize("key", KEYS)
@@ -260,17 +272,18 @@ def test_hecke_constants_multiplies_each_unordered_pair_once(key, monkeypatch):
     ring = builtin(key).ring
     target = Target(key, ring)
     calls = []
-    k_mul = FusionRing.k_mul
+    block_product = fuscat.cosets._block_product
 
-    def counted(self, x, y):
-        calls.append((x, y))
-        return k_mul(self, x, y)
-    monkeypatch.setattr(FusionRing, "k_mul", counted)
+    def counted(target, dec, m, n):
+        calls.append((m, n))
+        return block_product(target, dec, m, n)
+    monkeypatch.setattr(fuscat.cosets, "_block_product", counted)
     for sub in enumerate_subcategories(ring):
         nb = len(target.cosets(sub).blocks)
         calls.clear()
         hecke_constants(target, sub)
-        assert len(calls) == nb * (nb + 1) // 2, sub.members
+        assert sorted(calls) == list(
+            itertools.combinations_with_replacement(range(nb), 2)), sub.members
 
 
 @pytest.mark.parametrize("key", ("ising", "rep-s3", "su2k-4", "ising*svec",
@@ -378,42 +391,59 @@ def _hecke_outcome(target, sub):
     return "rejected"
 
 
-def _corrupt_products(mp, es, changes):
-    """Patch `FusionRing.k_mul` so that the product of the block elements
-    es[m], es[n], named by identity, gets changes[m, n] added."""
-    k_mul = FusionRing.k_mul
-    by_id = {(id(es[m]), id(es[n])): delta
-             for (m, n), delta in changes.items()}
+def _corrupt_products(mp, changes):
+    """Patch `cosets._block_product` so that the product P of the blocks
+    (m, n) gets the integer vector delta added at k, for each
+    changes[m, n] = (k, delta)."""
+    block_product = fuscat.cosets._block_product
 
-    def corrupted(ring, x, y):
-        prod = k_mul(ring, x, y)
-        delta = by_id.get((id(x), id(y)))
-        if delta is None:
-            return prod
-        return tuple(a + b for a, b in zip(prod, delta))
-    mp.setattr(FusionRing, "k_mul", corrupted)
+    def corrupted(target, dec, m, n):
+        P = block_product(target, dec, m, n)
+        if (m, n) in changes:
+            k, delta = changes[m, n]
+            P[k] = [x + y for x, y in zip(P.get(k, [0] * len(delta)), delta)]
+        return P
+    mp.setattr(fuscat.cosets, "_block_product", corrupted)
+
+
+def _corrupt_rows(mp, changes):
+    """Patch `cosets._hecke_row` so that the row H_{mn} gets changes[m, n],
+    one value per block, added."""
+    hecke_row = fuscat.cosets._hecke_row
+
+    def corrupted(target, dec, coeffs, m, n):
+        row = hecke_row(target, dec, coeffs, m, n)
+        if (m, n) in changes:
+            row = tuple(a + b for a, b in zip(row, changes[m, n]))
+        return row
+    mp.setattr(fuscat.cosets, "_hecke_row", corrupted)
+
+
+def _unit(p, nb):
+    return tuple(CycNum.from_rational(int(q == p)) for q in range(nb))
 
 
 @pytest.mark.parametrize("key", MUTATION_KEYS)
 def test_corrupted_closure_is_refused_or_rejected(key, monkeypatch):
-    """Adding 1/3 to one coefficient of one e_m e_n, m <= n (the only
-    products `hecke_constants` builds), breaks dimension proportionality or
-    the row sum, and doubling one block dimension R_t breaks the row sum of
-    e_t e_t* (its unit coefficient is positive), so `hecke_constants`
-    raises.  Moving 1/3 of e_0 e_n = e_n onto e_p passes it, but
-    (e_0 e_0) e_n = e_0 e_n has coefficient 2/3 at e_n where e_0 (e_0 e_n)
-    has 4/9, so the oracles reject H."""
+    """Adding 1 to the first numerator of one P_k of one block product
+    e_m e_n, m <= n (the only products `hecke_closure` builds), breaks
+    dimension proportionality on the block of k or, on a one-member block,
+    the row sum; doubling one block dimension R_t breaks the row sum of
+    e_0 e_t; so `hecke_constants` raises.  Moving 1/3 of H_{0n} = e_n onto
+    e_p after the closure passed gives an H where (e_0 e_0) e_n = e_0 e_n
+    has coefficient 2/3 at e_n and e_0 (e_0 e_n) has 4/9, so the oracles
+    reject H."""
     ring = builtin(key).ring
     target = Target(key, ring)
+    bump = [1] + [0] * (len(target.numerators[2][0]) - 1)
     outcomes = {"coefficient": set(), "dimension": set(), "unit block": set()}
     for sub in enumerate_subcategories(ring):
         dec = target.cosets(sub)
-        nb, es = len(dec.blocks), dec.block_elements
+        nb = len(dec.blocks)
         pairs = itertools.combinations_with_replacement(range(nb), 2)
-        for (m, n), i in itertools.product(pairs, range(ring.rank)):
-            bump = tuple(THIRD if k == i else ZERO for k in range(ring.rank))
+        for (m, n), k in itertools.product(pairs, range(ring.rank)):
             with monkeypatch.context() as mp:
-                _corrupt_products(mp, es, {(m, n): bump})
+                _corrupt_products(mp, {(m, n): (k, bump)})
                 outcomes["coefficient"].add(_hecke_outcome(target, sub))
         for t in range(nb):
             bad = dataclasses.replace(dec, reg_dims=tuple(
@@ -424,9 +454,10 @@ def test_corrupted_closure_is_refused_or_rejected(key, monkeypatch):
         for n, p in itertools.product(range(1, nb), range(nb)):
             if p == n:
                 continue
-            move = tuple((a - b) * THIRD for a, b in zip(es[p], es[n]))
+            move = tuple((a - b) * THIRD
+                         for a, b in zip(_unit(p, nb), _unit(n, nb)))
             with monkeypatch.context() as mp:
-                _corrupt_products(mp, es, {(0, n): move})
+                _corrupt_rows(mp, {(0, n): move})
                 outcomes["unit block"].add(_hecke_outcome(target, sub))
     assert outcomes == {"coefficient": {"raised"}, "dimension": {"raised"},
                         "unit block": {"rejected"}}
@@ -434,22 +465,84 @@ def test_corrupted_closure_is_refused_or_rejected(key, monkeypatch):
 
 def test_associative_corruption_fails_only_dual_symmetry(monkeypatch):
     """On the cosets of the unit of pointed-z3-q1, e_m = X_m and the blocks
-    1 and 2 are dual.  Moving 2/3 of e_1 e_2 = e_0 onto e_1 and 2/3 of
-    e_2 e_2 = e_1 onto e_2 turns the group algebra into K[x]/(x^3 - 2x/3 -
+    1 and 2 are dual.  Moving 2/3 of H_{12} = e_0 onto e_1 and 2/3 of
+    H_{22} = e_1 onto e_2 turns the group algebra into K[x]/(x^3 - 2x/3 -
     1/3) with x = e_1: commutative, associative and with rows summing to 1,
     so `hecke_constants` returns it, but e_1 e_1 = e_2 while e_2 e_2 has
     1/3 at e_1."""
     ring = builtin("pointed-z3-q1").ring
     target = Target("pointed-z3-q1", ring)
     sub = enumerate_subcategories(ring)[0]
-    es = target.cosets(sub).block_elements
     assert sub.members == (0,) and target.cosets(sub).dual_map == (0, 2, 1)
-    onto_1, onto_2 = (tuple((a - b) * (2 * THIRD) for a, b in zip(x, y))
-                      for x, y in ((es[1], es[0]), (es[2], es[1])))
-    _corrupt_products(monkeypatch, es, {(1, 2): onto_1, (2, 2): onto_2})
+    onto_1, onto_2 = (tuple((a - b) * (2 * THIRD)
+                            for a, b in zip(_unit(p, 3), _unit(q, 3)))
+                      for p, q in ((1, 0), (2, 1)))
+    _corrupt_rows(monkeypatch, {(1, 2): onto_1, (2, 2): onto_2})
     H = hecke_constants(target, sub)
     assert hecke_associative(H) and hecke_associative_dense(H)
     assert not hecke_dual_symmetric(H, target.cosets(sub).dual_map)
+
+
+def _hecke_form(H):
+    return tuple(tuple(tuple(map(_form, row)) for row in plane) for plane in H)
+
+
+def _loop_outcomes(target, sub):
+    """(eq-3.1 verdicts, H by form or the text of its raise), from the
+    integer route and then from the `CycNum` loops."""
+    def outcome(constants):
+        try:
+            return _hecke_form(constants(target, sub))
+        except InconsistentCoset as err:
+            return str(err)
+    return (([r.passed for r in verify_eq_3_1(target, sub)],
+             outcome(hecke_constants)),
+            (eq_3_1_loop(target, sub), outcome(hecke_constants_loop)))
+
+
+def _assert_integer_route_matches_the_loops(ring):
+    target = Target("", ring)
+    for sub in enumerate_subcategories(ring):
+        got, want = _loop_outcomes(target, sub)
+        assert got == want, sub.members
+
+
+@pytest.mark.parametrize("key", ORACLE_KEYS + ("fib*ising", "su2k-4*fib"))
+def test_integer_route_matches_the_cycnum_loops(key):
+    """Every subcategory: the eq-3.1 verdicts and H, by conductor,
+    numerators and denominator; fib*ising and su2k-4*fib mix conductors."""
+    _assert_integer_route_matches_the_loops(builtin(key).ring)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_integer_route_matches_the_cycnum_loops_on_deligne_products(data):
+    _assert_integer_route_matches_the_loops(_base_ring(data.draw))
+
+
+DIMENSION_CORRUPTIONS = (lambda d: d * 2, lambda d: d + 1,
+                         lambda d: d * Fraction(2, 3))
+
+
+@pytest.mark.parametrize("key", MUTATION_KEYS + ("fib", "ising*svec"))
+def test_corrupted_dimensions_get_the_loops_verdicts_and_raises(key):
+    """A ring whose dimension d_i, i > 0, was changed after validation (still
+    positive, so every e_t is defined): eq-3.1 verdicts, H and the text of
+    each raise equal the loops' on every subcategory, and both eq-3.1
+    verdicts and some raises occur."""
+    ring = builtin(key).ring
+    verdicts, raised = set(), set()
+    for i, corrupt in itertools.product(range(1, ring.rank),
+                                        DIMENSION_CORRUPTIONS):
+        dims = list(ring.fpdims)
+        dims[i] = corrupt(dims[i])
+        target = Target(key, dataclasses.replace(ring, fpdims=tuple(dims)))
+        for sub in enumerate_subcategories(ring):
+            got, want = _loop_outcomes(target, sub)
+            assert got == want, (i, sub.members)
+            verdicts.update(got[0])
+            raised.add(isinstance(got[1], str))
+    assert verdicts == {True, False} and True in raised
 
 
 def _base_ring(draw):

@@ -183,6 +183,8 @@ def test_record_params_are_json_native(key):
                      for k, v in record.params.items()}
         assert fuscat.verify._sort_key(record) == (
             record.id, json.dumps(converted, sort_keys=True))
+        assert fuscat.verify._sort_key(record)[1] == json.dumps(
+            record.params, sort_keys=True)
 
 
 def test_render_json_keeps_no_values_between_reports():
@@ -455,23 +457,50 @@ def test_derived_data_is_computed_once_per_subcategory(key, monkeypatch):
     assert max(calls.values()) == 1, calls.most_common(3)
 
 
-@pytest.mark.parametrize("key", ["ising*svec", "su2k-4"])
-def test_each_block_element_is_built_once(key, monkeypatch):
-    """eq-3.1 and the Hecke constants read e_t from the decomposition."""
-    calls = Counter()
-    block_element = fuscat.cosets.block_element
+@pytest.mark.parametrize("key", ["ising*svec", "su2k-4", "fib*ising"])
+def test_each_pair_product_is_built_once(key, monkeypatch):
+    """eq-3.1 and the Hecke closure read each A_i A_j from the target, which
+    builds it once per unordered pair (i <= j) for every subcategory."""
+    built = []
+    int_mul = fuscat.verify._int_mul
 
-    def counting(ring, dec, t):
-        calls[dec.blocks[0], t] += 1   # the block of the unit is D
-        return block_element(ring, dec, t)
-    monkeypatch.setattr(fuscat.cosets, "block_element", counting)
+    def counting(x, y, n):
+        built.append((tuple(x), tuple(y)))
+        return int_mul(x, y, n)
+    monkeypatch.setattr(fuscat.verify, "_int_mul", counting)
+    entry = builtin(key)
+    target = Target(key, entry.ring, entry.table, entry.smatrix)
+    assert run_checks(target, subcategories=enumerate_subcategories(
+        entry.ring)).ok
+    pairs = target._memo["pairs"]
+    assert len(built) == len(pairs) > 0
+    assert all(i <= j for i, j in pairs)
+
+
+@pytest.mark.parametrize("key", ["ising*svec", "su2k-4", "fib*ising",
+                                 "svec*svec*svec"])
+def test_eq_3_1_and_prop_3_4_build_no_cycnum_product(key, monkeypatch):
+    """Once the cosets and supports are taken, eq-3.1 and prop-3.4 decide
+    every subcategory on integer numerators: no `CycNum` is multiplied and
+    no block element is built."""
     entry = builtin(key)
     target = Target(key, entry.ring, entry.table, entry.smatrix)
     subs = enumerate_subcategories(entry.ring)
-    assert run_checks(target, subcategories=subs).ok
-    assert set(calls) == {(sub.members, t) for sub in subs
-                          for t in range(len(target.cosets(sub).blocks))}
-    assert set(calls.values()) == {1}
+    for sub in subs:
+        target.cosets(sub)
+        target.support(sub)
+    calls = Counter()
+    mul = CycNum.__mul__
+
+    def counting(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+    monkeypatch.setattr(CycNum, "__mul__", counting)
+    records = [r for sub in subs
+               for r in fuscat.verify.verify_eq_3_1(target, sub)
+               + fuscat.verify.verify_prop_3_4(target, sub)]
+    assert all(r.passed for r in records) and len(records) > len(subs)
+    assert calls["mul"] == 0
 
 
 def test_run_checks_inverts_each_repeated_divisor_once(monkeypatch):
