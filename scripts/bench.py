@@ -1,28 +1,35 @@
 #!/usr/bin/env python3
-"""End-to-end wall time of `fuscat verify` over the north-star key ladder.
+"""End-to-end wall time of `fuscat verify` and `fuscat validate` over the
+north-star key ladder.
 
 Usage (from the root of a git checkout):
 
     python3 scripts/bench.py --base REV --out BENCH_<n>.json
 
-Each op is one whole process, `python -m fuscat verify KEY
---all-subcategories --format json`, so cold import and output are counted.
-Two source trees run: `src/` of revision REV (extracted with `git archive`
-into a temporary directory) and `src/` of the working tree.  Each side's
-`src/` is byte-compiled first, so that no timed process compiles modules
-(under PYTHONDONTWRITEBYTECODE only a tree that already held bytecode would
-be spared that cost).  Each side then runs every key once untimed, then
-ROUNDS rounds over the ladder, alternating which side runs first, so each
-key gets ROUNDS pairs.
+Each op is one whole process, so cold import and output are counted.  There
+are two kinds of op: `python -m fuscat verify KEY --all-subcategories
+--format json` for each ladder key, and `python -m fuscat validate DOC` for
+each ladder key and for VALIDATE_EXTRA.  The documents are written once,
+before any op runs, from the working tree's catalog entries
+(`serialize.to_document`), into one temporary directory that both sides
+read, so the path each `validate` prints is the same on both.  Two source
+trees run: `src/` of revision REV (extracted with `git archive` into a
+temporary directory) and `src/` of the working tree.  Each side's `src/` is
+byte-compiled first, so that no timed process compiles modules (under
+PYTHONDONTWRITEBYTECODE only a tree that already held bytecode would be
+spared that cost).  Each side then runs every op once untimed, then ROUNDS
+rounds over the ops, alternating which side runs first, so each op gets
+ROUNDS pairs.
 
-The JSON file records, per side and key, the median and quartiles, the
-repeat count, every time, the exit code and the sha256 of the report; per
-key, the ratio of the medians, the pairs the change won and whether the
-reports match; and the Python version, the CPU count, the git sha of each
-side and a sha256 over the files of the `src/` it ran, which names the
-timed code also when the working tree is not committed.  A speedup counts
-only where the reports match, the change wins at least nine pairs in ten,
-and the medians differ by more than the base's interquartile range.
+The JSON file records, per command, side and key, the median and quartiles,
+the repeat count, every time, the exit code and the sha256 of the stdout;
+per command and key, the ratio of the medians, the pairs the change won and
+whether the outputs match; and the Python version, the CPU count, the git
+sha of each side and a sha256 over the files of the `src/` it ran, which
+names the timed code also when the working tree is not committed.  A
+speedup counts only where the outputs match, the change wins at least nine
+pairs in ten, and the medians differ by more than the base's interquartile
+range.
 """
 
 import argparse
@@ -46,7 +53,15 @@ LADDER = ("trivial", "svec", "ising", "fib", "rep-s3", "su2k-2", "su2k-3",
           "pointed-z4-q2", "ising*svec", "su2k-5", "su2k-6", "su2k-8",
           "su2k-10", "su2k-12", "su2k-14", "su2k-4*fib",
           "svec*svec*svec*svec")
+# Keys whose documents `validate` also times: ranks 21, 31 and 50, where the
+# validators' multiplicativity checks dominate.
+VALIDATE_EXTRA = ("su2k-20", "su2k-30", "pointed-z50-q1")
 ROUNDS = 10
+COMMANDS = {
+    "verify": "python -m fuscat verify KEY --all-subcategories --format json",
+    "validate": "python -m fuscat validate DOC, DOC the working tree's "
+                "to_document of KEY",
+}
 
 
 def git(*args) -> str:
@@ -73,14 +88,42 @@ def tree_sha256(src: Path) -> str:
     return digest.hexdigest()
 
 
-def run_op(src: Path, key: str) -> tuple[float, int, str]:
+def write_documents(dest: Path, keys) -> dict[str, Path]:
+    """The working tree's document of each key, written under `dest`."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from fuscat.catalog import builtin
+    from fuscat.serialize import dump_document, to_document
+
+    paths = {}
+    for key in keys:
+        entry = builtin(key)
+        paths[key] = dest / (key.replace("*", "_x_") + ".json")
+        paths[key].write_text(dump_document(to_document(
+            entry.ring, entry.table, entry.smatrix)), encoding="utf-8")
+    return paths
+
+
+def run_op(src: Path, argv) -> tuple[float, int, str]:
     env = dict(os.environ, PYTHONPATH=str(src))
-    argv = [sys.executable, "-m", "fuscat", "verify", key,
-            "--all-subcategories", "--format", "json"]
     start = time.perf_counter()
-    proc = subprocess.run(argv, env=env, capture_output=True)
+    proc = subprocess.run([sys.executable, "-m", "fuscat", *argv], env=env,
+                          capture_output=True)
     seconds = time.perf_counter() - start
     return seconds, proc.returncode, hashlib.sha256(proc.stdout).hexdigest()
+
+
+def summary(times, outcome) -> dict:
+    """Per key: median, quartiles, repeats, times, exit code, stdout sha256."""
+    out = {}
+    for key, seconds in times.items():
+        code, digest = outcome[key]
+        q1, median, q3 = statistics.quantiles(seconds, n=4)
+        out[key] = {"median_s": round(median, 4),
+                    "quartiles_s": [round(q1, 4), round(q3, 4)],
+                    "repeats": len(seconds),
+                    "times_s": [round(t, 4) for t in seconds],
+                    "exit": code, "stdout_sha256": digest}
+    return out
 
 
 def main(argv=None) -> int:
@@ -91,71 +134,79 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "docs").mkdir()
+        docs = write_documents(tmp / "docs", LADDER + VALIDATE_EXTRA)
+        ops = [("verify", key, ["verify", key, "--all-subcategories",
+                                "--format", "json"]) for key in LADDER]
+        ops += [("validate", key, ["validate", str(path)])
+                for key, path in docs.items()]
         sides = {
-            "base": {"src": extract_src(args.base, Path(tmp)),
+            "base": {"src": extract_src(args.base, tmp / "base"),
                      "git_sha": git("rev-parse", args.base), "dirty": False},
             "change": {"src": ROOT / "src", "git_sha": git("rev-parse", "HEAD"),
                        "dirty": bool(git("status", "--porcelain", "src"))},
         }
-        times = {name: {key: [] for key in LADDER} for name in sides}
-        outcome = {name: {} for name in sides}
+        times = {name: {cmd: {} for cmd in COMMANDS} for name in sides}
+        outcome = {name: {cmd: {} for cmd in COMMANDS} for name in sides}
         for name, side in sides.items():
             side["src_sha256"] = tree_sha256(side["src"])
             subprocess.run([sys.executable, "-m", "compileall", "-q", str(side["src"])],
                            check=True)
-            for key in LADDER:
-                _, code, digest = run_op(side["src"], key)
-                outcome[name][key] = (code, digest)
+            for cmd, key, op in ops:
+                _, code, digest = run_op(side["src"], op)
+                outcome[name][cmd][key] = (code, digest)
+                times[name][cmd][key] = []
         for r in range(ROUNDS):
             order = list(sides) if r % 2 == 0 else list(reversed(sides))
-            for key in LADDER:
+            for cmd, key, op in ops:
                 for name in order:
-                    seconds, code, digest = run_op(sides[name]["src"], key)
-                    if (code, digest) != outcome[name][key]:
-                        print(f"{name} {key}: output changed between runs",
+                    seconds, code, digest = run_op(sides[name]["src"], op)
+                    if (code, digest) != outcome[name][cmd][key]:
+                        print(f"{name} {cmd} {key}: output changed between runs",
                               file=sys.stderr)
                         return 1
-                    times[name][key].append(seconds)
+                    times[name][cmd][key].append(seconds)
             print(f"round {r + 1}/{ROUNDS} done", file=sys.stderr)
 
     runs = {}
     for name, side in sides.items():
-        keys = {}
-        for key in LADDER:
-            code, digest = outcome[name][key]
-            q1, median, q3 = statistics.quantiles(times[name][key], n=4)
-            keys[key] = {"median_s": round(median, 4),
-                         "quartiles_s": [round(q1, 4), round(q3, 4)],
-                         "repeats": len(times[name][key]),
-                         "times_s": [round(t, 4) for t in times[name][key]],
-                         "exit": code, "report_sha256": digest}
         runs[name] = {"git_sha": side["git_sha"], "dirty": side["dirty"],
-                      "src_sha256": side["src_sha256"],
-                      "ladder_median_s": round(sum(k["median_s"]
-                                                   for k in keys.values()), 4),
-                      "keys": keys}
-    delta = {key: {"change_over_base": round(runs["change"]["keys"][key]["median_s"]
-                                             / runs["base"]["keys"][key]["median_s"], 3),
-                   "change_won_pairs": sum(c < b for b, c in zip(times["base"][key],
-                                                                 times["change"][key])),
-                   "reports_match": outcome["base"][key] == outcome["change"][key]}
-             for key in LADDER}
+                      "src_sha256": side["src_sha256"]}
+        for cmd in COMMANDS:
+            keys = summary(times[name][cmd], outcome[name][cmd])
+            runs[name][f"{cmd}_median_s"] = round(
+                sum(k["median_s"] for k in keys.values()), 4)
+            runs[name][cmd] = keys
+    delta = {cmd: {key: {"change_over_base": round(
+                             runs["change"][cmd][key]["median_s"]
+                             / runs["base"][cmd][key]["median_s"], 3),
+                         "change_won_pairs": sum(
+                             c < b for b, c in zip(times["base"][cmd][key],
+                                                   times["change"][cmd][key])),
+                         "outputs_match": (outcome["base"][cmd][key]
+                                           == outcome["change"][cmd][key])}
+                   for key in times["base"][cmd]}
+             for cmd in COMMANDS}
     result = {
-        "command": "python -m fuscat verify KEY --all-subcategories --format json",
+        "commands": COMMANDS,
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "rounds": ROUNDS,
         "ladder": list(LADDER),
+        "validate_extra": list(VALIDATE_EXTRA),
         "runs": runs,
         "delta": delta,
     }
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
-    for key in LADDER:
-        print(f"{key:>16}: {runs['base']['keys'][key]['median_s']:8.3f} s -> "
-              f"{runs['change']['keys'][key]['median_s']:8.3f} s  "
-              f"won {delta[key]['change_won_pairs']:2d}/{ROUNDS}  "
-              f"reports {'match' if delta[key]['reports_match'] else 'DIFFER'}")
-    return 0 if all(d["reports_match"] for d in delta.values()) else 1
+    for cmd in COMMANDS:
+        for key, d in delta[cmd].items():
+            print(f"{cmd:>8} {key:>16}: {runs['base'][cmd][key]['median_s']:8.3f} s -> "
+                  f"{runs['change'][cmd][key]['median_s']:8.3f} s  "
+                  f"won {d['change_won_pairs']:2d}/{ROUNDS}  "
+                  f"outputs {'match' if d['outputs_match'] else 'DIFFER'}")
+    return 0 if all(d["outputs_match"] for per in delta.values()
+                    for d in per.values()) else 1
 
 
 if __name__ == "__main__":

@@ -62,7 +62,8 @@ def validate_character_table(ring: FusionRing, rows) -> CharacterTable:
     for j in range(r):
         if alpha[0][j] != 1:
             raise NotAlgebraMap(j, (0,))
-        pair = _first_non_character(ring.nonzero, [row[j] for row in alpha])
+        pair = _first_non_character(ring.nonzero, ring.generators,
+                                    [row[j] for row in alpha])
         if pair is not None:
             raise NotAlgebraMap(j, pair)
 

@@ -467,11 +467,31 @@ class CycNum:
     # -- comparisons ---------------------------------------------------------
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        """Equality of field elements, decided on the numerators with no
+        `CycNum` built.  Values are normalized, so at one conductor they are
+        equal iff their numerators and denominators are.  A value with a
+        nonzero coefficient past the first is irrational at every conductor.
+        Two irrationals at different conductors are compared with their
+        numerators spread to the lcm and cross-multiplied by the
+        denominators."""
+        nums, den = self._nums, self._den
+        if not isinstance(other, CycNum):
+            if isinstance(other, (int, Fraction)):
+                return (not any(nums[1:]) and
+                        nums[0] * other.denominator == other.numerator * den)
             return NotImplemented
-        a, b = self._aligned(self, other)
-        return a._den == b._den and a._nums == b._nums
+        n, on, od = self.conductor, other._nums, other._den
+        if n == other.conductor:
+            return den == od and nums == on
+        if not any(nums[1:]) or not any(on[1:]):
+            return (not any(nums[1:]) and not any(on[1:])
+                    and nums[0] * od == on[0] * den)
+        m = math.lcm(n, other.conductor)
+        if n != m:
+            nums = _spread(nums, m // n, m)
+        if other.conductor != m:
+            on = _spread(on, m // other.conductor, m)
+        return [x * od for x in nums] == [y * den for y in on]
 
     # equality crosses conductors, so there is no consistent hash
     __hash__ = None

@@ -23,21 +23,23 @@ ENUMERATION_BOUND = 16
 @dataclass(frozen=True)
 class FusionRing:
     """A validated fusion ring.  `rank` counts basis elements (unit included);
-    `nonzero`, the `_nonzero` view of the tensor N, is the one stored form of N."""
+    `nonzero`, the `_nonzero` view of the tensor N, is the one stored form of N.
+    `generators` are the basis indices on which `_first_non_character`
+    proves a character."""
 
     rank: int
     names: tuple[str, ...]
     nonzero: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
     dual: tuple[int, ...]
     fpdims: tuple[CycNum, ...] | None
+    generators: tuple[int, ...]
 
     @cached_property
     def supports(self) -> tuple[tuple[int, ...], ...]:
         """supports[i][j]: the bitmask of the k with N_ij^k > 0.  The
         subcategory functions of this module work on such bitmasks, and
         `cosets` and `premod` test single bits of them."""
-        return tuple(tuple(sum(1 << k for k, _ in row) for row in plane)
-                     for plane in self.nonzero)
+        return _supports(self.nonzero)
 
 
 @dataclass(frozen=True)
@@ -130,6 +132,7 @@ def validate_fusion_ring(tensor, dual, names=None, fpdims=None) -> FusionRing:
                     l = next(l for l in range(rank) if lhs[l] != rhs[l])
                     raise ValidationError("associativity", (i, j, k, l))
 
+    generators = _generators(_supports(nonzero))
     exact = None
     if fpdims is not None:
         exact = tuple(d if isinstance(d, CycNum) else CycNum.from_rational(d)
@@ -144,13 +147,13 @@ def validate_fusion_ring(tensor, dual, names=None, fpdims=None) -> FusionRing:
             if exact[dual[i]] != exact[i]:
                 raise ValidationError("fpdims", (i,), "dual objects must share a dimension")
         # the tensor is commutative, so the first failing (i, j) has i <= j
-        pair = _first_non_character(nonzero, exact)
+        pair = _first_non_character(nonzero, generators, exact)
         if pair is not None:
             raise ValidationError("fpdims", pair,
                                   "dimensions are not a ring homomorphism")
 
     return FusionRing(rank=rank, names=names, nonzero=nonzero, dual=dual,
-                      fpdims=exact)
+                      fpdims=exact, generators=generators)
 
 
 def _nonzero(tensor):
@@ -166,31 +169,99 @@ def _dense(ring):
             for plane in ring.nonzero]
 
 
-def _first_non_character(nonzero, values):
+def _supports(nonzero):
+    """supports[i][j]: the bitmask of the k with N_ij^k > 0."""
+    return tuple(tuple(sum(1 << k for k, _ in row) for row in plane)
+                 for plane in nonzero)
+
+
+def _derived(supports, mask):
+    """Grow the proven set `mask` by the rule of `_first_non_character`:
+    add l when X_i X_j, i and j proven, has l as its one constituent
+    outside the set."""
+    while True:
+        grown = mask
+        members = _members(mask)
+        for a, i in enumerate(members):
+            row = supports[i]
+            for j in members[a:]:
+                outside = row[j] & ~grown
+                if outside and not outside & (outside - 1):
+                    grown |= outside
+        if grown == mask:
+            return mask
+        mask = grown
+
+
+def _generators(supports):
+    """Basis indices whose `_derived` set, with the unit, is the whole basis.
+
+    Each round adds the index whose derived set is largest, the least one
+    on ties, and stops at the first that reaches the whole basis.  `_derived`
+    is monotone, so an index inside the derived set of an index tried
+    before it in the round cannot do better and is not tried."""
+    full = (1 << len(supports)) - 1
+    proven, generators = 1, []
+    while proven != full:
+        best, tried = None, proven
+        for g in range(1, len(supports)):
+            if tried >> g & 1:
+                continue
+            mask = _derived(supports, proven | 1 << g)
+            if best is None or mask.bit_count() > best[1].bit_count():
+                best = g, mask
+            if mask == full:
+                break
+            tried |= mask
+        generators.append(best[0])
+        proven = best[1]
+    return tuple(generators)
+
+
+def _first_non_character(nonzero, generators, values):
     """The first (i, k), 1 <= i <= k, with v_i v_k != sum_l N_ik^l v_l, or
-    None; `nonzero` is the `_nonzero` view of the tensor N.
+    None; `nonzero` is the `_nonzero` view of the tensor N and `generators`
+    are the ring's `_generators`.
 
     The caller has shown v_0 = 1, so by the unit axiom every pair (0, k)
-    holds and is not scanned: the dimensions' and the table columns' unit
+    holds and is not checked: the dimensions' and the table columns' unit
     checks show it, and for an S-matrix row psi_0 = s_i0 / d_i = 1 follows
     from symmetry and the first row.
+
+    Only the pairs (g, k) with g a generator are checked; the others follow.
+    Extend v linearly to the ring, and let P(i) say v(X_i Y) = v_i v(Y) for
+    every Y.  P(0) holds since v_0 = 1, and checking (g, k) for every k
+    shows P(g).  Let T be a set of indices with P, and let i, j be in T.
+    Associativity and P(i), P(j) give v(X_i X_j Y) = v_i v(X_j Y) =
+    v_i v_j v(Y) = v(X_i X_j) v(Y).  Expand X_i X_j = sum_l N_ij^l X_l on
+    both sides; the terms with l in T cancel.  If exactly one l lies outside
+    T, what is left is N_ij^l (v(X_l Y) - v_l v(Y)) = 0 with N_ij^l > 0, so
+    P(l) holds.  Closing T = {0} + generators under this rule (`_derived`)
+    reaches the whole basis, by the choice of the generators, and P on the
+    whole basis is every pair.  The pair (g, k) with k a generator before
+    g in the list is the pair (k, g), by commutativity, and is checked once.
+    So the check makes no more products than the scan of every pair, which
+    runs only when a generator's pair fails, to name the first failing one.
 
     Every v_i is put over the lcm conductor m and one common denominator D
     as an integer numerator vector A_i, so that v_i = A_i / D.  Then the
     identity holds iff A_i A_k mod Phi_m == D sum_l N_ik^l A_l, and the
-    scan builds no `CycNum`."""
+    check builds no `CycNum`."""
     m, den, nums = _numerators(values)
     scaled = [[den * x for x in a] for a in nums]
     zero = [0] * len(nums[0])
-    for i in range(1, len(nums)):
-        a, row = nums[i], nonzero[i]
-        for k in range(i, len(nums)):
-            rhs = zero
-            for l, n in row[k]:
-                rhs = [x + n * y for x, y in zip(rhs, scaled[l])]
-            if _int_mul(a, nums[k], m) != rhs:
-                return i, k
-    return None
+
+    def holds(i, k):
+        rhs = zero
+        for l, n in nonzero[i][k]:
+            rhs = [x + n * y for x, y in zip(rhs, scaled[l])]
+        return _int_mul(nums[i], nums[k], m) == rhs
+
+    if all(holds(g, k) for a, g in enumerate(generators)
+           for k in range(1, len(nums)) if k not in generators[:a]):
+        return None
+    return next((i, k) for i in range(1, len(nums))
+                for k in range(i, len(nums)) if not holds(i, k))
 
 
 # ---------------------------------------------------------------------------

@@ -70,9 +70,9 @@ def validate_smatrix(ring: FusionRing, table: CharacterTable, rows) -> SMatrix:
     to a table column, which is M[i].
 
     A row that equals a column is a character: the table was validated, and
-    `validate_character_table` checks the same identities psi(a) psi(b) =
-    sum_c N_ab^c psi(c), a <= b.  Only a row that matches no column is scanned,
-    so that the first failing pair is named in PsiNotCharacter."""
+    `validate_character_table` proves the same identities psi(a) psi(b) =
+    sum_c N_ab^c psi(c).  Only a row that matches no column is checked, so
+    that the first failing pair is named in PsiNotCharacter."""
     if ring.fpdims is None:
         raise ExactDataMissing("s-matrix validation needs exact dimensions")
     r = ring.rank
@@ -93,7 +93,7 @@ def validate_smatrix(ring: FusionRing, table: CharacterTable, rows) -> SMatrix:
         psi = [x * inv for x in s[i]]
         j = _match_column(table, psi)
         if j is None:
-            pair = _first_non_character(ring.nonzero, psi)
+            pair = _first_non_character(ring.nonzero, ring.generators, psi)
             if pair is not None:
                 raise PsiNotCharacter(i, pair)
             # unreachable for a validated table: its r distinct columns are

@@ -454,6 +454,37 @@ def f_Q(ring, sm, chi) -> tuple[CycNum, ...]:
     return tuple(coords)
 
 
+def eq_aligned(a, b):
+    """`a == b` for a `CycNum` a, as `CycNum.__eq__` decided it before it
+    compared numerators: an int or Fraction b made a `CycNum`, both
+    re-embedded at the lcm conductor, and the normalized forms compared."""
+    b = CycNum._coerce(b)
+    if b is None:
+        return NotImplemented
+    a, b = CycNum._aligned(a, b)
+    return a._den == b._den and a._nums == b._nums
+
+
+def relabel_document(doc: dict, perm) -> dict:
+    """The document with basis element i moved to perm[i] in every field."""
+    r = doc["rank"]
+    inv = [0] * r
+    for i, p in enumerate(perm):
+        inv[p] = i
+    out = dict(doc)
+    out["names"] = [doc["names"][inv[a]] for a in range(r)]
+    out["dual"] = [perm[doc["dual"][inv[a]]] for a in range(r)]
+    out["tensor"] = [[[doc["tensor"][inv[a]][inv[b]][inv[c]] for c in range(r)]
+                      for b in range(r)] for a in range(r)]
+    for key in ("fpdims", "char_table"):
+        if key in doc:
+            out[key] = [doc[key][inv[a]] for a in range(r)]
+    if "smatrix" in doc:
+        out["smatrix"] = [[doc["smatrix"][inv[a]][inv[b]] for b in range(r)]
+                          for a in range(r)]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # CycNum scans for the integer multiplicativity kernel
 # ---------------------------------------------------------------------------
@@ -473,6 +504,41 @@ def first_product_violation(tensor, values):
             if values[i] * values[k] != rhs:
                 return (i, k)
     return None
+
+
+def first_non_character_pairs(nonzero, values):
+    """The first (i, k), 1 <= i <= k, with v_i v_k != sum_l N_ik^l v_l, or
+    None: the integer kernel's scan of every pair, from before it checked
+    only the generators' pairs.  `values` must have v_0 = 1."""
+    m, den, nums = _numerators(values)
+    scaled = [[den * x for x in a] for a in nums]
+    zero = [0] * len(nums[0])
+    for i in range(1, len(nums)):
+        a, row = nums[i], nonzero[i]
+        for k in range(i, len(nums)):
+            rhs = zero
+            for l, n in row[k]:
+                rhs = [x + n * y for x, y in zip(rhs, scaled[l])]
+            if _int_mul(a, nums[k], m) != rhs:
+                return i, k
+    return None
+
+
+def proven_closure(ring, generators) -> set[int]:
+    """The indices the rule of `fusion._first_non_character` proves from
+    the unit and `generators`: l joins when X_i X_j, i and j proven, has l
+    as its one constituent outside, grown as a Python set."""
+    proven = {0, *generators}
+    while True:
+        joined = set()
+        for i in proven:
+            for j in proven:
+                outside = {k for k, _ in ring.nonzero[i][j]} - proven
+                if len(outside) == 1:
+                    joined |= outside
+        if not joined:
+            return proven
+        proven |= joined
 
 
 def validate_fpdims_scan(ring, fpdims) -> None:

@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -11,10 +13,13 @@ from fuscat.catalog import BUILTIN_KEYS, builtin
 from fuscat.chartab import validate_character_table
 from fuscat import cli
 from fuscat.cli import main
+from fuscat.errors import FuscatError
 from fuscat.fusion import validate_fusion_ring
-from fuscat.serialize import dump_document, to_document
+from fuscat.serialize import (cycnum_from_json, cycnum_to_json, dump_document,
+                              from_document, to_document)
 
-from rings import lucas
+from rings import (lucas, relabel_document, smatrix_rows_scan_first,
+                   table_columns_scan, validate_fpdims_scan)
 
 
 def _write_entry(tmp_path, key, name="ring.json", mutate=None):
@@ -452,3 +457,76 @@ def test_schema_refusal_exit_code_and_message(tmp_path, capsys, command, key,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message + "\n"
+
+
+# The documents of the benchmark's `doc-ingest` workload.
+DOC_KEYS = ("trivial", "ising", "su2k-4", "su2k-6", "su2k-8", "su2k-10",
+            "ising*ising", "su2k-4*svec", "pointed-z4-q1*pointed-z4-q2")
+
+# Changes to one scalar that keep it in the document's field.
+FIELD_CORRUPTIONS = (lambda v: v + 1, lambda v: v - 1,
+                     lambda v: v + Fraction(1, 2), lambda v: -v,
+                     lambda v: v * Fraction(-2, 3))
+
+
+def _validate(path, doc, capsys):
+    path.write_text(dump_document(doc), encoding="utf-8")
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _corrupted(doc, field, rng):
+    """(document, oracle message) for one scalar of `field` changed where
+    the scans of every pair reject it; an S-matrix stays symmetric with its
+    first row intact."""
+    ring, table, _ = from_document(doc)
+    r = ring.rank
+    while True:
+        corrupt = rng.choice(FIELD_CORRUPTIONS)
+        bad = json.loads(json.dumps(doc))
+        if field == "fpdims":
+            i = rng.randrange(r)
+            bad[field][i] = cycnum_to_json(corrupt(cycnum_from_json(doc[field][i])))
+            dims = [cycnum_from_json(v) for v in bad[field]]
+            oracle = (validate_fpdims_scan, ring, dims)
+        elif field == "char_table":
+            i, j = rng.randrange(r), rng.randrange(r)
+            bad[field][i][j] = cycnum_to_json(
+                corrupt(cycnum_from_json(doc[field][i][j])))
+            rows = [[cycnum_from_json(v) for v in row] for row in bad[field]]
+            oracle = (table_columns_scan, ring, rows)
+        else:
+            i, a = sorted((rng.randrange(1, r), rng.randrange(1, r)))
+            value = cycnum_to_json(corrupt(cycnum_from_json(doc[field][i][a])))
+            bad[field][i][a] = bad[field][a][i] = value
+            s = [[cycnum_from_json(v) for v in row] for row in bad[field]]
+            oracle = (smatrix_rows_scan_first, ring, table, s)
+        try:
+            oracle[0](*oracle[1:])
+        except FuscatError as err:
+            return bad, f"invalid: {err}\n"
+
+
+@pytest.mark.parametrize("key", DOC_KEYS)
+def test_validate_is_blind_to_relabelling(key, tmp_path, capsys):
+    """Each relabelling of the non-unit basis prints what the document does,
+    and a corrupted relabelled copy fails with the message of the first
+    failing pair of the scan of every pair."""
+    entry = builtin(key)
+    doc = to_document(entry.ring, entry.table, entry.smatrix)
+    path = tmp_path / "ring.json"
+    code, out, err = _validate(path, doc, capsys)
+    assert code == 0 and err == ""
+    fields = ("fpdims", "char_table", "smatrix") if entry.ring.rank > 1 else ()
+    rng, errors = random.Random(key), set()
+    for _ in range(3):
+        perm = list(range(1, entry.ring.rank))
+        rng.shuffle(perm)
+        moved = relabel_document(doc, [0] + perm)
+        assert _validate(path, moved, capsys) == (0, out, "")
+        for field in fields:
+            bad, message = _corrupted(moved, field, rng)
+            assert _validate(path, bad, capsys) == (1, "", message)
+            errors.add(message.split(" ")[1])
+    assert errors == ({"fpdims", "column", "s-matrix"} if fields else set())

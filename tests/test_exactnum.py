@@ -28,8 +28,8 @@ from fuscat.exactnum import (
     minimal_polynomial,
 )
 
-from rings import (embed_complex_terms, int_mul_dense, is_monic, poly_eval,
-                   sum_of_products)
+from rings import (embed_complex_terms, eq_aligned, int_mul_dense, is_monic,
+                   poly_eval, sum_of_products)
 
 
 def F(a, b=1):
@@ -359,6 +359,52 @@ def test_integer_combinations_stay_integral(a, b):
     ia, ib = clear(a), clear(b)
     assert is_algebraic_integer(ia + ib)
     assert is_algebraic_integer(ia * ib)
+
+
+@st.composite
+def equality_pairs(draw):
+    """(a, b): a `CycNum` and a value it may equal.  b is another value at a
+    conductor that need not divide a's, a re-embedded at a multiple of its
+    conductor, a rational a's first coefficient or a itself as an int, a
+    bool or a Fraction, or zero."""
+    a = draw(cycnums())
+    if draw(st.booleans()):
+        a = CycNum.from_rational(draw(small_fractions))
+    q = a.coeffs[0]
+    kind = draw(st.sampled_from(("other", "lifted", "int", "bool",
+                                 "fraction", "zero")))
+    if kind == "other":
+        return a, draw(cycnums())
+    if kind == "lifted":
+        m = a.conductor * draw(st.sampled_from([1, 2, 3, 4, 5]))
+        return a, a.change_conductor(m)
+    if kind == "int":
+        return a, draw(st.sampled_from([q.numerator, q.numerator + 1, -1]))
+    if kind == "bool":
+        return a, draw(st.booleans())
+    if kind == "fraction":
+        return a, draw(st.sampled_from([q, q + 1, Fraction(1, 2)]))
+    return a, draw(st.sampled_from([0, Fraction(0), CycNum.from_rational(0),
+                                    CycNum(12, [0, 0, 0, 0])]))
+
+
+@given(equality_pairs())
+@settings(max_examples=300, deadline=None)
+@example((CycNum.from_rational(1).change_conductor(8), True))
+@example((CycNum.from_rational(Fraction(3, 2)).change_conductor(5),
+          Fraction(3, 2)))
+@example((CycNum.zeta(4), CycNum.zeta(12, 3)))
+@example((CycNum.zeta(3) + 1, -CycNum.zeta(6, 4)))
+def test_equality_on_numerators_matches_the_aligned_comparison(pair):
+    a, b = pair
+    assert (a == b) == eq_aligned(a, b)
+    assert (b == a) == eq_aligned(a, b)
+    assert (a != b) != eq_aligned(a, b)
+
+
+def test_equality_refuses_other_types():
+    assert CycNum.zeta(4).__eq__(0.0) is NotImplemented
+    assert CycNum.from_rational(0) != "0"
 
 
 # -- the characteristic-polynomial route, kept as the oracle -------------------

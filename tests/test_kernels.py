@@ -46,6 +46,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fuscat.chartab
 import fuscat.cosets
 import fuscat.fusion
 from fuscat.catalog import BUILTIN_KEYS, builtin
@@ -57,8 +58,8 @@ from fuscat.errors import (DegenerateSpectrum, FuscatError, InconsistentCoset,
                            NoMatchingColumn, NotAlgebraMap, NotIdempotent,
                            PsiNotCharacter, ValidationError)
 from fuscat.exactnum import CycNum, _int_mul
-from fuscat.fusion import (FusionRing, Subcategory, _dense,
-                           _first_non_character, deligne_product,
+from fuscat.fusion import (FusionRing, Subcategory, _dense, _derived,
+                           _first_non_character, _mask, deligne_product,
                            enumerate_subcategories, restricted_blocks,
                            sub_fpdim, subcategory_closure,
                            validate_fusion_ring)
@@ -76,6 +77,7 @@ from rings import (
     eq_3_6_lhs_loop,
     eq_3_7_lhs_loop,
     first_associativity_violation,
+    first_non_character_pairs,
     first_product_violation,
     fib_ring,
     group_ring,
@@ -89,6 +91,7 @@ from rings import (
     k_mul_loop,
     lucas,
     numeric_residual_ok_loop,
+    proven_closure,
     reps3_ring,
     restricted_blocks_sets,
     smatrix_rows_scan_first,
@@ -758,7 +761,8 @@ def _assert_same_table_outcome(ring, rows):
     for j in range(ring.rank):
         column = [row[j] for row in rows]
         if column[0] == 1:  # the kernel's precondition
-            assert (_first_non_character(ring.nonzero, column)
+            assert (_first_non_character(ring.nonzero, ring.generators,
+                                         column)
                     == first_product_violation(_dense(ring), column)), j
 
 
@@ -832,9 +836,8 @@ def test_kernel_on_columns_that_mix_conductor_one_with_conductor_eight():
     assert None in witnesses and len(named) > 3
 
 
-def test_kernel_multiplies_no_unit_pair(monkeypatch):
-    """Its callers have shown v_0 = 1, so of the 15 pairs i <= k on the
-    rank-5 su2k-4 dimensions the 5 pairs (0, k) are not multiplied."""
+def _counting_products(monkeypatch):
+    """The list that every `_int_mul` call of `fuscat.fusion` appends to."""
     products = []
 
     def counted(x, y, n):
@@ -842,21 +845,151 @@ def test_kernel_multiplies_no_unit_pair(monkeypatch):
         return _int_mul(x, y, n)
 
     monkeypatch.setattr(fuscat.fusion, "_int_mul", counted)
+    return products
+
+
+def test_kernel_multiplies_no_unit_pair(monkeypatch):
+    """Its callers have shown v_0 = 1, so no pair (0, k) is multiplied; X_1
+    generates the rank-5 su2k-4 ring, so only its 4 pairs (1, k) are."""
+    products = _counting_products(monkeypatch)
     ring = builtin("su2k-4").ring
-    assert _first_non_character(ring.nonzero, ring.fpdims) is None
-    assert len(products) == 10
+    assert ring.generators == (1,)
+    assert _first_non_character(ring.nonzero, ring.generators,
+                                ring.fpdims) is None
+    assert len(products) == 4
+
+
+@pytest.mark.parametrize("key,generators", [
+    ("ising", (2,)), ("rep-s3", (2,)), ("su2k-10", (1,)),
+    ("ising*ising", (2, 6)), ("svec*svec*svec", (1, 2, 4))])
+def test_generators_take_the_largest_proven_set_first(key, generators,
+                                                      monkeypatch):
+    """sigma alone proves Ising (sigma^2 = 1 + psi); the least index, psi,
+    would prove only itself.  On the rank-9 ising*ising, 2 generators make
+    2 * 8 - 1 = 15 products per character, not the 36 of every pair."""
+    ring = builtin(key).ring
+    assert ring.generators == generators
+    products = _counting_products(monkeypatch)
+    assert _first_non_character(ring.nonzero, ring.generators,
+                                ring.fpdims) is None
+    g = len(generators)
+    assert len(products) == g * (ring.rank - 1) - g * (g - 1) // 2
+
+
+def test_pointed_z50_table_makes_at_most_49_products_per_column(monkeypatch):
+    """The scan of every pair made 1,225 products per column of Z/50."""
+    entry = builtin("pointed-z50-q1")
+    ring = entry.ring
+    counts = []
+
+    def counted(nonzero, generators, values):
+        before = len(products)
+        pair = _first_non_character(nonzero, generators, values)
+        counts.append(len(products) - before)
+        return pair
+
+    products = _counting_products(monkeypatch)
+    monkeypatch.setattr(fuscat.chartab, "_first_non_character", counted)
+    validate_character_table(ring, entry.table.alpha)
+    assert len(counts) == 50 and max(counts) <= 49
+
+
+# Rings whose characters the generator route is checked on: the builtins,
+# the product keys, su2k-5..14 and, below, generated Deligne products.
+CHARACTER_KEYS = KEYS + tuple(f"su2k-{k}" for k in range(5, 15))
+FACTOR_KEYS = ("svec", "ising", "fib", "rep-s3", "su2k-2", "su2k-3",
+               "pointed-z2-q1", "pointed-z3-q1", "pointed-z4-q1",
+               "pointed-z4-q2")
+
+
+def _product_entry(draw):
+    """A catalog product of two or three small keys, of rank at most 16."""
+    factors = draw(st.lists(st.sampled_from(FACTOR_KEYS), min_size=2,
+                            max_size=3))
+    rank = 1
+    for key in factors:
+        rank *= builtin(key).ring.rank
+    if rank > 16:
+        factors = factors[:2]
+    return builtin("*".join(factors))
+
+
+def _characters(entry):
+    """(kind, values) of every character the validators check: the
+    dimensions, each table column and each normalized S-matrix row."""
+    ring = entry.ring
+    yield "fpdims", list(ring.fpdims)
+    for column in zip(*entry.table.alpha):
+        yield "column", list(column)
+    for i, row in enumerate(entry.smatrix.s):
+        inv = ring.fpdims[i].inverse()
+        yield "row", [x * inv for x in row]
+
+
+def _assert_kernel_names_the_oracles_pair(ring, values):
+    assert (_first_non_character(ring.nonzero, ring.generators, values)
+            == first_non_character_pairs(ring.nonzero, values))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_generator_route_names_the_pair_scans_pair(data):
+    """One entry past the unit's of a valid character is perturbed; a
+    Galois conjugate of the whole character stays a character."""
+    if data.draw(st.booleans()):
+        entry = builtin(data.draw(st.sampled_from(CHARACTER_KEYS)))
+    else:
+        entry = _product_entry(data.draw)
+    ring = entry.ring
+    _, values = data.draw(st.sampled_from(list(_characters(entry))))
+    if ring.rank > 1 and data.draw(st.booleans()):
+        i = data.draw(st.integers(1, ring.rank - 1))
+        values[i] = data.draw(st.sampled_from(CORRUPTIONS))(values[i])
+    else:
+        values = [v.conjugate() for v in values]
+    _assert_kernel_names_the_oracles_pair(ring, values)
+
+
+@pytest.mark.parametrize("key", CHARACTER_KEYS)
+def test_generator_route_names_the_pair_scans_pair_on_every_entry(key):
+    """Every corruption of every entry past the unit's of one column, the
+    dimensions and one normalized S-matrix row."""
+    entry = builtin(key)
+    ring = entry.ring
+    for kind in ("fpdims", "column", "row"):
+        values = next(v for k, v in _characters(entry) if k == kind)
+        for i in range(1, ring.rank):
+            for corrupt in CORRUPTIONS:
+                bad = list(values)
+                bad[i] = corrupt(bad[i])
+                _assert_kernel_names_the_oracles_pair(ring, bad)
+
+
+def _assert_generators_prove_the_basis(ring):
+    r, gens = ring.rank, ring.generators
+    assert len(set(gens)) == len(gens) and all(0 < g < r for g in gens)
+    assert proven_closure(ring, gens) == set(range(r))
+    assert _derived(ring.supports, _mask((0,) + gens)) == (1 << r) - 1
+
+
+@pytest.mark.parametrize("key", CHARACTER_KEYS + ("pointed-z50-q1",))
+def test_generators_prove_the_whole_basis(key):
+    _assert_generators_prove_the_basis(builtin(key).ring)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_generators_of_generated_products_prove_the_whole_basis(data):
+    _assert_generators_prove_the_basis(_product_entry(data.draw).ring)
 
 
 @pytest.mark.parametrize("key", BUILTIN_KEYS + DOC_KEYS)
 def test_kernel_accepts_every_valid_character(key):
     entry = builtin(key)
     ring = entry.ring
-    assert _first_non_character(ring.nonzero, ring.fpdims) is None
-    for column in zip(*entry.table.alpha):
-        assert _first_non_character(ring.nonzero, column) is None
-    for i, row in enumerate(entry.smatrix.s):
-        inv = ring.fpdims[i].inverse()
-        assert _first_non_character(ring.nonzero, [x * inv for x in row]) is None
+    for _, values in _characters(entry):
+        assert _first_non_character(ring.nonzero, ring.generators,
+                                    values) is None
 
 
 # ---------------------------------------------------------------------------
