@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """End-to-end wall time of `fuscat verify` and `fuscat validate` over the
-north-star key ladder.
+north-star key ladder and three large keys.
 
 Usage (from the root of a git checkout):
 
     python3 scripts/bench.py --base REV --out BENCH_<n>.json
 
 Each op is one whole process, so cold import and output are counted.  There
-are two kinds of op: `python -m fuscat verify KEY --all-subcategories
---format json` for each ladder key, and `python -m fuscat validate DOC` for
-each ladder key and for VALIDATE_EXTRA.  The documents are written once,
+are three kinds of op: `python -m fuscat verify KEY --all-subcategories
+--format json` for each ladder key, `python -m fuscat verify KEY --format
+json` (the default pool: the unit and the whole ring) for each key of
+VALIDATE_EXTRA, whose ranks exceed the enumeration bound of
+`--all-subcategories`, and `python -m fuscat validate DOC` for each ladder
+key and for VALIDATE_EXTRA.  The documents are written once,
 before any op runs, from the working tree's catalog entries
 (`serialize.to_document`), into one temporary directory that both sides
 read, so the path each `validate` prints is the same on both.  Two source
@@ -53,12 +56,14 @@ LADDER = ("trivial", "svec", "ising", "fib", "rep-s3", "su2k-2", "su2k-3",
           "pointed-z4-q2", "ising*svec", "su2k-5", "su2k-6", "su2k-8",
           "su2k-10", "su2k-12", "su2k-14", "su2k-4*fib",
           "svec*svec*svec*svec")
-# Keys whose documents `validate` also times: ranks 21, 31 and 50, where the
-# validators' multiplicativity checks dominate.
+# Ranks 21, 31 and 50: `validate` times their documents, where the
+# validators' multiplicativity checks dominate, and `verify` their default
+# pool, where the checks' sums and divisions do.
 VALIDATE_EXTRA = ("su2k-20", "su2k-30", "pointed-z50-q1")
 ROUNDS = 10
 COMMANDS = {
     "verify": "python -m fuscat verify KEY --all-subcategories --format json",
+    "verify_default": "python -m fuscat verify KEY --format json",
     "validate": "python -m fuscat validate DOC, DOC the working tree's "
                 "to_document of KEY",
 }
@@ -139,6 +144,8 @@ def main(argv=None) -> int:
         docs = write_documents(tmp / "docs", LADDER + VALIDATE_EXTRA)
         ops = [("verify", key, ["verify", key, "--all-subcategories",
                                 "--format", "json"]) for key in LADDER]
+        ops += [("verify_default", key, ["verify", key, "--format", "json"])
+                for key in VALIDATE_EXTRA]
         ops += [("validate", key, ["validate", str(path)])
                 for key, path in docs.items()]
         sides = {
@@ -201,7 +208,7 @@ def main(argv=None) -> int:
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     for cmd in COMMANDS:
         for key, d in delta[cmd].items():
-            print(f"{cmd:>8} {key:>16}: {runs['base'][cmd][key]['median_s']:8.3f} s -> "
+            print(f"{cmd:>14} {key:>16}: {runs['base'][cmd][key]['median_s']:8.3f} s -> "
                   f"{runs['change'][cmd][key]['median_s']:8.3f} s  "
                   f"won {d['change_won_pairs']:2d}/{ROUNDS}  "
                   f"outputs {'match' if d['outputs_match'] else 'DIFFER'}")

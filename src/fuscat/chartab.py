@@ -133,21 +133,22 @@ def support_JD(ring: FusionRing, table: CharacterTable,
 def verify_eq_2_7(target, sub: Subcategory) -> CheckRecord:
     """Class dimensions over the support sum to dim(C)/dim(D)."""
     lhs = sum((target.table.class_dims[j] for j in target.support(sub)), ZERO)
-    rhs = target.global_dim / target.dim(sub)
+    rhs = target.global_dim * target.inverse(target.dim(sub))
     return CheckRecord(id="eq-2.7", params={"D": list(sub.members)},
                        lhs=lhs, rhs=rhs, passed=lhs == rhs)
 
 
 def verify_eq_2_4(target) -> list[CheckRecord]:
     """Dual-pairing orthogonality of table columns, all pairs."""
-    ring, table, inv_cd = target.ring, target.table, target.inv_class_dims
+    ring, table = target.ring, target.table
     r = ring.rank
     out = []
     for l in range(r):
         for k in range(r):
             s = _dot([(table.alpha[i][l], table.alpha[ring.dual[i]][k])
                       for i in range(r)])
-            rhs = target.global_dim * inv_cd[k] if l == k else ZERO
+            rhs = (target.global_dim * target.inverse(table.class_dims[k])
+                   if l == k else ZERO)
             out.append(CheckRecord(id="eq-2.4", params={"l": l, "k": k},
                                    lhs=s, rhs=rhs, passed=s == rhs))
     return out

@@ -11,7 +11,6 @@ take a ``verify.Target`` and read its derived data from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import ExactDataMissing, InconsistentCoset, PreconditionFailed
 from .exactnum import CycNum, _dot, _int_mul, _over
@@ -30,11 +29,6 @@ class CosetDecomposition:
     reps: tuple[int, ...]
     reg_dims: tuple[CycNum, ...]
     dual_map: tuple[int, ...]
-
-    @cached_property
-    def inv_reg_dims(self) -> tuple[CycNum, ...]:
-        """1/FPdim(R_t) for every block t."""
-        return tuple(r.inverse() for r in self.reg_dims)
 
 
 def coset_partition(target, sub: Subcategory) -> CosetDecomposition:
@@ -145,8 +139,8 @@ def _normalized(target, dec: CosetDecomposition) -> dict[int, CycNum]:
     """d_i / FPdim(R_t) for every basis element i, t its block: the
     coefficients of the normalized block elements e_t."""
     fpdims = target.ring.fpdims
-    return {i: fpdims[i] * inv
-            for block, inv in zip(dec.blocks, dec.inv_reg_dims) for i in block}
+    return {i: fpdims[i] * target.inverse(reg)
+            for block, reg in zip(dec.blocks, dec.reg_dims) for i in block}
 
 
 def _hecke_row(target, dec: CosetDecomposition, coeffs: dict[int, CycNum],
@@ -156,7 +150,7 @@ def _hecke_row(target, dec: CosetDecomposition, coeffs: dict[int, CycNum],
     terms (d_i/R_m, d_j/R_n, N_ij^k0) with N_ij^k0 > 0 (`coeffs` holds the
     d_i/R_t), times R_p/d_k0.  That is the value, conductor and canonical
     form of the product of the e_t as coefficient tuples, read at k0."""
-    nonzero, inv = target.ring.nonzero, target.inv_dims
+    nonzero, fpdims = target.ring.nonzero, target.ring.fpdims
     row = []
     for p, block in enumerate(dec.blocks):
         k0 = block[0]
@@ -164,7 +158,7 @@ def _hecke_row(target, dec: CosetDecomposition, coeffs: dict[int, CycNum],
                  for i in dec.blocks[m] for j in dec.blocks[n]
                  for k, c in nonzero[i][j] if k == k0]
         value = _dot(terms) if terms else ZERO
-        row.append(value * (dec.reg_dims[p] * inv[k0]))
+        row.append(value * (dec.reg_dims[p] * target.inverse(fpdims[k0])))
     return tuple(row)
 
 
@@ -198,9 +192,11 @@ def verify_eq_3_1(target, sub: Subcategory) -> list[CheckRecord]:
     With d_i = A_i / den (`Target.numerators`), the coefficient of [X] R_D
     at X_k is Q_X[k] / den, where Q_X[k] = sum_{j in D} N_Xj^k A_j is a sum
     of integer vectors.  FPdim(D) e_t has coefficient dim(D) d_k / R_t at k
-    in t and 0 elsewhere.  With R_t and dim(D) read as numerators over den^2,
-    block t passes iff Q_X[k] = 0 off t and den Q_X[k] R_t = dim(D) A_X A_k
-    on t, for every X in t; A_X A_k comes from `target.pair`.
+    in t and 0 elsewhere.  Q_X[k] is an empty sum off t: the blocks are the
+    components of X ~ k iff N_Xj^k > 0 for some j in D (`restricted_blocks`),
+    so every such k lies in X's block.  With R_t and dim(D) read as
+    numerators over den^2, block t passes iff den Q_X[k] R_t = dim(D) A_X A_k
+    for every X and k in t; A_X A_k comes from `target.pair`.
 
     Distinctness is not computed: it holds.  The e_t have the blocks, which
     are nonempty and disjoint, as supports, since the validator showed every
@@ -216,17 +212,16 @@ def verify_eq_3_1(target, sub: Subcategory) -> list[CheckRecord]:
     out = []
     for block, reg in zip(dec.blocks, dec.reg_dims):
         scale = [den * x for x in _over(reg, cond, sq)]
-        members, ok = set(block), True
+        ok = True
         for x in block:
             row, q = ring.nonzero[x], {}
             for j in sub.members:
                 for k, c in row[j]:
                     q[k] = ([u + c * v for u, v in zip(q[k], nums[j])]
                             if k in q else [c * v for v in nums[j]])
-            ok = ok and all(k in members or not any(v)
-                            for k, v in q.items()) and all(
-                _int_mul(q.get(k, zero), scale, cond)
-                == _int_mul(dim_d, target.pair(x, k), cond) for k in block)
+            ok = ok and all(_int_mul(q.get(k, zero), scale, cond)
+                            == _int_mul(dim_d, target.pair(x, k), cond)
+                            for k in block)
         out.append(CheckRecord(id="eq-3.1",
                                params={**params, "block": list(block)},
                                lhs="[X]R_D/d_X for X in block", rhs="FPdim(D) e_t",
@@ -284,16 +279,18 @@ def verify_eq_3_6(target, sub: Subcategory) -> list[CheckRecord]:
     """First orthogonality, for every k, l in J_D: block sums of products of
     normalized character values at the representatives, against the class
     dimension of column k."""
-    table, dec = target.table, target.cosets(sub)
-    jd, weights = target.support(sub), target.weights(sub)
+    table, dec, jd = target.table, target.cosets(sub), target.support(sub)
     reps, dual_map, alpha = dec.reps, dec.dual_map, table.alpha
-    inv_cd = target.inv_class_dims
+    # the weight FPdim(R_t)/d_{X_t}^2 of every block t
+    inv = [target.inverse(target.ring.fpdims[x]) for x in reps]
+    weights = [r * (v * v) for r, v in zip(dec.reg_dims, inv)]
     out = []
     for k in jd:
         for l in jd:
             lhs = _dot([(w, alpha[reps[t]][k], alpha[reps[dual_map[t]]][l])
                         for t, w in enumerate(weights)])
-            rhs = target.global_dim * inv_cd[k] if k == l else ZERO
+            rhs = (target.global_dim * target.inverse(table.class_dims[k])
+                   if k == l else ZERO)
             out.append(CheckRecord(id="eq-3.6",
                                    params={"D": list(sub.members), "k": k, "l": l},
                                    lhs=lhs, rhs=rhs, passed=lhs == rhs))
@@ -314,7 +311,7 @@ def verify_eq_3_7(target, sub: Subcategory) -> list[CheckRecord]:
                         for k in jd])
             if s == t:
                 rhs = (ring.fpdims[xt] * ring.fpdims[reps[s]] * target.global_dim
-                       * dec.inv_reg_dims[t])
+                       * target.inverse(dec.reg_dims[t]))
             else:
                 rhs = ZERO
             out.append(CheckRecord(id="eq-3.7",
@@ -326,11 +323,12 @@ def verify_eq_3_7(target, sub: Subcategory) -> list[CheckRecord]:
 def verify_cor_3_9_1(target, sub: Subcategory) -> list[CheckRecord]:
     """d_Z^2 FPdim(C) / FPdim(R_t) is an algebraic integer, every Z in every block."""
     ring, dec = target.ring, target.cosets(sub)
-    total, inv = target.global_dim, dec.inv_reg_dims
+    total = target.global_dim
     return [_integrality(target, "cor-3.9",
                          {"D": list(sub.members), "claim": 1,
                           "block": t, "member": z},
-                         ring.fpdims[z] * ring.fpdims[z] * total * inv[t])
+                         ring.fpdims[z] * ring.fpdims[z] * total
+                         * target.inverse(dec.reg_dims[t]))
             for t, block in enumerate(dec.blocks) for z in block]
 
 
@@ -353,7 +351,7 @@ def verify_cor_3_9_2(target, sub: Subcategory) -> list[CheckRecord]:
     dim_d = target.dim(sub)
     return [_integrality(target, "cor-3.9",
                          {"D": list(sub.members), "claim": 2, "j": j},
-                         total / (dim_d * table.class_dims[j]))
+                         total * target.inverse(dim_d * table.class_dims[j]))
             for j in target.support(sub)]
 
 

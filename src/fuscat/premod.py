@@ -127,9 +127,9 @@ def class_sum(target, j: int) -> tuple[CycNum, ...]:
     """C_j, in coordinates over the idempotent basis dual to the basis
     elements: class dimension times the dimension-normalized column j of the
     target's table."""
-    table, inv_dims = target.table, target.inv_dims
+    table, fpdims = target.table, target.ring.fpdims
     c = table.class_dims[j]
-    return tuple(table.alpha[ip][j] * inv_dims[ip] * c
+    return tuple(table.alpha[ip][j] * target.inverse(fpdims[ip]) * c
                  for ip in range(target.ring.rank))
 
 
@@ -170,14 +170,14 @@ def verify_eq_4_3(target) -> list[CheckRecord]:
 
 def verify_thm_4_6(target) -> list[CheckRecord]:
     """Central image of each basis character is its class sum, rescaled."""
-    ring, sm = target.ring, target.smatrix
-    inv_dims, inv_cd = target.inv_dims, target.inv_class_dims
+    ring, table, sm = target.ring, target.table, target.smatrix
+    inv_dims = [target.inverse(d) for d in ring.fpdims]
     out = []
     for i in range(ring.rank):
         j = sm.M[i]
         # f_Q of basis character i: row i of s times the 1/d_{i'}
         lhs = [x * y for x, y in zip(sm.s[i], inv_dims)]
-        c = ring.fpdims[i] * inv_cd[j]
+        c = ring.fpdims[i] * target.inverse(table.class_dims[j])
         rhs = [a * c for a in class_sum(target, j)]
         out.append(CheckRecord(id="thm-4.6", params={"i": i, "column": j},
                                lhs=lhs, rhs=rhs, passed=lhs == rhs))
@@ -235,7 +235,7 @@ def verify_prop_4_12(target, sub: Subcategory) -> list[CheckRecord]:
                                lhs=dim_j, rhs=rhs, passed=dim_j == rhs))
     # support sum over the centralizer, and its consequence for dim(D)
     cd_sum = sum((table.class_dims[j] for j in jdp), ZERO)
-    quotient = target.global_dim / target.dim(dprime)
+    quotient = target.global_dim * target.inverse(target.dim(dprime))
     out.append(CheckRecord(id="prop-4.12",
                            params={"D": list(sub.members), "part": "support-sum"},
                            lhs=cd_sum, rhs=quotient, passed=cd_sum == quotient))
@@ -261,7 +261,7 @@ def verify_cor_4_16(target, sub: Subcategory) -> list[CheckRecord]:
     numerator = target.global_dim * target.dim(target.center_trace(sub))
     return [_integrality(target, "cor-4.16",
                          {"D": list(sub.members), "j": j},
-                         numerator / groups[j][1])
+                         numerator * target.inverse(groups[j][1]))
             for j in sorted(jdp) if j in groups]
 
 
@@ -333,7 +333,7 @@ def verify_thm_1_1(target, sub: Subcategory) -> list[CheckRecord]:
     ring, total = target.ring, target.global_dim
     out = [_integrality(target, "thm-1.1",
                         {"D": list(sub.members), "Y": y},
-                        total / (ring.fpdims[y] * ring.fpdims[y]))
+                        total * target.inverse(ring.fpdims[y] * ring.fpdims[y]))
            for y in sub.members]
     sizes = sorted(len(b) for b, _ in target.matched_groups(sub).values())
     singletons = all(n == 1 for n in sizes)
@@ -357,7 +357,7 @@ def verify_thm_1_3(target) -> list[CheckRecord]:
     for y in range(ring.rank):
         d2 = ring.fpdims[y] * ring.fpdims[y]
         out.append(_integrality(target, "thm-1.3", {"Y": y, "item": 1},
-                                total * dim_center / d2))
+                                total * dim_center * target.inverse(d2)))
         g_y = analysis.stabilizers[y]
         cd = table.class_dims[target.smatrix.M[y]]
         out.append(CheckRecord(id="eq-4.23",
@@ -366,13 +366,13 @@ def verify_thm_1_3(target) -> list[CheckRecord]:
                                passed=cd * len(g_y) == d2))
         out.append(_integrality(target, "thm-1.3",
                                 {"Y": y, "item": "4.24"},
-                                total * len(g_y) / d2))
+                                total * len(g_y) * target.inverse(d2)))
     if all(len(g) == 1 for g in analysis.stabilizers):
         for y in range(ring.rank):
             d2 = ring.fpdims[y] * ring.fpdims[y]
             out.append(_integrality(target, "thm-1.3",
                                     {"Y": y, "item": 2},
-                                    total / (dim_center * d2)))
+                                    total * target.inverse(dim_center * d2)))
     return out
 
 
@@ -383,5 +383,5 @@ def verify_rem_4_25(target) -> list[CheckRecord]:
     dim_center = target.dim(target.analysis.center)
     return [_integrality(target, "rem-4.25", {"i": i},
                          ring.fpdims[i] * ring.fpdims[i] * total
-                         / (dim_center * table.class_dims[m[i]]))
+                         * target.inverse(dim_center * table.class_dims[m[i]]))
             for i in range(ring.rank)]

@@ -3,9 +3,9 @@
 A target is a ring plus optional character table and symmetric matrix,
 together with the derived data the checks read (global dimension, supports,
 coset decompositions, centralizers, meets, blocks, the matching analysis
-and its matched groups, the reciprocals of the dimensions, the dimensions
-as integer numerators and the products of pairs of them), each computed
-at most once per target.  Every check has a stable string id and a row in
+and its matched groups, the reciprocal of each divisor, the dimensions as
+integer numerators and the products of pairs of them), each computed at
+most once per target.  Every check has a stable string id and a row in
 the registry that names what it requires and over what it ranges; checks
 whose inputs are missing, or whose mathematical hypotheses fail, are
 reported as skipped with a reason rather than failed.  Records are ordered
@@ -132,12 +132,6 @@ class Target:
         return self._once("analysis", lambda: m_map(self))
 
     @property
-    def inv_dims(self) -> tuple[CycNum, ...]:
-        """1/d_i for every basis element i."""
-        return self._once("inv_dims", lambda: tuple(
-            d.inverse() for d in self.ring.fpdims))
-
-    @property
     def numerators(self) -> tuple[int, int, list[list[int]]]:
         """(m, den, A): the dimensions over their lcm conductor m and one
         common denominator den, d_i = A_i / den with A_i phi(m) integers."""
@@ -155,17 +149,18 @@ class Target:
             product = pairs[i, j] = _int_mul(nums[i], nums[j], m)
         return product
 
-    @property
-    def inv_class_dims(self) -> tuple[CycNum, ...]:
-        """1/dim(C^j) for every table column j."""
-        return self._once("inv_class_dims", lambda: tuple(
-            c.inverse() for c in self.table.class_dims))
+    def inverse(self, value: CycNum) -> CycNum:
+        """1/value, computed once per command for each distinct divisor and
+        kept under the value's `_exact_key`, which holds the conductor.
 
-    def weights(self, sub: Subcategory) -> tuple[CycNum, ...]:
-        """FPdim(R_t)/d_{X_t}^2 for every block t: the eq-3.6 weights."""
-        dec, inv = self.cosets(sub), self.inv_dims
-        return self._once(("weights", sub.members), lambda: tuple(
-            r * (inv[x] * inv[x]) for r, x in zip(dec.reg_dims, dec.reps)))
+        Every check divides through here: ``a * target.inverse(b)`` is
+        ``a / b`` (`CycNum.__truediv__` is ``a * b.inverse()``), the same
+        value at the same lcm conductor in the same canonical form.  Each
+        divisor of the checks is nonzero once the data are validated (the
+        dimensions are positive and the codegrees nonzero), so the
+        "inverse of zero" error never stands in for "division by zero".
+        """
+        return self._once(("inverse", *_exact_key(value)), value.inverse)
 
     def dim(self, members) -> CycNum:
         """FPdim of any index set in increasing order (a subcategory, block,

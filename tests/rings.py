@@ -141,7 +141,7 @@ def k_mul(ring, x, y) -> tuple[CycNum, ...]:
 
 def block_element(ring, dec, t) -> tuple[CycNum, ...]:
     """e_t: the regular element of block t divided by its dimension."""
-    block, inv = set(dec.blocks[t]), dec.inv_reg_dims[t]
+    block, inv = set(dec.blocks[t]), dec.reg_dims[t].inverse()
     return tuple(ring.fpdims[i] * inv if i in block else ZERO
                  for i in range(ring.rank))
 
@@ -163,7 +163,7 @@ def eq_3_1_loop(target, sub) -> list[bool]:
         expected = tuple(a * dim_d for a in e)
         ok = True
         for x in block:
-            inv = target.inv_dims[x]
+            inv = ring.fpdims[x].inverse()
             if tuple(a * inv for a in k_mul(ring, basis(ring, x), r_d)) != expected:
                 ok = False
         normalized.append(expected)
@@ -179,9 +179,9 @@ def hecke_constants_loop(target, sub) -> tuple:
     tuples, m <= n, with each block's coefficients times R_p / d_i compared
     by `==` and each row summed as a `CycNum`; raises `InconsistentCoset`
     as `cosets.hecke_closure` does."""
-    ring, dec, inv = target.ring, target.cosets(sub), target.inv_dims
+    ring, dec = target.ring, target.cosets(sub)
     nb, es = len(dec.blocks), block_elements(ring, dec)
-    ratio = {i: dec.reg_dims[p] * inv[i]
+    ratio = {i: dec.reg_dims[p] / ring.fpdims[i]
              for p, block in enumerate(dec.blocks) for i in block}
     structure = [[None] * nb for _ in range(nb)]
     for m in range(nb):
@@ -303,11 +303,12 @@ def support_jd_loop(ring, table, members):
 
 
 def eq_3_6_lhs_loop(target, sub, k, l) -> CycNum:
-    """sum_t w_t alpha[X_t][k] alpha[X_{t*}][l]."""
-    dec, alpha = target.cosets(sub), target.table.alpha
+    """sum_t w_t alpha[X_t][k] alpha[X_{t*}][l], w_t = FPdim(R_t)/d_{X_t}^2."""
+    dec, alpha, fpdims = target.cosets(sub), target.table.alpha, target.ring.fpdims
     lhs = ZERO
-    for t, w in enumerate(target.weights(sub)):
-        lhs = lhs + w * alpha[dec.reps[t]][k] * alpha[dec.reps[dec.dual_map[t]]][l]
+    for t, (r, x) in enumerate(zip(dec.reg_dims, dec.reps)):
+        w = r / (fpdims[x] * fpdims[x])
+        lhs = lhs + w * alpha[x][k] * alpha[dec.reps[dec.dual_map[t]]][l]
     return lhs
 
 

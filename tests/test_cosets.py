@@ -119,9 +119,16 @@ PRODUCT_KEYS = ("svec*svec*svec", "pointed-z4-q2*svec", "pointed-z4-q1*svec",
 
 @pytest.mark.parametrize("key", BUILTIN_KEYS + PRODUCT_KEYS)
 def test_partition_matches_union_find_oracle(key):
+    """The blocks are the union-find classes, and each is closed under
+    X -> k with N_Xj^k > 0, j in D: the premise by which `verify_eq_3_1`
+    compares [X] R_D with FPdim(D) e_t on X's block only."""
     ring = builtin(key).ring
     for sub in enumerate_subcategories(ring):
-        assert coset_partition(Target("", ring), sub).blocks == _union_find_blocks(ring, sub)
+        blocks = coset_partition(Target("", ring), sub).blocks
+        assert blocks == _union_find_blocks(ring, sub)
+        for block in blocks:
+            assert all(k in block for x in block for j in sub.members
+                       for k, _ in ring.nonzero[x][j]), (sub.members, block)
 
 
 # ---------------------------------------------------------------------------

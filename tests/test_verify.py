@@ -22,7 +22,7 @@ from fuscat.cli import main
 from fuscat.errors import UnknownKey
 from fuscat.exactnum import CycNum
 from fuscat.fusion import enumerate_subcategories
-from fuscat.premod import SMatrix
+from fuscat.premod import SMatrix, validate_smatrix
 from fuscat.verify import (CHECK_IDS, CHECK_LEGEND, CheckRecord, Target,
                            VerificationReport, default_subcategories,
                            render_json, render_markdown, report_to_json,
@@ -98,6 +98,49 @@ def test_all_subcategory_run_inverts_each_class_dimension_once(monkeypatch):
     assert report.ok
     counts = [inverted[id(c)] for c in entry.table.class_dims]
     assert max(counts) == 1, counts
+
+
+PRODUCT_KEYS = ("svec*svec*svec", "pointed-z4-q2*svec", "pointed-z4-q1*svec",
+                "rep-s3*svec", "rep-s3*pointed-z2-q1")
+
+
+def _verdicts(report):
+    """The summary, the multiset of (id, pass, skipped reason, detail) and
+    the multiset of the exact form of each side that is a `CycNum` or a
+    tuple of them: what relabelling the table columns cannot move."""
+    sides = Counter(
+        fuscat.reports._exact_key(v) for c in report.checks
+        for v in (c.lhs, c.rhs)
+        if type(v) is CycNum or (isinstance(v, (list, tuple)) and v
+                                 and all(type(x) is CycNum for x in v)))
+    return (report.summary,
+            Counter((c.id, c.passed, c.skipped_reason, c.detail)
+                    for c in report.checks),
+            sides)
+
+
+@pytest.mark.parametrize("key", BUILTIN_KEYS[1:] + PRODUCT_KEYS)
+def test_column_permutation_keeps_every_verdict(key):
+    """Rotating the table columns moves the dimension column; the table and
+    the S-matrix are validated again, which remaps M.  A run of every check
+    over every subcategory then has the same summary, verdicts and exact
+    sides: only column indices in the params move.  (trivial has one
+    column, so nothing to move.)"""
+    entry = builtin(key)
+    ring, r = entry.ring, entry.ring.rank
+    perm = [(j + 1) % r for j in range(r)]
+    table = validate_character_table(
+        ring, [[row[p] for p in perm] for row in entry.table.alpha])
+    assert table.fp_column != entry.table.fp_column
+    smatrix = None
+    if entry.smatrix is not None:
+        smatrix = validate_smatrix(ring, table, entry.smatrix.s)
+        assert [perm[j] for j in smatrix.M] == list(entry.smatrix.M)
+    subs = enumerate_subcategories(ring)
+    before = run_checks(Target(key, ring, entry.table, entry.smatrix),
+                        subcategories=subs)
+    after = run_checks(Target(key, ring, table, smatrix), subcategories=subs)
+    assert _verdicts(after) == _verdicts(before)
 
 
 def test_check_filter_restricts_output():
@@ -504,22 +547,46 @@ def test_eq_3_1_and_prop_3_4_build_no_cycnum_product(key, monkeypatch):
 
 
 def test_run_checks_inverts_each_repeated_divisor_once(monkeypatch):
-    """An operation count, not a time, so the bound holds on any load.  The
-    checks read 1/d_i, 1/FPdim(R_t) and the eq-3.6 weights from the target,
-    so svec*svec*svec over all its subcategories makes 539 inverses; when
-    every loop divided by them afresh it made 3598."""
-    entry = builtin("svec*svec*svec")
-    target = Target("svec*svec*svec", entry.ring, entry.table, entry.smatrix)
-    subs = enumerate_subcategories(entry.ring)
+    """An operation count, not a time, so the bound holds on any load.
+    Every check divides through `Target.inverse`, so a run over every
+    subcategory inverts each distinct divisor once: 8 inverses on
+    svec*svec*svec and 25 on su2k-4*fib, where held reciprocal tables and
+    bare divisions made 199 and 185."""
+    keys = (("svec*svec*svec", 8), ("su2k-4*fib", 25))
+    for key, _ in keys:
+        builtin(key)   # the catalog build inverts too; count the checks only
     calls = Counter()
     inverse = CycNum.inverse
 
     def counting(self):
-        calls["inverse"] += 1
+        calls[fuscat.reports._exact_key(self)] += 1
         return inverse(self)
     monkeypatch.setattr(CycNum, "inverse", counting)
+    for key, count in keys:
+        calls.clear()
+        assert _full_run(key).ok
+        assert sum(calls.values()) == count, (key, calls.most_common(3))
+        assert max(calls.values()) == 1, (key, calls.most_common(3))
+
+
+@pytest.mark.parametrize("key,every_subcategory", [("su2k-14", True),
+                                                   ("su2k-20", False)])
+def test_run_checks_makes_no_division(key, every_subcategory, monkeypatch):
+    """Every check multiplies by `Target.inverse` of its divisor; none calls
+    `CycNum.__truediv__` (135 calls on su2k-14 over every subcategory and
+    153 on su2k-20 over the default pool when the checks divided)."""
+    entry = builtin(key)
+    target = Target(key, entry.ring, entry.table, entry.smatrix)
+    calls = Counter()
+    divide = CycNum.__truediv__
+
+    def counting(self, other):
+        calls["div"] += 1
+        return divide(self, other)
+    monkeypatch.setattr(CycNum, "__truediv__", counting)
+    subs = enumerate_subcategories(entry.ring) if every_subcategory else None
     assert run_checks(target, subcategories=subs).ok
-    assert 0 < calls["inverse"] <= 539
+    assert calls["div"] == 0
 
 
 @pytest.mark.parametrize("key", ["su2k-4", "ising*svec"])
