@@ -25,14 +25,17 @@ rounds over the ops, alternating which side runs first, so each op gets
 ROUNDS pairs.
 
 The JSON file records, per command, side and key, the median and quartiles,
-the repeat count, every time, the exit code and the sha256 of the stdout;
+the repeat count, every time, every peak RSS and their median, the exit code
+and the sha256 of the stdout;
 per command and key, the ratio of the medians, the pairs the change won and
 whether the outputs match; and the Python version, the CPU count, the git
 sha of each side and a sha256 over the files of the `src/` it ran, which
 names the timed code also when the working tree is not committed.  A
 speedup counts only where the outputs match, the change wins at least nine
 pairs in ten, and the medians differ by more than the base's interquartile
-range.
+range.  The peak RSS of a run is the child's own `ru_maxrss`, which
+`os.wait4` returns for that child alone (`RUSAGE_CHILDREN` gives only the
+largest over every child waited for).
 """
 
 import argparse
@@ -93,32 +96,56 @@ def tree_sha256(src: Path) -> str:
     return digest.hexdigest()
 
 
+# Writes the working tree's document of each key named in argv[2:] under
+# the directory argv[1]; it runs in a child (see `run_op`).
+WRITE_DOCUMENTS = """
+import sys
+from pathlib import Path
+from fuscat.catalog import builtin
+from fuscat.serialize import dump_document, to_document
+for key in sys.argv[2:]:
+    entry = builtin(key)
+    path = Path(sys.argv[1]) / (key.replace("*", "_x_") + ".json")
+    path.write_text(dump_document(to_document(
+        entry.ring, entry.table, entry.smatrix)), encoding="utf-8")
+"""
+
+
 def write_documents(dest: Path, keys) -> dict[str, Path]:
     """The working tree's document of each key, written under `dest`."""
-    sys.path.insert(0, str(ROOT / "src"))
-    from fuscat.catalog import builtin
-    from fuscat.serialize import dump_document, to_document
-
-    paths = {}
-    for key in keys:
-        entry = builtin(key)
-        paths[key] = dest / (key.replace("*", "_x_") + ".json")
-        paths[key].write_text(dump_document(to_document(
-            entry.ring, entry.table, entry.smatrix)), encoding="utf-8")
-    return paths
+    subprocess.run([sys.executable, "-c", WRITE_DOCUMENTS, str(dest), *keys],
+                   env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                   check=True)
+    return {key: dest / (key.replace("*", "_x_") + ".json") for key in keys}
 
 
-def run_op(src: Path, argv) -> tuple[float, int, str]:
+def run_op(src: Path, argv) -> tuple[float, int, str, float]:
+    """(seconds, exit code, stdout sha256, peak RSS in MB) of one process.
+
+    A child's `ru_maxrss` is at least the peak of this process at the
+    spawn, because Linux carries the high-water mark of the memory image
+    across `exec`.  So this process builds no catalog entry
+    (`write_documents` runs in a child) and hashes stdout in chunks: it
+    peaks at about 19 MB, what a `verify trivial` child takes, and a
+    larger figure is the child's own."""
     env = dict(os.environ, PYTHONPATH=str(src))
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "fuscat", *argv], env=env,
-                          capture_output=True)
+    proc = subprocess.Popen([sys.executable, "-m", "fuscat", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    digest = hashlib.sha256()
+    with proc.stdout:
+        for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
+            digest.update(chunk)
+    _, status, usage = os.wait4(proc.pid, 0)
     seconds = time.perf_counter() - start
-    return seconds, proc.returncode, hashlib.sha256(proc.stdout).hexdigest()
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    # ru_maxrss is in KiB on Linux
+    return seconds, proc.returncode, digest.hexdigest(), usage.ru_maxrss / 1024
 
 
-def summary(times, outcome) -> dict:
-    """Per key: median, quartiles, repeats, times, exit code, stdout sha256."""
+def summary(times, rss, outcome) -> dict:
+    """Per key: median, quartiles, repeats, times, peak RSS, exit code,
+    stdout sha256."""
     out = {}
     for key, seconds in times.items():
         code, digest = outcome[key]
@@ -127,6 +154,8 @@ def summary(times, outcome) -> dict:
                     "quartiles_s": [round(q1, 4), round(q3, 4)],
                     "repeats": len(seconds),
                     "times_s": [round(t, 4) for t in seconds],
+                    "peak_rss_median_mb": round(statistics.median(rss[key]), 1),
+                    "peak_rss_mb": [round(m, 1) for m in rss[key]],
                     "exit": code, "stdout_sha256": digest}
     return out
 
@@ -155,25 +184,28 @@ def main(argv=None) -> int:
                        "dirty": bool(git("status", "--porcelain", "src"))},
         }
         times = {name: {cmd: {} for cmd in COMMANDS} for name in sides}
+        rss = {name: {cmd: {} for cmd in COMMANDS} for name in sides}
         outcome = {name: {cmd: {} for cmd in COMMANDS} for name in sides}
         for name, side in sides.items():
             side["src_sha256"] = tree_sha256(side["src"])
             subprocess.run([sys.executable, "-m", "compileall", "-q", str(side["src"])],
                            check=True)
             for cmd, key, op in ops:
-                _, code, digest = run_op(side["src"], op)
+                _, code, digest, _ = run_op(side["src"], op)
                 outcome[name][cmd][key] = (code, digest)
                 times[name][cmd][key] = []
+                rss[name][cmd][key] = []
         for r in range(ROUNDS):
             order = list(sides) if r % 2 == 0 else list(reversed(sides))
             for cmd, key, op in ops:
                 for name in order:
-                    seconds, code, digest = run_op(sides[name]["src"], op)
+                    seconds, code, digest, mb = run_op(sides[name]["src"], op)
                     if (code, digest) != outcome[name][cmd][key]:
                         print(f"{name} {cmd} {key}: output changed between runs",
                               file=sys.stderr)
                         return 1
                     times[name][cmd][key].append(seconds)
+                    rss[name][cmd][key].append(mb)
             print(f"round {r + 1}/{ROUNDS} done", file=sys.stderr)
 
     runs = {}
@@ -181,7 +213,8 @@ def main(argv=None) -> int:
         runs[name] = {"git_sha": side["git_sha"], "dirty": side["dirty"],
                       "src_sha256": side["src_sha256"]}
         for cmd in COMMANDS:
-            keys = summary(times[name][cmd], outcome[name][cmd])
+            keys = summary(times[name][cmd], rss[name][cmd],
+                           outcome[name][cmd])
             runs[name][f"{cmd}_median_s"] = round(
                 sum(k["median_s"] for k in keys.values()), 4)
             runs[name][cmd] = keys
@@ -208,8 +241,11 @@ def main(argv=None) -> int:
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     for cmd in COMMANDS:
         for key, d in delta[cmd].items():
-            print(f"{cmd:>14} {key:>16}: {runs['base'][cmd][key]['median_s']:8.3f} s -> "
-                  f"{runs['change'][cmd][key]['median_s']:8.3f} s  "
+            base, change = runs["base"][cmd][key], runs["change"][cmd][key]
+            print(f"{cmd:>14} {key:>16}: {base['median_s']:8.3f} s -> "
+                  f"{change['median_s']:8.3f} s  "
+                  f"{base['peak_rss_median_mb']:6.1f} -> "
+                  f"{change['peak_rss_median_mb']:6.1f} MB  "
                   f"won {d['change_won_pairs']:2d}/{ROUNDS}  "
                   f"outputs {'match' if d['outputs_match'] else 'DIFFER'}")
     return 0 if all(d["outputs_match"] for per in delta.values()

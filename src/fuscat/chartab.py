@@ -6,14 +6,15 @@ distinct characters of a commutative ring are linearly independent, so
 distinctness already gives invertibility.  The table is validated input:
 exact character values are never solved for numerically.
 
-Formal codegrees and class dimensions are derived from the table; the
-class dimension attached to the dimension character is always 1, and the
-class dimensions sum to the global dimension.  The two checks take a
-``verify.Target`` and read its derived data from it.
+Formal codegrees and class dimensions are derived from the table and kept
+with it; the class dimension attached to the dimension character is always
+1, and the class dimensions sum to the global dimension.  The two checks
+take a ``verify.Target`` and read its derived data from it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -34,14 +35,18 @@ ZERO = CycNum.from_rational(0)
 
 @dataclass(frozen=True)
 class CharacterTable:
-    """Validated table with derived class dimensions.
+    """Validated table with its codegrees sum_i alpha[i][j] alpha[i*][j] and
+    class dimensions dim(C)/codegree.
 
     Only `validate_character_table` builds one, so every column is a proven
-    character; `premod.validate_smatrix` relies on this to accept an S-matrix
-    row that equals a column without scanning it again."""
+    character, the columns are distinct and every codegree is nonzero;
+    `premod.validate_smatrix` relies on this to accept an S-matrix row that
+    equals a column without scanning it again, and eq-2.4 to read its sums
+    from the codegrees."""
 
     alpha: tuple[tuple[CycNum, ...], ...]
     fp_column: int
+    codegrees: tuple[CycNum, ...]
     class_dims: tuple[CycNum, ...]
 
     @property
@@ -50,7 +55,17 @@ class CharacterTable:
 
 
 def validate_character_table(ring: FusionRing, rows) -> CharacterTable:
-    """Check each column is a character, columns are distinct, derive class data."""
+    """Check each column is a character, columns are distinct, derive class data.
+
+    Two identities of the class dimensions hold once these checks pass, so
+    they are not computed.  The columns are r distinct characters of the
+    r-dimensional semisimple algebra, so the idempotents
+    e_j = (1/cod_j) sum_i alpha[i*][j] b_i sum to the unit; the unit
+    coefficient of sum_j e_j = 1 is sum_j 1/cod_j = 1, so the class
+    dimensions dim(C)/cod_j sum to dim(C).  The FP column is d, and
+    d_{i*} = d_i was checked with the ring, so its codegree is
+    sum_i d_i d_{i*} = sum_i d_i^2 = dim(C) and its class dimension is 1.
+    """
     if ring.fpdims is None:
         raise ExactDataMissing("character table validation needs exact dimensions")
     r = ring.rank
@@ -81,28 +96,16 @@ def validate_character_table(ring: FusionRing, rows) -> CharacterTable:
         raise NoFPColumn("no column equals the dimension vector")
 
     total_dim = global_fpdim(ring)
-    class_dims = []
+    codegrees, class_dims = [], []
     for j in range(r):
         cod = _dot([(alpha[i][j], alpha[ring.dual[i]][j]) for i in range(r)])
         if cod.is_zero():
             raise SingularTable(f"column {j} has zero codegree")
+        codegrees.append(cod)
         class_dims.append(total_dim / cod)
 
-    # Neither raise can fire once the checks above pass (they are raises,
-    # not asserts, so that `python -O` keeps them).  The columns are r
-    # distinct characters of the r-dimensional semisimple algebra, so the
-    # idempotents e_j = (1/cod_j) sum_i alpha[i*][j] b_i sum to the unit;
-    # the unit coefficient of sum_j e_j = 1 is sum_j 1/cod_j = 1, so the
-    # class dimensions dim(C)/cod_j sum to dim(C).
-    total = sum(class_dims, ZERO)
-    if total != total_dim:
-        raise SingularTable("class dimensions must sum to the global dimension")
-    # The FP column is d, and d_{i*} = d_i was checked with the ring, so its
-    # codegree is sum_i d_i d_{i*} = sum_i d_i^2 = dim(C).
-    if class_dims[fp_column] != 1:
-        raise SingularTable("dimension character must have class dimension 1")
-
     return CharacterTable(alpha=alpha, fp_column=fp_column,
+                          codegrees=tuple(codegrees),
                           class_dims=tuple(class_dims))
 
 
@@ -139,18 +142,33 @@ def verify_eq_2_7(target, sub: Subcategory) -> CheckRecord:
 
 
 def verify_eq_2_4(target) -> list[CheckRecord]:
-    """Dual-pairing orthogonality of table columns, all pairs."""
-    ring, table = target.ring, target.table
-    r = ring.rank
+    """Dual-pairing orthogonality of table columns, all pairs: the (l, k)
+    sum sum_i alpha[i][l] alpha[i*][k] against dim(C)/dim(C^k) on the
+    diagonal and 0 off it.
+
+    No sum is computed here.  The (k, k) sum is the codegree of column k,
+    the same `_dot` the validator took, so `table.codegrees[k]` is its
+    value, conductor and canonical form.  For l != k the sum is 0, at the
+    lcm of the conductors of columns l and k (zero entries included), where
+    `_dot` puts it.  Let z_k = sum_i alpha[i*][k] X_i.  Frobenius
+    reciprocity and N_ij^k = N_{i* j*}^{k*} give X_a z_k = chi_k(X_a) z_k.
+    Applying chi_l gives chi_l(X_a) chi_l(z_k) = chi_k(X_a) chi_l(z_k) for
+    every a.  The validator proved chi_l != chi_k, so chi_l(z_k) = 0, and
+    chi_l(z_k) is the (l, k) sum.
+    """
+    table = target.table
+    conductors = [math.lcm(*(row[j].conductor for row in table.alpha))
+                  for j in range(table.rank)]
     out = []
-    for l in range(r):
-        for k in range(r):
-            s = _dot([(table.alpha[i][l], table.alpha[ring.dual[i]][k])
-                      for i in range(r)])
-            rhs = (target.global_dim * target.inverse(table.class_dims[k])
-                   if l == k else ZERO)
+    for l, cl in enumerate(conductors):
+        for k, ck in enumerate(conductors):
+            if l == k:
+                lhs = table.codegrees[k]
+                rhs = target.global_dim * target.inverse(table.class_dims[k])
+            else:
+                lhs, rhs = ZERO.change_conductor(math.lcm(cl, ck)), ZERO
             out.append(CheckRecord(id="eq-2.4", params={"l": l, "k": k},
-                                   lhs=s, rhs=rhs, passed=s == rhs))
+                                   lhs=lhs, rhs=rhs, passed=lhs == rhs))
     return out
 
 

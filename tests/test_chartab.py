@@ -203,11 +203,14 @@ def _sum(values):
 @pytest.mark.parametrize("key", BUILTIN_KEYS
                          + tuple(f"su2k-{k}" for k in range(5, 15)))
 def test_identities_that_keep_the_class_dimension_raises_unreached(key):
-    """The last two raises of `validate_character_table` cannot fire after
-    its checks: the FP column's codegree is sum_i d_i d_{i*} = sum_i d_i^2,
-    and the idempotents e_j = (1/cod_j) sum_i alpha[i*][j] b_i sum to the
-    unit, whose unit coefficient is sum_j 1/cod_j = 1.  Both are recomputed
-    here one CycNum operation at a time."""
+    """The two identities of the class dimensions that
+    `validate_character_table` proves in its docstring and does not
+    compute: the FP column's codegree is sum_i d_i d_{i*} = sum_i d_i^2,
+    so its class dimension is 1, and the idempotents
+    e_j = (1/cod_j) sum_i alpha[i*][j] b_i sum to the unit, whose unit
+    coefficient is sum_j 1/cod_j = 1, so the class dimensions sum to
+    dim(C).  This is the only place they are checked, one CycNum operation
+    at a time."""
     entry = builtin(key)
     ring, table = entry.ring, entry.table
     r, d, dual, alpha = ring.rank, ring.fpdims, ring.dual, table.alpha

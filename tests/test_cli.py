@@ -18,6 +18,8 @@ from fuscat.fusion import validate_fusion_ring
 from fuscat.serialize import (cycnum_from_json, cycnum_to_json, dump_document,
                               from_document, to_document)
 
+from fuscat.premod import validate_smatrix
+
 from rings import (lucas, relabel_document, smatrix_rows_scan_first,
                    table_columns_scan, validate_fpdims_scan)
 
@@ -530,3 +532,25 @@ def test_validate_is_blind_to_relabelling(key, tmp_path, capsys):
             assert _validate(path, bad, capsys) == (1, "", message)
             errors.add(message.split(" ")[1])
     assert errors == ({"fpdims", "column", "s-matrix"} if fields else set())
+
+
+@pytest.mark.parametrize("key", DOC_KEYS[1:])
+def test_symmetric_smatrix_corruption_is_refused(key, tmp_path, capsys):
+    """Adding 1 to s_ia and s_ai, for each i <= a, gives a matrix that
+    `validate_smatrix` refuses, and `validate` refuses the document of the
+    last such change.  So every S-matrix a target carries came through a
+    matching, from which eq-4.3 holds without being computed."""
+    entry = builtin(key)
+    doc = to_document(entry.ring, entry.table, entry.smatrix)
+    r = entry.ring.rank
+    s = [list(row) for row in entry.smatrix.s]
+    for i in range(r):
+        for a in range(i, r):
+            bad = [list(row) for row in s]
+            bad[i][a] = bad[a][i] = s[i][a] + 1
+            with pytest.raises(FuscatError):
+                validate_smatrix(entry.ring, entry.table, bad)
+    moved = json.loads(json.dumps(doc))
+    moved["smatrix"][r - 1][r - 1] = cycnum_to_json(s[r - 1][r - 1] + 1)
+    code, out, err = _validate(tmp_path / "ring.json", moved, capsys)
+    assert (code, out) == (1, "") and err.startswith("invalid: s-matrix")

@@ -41,6 +41,7 @@ from fuscat.verify import Target
 from rings import (
     all_passed,
     dd_smatrix_rows,
+    eq_4_3_loop,
     f_Q,
     fib_ring,
     fib_smatrix_rows,
@@ -254,6 +255,22 @@ def test_row_column_compatibility(setup):
     ring, table, sm = setup()
     t = Target("", ring, table, sm)
     assert all_passed(verify_eq_4_3(t))
+
+
+@pytest.mark.parametrize("key", BUILTIN_KEYS + (
+    "svec*svec*svec", "pointed-z4-q2*svec", "pointed-z4-q1*svec",
+    "rep-s3*svec", "rep-s3*pointed-z2-q1", "fib*ising", "su2k-4*fib")
+    + tuple(f"su2k-{k}" for k in range(5, 11)))
+def test_eq_4_3_products_hold_where_the_matching_proves_them(key):
+    """`verify_eq_4_3` passes every row from the matching alone; the
+    products it no longer takes, alpha[i][M(i')] d_{i'} == s_{ii'}, hold
+    on every row."""
+    entry = builtin(key)
+    t = Target(key, entry.ring, entry.table, entry.smatrix)
+    records = verify_eq_4_3(t)
+    assert [r.params["i"] for r in records] == list(range(entry.ring.rank))
+    assert all_passed(records)
+    assert all(eq_4_3_loop(t))
 
 
 # ---------------------------------------------------------------------------

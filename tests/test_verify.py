@@ -10,6 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import fuscat.chartab
 import fuscat.cosets
 import fuscat.fusion
 import fuscat.premod
@@ -587,6 +588,42 @@ def test_run_checks_makes_no_division(key, every_subcategory, monkeypatch):
     subs = enumerate_subcategories(entry.ring) if every_subcategory else None
     assert run_checks(target, subcategories=subs).ok
     assert calls["div"] == 0
+
+
+def test_eq_2_4_reads_the_codegrees(monkeypatch):
+    """eq-2.4 takes its diagonal from `CharacterTable.codegrees` and puts
+    0 off it, so it sums nothing: 441 `_dot` sums on su2k-20 when each
+    entry was summed."""
+    entry = builtin("su2k-20")
+    target = Target("su2k-20", entry.ring, entry.table, entry.smatrix)
+    calls = Counter()
+    dot = fuscat.chartab._dot
+
+    def counting(terms):
+        calls["dot"] += 1
+        return dot(terms)
+    monkeypatch.setattr(fuscat.chartab, "_dot", counting)
+    report = run_checks(target, check_ids=["eq-2.4"])
+    assert report.ok and len(report.checks) == 21 ** 2
+    assert calls["dot"] == 0
+
+
+def test_eq_4_3_multiplies_nothing(monkeypatch):
+    """eq-4.3 holds by the matching `validate_smatrix` found, so once the
+    matching analysis is taken its records cost no `CycNum` product."""
+    entry = builtin("su2k-20")
+    target = Target("su2k-20", entry.ring, entry.table, entry.smatrix)
+    target.analysis
+    calls = Counter()
+    mul = CycNum.__mul__
+
+    def counting(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+    monkeypatch.setattr(CycNum, "__mul__", counting)
+    report = run_checks(target, check_ids=["eq-4.3"])
+    assert report.ok and len(report.checks) == 21
+    assert calls["mul"] == 0
 
 
 @pytest.mark.parametrize("key", ["su2k-4", "ising*svec"])
