@@ -15,10 +15,9 @@ from fuscat import cli
 from fuscat.cli import main
 from fuscat.errors import FuscatError
 from fuscat.fusion import validate_fusion_ring
+from fuscat.premod import validate_smatrix
 from fuscat.serialize import (cycnum_from_json, cycnum_to_json, dump_document,
                               from_document, to_document)
-
-from fuscat.premod import validate_smatrix
 
 from rings import (lucas, relabel_document, smatrix_rows_scan_first,
                    table_columns_scan, validate_fpdims_scan)

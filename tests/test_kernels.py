@@ -20,9 +20,10 @@ blocks once.
 `hecke_associative` and `hecke_dual_symmetric`, live in `rings.py` as
 oracles.  Both hold on every H `hecke_constants` returns; a corrupted
 block product on a block of two or more members makes `hecke_closure`
-raise, and a corrupted row of H gives an H the oracles reject.  `hecke_associative`
-agrees with its dense loop; it accumulates each side as `_int_mul` products
-of integer numerator vectors over one conductor and denominator.  A
+raise, and a corrupted row of H gives an H the oracles reject.
+`hecke_associative` agrees with its dense loop; it accumulates each side as
+`_int_mul` products of integer numerator vectors over one conductor and
+denominator.  A
 commutative H takes its symmetric-triple-product path, which perturbing
 H_{mn}^p and H_{nm}^p together reaches; any other H takes the two-sided
 loop, which a single perturbed H_{mn}^p with m != n reaches.

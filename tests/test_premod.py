@@ -262,9 +262,9 @@ def test_row_column_compatibility(setup):
     "rep-s3*svec", "rep-s3*pointed-z2-q1", "fib*ising", "su2k-4*fib")
     + tuple(f"su2k-{k}" for k in range(5, 11)))
 def test_eq_4_3_products_hold_where_the_matching_proves_them(key):
-    """`verify_eq_4_3` passes every row from the matching alone; the
-    products it no longer takes, alpha[i][M(i')] d_{i'} == s_{ii'}, hold
-    on every row."""
+    """`verify_eq_4_3` passes every row from the matching alone, and the
+    products alpha[i][M(i')] d_{i'} == s_{ii'}, multiplied out by
+    `eq_4_3_loop`, hold on every row."""
     entry = builtin(key)
     t = Target(key, entry.ring, entry.table, entry.smatrix)
     records = verify_eq_4_3(t)
