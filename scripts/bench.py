@@ -33,9 +33,10 @@ sha of each side and a sha256 over the files of the `src/` it ran, which
 names the timed code also when the working tree is not committed.  A
 speedup counts only where the outputs match, the change wins at least nine
 pairs in ten, and the medians differ by more than the base's interquartile
-range.  The peak RSS of a run is the child's own `ru_maxrss`, which
-`os.wait4` returns for that child alone (`RUSAGE_CHILDREN` gives only the
-largest over every child waited for).
+range.  The peak RSS of a run is the child's own `VmHWM`, which a launcher
+(`LAUNCHER`) reads from `/proc/self/status` as the child exits.
+`ru_maxrss` would not do: Linux carries the high-water mark across `exec`,
+so a child's `ru_maxrss` is at least this script's own peak at the spawn.
 """
 
 import argparse
@@ -97,7 +98,8 @@ def tree_sha256(src: Path) -> str:
 
 
 # Writes the working tree's document of each key named in argv[2:] under
-# the directory argv[1]; it runs in a child (see `run_op`).
+# the directory argv[1]; it runs in a child, with the working tree's `src/`
+# on its path.
 WRITE_DOCUMENTS = """
 import sys
 from pathlib import Path
@@ -119,28 +121,44 @@ def write_documents(dest: Path, keys) -> dict[str, Path]:
     return {key: dest / (key.replace("*", "_x_") + ".json") for key in keys}
 
 
-def run_op(src: Path, argv) -> tuple[float, int, str, float]:
-    """(seconds, exit code, stdout sha256, peak RSS in MB) of one process.
+# Runs `python -m fuscat ARGS` as `python -c LAUNCHER FD ARGS`: the same
+# module as `__main__` with the same argv, so stdout and the exit code are
+# those of `-m`.  At exit it writes the process's peak RSS, `VmHWM` in KiB,
+# to the inherited pipe FD.
+LAUNCHER = """
+import atexit, os, runpy, sys
+fd = int(sys.argv.pop(1))
 
-    A child's `ru_maxrss` is at least the peak of this process at the
-    spawn, because Linux carries the high-water mark of the memory image
-    across `exec`.  So this process builds no catalog entry
-    (`write_documents` runs in a child) and hashes stdout in chunks: it
-    peaks at about 19 MB, what a `verify trivial` child takes, and a
-    larger figure is the child's own."""
+def peak():
+    with open("/proc/self/status", encoding="ascii") as status:
+        kib = next(line.split()[1] for line in status
+                   if line.startswith("VmHWM:"))
+    os.write(fd, kib.encode())
+
+atexit.register(peak)
+runpy.run_module("fuscat", run_name="__main__", alter_sys=True)
+"""
+
+
+def run_op(src: Path, argv) -> tuple[float, int, str, float]:
+    """(seconds, exit code, stdout sha256, peak RSS in MB) of one process,
+    the peak being the child's own (see `LAUNCHER`)."""
     env = dict(os.environ, PYTHONPATH=str(src))
+    read_fd, write_fd = os.pipe()
     start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "fuscat", *argv], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    proc = subprocess.Popen([sys.executable, "-c", LAUNCHER, str(write_fd),
+                             *argv], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.DEVNULL, pass_fds=(write_fd,))
+    os.close(write_fd)
     digest = hashlib.sha256()
     with proc.stdout:
         for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
             digest.update(chunk)
-    _, status, usage = os.wait4(proc.pid, 0)
+    proc.wait()
     seconds = time.perf_counter() - start
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    # ru_maxrss is in KiB on Linux
-    return seconds, proc.returncode, digest.hexdigest(), usage.ru_maxrss / 1024
+    with os.fdopen(read_fd, "rb") as peak:
+        kib = int(peak.read())
+    return seconds, proc.returncode, digest.hexdigest(), kib / 1024
 
 
 def summary(times, rss, outcome) -> dict:

@@ -20,9 +20,7 @@ from dataclasses import dataclass
 from .errors import (
     DegenerateSpectrum,
     ExactDataMissing,
-    NoFPColumn,
     NotAlgebraMap,
-    NotIdempotent,
     SingularTable,
 )
 from .exactnum import CycNum, _dot
@@ -45,7 +43,6 @@ class CharacterTable:
     from the codegrees."""
 
     alpha: tuple[tuple[CycNum, ...], ...]
-    fp_column: int
     codegrees: tuple[CycNum, ...]
     class_dims: tuple[CycNum, ...]
 
@@ -57,13 +54,15 @@ class CharacterTable:
 def validate_character_table(ring: FusionRing, rows) -> CharacterTable:
     """Check each column is a character, columns are distinct, derive class data.
 
-    Two identities of the class dimensions hold once these checks pass, so
-    they are not computed.  The columns are r distinct characters of the
-    r-dimensional semisimple algebra, so the idempotents
+    What follows from these checks is not computed.  The columns are r
+    distinct characters of the r-dimensional semisimple algebra, so they
+    are all of its characters.  The dimensions d are a character (the ring
+    validator proved them one), so some column, the FP column, is d; no
+    column is searched for it.  The idempotents
     e_j = (1/cod_j) sum_i alpha[i*][j] b_i sum to the unit; the unit
     coefficient of sum_j e_j = 1 is sum_j 1/cod_j = 1, so the class
-    dimensions dim(C)/cod_j sum to dim(C).  The FP column is d, and
-    d_{i*} = d_i was checked with the ring, so its codegree is
+    dimensions dim(C)/cod_j sum to dim(C).  d_{i*} = d_i was checked with
+    the ring, so the FP column's codegree is
     sum_i d_i d_{i*} = sum_i d_i^2 = dim(C) and its class dimension is 1.
     """
     if ring.fpdims is None:
@@ -87,14 +86,6 @@ def validate_character_table(ring: FusionRing, rows) -> CharacterTable:
             if all(alpha[i][j] == alpha[i][jj] for i in range(r)):
                 raise SingularTable(f"columns {j} and {jj} coincide")
 
-    fp_column = None
-    for j in range(r):
-        if all(alpha[i][j] == ring.fpdims[i] for i in range(r)):
-            fp_column = j
-            break
-    if fp_column is None:
-        raise NoFPColumn("no column equals the dimension vector")
-
     total_dim = global_fpdim(ring)
     codegrees, class_dims = [], []
     for j in range(r):
@@ -104,8 +95,7 @@ def validate_character_table(ring: FusionRing, rows) -> CharacterTable:
         codegrees.append(cod)
         class_dims.append(total_dim / cod)
 
-    return CharacterTable(alpha=alpha, fp_column=fp_column,
-                          codegrees=tuple(codegrees),
+    return CharacterTable(alpha=alpha, codegrees=tuple(codegrees),
                           class_dims=tuple(class_dims))
 
 
@@ -115,22 +105,22 @@ def validate_character_table(ring: FusionRing, rows) -> CharacterTable:
 
 def support_JD(ring: FusionRing, table: CharacterTable,
                sub: Subcategory) -> tuple[int, ...]:
-    """Columns where the normalized integral (1/dim D) sum_{i in D} d_i chi_i
-    evaluates to 1; it must vanish at every other column.
+    """J_D: the columns j with alpha[i][j] = d_i for every i in D, which are
+    the columns where the normalized integral (1/dim D) sum_{i in D} d_i chi_i
+    is 1; it is 0 at every other column.  Nothing is summed.
 
-    Column j of the unnormalized integral is s_j = sum_{i in D} d_i alpha_ij.
-    The dimension column has alpha_i,fp = d_i, so s_fp = dim D and the
-    support is {j : s_j == s_fp}, with no division."""
-    sums = [_dot([(ring.fpdims[i], table.alpha[i][j]) for i in sub.members])
-            for j in range(table.rank)]
-    dim_d = sums[table.fp_column]
-    out = []
-    for j, v in enumerate(sums):
-        if v == dim_d:
-            out.append(j)
-        elif not v.is_zero():
-            raise NotIdempotent(f"integral evaluates to {v / dim_d} at column {j}")
-    return tuple(out)
+    Let R_D = sum_{i in D} d_i X_i.  For i in D, the coefficient of X_k in
+    X_i R_D is sum_{j in D} N_ij^k d_j.  It is 0 for k outside D, as D is
+    closed.  For k in D, Frobenius reciprocity makes it
+    sum_{j in D} N_{i* k}^j d_j, which is d_{i*} d_k = d_i d_k, as D is
+    closed and d is a character.  So X_i R_D = d_i R_D, and any character
+    chi has chi(X_i) chi(R_D) = d_i chi(R_D).  If chi(R_D) != 0, then
+    chi = d on D, and chi(R_D) = sum_{i in D} d_i^2 = dim D.  Otherwise the
+    integral is 0 at chi's column.
+    """
+    alpha, fpdims = table.alpha, ring.fpdims
+    return tuple(j for j in range(table.rank)
+                 if all(alpha[i][j] == fpdims[i] for i in sub.members))
 
 
 def verify_eq_2_7(target, sub: Subcategory) -> CheckRecord:
@@ -176,19 +166,24 @@ def verify_eq_2_4(target) -> list[CheckRecord]:
 # numeric cross-check
 # ---------------------------------------------------------------------------
 
-def characters_numeric(ring: FusionRing, seed: int = 0, max_retries: int = 8):
+#: Random combinations `characters_numeric` draws before it gives up.
+MAX_RETRIES = 8
+
+
+def characters_numeric(ring: FusionRing, seed: int = 0):
     """Eigenvector characters of a random combination of fusion matrices.
 
     Returns a complex numpy array with the same orientation as the exact
     table (rows index basis elements, columns index characters).  Retries
-    with fresh coefficients when the spectrum is degenerate.
+    with fresh coefficients, up to MAX_RETRIES draws, when the spectrum is
+    degenerate.
     """
     import numpy as np
     rng = np.random.default_rng(seed)
     r = ring.rank
     tensor = np.array(_dense(ring), dtype=float)
     mats = list(tensor)
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         coeff = rng.uniform(0.5, 1.5, size=r)
         m = sum(c * mat for c, mat in zip(coeff, mats))
         w, vec = np.linalg.eig(m)
@@ -206,7 +201,7 @@ def characters_numeric(ring: FusionRing, seed: int = 0, max_retries: int = 8):
         if _is_numeric_character_table(tensor, alpha_num):
             order = np.lexsort((np.round(w.imag, 9), np.round(w.real, 9)))
             return alpha_num[:, order]
-    raise DegenerateSpectrum(f"no separated spectrum after {max_retries} draws")
+    raise DegenerateSpectrum(f"no separated spectrum after {MAX_RETRIES} draws")
 
 
 def _is_numeric_character_table(tensor, alpha_num) -> bool:

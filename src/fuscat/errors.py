@@ -56,15 +56,7 @@ class SingularTable(FuscatError):
     pass
 
 
-class NoFPColumn(FuscatError):
-    pass
-
-
 class DegenerateSpectrum(FuscatError):
-    pass
-
-
-class NotIdempotent(FuscatError):
     pass
 
 

@@ -108,16 +108,26 @@ def validate_smatrix(ring: FusionRing, table: CharacterTable, rows) -> SMatrix:
 # centralizers and the center
 # ---------------------------------------------------------------------------
 
-def centralizer(ring: FusionRing, sm: SMatrix, sub: Subcategory) -> Subcategory:
-    """Objects pairing with every member of `sub` as if transparent."""
-    members = [ip for ip in range(ring.rank)
-               if all(sm.s[i][ip] == ring.fpdims[i] * ring.fpdims[ip]
-                      for i in sub.members)]
-    return check_subcategory(ring, members)
+def centralizer(target, sub: Subcategory) -> Subcategory:
+    """D': the objects i' with s_ii' = d_i d_i' for every i in `sub` (Müger's
+    transparency criterion), read as M^{-1}(J_D) with no product.
+
+    Row i' was matched, and S is symmetric, so s_ii' = d_i' alpha[i][M(i')].
+    As d_i' > 0, s_ii' = d_i d_i' iff alpha[i][M(i')] = d_i, so i' is in D'
+    iff column M(i') is in J_D = `target.support(sub)`."""
+    support = set(target.support(sub))
+    members = [ip for ip, j in enumerate(target.smatrix.M) if j in support]
+    return check_subcategory(target.ring, members)
 
 
 def muger_center(ring: FusionRing, sm: SMatrix) -> Subcategory:
-    return centralizer(ring, sm, Subcategory(tuple(range(ring.rank))))
+    """The center C', the fiber of the matching over M(0).
+
+    By `centralizer`, C' = M^{-1}(J_C), and J_C is the one column equal to
+    d, since the columns are distinct.  Row 0 of S is d, so that column is
+    M(0)."""
+    return check_subcategory(ring, [ip for ip, j in enumerate(sm.M)
+                                    if j == sm.M[0]])
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,8 @@ class Target:
         return self._once(("dim", members), lambda: sub_fpdim(self.ring, members))
 
     def support(self, sub: Subcategory) -> tuple[int, ...]:
-        """J_D: the table columns where the integral of `sub` is 1."""
+        """J_D: the table columns equal to the dimensions on `sub`, which
+        are where the integral of `sub` is 1 (`support_JD`)."""
         return self._once(("support", sub.members),
                           lambda: support_JD(self.ring, self.table, sub))
 
@@ -194,9 +195,10 @@ class Target:
                           lambda: check_subcategory(self.ring, members))
 
     def centralizer(self, sub: Subcategory) -> Subcategory:
-        """D': the objects that centralize every member of `sub`."""
+        """D': the objects that centralize every member of `sub`, the
+        preimage of J_D under the matching (`premod.centralizer`)."""
         return self._once(("centralizer", sub.members),
-                          lambda: centralizer(self.ring, self.smatrix, sub))
+                          lambda: centralizer(self, sub))
 
     def center_trace(self, sub: Subcategory) -> Subcategory:
         """D intersect the center of the matching analysis."""

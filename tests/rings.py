@@ -15,7 +15,8 @@ from fuscat.errors import (DegenerateSpectrum, ExactDataMissing,
                            InconsistentCoset, NoMatchingColumn, NotAlgebraMap,
                            PsiNotCharacter, ValidationError)
 from fuscat.exactnum import CycNum, _dot, _int_mul, _numerators, _reduce
-from fuscat.fusion import Subcategory, _dense, validate_fusion_ring
+from fuscat.fusion import (Subcategory, _dense, check_subcategory,
+                           validate_fusion_ring)
 from fuscat.premod import SMatrix, validate_smatrix
 
 ONE = CycNum.from_rational(1)
@@ -300,6 +301,16 @@ def support_jd_loop(ring, table, members):
     return tuple(j for j, v in enumerate(f) if v == 1)
 
 
+def fp_column(ring, table) -> int:
+    """The column of `table` equal to the dimensions: the table validator
+    proves that there is one (d is one of the ring's r characters, and the
+    r distinct columns are all of them) and does not search for it."""
+    cols = [j for j in range(table.rank)
+            if all(table.alpha[i][j] == ring.fpdims[i] for i in range(ring.rank))]
+    assert len(cols) == 1, cols
+    return cols[0]
+
+
 def eq_3_6_lhs_loop(target, sub, k, l) -> CycNum:
     """sum_t w_t alpha[X_t][k] alpha[X_{t*}][l], w_t = FPdim(R_t)/d_{X_t}^2."""
     dec, alpha, fpdims = target.cosets(sub), target.table.alpha, target.ring.fpdims
@@ -327,6 +338,16 @@ def eq_4_3_loop(target) -> list[bool]:
     return [all(table.alpha[i][sm.M[ip]] * ring.fpdims[ip] == sm.s[i][ip]
                 for ip in range(ring.rank))
             for i in range(ring.rank)]
+
+
+def centralizer_loop(ring, sm, sub) -> Subcategory:
+    """D' by Müger's criterion, multiplied out: the i' with
+    s_ii' = d_i d_i' for every i in `sub`; `premod.centralizer` reads it off
+    the matching instead."""
+    return check_subcategory(ring, [ip for ip in range(ring.rank)
+                                    if all(sm.s[i][ip] == ring.fpdims[i]
+                                           * ring.fpdims[ip]
+                                           for i in sub.members)])
 
 
 def eq_2_4_lhs_loop(target, l, k) -> CycNum:

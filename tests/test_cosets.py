@@ -121,14 +121,21 @@ PRODUCT_KEYS = ("svec*svec*svec", "pointed-z4-q2*svec", "pointed-z4-q1*svec",
 def test_partition_matches_union_find_oracle(key):
     """The blocks are the union-find classes, and each is closed under
     X -> k with N_Xj^k > 0, j in D: the premise by which `verify_eq_3_1`
-    compares [X] R_D with FPdim(D) e_t on X's block only."""
+    compares [X] R_D with FPdim(D) e_t on X's block only.  The two premises
+    `coset_partition` proves and does not check hold too: the block of the
+    unit is D, and the duals of each block lie in the one block `dual_map`
+    names."""
     ring = builtin(key).ring
     for sub in enumerate_subcategories(ring):
-        blocks = coset_partition(Target("", ring), sub).blocks
+        dec = coset_partition(Target("", ring), sub)
+        blocks = dec.blocks
         assert blocks == _union_find_blocks(ring, sub)
-        for block in blocks:
+        assert blocks[0] == sub.members
+        for block, td in zip(blocks, dec.dual_map):
             assert all(k in block for x in block for j in sub.members
                        for k, _ in ring.nonzero[x][j]), (sub.members, block)
+            assert {ring.dual[i] for i in block} <= set(blocks[td]), \
+                (sub.members, block)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,9 @@ loop, which a single perturbed H_{mn}^p with m != n reaches.
 `k_mul`, the codegrees, subcategory dimensions and eq-3.6/3.7 sums, built
 by the integer kernel `_dot`, and the eq-2.4 sums, read from the codegrees
 and the column conductors, give the conductor and canonical form of the
-`CycNum` loops in `rings.py`, and `support_JD` gives the support of the
-class-function route.  The subcategory lattice, closures and restricted
+`CycNum` loops in `rings.py`, `support_JD` gives the support of the
+class-function route, and `centralizer` and `muger_center` give the
+centralizers of the pair-product scan.  The subcategory lattice, closures and restricted
 blocks, computed on support bitmasks, match the set-based powerset and search
 oracles.  The integer multiplicativity kernel behind the dimension,
 table-column and S-matrix-row checks names the pair the CycNum scans name,
@@ -51,26 +52,28 @@ from hypothesis import given, settings, strategies as st
 import fuscat.chartab
 import fuscat.cosets
 import fuscat.fusion
+import fuscat.verify
 from fuscat.catalog import BUILTIN_KEYS, builtin
 from fuscat.chartab import (_is_numeric_character_table, characters_numeric,
                             support_JD, validate_character_table, verify_eq_2_4)
 from fuscat.cosets import (hecke_constants, verify_eq_3_1, verify_eq_3_6,
                            verify_eq_3_7)
 from fuscat.errors import (DegenerateSpectrum, FuscatError, InconsistentCoset,
-                           NoMatchingColumn, NotAlgebraMap, NotIdempotent,
-                           PsiNotCharacter, ValidationError)
+                           NoMatchingColumn, NotAlgebraMap, PsiNotCharacter,
+                           ValidationError)
 from fuscat.exactnum import CycNum, _int_mul
-from fuscat.fusion import (FusionRing, Subcategory, _dense, _derived,
+from fuscat.fusion import (FusionRing, _dense, _derived,
                            _first_non_character, _mask, deligne_product,
                            enumerate_subcategories, restricted_blocks,
                            sub_fpdim, subcategory_closure,
                            validate_fusion_ring)
-from fuscat.premod import validate_smatrix
-from fuscat.verify import Target
+from fuscat.premod import centralizer, muger_center, validate_smatrix
+from fuscat.verify import Target, run_checks
 
 from rings import (
     ZERO,
     block_elements,
+    centralizer_loop,
     characters_numeric_loop,
     deligne_product_dense,
     enumerate_subcategories_powerset,
@@ -82,6 +85,7 @@ from rings import (
     first_non_character_pairs,
     first_product_violation,
     fib_ring,
+    fp_column,
     group_ring,
     hecke_associative,
     hecke_associative_dense,
@@ -254,7 +258,8 @@ def test_support_matches_the_class_function_route(key):
     _assert_support_matches_the_class_function_route(entry.ring, entry.table)
     reversed_table = validate_character_table(
         entry.ring, [row[::-1] for row in entry.table.alpha])
-    assert reversed_table.fp_column == entry.ring.rank - 1 - entry.table.fp_column
+    assert (fp_column(entry.ring, reversed_table)
+            == entry.ring.rank - 1 - fp_column(entry.ring, entry.table))
     _assert_support_matches_the_class_function_route(entry.ring, reversed_table)
 
 
@@ -270,24 +275,58 @@ def test_support_matches_the_class_function_route_on_deligne_products(a, b):
     _assert_support_matches_the_class_function_route(entry.ring, entry.table)
 
 
-@pytest.mark.parametrize("key", ("ising", "fib", "rep-s3", "su2k-3", "su2k-4",
-                                 "pointed-z4-q1"))
-def test_support_refuses_where_the_class_function_route_is_not_idempotent(key):
-    """Every member set with the unit, closed or not: `support_JD` raises
-    `NotIdempotent` exactly where some f_j is neither 0 nor 1."""
+@pytest.mark.parametrize("key", KEYS + ("fib*ising", "su2k-4*fib")
+                         + tuple(f"su2k-{k}" for k in range(5, 9)))
+def test_centralizers_match_the_pair_product_scan(key):
+    """M^{-1}(J_D) is D' by Müger's criterion s_ii' = d_i d_i', multiplied
+    out, on every subcategory; the fiber over M(0) is the centralizer of the
+    whole ring."""
     entry = builtin(key)
-    refused = 0
-    for k in range(entry.ring.rank):
-        for rest in itertools.combinations(range(1, entry.ring.rank), k):
-            members = (0,) + rest
-            want = support_jd_loop(entry.ring, entry.table, members)
-            try:
-                got = support_JD(entry.ring, entry.table, Subcategory(members))
-            except NotIdempotent:
-                got = None
-                refused += 1
-            assert got == want, members
-    assert refused or key == "fib"
+    ring, sm = entry.ring, entry.smatrix
+    target = Target(key, ring, entry.table, sm)
+    subs = enumerate_subcategories(ring)
+    for sub in subs:
+        assert centralizer(target, sub) == centralizer_loop(ring, sm, sub), \
+            sub.members
+    assert muger_center(ring, sm) == centralizer_loop(ring, sm, subs[-1])
+
+
+def test_support_and_centralizers_make_no_sum_and_no_product(monkeypatch):
+    """With the catalog built, every check over every subcategory of
+    su2k-4*fib calls `chartab._dot` zero times (J_D is read by restriction),
+    and `premod.centralizer` multiplies no `CycNum` (D' is read off the
+    matching)."""
+    entry = builtin("su2k-4*fib")
+    dots, muls, inside, calls = [], [], [], []
+    dot = fuscat.chartab._dot
+    monkeypatch.setattr(fuscat.chartab, "_dot",
+                        lambda terms: dots.append(1) or dot(terms))
+
+    def counted(fn):
+        def wrapper(self, other):
+            if inside:
+                muls.append(1)
+            return fn(self, other)
+        return wrapper
+
+    monkeypatch.setattr(CycNum, "__mul__", counted(CycNum.__mul__))
+    monkeypatch.setattr(CycNum, "__rmul__", counted(CycNum.__rmul__))
+    original = fuscat.verify.centralizer
+
+    def wrapped(*args):
+        calls.append(1)
+        inside.append(1)
+        try:
+            return original(*args)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(fuscat.verify, "centralizer", wrapped)
+    report = run_checks(Target("su2k-4*fib", entry.ring, entry.table,
+                               entry.smatrix),
+                        subcategories=enumerate_subcategories(entry.ring))
+    assert report.ok
+    assert calls and not inside
+    assert dots == [] and muls == []
 
 
 @pytest.mark.parametrize("key", KEYS)

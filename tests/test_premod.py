@@ -166,10 +166,10 @@ def test_validate_smatrix_matches_the_scan_first_oracle(key):
 # ---------------------------------------------------------------------------
 
 def test_centralizer_oracles():
-    ring, _, sm = _ising()
+    ring, table, sm = _ising()
     assert muger_center(ring, sm).members == (0,)
     sub = check_subcategory(ring, (0, 1))
-    assert centralizer(ring, sm, sub).members == (0, 1)
+    assert centralizer(Target("", ring, table, sm), sub).members == (0, 1)
 
     svec_ring, _, svec_sm = _svec()
     assert muger_center(svec_ring, svec_sm).members == (0, 1)
