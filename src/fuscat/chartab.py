@@ -64,6 +64,13 @@ def validate_character_table(ring: FusionRing, rows) -> CharacterTable:
     dimensions dim(C)/cod_j sum to dim(C).  d_{i*} = d_i was checked with
     the ring, so the FP column's codegree is
     sum_i d_i d_{i*} = sum_i d_i^2 = dim(C) and its class dimension is 1.
+    No codegree is zero.  Set X_i* = X_{i*} and tau(X_i) = delta_i0.
+    Frobenius reciprocity makes * an involution of the fusion algebra, and
+    the duality axiom gives tau(X_i* X_j) = delta_ij, so tau is a faithful
+    positive trace and the algebra a C*-algebra, commutative as it has r
+    distinct characters.  Each character is then a *-map,
+    alpha[i*][j] = conj(alpha[i][j]), so
+    cod_j = sum_i |alpha[i][j]|^2 >= |alpha[0][j]|^2 = 1.
     """
     if ring.fpdims is None:
         raise ExactDataMissing("character table validation needs exact dimensions")
@@ -90,8 +97,6 @@ def validate_character_table(ring: FusionRing, rows) -> CharacterTable:
     codegrees, class_dims = [], []
     for j in range(r):
         cod = _dot([(alpha[i][j], alpha[ring.dual[i]][j]) for i in range(r)])
-        if cod.is_zero():
-            raise SingularTable(f"column {j} has zero codegree")
         codegrees.append(cod)
         class_dims.append(total_dim / cod)
 

@@ -1,8 +1,8 @@
 """Command-line front end: validate, verify, report, list-builtins.
 
 Exit codes: 0 success, 1 validation/check failure, 2 usage or schema error.
-FUSCAT_SEED (default 0) seeds the advisory numeric cross-check printed by
-``validate``, which never sets the exit code; every verdict is exact.
+``validate`` prints an advisory numeric cross-check with seed 0, which never
+sets the exit code; every verdict is exact.
 """
 
 from __future__ import annotations
@@ -37,14 +37,6 @@ def _resolve_target(key_or_path: str) -> Target:
     return Target(key_or_path, ring, table, smatrix)
 
 
-def _seed() -> int:
-    raw = os.environ.get("FUSCAT_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise SchemaError(f"FUSCAT_SEED must be an integer, got {raw!r}")
-
-
 def cmd_validate(args) -> int:
     doc = load_document(args.path)
     ring, table, smatrix = from_document(doc)
@@ -53,10 +45,8 @@ def cmd_validate(args) -> int:
         print("dimensions: exact values verified")
     if table is not None:
         print("char_table: columns are distinct algebra maps")
-        seed = _seed()
         try:
-            numeric = characters_numeric(ring, seed=seed)
-            match_numeric_columns(table, numeric, tol=1e-8)
+            match_numeric_columns(table, characters_numeric(ring))
             outcome = "matches within 1e-08"
         except (FuscatError, ArithmeticError, ValueError) as exc:
             outcome = f"inconclusive: {exc}"

@@ -83,12 +83,6 @@ class PsiNotCharacter(FuscatError):
         super().__init__(f"s-matrix row {row} does not define a character (witness {witness})")
 
 
-class NoMatchingColumn(FuscatError):
-    def __init__(self, row):
-        self.row = row
-        super().__init__(f"s-matrix row {row} matches no character table column")
-
-
 class PreconditionFailed(FuscatError):
     """A theorem's hypothesis does not hold for the given input."""
 

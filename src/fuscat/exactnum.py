@@ -646,47 +646,6 @@ def _dot(terms):
 # minimal polynomials and integrality
 # ---------------------------------------------------------------------------
 
-def _multiplication_matrix(a: CycNum):
-    n, deg = a.conductor, euler_phi(a.conductor)
-    cols = []
-    for j in range(deg):
-        v = [_ZERO] * j + list(a.coeffs)  # a * zeta^j before reduction
-        _divide(v, n)
-        cols.append(v[:deg])
-    # cols[j] = coords of a * zeta^j; return row-major matrix
-    return [[cols[j][i] for j in range(deg)] for i in range(deg)]
-
-
-def _charpoly(mat):
-    """Faddeev-LeVerrier; returns monic coefficients, constant term first."""
-    n = len(mat)
-    c = [None] * (n + 1)
-    c[n] = _ONE
-    m_prev = None
-    for k in range(1, n + 1):
-        if k == 1:
-            m_cur = [row[:] for row in mat]
-        else:
-            shifted = [row[:] for row in m_prev]
-            for i in range(n):
-                shifted[i][i] += c[n - k + 1]
-            m_cur = [[sum(mat[i][t] * shifted[t][j] for t in range(n))
-                      for j in range(n)] for i in range(n)]
-        trace = sum(m_cur[i][i] for i in range(n))
-        c[n - k] = -trace / k
-        m_prev = m_cur
-    return tuple(c)
-
-
-def characteristic_polynomial(a: CycNum) -> tuple[Fraction, ...]:
-    """Char poly of multiplication by a on Q(zeta_N), degree phi(N), monic.
-
-    No verdict uses it; it is the independent route the tests compare
-    `minimal_polynomial` and `is_algebraic_integer` against.
-    """
-    return _charpoly(_multiplication_matrix(a))
-
-
 def minimal_polynomial(a: CycNum) -> tuple[Fraction, ...]:
     """Monic minimal polynomial of a over Q, constant term first.
 
@@ -713,6 +672,23 @@ def minimal_polynomial(a: CycNum) -> tuple[Fraction, ...]:
                 + [poly[i - 1] - c * poly[i] for i in range(1, len(poly))]
                 + [poly[-1]])
     return tuple(p.as_rational() for p in poly)
+
+
+def characteristic_polynomial(a: CycNum) -> tuple[Fraction, ...]:
+    """Char poly of multiplication by a on Q(zeta_N), monic, constant first.
+
+    It is the product of (x - sigma(a)) over the phi(N) embeddings sigma of
+    Q(zeta_N) into C; each conjugate of a is sigma(a) for phi(N)/deg of
+    them, so it is `minimal_polynomial(a)` to that power."""
+    m = minimal_polynomial(a)
+    p = [_ONE]
+    for _ in range(euler_phi(a.conductor) // (len(m) - 1)):
+        q = [_ZERO] * (len(p) + len(m) - 1)
+        for i, x in enumerate(p):
+            for j, y in enumerate(m):
+                q[i + j] += x * y
+        p = q
+    return tuple(p)
 
 
 def is_algebraic_integer(a: CycNum) -> bool:

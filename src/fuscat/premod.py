@@ -18,7 +18,6 @@ from .errors import (
     AsymmetricS,
     BadFirstRow,
     ExactDataMissing,
-    NoMatchingColumn,
     PreconditionFailed,
     PsiNotCharacter,
     ValidationError,
@@ -72,8 +71,9 @@ def validate_smatrix(ring: FusionRing, table: CharacterTable, rows) -> SMatrix:
 
     A row that equals a column is a character: the table was validated, and
     `validate_character_table` proves the same identities psi(a) psi(b) =
-    sum_c N_ab^c psi(c).  Only a row that matches no column is checked, so
-    that the first failing pair is named in PsiNotCharacter."""
+    sum_c N_ab^c psi(c).  A row that matches no column is not a character:
+    the r distinct columns of a validated table are all r characters of the
+    ring.  It raises PsiNotCharacter, naming its first failing pair."""
     if ring.fpdims is None:
         raise ExactDataMissing("s-matrix validation needs exact dimensions")
     r = ring.rank
@@ -94,12 +94,8 @@ def validate_smatrix(ring: FusionRing, table: CharacterTable, rows) -> SMatrix:
         psi = [x * inv for x in s[i]]
         j = _match_column(table, psi)
         if j is None:
-            pair = _first_non_character(ring.nonzero, ring.generators, psi)
-            if pair is not None:
-                raise PsiNotCharacter(i, pair)
-            # unreachable for a validated table: its r distinct columns are
-            # all r characters of the ring, so a character matches one
-            raise NoMatchingColumn(i)
+            raise PsiNotCharacter(i, _first_non_character(
+                ring.nonzero, ring.generators, psi))
         m.append(j)
     return SMatrix(s=s, M=tuple(m))
 

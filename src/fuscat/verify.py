@@ -379,41 +379,8 @@ def run_checks(target: Target, *,
 # ---------------------------------------------------------------------------
 
 def report_to_json(report: VerificationReport) -> dict:
-    """The JSON object of a report.
-
-    Each distinct exact value is converted once: repeats of it, within the
-    report and with the same ``approx`` flag, are the same object.
-    """
-    values = {}
-
-    def value(v, approx):
-        if isinstance(v, CycNum):
-            key = (v.conductor, v._nums, v._den, approx)
-            obj = values.get(key)
-            if obj is None:
-                obj = values[key] = value_to_json(v, approx)
-            return obj
-        if isinstance(v, (list, tuple)):
-            return [x if type(x) is int else value(x, approx) for x in v]
-        if v is None or isinstance(v, (int, str)):  # bool is an int
-            return v
-        return value_to_json(v, approx)
-
-    checks = []
-    for c in report.checks:
-        entry = {
-            "id": c.id,
-            "params": {k: value(v, False) for k, v in c.params.items()},
-            "lhs": value(c.lhs, True),
-            "rhs": value(c.rhs, True),
-            "pass": c.passed,
-        }
-        if c.skipped_reason is not None:
-            entry["skipped_reason"] = c.skipped_reason
-        if c.detail:
-            entry["detail"] = c.detail
-        checks.append(entry)
-    return {"checks": checks, **_report_fields(report)}
+    """The JSON object of a report, as `render_json` writes it."""
+    return json.loads(render_json(report))
 
 
 def _report_fields(report: VerificationReport) -> dict:
@@ -454,8 +421,12 @@ def _cycnum_text(obj: dict) -> str:
 
 
 def render_json(report: VerificationReport) -> str:
-    """The report as ``json.dumps(report_to_json(report), sort_keys=True,
-    indent=2)`` plus a newline, byte for byte.
+    """The report as ``json.dumps(obj, sort_keys=True, indent=2)`` plus a
+    newline, byte for byte.  obj holds `_report_fields` and "checks", one
+    object per record: its id, params, lhs, rhs and pass, its skipped_reason
+    if it has one and its detail if nonempty, each value as `value_to_json`
+    writes it (lhs and rhs with approx).  The tests build obj with the
+    stdlib and compare.
 
     A record is written as head + params + tail: the head holds its detail,
     id and lhs, the tail its pass, rhs and skipped reason.  Both are kept

@@ -7,17 +7,21 @@ catalog, so library tests do not depend on the catalog module.
 import cmath
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from fuscat.chartab import validate_character_table
 from fuscat.errors import (DegenerateSpectrum, ExactDataMissing,
-                           InconsistentCoset, NoMatchingColumn, NotAlgebraMap,
-                           PsiNotCharacter, ValidationError)
-from fuscat.exactnum import CycNum, _dot, _int_mul, _numerators, _reduce
+                           InconsistentCoset, NotAlgebraMap, PsiNotCharacter,
+                           ValidationError)
+from fuscat.exactnum import (CycNum, _divide, _dot, _int_mul, _numerators,
+                             _reduce, euler_phi)
 from fuscat.fusion import (Subcategory, _dense, check_subcategory,
                            validate_fusion_ring)
 from fuscat.premod import SMatrix, validate_smatrix
+from fuscat.serialize import value_to_json
+from fuscat.verify import _report_fields
 
 ONE = CycNum.from_rational(1)
 ZERO = CycNum.from_rational(0)
@@ -625,7 +629,8 @@ def smatrix_rows_scan_first(ring, table, s) -> SMatrix:
         cols = [j for j in range(r)
                 if all(table.alpha[a][j] * di == s[i][a] for a in range(r))]
         if not cols:
-            raise NoMatchingColumn(i)
+            raise AssertionError(f"character row {i} matches no column of a "
+                                 "validated table")
         m.append(cols[0])
     return SMatrix(s=tuple(tuple(row) for row in s), M=tuple(m))
 
@@ -704,6 +709,93 @@ def fpdim_numeric(tensor) -> tuple[float, ...]:
             raise ArithmeticError(f"power iteration did not settle for matrix {i}")
         dims.append(lam - 1.0)
     return tuple(dims)
+
+
+# ---------------------------------------------------------------------------
+# second routes to the characteristic polynomial and the JSON report
+# ---------------------------------------------------------------------------
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _multiplication_matrix(a: CycNum):
+    n, deg = a.conductor, euler_phi(a.conductor)
+    cols = []
+    for j in range(deg):
+        v = [_ZERO] * j + list(a.coeffs)  # a * zeta^j before reduction
+        _divide(v, n)
+        cols.append(v[:deg])
+    # cols[j] = coords of a * zeta^j; return row-major matrix
+    return [[cols[j][i] for j in range(deg)] for i in range(deg)]
+
+
+def _charpoly(mat):
+    """Faddeev-LeVerrier; returns monic coefficients, constant term first."""
+    n = len(mat)
+    c = [None] * (n + 1)
+    c[n] = _ONE
+    m_prev = None
+    for k in range(1, n + 1):
+        if k == 1:
+            m_cur = [row[:] for row in mat]
+        else:
+            shifted = [row[:] for row in m_prev]
+            for i in range(n):
+                shifted[i][i] += c[n - k + 1]
+            m_cur = [[sum(mat[i][t] * shifted[t][j] for t in range(n))
+                      for j in range(n)] for i in range(n)]
+        trace = sum(m_cur[i][i] for i in range(n))
+        c[n - k] = -trace / k
+        m_prev = m_cur
+    return tuple(c)
+
+
+def charpoly_faddeev_leverrier(a: CycNum) -> tuple[Fraction, ...]:
+    """Char poly of multiplication by a on Q(zeta_N), degree phi(N), monic,
+    from the matrix of a on the power basis: the route that shares nothing
+    with `minimal_polynomial`."""
+    return _charpoly(_multiplication_matrix(a))
+
+
+def report_to_json_builder(report) -> dict:
+    """The JSON object of a report, built with dicts and lists: the stdlib
+    oracle `render_json` must equal under ``json.dumps(..., sort_keys=True,
+    indent=2)`` plus a newline.
+
+    Each distinct exact value is converted once: repeats of it, within the
+    report and with the same ``approx`` flag, are the same object.
+    """
+    values = {}
+
+    def value(v, approx):
+        if isinstance(v, CycNum):
+            key = (v.conductor, v._nums, v._den, approx)
+            obj = values.get(key)
+            if obj is None:
+                obj = values[key] = value_to_json(v, approx)
+            return obj
+        if isinstance(v, (list, tuple)):
+            return [x if type(x) is int else value(x, approx) for x in v]
+        if v is None or isinstance(v, (int, str)):  # bool is an int
+            return v
+        return value_to_json(v, approx)
+
+    checks = []
+    for c in report.checks:
+        entry = {
+            "id": c.id,
+            "params": {k: value(v, False) for k, v in c.params.items()},
+            "lhs": value(c.lhs, True),
+            "rhs": value(c.rhs, True),
+            "pass": c.passed,
+        }
+        if c.skipped_reason is not None:
+            entry["skipped_reason"] = c.skipped_reason
+        if c.detail:
+            entry["detail"] = c.detail
+        checks.append(entry)
+    return {"checks": checks, **_report_fields(report)}
 
 
 def sqrt2() -> CycNum:

@@ -26,12 +26,12 @@ ALLOWED = {
     "serialize.dump_document": "the README writes documents with it",
     "catalog.product": "the product of two keys; perfbench/run.py LAYERS "
                        "names it",
-    "verify.report_to_json": "the README states the report bytes by it, "
-                             "and perfbench/run.py LAYERS names it",
+    "verify.report_to_json": "the report object, read back from "
+                             "render_json; perfbench/run.py LAYERS names it",
     "exactnum.characteristic_polynomial":
-        "perfbench/run.py LAYERS names it, and test_layers.py needs every "
-        "pattern there to match; it moves to the tests once perfbench reads "
-        "in-package spans (ROADMAP item 1)",
+        "the minimal polynomial to the power phi(N)/deg; perfbench/run.py "
+        "LAYERS names it, and test_layers.py needs every pattern there to "
+        "match",
     "fusion.subcategory_closure": "the closure of a generator set, the "
                                   "fusion API beside enumerate_subcategories",
 }

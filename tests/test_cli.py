@@ -210,16 +210,6 @@ def test_report_is_deterministic(capsys):
     assert first == capsys.readouterr().out
 
 
-def test_seed_env_is_honored(tmp_path, capsys, monkeypatch):
-    path = _write_entry(tmp_path, "fib")
-    monkeypatch.setenv("FUSCAT_SEED", "7")
-    assert main(["validate", path]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("FUSCAT_SEED", "not-an-int")
-    assert main(["validate", path]) == 2
-    assert "FUSCAT_SEED" in capsys.readouterr().err
-
-
 def _write_lucas(tmp_path, m):
     tensor, phi, psi = lucas(m)
     ring = validate_fusion_ring(tensor, (0, 1), fpdims=(1, phi))

@@ -59,8 +59,7 @@ from fuscat.chartab import (_is_numeric_character_table, characters_numeric,
 from fuscat.cosets import (hecke_constants, verify_eq_3_1, verify_eq_3_6,
                            verify_eq_3_7)
 from fuscat.errors import (DegenerateSpectrum, FuscatError, InconsistentCoset,
-                           NoMatchingColumn, NotAlgebraMap, PsiNotCharacter,
-                           ValidationError)
+                           NotAlgebraMap, PsiNotCharacter, ValidationError)
 from fuscat.exactnum import CycNum, _int_mul
 from fuscat.fusion import (FusionRing, _dense, _derived,
                            _first_non_character, _mask, deligne_product,
@@ -800,8 +799,7 @@ def _scan_outcome(validate, *args):
     message; None when the scans pass, also if a later check raises."""
     try:
         validate(*args)
-    except (ValidationError, NotAlgebraMap, PsiNotCharacter,
-            NoMatchingColumn) as err:
+    except (ValidationError, NotAlgebraMap, PsiNotCharacter) as err:
         return type(err), str(err)
     except FuscatError:
         return None
