@@ -30,7 +30,9 @@ and the sha256 of the stdout;
 per command and key, the ratio of the medians, the pairs the change won and
 whether the outputs match; and the Python version, the CPU count, the git
 sha of each side and a sha256 over the files of the `src/` it ran, which
-names the timed code also when the working tree is not committed.  A
+names the timed code also when the working tree is not committed, with
+the line count of that `src/` and its code lines: the lines that hold a
+token of code, so not blank, comment or docstring lines (`code_lines`).  A
 speedup counts only where the outputs match, the change wins at least nine
 pairs in ten, and the medians differ by more than the base's interquartile
 range.  The peak RSS of a run is the child's own `VmHWM`, which a launcher
@@ -40,6 +42,7 @@ so a child's `ru_maxrss` is at least this script's own peak at the spawn.
 """
 
 import argparse
+import ast
 import hashlib
 import io
 import json
@@ -51,6 +54,7 @@ import sys
 import tarfile
 import tempfile
 import time
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -95,6 +99,36 @@ def tree_sha256(src: Path) -> str:
         digest.update(path.relative_to(src).as_posix().encode() + b"\0")
         digest.update(path.read_bytes())
     return digest.hexdigest()
+
+
+def code_lines(text: str) -> int:
+    """The lines of Python source `text` that hold a token other than a
+    comment, newline or indent, less those of docstrings (the string
+    statement that opens a module, class or function body)."""
+    docs = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr)
+                    and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docs.update(range(first.lineno, first.end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+              tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in layout:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docs)
+
+
+def src_size(src: Path) -> dict:
+    """The lines and the code lines (`code_lines`) of the `.py` files
+    under `src`."""
+    texts = [p.read_text(encoding="utf-8") for p in sorted(src.rglob("*.py"))]
+    return {"src_lines": sum(t.count("\n") for t in texts),
+            "src_code_lines": sum(map(code_lines, texts))}
 
 
 # Writes the working tree's document of each key named in argv[2:] under
@@ -206,6 +240,7 @@ def main(argv=None) -> int:
         outcome = {name: {cmd: {} for cmd in COMMANDS} for name in sides}
         for name, side in sides.items():
             side["src_sha256"] = tree_sha256(side["src"])
+            side["size"] = src_size(side["src"])
             subprocess.run([sys.executable, "-m", "compileall", "-q", str(side["src"])],
                            check=True)
             for cmd, key, op in ops:
@@ -229,7 +264,7 @@ def main(argv=None) -> int:
     runs = {}
     for name, side in sides.items():
         runs[name] = {"git_sha": side["git_sha"], "dirty": side["dirty"],
-                      "src_sha256": side["src_sha256"]}
+                      "src_sha256": side["src_sha256"], **side["size"]}
         for cmd in COMMANDS:
             keys = summary(times[name][cmd], rss[name][cmd],
                            outcome[name][cmd])
@@ -257,6 +292,9 @@ def main(argv=None) -> int:
         "delta": delta,
     }
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
+    print(f"src: {runs['base']['src_lines']} -> {runs['change']['src_lines']} "
+          f"lines, {runs['base']['src_code_lines']} -> "
+          f"{runs['change']['src_code_lines']} code lines")
     for cmd in COMMANDS:
         for key, d in delta[cmd].items():
             base, change = runs["base"][cmd][key], runs["change"][cmd][key]

@@ -15,12 +15,10 @@ from typing import Optional
 
 from .chartab import CharacterTable, validate_character_table
 from .errors import UnknownKey
-from .exactnum import CycNum
-from .fusion import (FusionRing, deligne_product, global_fpdim,
-                     validate_fusion_ring)
-from .premod import SMatrix, muger_center, validate_smatrix
-
-_ONE = CycNum.from_rational(1)
+from .exactnum import ONE, ZERO, CycNum
+from .fusion import FusionRing, deligne_product, validate_fusion_ring
+from .premod import SMatrix, validate_smatrix
+from .verify import Target
 
 #: Keys shown by the builtin listing.  ``builtin`` additionally accepts any
 #: "su2k-<k>" and "pointed-z<n>-q<c>" key and '*'-joined products of keys.
@@ -58,7 +56,7 @@ def _sqrt2() -> CycNum:
 
 def _sqrt5() -> CycNum:
     z = CycNum.zeta(5)
-    return _ONE + (z + z ** 4) * 2
+    return ONE + (z + z ** 4) * 2
 
 
 def _entry(key, ring, table_rows, smatrix_rows) -> CatalogEntry:
@@ -70,8 +68,8 @@ def _entry(key, ring, table_rows, smatrix_rows) -> CatalogEntry:
 
 
 def _trivial() -> CatalogEntry:
-    ring = validate_fusion_ring([[[1]]], (0,), names=("1",), fpdims=(_ONE,))
-    return _entry("trivial", ring, [[_ONE]], [[_ONE]])
+    ring = validate_fusion_ring([[[1]]], (0,), names=("1",), fpdims=(ONE,))
+    return _entry("trivial", ring, [[ONE]], [[ONE]])
 
 
 def _group_ring(n: int, names) -> FusionRing:
@@ -79,7 +77,7 @@ def _group_ring(n: int, names) -> FusionRing:
                for j in range(n)] for i in range(n)]
     dual = tuple((-i) % n for i in range(n))
     return validate_fusion_ring(tensor, dual, names=tuple(names),
-                                fpdims=tuple(_ONE for _ in range(n)))
+                                fpdims=tuple(ONE for _ in range(n)))
 
 
 def _group_table_rows(n: int):
@@ -88,7 +86,7 @@ def _group_table_rows(n: int):
 
 def _svec() -> CatalogEntry:
     ring = _group_ring(2, ("1", "f"))
-    smatrix = [[_ONE, _ONE], [_ONE, _ONE]]
+    smatrix = [[ONE, ONE], [ONE, ONE]]
     return _entry("svec", ring, _group_table_rows(2), smatrix)
 
 
@@ -100,16 +98,16 @@ def _ising() -> CatalogEntry:
     ]
     r2 = _sqrt2()
     ring = validate_fusion_ring(tensor, (0, 1, 2), names=("1", "f", "s"),
-                                fpdims=(_ONE, _ONE, r2))
+                                fpdims=(ONE, ONE, r2))
     table = [
-        [_ONE, _ONE, _ONE],
-        [_ONE, _ONE, -_ONE],
-        [r2, -r2, CycNum.from_rational(0)],
+        [ONE, ONE, ONE],
+        [ONE, ONE, -ONE],
+        [r2, -r2, ZERO],
     ]
     smatrix = [
-        [_ONE, _ONE, r2],
-        [_ONE, _ONE, -r2],
-        [r2, -r2, CycNum.from_rational(0)],
+        [ONE, ONE, r2],
+        [ONE, ONE, -r2],
+        [r2, -r2, ZERO],
     ]
     return _entry("ising", ring, table, smatrix)
 
@@ -119,11 +117,11 @@ def _fib() -> CatalogEntry:
         [[1, 0], [0, 1]],
         [[0, 1], [1, 1]],
     ]
-    phi = (_ONE + _sqrt5()) / 2
+    phi = (ONE + _sqrt5()) / 2
     ring = validate_fusion_ring(tensor, (0, 1), names=("1", "t"),
-                                fpdims=(_ONE, phi))
-    table = [[_ONE, _ONE], [phi, _ONE - phi]]
-    smatrix = [[_ONE, phi], [phi, -_ONE]]
+                                fpdims=(ONE, phi))
+    table = [[ONE, ONE], [phi, ONE - phi]]
+    smatrix = [[ONE, phi], [phi, -ONE]]
     return _entry("fib", ring, table, smatrix)
 
 
@@ -135,11 +133,11 @@ def _rep_s3() -> CatalogEntry:
     ]
     two = CycNum.from_rational(2)
     ring = validate_fusion_ring(tensor, (0, 1, 2), names=("1", "u", "v"),
-                                fpdims=(_ONE, _ONE, two))
+                                fpdims=(ONE, ONE, two))
     table = [
-        [_ONE, _ONE, _ONE],
-        [_ONE, -_ONE, _ONE],
-        [two, CycNum.from_rational(0), -_ONE],
+        [ONE, ONE, ONE],
+        [ONE, -ONE, ONE],
+        [two, ZERO, -ONE],
     ]
     dims = ring.fpdims
     smatrix = [[dims[i] * dims[j] for j in range(3)] for i in range(3)]
@@ -259,16 +257,17 @@ def entry_summary(entry: CatalogEntry) -> dict:
     """Plain-data line for the builtin listing.  The class is "modular",
     "symmetric" or "degenerate" by the size of the Müger center, and
     "no-smatrix" when the entry carries no symmetric matrix."""
+    target = Target(entry.key, entry.ring, entry.table, entry.smatrix)
     center_size, cls = 0, "no-smatrix"
     if entry.smatrix is not None:
-        center_size = len(muger_center(entry.ring, entry.smatrix).members)
+        center_size = len(target.center)
         cls = ("modular" if center_size == 1 else
                "symmetric" if center_size == entry.ring.rank else
                "degenerate")
     return {
         "key": entry.key,
         "rank": entry.ring.rank,
-        "fpdim": float(global_fpdim(entry.ring).embed_complex().real),
+        "fpdim": float(target.global_dim.embed_complex().real),
         "center_size": center_size,
         "class": cls,
     }

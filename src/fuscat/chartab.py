@@ -23,12 +23,10 @@ from .errors import (
     NotAlgebraMap,
     SingularTable,
 )
-from .exactnum import CycNum, _dot
+from .exactnum import ZERO, CycNum, _dot
 from .fusion import (FusionRing, Subcategory, _dense, _first_non_character,
                      global_fpdim)
 from .reports import CheckRecord
-
-ZERO = CycNum.from_rational(0)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ from .errors import FuscatError, SchemaError, UnknownKey, ValidationError
 from .exactnum import CycNum
 from .fusion import check_subcategory, enumerate_subcategories
 from .serialize import from_document, load_document
-from .verify import Target, _show, render_json, render_markdown, run_checks
+from .verify import (Target, _braces, _show, render_json, render_markdown,
+                     run_checks)
 
 _INTEGRALITY_IDS = ("cor-3.9", "cor-4.16", "thm-1.1", "thm-1.3", "rem-4.25")
 
@@ -88,7 +89,7 @@ def _parse_members(text: str):
 
 
 def _blocks_str(blocks) -> str:
-    return " ".join("{" + ",".join(map(str, b)) + "}" for b in blocks)
+    return " ".join(map(_braces, blocks))
 
 
 def cmd_report(args) -> int:
@@ -112,11 +113,11 @@ def cmd_report(args) -> int:
         out.append("")
 
     if target.smatrix is not None and table is not None:
-        center = target.analysis.center
+        center = target.center
         fibers = sorted(b for b, _ in target.matched_groups(target.whole).values())
         out.append("## matching analysis")
         out.append("")
-        out.append(f"center: {{{','.join(map(str, center.members))}}}")
+        out.append(f"center: {_braces(center.members)}")
         out.append(f"M: {list(target.smatrix.M)}")
         out.append(f"fibers: {_blocks_str(fibers)}")
         out.append("cosets wrt center: " + _blocks_str(
@@ -128,7 +129,7 @@ def cmd_report(args) -> int:
     for sub in subs:
         dec = target.cosets(sub)
         out.append("")
-        out.append(f"### D = {{{','.join(map(str, sub.members))}}}")
+        out.append(f"### D = {_braces(sub.members)}")
         out.append("")
         out.append(f"blocks: {_blocks_str(dec.blocks)}")
         out.append(f"representatives: {list(dec.reps)}")

@@ -13,11 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ExactDataMissing, InconsistentCoset, PreconditionFailed
-from .exactnum import CycNum, _dot, _int_mul, _over
+from .exactnum import ZERO, CycNum, _dot, _int_mul, _over
 from .fusion import FusionRing, Subcategory, restricted_blocks
 from .reports import CheckRecord, _integrality
-
-ZERO = CycNum.from_rational(0)
 
 
 @dataclass(frozen=True)

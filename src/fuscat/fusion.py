@@ -371,10 +371,15 @@ def restricted_blocks(ring: FusionRing, members, sub_members) -> list[tuple[int,
 
 def pointed_part(ring: FusionRing) -> Subcategory:
     """The invertible objects: X with X (x) X* = 1.  N_{X X*}^0 = 1 by the
-    duality axiom, so that is X (x) X* having no other term."""
-    members = [i for i in range(ring.rank)
-               if ring.nonzero[i][ring.dual[i]] == ((0, 1),)]
-    return check_subcategory(ring, members)
+    duality axiom, so that is X (x) X* having no other term.
+
+    They form a subcategory: the unit is one, and X* X = X X* = 1.  Frobenius
+    reciprocity and commutativity give N_{g*h*}^{k*} = N_gh^k, so for g and
+    h invertible the unit coefficient of (gh)(g*h*) = (gg*)(hh*) = 1 is
+    sum_k (N_gh^k)^2 by the duality axiom: gh is one basis element X_k, and
+    g*h* = X_k* is its inverse."""
+    return Subcategory(tuple(i for i in range(ring.rank)
+                             if ring.nonzero[i][ring.dual[i]] == ((0, 1),)))
 
 
 def sub_fpdim(ring: FusionRing, members) -> CycNum:

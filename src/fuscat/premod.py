@@ -6,7 +6,8 @@ therefore matches exactly one column of the character table.  That matching
 is the M-function, which validation keeps.  Its fibers, the transparent
 subcategory (center), and a family of dimension and divisibility identities
 are verified here in exact arithmetic.  The checks take a ``verify.Target``
-and read its derived data (among them the matching analysis) from it.
+and read its derived data (among them the center and the matched groups)
+from it.
 """
 
 from __future__ import annotations
@@ -22,16 +23,9 @@ from .errors import (
     PsiNotCharacter,
     ValidationError,
 )
-from .exactnum import CycNum
-from .fusion import (
-    FusionRing,
-    Subcategory,
-    _first_non_character,
-    check_subcategory,
-)
+from .exactnum import ZERO, CycNum
+from .fusion import FusionRing, Subcategory, _first_non_character
 from .reports import CheckRecord, _integrality
-
-ZERO = CycNum.from_rational(0)
 
 
 @dataclass(frozen=True)
@@ -42,14 +36,6 @@ class SMatrix:
 
     s: tuple[tuple[CycNum, ...], ...]
     M: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class PremodAnalysis:
-    """The center, and for each basis element Y its stabilizer G_Y."""
-
-    center: Subcategory
-    stabilizers: tuple[tuple[int, ...], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -105,25 +91,27 @@ def validate_smatrix(ring: FusionRing, table: CharacterTable, rows) -> SMatrix:
 # ---------------------------------------------------------------------------
 
 def centralizer(target, sub: Subcategory) -> Subcategory:
-    """D': the objects i' with s_ii' = d_i d_i' for every i in `sub` (Müger's
+    """D': the objects i' with s_ai' = d_a d_i' for every a in `sub` (Müger's
     transparency criterion), read as M^{-1}(J_D) with no product.
 
-    Row i' was matched, and S is symmetric, so s_ii' = d_i' alpha[i][M(i')].
-    As d_i' > 0, s_ii' = d_i d_i' iff alpha[i][M(i')] = d_i, so i' is in D'
-    iff column M(i') is in J_D = `target.support(sub)`."""
+    Row i' was matched, and S is symmetric, so s_ai' = d_i' alpha[a][M(i')].
+    As d_i' > 0, s_ai' = d_a d_i' iff alpha[a][M(i')] = d_a, so i' is in D'
+    iff column M(i') is in J_D = `target.support(sub)`.
+
+    D' is a subcategory for any index set D, closed or not.  Write psi_a for
+    the character s_a / d_a, so i' is in D' iff psi_a(X_i') = d_i' for every
+    a in D.  Every character has |psi(X_k)| <= d_k in the embedding where d
+    is positive: take l with c = |psi(X_l)| / d_l largest, then |psi(X_k)| c
+    d_l = |sum_m N_kl^m psi(X_m)| <= c sum_m N_kl^m d_m = c d_k d_l, and c >=
+    |psi(X_0)| = 1.  D' holds 0, as psi_a(X_0) = 1.  For i, i' in D' and a in
+    D, sum_k N_ii'^k (d_k - psi_a(X_k)) = d_i d_i' - psi_a(X_i) psi_a(X_i')
+    = 0.  Each term has real part >= 0, so each real part is 0, and with
+    |psi_a(X_k)| <= d_k that leaves psi_a(X_k) = d_k wherever N_ii'^k > 0:
+    D' is closed under fusion, hence under duals (the proof of
+    `fusion._close`)."""
     support = set(target.support(sub))
-    members = [ip for ip, j in enumerate(target.smatrix.M) if j in support]
-    return check_subcategory(target.ring, members)
-
-
-def muger_center(ring: FusionRing, sm: SMatrix) -> Subcategory:
-    """The center C', the fiber of the matching over M(0).
-
-    By `centralizer`, C' = M^{-1}(J_C), and J_C is the one column equal to
-    d, since the columns are distinct.  Row 0 of S is d, so that column is
-    M(0)."""
-    return check_subcategory(ring, [ip for ip, j in enumerate(sm.M)
-                                    if j == sm.M[0]])
+    return Subcategory(tuple(ip for ip, j in enumerate(target.smatrix.M)
+                             if j in support))
 
 
 # ---------------------------------------------------------------------------
@@ -141,21 +129,15 @@ def class_sum(target, j: int) -> tuple[CycNum, ...]:
 
 
 # ---------------------------------------------------------------------------
-# analysis
+# the center
 # ---------------------------------------------------------------------------
 
-def m_map(target) -> PremodAnalysis:
-    """The center and stabilizers of the target's matching, whose M
-    `validate_smatrix` found; its fibers are the matched groups of the whole
-    ring.  The center is the target's centralizer of the whole ring, and the
-    invertible objects are its pointed part."""
-    ring = target.ring
-    center = target.centralizer(target.whole)
-    invertible = set(target.pointed.members)
-    stabs = tuple(tuple(g for g in center.members
-                        if g in invertible and ring.supports[g][y] >> y & 1)
-                  for y in range(ring.rank))
-    return PremodAnalysis(center=center, stabilizers=stabs)
+def m_map(target) -> Subcategory:
+    """The Müger center C' of the target's matching, whose M
+    `validate_smatrix` found: the target's centralizer of the whole ring,
+    the fiber of M over the dimension column M(0).  The other fibers are
+    the matched groups of the whole ring."""
+    return target.centralizer(target.whole)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +178,7 @@ def verify_thm_4_10(target) -> list[CheckRecord]:
     """Fibers of the matching equal the cosets with respect to the center,
     and the fiber count is the support size of the center.  The fibers are
     the matched groups of the whole ring; their columns are J_2."""
-    center = target.analysis.center
+    center = target.center
     groups = target.matched_groups(target.whole)
     fibers = sorted(b for b, _ in groups.values())   # disjoint: by least member
     dec = target.cosets(center)
@@ -277,7 +259,7 @@ def verify_eq_4_20(target) -> list[CheckRecord]:
     """Fiber dimensions are dim(center) times the class dimensions; the
     fibers are the matched groups of the whole ring."""
     table = target.table
-    dim_center = target.dim(target.analysis.center)
+    dim_center = target.dim(target.center)
     out = []
     for j, (fiber, dim_f) in target.matched_groups(target.whole).items():
         rhs = dim_center * table.class_dims[j]
@@ -356,26 +338,28 @@ def verify_thm_1_3(target) -> list[CheckRecord]:
     """Divisibility by squared dimensions against the center: the product
     form for every simple; stabilizer-corrected class dimensions; the free
     quotient form when the center acts freely."""
-    ring, table, analysis = target.ring, target.table, target.analysis
-    if not set(analysis.center.members) <= set(target.pointed.members):
+    ring, table, center = target.ring, target.table, target.center
+    if not set(center.members) <= set(target.pointed.members):
         raise PreconditionFailed("center is not pointed")
+    # G_Y: the g in the pointed center with g Y = Y, that is N_gY^Y > 0
+    stabilizers = [[g for g in center.members if ring.supports[g][y] >> y & 1]
+                   for y in range(ring.rank)]
     total = target.global_dim
-    dim_center = target.dim(analysis.center)
+    dim_center = target.dim(center)
     out = []
-    for y in range(ring.rank):
+    for y, g_y in enumerate(stabilizers):
         d2 = ring.fpdims[y] * ring.fpdims[y]
         out.append(_integrality(target, "thm-1.3", {"Y": y, "item": 1},
                                 total * dim_center * target.inverse(d2)))
-        g_y = analysis.stabilizers[y]
         cd = table.class_dims[target.smatrix.M[y]]
         out.append(CheckRecord(id="eq-4.23",
-                               params={"Y": y, "stabilizer": list(g_y)},
+                               params={"Y": y, "stabilizer": g_y},
                                lhs=cd * len(g_y), rhs=d2,
                                passed=cd * len(g_y) == d2))
         out.append(_integrality(target, "thm-1.3",
                                 {"Y": y, "item": "4.24"},
                                 total * len(g_y) * target.inverse(d2)))
-    if all(len(g) == 1 for g in analysis.stabilizers):
+    if all(len(g) == 1 for g in stabilizers):
         for y in range(ring.rank):
             d2 = ring.fpdims[y] * ring.fpdims[y]
             out.append(_integrality(target, "thm-1.3",
@@ -388,7 +372,7 @@ def verify_rem_4_25(target) -> list[CheckRecord]:
     """d_i^2 dim(C)/(dim(center) dim(C^{M(i)})) is an algebraic integer."""
     ring, table, m = target.ring, target.table, target.smatrix.M
     total = target.global_dim
-    dim_center = target.dim(target.analysis.center)
+    dim_center = target.dim(target.center)
     return [_integrality(target, "rem-4.25", {"i": i},
                          ring.fpdims[i] * ring.fpdims[i] * total
                          * target.inverse(dim_center * table.class_dims[m[i]]))

@@ -2,10 +2,10 @@
 
 A target is a ring plus optional character table and symmetric matrix,
 together with the derived data the checks read (global dimension, supports,
-coset decompositions, centralizers, meets, blocks, the matching analysis
-and its matched groups, the reciprocal of each divisor, the dimensions as
-integer numerators and the products of pairs of them), each computed at
-most once per target.  Every check has a stable string id and a row in
+coset decompositions, centralizers, the Müger center, meets, blocks, the
+matched groups, the reciprocal of each divisor, the dimensions as integer
+numerators and the products of pairs of them), each computed at most once
+per target.  Every check has a stable string id and a row in
 the registry that names what it requires and over what it ranges; checks
 whose inputs are missing, or whose mathematical hypotheses fail, are
 reported as skipped with a reason rather than failed.  Records are ordered
@@ -23,11 +23,11 @@ from .chartab import CharacterTable, support_JD, verify_eq_2_4, verify_eq_2_7
 from .cosets import (CosetDecomposition, coset_partition, verify_cor_3_9_1,
                      verify_cor_3_9_2, verify_eq_3_1, verify_eq_3_6,
                      verify_eq_3_7, verify_lemma_3_12, verify_prop_3_4)
-from .errors import FuscatError, PreconditionFailed, UnknownKey
+from .errors import PreconditionFailed, UnknownKey
 from .exactnum import CycNum, _int_mul, _numerators
-from .fusion import (FusionRing, Subcategory, check_subcategory,
-                     global_fpdim, pointed_part, restricted_blocks, sub_fpdim)
-from .premod import (PremodAnalysis, SMatrix, centralizer, m_map,
+from .fusion import (FusionRing, Subcategory, global_fpdim, pointed_part,
+                     restricted_blocks, sub_fpdim)
+from .premod import (SMatrix, centralizer, m_map,
                      matched_groups, verify_cor_4_16, verify_cor_4_18,
                      verify_eq_4_3, verify_eq_4_15, verify_eq_4_20,
                      verify_prop_4_12, verify_prop_4_21, verify_rem_4_25,
@@ -128,8 +128,10 @@ class Target:
         return self._once("pointed", lambda: pointed_part(self.ring))
 
     @property
-    def analysis(self) -> PremodAnalysis:
-        return self._once("analysis", lambda: m_map(self))
+    def center(self) -> Subcategory:
+        """The Müger center C', the centralizer of the whole ring
+        (`premod.m_map`)."""
+        return self._once("center", lambda: m_map(self))
 
     @property
     def numerators(self) -> tuple[int, int, list[list[int]]]:
@@ -189,10 +191,10 @@ class Target:
                                                     inner.members))
 
     def meet(self, a: Subcategory, b: Subcategory) -> Subcategory:
-        """The intersection of two subcategories."""
+        """The intersection of two subcategories, which holds the unit and
+        every product and dual of its members, as each of them does."""
         members = tuple(sorted(set(a.members) & set(b.members)))
-        return self._once(("meet", members),
-                          lambda: check_subcategory(self.ring, members))
+        return self._once(("meet", members), lambda: Subcategory(members))
 
     def centralizer(self, sub: Subcategory) -> Subcategory:
         """D': the objects that centralize every member of `sub`, the
@@ -201,8 +203,8 @@ class Target:
                           lambda: centralizer(self, sub))
 
     def center_trace(self, sub: Subcategory) -> Subcategory:
-        """D intersect the center of the matching analysis."""
-        return self.meet(sub, self.analysis.center)
+        """D intersect the Müger center."""
+        return self.meet(sub, self.center)
 
     def matched_groups(self, sub: Subcategory) -> dict:
         """R(D)_j: the members of `sub` matched to column j, with their
@@ -237,9 +239,9 @@ def _skip(check_id: str, params: dict, reason: str) -> CheckRecord:
 
 def default_subcategories(ring: FusionRing) -> list[Subcategory]:
     """The two canonical subcategories: the unit and the whole ring."""
-    subs = [check_subcategory(ring, {0})]
+    subs = [Subcategory((0,))]
     if ring.rank > 1:
-        subs.append(check_subcategory(ring, set(range(ring.rank))))
+        subs.append(Subcategory(tuple(range(ring.rank))))
     return subs
 
 
@@ -258,7 +260,7 @@ def _sort_key(record: CheckRecord):
 
 class _Row(NamedTuple):
     """One registry row: the ids its runner emits, what the runner needs
-    ("", "table" or "analysis"), what it ranges over ("once", "D" for each
+    ("", "table" or "smatrix"), what it ranges over ("once", "D" for each
     subcategory of the pool, "DA" for each ordered pair), the name of the
     runner in this module, and params fixed for all of its records."""
 
@@ -281,32 +283,27 @@ _REGISTRY = (
     _Row(("cor-3.9",), "", "D", "verify_cor_3_9_1"),
     _Row(("cor-3.9",), "table", "D", "verify_cor_3_9_2", {"claim": 2}),
     _Row(("lemma-3.12",), "", "DA", "verify_lemma_3_12"),
-    _Row(("eq-4.3",), "analysis", "once", "verify_eq_4_3"),
-    _Row(("thm-4.6",), "analysis", "once", "verify_thm_4_6"),
-    _Row(("thm-4.10",), "analysis", "once", "verify_thm_4_10"),
-    _Row(("eq-4.20",), "analysis", "once", "verify_eq_4_20"),
-    _Row(("rem-4.25",), "analysis", "once", "verify_rem_4_25"),
-    _Row(("prop-4.12",), "analysis", "D", "verify_prop_4_12"),
-    _Row(("eq-4.15",), "analysis", "D", "verify_eq_4_15"),
-    _Row(("cor-4.16",), "analysis", "D", "verify_cor_4_16"),
-    _Row(("cor-4.18",), "analysis", "D", "verify_cor_4_18"),
-    _Row(("prop-4.21",), "analysis", "D", "verify_prop_4_21"),
-    _Row(("thm-1.1",), "analysis", "D", "verify_thm_1_1"),
-    _Row(("eq-4.23", "thm-1.3"), "analysis", "once", "verify_thm_1_3"),
+    _Row(("eq-4.3",), "smatrix", "once", "verify_eq_4_3"),
+    _Row(("thm-4.6",), "smatrix", "once", "verify_thm_4_6"),
+    _Row(("thm-4.10",), "smatrix", "once", "verify_thm_4_10"),
+    _Row(("eq-4.20",), "smatrix", "once", "verify_eq_4_20"),
+    _Row(("rem-4.25",), "smatrix", "once", "verify_rem_4_25"),
+    _Row(("prop-4.12",), "smatrix", "D", "verify_prop_4_12"),
+    _Row(("eq-4.15",), "smatrix", "D", "verify_eq_4_15"),
+    _Row(("cor-4.16",), "smatrix", "D", "verify_cor_4_16"),
+    _Row(("cor-4.18",), "smatrix", "D", "verify_cor_4_18"),
+    _Row(("prop-4.21",), "smatrix", "D", "verify_prop_4_21"),
+    _Row(("thm-1.1",), "smatrix", "D", "verify_thm_1_1"),
+    _Row(("eq-4.23", "thm-1.3"), "smatrix", "once", "verify_thm_1_3"),
 )
 
 
 def _missing(target: Target, needs: str) -> Optional[str]:
     """Why rows with this requirement cannot run on the target, or None."""
-    if needs == "analysis" and target.smatrix is None:
+    if needs == "smatrix" and target.smatrix is None:
         return _NO_SMATRIX
     if needs and target.table is None:
         return _NO_TABLE
-    if needs == "analysis":
-        try:
-            target.analysis
-        except FuscatError as exc:  # data admitted no consistent matching
-            return f"matching analysis failed: {exc}"
     return None
 
 
@@ -516,10 +513,14 @@ def _show(value) -> str:
     return str(value)
 
 
+def _braces(members) -> str:
+    """An index set as text: {0,2,4}."""
+    return "{" + ",".join(map(str, members)) + "}"
+
+
 def render_markdown(report: VerificationReport) -> str:
     lines = [f"# verification report: {report.target}", ""]
-    subs = " ".join("{" + ",".join(map(str, m)) + "}"
-                    for m in report.subcategories)
+    subs = " ".join(map(_braces, report.subcategories))
     lines.append(f"subcategory pool: {subs}")
     lines.append("")
     lines.append("| check | params | lhs | rhs | status |")

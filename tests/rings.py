@@ -354,6 +354,21 @@ def centralizer_loop(ring, sm, sub) -> Subcategory:
                                            for i in sub.members)])
 
 
+def stabilizers_loop(target) -> tuple[tuple[int, ...], ...]:
+    """G_Y for each basis element Y by the rule `m_map` once applied: the g
+    in the center (the pair-product scan) that are invertible, X_g X_g* = 1,
+    and fix Y, N_gY^Y > 0.  `premod.verify_thm_1_3` drops the invertible
+    test, as its precondition has shown the center pointed."""
+    ring, tensor = target.ring, _dense(target.ring)
+    center = centralizer_loop(ring, target.smatrix,
+                              Subcategory(tuple(range(ring.rank))))
+    invertible = {g for g in range(ring.rank)
+                  if sum(tensor[g][ring.dual[g]]) == 1}
+    return tuple(tuple(g for g in center.members
+                       if g in invertible and tensor[g][y][y] > 0)
+                 for y in range(ring.rank))
+
+
 def eq_2_4_lhs_loop(target, l, k) -> CycNum:
     """sum_i alpha[i][l] alpha[i*][k]."""
     ring, alpha = target.ring, target.table.alpha

@@ -45,10 +45,6 @@ def _entries():
     return [builtin(key) for key in BUILTIN_KEYS]
 
 
-def _analysis(entry):
-    return m_map(_target(entry))
-
-
 def _target(entry):
     return Target(entry.key, entry.ring, entry.table, entry.smatrix)
 
@@ -159,7 +155,7 @@ def test_criterion_05_matching_fibers_are_center_cosets():
     cases.append((_su2k4_adjoint(), ((0, 1), (2,))))
     for entry, fibers in cases:
         key, target = entry.key, _target(entry)
-        center = _analysis(entry).center
+        center = m_map(target)
         # the fibers are the matched groups of the whole ring, over J_2
         groups = target.matched_groups(target.whole)
         got = tuple(sorted(b for b, _ in groups.values()))
@@ -201,7 +197,6 @@ def test_criterion_07_divisibility_verdicts():
     #     (Y=2), both integral, with dim(C^{M(Y)}) = d_Y^2/|G_Y| and
     #     |G_{X_2}| = 1, the center being {0}
     entry = builtin("su2k-4")
-    analysis = _analysis(entry)
     results = verify_thm_1_3(_target(entry))
     item1 = {r.params["Y"]: r for r in results
              if r.id == "thm-1.3" and r.params.get("item") == 1}
@@ -210,9 +205,9 @@ def test_criterion_07_divisibility_verdicts():
         r = item1[y]
         if not (r.passed and r.lhs == want):
             failures.append(("b", f"Y={y}", "value", r.lhs, "expected", want))
-    if len(analysis.stabilizers[2]) != 1:  # stated: |G_{X_2}| = 2
-        failures.append(("b", "|G_{X_2}|", len(analysis.stabilizers[2]),
-                         "expected", 1))
+    g_2 = eq423[2].params["stabilizer"]
+    if len(g_2) != 1:  # stated: |G_{X_2}| = 2
+        failures.append(("b", "|G_{X_2}|", len(g_2), "expected", 1))
     for y in (1, 2):
         if not eq423[y].passed:
             failures.append(("b", f"Y={y}", "class-dim identity"))
@@ -222,12 +217,11 @@ def test_criterion_07_divisibility_verdicts():
     #     value dim(C) dim(center)/d_2^2 = 6*2/4 = 3, and no item-2 record
     #     because the center does not act freely
     entry = _su2k4_adjoint()
-    analysis = _analysis(entry)
     results = verify_thm_1_3(_target(entry))
-    if len(analysis.stabilizers[2]) != 2:
-        failures.append(("b", "adjoint", "|G_{X_2}|",
-                         len(analysis.stabilizers[2]), "expected", 2))
     r = [r for r in results if r.id == "eq-4.23" and r.params["Y"] == 2][0]
+    if len(r.params["stabilizer"]) != 2:
+        failures.append(("b", "adjoint", "|G_{X_2}|",
+                         len(r.params["stabilizer"]), "expected", 2))
     if not (r.passed and r.lhs == 4):
         failures.append(("b", "adjoint", "class-dim identity", r.lhs))
     r = [r for r in results if r.id == "thm-1.3"

@@ -123,3 +123,19 @@ def test_every_field_in_src_is_read_in_src():
 
 def test_unread_field_list_names_fields():
     assert set(UNREAD_FIELDS) <= {qualname for qualname, _ in _fields()}
+
+
+def test_check_subcategory_runs_only_on_outside_input():
+    """Every subcategory `src/` derives is proven closed (the docstrings of
+    `premod.centralizer`, `fusion.pointed_part` and `verify.Target.meet`),
+    so only `verify --subcategory` hands `check_subcategory` its members."""
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "check_subcategory"
+                    for node in ast.walk(fn)):
+                callers.add(f"{path.stem}.{fn.name}")
+    assert callers == {"cli.cmd_verify"}

@@ -11,8 +11,8 @@ from fuscat.catalog import (BUILTIN_KEYS, CatalogEntry, _su2k, builtin,
 from fuscat.errors import UnknownKey
 from fuscat.exactnum import CycNum
 from fuscat.fusion import _dense, global_fpdim
-from fuscat.premod import muger_center
 from fuscat.serialize import dump_document, to_document
+from fuscat.verify import Target
 
 from rings import (fib_ring, golden, ising_ring, ising_smatrix_rows,
                    ising_table_rows, pointed_smatrix_rows, reps3_ring, sqrt2,
@@ -187,11 +187,14 @@ def test_pointed_matrix_matches_polarization_oracle():
         assert tuple(row) == tuple(orow)
 
 
+def _center(entry):
+    """The Müger center, read through a target of the entry."""
+    return Target(entry.key, entry.ring, entry.table, entry.smatrix).center
+
+
 def test_pointed_center_depends_on_form():
-    c1 = muger_center(builtin("pointed-z4-q1").ring,
-                      builtin("pointed-z4-q1").smatrix)
-    c2 = muger_center(builtin("pointed-z4-q2").ring,
-                      builtin("pointed-z4-q2").smatrix)
+    c1 = _center(builtin("pointed-z4-q1"))
+    c2 = _center(builtin("pointed-z4-q2"))
     assert c1.members == (0,)
     assert c2.members == (0, 2)
 
@@ -220,7 +223,7 @@ def test_product_ising_svec():
     entry = product("ising", "svec")
     assert entry.key == "ising*svec"
     assert entry.ring.rank == 6
-    center = muger_center(entry.ring, entry.smatrix)
+    center = _center(entry)
     # (1, 1) and (1, f) in the (i, ip) -> 2 i + ip flattening
     assert center.members == (0, 1)
 
@@ -228,7 +231,7 @@ def test_product_ising_svec():
 def test_product_svec_svec_is_symmetric():
     entry = product("svec", "svec")
     assert entry.ring.rank == 4
-    center = muger_center(entry.ring, entry.smatrix)
+    center = _center(entry)
     assert center.members == (0, 1, 2, 3)
 
 
@@ -278,7 +281,8 @@ def test_level4_symmetric_matrix_landscape():
                for i in range(r) for j in range(i + 1, r)):
             continue
         sm = validate_smatrix(ring, table, rows)
-        centers.setdefault(muger_center(ring, sm).members, []).append(assign)
+        center = Target("", ring, table, sm).center
+        centers.setdefault(center.members, []).append(assign)
     assert sorted(centers) == [(0,), (0, 1, 2, 3, 4), (0, 2, 4)]
     assert sorted(len(v) for v in centers.values()) == [1, 1, 2]
     # in particular no symmetric matrix makes exactly the boundary object
@@ -294,5 +298,5 @@ def test_pointed_center_is_kernel_subgroup(n, c):
 
     entry = builtin(f"pointed-z{n}-q{c}")
     step = n // math.gcd(c % n, n)
-    center = muger_center(entry.ring, entry.smatrix)
+    center = _center(entry)
     assert center.members == tuple(range(0, n, step))

@@ -31,8 +31,8 @@ loop, which a single perturbed H_{mn}^p with m != n reaches.
 by the integer kernel `_dot`, and the eq-2.4 sums, read from the codegrees
 and the column conductors, give the conductor and canonical form of the
 `CycNum` loops in `rings.py`, `support_JD` gives the support of the
-class-function route, and `centralizer` and `muger_center` give the
-centralizers of the pair-product scan.  The subcategory lattice, closures
+class-function route, and `centralizer` and the center `m_map` gives
+the centralizers of the pair-product scan.  The subcategory lattice, closures
 and restricted blocks, computed on support bitmasks, match the set-based
 powerset and search oracles.  The integer multiplicativity kernel behind the dimension,
 table-column and S-matrix-row checks names the pair the CycNum scans name,
@@ -66,7 +66,7 @@ from fuscat.fusion import (FusionRing, _dense, _derived,
                            enumerate_subcategories, restricted_blocks,
                            sub_fpdim, subcategory_closure,
                            validate_fusion_ring)
-from fuscat.premod import centralizer, muger_center, validate_smatrix
+from fuscat.premod import centralizer, m_map, validate_smatrix
 from fuscat.verify import Target, run_checks
 
 from rings import (
@@ -278,8 +278,8 @@ def test_support_matches_the_class_function_route_on_deligne_products(a, b):
                          + tuple(f"su2k-{k}" for k in range(5, 9)))
 def test_centralizers_match_the_pair_product_scan(key):
     """M^{-1}(J_D) is D' by Müger's criterion s_ii' = d_i d_i', multiplied
-    out, on every subcategory; the fiber over M(0) is the centralizer of the
-    whole ring."""
+    out, on every subcategory; the center `m_map` gives is the centralizer
+    of the whole ring."""
     entry = builtin(key)
     ring, sm = entry.ring, entry.smatrix
     target = Target(key, ring, entry.table, sm)
@@ -287,7 +287,7 @@ def test_centralizers_match_the_pair_product_scan(key):
     for sub in subs:
         assert centralizer(target, sub) == centralizer_loop(ring, sm, sub), \
             sub.members
-    assert muger_center(ring, sm) == centralizer_loop(ring, sm, subs[-1])
+    assert m_map(target) == centralizer_loop(ring, sm, subs[-1])
 
 
 def test_support_and_centralizers_make_no_sum_and_no_product(monkeypatch):

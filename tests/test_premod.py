@@ -1,6 +1,7 @@
 """S-matrix validation, centralizers, central elements, and the divisibility
 theorems, on hand-built exact data."""
 
+import itertools
 import math
 
 import pytest
@@ -20,7 +21,6 @@ from fuscat.premod import (
     centralizer,
     class_sum,
     m_map,
-    muger_center,
     validate_smatrix,
     verify_cor_4_16,
     verify_cor_4_18,
@@ -55,6 +55,8 @@ from rings import (
     reps3_table_rows,
     smatrix_rows_scan_first,
     sqrt2,
+    stabilizers_loop,
+    su2k4_adjoint_smatrix_rows,
 )
 
 ONE = CycNum.from_rational(1)
@@ -93,6 +95,15 @@ def _pointed(n, c):
     ring = group_ring(n)
     table = validate_character_table(ring, group_table_rows(n))
     sm = validate_smatrix(ring, table, pointed_smatrix_rows(n, c))
+    return ring, table, sm
+
+
+def _su2k4_adjoint():
+    """The adjoint objects X_0, X_4, X_2 of su2k-4 as a datum of their
+    own: the rep-s3 ring with the restricted sine matrix, center {0, 1}."""
+    ring = reps3_ring()
+    table = validate_character_table(ring, reps3_table_rows())
+    sm = validate_smatrix(ring, table, su2k4_adjoint_smatrix_rows())
     return ring, table, sm
 
 
@@ -164,24 +175,76 @@ def test_validate_smatrix_matches_the_scan_first_oracle(key):
 # centralizers
 # ---------------------------------------------------------------------------
 
+def _center(setup, *args):
+    return Target("", *setup(*args)).center
+
+
 def test_centralizer_oracles():
     ring, table, sm = _ising()
-    assert muger_center(ring, sm).members == (0,)
+    assert _center(_ising).members == (0,)
     sub = check_subcategory(ring, (0, 1))
     assert centralizer(Target("", ring, table, sm), sub).members == (0, 1)
-
-    svec_ring, _, svec_sm = _svec()
-    assert muger_center(svec_ring, svec_sm).members == (0, 1)
-
-    r3, _, sm3 = _reps3()
-    assert muger_center(r3, sm3).members == (0, 1, 2)
+    assert _center(_svec).members == (0, 1)
+    assert _center(_reps3).members == (0, 1, 2)
 
 
 def test_pointed_center_depends_on_form():
-    ring, _, sm1 = _pointed(4, 1)
-    assert muger_center(ring, sm1).members == (0,)
-    _, _, sm2 = _pointed(4, 2)
-    assert muger_center(ring, sm2).members == (0, 2)
+    assert _center(_pointed, 4, 1).members == (0,)
+    assert _center(_pointed, 4, 2).members == (0, 2)
+
+
+PRODUCT_KEYS = ("svec*svec*svec", "pointed-z4-q2*svec", "pointed-z4-q1*svec",
+                "rep-s3*svec", "rep-s3*pointed-z2-q1")
+ADJOINT = "su2k-4 adjoint"
+
+
+def _keyed_target(key):
+    if key == ADJOINT:
+        return Target(key, *_su2k4_adjoint())
+    entry = builtin(key)
+    return Target(key, entry.ring, entry.table, entry.smatrix)
+
+
+def _assert_centralizer_is_closed(t, members):
+    sub = Subcategory(tuple(sorted(members)))
+    check_subcategory(t.ring, centralizer(t, sub).members)
+
+
+@pytest.mark.parametrize("key", BUILTIN_KEYS + PRODUCT_KEYS + (ADJOINT,))
+def test_centralizer_of_every_index_set_is_a_subcategory(key):
+    """M^{-1}(J_D) passes `check_subcategory` for each of the 2^rank index
+    sets D, not only for subcategories (the proof is the docstring of
+    `premod.centralizer`)."""
+    t = _keyed_target(key)
+    for size in range(t.ring.rank + 1):
+        for members in itertools.combinations(range(t.ring.rank), size):
+            _assert_centralizer_is_closed(t, members)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_centralizer_of_any_index_set_is_a_subcategory_on_pointed_keys(data):
+    n = data.draw(st.integers(min_value=1, max_value=12), label="N")
+    c = data.draw(st.integers(min_value=0, max_value=n - 1), label="C")
+    members = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1)),
+                        label="D")
+    _assert_centralizer_is_closed(_keyed_target(f"pointed-z{n}-q{c}"),
+                                  members)
+
+
+@pytest.mark.parametrize("key", BUILTIN_KEYS + PRODUCT_KEYS + (ADJOINT,))
+def test_eq_4_23_stabilizers_match_the_invertible_filter(key):
+    """Where the center is pointed, the stabilizer of each eq-4.23 record
+    is G_Y by the old rule, invertible members of the center that fix Y;
+    elsewhere thm-1.3 refuses its precondition."""
+    t = _keyed_target(key)
+    if not set(t.center.members) <= set(t.pointed.members):
+        with pytest.raises(PreconditionFailed):
+            verify_thm_1_3(t)
+        return
+    got = [r.params["stabilizer"] for r in verify_thm_1_3(t)
+           if r.id == "eq-4.23"]
+    assert got == [list(g) for g in stabilizers_loop(t)]
 
 
 # ---------------------------------------------------------------------------
@@ -226,20 +289,19 @@ def _j2_and_fibers(t):
 def test_m_map_ising_injective():
     ring, table, sm = _ising()
     t = Target("", ring, table, sm)
-    an = m_map(t)
     assert sm.M == (0, 1, 2)
     assert _j2_and_fibers(t) == ((0, 1, 2), ((0,), (1,), (2,)))
-    assert an.center.members == (0,)
-    assert an.stabilizers == ((0,), (0,), (0,))
+    assert m_map(t).members == (0,)
+    assert [r.params["stabilizer"] for r in verify_thm_1_3(t)
+            if r.id == "eq-4.23"] == [[0], [0], [0]]
 
 
 def test_m_map_svec_constant():
     ring, table, sm = _svec()
     t = Target("", ring, table, sm)
-    an = m_map(t)
     assert sm.M == (0, 0)
     assert _j2_and_fibers(t) == ((0,), ((0, 1),))
-    assert an.center.members == (0, 1)
+    assert m_map(t).members == (0, 1)
 
 
 def test_m_map_pointed_multiplication():
@@ -431,10 +493,9 @@ def test_pointed_forms_validate_and_match_center(n, c):
     cc = c % n
     ring, table, sm = _pointed(n, cc)
     t = Target("", ring, table, sm)
-    an = t.analysis
     # transparent objects: b with n | c*a*b for all a, i.e. multiples of n/gcd
     step = n // math.gcd(cc, n)
-    assert an.center.members == tuple(range(0, n, step))
+    assert t.center.members == tuple(range(0, n, step))
     assert all_passed(verify_thm_4_10(t))
     assert all_passed(verify_thm_4_6(t))
 

@@ -20,10 +20,10 @@ import fuscat.verify
 from fuscat.catalog import BUILTIN_KEYS, builtin
 from fuscat.chartab import validate_character_table
 from fuscat.cli import main
-from fuscat.errors import UnknownKey
+from fuscat.errors import PsiNotCharacter, UnknownKey
 from fuscat.exactnum import CycNum
 from fuscat.fusion import enumerate_subcategories
-from fuscat.premod import SMatrix, validate_smatrix
+from fuscat.premod import validate_smatrix
 from fuscat.verify import (CHECK_IDS, CHECK_LEGEND, CheckRecord, Target,
                            VerificationReport, default_subcategories,
                            render_json, render_markdown, report_to_json,
@@ -348,34 +348,23 @@ def test_report_ok_property_reflects_failures():
     assert report.ok and report.summary["total"] == 0
 
 
-ANALYSIS_IDS = ("cor-4.16", "cor-4.18", "eq-4.15", "eq-4.20", "eq-4.23",
+SMATRIX_IDS = ("cor-4.16", "cor-4.18", "eq-4.15", "eq-4.20", "eq-4.23",
                 "eq-4.3", "prop-4.12", "prop-4.21", "rem-4.25", "thm-1.1",
                 "thm-1.3", "thm-4.10", "thm-4.6")
 
 
-def _unclosed_center_ising():
-    """Ising ring and table with a hand-built, unvalidated S-matrix whose
-    transparent set {0, 2} is not fusion-closed (s s = 1 + f), so the
-    center, and with it the matching analysis, fails.  The center is read
-    off the matching, so M sends 0 and 2 to the dimension column 0."""
+def test_a_non_character_row_is_refused_before_any_check():
+    """Ising ring and table with a symmetric matrix whose first row is the
+    dimensions and whose row 1, (1, -1, sqrt 2), is no Ising character:
+    `validate_smatrix` refuses it at row 1, so no target carries a matching
+    whose center is not closed, and no check needs to skip for that."""
     ring = ising_ring()
     table = validate_character_table(ring, ising_table_rows())
     one, r2 = CycNum.from_rational(1), ring.fpdims[2]
     s = ((one, one, r2), (one, -one, r2), (r2, r2, r2 * r2))
-    return Target("unclosed", ring, table, SMatrix(s=s, M=(0, 1, 0)))
-
-
-def test_failed_matching_analysis_skips_each_analysis_id_once():
-    report = run_checks(_unclosed_center_ising())
-    skipped = [c for c in report.checks
-               if c.skipped_reason is not None
-               and c.skipped_reason.startswith("matching analysis failed")]
-    assert sorted(c.id for c in skipped) == sorted(ANALYSIS_IDS)
-    assert all(c.params == {} for c in skipped)
-    assert {c.skipped_reason for c in skipped} == {
-        "matching analysis failed: subcategory failed at (2, 2, 1): not "
-        "closed under fusion"}
-    assert {c.id for c in report.checks} == set(CHECK_IDS)
+    with pytest.raises(PsiNotCharacter) as info:
+        validate_smatrix(ring, table, s)
+    assert info.value.row == 1
 
 
 def _count_derived_calls(monkeypatch, calls, args):
@@ -459,7 +448,7 @@ def test_skip_records_carry_the_row_params():
                        | {(cid, "{}") for cid in ("eq-2.4", "eq-2.7",
                                                    "eq-3.6", "eq-3.7",
                                                    "prop-3.4")}
-                       | {(cid, "{}") for cid in ANALYSIS_IDS})
+                       | {(cid, "{}") for cid in SMATRIX_IDS})
     report = _full_run("rep-s3")
     skipped = sorted((c.id, json.dumps(c.params, sort_keys=True))
                      for c in report.checks if c.passed is None)
@@ -604,10 +593,10 @@ def test_eq_2_4_reads_the_codegrees(monkeypatch):
 
 def test_eq_4_3_multiplies_nothing(monkeypatch):
     """eq-4.3 holds by the matching `validate_smatrix` found, so once the
-    matching analysis is taken its records cost no `CycNum` product."""
+    center is taken its records cost no `CycNum` product."""
     entry = builtin("su2k-20")
     target = Target("su2k-20", entry.ring, entry.table, entry.smatrix)
-    target.analysis
+    target.center
     calls = Counter()
     mul = CycNum.__mul__
 
