@@ -26,7 +26,7 @@ from .errors import (
 from .exactnum import ZERO, CycNum, _dot
 from .fusion import (FusionRing, Subcategory, _dense, _first_non_character,
                      global_fpdim)
-from .reports import CheckRecord
+from .reports import CheckRecord, _exact_key
 
 
 @dataclass(frozen=True)
@@ -92,11 +92,15 @@ def validate_character_table(ring: FusionRing, rows) -> CharacterTable:
                 raise SingularTable(f"columns {j} and {jj} coincide")
 
     total_dim = global_fpdim(ring)
-    codegrees, class_dims = [], []
+    codegrees, class_dims, inverses = [], [], {}
     for j in range(r):
         cod = _dot([(alpha[i][j], alpha[ring.dual[i]][j]) for i in range(r)])
         codegrees.append(cod)
-        class_dims.append(total_dim / cod)
+        # dim(C) / cod, with each distinct codegree inverted once
+        key = _exact_key(cod)
+        if key not in inverses:
+            inverses[key] = cod.inverse()
+        class_dims.append(total_dim * inverses[key])
 
     return CharacterTable(alpha=alpha, codegrees=tuple(codegrees),
                           class_dims=tuple(class_dims))
@@ -185,21 +189,18 @@ def characters_numeric(ring: FusionRing, seed: int = 0):
     rng = np.random.default_rng(seed)
     r = ring.rank
     tensor = np.array(_dense(ring), dtype=float)
-    mats = list(tensor)
+    upper = np.triu_indices(r, 1)
     for _ in range(MAX_RETRIES):
         coeff = rng.uniform(0.5, 1.5, size=r)
-        m = sum(c * mat for c, mat in zip(coeff, mats))
+        m = sum(c * mat for c, mat in zip(coeff, tensor))
         w, vec = np.linalg.eig(m)
-        gap = min(abs(w[a] - w[b]) for a in range(r) for b in range(a + 1, r)) \
-            if r > 1 else 1.0
+        gap = np.abs(w[upper[0]] - w[upper[1]]).min() if r > 1 else 1.0
         if gap < 1e-6:
             continue
         cols = []
-        for idx in range(r):
-            v = vec[:, idx]
+        for v in vec.T:
             anchor = int(np.argmax(np.abs(v)))
-            mu = np.array([(mat @ v)[anchor] / v[anchor] for mat in mats])
-            cols.append(mu)
+            cols.append((tensor @ v)[:, anchor] / v[anchor])
         alpha_num = np.array(cols).T  # rows = basis, columns = characters
         if _is_numeric_character_table(tensor, alpha_num):
             order = np.lexsort((np.round(w.imag, 9), np.round(w.real, 9)))
@@ -236,15 +237,13 @@ def match_numeric_columns(table: CharacterTable, numeric,
     exact = np.array([[table.alpha[i][j].embed_complex() for j in range(r)]
                       for i in range(r)])
     bound = tol * np.maximum(1.0, np.abs(exact).max(axis=1))
+    # close[j, jn]: exact column j is numeric column jn to within the bound
+    close = (np.abs(exact[:, :, None] - numeric[:, None, :])
+             <= bound[:, None, None]).all(axis=0)
     used, perm = set(), []
     for j in range(r):
-        best = None
-        for jn in range(r):
-            if jn in used:
-                continue
-            if np.all(np.abs(exact[:, j] - numeric[:, jn]) <= bound):
-                best = jn
-                break
+        best = next((jn for jn in map(int, np.flatnonzero(close[j]))
+                     if jn not in used), None)
         if best is None:
             raise ValueError(f"no numeric column matches exact column {j} within {tol}")
         used.add(best)

@@ -89,7 +89,10 @@ class IntPoly:
         return " ".join(terms) if terms else "0"
 
 
+@functools.cache
 def euler_phi(n: int) -> int:
+    """phi(n) by trial division, kept per n: a document names a few
+    conductors many times."""
     if n < 1:
         raise ValueError("conductor must be positive")
     result, m, p = n, n, 2

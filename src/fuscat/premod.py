@@ -42,24 +42,22 @@ class SMatrix:
 # validation
 # ---------------------------------------------------------------------------
 
-def _match_column(table: CharacterTable, psi) -> int | None:
-    """Table column equal to the normalized row psi, unique because the
-    columns are distinct; None when there is none."""
-    for j in range(table.rank):
-        if all(table.alpha[a][j] == x for a, x in enumerate(psi)):
-            return j
-    return None
-
-
 def validate_smatrix(ring: FusionRing, table: CharacterTable, rows) -> SMatrix:
     """Symmetry, first row, and each normalized row psi_i = s_i / d_i equal
     to a table column, which is M[i].
+
+    Row i matches column j iff s_ia = d_i alpha[a][j] for every a >= 1, so
+    no d_i is inverted.  At a = 0 it holds for every j: s_i0 = s_0i = d_i by
+    the symmetry and first-row checks, and alpha[0][j] = 1 in a validated
+    table.  As d_i > 0, this is psi_i = column j, and the columns are
+    distinct, so at most one j matches.
 
     A row that equals a column is a character: the table was validated, and
     `validate_character_table` proves the same identities psi(a) psi(b) =
     sum_c N_ab^c psi(c).  A row that matches no column is not a character:
     the r distinct columns of a validated table are all r characters of the
-    ring.  It raises PsiNotCharacter, naming its first failing pair."""
+    ring.  It raises PsiNotCharacter, naming the first failing pair of
+    psi_i, which only then is formed."""
     if ring.fpdims is None:
         raise ExactDataMissing("s-matrix validation needs exact dimensions")
     r = ring.rank
@@ -74,14 +72,15 @@ def validate_smatrix(ring: FusionRing, table: CharacterTable, rows) -> SMatrix:
     for i in range(r):
         if s[0][i] != ring.fpdims[i]:
             raise BadFirstRow(f"entry {i} of the first row is not the dimension")
+    alpha = table.alpha
     m = []
-    for i in range(r):
-        inv = ring.fpdims[i].inverse()
-        psi = [x * inv for x in s[i]]
-        j = _match_column(table, psi)
+    for i, (d, row) in enumerate(zip(ring.fpdims, s)):
+        j = next((j for j in range(r)
+                  if all(row[a] == d * alpha[a][j] for a in range(1, r))), None)
         if j is None:
+            inv = d.inverse()
             raise PsiNotCharacter(i, _first_non_character(
-                ring.nonzero, ring.generators, psi))
+                ring.nonzero, ring.generators, [x * inv for x in row]))
         m.append(j)
     return SMatrix(s=s, M=tuple(m))
 

@@ -35,12 +35,25 @@ def cycnum_to_json(a: CycNum) -> dict:
     return {"conductor": a.conductor, "coeffs": coeffs}
 
 
-def cycnum_from_json(obj) -> CycNum:
+_SCALAR_KEYS = frozenset({"conductor", "coeffs", "approx"})
+
+
+def cycnum_from_json(obj, memo: dict | None = None) -> CycNum:
+    """The scalar a document object writes; SchemaError names its first
+    structural fault.
+
+    `memo`, when given, maps (conductor, repr(coeffs)) of each scalar parsed
+    so far to its value, and a repeated scalar is read from it with no pair
+    checked again.  The key is exact about types: True == 1 == 1.0 and the
+    three hash alike, but repr writes them apart, so on the values JSON
+    decodes to a hit is a coefficient list that the same checks passed at
+    the same conductor.  A list that repr cannot write (nested past the
+    stack, or with an int past the int-to-str digit limit) skips the memo."""
     if not isinstance(obj, dict):
         raise SchemaError(f"scalar must be an object, got {type(obj).__name__}")
-    extra = set(obj) - {"conductor", "coeffs", "approx"}
-    if extra:
-        raise SchemaError(f"unexpected scalar keys {sorted(extra)}")
+    if not obj.keys() <= _SCALAR_KEYS:
+        raise SchemaError(
+            f"unexpected scalar keys {sorted(obj.keys() - _SCALAR_KEYS)}")
     n = obj.get("conductor")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise SchemaError("scalar conductor must be a positive integer")
@@ -55,6 +68,14 @@ def cycnum_from_json(obj) -> CycNum:
     if not isinstance(coeffs, list) or count != euler_phi(n):
         raise SchemaError(
             f"scalar of conductor {n} needs exactly {euler_phi(n)} coefficients")
+    key = None
+    if memo is not None:
+        try:
+            key = (n, repr(coeffs))
+        except (RecursionError, ValueError):
+            pass
+        if key in memo:
+            return memo[key]
     for pair in coeffs:
         if (not isinstance(pair, list) or len(pair) != 2
                 or not isinstance(pair[0], int) or isinstance(pair[0], bool)
@@ -66,7 +87,10 @@ def cycnum_from_json(obj) -> CycNum:
     # num/den == num * (den_lcm // den) / den_lcm, also for a negative den
     den_lcm = lcm(*(den for _, den in coeffs))
     nums = [num * (den_lcm // den) for num, den in coeffs]
-    return CycNum._from_ints(n, nums, den_lcm)
+    value = CycNum._from_ints(n, nums, den_lcm)
+    if key is not None:
+        memo[key] = value
+    return value
 
 
 def advisory_complex(value: CycNum) -> complex | None:
@@ -138,9 +162,9 @@ def _require(obj, key, kind, rank=None):
     return value
 
 
-def _scalar(value, key, conductor) -> CycNum:
+def _scalar(value, key, conductor, memo) -> CycNum:
     """One scalar of field `key`, whose conductor must divide the document's."""
-    c = cycnum_from_json(value)
+    c = cycnum_from_json(value, memo)
     if conductor % c.conductor:
         raise SchemaError(
             f"scalar conductor {c.conductor} in '{key}' does not "
@@ -148,7 +172,7 @@ def _scalar(value, key, conductor) -> CycNum:
     return c
 
 
-def _scalar_matrix(obj, key, rank, conductor):
+def _scalar_matrix(obj, key, rank, conductor, memo):
     rows = obj[key]
     if not isinstance(rows, list) or len(rows) != rank:
         raise SchemaError(f"field '{key}' must be a {rank} x {rank} matrix")
@@ -156,7 +180,7 @@ def _scalar_matrix(obj, key, rank, conductor):
     for row in rows:
         if not isinstance(row, list) or len(row) != rank:
             raise SchemaError(f"field '{key}' must be a {rank} x {rank} matrix")
-        out.append([_scalar(v, key, conductor) for v in row])
+        out.append([_scalar(v, key, conductor, memo) for v in row])
     return out
 
 
@@ -202,17 +226,19 @@ def from_document(obj):
         if not 0 <= v < rank:
             raise SchemaError(f"dual index {v} out of range")
 
+    # each distinct scalar is parsed once; the memo goes when this returns
+    memo = {}
     fpdims = None
     if obj.get("fpdims") is not None:
-        fpdims = tuple(_scalar(v, "fpdims", conductor)
+        fpdims = tuple(_scalar(v, "fpdims", conductor, memo)
                        for v in _require(obj, "fpdims", list, rank))
 
     table_rows = None
     if obj.get("char_table") is not None:
-        table_rows = _scalar_matrix(obj, "char_table", rank, conductor)
+        table_rows = _scalar_matrix(obj, "char_table", rank, conductor, memo)
     smatrix_rows = None
     if obj.get("smatrix") is not None:
-        smatrix_rows = _scalar_matrix(obj, "smatrix", rank, conductor)
+        smatrix_rows = _scalar_matrix(obj, "smatrix", rank, conductor, memo)
     if smatrix_rows is not None and table_rows is None:
         raise SchemaError("an smatrix requires a char_table to check its "
                           "rows against")

@@ -14,11 +14,11 @@ import numpy as np
 from fuscat.chartab import validate_character_table
 from fuscat.errors import (DegenerateSpectrum, ExactDataMissing,
                            InconsistentCoset, NotAlgebraMap, PsiNotCharacter,
-                           ValidationError)
+                           SchemaError, ValidationError)
 from fuscat.exactnum import (CycNum, _divide, _dot, _int_mul, _numerators,
                              _reduce, euler_phi)
-from fuscat.fusion import (Subcategory, _dense, check_subcategory,
-                           validate_fusion_ring)
+from fuscat.fusion import (Subcategory, _dense, _first_non_character,
+                           check_subcategory, validate_fusion_ring)
 from fuscat.premod import SMatrix, validate_smatrix
 from fuscat.serialize import value_to_json
 from fuscat.verify import _report_fields
@@ -650,6 +650,26 @@ def smatrix_rows_scan_first(ring, table, s) -> SMatrix:
     return SMatrix(s=tuple(tuple(row) for row in s), M=tuple(m))
 
 
+def smatrix_rows_by_inverse(ring, table, s) -> SMatrix:
+    """Row loop of `validate_smatrix` before rows were cross-multiplied: it
+    forms psi_i = s_i d_i^-1 with one norm inverse per row and takes the
+    first table column equal to it, else raises PsiNotCharacter with the
+    kernel's first failing pair of psi_i.  It starts after the symmetry and
+    first-row checks, so `s` must pass them."""
+    r = ring.rank
+    m = []
+    for i in range(r):
+        inv = ring.fpdims[i].inverse()
+        psi = [x * inv for x in s[i]]
+        cols = [j for j in range(r)
+                if all(table.alpha[a][j] == x for a, x in enumerate(psi))]
+        if not cols:
+            raise PsiNotCharacter(i, _first_non_character(
+                ring.nonzero, ring.generators, psi))
+        m.append(cols[0])
+    return SMatrix(s=tuple(tuple(row) for row in s), M=tuple(m))
+
+
 # ---------------------------------------------------------------------------
 # the numeric cross-check with its residual scanned pair by pair
 # ---------------------------------------------------------------------------
@@ -669,7 +689,9 @@ def numeric_residual_ok_loop(tensor, alpha_num) -> bool:
 
 
 def characters_numeric_loop(ring, seed: int = 0, max_retries: int = 8):
-    """`characters_numeric` with the pair-by-pair residual."""
+    """`characters_numeric` with the pair-by-pair residual, the gap as
+    Python's min over the pairs, and each character value as one matrix
+    product per basis element, (N_i @ v)[anchor] / v[anchor]."""
     rng = np.random.default_rng(seed)
     r, tensor = ring.rank, _dense(ring)
     mats = [np.array(tensor[i], dtype=float) for i in range(r)]
@@ -691,6 +713,30 @@ def characters_numeric_loop(ring, seed: int = 0, max_retries: int = 8):
             order = np.lexsort((np.round(w.imag, 9), np.round(w.real, 9)))
             return alpha_num[:, order]
     raise DegenerateSpectrum(f"no separated spectrum after {max_retries} draws")
+
+
+def match_numeric_columns_loop(table, numeric, tol: float = 1e-8) -> list[int]:
+    """`match_numeric_columns` comparing one (exact, numeric) column pair at
+    a time: exact column j takes the first unused numeric column within
+    tol * max(1, largest |exact value|) of its row."""
+    r = table.rank
+    exact = np.array([[table.alpha[i][j].embed_complex() for j in range(r)]
+                      for i in range(r)])
+    bound = tol * np.maximum(1.0, np.abs(exact).max(axis=1))
+    used, perm = set(), []
+    for j in range(r):
+        best = None
+        for jn in range(r):
+            if jn in used:
+                continue
+            if np.all(np.abs(exact[:, j] - numeric[:, jn]) <= bound):
+                best = jn
+                break
+        if best is None:
+            raise ValueError(f"no numeric column matches exact column {j} within {tol}")
+        used.add(best)
+        perm.append(best)
+    return perm
 
 
 def fpdim_numeric(tensor) -> tuple[float, ...]:
@@ -724,6 +770,64 @@ def fpdim_numeric(tensor) -> tuple[float, ...]:
             raise ArithmeticError(f"power iteration did not settle for matrix {i}")
         dims.append(lam - 1.0)
     return tuple(dims)
+
+
+# ---------------------------------------------------------------------------
+# the document scalar parser, one scalar at a time with no memo
+# ---------------------------------------------------------------------------
+
+def cycnum_from_json_loop(obj) -> CycNum:
+    """`serialize.cycnum_from_json` before it kept a memo: every check on
+    every scalar."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"scalar must be an object, got {type(obj).__name__}")
+    extra = set(obj) - {"conductor", "coeffs", "approx"}
+    if extra:
+        raise SchemaError(f"unexpected scalar keys {sorted(extra)}")
+    n = obj.get("conductor")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise SchemaError("scalar conductor must be a positive integer")
+    coeffs = obj.get("coeffs")
+    count = len(coeffs) if isinstance(coeffs, list) else 0
+    if n > 2 * count * count:
+        raise SchemaError(
+            f"scalar of conductor {n} needs more than {count} coefficients")
+    if not isinstance(coeffs, list) or count != euler_phi(n):
+        raise SchemaError(
+            f"scalar of conductor {n} needs exactly {euler_phi(n)} coefficients")
+    for pair in coeffs:
+        if (not isinstance(pair, list) or len(pair) != 2
+                or not isinstance(pair[0], int) or isinstance(pair[0], bool)
+                or not isinstance(pair[1], int) or isinstance(pair[1], bool)):
+            raise SchemaError("coefficients must be [numerator, denominator] "
+                              "integer pairs")
+        if pair[1] == 0:
+            raise SchemaError("zero denominator in coefficient")
+    den_lcm = math.lcm(*(den for _, den in coeffs))
+    nums = [num * (den_lcm // den) for num, den in coeffs]
+    return CycNum._from_ints(n, nums, den_lcm)
+
+
+def document_scalars_loop(doc) -> dict[str, list[CycNum]]:
+    """The scalars of a document whose other fields are well formed, by
+    field in the order `from_document` reads them (the matrices row by
+    row), each parsed by `cycnum_from_json_loop` and its conductor checked
+    against the document's."""
+    out = {}
+    for field in ("fpdims", "char_table", "smatrix"):
+        if doc.get(field) is None:
+            continue
+        flat = doc[field] if field == "fpdims" else [v for row in doc[field]
+                                                     for v in row]
+        out[field] = []
+        for obj in flat:
+            c = cycnum_from_json_loop(obj)
+            if doc["conductor"] % c.conductor:
+                raise SchemaError(
+                    f"scalar conductor {c.conductor} in '{field}' does not "
+                    f"divide the document conductor {doc['conductor']}")
+            out[field].append(c)
+    return out
 
 
 # ---------------------------------------------------------------------------

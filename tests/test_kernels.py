@@ -55,7 +55,8 @@ import fuscat.fusion
 import fuscat.verify
 from fuscat.catalog import BUILTIN_KEYS, builtin
 from fuscat.chartab import (_is_numeric_character_table, characters_numeric,
-                            support_JD, validate_character_table, verify_eq_2_4)
+                            match_numeric_columns, support_JD,
+                            validate_character_table, verify_eq_2_4)
 from fuscat.cosets import (hecke_constants, verify_eq_3_1, verify_eq_3_6,
                            verify_eq_3_7)
 from fuscat.errors import (DegenerateSpectrum, FuscatError, InconsistentCoset,
@@ -63,10 +64,11 @@ from fuscat.errors import (DegenerateSpectrum, FuscatError, InconsistentCoset,
 from fuscat.exactnum import CycNum, _int_mul
 from fuscat.fusion import (FusionRing, _dense, _derived,
                            _first_non_character, _mask, deligne_product,
-                           enumerate_subcategories, restricted_blocks,
-                           sub_fpdim, subcategory_closure,
+                           enumerate_subcategories, global_fpdim,
+                           restricted_blocks, sub_fpdim, subcategory_closure,
                            validate_fusion_ring)
 from fuscat.premod import centralizer, m_map, validate_smatrix
+from fuscat.reports import _exact_key
 from fuscat.verify import Target, run_checks
 
 from rings import (
@@ -95,10 +97,12 @@ from rings import (
     k_mul_dense,
     k_mul_loop,
     lucas,
+    match_numeric_columns_loop,
     numeric_residual_ok_loop,
     proven_closure,
     reps3_ring,
     restricted_blocks_sets,
+    smatrix_rows_by_inverse,
     smatrix_rows_scan_first,
     subcategory_closure_sets,
     sum_of_products,
@@ -887,6 +891,81 @@ def test_kernel_on_columns_that_mix_conductor_one_with_conductor_eight():
     assert None in witnesses and len(named) > 3
 
 
+# ---------------------------------------------------------------------------
+# S-matrix rows matched by cross-multiplication against the inverse matcher
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("key", KEYS)
+def test_cross_multiplied_matching_equals_the_inverse_matcher(key):
+    entry = builtin(key)
+    ring, table, s = entry.ring, entry.table, entry.smatrix.s
+    assert (validate_smatrix(ring, table, s).M
+            == smatrix_rows_by_inverse(ring, table, s).M)
+
+
+def _assert_same_witness_as_the_inverse_matcher(ring, table, s):
+    assert (_scan_outcome(validate_smatrix, ring, table, s)
+            == _scan_outcome(smatrix_rows_by_inverse, ring, table, s))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_cross_multiplied_matching_names_the_inverse_matchers_witness(data):
+    """One symmetric corruption off the first row and column, so that only
+    the row matching can reject it; the rationals over conductor 1 or not."""
+    entry = builtin(data.draw(st.sampled_from(KEYS)))
+    ring, table, r = entry.ring, entry.table, entry.ring.rank
+    if r == 1:
+        return
+    lower = _lowered if data.draw(st.booleans()) else (lambda v: v)
+    s = [[lower(v) for v in row] for row in entry.smatrix.s]
+    i = data.draw(st.integers(1, r - 1))
+    a = data.draw(st.integers(i, r - 1))
+    s[i][a] = s[a][i] = data.draw(st.sampled_from(CORRUPTIONS))(s[i][a])
+    _assert_same_witness_as_the_inverse_matcher(ring, table, s)
+
+
+@pytest.mark.parametrize("key", ("ising", "su2k-4", "rep-s3"))
+def test_every_corrupted_smatrix_entry_names_the_inverse_matchers_witness(key):
+    entry = builtin(key)
+    ring, table, r = entry.ring, entry.table, entry.ring.rank
+    named = set()
+    for i in range(1, r):
+        for a in range(i, r):
+            for corrupt in CORRUPTIONS:
+                s = [list(row) for row in entry.smatrix.s]
+                s[i][a] = s[a][i] = corrupt(s[i][a])
+                _assert_same_witness_as_the_inverse_matcher(ring, table, s)
+                named.add(_scan_outcome(validate_smatrix, ring, table, s))
+    assert any(w is not None and w[0] is PsiNotCharacter for w in named)
+
+
+# ---------------------------------------------------------------------------
+# class dimensions with each distinct codegree inverted once
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("key", KEYS + ("su2k-10",))
+def test_class_dims_are_the_quotients_by_each_codegree(key, monkeypatch):
+    """dim(C) / cod_j in the canonical form of the division, with one
+    inverse per distinct codegree: su2k-K has cod_j = cod_{K-j}."""
+    entry = builtin(key)
+    ring = entry.ring
+    total = global_fpdim(ring)
+    inverse, inverted = CycNum.inverse, []
+
+    def counting(self):
+        inverted.append(_exact_key(self))
+        return inverse(self)
+    monkeypatch.setattr(CycNum, "inverse", counting)
+    table = validate_character_table(ring, entry.table.alpha)
+    monkeypatch.undo()
+    assert ([_exact_key(c) for c in table.class_dims]
+            == [_exact_key(total / cod) for cod in table.codegrees])
+    assert sorted(inverted) == sorted(set(map(_exact_key, table.codegrees)))
+    if key == "su2k-10":
+        assert len(inverted) == 6 < ring.rank
+
+
 def _counting_products(monkeypatch):
     """The list that every `_int_mul` call of `fuscat.fusion` appends to."""
     products = []
@@ -1065,6 +1144,50 @@ def test_characters_numeric_is_bit_identical_to_the_loop(key):
         else:
             assert np.array_equal(fast, slow)
             assert fast.dtype == slow.dtype and fast.tobytes() == slow.tobytes()
+
+
+@pytest.mark.parametrize("key", CHARACTER_KEYS)
+def test_batched_cross_check_is_bit_identical_to_the_per_matrix_loop(key):
+    """The gap over the upper triangle, the character values of one
+    ``tensor @ v`` per eigenvector and the all-pairs column comparison give
+    the loops' array, bit for bit, and the loops' permutation."""
+    entry = builtin(key)
+    for seed in (0, 7, 11):
+        fast = characters_numeric(entry.ring, seed=seed)
+        slow = characters_numeric_loop(entry.ring, seed=seed)
+        assert np.array_equal(fast, slow) and fast.tobytes() == slow.tobytes()
+        assert (match_numeric_columns(entry.table, fast)
+                == match_numeric_columns_loop(entry.table, slow))
+
+
+def _match_outcome(match, table, numeric, tol):
+    try:
+        return match(table, numeric, tol=tol)
+    except ValueError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("key", ("ising", "fib", "rep-s3", "su2k-4",
+                                 "pointed-z4-q1", "ising*svec"))
+def test_batched_column_match_takes_the_loops_first_unused_match(key):
+    """Numeric columns drawn with repeats, some entries NaN, and tolerances
+    loose enough that one exact column is near several numeric ones: the
+    same permutation, or the same column named as unmatched."""
+    entry = builtin(key)
+    r = entry.ring.rank
+    base = characters_numeric(entry.ring, seed=0)
+    rng = random.Random(key)
+    outcomes = set()
+    for _ in range(60):
+        numeric = base[:, [rng.randrange(r) for _ in range(r)]]
+        if rng.random() < 0.3:
+            numeric[rng.randrange(r), rng.randrange(r)] = np.nan
+        tol = rng.choice((1e-8, 1e-2, 10.0))
+        fast = _match_outcome(match_numeric_columns, entry.table, numeric, tol)
+        assert fast == _match_outcome(match_numeric_columns_loop, entry.table,
+                                      numeric, tol)
+        outcomes.add(isinstance(fast, str))
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("key", ("trivial", "ising", "fib", "rep-s3",

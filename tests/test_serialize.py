@@ -13,7 +13,9 @@ from fuscat.serialize import (cycnum_from_json, cycnum_to_json, dump_document,
                               from_document, load_document, to_document,
                               value_to_json)
 
-from rings import fp_column, sqrt2
+from fuscat.reports import _exact_key
+
+from rings import document_scalars_loop, fp_column, sqrt2
 
 
 def test_cycnum_round_trip_preserves_conductor_and_coeffs():
@@ -260,3 +262,149 @@ def test_cycnum_json_agrees_with_a_fraction_reference(obj):
     back = cycnum_from_json(json.loads(json.dumps(out)))
     assert (back.conductor, back._nums, back._den) == (
         value.conductor, value._nums, value._den)
+
+
+# ---------------------------------------------------------------------------
+# the memoised parse against the scalar-at-a-time oracle
+# ---------------------------------------------------------------------------
+
+PARSE_KEYS = ("svec", "ising", "fib", "rep-s3", "su2k-4", "pointed-z3-q1",
+              "ising*svec")
+
+
+def _nested(depth):
+    value = 1
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def _scaled(obj, k):
+    return dict(obj, coeffs=[[k * num, k * den] for num, den in obj["coeffs"]])
+
+
+def _set_pair(obj, slot, value):
+    pairs = [list(p) for p in obj["coeffs"]]
+    pairs[0][slot] = value
+    return dict(obj, coeffs=pairs)
+
+
+# Each maps a valid scalar object to another.  Those that the schema accepts
+# keep its value, so that the validators accept the document.
+SCALAR_MUTATIONS = {
+    "negated pairs": lambda o: _scaled(o, -1),
+    "scaled pairs": lambda o: _scaled(o, 6),
+    "past the int-to-str digit limit": lambda o: _scaled(o, 10 ** 5000),
+    "approx key": lambda o: dict(o, approx=[0.0, 0.0]),
+    "doubled conductor": lambda o: cycnum_to_json(
+        cycnum_from_json(o).change_conductor(2 * o["conductor"])),
+    "bool numerator": lambda o: _set_pair(o, 0, o["coeffs"][0][0] == 1),
+    "bool denominator": lambda o: _set_pair(o, 1, True),
+    "float numerator": lambda o: _set_pair(o, 0, float(o["coeffs"][0][0])),
+    "float denominator": lambda o: _set_pair(o, 1, 1.0),
+    "zero denominator": lambda o: _set_pair(o, 1, 0),
+    "negative denominator": lambda o: dict(o, coeffs=[
+        [-o["coeffs"][0][0], -o["coeffs"][0][1]]] + o["coeffs"][1:]),
+    "bool conductor": lambda o: dict(o, conductor=True),
+    "float conductor": lambda o: dict(o, conductor=float(o["conductor"])),
+    "zero conductor": lambda o: dict(o, conductor=0),
+    "extra pair": lambda o: dict(o, coeffs=o["coeffs"] + [[0, 1]]),
+    "missing pair": lambda o: dict(o, coeffs=o["coeffs"][:-1]),
+    "triple": lambda o: dict(o, coeffs=[o["coeffs"][0] + [1]] + o["coeffs"][1:]),
+    "nested past the stack": lambda o: _set_pair(o, 0, _nested(5000)),
+    "extra key": lambda o: dict(o, twist=1),
+}
+
+
+def _positions(doc):
+    """(field, row or None, column) of every scalar, in document order."""
+    out = [("fpdims", None, i) for i in range(len(doc["fpdims"]))]
+    for field in ("char_table", "smatrix"):
+        out += [(field, i, j) for i, row in enumerate(doc[field])
+                for j in range(len(row))]
+    return out
+
+
+def _at(doc, where):
+    field, i, j = where
+    return doc[field][j] if i is None else doc[field][i][j]
+
+
+def _put(doc, where, obj):
+    field, i, j = where
+    if i is None:
+        doc[field][j] = obj
+    else:
+        doc[field][i][j] = obj
+
+
+def _keys(values):
+    return [_exact_key(v) for v in values]
+
+
+def _memoised_outcome(doc):
+    try:
+        ring, table, smatrix = from_document(doc)
+    except SchemaError as err:
+        return str(err)
+    return {"fpdims": _keys(ring.fpdims),
+            "char_table": _keys(v for row in table.alpha for v in row),
+            "smatrix": _keys(v for row in smatrix.s for v in row)}
+
+
+def _oracle_outcome(doc):
+    try:
+        scalars = document_scalars_loop(doc)
+    except SchemaError as err:
+        return str(err)
+    return {field: _keys(values) for field, values in scalars.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_memoised_parse_gives_the_oracles_value_or_message(data):
+    """Scalars mutated in place or copied over later ones, so that a
+    document repeats good and bad scalars: the memoised route names the
+    first bad one with the oracle's text, or reads the oracle's values."""
+    entry = builtin(data.draw(st.sampled_from(PARSE_KEYS)))
+    base = to_document(entry.ring, entry.table, entry.smatrix)
+    doc = json.loads(dump_document(base))
+    positions = _positions(doc)
+    for _ in range(data.draw(st.integers(1, 4))):
+        where = data.draw(st.sampled_from(positions))
+        if data.draw(st.booleans()):
+            how = data.draw(st.sampled_from(sorted(SCALAR_MUTATIONS)))
+            _put(doc, where, SCALAR_MUTATIONS[how](_at(base, where)))
+        else:
+            # the scalar, as it now stands, over a later one of equal value
+            same = [p for p in positions
+                    if p > where and _at(base, p) == _at(base, where)]
+            if same:
+                _put(doc, data.draw(st.sampled_from(same)), _at(doc, where))
+    assert _memoised_outcome(doc) == _oracle_outcome(doc)
+
+
+@pytest.mark.parametrize("how", sorted(SCALAR_MUTATIONS))
+def test_memoised_parse_matches_the_oracle_on_each_mutation(how):
+    """Each mutation on the last copy of a scalar the document repeats,
+    after the memo holds its valid form."""
+    entry = builtin("ising")
+    doc = to_document(entry.ring, entry.table, entry.smatrix)
+    where = _positions(doc)[-1]
+    first = _at(doc, where)
+    assert sum(_at(doc, p) == first for p in _positions(doc)) > 1
+    _put(doc, where, SCALAR_MUTATIONS[how](first))
+    assert _memoised_outcome(doc) == _oracle_outcome(doc)
+
+
+def test_bool_pair_after_the_same_int_pair_is_refused():
+    """[[true, 1]] after [[1, 1]] in one document: True == 1 and the two
+    hash alike, so only a type-exact key refuses the second."""
+    doc = json.loads(dump_document(_base_doc()))
+    one = {"conductor": 2, "coeffs": [[1, 1]]}
+    assert doc["char_table"][0][0] == doc["char_table"][0][1] == one
+    doc["char_table"][0][1] = {"conductor": 2, "coeffs": [[True, 1]]}
+    with pytest.raises(SchemaError) as exc:
+        from_document(doc)
+    assert str(exc.value) == ("coefficients must be [numerator, denominator] "
+                              "integer pairs")
