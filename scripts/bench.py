@@ -14,8 +14,11 @@ VALIDATE_EXTRA, whose ranks exceed the enumeration bound of
 `--all-subcategories`, and `python -m fuscat validate DOC` for each ladder
 key and for VALIDATE_EXTRA.  The documents are written once,
 before any op runs, from the working tree's catalog entries
-(`serialize.to_document`), into one temporary directory that both sides
-read, so the path each `validate` prints is the same on both.  Two source
+(`serialize.to_document`), into the directory `docs` under a temporary
+one that both sides read.  Every op runs in the temporary directory and
+`validate` is given the relative path `docs/KEY.json`, so the path it
+prints, and so its stdout sha256, is the same on both sides, in every run
+and in every `BENCH_<n>.json`.  Two source
 trees run: `src/` of revision REV (extracted with `git archive` into a
 temporary directory) and `src/` of the working tree.  Each side's `src/` is
 byte-compiled first, so that no timed process compiles modules (under
@@ -174,14 +177,14 @@ runpy.run_module("fuscat", run_name="__main__", alter_sys=True)
 """
 
 
-def run_op(src: Path, argv) -> tuple[float, int, str, float]:
-    """(seconds, exit code, stdout sha256, peak RSS in MB) of one process,
-    the peak being the child's own (see `LAUNCHER`)."""
+def run_op(src: Path, argv, cwd: Path) -> tuple[float, int, str, float]:
+    """(seconds, exit code, stdout sha256, peak RSS in MB) of one process
+    run in `cwd`, the peak being the child's own (see `LAUNCHER`)."""
     env = dict(os.environ, PYTHONPATH=str(src))
     read_fd, write_fd = os.pipe()
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-c", LAUNCHER, str(write_fd),
-                             *argv], env=env, stdout=subprocess.PIPE,
+                             *argv], cwd=cwd, env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.DEVNULL, pass_fds=(write_fd,))
     os.close(write_fd)
     digest = hashlib.sha256()
@@ -227,7 +230,7 @@ def main(argv=None) -> int:
                                 "--format", "json"]) for key in LADDER]
         ops += [("verify_default", key, ["verify", key, "--format", "json"])
                 for key in VALIDATE_EXTRA]
-        ops += [("validate", key, ["validate", str(path)])
+        ops += [("validate", key, ["validate", str(path.relative_to(tmp))])
                 for key, path in docs.items()]
         sides = {
             "base": {"src": extract_src(args.base, tmp / "base"),
@@ -244,7 +247,7 @@ def main(argv=None) -> int:
             subprocess.run([sys.executable, "-m", "compileall", "-q", str(side["src"])],
                            check=True)
             for cmd, key, op in ops:
-                _, code, digest, _ = run_op(side["src"], op)
+                _, code, digest, _ = run_op(side["src"], op, tmp)
                 outcome[name][cmd][key] = (code, digest)
                 times[name][cmd][key] = []
                 rss[name][cmd][key] = []
@@ -252,7 +255,8 @@ def main(argv=None) -> int:
             order = list(sides) if r % 2 == 0 else list(reversed(sides))
             for cmd, key, op in ops:
                 for name in order:
-                    seconds, code, digest, mb = run_op(sides[name]["src"], op)
+                    seconds, code, digest, mb = run_op(sides[name]["src"],
+                                                       op, tmp)
                     if (code, digest) != outcome[name][cmd][key]:
                         print(f"{name} {cmd} {key}: output changed between runs",
                               file=sys.stderr)

@@ -31,8 +31,9 @@ from .reports import CheckRecord, _exact_key
 
 @dataclass(frozen=True)
 class CharacterTable:
-    """Validated table with its codegrees sum_i alpha[i][j] alpha[i*][j] and
-    class dimensions dim(C)/codegree.
+    """Validated table with its codegrees sum_i alpha[i][j] alpha[i*][j],
+    each an integer combination of its column, and class dimensions
+    dim(C)/codegree.
 
     Only `validate_character_table` builds one, so every column is a proven
     character, the columns are distinct and every codegree is nonzero;
@@ -69,6 +70,14 @@ def validate_character_table(ring: FusionRing, rows) -> CharacterTable:
     distinct characters.  Each character is then a *-map,
     alpha[i*][j] = conj(alpha[i][j]), so
     cod_j = sum_i |alpha[i][j]|^2 >= |alpha[0][j]|^2 = 1.
+
+    The codegrees are read off the Casimir element sum_i X_i X_{i*} =
+    sum_k c_k X_k, c_k = sum_i N_{i i*}^k, with integer coefficients: the
+    column j is a character, so cod_j = sum_i chi_j(X_i X_{i*}) =
+    sum_k c_k alpha[k][j] (Ostrik, "On formal codegrees of fusion
+    categories", 2009).  Every alpha[k][j] is a factor of that `_dot`, as
+    of the sum of products sum_i alpha[i][j] alpha[i*][j], so it lands at
+    the lcm of the column's conductors, in the same canonical form.
     """
     if ring.fpdims is None:
         raise ExactDataMissing("character table validation needs exact dimensions")
@@ -91,10 +100,15 @@ def validate_character_table(ring: FusionRing, rows) -> CharacterTable:
             if all(alpha[i][j] == alpha[i][jj] for i in range(r)):
                 raise SingularTable(f"columns {j} and {jj} coincide")
 
+    # the Casimir element sum_i X_i X_{i*} = sum_k c_k X_k
+    casimir = [0] * r
+    for i in range(r):
+        for k, n in ring.nonzero[i][ring.dual[i]]:
+            casimir[k] += n
     total_dim = global_fpdim(ring)
     codegrees, class_dims, inverses = [], [], {}
     for j in range(r):
-        cod = _dot([(alpha[i][j], alpha[ring.dual[i]][j]) for i in range(r)])
+        cod = _dot([(c, alpha[k][j]) for k, c in enumerate(casimir)])
         codegrees.append(cod)
         # dim(C) / cod, with each distinct codegree inverted once
         key = _exact_key(cod)
@@ -143,14 +157,15 @@ def verify_eq_2_4(target) -> list[CheckRecord]:
     sum sum_i alpha[i][l] alpha[i*][k] against dim(C)/dim(C^k) on the
     diagonal and 0 off it.
 
-    No sum is computed here.  The (k, k) sum is the codegree of column k,
-    the same `_dot` the validator took, so `table.codegrees[k]` is its
-    value, conductor and canonical form.  For l != k the sum is 0, at the
-    lcm of the conductors of columns l and k (zero entries included), where
-    `_dot` puts it.  Let z_k = sum_i alpha[i*][k] X_i.  Frobenius
-    reciprocity and N_ij^k = N_{i* j*}^{k*} give X_a z_k = chi_k(X_a) z_k.
-    Applying chi_l gives chi_l(X_a) chi_l(z_k) = chi_k(X_a) chi_l(z_k) for
-    every a.  The validator proved chi_l != chi_k, so chi_l(z_k) = 0, and
+    No sum is computed here.  The (k, k) sum is the codegree of column k.
+    The validator read it off the Casimir element at the lcm of the
+    column's conductors, where `_dot` puts the (k, k) sum too, so
+    `table.codegrees[k]` is its value, conductor and canonical form.  For
+    l != k the sum is 0, at the lcm of the conductors of columns l and k
+    (zero entries included), where `_dot` puts it.  Let
+    z_k = sum_i alpha[i*][k] X_i.  Frobenius reciprocity and
+    N_ij^k = N_{i* j*}^{k*} give X_a z_k = chi_k(X_a) z_k.  Applying chi_l
+    gives chi_l(X_a) chi_l(z_k) = chi_k(X_a) chi_l(z_k) for every a.  The validator proved chi_l != chi_k, so chi_l(z_k) = 0, and
     chi_l(z_k) is the (l, k) sum.
     """
     table = target.table
@@ -234,8 +249,7 @@ def match_numeric_columns(table: CharacterTable, numeric,
     of N_i, is matched to within tol * max(1, largest |exact value in row i|)."""
     import numpy as np
     r = table.rank
-    exact = np.array([[table.alpha[i][j].embed_complex() for j in range(r)]
-                      for i in range(r)])
+    exact = _embedded(table)
     bound = tol * np.maximum(1.0, np.abs(exact).max(axis=1))
     # close[j, jn]: exact column j is numeric column jn to within the bound
     close = (np.abs(exact[:, :, None] - numeric[:, None, :])
@@ -249,3 +263,19 @@ def match_numeric_columns(table: CharacterTable, numeric,
         used.add(best)
         perm.append(best)
     return perm
+
+
+def _embedded(table: CharacterTable):
+    """The table as a complex numpy array, each distinct exact value
+    embedded once: `embed_complex` reads only the canonical form that
+    `_exact_key` keys, so the array is the one of embedding every entry."""
+    import numpy as np
+    embedded = {}
+
+    def embed(v):
+        key = _exact_key(v)
+        if key not in embedded:
+            embedded[key] = v.embed_complex()
+        return embedded[key]
+
+    return np.array([[embed(v) for v in row] for row in table.alpha])

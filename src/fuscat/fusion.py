@@ -10,6 +10,7 @@ iff they are such a character and agree on duals; no float decides it.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,8 +25,10 @@ ENUMERATION_BOUND = 16
 class FusionRing:
     """A validated fusion ring.  `rank` counts basis elements (unit included);
     `nonzero`, the `_nonzero` view of the tensor N, is the one stored form of N.
-    `generators` are the basis indices on which `_first_non_character`
-    proves a character."""
+    `generators` are the `_generators` of the ring: the basis indices from
+    which, with the unit, the rule of `_derived` reaches the whole basis.
+    `validate_fusion_ring` checks associativity only on their products,
+    and `_first_non_character` proves a character from their pairs."""
 
     rank: int
     names: tuple[str, ...]
@@ -63,11 +66,38 @@ class Subcategory:
 # ---------------------------------------------------------------------------
 
 def validate_fusion_ring(tensor, dual, names=None, fpdims=None) -> FusionRing:
-    """Check every axiom; raise ValidationError naming the first violated one."""
+    """Check every axiom; raise ValidationError naming the first violated one.
+
+    The axioms are decided in the order shape, nonnegativity, unit,
+    duality, commutativity, Frobenius reciprocity, associativity and the
+    dimensions, each by a check that costs what the ring's nonzero entries
+    and generators cost, not rank^3 products.  Where a check fails, the
+    scan of every entry of that axiom names the first violation in the
+    lexicographic order, so the witness is the one a scan of the whole
+    tensor would name.
+
+    Shape and nonnegativity are compared plane by plane, the unit and
+    commutativity row by row.  Frobenius reciprocity N_ij^k = N_{i*k}^j is
+    checked only at the nonzero N_ij^k: an entry with N_ij^k = 0 and
+    N_{i*k}^j = n > 0 is the nonzero entry (i*, k, j) of the check, as * is
+    an involution.
+
+    Associativity (X_g X_j) X_k = X_g (X_j X_k) is checked only for g among
+    the `_generators`, over every j and k.  Let P(i) say that
+    X_i (yz) = (X_i y) z for all y and z in the ring; checking (g, j, k)
+    for every j and k shows P(g), and P(0) is the unit axiom.  If P(i) and
+    P(j) hold, then (X_i X_j)(yz) = X_i (X_j (yz)) = X_i ((X_j y) z)
+    = (X_i (X_j y)) z = ((X_i X_j) y) z.  Expand X_i X_j = sum_l N_ij^l X_l
+    on both sides; the terms with P(l) proven cancel.  If exactly one l is
+    left, N_ij^l (X_l (yz) - (X_l y) z) = 0 with N_ij^l > 0, so P(l) holds.
+    This is the rule by which `_derived` grows the proven set, and the
+    generators are chosen so that it reaches the whole basis from them and
+    the unit; P on the whole basis is associativity.
+    """
     rank = len(tensor)
     if rank < 1:
         raise ValidationError("shape", None, "empty basis")
-    tensor = tuple(tuple(tuple(int(x) for x in row) for row in plane) for plane in tensor)
+    tensor = tuple(tuple(tuple(map(int, row)) for row in plane) for plane in tensor)
     dual = tuple(int(d) for d in dual)
     if names is None:
         names = tuple(f"X{i}" for i in range(rank))
@@ -76,19 +106,20 @@ def validate_fusion_ring(tensor, dual, names=None, fpdims=None) -> FusionRing:
         raise ValidationError("shape", None, "names must be distinct, one per basis element")
     if len(dual) != rank or sorted(dual) != list(range(rank)):
         raise ValidationError("shape", None, "dual must be a permutation of the basis")
-    for i in range(rank):
-        if len(tensor[i]) != rank or any(len(tensor[i][j]) != rank for j in range(rank)):
+    for i, plane in enumerate(tensor):
+        if len(plane) != rank or set(map(len, plane)) != {rank}:
             raise ValidationError("shape", (i,), "tensor must be rank^3")
-        for j in range(rank):
-            for k in range(rank):
-                if tensor[i][j][k] < 0:
-                    raise ValidationError("nonnegativity", (i, j, k))
+        if min(map(min, plane)) < 0:
+            raise ValidationError("nonnegativity", next(
+                (i, j, k) for j in range(rank) for k in range(rank)
+                if plane[j][k] < 0))
 
+    unit = tuple(tuple(int(j == k) for k in range(rank)) for j in range(rank))
     for j in range(rank):
-        for k in range(rank):
-            want = 1 if j == k else 0
-            if tensor[0][j][k] != want or tensor[j][0][k] != want:
-                raise ValidationError("unit", (j, k))
+        if tensor[0][j] != unit[j] or tensor[j][0] != unit[j]:
+            raise ValidationError("unit", next(
+                (j, k) for k in range(rank)
+                if tensor[0][j][k] != unit[j][k] or tensor[j][0][k] != unit[j][k]))
 
     for i in range(rank):
         if dual[dual[i]] != i:
@@ -100,39 +131,43 @@ def validate_fusion_ring(tensor, dual, names=None, fpdims=None) -> FusionRing:
 
     for i in range(rank):
         for j in range(i + 1, rank):
-            for k in range(rank):
-                if tensor[i][j][k] != tensor[j][i][k]:
-                    raise ValidationError("commutativity", (i, j, k))
+            if tensor[i][j] != tensor[j][i]:
+                raise ValidationError("commutativity", next(
+                    (i, j, k) for k in range(rank)
+                    if tensor[i][j][k] != tensor[j][i][k]))
 
-    for i in range(rank):
-        for j in range(rank):
-            for k in range(rank):
-                if tensor[i][j][k] != tensor[dual[i]][k][j]:
-                    raise ValidationError("frobenius-reciprocity", (i, j, k))
-
-    # (X_i X_j) X_k = X_i (X_j X_k), compared as whole l-vectors per (i, j, k)
-    # over the nonzero N_{ij}^m only; a mismatch names its least l, so the
-    # first violated (i, j, k, l) is the one of the lexicographic order.
-    # The tensor is commutative, so the (k, j, i) identity is the (i, j, k)
-    # one with its two sides swapped: they fail at the same l, and the
-    # first violation has i <= k.
     nonzero = _nonzero(tensor)
-    for i in range(rank):
-        for j in range(rank):
-            for k in range(i, rank):
-                lhs = [0] * rank
-                for m, a in nonzero[i][j]:
-                    for l, b in nonzero[m][k]:
-                        lhs[l] += a * b
-                rhs = [0] * rank
-                for m, a in nonzero[j][k]:
-                    for l, b in nonzero[i][m]:
-                        rhs[l] += a * b
-                if lhs != rhs:
-                    l = next(l for l in range(rank) if lhs[l] != rhs[l])
-                    raise ValidationError("associativity", (i, j, k, l))
+    if not all(tensor[dual[i]][k][j] == n for i in range(rank)
+               for j in range(rank) for k, n in nonzero[i][j]):
+        raise ValidationError("frobenius-reciprocity", next(
+            (i, j, k) for i in range(rank) for j in range(rank)
+            for k in range(rank) if tensor[i][j][k] != tensor[dual[i]][k][j]))
+
+    def sides(i, j, k):
+        """(X_i X_j) X_k and X_i (X_j X_k) as coefficient lists, summed over
+        the nonzero N_ij^m and N_jk^m only."""
+        lhs = [0] * rank
+        for m, a in nonzero[i][j]:
+            for l, b in nonzero[m][k]:
+                lhs[l] += a * b
+        rhs = [0] * rank
+        for m, a in nonzero[j][k]:
+            for l, b in nonzero[i][m]:
+                rhs[l] += a * b
+        return lhs, rhs
 
     generators = _generators(_supports(nonzero))
+    if not all(operator.eq(*sides(g, j, k)) for g in generators
+               for j in range(rank) for k in range(rank)):
+        # The tensor is commutative, so the (k, j, i) identity is the
+        # (i, j, k) one with its two sides swapped: they fail at the same
+        # l, and the first violation has i <= k.
+        i, j, k = next((i, j, k) for i in range(rank) for j in range(rank)
+                       for k in range(i, rank) if operator.ne(*sides(i, j, k)))
+        lhs, rhs = sides(i, j, k)
+        l = next(l for l in range(rank) if lhs[l] != rhs[l])
+        raise ValidationError("associativity", (i, j, k, l))
+
     exact = None
     if fpdims is not None:
         exact = tuple(d if isinstance(d, CycNum) else CycNum.from_rational(d)
@@ -158,7 +193,7 @@ def validate_fusion_ring(tensor, dual, names=None, fpdims=None) -> FusionRing:
 
 def _nonzero(tensor):
     """nonzero[i][j]: the (k, N_ij^k) with N_ij^k > 0, in increasing k."""
-    return tuple(tuple(tuple((k, n) for k, n in enumerate(row) if n)
+    return tuple(tuple(tuple(itertools.compress(enumerate(row), row))
                        for row in plane) for plane in tensor)
 
 

@@ -17,7 +17,8 @@ from fuscat.errors import (DegenerateSpectrum, ExactDataMissing,
                            SchemaError, ValidationError)
 from fuscat.exactnum import (CycNum, _divide, _dot, _int_mul, _numerators,
                              _reduce, euler_phi)
-from fuscat.fusion import (Subcategory, _dense, _first_non_character,
+from fuscat.fusion import (FusionRing, Subcategory, _dense,
+                           _first_non_character, _generators, _supports,
                            check_subcategory, validate_fusion_ring)
 from fuscat.premod import SMatrix, validate_smatrix
 from fuscat.serialize import value_to_json
@@ -98,6 +99,106 @@ def hecke_dual_symmetric(H, d) -> bool:
     nb = len(H)
     return all(H[m][n][p] == H[d[n]][d[m]][d[p]]
                for m in range(nb) for n in range(nb) for p in range(nb))
+
+
+def validate_fusion_ring_dense(tensor, dual, names=None, fpdims=None):
+    """`validate_fusion_ring` as it scanned every entry of each axiom: each
+    (i, j, k) of the shape, unit, commutativity and Frobenius loops, and
+    associativity over every (i, j, k), k >= i, not only the generators'
+    triples.  It raises the same first axiom, witness and message, and
+    returns the same ring."""
+    rank = len(tensor)
+    if rank < 1:
+        raise ValidationError("shape", None, "empty basis")
+    tensor = tuple(tuple(tuple(int(x) for x in row) for row in plane) for plane in tensor)
+    dual = tuple(int(d) for d in dual)
+    if names is None:
+        names = tuple(f"X{i}" for i in range(rank))
+    names = tuple(str(s) for s in names)
+    if len(names) != rank or len(set(names)) != rank:
+        raise ValidationError("shape", None, "names must be distinct, one per basis element")
+    if len(dual) != rank or sorted(dual) != list(range(rank)):
+        raise ValidationError("shape", None, "dual must be a permutation of the basis")
+    for i in range(rank):
+        if len(tensor[i]) != rank or any(len(tensor[i][j]) != rank for j in range(rank)):
+            raise ValidationError("shape", (i,), "tensor must be rank^3")
+        for j in range(rank):
+            for k in range(rank):
+                if tensor[i][j][k] < 0:
+                    raise ValidationError("nonnegativity", (i, j, k))
+
+    for j in range(rank):
+        for k in range(rank):
+            want = 1 if j == k else 0
+            if tensor[0][j][k] != want or tensor[j][0][k] != want:
+                raise ValidationError("unit", (j, k))
+
+    for i in range(rank):
+        if dual[dual[i]] != i:
+            raise ValidationError("duality", (i,), "dual is not an involution")
+        for j in range(rank):
+            want = 1 if j == dual[i] else 0
+            if tensor[i][j][0] != want:
+                raise ValidationError("duality", (i, j))
+
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            for k in range(rank):
+                if tensor[i][j][k] != tensor[j][i][k]:
+                    raise ValidationError("commutativity", (i, j, k))
+
+    for i in range(rank):
+        for j in range(rank):
+            for k in range(rank):
+                if tensor[i][j][k] != tensor[dual[i]][k][j]:
+                    raise ValidationError("frobenius-reciprocity", (i, j, k))
+
+    # (X_i X_j) X_k = X_i (X_j X_k), compared as whole l-vectors per (i, j, k)
+    # over the nonzero N_{ij}^m only; a mismatch names its least l, so the
+    # first violated (i, j, k, l) is the one of the lexicographic order.
+    # The tensor is commutative, so the (k, j, i) identity is the (i, j, k)
+    # one with its two sides swapped: they fail at the same l, and the
+    # first violation has i <= k.
+    nonzero = tuple(tuple(tuple((k, n) for k, n in enumerate(row) if n)
+                          for row in plane) for plane in tensor)
+    for i in range(rank):
+        for j in range(rank):
+            for k in range(i, rank):
+                lhs = [0] * rank
+                for m, a in nonzero[i][j]:
+                    for l, b in nonzero[m][k]:
+                        lhs[l] += a * b
+                rhs = [0] * rank
+                for m, a in nonzero[j][k]:
+                    for l, b in nonzero[i][m]:
+                        rhs[l] += a * b
+                if lhs != rhs:
+                    l = next(l for l in range(rank) if lhs[l] != rhs[l])
+                    raise ValidationError("associativity", (i, j, k, l))
+
+    generators = _generators(_supports(nonzero))
+    exact = None
+    if fpdims is not None:
+        exact = tuple(d if isinstance(d, CycNum) else CycNum.from_rational(d)
+                      for d in fpdims)
+        if len(exact) != rank:
+            raise ValidationError("fpdims", None, "one dimension per basis element")
+        if exact[0] != 1:
+            raise ValidationError("fpdims", (0,), "unit must have dimension 1")
+        for i in range(rank):
+            if not exact[i].is_positive():
+                raise ValidationError("fpdims", (i,), "dimensions must embed positive real")
+            if exact[dual[i]] != exact[i]:
+                raise ValidationError("fpdims", (i,), "dual objects must share a dimension")
+        # the tensor is commutative, so the first failing (i, j) has i <= j
+        pair = _first_non_character(nonzero, generators, exact)
+        if pair is not None:
+            raise ValidationError("fpdims", pair,
+                                  "dimensions are not a ring homomorphism")
+
+    return FusionRing(rank=rank, names=names, nonzero=nonzero, dual=dual,
+                      fpdims=exact, generators=generators)
+
 
 
 def first_associativity_violation(tensor):
@@ -376,6 +477,15 @@ def eq_2_4_lhs_loop(target, l, k) -> CycNum:
     for i in range(ring.rank):
         s = s + alpha[i][l] * alpha[ring.dual[i]][k]
     return s
+
+
+def codegrees_by_products(ring, table) -> tuple[CycNum, ...]:
+    """cod_j = sum_i alpha[i][j] alpha[i*][j], one `_dot` of r products per
+    column: the codegrees of `validate_character_table` before it read
+    them off the Casimir element."""
+    alpha, r = table.alpha, ring.rank
+    return tuple(_dot([(alpha[i][j], alpha[ring.dual[i]][j]) for i in range(r)])
+                 for j in range(r))
 
 
 # ---------------------------------------------------------------------------

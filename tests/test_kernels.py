@@ -54,16 +54,18 @@ import fuscat.cosets
 import fuscat.fusion
 import fuscat.verify
 from fuscat.catalog import BUILTIN_KEYS, builtin
-from fuscat.chartab import (_is_numeric_character_table, characters_numeric,
-                            match_numeric_columns, support_JD,
-                            validate_character_table, verify_eq_2_4)
+from fuscat.chartab import (_embedded, _is_numeric_character_table,
+                            characters_numeric, match_numeric_columns,
+                            support_JD, validate_character_table,
+                            verify_eq_2_4)
 from fuscat.cosets import (hecke_constants, verify_eq_3_1, verify_eq_3_6,
                            verify_eq_3_7)
 from fuscat.errors import (DegenerateSpectrum, FuscatError, InconsistentCoset,
                            NotAlgebraMap, PsiNotCharacter, ValidationError)
 from fuscat.exactnum import CycNum, _int_mul
 from fuscat.fusion import (FusionRing, _dense, _derived,
-                           _first_non_character, _mask, deligne_product,
+                           _first_non_character, _generators, _mask,
+                           _nonzero, _supports, deligne_product,
                            enumerate_subcategories, global_fpdim,
                            restricted_blocks, sub_fpdim, subcategory_closure,
                            validate_fusion_ring)
@@ -72,10 +74,12 @@ from fuscat.reports import _exact_key
 from fuscat.verify import Target, run_checks
 
 from rings import (
+    ONE,
     ZERO,
     block_elements,
     centralizer_loop,
     characters_numeric_loop,
+    codegrees_by_products,
     deligne_product_dense,
     enumerate_subcategories_powerset,
     eq_2_4_lhs_loop,
@@ -109,6 +113,7 @@ from rings import (
     support_jd_loop,
     table_columns_scan,
     validate_fpdims_scan,
+    validate_fusion_ring_dense,
 )
 
 PRODUCT_KEYS = ("svec*svec*svec", "pointed-z4-q2*svec", "pointed-z4-q1*svec",
@@ -694,6 +699,121 @@ def test_orbit_bumps_reach_associativity_at_the_oracles_tuple(ring):
     assert reached
 
 
+# ---------------------------------------------------------------------------
+# the ring validator against the dense scan of every axiom
+# ---------------------------------------------------------------------------
+
+def _ring_inputs():
+    """(tensor, dual, fpdims) of the builtins, of svec*svec*svec (three
+    generators) and of the lucas ring X*X = 1 + 4X (a multiplicity)."""
+    inputs = {key: builtin(key).ring for key in BUILTIN_KEYS + ("svec*svec*svec",)}
+    inputs = {key: (_dense(ring), ring.dual, ring.fpdims)
+              for key, ring in inputs.items()}
+    tensor, phi, _ = lucas(3)
+    inputs["lucas-3"] = tensor, (0, 1), (1, phi)
+    return inputs
+
+
+RING_INPUTS = _ring_inputs()
+
+
+def _ring_outcome(validate, tensor, dual, fpdims):
+    """The axiom, witness and message a validator raises, or the ring it
+    returns (its `nonzero`, `generators` and every other field)."""
+    try:
+        return validate(tensor, dual, None, fpdims)
+    except ValidationError as err:
+        return err.axiom, err.witness, str(err)
+
+
+def _assert_same_ring_outcome(tensor, dual, fpdims):
+    got = _ring_outcome(validate_fusion_ring, tensor, dual, fpdims)
+    assert got == _ring_outcome(validate_fusion_ring_dense, tensor, dual, fpdims)
+    return got
+
+
+def _perturb(draw, tensor, dual, kinds):
+    """Apply one perturbation of a kind drawn from `kinds` to the nested
+    lists `tensor` and `dual`."""
+    rank = len(tensor)
+    index = st.integers(min_value=0, max_value=rank - 1)
+    i, j, k = draw(index), draw(index), draw(index)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "bump":
+        tensor[i][j][k] += 1
+    elif kind == "symmetric":
+        for a, b in {(i, j), (j, i)}:
+            tensor[a][b][k] += 1
+    elif kind == "orbit":
+        for a, b, c in _orbit(i, j, k, dual):
+            tensor[a][b][c] += 1
+    elif kind == "dual":
+        dual[i], dual[j] = dual[j], dual[i]
+    elif kind == "negative":
+        tensor[i][j][k] = -draw(st.integers(min_value=1, max_value=2))
+    elif draw(st.booleans()):
+        tensor[i][j] = tensor[i][j][:-1] if draw(st.booleans()) \
+            else tensor[i][j] + [0]
+    else:
+        tensor[i] = tensor[i][:-1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_ring_validator_matches_the_dense_scan_on_perturbed_tensors(data):
+    """On failure both raise the same axiom, witness and message; on
+    success both return the same ring, `nonzero` and `generators` too."""
+    key = data.draw(st.sampled_from(sorted(RING_INPUTS)))
+    tensor, dual, fpdims = RING_INPUTS[key]
+    tensor = [[list(row) for row in plane] for plane in tensor]
+    dual = list(dual)
+    for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+        _perturb(data.draw, tensor, dual,
+                 ("bump", "symmetric", "orbit", "dual", "negative"))
+    if data.draw(st.integers(min_value=0, max_value=5)) == 0:
+        _perturb(data.draw, tensor, dual, ("ragged",))
+    fpdims = fpdims if data.draw(st.booleans()) else None
+    _assert_same_ring_outcome(tensor, dual, fpdims)
+
+
+@pytest.mark.parametrize("key", ("svec*svec*svec", "rep-s3", "su2k-4",
+                                 "ising*svec"))
+def test_every_orbit_bump_gets_the_dense_scans_outcome(key):
+    """Every whole-orbit bump off the unit keeps the axioms before
+    associativity, so these reach the generators' triples; the dense scan
+    of every triple raises at the same (i, j, k, l)."""
+    tensor, dual, fpdims = RING_INPUTS[key]
+    rank, axioms = len(tensor), set()
+    for i, j, k in itertools.product(range(1, rank), repeat=3):
+        bumped = [[list(row) for row in plane] for plane in tensor]
+        for a, b, c in _orbit(i, j, k, dual):
+            bumped[a][b][c] += 1
+        got = _assert_same_ring_outcome(bumped, dual, fpdims)
+        axioms.add(got[0] if isinstance(got, tuple) else None)
+    assert "associativity" in axioms
+
+
+def test_associativity_is_checked_on_every_generator():
+    """Z_5 times Z_4 with the orbit of (1, 2, 2) bumped: X_4 = (1, 0)
+    derives the five (a, 0), more than any element of the bumped factor,
+    so it is the first generator, and all its triples associate.  The violation
+    lies on the other generator's triples, and both validators name it."""
+    z4 = group_ring(4)
+    bumped = _dense(z4)
+    for a, b, c in _orbit(1, 2, 2, z4.dual):
+        bumped[a][b][c] += 1
+    z5 = _dense(group_ring(5))
+    tensor = [[[z5[i][j][k] * bumped[ip][jp][kp]
+                for k in range(5) for kp in range(4)]
+               for j in range(5) for jp in range(4)]
+              for i in range(5) for ip in range(4)]
+    dual = [(-i) % 5 * 4 + (-ip) % 4 for i in range(5) for ip in range(4)]
+    assert _generators(_supports(_nonzero(tensor))) == (4, 1)
+    assert (_assert_same_ring_outcome(tensor, dual, None)
+            == ("associativity", (1, 1, 2, 1),
+                "associativity failed at (1, 1, 2, 1)"))
+
+
 def _least_cpu_seconds(work, runs=5) -> float:
     """Least CPU time of `work` over `runs` calls; CPU time leaves out the
     time the process waits for a core, so a loaded machine does not add."""
@@ -964,6 +1084,64 @@ def test_class_dims_are_the_quotients_by_each_codegree(key, monkeypatch):
     assert sorted(inverted) == sorted(set(map(_exact_key, table.codegrees)))
     if key == "su2k-10":
         assert len(inverted) == 6 < ring.rank
+
+
+CODEGREE_KEYS = KEYS + ("su2k-10", "pointed-z12-q1")
+
+
+@pytest.mark.parametrize("key", CODEGREE_KEYS)
+def test_codegrees_equal_the_sums_of_products(key):
+    """The Casimir combination sum_k c_k alpha[k][j] has the conductor,
+    numerators and denominator of sum_i alpha[i][j] alpha[i*][j]."""
+    entry = builtin(key)
+    assert ([_exact_key(c) for c in entry.table.codegrees]
+            == [_exact_key(c) for c in codegrees_by_products(entry.ring,
+                                                             entry.table)])
+
+
+def _lucas_entry(m):
+    tensor, phi, psi = lucas(m)
+    ring = validate_fusion_ring(tensor, (0, 1), fpdims=(1, phi))
+    return ring, ((ONE, ONE), (phi, psi))
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.sampled_from((1, 3, 5, 7, 9)),
+       other=st.sampled_from(("lucas-3", "lucas-5", "ising", "z3", None)))
+def test_codegrees_equal_the_sums_of_products_with_multiplicities(m, other):
+    """Lucas rings X*X = 1 + L_m X and their products with a second lucas
+    ring, Ising or Z_3, with the product table."""
+    ring, rows = _lucas_entry(m)
+    if other is not None:
+        if other.startswith("lucas-"):
+            b, b_rows = _lucas_entry(int(other[6:]))
+        else:
+            entry = builtin({"ising": "ising", "z3": "pointed-z3-q1"}[other])
+            b, b_rows = entry.ring, entry.table.alpha
+        ra, rb = ring.rank, b.rank
+        rows = [[rows[i][j] * b_rows[ip][jp]
+                 for j in range(ra) for jp in range(rb)]
+                for i in range(ra) for ip in range(rb)]
+        ring = deligne_product(ring, b)
+    table = validate_character_table(ring, rows)
+    assert ([_exact_key(c) for c in table.codegrees]
+            == [_exact_key(c) for c in codegrees_by_products(ring, table)])
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_table_embedding_embeds_each_distinct_value_once(key, monkeypatch):
+    """The array is bit-identical to the per-entry embedding, with one
+    `embed_complex` call per distinct canonical form."""
+    table = builtin(key).table
+    per_entry = np.array([[v.embed_complex() for v in row]
+                          for row in table.alpha])
+    embed, calls = CycNum.embed_complex, []
+    monkeypatch.setattr(CycNum, "embed_complex",
+                        lambda self: calls.append(1) or embed(self))
+    exact = _embedded(table)
+    assert np.array_equal(exact, per_entry)
+    assert exact.dtype == per_entry.dtype and exact.tobytes() == per_entry.tobytes()
+    assert len(calls) == len({_exact_key(v) for row in table.alpha for v in row})
 
 
 def _counting_products(monkeypatch):

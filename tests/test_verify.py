@@ -10,6 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import fuscat.catalog
 import fuscat.chartab
 import fuscat.cosets
 import fuscat.fusion
@@ -369,8 +370,10 @@ def test_a_non_character_row_is_refused_before_any_check():
 
 def _count_derived_calls(monkeypatch, calls, args):
     """Count, in every module that holds them, the calls of the functions
-    behind the target's derived data, with the index sets that
-    `restricted_blocks` and `sub_fpdim` are given (the latter per ring)."""
+    behind the target's derived data and of the S-matrix validator, with
+    the index sets that `restricted_blocks` and `sub_fpdim` are given (the
+    latter per ring).  A name that no module holds fails, so that a count
+    cannot read 0 for a function that is gone."""
     def counted(name, fn):
         def wrapper(*a):
             calls[name] += 1
@@ -381,21 +384,24 @@ def _count_derived_calls(monkeypatch, calls, args):
             return fn(*a)
         return wrapper
 
-    for module in (fuscat.fusion, fuscat.cosets, fuscat.premod,
-                   fuscat.verify):
-        for name in ("centralizer", "pointed_part", "matched_groups",
-                     "restricted_blocks", "sub_fpdim", "_match_column"):
-            if name in vars(module):
-                monkeypatch.setattr(module, name,
-                                    counted(name, vars(module)[name]))
+    for name in ("centralizer", "pointed_part", "matched_groups",
+                 "restricted_blocks", "sub_fpdim", "validate_smatrix"):
+        holders = [module for module in (fuscat.fusion, fuscat.cosets,
+                                         fuscat.premod, fuscat.verify,
+                                         fuscat.catalog, fuscat.serialize)
+                   if name in vars(module)]
+        assert holders, name
+        for module in holders:
+            monkeypatch.setattr(module, name, counted(name, vars(module)[name]))
 
 
 def test_each_derived_quantity_is_computed_once_per_target(monkeypatch):
     """One run over every subcategory of ising*svec, catalog entry built,
     computes each centralizer and each group of matched columns once, the
     pointed part once, the blocks once per distinct (members, subcategory)
-    and the dimension once per distinct index set; it matches no S-matrix
-    row, since validation kept the matching."""
+    and the dimension once per distinct index set; it validates no
+    S-matrix, since the entry was validated when it was built and the
+    target reads the matching it kept."""
     builtin("ising*svec")
     calls, args = Counter(), Counter()
     _count_derived_calls(monkeypatch, calls, args)
@@ -409,14 +415,14 @@ def test_each_derived_quantity_is_computed_once_per_target(monkeypatch):
     for name in ("restricted_blocks", "sub_fpdim"):
         assert calls[name] == sum(1 for key in args if key[0] == name) > 0
     assert set(args.values()) == {1}
-    assert calls["_match_column"] == 0
+    assert calls["validate_smatrix"] == 0
 
 
 def test_builtin_sweep_sums_each_index_set_once(monkeypatch):
     """An all-subcategory run of each of the 13 builtins, catalog built,
     sums the squared dimensions of 80 distinct index sets (subcategories,
-    blocks, matched groups and whole bases), each once, and matches no
-    S-matrix row."""
+    blocks, matched groups and whole bases), each once, and validates no
+    S-matrix."""
     for key in BUILTIN_KEYS:
         builtin(key)
     calls, args = Counter(), Counter()
@@ -425,7 +431,7 @@ def test_builtin_sweep_sums_each_index_set_once(monkeypatch):
         assert _full_run(key).ok
     sums = [n for key, n in args.items() if key[0] == "sub_fpdim"]
     assert len(sums) == calls["sub_fpdim"] == 80
-    assert calls["_match_column"] == 0
+    assert calls["validate_smatrix"] == 0
 
 
 def test_programming_error_in_matching_analysis_propagates(monkeypatch):
