@@ -1,19 +1,20 @@
 #!/usr/bin/env python3
-"""End-to-end wall time of `fuscat verify` and `fuscat validate` over the
-north-star key ladder and three large keys.
+"""End-to-end wall time of `fuscat verify`, `fuscat report` and `fuscat
+validate` over the north-star key ladder and three large keys.
 
 Usage (from the root of a git checkout):
 
     python3 scripts/bench.py --base REV --out BENCH_<n>.json
 
 Each op is one whole process, so cold import and output are counted.  There
-are three kinds of op: `python -m fuscat verify KEY --all-subcategories
+are four kinds of op: `python -m fuscat verify KEY --all-subcategories
 --format json` for each ladder key, `python -m fuscat verify KEY --format
 json` (the default pool: the unit and the whole ring) for each key of
 VALIDATE_EXTRA, whose ranks exceed the enumeration bound of
-`--all-subcategories`, and `python -m fuscat validate DOC` for each ladder
-key and for VALIDATE_EXTRA.  The documents are written once,
-before any op runs, from the working tree's catalog entries
+`--all-subcategories`, `python -m fuscat report KEY` for each ladder key,
+the only command that prints the Hecke constants, and `python -m fuscat
+validate DOC` for each ladder key and for VALIDATE_EXTRA.  The documents
+are written once, before any op runs, from the working tree's catalog entries
 (`serialize.to_document`), into the directory `docs` under a temporary
 one that both sides read.  Every op runs in the temporary directory and
 `validate` is given the relative path `docs/KEY.json`, so the path it
@@ -75,6 +76,7 @@ ROUNDS = 10
 COMMANDS = {
     "verify": "python -m fuscat verify KEY --all-subcategories --format json",
     "verify_default": "python -m fuscat verify KEY --format json",
+    "report": "python -m fuscat report KEY",
     "validate": "python -m fuscat validate DOC, DOC the working tree's "
                 "to_document of KEY",
 }
@@ -230,6 +232,7 @@ def main(argv=None) -> int:
                                 "--format", "json"]) for key in LADDER]
         ops += [("verify_default", key, ["verify", key, "--format", "json"])
                 for key in VALIDATE_EXTRA]
+        ops += [("report", key, ["report", key]) for key in LADDER]
         ops += [("validate", key, ["validate", str(path.relative_to(tmp))])
                 for key, path in docs.items()]
         sides = {

@@ -80,14 +80,19 @@ def _group_ring(n: int, names) -> FusionRing:
                                 fpdims=tuple(ONE for _ in range(n)))
 
 
-def _group_table_rows(n: int):
-    return [[CycNum.zeta(n, (i * j) % n) for j in range(n)] for i in range(n)]
+def _group_table_rows(powers):
+    """The character table of Z/n, n = len(powers), with powers[e] = zeta_n^e:
+    entry (i, j) is powers[ij mod n]."""
+    n = len(powers)
+    return [[powers[(i * j) % n] for j in range(n)] for i in range(n)]
 
 
 def _svec() -> CatalogEntry:
     ring = _group_ring(2, ("1", "f"))
     smatrix = [[ONE, ONE], [ONE, ONE]]
-    return _entry("svec", ring, _group_table_rows(2), smatrix)
+    return _entry("svec", ring,
+                  _group_table_rows([CycNum.zeta(2, e) for e in range(2)]),
+                  smatrix)
 
 
 def _ising() -> CatalogEntry:
@@ -190,10 +195,12 @@ def _pointed(n: int, c: int) -> CatalogEntry:
     if n < 1:
         raise UnknownKey(f"pointed-z{n}-q{c}")
     ring = _group_ring(n, (f"a{i}" for i in range(n)))
+    # each zeta^e is built once: the table and the S-matrix index into it
+    powers = [CycNum.zeta(n, e) for e in range(n)]
     cc = c % n
-    smatrix = [[CycNum.zeta(n, (cc * a * b) % n) for b in range(n)]
-               for a in range(n)]
-    return _entry(f"pointed-z{n}-q{c}", ring, _group_table_rows(n), smatrix)
+    smatrix = [[powers[(cc * a * b) % n] for b in range(n)] for a in range(n)]
+    return _entry(f"pointed-z{n}-q{c}", ring, _group_table_rows(powers),
+                  smatrix)
 
 
 def _product_entry(a: CatalogEntry, b: CatalogEntry) -> CatalogEntry:

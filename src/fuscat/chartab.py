@@ -162,15 +162,16 @@ def verify_eq_2_4(target) -> list[CheckRecord]:
     column's conductors, where `_dot` puts the (k, k) sum too, so
     `table.codegrees[k]` is its value, conductor and canonical form.  For
     l != k the sum is 0, at the lcm of the conductors of columns l and k
-    (zero entries included), where `_dot` puts it.  Let
+    (zero entries included), where `_dot` puts it.  The Casimir `_dot` has
+    every alpha[i][k] of column k as a factor, so the conductor of
+    `table.codegrees[k]` is that column's lcm, and it is read from there.  Let
     z_k = sum_i alpha[i*][k] X_i.  Frobenius reciprocity and
     N_ij^k = N_{i* j*}^{k*} give X_a z_k = chi_k(X_a) z_k.  Applying chi_l
     gives chi_l(X_a) chi_l(z_k) = chi_k(X_a) chi_l(z_k) for every a.  The validator proved chi_l != chi_k, so chi_l(z_k) = 0, and
     chi_l(z_k) is the (l, k) sum.
     """
     table = target.table
-    conductors = [math.lcm(*(row[j].conductor for row in table.alpha))
-                  for j in range(table.rank)]
+    conductors = [cod.conductor for cod in table.codegrees]
     out = []
     for l, cl in enumerate(conductors):
         for k, ck in enumerate(conductors):

@@ -2,14 +2,18 @@
 
 Two basis elements lie in the same (right) coset when one appears in the
 product of the other with a subcategory member.  Each coset carries a
-regular element; the normalized regular elements span a small commutative
-algebra whose structure constants are computed and checked here, along
-with two orthogonality relations and an integrality corollary.  The checks
-take a ``verify.Target`` and read its derived data from it.
+regular element; the normalized regular elements e_t span a small
+commutative algebra.  eq-3.1 is decided once per subcategory
+(`hecke_closure`), and its block verdicts decide that the e_t are closed
+under the product; the structure constants are then read off one
+representative per block.  Two orthogonality relations and an integrality
+corollary are checked here too.  The checks take a ``verify.Target`` and
+read its derived data from it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ExactDataMissing, InconsistentCoset, PreconditionFailed
@@ -69,106 +73,97 @@ def coset_partition(target, sub: Subcategory) -> CosetDecomposition:
 # the algebra spanned by normalized block elements
 # ---------------------------------------------------------------------------
 
-def _block_product(target, dec: CosetDecomposition, m: int,
-                   n: int) -> dict[int, list[int]]:
-    """P with e_m e_n = sum_k P[k] X_k / (den^2 R_m R_n): P[k] is the sum
-    over i in block m and j in block n of N_ij^k A_i A_j, as integers over
-    the conductor of `target.numerators`, for the k with N_ij^k > 0 for some
-    such (i, j).  Each A_i A_j comes from `target.pair`."""
-    nonzero, P = target.ring.nonzero, {}
-    for i in dec.blocks[m]:
-        row = nonzero[i]
-        for j in dec.blocks[n]:
-            a = target.pair(i, j)
-            for k, c in row[j]:
-                if k in P:
-                    P[k] = [x + c * y for x, y in zip(P[k], a)]
-                else:
-                    P[k] = [c * y for y in a]
-    return P
+def hecke_closure(target, sub: Subcategory) -> tuple[bool, ...]:
+    """eq-3.1's verdict for each block t of `sub`'s cosets: whether
+    [X] R_D / d_X = FPdim(D) e_t for every X in t.  Decided once per
+    subcategory and kept on the target.
 
+    With d_i = A_i / den (`Target.numerators`), the coefficient of [X] R_D
+    at X_k is Q_X[k] / den, where Q_X[k] = sum_{j in D} N_Xj^k A_j is a sum
+    of integer vectors.  FPdim(D) e_t has coefficient dim(D) d_k / R_t at k
+    in t and 0 elsewhere.  Q_X[k] is an empty sum off t: the blocks are the
+    components of X ~ k iff N_Xj^k > 0 for some j in D (`restricted_blocks`),
+    so every such k lies in X's block.  With R_t and dim(D) read as
+    numerators over den^2, block t holds iff den Q_X[k] R_t = dim(D) A_X A_k
+    for every X and k in t; A_X A_k comes from `target.pair`.
 
-def hecke_closure(target, sub: Subcategory) -> None:
-    """Raise `InconsistentCoset` unless e_m e_n = sum_p H_{mn}^p e_p for
-    every pair of blocks m <= n of `sub`'s cosets.
-
-    With d_i = A_i / den (`Target.numerators`) and R_t = FPdim(R_t) from
-    `reg_dims`, e_m e_n has coefficient c_k = P_k / (den^2 R_m R_n) at X_k
-    (`_block_product`).  It is dimension-proportional on block p iff
-    c_k / d_k does not depend on k in p: iff P_k A_{k0} = P_{k0} A_k for k0
-    the first member of p and each k in p.  Every side is an integer vector
-    mod Phi_m, and no `CycNum` is built.  Then c_k = H_{mn}^p d_k / R_p on
-    p, with H_{mn}^p = c_{k0} R_p / d_{k0}.  Only m <= n is checked:
-    `validate_fusion_ring` proved N commutative, so e_n e_m has the same
-    coefficients.
-
-    Each row sums to 1, so that is not computed.  R_p = sum_{k in p} d_k^2,
-    so sum_p H_{mn}^p = sum_k c_k d_k = sum_k P_k A_k / (den^3 R_m R_n).
-    The dimensions are a validated character, so sum_k N_ij^k A_k =
-    A_i A_j / den, and den sum_k P_k A_k = sum_{i in m, j in n} A_i^2 A_j^2
-    = (den^2 R_m)(den^2 R_n) for any two blocks.
+    The verdicts decide the Hecke closure.  If all hold, then
+    e_m e_n = sum_p H_{mn}^p e_p with
+    H_{mn}^p = sum_{l in p} N_xy^l d_l / (d_x d_y) for any x in block m and
+    y in block n.  Set e_0 = R_D / dim(D); block 0 is D (`coset_partition`).
+    eq-3.1 says X e_0 = d_X e_t(X) for every X, t(X) its block.
+    - e_0 e_0 = e_0: R_D e_0 = sum_{x in D} d_x X_x e_0
+      = sum_{x in D} d_x^2 e_0 = dim(D) e_0, and e_0 e_0 = R_D e_0 / dim(D).
+    - e_m = X_x e_0 / d_x for any x in block m.
+    - `validate_fusion_ring` proved N commutative and associative, and so
+      is its K-linear extension.  So e_m e_n = X_x X_y e_0 e_0 / (d_x d_y)
+      = X_x X_y e_0 / (d_x d_y) = sum_l N_xy^l d_l e_t(l) / (d_x d_y).
+    The e_t have disjoint, nonempty supports, so H is unique.  The proof
+    never uses that d is a character, so it holds for any positive
+    dimensions, also ones changed after validation.
     """
-    dec = target.cosets(sub)
-    cond, _, nums = target.numerators
-    zero = [0] * len(nums[0])
-    nb = len(dec.blocks)
-    for m in range(nb):
-        for n in range(m, nb):
-            P = _block_product(target, dec, m, n)
-            for p, block in enumerate(dec.blocks):
-                k0 = block[0]
-                first = P.get(k0, zero)
-                for k in block[1:]:
-                    if (_int_mul(P.get(k, zero), nums[k0], cond)
-                            != _int_mul(first, nums[k], cond)):
-                        raise InconsistentCoset(
-                            f"e_{m} e_{n} is not dimension-proportional on block {p}")
+    def verdicts():
+        ring, dec = target.ring, target.cosets(sub)
+        cond, den, nums = target.numerators
+        sq = den * den
+        dim_d = _over(target.dim(sub), cond, sq)
+        zero = [0] * len(dim_d)
+        out = []
+        for block, reg in zip(dec.blocks, dec.reg_dims):
+            scale = [den * x for x in _over(reg, cond, sq)]
+            ok = True
+            for x in block:
+                row, q = ring.nonzero[x], {}
+                for j in sub.members:
+                    for k, c in row[j]:
+                        q[k] = ([u + c * v for u, v in zip(q[k], nums[j])]
+                                if k in q else [c * v for v in nums[j]])
+                ok = ok and all(_int_mul(q.get(k, zero), scale, cond)
+                                == _int_mul(dim_d, target.pair(x, k), cond)
+                                for k in block)
+            out.append(ok)
+        return tuple(out)
 
-
-def _normalized(target, dec: CosetDecomposition) -> dict[int, CycNum]:
-    """d_i / FPdim(R_t) for every basis element i, t its block: the
-    coefficients of the normalized block elements e_t."""
-    fpdims = target.ring.fpdims
-    return {i: fpdims[i] * target.inverse(reg)
-            for block, reg in zip(dec.blocks, dec.reg_dims) for i in block}
-
-
-def _hecke_row(target, dec: CosetDecomposition, coeffs: dict[int, CycNum],
-               m: int, n: int) -> tuple[CycNum, ...]:
-    """H_{mn}^p for every block p, given that e_m e_n is closed: the
-    coefficient of e_m e_n at the first member k0 of p, one `_dot` of the
-    terms (d_i/R_m, d_j/R_n, N_ij^k0) with N_ij^k0 > 0 (`coeffs` holds the
-    d_i/R_t), times R_p/d_k0.  That is the value, conductor and canonical
-    form of the product of the e_t as coefficient tuples, read at k0."""
-    nonzero, fpdims = target.ring.nonzero, target.ring.fpdims
-    row = []
-    for p, block in enumerate(dec.blocks):
-        k0 = block[0]
-        terms = [(coeffs[i], coeffs[j], c)
-                 for i in dec.blocks[m] for j in dec.blocks[n]
-                 for k, c in nonzero[i][j] if k == k0]
-        value = _dot(terms) if terms else ZERO
-        row.append(value * (dec.reg_dims[p] * target.inverse(fpdims[k0])))
-    return tuple(row)
+    return target._once(("eq-3.1", sub.members), verdicts)
 
 
 def hecke_constants(target, sub: Subcategory) -> tuple:
     """H, with H[m][n][p] the structure constant H_{mn}^p of
     e_m e_n = sum_p H_{mn}^p e_p over the cosets of `sub`.
 
-    `hecke_closure` decides that each e_m e_n, m <= n, is closed, or raises;
-    each row, which sums to 1, is then read off at the first member of each
-    block (`_hecke_row`).  N is commutative, so H_{nm} = H_{mn}.
+    Raises `InconsistentCoset` naming the first block where eq-3.1 fails
+    (`hecke_closure`), which only dimensions changed after validation can
+    bring about.  Otherwise H_{mn}^p = sum_{l in p} N_xy^l d_l / (d_x d_y)
+    with x and y the first members of m and n, as `hecke_closure` proves.
+
+    Each value is put at the conductor the report prints it at: the lcm of
+    the conductors of R_m, R_n and R_p (`reg_dims`) when it is nonzero, and
+    that of R_p when it is zero.  R_t = sum_{i in t} d_i^2 lands at the lcm
+    of the conductors of its d_i (`sub_fpdim`), so the conductor of every
+    factor d_l, 1/d_x and 1/d_y divides that lcm.
     """
-    hecke_closure(target, sub)
-    dec = target.cosets(sub)
-    coeffs, nb = _normalized(target, dec), len(dec.blocks)
-    structure = [[None] * nb for _ in range(nb)]
-    for m in range(nb):
-        for n in range(m, nb):
-            structure[m][n] = structure[n][m] = _hecke_row(target, dec,
-                                                           coeffs, m, n)
-    return tuple(map(tuple, structure))
+    verdicts = hecke_closure(target, sub)
+    if not all(verdicts):
+        raise InconsistentCoset(
+            f"eq-3.1 fails on block {verdicts.index(False)}")
+    dec, ring = target.cosets(sub), target.ring
+    block_of = {i: t for t, block in enumerate(dec.blocks) for i in block}
+    conds = [reg.conductor for reg in dec.reg_dims]
+    zeros = [ZERO.change_conductor(c) for c in conds]
+    inv = [target.inverse(ring.fpdims[block[0]]) for block in dec.blocks]
+    structure = []
+    for m, bm in enumerate(dec.blocks):
+        plane = []
+        for n, bn in enumerate(dec.blocks):
+            terms = [[] for _ in dec.blocks]
+            for l, c in ring.nonzero[bm[0]][bn[0]]:
+                terms[block_of[l]].append((c, ring.fpdims[l], inv[m], inv[n]))
+            plane.append(tuple(
+                _dot(t).change_conductor(math.lcm(conds[m], conds[n], cp))
+                if t else zero
+                for t, cp, zero in zip(terms, conds, zeros)))
+        structure.append(tuple(plane))
+    return tuple(structure)
 
 
 # ---------------------------------------------------------------------------
@@ -179,43 +174,18 @@ def verify_eq_3_1(target, sub: Subcategory) -> list[CheckRecord]:
     """[X] R_D / d_X is the same element for all X in a block — and equals
     FPdim(D) e_t — while different blocks give different elements.
 
-    With d_i = A_i / den (`Target.numerators`), the coefficient of [X] R_D
-    at X_k is Q_X[k] / den, where Q_X[k] = sum_{j in D} N_Xj^k A_j is a sum
-    of integer vectors.  FPdim(D) e_t has coefficient dim(D) d_k / R_t at k
-    in t and 0 elsewhere.  Q_X[k] is an empty sum off t: the blocks are the
-    components of X ~ k iff N_Xj^k > 0 for some j in D (`restricted_blocks`),
-    so every such k lies in X's block.  With R_t and dim(D) read as
-    numerators over den^2, block t passes iff den Q_X[k] R_t = dim(D) A_X A_k
-    for every X and k in t; A_X A_k comes from `target.pair`.
-
-    Distinctness is not computed: it holds.  The e_t have the blocks, which
-    are nonempty and disjoint, as supports, since the validator showed every
-    d_i > 0; and FPdim(D) > 0.  So two blocks give elements with different
-    supports.
+    Each block's verdict is `hecke_closure`'s, which decides it on integer
+    numerators.  Distinctness is not computed: it holds.  The e_t have the
+    blocks, which are nonempty and disjoint, as supports, since the
+    validator showed every d_i > 0; and FPdim(D) > 0.  So two blocks give
+    elements with different supports.
     """
-    ring, dec = target.ring, target.cosets(sub)
-    cond, den, nums = target.numerators
-    sq = den * den
-    dim_d = _over(target.dim(sub), cond, sq)
-    zero = [0] * len(dim_d)
     params = {"D": list(sub.members)}
-    out = []
-    for block, reg in zip(dec.blocks, dec.reg_dims):
-        scale = [den * x for x in _over(reg, cond, sq)]
-        ok = True
-        for x in block:
-            row, q = ring.nonzero[x], {}
-            for j in sub.members:
-                for k, c in row[j]:
-                    q[k] = ([u + c * v for u, v in zip(q[k], nums[j])]
-                            if k in q else [c * v for v in nums[j]])
-            ok = ok and all(_int_mul(q.get(k, zero), scale, cond)
-                            == _int_mul(dim_d, target.pair(x, k), cond)
-                            for k in block)
-        out.append(CheckRecord(id="eq-3.1",
-                               params={**params, "block": list(block)},
-                               lhs="[X]R_D/d_X for X in block", rhs="FPdim(D) e_t",
-                               passed=ok))
+    out = [CheckRecord(id="eq-3.1", params={**params, "block": list(block)},
+                       lhs="[X]R_D/d_X for X in block", rhs="FPdim(D) e_t",
+                       passed=ok)
+           for block, ok in zip(target.cosets(sub).blocks,
+                                hecke_closure(target, sub))]
     out.append(CheckRecord(id="eq-3.1",
                            params={**params, "blocks": "pairwise"},
                            lhs="normalized block elements", rhs="pairwise distinct",
@@ -227,23 +197,24 @@ def verify_prop_3_4(target, sub: Subcategory) -> list[CheckRecord]:
     """Block count equals |J_D|; the block algebra is well-formed.
 
     The first record compares the block count with |J_D|.  The two algebra
-    records hold once `hecke_closure` has returned, by the proof below,
-    so they are not recomputed; the triple-product and dual scans that
-    would recompute them are test oracles.
+    records hold when every eq-3.1 verdict of `hecke_closure` does, by the
+    proof below, so they take that verdict and are not recomputed; the
+    triple-product and dual scans that would recompute them are test
+    oracles.
 
-    Associativity.  `hecke_closure` raises unless e_m e_n is
-    dimension-proportional on every block, and the blocks partition the
-    basis, so the closure e_m e_n = sum_p H_{mn}^p e_p is exact.  The e_s
-    have disjoint, nonempty supports with coefficients d_i / FPdim(R_s) > 0,
-    so they are linearly independent.  `validate_fusion_ring` checked that
-    N is associative, and so is its K-linear extension.  Expanding both
-    sides of (e_m e_n) e_p = e_m (e_n e_p) in the e_s gives
+    Associativity.  When every verdict holds, the closure
+    e_m e_n = sum_p H_{mn}^p e_p is exact (the proof is the docstring of
+    `hecke_closure`).  The e_s have disjoint, nonempty supports with
+    coefficients d_i / FPdim(R_s) > 0, so they are linearly independent.
+    `validate_fusion_ring` checked that N is associative, and so is its
+    K-linear extension.  Expanding both sides of
+    (e_m e_n) e_p = e_m (e_n e_p) in the e_s gives
     sum_q H_{mn}^q H_{qp}^s = sum_q H_{np}^q H_{mq}^s.
 
     Dual symmetry.  The validator checks that the dual is an involution,
     N_ij^k = N_{i* k}^j and commutativity; together they give
     N_ij^k = N_{i* j*}^{k*}, so X_i -> X_{i*} extends to a ring
-    automorphism phi.  `coset_partition` refuses split dual blocks, so
+    automorphism phi.  Dual blocks are never split (`coset_partition`), so
     i -> i* maps block m onto block m*, and the validator checks
     d_{i*} = d_i, so phi(e_m) = e_{m*}.  Applying phi to the closure gives
     e_{m*} e_{n*} = sum_p H_{mn}^p e_{p*}, while the closure at (m*, n*)
@@ -251,18 +222,16 @@ def verify_prop_3_4(target, sub: Subcategory) -> list[CheckRecord]:
     of N, by which H_{m* n*} = H_{n* m*}, give H_{mn}^p = H_{n* m*}^{p*}.
     """
     nb, jd = len(target.cosets(sub).blocks), target.support(sub)
-    out = [CheckRecord(id="prop-3.4",
-                       params={"D": list(sub.members)},
-                       lhs=nb, rhs=len(jd), passed=nb == len(jd),
-                       detail="algebra dimension = support size")]
-    hecke_closure(target, sub)   # raises InconsistentCoset on malformation
-    out.append(CheckRecord(id="prop-3.4", params={"D": list(sub.members)},
-                           lhs="structure constants", rhs="associative",
-                           passed=True))
-    out.append(CheckRecord(id="prop-3.4", params={"D": list(sub.members)},
-                           lhs="structure constants", rhs="dual-symmetric",
-                           passed=True))
-    return out
+    closed = all(hecke_closure(target, sub))
+    return [CheckRecord(id="prop-3.4", params={"D": list(sub.members)},
+                        lhs=nb, rhs=len(jd), passed=nb == len(jd),
+                        detail="algebra dimension = support size"),
+            CheckRecord(id="prop-3.4", params={"D": list(sub.members)},
+                        lhs="structure constants", rhs="associative",
+                        passed=closed),
+            CheckRecord(id="prop-3.4", params={"D": list(sub.members)},
+                        lhs="structure constants", rhs="dual-symmetric",
+                        passed=closed)]
 
 
 def verify_eq_3_6(target, sub: Subcategory) -> list[CheckRecord]:

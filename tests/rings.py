@@ -280,12 +280,46 @@ def eq_3_1_loop(target, sub) -> list[bool]:
     return verdicts
 
 
+def hecke_closure_by_products(target, sub) -> bool:
+    """Whether e_m e_n is dimension-proportional on every block, for every
+    pair of blocks m <= n of `sub`'s cosets, decided from the block products
+    on integer numerators.  It is the second route to the closure that
+    `cosets.hecke_closure` reads off eq-3.1's block verdicts.
+
+    With d_i = A_i / den (`Target.numerators`) and R_t = FPdim(R_t) from
+    `reg_dims`, e_m e_n has coefficient c_k = P_k / (den^2 R_m R_n) at X_k,
+    where P_k is the sum over i in block m and j in block n of
+    N_ij^k A_i A_j.  It is dimension-proportional on block p iff
+    c_k / d_k does not depend on k in p: iff P_k A_{k0} = P_{k0} A_k for k0
+    the first member of p and each k in p.  Only m <= n is checked: N is
+    commutative, so e_n e_m has the same coefficients.
+    """
+    dec, nonzero = target.cosets(sub), target.ring.nonzero
+    cond, _, nums = target.numerators
+    zero = [0] * len(nums[0])
+    for m, n in itertools.combinations_with_replacement(range(len(dec.blocks)), 2):
+        P = {}
+        for i in dec.blocks[m]:
+            for j in dec.blocks[n]:
+                a = _int_mul(nums[i], nums[j], cond)
+                for k, c in nonzero[i][j]:
+                    P[k] = [x + c * y for x, y in zip(P.get(k, zero), a)]
+        for block in dec.blocks:
+            k0 = block[0]
+            if any(_int_mul(P.get(k, zero), nums[k0], cond)
+                   != _int_mul(P.get(k0, zero), nums[k], cond)
+                   for k in block[1:]):
+                return False
+    return True
+
+
 def hecke_constants_loop(target, sub) -> tuple:
     """H read off the products e_m e_n of the block elements as coefficient
     tuples, m <= n, with each block's coefficients times R_p / d_i compared
-    by `==`; raises `InconsistentCoset` as `cosets.hecke_closure` does.
-    The rows are not summed: each sums to 1 once the dimensions are a
-    character (the proof is the docstring of `hecke_closure`)."""
+    by `==`; raises `InconsistentCoset` where some e_m e_n is not
+    dimension-proportional on a block, as `hecke_closure_by_products`
+    decides.  The rows are not summed: each sums to 1 once the dimensions
+    are a character."""
     ring, dec = target.ring, target.cosets(sub)
     nb, es = len(dec.blocks), block_elements(ring, dec)
     ratio = {i: dec.reg_dims[p] / ring.fpdims[i]

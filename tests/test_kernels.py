@@ -8,19 +8,20 @@ mutated inputs.  The ring stores N once, as the `nonzero` view that one
 `_nonzero` call builds, and `deligne_product` fills its dense validator
 input from the factors' nonzero rows, matching the six-loop dense oracle.
 
-eq-3.1 and the Hecke closure are decided on integer numerators of the
-dimensions (`Target.numerators`, `Target.pair`); their verdicts, the
-constants `hecke_constants` reads off at each block's first member, and
-the text of every raise equal those of the `CycNum` loops over block
-elements in `rings.py`, also on rings whose dimensions were corrupted after
-validation.  `hecke_closure` builds the product of each unordered pair of
-blocks once.
-`verify_prop_3_4` proves its associativity and dual-symmetry records once
-`hecke_closure` has returned, so the scans that recompute them,
+eq-3.1 is decided once per subcategory, by `hecke_closure`, on integer
+numerators of the dimensions (`Target.numerators`, `Target.pair`), and
+its block verdicts decide the Hecke closure.  The verdicts, the closure,
+the constants `hecke_constants` reads off one representative per block,
+and whether it raises equal those of the `CycNum` loops over block
+elements and of the block-product closure in `rings.py`, also on rings
+whose dimensions were corrupted after validation.  The kernel runs once
+per subcategory across eq-3.1, prop-3.4 and `hecke_constants`.
+`verify_prop_3_4`'s associativity and dual-symmetry records take the
+closure's verdict, by a proof, so the scans that recompute them,
 `hecke_associative` and `hecke_dual_symmetric`, live in `rings.py` as
-oracles.  Both hold on every H `hecke_constants` returns; a corrupted
-block product on a block of two or more members makes `hecke_closure`
-raise, and a corrupted row of H gives an H the oracles reject.
+oracles.  Both hold on every H `hecke_constants` returns; a block verdict
+forced False makes `hecke_constants` raise and fails those two records,
+and a corrupted row of H gives an H the oracles reject.
 `hecke_associative` agrees with its dense loop; it accumulates each side as
 `_int_mul` products of integer numerator vectors over one conductor and
 denominator.  A
@@ -43,6 +44,7 @@ import dataclasses
 import itertools
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -51,6 +53,7 @@ from hypothesis import given, settings, strategies as st
 
 import fuscat.chartab
 import fuscat.cosets
+import fuscat.exactnum
 import fuscat.fusion
 import fuscat.verify
 from fuscat.catalog import BUILTIN_KEYS, builtin
@@ -58,8 +61,8 @@ from fuscat.chartab import (_embedded, _is_numeric_character_table,
                             characters_numeric, match_numeric_columns,
                             support_JD, validate_character_table,
                             verify_eq_2_4)
-from fuscat.cosets import (hecke_constants, verify_eq_3_1, verify_eq_3_6,
-                           verify_eq_3_7)
+from fuscat.cosets import (hecke_closure, hecke_constants, verify_eq_3_1,
+                           verify_eq_3_6, verify_eq_3_7, verify_prop_3_4)
 from fuscat.errors import (DegenerateSpectrum, FuscatError, InconsistentCoset,
                            NotAlgebraMap, PsiNotCharacter, ValidationError)
 from fuscat.exactnum import CycNum, _int_mul
@@ -94,6 +97,7 @@ from rings import (
     group_ring,
     hecke_associative,
     hecke_associative_dense,
+    hecke_closure_by_products,
     hecke_constants_loop,
     hecke_dual_symmetric,
     ising_ring,
@@ -338,21 +342,43 @@ def test_support_and_centralizers_make_no_sum_and_no_product(monkeypatch):
 
 @pytest.mark.parametrize("key", KEYS)
 def test_hecke_constants_multiplies_each_unordered_pair_once(key, monkeypatch):
-    ring = builtin(key).ring
-    target = Target(key, ring)
-    calls = []
-    block_product = fuscat.cosets._block_product
-
-    def counted(target, dec, m, n):
-        calls.append((m, n))
-        return block_product(target, dec, m, n)
-    monkeypatch.setattr(fuscat.cosets, "_block_product", counted)
-    for sub in enumerate_subcategories(ring):
-        nb = len(target.cosets(sub).blocks)
-        calls.clear()
-        hecke_constants(target, sub)
-        assert sorted(calls) == list(
-            itertools.combinations_with_replacement(range(nb), 2)), sub.members
+    """eq-3.1, prop-3.4 and `hecke_constants` read one set of block
+    verdicts.  The kernel of `hecke_closure` puts dim(D) and each R_t over
+    the common denominator with one `_over` call each, so it runs once per
+    (target, subcategory) whichever of the three comes first.  The two that
+    follow make no `_over` or `_int_mul` call in `cosets`, and prop-3.4
+    makes no `_int_mul` call anywhere.  Each product A_i A_j of dimension
+    numerators is built once per unordered pair and target (`Target.pair`)."""
+    entry = builtin(key)
+    calls = Counter()
+    for module in (fuscat.cosets, fuscat.exactnum, fuscat.verify):
+        for name in ("_over", "_int_mul"):
+            if name in vars(module):
+                def counted(*args, _key=(module.__name__, name),
+                            _original=getattr(module, name)):
+                    calls[_key] += 1
+                    return _original(*args)
+                monkeypatch.setattr(module, name, counted)
+    runners = (verify_eq_3_1, verify_prop_3_4, hecke_constants)
+    for first in range(len(runners)):
+        order = runners[first:] + runners[:first]
+        target = Target(key, entry.ring, entry.table)
+        pairs = 0
+        for sub in enumerate_subcategories(entry.ring):
+            nb = len(target.cosets(sub).blocks)
+            target.support(sub)
+            calls.clear()
+            order[0](target, sub)
+            assert calls["fuscat.cosets", "_over"] == 1 + nb, sub.members
+            pairs += calls["fuscat.verify", "_int_mul"]
+            for run in order[1:]:
+                calls.clear()
+                run(target, sub)
+                assert not calls["fuscat.cosets", "_over"]
+                assert not calls["fuscat.cosets", "_int_mul"]
+                if run is verify_prop_3_4:
+                    assert not calls, (sub.members, calls)
+        assert pairs == len(target._memo["pairs"])
 
 
 @pytest.mark.parametrize("key", ("ising", "rep-s3", "su2k-4", "ising*svec",
@@ -447,45 +473,14 @@ MUTATION_KEYS = ("ising", "rep-s3", "pointed-z3-q1", "su2k-4")
 THIRD = CycNum.from_rational(Fraction(1, 3))
 
 
-def _hecke_outcome(target, sub):
-    """'raised' when `hecke_constants` refuses, 'rejected' when an oracle
-    rejects the H it returns; an H both oracles accept fails the test."""
-    try:
-        H = hecke_constants(target, sub)
-    except InconsistentCoset:
-        return "raised"
-    dual_map = target.cosets(sub).dual_map
-    assert not (hecke_associative(H) and hecke_dual_symmetric(H, dual_map)), \
-        sub.members
-    return "rejected"
-
-
-def _corrupt_products(mp, changes):
-    """Patch `cosets._block_product` so that the product P of the blocks
-    (m, n) gets the integer vector delta added at k, for each
-    changes[m, n] = (k, delta)."""
-    block_product = fuscat.cosets._block_product
-
-    def corrupted(target, dec, m, n):
-        P = block_product(target, dec, m, n)
-        if (m, n) in changes:
-            k, delta = changes[m, n]
-            P[k] = [x + y for x, y in zip(P.get(k, [0] * len(delta)), delta)]
-        return P
-    mp.setattr(fuscat.cosets, "_block_product", corrupted)
-
-
-def _corrupt_rows(mp, changes):
-    """Patch `cosets._hecke_row` so that the row H_{mn} gets changes[m, n],
-    one value per block, added."""
-    hecke_row = fuscat.cosets._hecke_row
-
-    def corrupted(target, dec, coeffs, m, n):
-        row = hecke_row(target, dec, coeffs, m, n)
-        if (m, n) in changes:
-            row = tuple(a + b for a, b in zip(row, changes[m, n]))
-        return row
-    mp.setattr(fuscat.cosets, "_hecke_row", corrupted)
+def _corrupt_rows(H, changes):
+    """H with changes[m, n], one value per block, added to the rows H_{mn}
+    and H_{nm}, so a commutative H stays commutative."""
+    structure = [list(plane) for plane in H]
+    for (m, n), change in changes.items():
+        for a, b in {(m, n), (n, m)}:
+            structure[a][b] = tuple(x + y for x, y in zip(H[a][b], change))
+    return tuple(map(tuple, structure))
 
 
 def _unit(p, nb):
@@ -494,46 +489,52 @@ def _unit(p, nb):
 
 @pytest.mark.parametrize("key", MUTATION_KEYS)
 def test_corrupted_closure_is_refused_or_rejected(key, monkeypatch):
-    """Adding 1 to the first numerator of one P_k of one block product
-    e_m e_n, m <= n (the only products `hecke_closure` builds), with k in a
-    block of two or more members, breaks dimension proportionality on that
-    block, so `hecke_constants` raises.  A P_k on a one-member block, or a
-    corrupted block dimension R_t, would only break the row sum, which the
-    closure proves rather than computes (the proof is its docstring), so
-    neither is tried.  Moving 1/3 of H_{0n} = e_n onto e_p after the
-    closure passed gives an H where (e_0 e_0) e_n = e_0 e_n has coefficient
-    2/3 at e_n and e_0 (e_0 e_n) has 4/9, so the oracles reject H."""
-    ring = builtin(key).ring
-    target = Target(key, ring)
-    bump = [1] + [0] * (len(target.numerators[2][0]) - 1)
-    outcomes = {"coefficient": set(), "unit block": set()}
-    for sub in enumerate_subcategories(ring):
+    """An eq-3.1 block verdict forced False, in the verdicts
+    `hecke_closure` returns, makes `hecke_constants` raise, naming that
+    block, and fails prop-3.4's associative and dual-symmetric records,
+    while its count record is unchanged.  Moving 1/3 of H_{0n} = e_n onto
+    e_p in the H that `hecke_constants` returns gives an H where
+    (e_0 e_0) e_n = e_0 e_n has coefficient 2/3 at e_n and e_0 (e_0 e_n)
+    has 4/9, so the oracles reject it."""
+    entry = builtin(key)
+    target = Target(key, entry.ring, entry.table)
+    closure = fuscat.cosets.hecke_closure
+    for sub in enumerate_subcategories(entry.ring):
         dec = target.cosets(sub)
         nb = len(dec.blocks)
-        shared = [k for block in dec.blocks if len(block) > 1 for k in block]
-        pairs = itertools.combinations_with_replacement(range(nb), 2)
-        for (m, n), k in itertools.product(pairs, shared):
+        sound = verify_prop_3_4(target, sub)
+        assert all(r.passed for r in sound), sub.members
+        for t in range(nb):
+            def forced(target, sub, t=t):
+                verdicts = list(closure(target, sub))
+                verdicts[t] = False
+                return tuple(verdicts)
             with monkeypatch.context() as mp:
-                _corrupt_products(mp, {(m, n): (k, bump)})
-                outcomes["coefficient"].add(_hecke_outcome(target, sub))
+                mp.setattr(fuscat.cosets, "hecke_closure", forced)
+                with pytest.raises(InconsistentCoset, match=f"block {t}$"):
+                    hecke_constants(target, sub)
+                records = verify_prop_3_4(target, sub)
+            assert records[0] == sound[0]
+            assert [(r.rhs, r.passed) for r in records[1:]] == [
+                ("associative", False), ("dual-symmetric", False)]
+        H = hecke_constants(target, sub)
         for n, p in itertools.product(range(1, nb), range(nb)):
             if p == n:
                 continue
             move = tuple((a - b) * THIRD
                          for a, b in zip(_unit(p, nb), _unit(n, nb)))
-            with monkeypatch.context() as mp:
-                _corrupt_rows(mp, {(0, n): move})
-                outcomes["unit block"].add(_hecke_outcome(target, sub))
-    assert outcomes == {"coefficient": {"raised"}, "unit block": {"rejected"}}
+            bad = _corrupt_rows(H, {(0, n): move})
+            assert not (hecke_associative(bad)
+                        and hecke_dual_symmetric(bad, dec.dual_map)), \
+                (sub.members, n, p)
 
 
-def test_associative_corruption_fails_only_dual_symmetry(monkeypatch):
+def test_associative_corruption_fails_only_dual_symmetry():
     """On the cosets of the unit of pointed-z3-q1, e_m = X_m and the blocks
     1 and 2 are dual.  Moving 2/3 of H_{12} = e_0 onto e_1 and 2/3 of
     H_{22} = e_1 onto e_2 turns the group algebra into K[x]/(x^3 - 2x/3 -
     1/3) with x = e_1: commutative, associative and with rows summing to 1,
-    so `hecke_constants` returns it, but e_1 e_1 = e_2 while e_2 e_2 has
-    1/3 at e_1."""
+    but e_1 e_1 = e_2 while e_2 e_2 has 1/3 at e_1."""
     ring = builtin("pointed-z3-q1").ring
     target = Target("pointed-z3-q1", ring)
     sub = enumerate_subcategories(ring)[0]
@@ -541,8 +542,8 @@ def test_associative_corruption_fails_only_dual_symmetry(monkeypatch):
     onto_1, onto_2 = (tuple((a - b) * (2 * THIRD)
                             for a, b in zip(_unit(p, 3), _unit(q, 3)))
                       for p, q in ((1, 0), (2, 1)))
-    _corrupt_rows(monkeypatch, {(1, 2): onto_1, (2, 2): onto_2})
-    H = hecke_constants(target, sub)
+    H = _corrupt_rows(hecke_constants(target, sub),
+                      {(1, 2): onto_1, (2, 2): onto_2})
     assert hecke_associative(H) and hecke_associative_dense(H)
     assert not hecke_dual_symmetric(H, target.cosets(sub).dual_map)
 
@@ -552,16 +553,19 @@ def _hecke_form(H):
 
 
 def _loop_outcomes(target, sub):
-    """(eq-3.1 verdicts, H by form or the text of its raise), from the
-    integer route and then from the `CycNum` loops."""
+    """(eq-3.1 verdicts, closure, H by form or "raised"), from the
+    production route and then from the oracles: the `CycNum` loops and the
+    block-product closure.  The text of a raise is not compared: only
+    dimensions changed after validation reach one."""
     def outcome(constants):
         try:
             return _hecke_form(constants(target, sub))
-        except InconsistentCoset as err:
-            return str(err)
+        except InconsistentCoset:
+            return "raised"
     return (([r.passed for r in verify_eq_3_1(target, sub)],
-             outcome(hecke_constants)),
-            (eq_3_1_loop(target, sub), outcome(hecke_constants_loop)))
+             all(hecke_closure(target, sub)), outcome(hecke_constants)),
+            (eq_3_1_loop(target, sub), hecke_closure_by_products(target, sub),
+             outcome(hecke_constants_loop)))
 
 
 def _assert_integer_route_matches_the_loops(ring):
@@ -573,8 +577,9 @@ def _assert_integer_route_matches_the_loops(ring):
 
 @pytest.mark.parametrize("key", ORACLE_KEYS + ("fib*ising", "su2k-4*fib"))
 def test_integer_route_matches_the_cycnum_loops(key):
-    """Every subcategory: the eq-3.1 verdicts and H, by conductor,
-    numerators and denominator; fib*ising and su2k-4*fib mix conductors."""
+    """Every subcategory: the eq-3.1 verdicts, the closure and H, by
+    conductor, numerators and denominator; fib*ising and su2k-4*fib mix
+    conductors."""
     _assert_integer_route_matches_the_loops(builtin(key).ring)
 
 
@@ -591,9 +596,9 @@ DIMENSION_CORRUPTIONS = (lambda d: d * 2, lambda d: d + 1,
 @pytest.mark.parametrize("key", MUTATION_KEYS + ("fib", "ising*svec"))
 def test_corrupted_dimensions_get_the_loops_verdicts_and_raises(key):
     """A ring whose dimension d_i, i > 0, was changed after validation (still
-    positive, so every e_t is defined): eq-3.1 verdicts, H and the text of
-    each raise equal the loops' on every subcategory, and both eq-3.1
-    verdicts and some raises occur."""
+    positive, so every e_t is defined): the eq-3.1 verdicts, the closure, H
+    and whether `hecke_constants` raises equal the oracles' on every
+    subcategory, and both eq-3.1 verdicts and some raises occur."""
     ring = builtin(key).ring
     verdicts, raised = set(), set()
     for i, corrupt in itertools.product(range(1, ring.rank),
@@ -605,7 +610,7 @@ def test_corrupted_dimensions_get_the_loops_verdicts_and_raises(key):
             got, want = _loop_outcomes(target, sub)
             assert got == want, (i, sub.members)
             verdicts.update(got[0])
-            raised.add(isinstance(got[1], str))
+            raised.add(got[2] == "raised")
     assert verdicts == {True, False} and True in raised
 
 

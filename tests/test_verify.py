@@ -492,8 +492,9 @@ def test_derived_data_is_computed_once_per_subcategory(key, monkeypatch):
 
 @pytest.mark.parametrize("key", ["ising*svec", "su2k-4", "fib*ising"])
 def test_each_pair_product_is_built_once(key, monkeypatch):
-    """eq-3.1 and the Hecke closure read each A_i A_j from the target, which
-    builds it once per unordered pair (i <= j) for every subcategory."""
+    """eq-3.1, whose block verdicts decide the Hecke closure, reads each
+    A_i A_j from the target, which builds it once per unordered pair
+    (i <= j) for every subcategory."""
     built = []
     int_mul = fuscat.verify._int_mul
 
