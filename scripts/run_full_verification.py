@@ -17,7 +17,7 @@ import sys
 
 from fuscat.catalog import BUILTIN_KEYS, builtin
 from fuscat.fusion import enumerate_subcategories
-from fuscat.verify import Target, render_json, render_markdown, run_checks
+from fuscat.verify import render_json, render_markdown, run_checks
 
 
 def main(argv=None) -> int:
@@ -34,9 +34,9 @@ def main(argv=None) -> int:
     totals = {"passed": 0, "failed": 0, "skipped": 0, "total": 0}
     any_failed = False
     for key in BUILTIN_KEYS:
-        entry = builtin(key)
-        report = run_checks(Target(key, entry.ring, entry.table, entry.smatrix),
-                            subcategories=enumerate_subcategories(entry.ring))
+        target = builtin(key)
+        report = run_checks(target,
+                            subcategories=enumerate_subcategories(target.ring))
         s = report.summary
         for field in totals:
             totals[field] += s[field]

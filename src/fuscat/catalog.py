@@ -3,21 +3,21 @@
 Every entry is constructed from closed forms in a fixed cyclotomic field and is
 fully re-validated on first access: the ring axioms, the character-table
 axioms, and (when a symmetric matrix ships) the row-character conditions all
-run before the entry is returned.  Entries are immutable and cached.
+run before the entry is returned.  The validated ring, table and matrix are
+built once per process; `builtin` hands out a fresh `Target` over them.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
-from .chartab import CharacterTable, validate_character_table
+from .chartab import validate_character_table
 from .errors import UnknownKey
 from .exactnum import ONE, ZERO, CycNum
 from .fusion import FusionRing, deligne_product, validate_fusion_ring
-from .premod import SMatrix, validate_smatrix
+from .premod import validate_smatrix
 from .verify import Target
 
 #: Keys shown by the builtin listing.  ``builtin`` additionally accepts any
@@ -39,16 +39,6 @@ BUILTIN_KEYS = (
 )
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    """A validated ring together with its exact derived data."""
-
-    key: str
-    ring: FusionRing
-    table: CharacterTable
-    smatrix: Optional[SMatrix]
-
-
 def _sqrt2() -> CycNum:
     z = CycNum.zeta(8)
     return z - z ** 3
@@ -59,15 +49,15 @@ def _sqrt5() -> CycNum:
     return ONE + (z + z ** 4) * 2
 
 
-def _entry(key, ring, table_rows, smatrix_rows) -> CatalogEntry:
+def _entry(key, ring, table_rows, smatrix_rows) -> Target:
     table = validate_character_table(ring, table_rows)
     sm = None
     if smatrix_rows is not None:
         sm = validate_smatrix(ring, table, smatrix_rows)
-    return CatalogEntry(key, ring, table, sm)
+    return Target(key, ring, table, sm)
 
 
-def _trivial() -> CatalogEntry:
+def _trivial() -> Target:
     ring = validate_fusion_ring([[[1]]], (0,), names=("1",), fpdims=(ONE,))
     return _entry("trivial", ring, [[ONE]], [[ONE]])
 
@@ -87,7 +77,7 @@ def _group_table_rows(powers):
     return [[powers[(i * j) % n] for j in range(n)] for i in range(n)]
 
 
-def _svec() -> CatalogEntry:
+def _svec() -> Target:
     ring = _group_ring(2, ("1", "f"))
     smatrix = [[ONE, ONE], [ONE, ONE]]
     return _entry("svec", ring,
@@ -95,7 +85,7 @@ def _svec() -> CatalogEntry:
                   smatrix)
 
 
-def _ising() -> CatalogEntry:
+def _ising() -> Target:
     tensor = [
         [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
         [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
@@ -117,7 +107,7 @@ def _ising() -> CatalogEntry:
     return _entry("ising", ring, table, smatrix)
 
 
-def _fib() -> CatalogEntry:
+def _fib() -> Target:
     tensor = [
         [[1, 0], [0, 1]],
         [[0, 1], [1, 1]],
@@ -130,7 +120,7 @@ def _fib() -> CatalogEntry:
     return _entry("fib", ring, table, smatrix)
 
 
-def _rep_s3() -> CatalogEntry:
+def _rep_s3() -> Target:
     tensor = [
         [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
         [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
@@ -161,7 +151,7 @@ def _su2k_tensor(k: int):
     return tensor
 
 
-def _su2k(k: int) -> CatalogEntry:
+def _su2k(k: int) -> Target:
     if k < 0:
         raise UnknownKey(f"su2k-{k}")
     rank = k + 1
@@ -191,7 +181,7 @@ def _su2k(k: int) -> CatalogEntry:
     return _entry(f"su2k-{k}", ring, table, smatrix)
 
 
-def _pointed(n: int, c: int) -> CatalogEntry:
+def _pointed(n: int, c: int) -> Target:
     if n < 1:
         raise UnknownKey(f"pointed-z{n}-q{c}")
     ring = _group_ring(n, (f"a{i}" for i in range(n)))
@@ -203,7 +193,7 @@ def _pointed(n: int, c: int) -> CatalogEntry:
                   smatrix)
 
 
-def _product_entry(a: CatalogEntry, b: CatalogEntry) -> CatalogEntry:
+def _product_entry(a: Target, b: Target) -> Target:
     ring = deligne_product(a.ring, b.ring)
     ra, rb = a.ring.rank, b.ring.rank
     table = [[a.table.alpha[i][j] * b.table.alpha[ip][jp]
@@ -214,7 +204,7 @@ def _product_entry(a: CatalogEntry, b: CatalogEntry) -> CatalogEntry:
         smatrix = [[a.smatrix.s[i][j] * b.smatrix.s[ip][jp]
                     for j in range(ra) for jp in range(rb)]
                    for i in range(ra) for ip in range(rb)]
-    return _entry(f"{a.key}*{b.key}", ring, table, smatrix)
+    return _entry(f"{a.label}*{b.label}", ring, table, smatrix)
 
 
 _SU2K = re.compile(r"su2k-(\d+)\Z")
@@ -230,19 +220,15 @@ _FIXED = {
 
 
 @lru_cache(maxsize=None)
-def builtin(key: str) -> CatalogEntry:
-    """Return the validated entry for a catalog key.
-
-    Accepts the fixed keys, the parametric families "su2k-<k>" and
-    "pointed-z<n>-q<c>", and '*'-joined products of other keys.
-    """
+def _build(key: str) -> Target:
+    """The validated entry for a catalog key, built once per process."""
     if "*" in key:
         parts = key.split("*")
         if any(not p for p in parts):
             raise UnknownKey(key)
-        entry = builtin(parts[0])
+        entry = _build(parts[0])
         for part in parts[1:]:
-            entry = _product_entry(entry, builtin(part))
+            entry = _product_entry(entry, _build(part))
         return entry
     if key in _FIXED:
         return _FIXED[key]()
@@ -255,25 +241,34 @@ def builtin(key: str) -> CatalogEntry:
     raise UnknownKey(key)
 
 
-def product(a: str, b: str) -> CatalogEntry:
+def builtin(key: str) -> Target:
+    """Return a new `Target` labelled `key`, with an empty memo, over the
+    validated ring, table and matrix that every call for `key` shares.
+
+    Accepts the fixed keys, the parametric families "su2k-<k>" and
+    "pointed-z<n>-q<c>", and '*'-joined products of other keys.
+    """
+    return dataclasses.replace(_build(key))
+
+
+def product(a: str, b: str) -> Target:
     """Validated entrywise product of two catalog entries, keyed "a*b"."""
     return builtin(f"{a}*{b}")
 
 
-def entry_summary(entry: CatalogEntry) -> dict:
+def entry_summary(target: Target) -> dict:
     """Plain-data line for the builtin listing.  The class is "modular",
     "symmetric" or "degenerate" by the size of the Müger center, and
-    "no-smatrix" when the entry carries no symmetric matrix."""
-    target = Target(entry.key, entry.ring, entry.table, entry.smatrix)
+    "no-smatrix" when the target carries no symmetric matrix."""
     center_size, cls = 0, "no-smatrix"
-    if entry.smatrix is not None:
+    if target.smatrix is not None:
         center_size = len(target.center)
         cls = ("modular" if center_size == 1 else
-               "symmetric" if center_size == entry.ring.rank else
+               "symmetric" if center_size == target.ring.rank else
                "degenerate")
     return {
-        "key": entry.key,
-        "rank": entry.ring.rank,
+        "key": target.label,
+        "rank": target.ring.rank,
         "fpdim": float(target.global_dim.embed_complex().real),
         "center_size": center_size,
         "class": cls,

@@ -28,8 +28,7 @@ _INTEGRALITY_IDS = ("cor-3.9", "cor-4.16", "thm-1.1", "thm-1.3", "rem-4.25")
 def _resolve_target(key_or_path: str) -> Target:
     """Catalog key first; falls back to a JSON document on disk."""
     try:
-        entry = builtin(key_or_path)
-        return Target(entry.key, entry.ring, entry.table, entry.smatrix)
+        return builtin(key_or_path)
     except UnknownKey:
         pass
     if not os.path.exists(key_or_path):

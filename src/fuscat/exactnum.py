@@ -26,7 +26,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -107,10 +106,7 @@ def euler_phi(n: int) -> int:
     return result
 
 
-_CYCLO_CACHE: dict[int, IntPoly] = {}
-_CYCLO_LOCK = threading.RLock()  # reentrant: Phi_n recurses into its divisors
-
-
+@functools.cache
 def cyclotomic_polynomial(n: int) -> IntPoly:
     """Phi_n, computed by dividing x^n - 1 by Phi_d over proper divisors d.
 
@@ -119,27 +115,19 @@ def cyclotomic_polynomial(n: int) -> IntPoly:
     phi(d) = phi(n).  The two raises below cannot fire for any n >= 1; they
     are raises, not asserts, so that ``python -O`` keeps them.
     """
-    poly = _CYCLO_CACHE.get(n)
-    if poly is not None:
-        return poly
-    with _CYCLO_LOCK:
-        poly = _CYCLO_CACHE.get(n)
-        if poly is not None:
-            return poly
-        if n < 1:
-            raise ValueError("conductor must be positive")
-        num = [-1] + [0] * (n - 1) + [1]
-        for d in range(1, n):
-            if n % d == 0:
-                k = _divide(num, d)
-                if any(num[:k]):
-                    raise ArithmeticError(f"Phi_{d} must divide x^{n}-1")
-                num = num[k:]
-        poly = IntPoly(tuple(num))
-        if poly.degree != euler_phi(n):
-            raise ArithmeticError(f"Phi_{n} must have degree phi({n})")
-        _CYCLO_CACHE[n] = poly
-        return poly
+    if n < 1:
+        raise ValueError("conductor must be positive")
+    num = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            k = _divide(num, d)
+            if any(num[:k]):
+                raise ArithmeticError(f"Phi_{d} must divide x^{n}-1")
+            num = num[k:]
+    poly = IntPoly(tuple(num))
+    if poly.degree != euler_phi(n):
+        raise ArithmeticError(f"Phi_{n} must have degree phi({n})")
+    return poly
 
 
 @functools.cache

@@ -2,15 +2,14 @@
 
 A target is a ring plus optional character table and symmetric matrix,
 together with the derived data the checks read (global dimension, supports,
-coset decompositions, centralizers, the Müger center, meets, blocks, the
-matched groups, the reciprocal of each divisor, the dimensions as integer
-numerators and the products of pairs of them), each computed at most once
-per target.  Every check has a stable string id and a row in
-the registry that names what it requires and over what it ranges; checks
-whose inputs are missing, or whose mathematical hypotheses fail, are
-reported as skipped with a reason rather than failed.  Records are ordered
-by check id, then by serialized parameters, so reports are byte-identical
-across runs.
+coset decompositions, centralizers, the Müger center, blocks, the matched
+groups, the reciprocal of each divisor, the dimensions as integer numerators
+and the products of pairs of them), each computed at most once per target.
+Every check has a stable string id and a row in the registry that names what
+it requires and over what it ranges; checks whose inputs are missing, or whose
+mathematical hypotheses fail, are reported as skipped with a reason rather
+than failed.  Records are ordered by check id, then by serialized parameters,
+so reports are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -192,9 +191,9 @@ class Target:
 
     def meet(self, a: Subcategory, b: Subcategory) -> Subcategory:
         """The intersection of two subcategories, which holds the unit and
-        every product and dual of its members, as each of them does."""
-        members = tuple(sorted(set(a.members) & set(b.members)))
-        return self._once(("meet", members), lambda: Subcategory(members))
+        every product and dual of its members, as each of them does.  It is
+        not kept: what is derived from it is keyed by its members."""
+        return Subcategory(tuple(sorted(set(a.members) & set(b.members))))
 
     def centralizer(self, sub: Subcategory) -> Subcategory:
         """D': the objects that centralize every member of `sub`, the

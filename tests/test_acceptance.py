@@ -20,7 +20,7 @@ failure message names each unmet sub-assertion.
 import json
 from fractions import Fraction
 
-from fuscat.catalog import BUILTIN_KEYS, CatalogEntry, builtin
+from fuscat.catalog import BUILTIN_KEYS, builtin
 from fuscat.chartab import (characters_numeric, match_numeric_columns,
                             support_JD, validate_character_table,
                             verify_eq_2_7)
@@ -45,10 +45,6 @@ def _entries():
     return [builtin(key) for key in BUILTIN_KEYS]
 
 
-def _target(entry):
-    return Target(entry.key, entry.ring, entry.table, entry.smatrix)
-
-
 def _hecke_at(ring, dec, p, x, y):
     """H_{mn}^p from one representative pair (X, Y) of blocks m and n:
     sum over Z in block p of d_Z N_{XY}^Z / (d_X d_Y)."""
@@ -65,8 +61,7 @@ def _su2k4_adjoint():
     ring = reps3_ring()
     table = validate_character_table(ring, reps3_table_rows())
     smatrix = validate_smatrix(ring, table, su2k4_adjoint_smatrix_rows())
-    return CatalogEntry(key="su2k-4 adjoint", ring=ring, table=table,
-                        smatrix=smatrix)
+    return Target("su2k-4 adjoint", ring, table, smatrix)
 
 
 def test_criterion_01_rep_s3_class_dims_match_conjugacy_class_sizes():
@@ -77,12 +72,11 @@ def test_criterion_01_rep_s3_class_dims_match_conjugacy_class_sizes():
 
 def test_criterion_02_support_sums_exact_on_every_subcategory():
     failures = []
-    for entry in _entries():
-        target = _target(entry)
-        for sub in enumerate_subcategories(entry.ring):
+    for target in _entries():
+        for sub in enumerate_subcategories(target.ring):
             res = verify_eq_2_7(target, sub)
             if not res.passed:
-                failures.append((entry.key, sub.members))
+                failures.append((target.label, sub.members))
     assert not failures, failures
 
 
@@ -94,11 +88,10 @@ def test_criterion_03_both_orthogonality_relations_exact():
         cases.append((key, set(range(rank))))
     failures = []
     for key, members in cases:
-        entry = builtin(key)
-        target = _target(entry)
-        sub = check_subcategory(entry.ring, members)
+        target = builtin(key)
+        sub = check_subcategory(target.ring, members)
         dec = coset_partition(target, sub)
-        jd = support_JD(entry.ring, entry.table, sub)
+        jd = support_JD(target.ring, target.table, sub)
         first = verify_eq_3_6(target, sub)
         assert [(r.params["k"], r.params["l"]) for r in first] == \
             [(k, l) for k in jd for l in jd]
@@ -115,9 +108,8 @@ def test_criterion_03_both_orthogonality_relations_exact():
 
 def test_criterion_04_block_constants_well_defined_stochastic_associative():
     failures = []
-    for entry in _entries():
-        target = _target(entry)
-        for sub in enumerate_subcategories(entry.ring):
+    for target in _entries():
+        for sub in enumerate_subcategories(target.ring):
             dec = coset_partition(target, sub)
             H = hecke_constants(target, sub)
             nb = len(dec.blocks)
@@ -130,14 +122,14 @@ def test_criterion_04_block_constants_well_defined_stochastic_associative():
                         # m x n gives the same constant
                         for x in dec.blocks[m_i]:
                             for y in dec.blocks[n_i]:
-                                if (_hecke_at(entry.ring, dec, p_i, x, y)
+                                if (_hecke_at(target.ring, dec, p_i, x, y)
                                         != H[m_i][n_i][p_i]):
-                                    failures.append((entry.key, sub.members,
+                                    failures.append((target.label, sub.members,
                                                      m_i, n_i, p_i, x, y))
                     if total != ONE:
-                        failures.append((entry.key, sub.members, m_i, n_i))
+                        failures.append((target.label, sub.members, m_i, n_i))
             if not hecke_associative(H):
-                failures.append((entry.key, sub.members, "associativity"))
+                failures.append((target.label, sub.members, "associativity"))
     assert not failures, failures
 
 
@@ -153,8 +145,8 @@ def test_criterion_05_matching_fibers_are_center_cosets():
     cases = [(builtin(key), fibers) for key, fibers in expected_fibers.items()]
     # a pointed center with a fixed point: X_4 fixes X_2, one fiber is {0, 1}
     cases.append((_su2k4_adjoint(), ((0, 1), (2,))))
-    for entry, fibers in cases:
-        key, target = entry.key, _target(entry)
+    for target, fibers in cases:
+        key = target.label
         center = m_map(target)
         # the fibers are the matched groups of the whole ring, over J_2
         groups = target.matched_groups(target.whole)
@@ -164,7 +156,7 @@ def test_criterion_05_matching_fibers_are_center_cosets():
         cosets = coset_partition(target, center).blocks
         if got != cosets:
             failures.append((key, "fibers-vs-cosets", got, cosets))
-        j_center = support_JD(entry.ring, entry.table, center)
+        j_center = support_JD(target.ring, target.table, center)
         if not (len(got) == len(groups) == len(j_center)
                 and set(groups) == set(j_center)):
             failures.append((key, "counts", len(got), tuple(groups),
@@ -175,9 +167,9 @@ def test_criterion_05_matching_fibers_are_center_cosets():
 def test_criterion_06_central_images_equal_scaled_class_sums():
     failures = []
     for entry in _entries():
-        results = verify_thm_4_6(_target(entry))
+        results = verify_thm_4_6(entry)
         if not all_passed(results):
-            failures.append(entry.key)
+            failures.append(entry.label)
     assert not failures, failures
 
 
@@ -187,7 +179,7 @@ def test_criterion_07_divisibility_verdicts():
     # (a) golden-ratio ring, D = C: (5 - sqrt 5)/2 is an algebraic integer
     entry = builtin("fib")
     full = check_subcategory(entry.ring, {0, 1})
-    results = verify_thm_1_1(_target(entry), full)
+    results = verify_thm_1_1(entry, full)
     tau = [r for r in results if r.params.get("Y") == 1][0]
     if not (tau.passed and is_algebraic_integer(tau.lhs)
             and minimal_polynomial(tau.lhs) == (5, -5, 1)):
@@ -197,7 +189,7 @@ def test_criterion_07_divisibility_verdicts():
     #     (Y=2), both integral, with dim(C^{M(Y)}) = d_Y^2/|G_Y| and
     #     |G_{X_2}| = 1, the center being {0}
     entry = builtin("su2k-4")
-    results = verify_thm_1_3(_target(entry))
+    results = verify_thm_1_3(entry)
     item1 = {r.params["Y"]: r for r in results
              if r.id == "thm-1.3" and r.params.get("item") == 1}
     eq423 = {r.params["Y"]: r for r in results if r.id == "eq-4.23"}
@@ -217,7 +209,7 @@ def test_criterion_07_divisibility_verdicts():
     #     value dim(C) dim(center)/d_2^2 = 6*2/4 = 3, and no item-2 record
     #     because the center does not act freely
     entry = _su2k4_adjoint()
-    results = verify_thm_1_3(_target(entry))
+    results = verify_thm_1_3(entry)
     r = [r for r in results if r.id == "eq-4.23" and r.params["Y"] == 2][0]
     if len(r.params["stabilizer"]) != 2:
         failures.append(("b", "adjoint", "|G_{X_2}|",
@@ -234,7 +226,7 @@ def test_criterion_07_divisibility_verdicts():
 
     # (c) slightly degenerate product: value 2 at Y = (s, 1)
     entry = builtin("ising*svec")
-    results = verify_thm_1_3(_target(entry))
+    results = verify_thm_1_3(entry)
     item2 = {r.params["Y"]: r for r in results
              if r.id == "thm-1.3" and r.params.get("item") == 2}
     r = item2[4]
@@ -243,7 +235,7 @@ def test_criterion_07_divisibility_verdicts():
 
     # (d) rank-3 ring with D = {1, f}: value 4
     entry = builtin("ising")
-    results = verify_cor_3_9_1(_target(entry),
+    results = verify_cor_3_9_1(entry,
                                check_subcategory(entry.ring, {0, 1}))
     sigma = [r for r in results if r.params["member"] == 2][0]
     if not (sigma.passed and sigma.lhs == 4):
@@ -253,7 +245,7 @@ def test_criterion_07_divisibility_verdicts():
     #     dimension of M(X_1) being d_1^2 by eq-4.23
     entry = builtin("su2k-4")
     from fuscat.premod import verify_rem_4_25
-    results = verify_rem_4_25(_target(entry))
+    results = verify_rem_4_25(entry)
     r = [x for x in results if x.params["i"] == 1][0]
     if not (r.passed and r.lhs == 12):  # stated: 6
         failures.append(("e", "value", r.lhs, "expected", 12))
@@ -282,32 +274,31 @@ def test_criterion_09_numeric_cross_checks_within_tolerance():
         try:
             match_numeric_columns(entry.table, numeric, tol=1e-8)
         except ValueError as exc:
-            failures.append((entry.key, str(exc)))
+            failures.append((entry.label, str(exc)))
         approx = fpdim_numeric(_dense(entry.ring))
         for i, d in enumerate(entry.ring.fpdims):
             if abs(approx[i] - d.embed_complex().real) > 1e-9:
-                failures.append((entry.key, "dim", i))
+                failures.append((entry.label, "dim", i))
     assert not failures, failures
 
 
 def test_criterion_10_partition_compatibility_and_refinement():
     failures = []
-    for entry in _entries():
-        target = _target(entry)
-        subs = enumerate_subcategories(entry.ring)
+    for target in _entries():
+        subs = enumerate_subcategories(target.ring)
         partitions = {sub.members: coset_partition(target, sub).blocks
                       for sub in subs}
         for sub in subs:
             for amb in subs:
                 res = verify_lemma_3_12(target, sub, amb)
                 if not res.passed:
-                    failures.append((entry.key, sub.members, amb.members))
+                    failures.append((target.label, sub.members, amb.members))
         for d1 in subs:
             for d2 in subs:
                 if set(d1.members) <= set(d2.members):
                     if not refines(partitions[d1.members],
                                    partitions[d2.members]):
-                        failures.append((entry.key, "refinement",
+                        failures.append((target.label, "refinement",
                                          d1.members, d2.members))
     assert not failures, failures
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuscat.catalog import (BUILTIN_KEYS, CatalogEntry, _su2k, builtin,
+from fuscat.catalog import (BUILTIN_KEYS, _build, _su2k, builtin,
                             entry_summary, product)
+from fuscat.cli import main
 from fuscat.errors import UnknownKey
 from fuscat.exactnum import CycNum
 from fuscat.fusion import _dense, global_fpdim
@@ -24,14 +25,26 @@ ONE = CycNum.from_rational(1)
 def test_all_listed_keys_load():
     for key in BUILTIN_KEYS:
         entry = builtin(key)
-        assert isinstance(entry, CatalogEntry)
-        assert entry.key == key
+        assert isinstance(entry, Target)
+        assert entry.label == key
         assert entry.ring.fpdims is not None
 
 
 def test_entries_are_cached():
-    assert builtin("ising") is builtin("ising")
-    assert builtin("ising*svec") is builtin("ising*svec")
+    """Two calls share the validated data but not the memo, so no derived
+    datum outlives the target of one command."""
+    for key in ("ising", "ising*svec"):
+        a, b = builtin(key), builtin(key)
+        assert a.ring is b.ring and a.table is b.table
+        assert a.smatrix is b.smatrix
+        assert a is not b and a._memo is not b._memo
+
+
+def test_commands_leave_no_derived_data_behind():
+    assert main(["verify", "ising", "--all-subcategories",
+                 "--format", "json"]) == 0
+    assert builtin("ising")._memo == {}
+    assert _build("ising")._memo == {}
 
 
 def test_unknown_keys():
@@ -187,14 +200,9 @@ def test_pointed_matrix_matches_polarization_oracle():
         assert tuple(row) == tuple(orow)
 
 
-def _center(entry):
-    """The Müger center, read through a target of the entry."""
-    return Target(entry.key, entry.ring, entry.table, entry.smatrix).center
-
-
 def test_pointed_center_depends_on_form():
-    c1 = _center(builtin("pointed-z4-q1"))
-    c2 = _center(builtin("pointed-z4-q2"))
+    c1 = builtin("pointed-z4-q1").center
+    c2 = builtin("pointed-z4-q2").center
     assert c1.members == (0,)
     assert c2.members == (0, 2)
 
@@ -221,9 +229,9 @@ def test_classifications():
 
 def test_product_ising_svec():
     entry = product("ising", "svec")
-    assert entry.key == "ising*svec"
+    assert entry.label == "ising*svec"
     assert entry.ring.rank == 6
-    center = _center(entry)
+    center = entry.center
     # (1, 1) and (1, f) in the (i, ip) -> 2 i + ip flattening
     assert center.members == (0, 1)
 
@@ -231,7 +239,7 @@ def test_product_ising_svec():
 def test_product_svec_svec_is_symmetric():
     entry = product("svec", "svec")
     assert entry.ring.rank == 4
-    center = _center(entry)
+    center = entry.center
     assert center.members == (0, 1, 2, 3)
 
 
@@ -298,5 +306,5 @@ def test_pointed_center_is_kernel_subgroup(n, c):
 
     entry = builtin(f"pointed-z{n}-q{c}")
     step = n // math.gcd(c % n, n)
-    center = _center(entry)
+    center = entry.center
     assert center.members == tuple(range(0, n, step))

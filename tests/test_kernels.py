@@ -56,7 +56,7 @@ import fuscat.cosets
 import fuscat.exactnum
 import fuscat.fusion
 import fuscat.verify
-from fuscat.catalog import BUILTIN_KEYS, builtin
+from fuscat.catalog import BUILTIN_KEYS, _build, builtin
 from fuscat.chartab import (_embedded, _is_numeric_character_table,
                             characters_numeric, match_numeric_columns,
                             support_JD, validate_character_table,
@@ -160,9 +160,8 @@ def test_sums_of_products_match_the_cycnum_loops(key):
     eq-2.4/3.6/3.7 sums give the conductor, numerators and denominator of
     the CycNum loops they replaced; fib*ising and su2k-4*fib mix conductors
     1, 5, 8, 40 and 24, 120."""
-    entry = builtin(key)
-    ring, table = entry.ring, entry.table
-    target = Target(key, ring, table, entry.smatrix)
+    target = builtin(key)
+    ring, table = target.ring, target.table
     for rec in verify_eq_2_4(target):
         want = eq_2_4_lhs_loop(target, rec.params["l"], rec.params["k"])
         assert _form(rec.lhs) == _form(want), rec.params
@@ -190,15 +189,14 @@ def test_eq_2_4_sums_match_the_cycnum_loop(key):
     """Every eq-2.4 lhs, the codegree on the diagonal and a zero at the lcm
     of the two column conductors off it, has the conductor, numerators and
     denominator of the loop sum; svec^4 holds rank 16."""
-    entry = builtin(key)
-    target = Target(key, entry.ring, entry.table, entry.smatrix)
+    target = builtin(key)
     records = verify_eq_2_4(target)
-    assert len(records) == entry.ring.rank ** 2
+    assert len(records) == target.ring.rank ** 2
     for rec in records:
         want = eq_2_4_lhs_loop(target, rec.params["l"], rec.params["k"])
         assert _form(rec.lhs) == _form(want), rec.params
         assert rec.passed
-    for j, cod in enumerate(entry.table.codegrees):
+    for j, cod in enumerate(target.table.codegrees):
         assert _form(cod) == _form(eq_2_4_lhs_loop(target, j, j)), j
 
 
@@ -251,7 +249,7 @@ def test_ring_stores_n_once(monkeypatch):
     monkeypatch.setattr(fuscat.fusion, "_nonzero",
                         lambda tensor: calls.append(1) or nonzero(tensor))
     for key in BUILTIN_KEYS:
-        builtin.__wrapped__(key)
+        _build.__wrapped__(key)
     assert len(calls) == len(BUILTIN_KEYS) == 13
     names = {f.name for f in dataclasses.fields(FusionRing)}
     assert "nonzero" in names and "tensor" not in names
@@ -293,9 +291,8 @@ def test_centralizers_match_the_pair_product_scan(key):
     """M^{-1}(J_D) is D' by Müger's criterion s_ii' = d_i d_i', multiplied
     out, on every subcategory; the center `m_map` gives is the centralizer
     of the whole ring."""
-    entry = builtin(key)
-    ring, sm = entry.ring, entry.smatrix
-    target = Target(key, ring, entry.table, sm)
+    target = builtin(key)
+    ring, sm = target.ring, target.smatrix
     subs = enumerate_subcategories(ring)
     for sub in subs:
         assert centralizer(target, sub) == centralizer_loop(ring, sm, sub), \
@@ -308,7 +305,7 @@ def test_support_and_centralizers_make_no_sum_and_no_product(monkeypatch):
     su2k-4*fib calls `chartab._dot` zero times (J_D is read by restriction),
     and `premod.centralizer` multiplies no `CycNum` (D' is read off the
     matching)."""
-    entry = builtin("su2k-4*fib")
+    target = builtin("su2k-4*fib")
     dots, muls, inside, calls = [], [], [], []
     dot = fuscat.chartab._dot
     monkeypatch.setattr(fuscat.chartab, "_dot",
@@ -333,9 +330,8 @@ def test_support_and_centralizers_make_no_sum_and_no_product(monkeypatch):
         finally:
             inside.pop()
     monkeypatch.setattr(fuscat.verify, "centralizer", wrapped)
-    report = run_checks(Target("su2k-4*fib", entry.ring, entry.table,
-                               entry.smatrix),
-                        subcategories=enumerate_subcategories(entry.ring))
+    report = run_checks(target,
+                        subcategories=enumerate_subcategories(target.ring))
     assert report.ok and calls
     assert dots == [] and muls == []
 

@@ -201,8 +201,7 @@ ADJOINT = "su2k-4 adjoint"
 def _keyed_target(key):
     if key == ADJOINT:
         return Target(key, *_su2k4_adjoint())
-    entry = builtin(key)
-    return Target(key, entry.ring, entry.table, entry.smatrix)
+    return builtin(key)
 
 
 def _assert_centralizer_is_closed(t, members):
@@ -326,10 +325,9 @@ def test_eq_4_3_products_hold_where_the_matching_proves_them(key):
     """`verify_eq_4_3` passes every row from the matching alone, and the
     products alpha[i][M(i')] d_{i'} == s_{ii'}, multiplied out by
     `eq_4_3_loop`, hold on every row."""
-    entry = builtin(key)
-    t = Target(key, entry.ring, entry.table, entry.smatrix)
+    t = builtin(key)
     records = verify_eq_4_3(t)
-    assert [r.params["i"] for r in records] == list(range(entry.ring.rank))
+    assert [r.params["i"] for r in records] == list(range(t.ring.rank))
     assert all_passed(records)
     assert all(eq_4_3_loop(t))
 

@@ -35,9 +35,9 @@ from rings import (fp_column, ising_ring, ising_table_rows,
 
 
 def _full_run(key):
-    entry = builtin(key)
-    return run_checks(Target(key, entry.ring, entry.table, entry.smatrix),
-                      subcategories=enumerate_subcategories(entry.ring))
+    target = builtin(key)
+    return run_checks(target,
+                      subcategories=enumerate_subcategories(target.ring))
 
 
 @pytest.mark.parametrize("key", BUILTIN_KEYS)
@@ -140,24 +140,19 @@ def test_column_permutation_keeps_every_verdict(key):
         smatrix = validate_smatrix(ring, table, entry.smatrix.s)
         assert [perm[j] for j in smatrix.M] == list(entry.smatrix.M)
     subs = enumerate_subcategories(ring)
-    before = run_checks(Target(key, ring, entry.table, entry.smatrix),
-                        subcategories=subs)
+    before = run_checks(entry, subcategories=subs)
     after = run_checks(Target(key, ring, table, smatrix), subcategories=subs)
     assert _verdicts(after) == _verdicts(before)
 
 
 def test_check_filter_restricts_output():
-    entry = builtin("ising")
-    report = run_checks(Target("", entry.ring, entry.table, entry.smatrix),
-                        check_ids=["eq-2.7", "thm-4.10"])
+    report = run_checks(builtin("ising"), check_ids=["eq-2.7", "thm-4.10"])
     assert {c.id for c in report.checks} == {"eq-2.7", "thm-4.10"}
 
 
 def test_unknown_check_id_rejected():
-    entry = builtin("ising")
     with pytest.raises(UnknownKey, match="thm-9.9"):
-        run_checks(Target("", entry.ring, entry.table, entry.smatrix),
-                   check_ids=["thm-9.9"])
+        run_checks(builtin("ising"), check_ids=["thm-9.9"])
 
 
 def test_records_ordered_by_id_then_params():
@@ -183,9 +178,7 @@ def test_default_pool_is_unit_and_whole_ring():
 
 
 def test_json_rendering_round_trips():
-    entry = builtin("pointed-z4-q2")
-    report = run_checks(Target("pointed-z4-q2", entry.ring, entry.table,
-                               entry.smatrix))
+    report = run_checks(builtin("pointed-z4-q2"))
     doc = report_to_json_builder(report)
     assert json.loads(render_json(report)) == doc
     assert report_to_json(report) == doc
@@ -439,9 +432,8 @@ def test_programming_error_in_matching_analysis_propagates(monkeypatch):
         raise TypeError("not a data error")
 
     monkeypatch.setattr(fuscat.verify, "m_map", broken)
-    entry = builtin("ising")
     with pytest.raises(TypeError, match="not a data error"):
-        run_checks(Target("ising", entry.ring, entry.table, entry.smatrix))
+        run_checks(builtin("ising"))
 
 
 def test_skip_records_carry_the_row_params():
@@ -481,9 +473,9 @@ def test_derived_data_is_computed_once_per_subcategory(key, monkeypatch):
     counting("support_JD", 2)
     counting("coset_partition", 1)
     counting("centralizer", 1)
-    entry = builtin(key)
-    report = run_checks(Target(key, entry.ring, entry.table, entry.smatrix),
-                        subcategories=enumerate_subcategories(entry.ring))
+    target = builtin(key)
+    report = run_checks(target,
+                        subcategories=enumerate_subcategories(target.ring))
     assert report.ok
     assert {name for name, _ in calls} == {"support_JD", "coset_partition",
                                            "centralizer"}
@@ -502,10 +494,9 @@ def test_each_pair_product_is_built_once(key, monkeypatch):
         built.append((tuple(x), tuple(y)))
         return int_mul(x, y, n)
     monkeypatch.setattr(fuscat.verify, "_int_mul", counting)
-    entry = builtin(key)
-    target = Target(key, entry.ring, entry.table, entry.smatrix)
+    target = builtin(key)
     assert run_checks(target, subcategories=enumerate_subcategories(
-        entry.ring)).ok
+        target.ring)).ok
     pairs = target._memo["pairs"]
     assert len(built) == len(pairs) > 0
     assert all(i <= j for i, j in pairs)
@@ -517,9 +508,8 @@ def test_eq_3_1_and_prop_3_4_build_no_cycnum_product(key, monkeypatch):
     """Once the cosets and supports are taken, eq-3.1 and prop-3.4 decide
     every subcategory on integer numerators: no `CycNum` is multiplied and
     no block element is built."""
-    entry = builtin(key)
-    target = Target(key, entry.ring, entry.table, entry.smatrix)
-    subs = enumerate_subcategories(entry.ring)
+    target = builtin(key)
+    subs = enumerate_subcategories(target.ring)
     for sub in subs:
         target.cosets(sub)
         target.support(sub)
@@ -566,8 +556,7 @@ def test_run_checks_makes_no_division(key, every_subcategory, monkeypatch):
     """Every check multiplies by `Target.inverse` of its divisor; none calls
     `CycNum.__truediv__` (135 calls on su2k-14 over every subcategory and
     153 on su2k-20 over the default pool when the checks divided)."""
-    entry = builtin(key)
-    target = Target(key, entry.ring, entry.table, entry.smatrix)
+    target = builtin(key)
     calls = Counter()
     divide = CycNum.__truediv__
 
@@ -575,7 +564,7 @@ def test_run_checks_makes_no_division(key, every_subcategory, monkeypatch):
         calls["div"] += 1
         return divide(self, other)
     monkeypatch.setattr(CycNum, "__truediv__", counting)
-    subs = enumerate_subcategories(entry.ring) if every_subcategory else None
+    subs = enumerate_subcategories(target.ring) if every_subcategory else None
     assert run_checks(target, subcategories=subs).ok
     assert calls["div"] == 0
 
@@ -584,8 +573,7 @@ def test_eq_2_4_reads_the_codegrees(monkeypatch):
     """eq-2.4 takes its diagonal from `CharacterTable.codegrees` and puts
     0 off it, so it sums nothing: 441 `_dot` sums on su2k-20 when each
     entry was summed."""
-    entry = builtin("su2k-20")
-    target = Target("su2k-20", entry.ring, entry.table, entry.smatrix)
+    target = builtin("su2k-20")
     calls = Counter()
     dot = fuscat.chartab._dot
 
@@ -601,8 +589,7 @@ def test_eq_2_4_reads_the_codegrees(monkeypatch):
 def test_eq_4_3_multiplies_nothing(monkeypatch):
     """eq-4.3 holds by the matching `validate_smatrix` found, so once the
     center is taken its records cost no `CycNum` product."""
-    entry = builtin("su2k-20")
-    target = Target("su2k-20", entry.ring, entry.table, entry.smatrix)
+    target = builtin("su2k-20")
     target.center
     calls = Counter()
     mul = CycNum.__mul__
