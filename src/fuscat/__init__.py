@@ -3,7 +3,6 @@
 from .exactnum import (
     CycNum,
     IntPoly,
-    Rational,
     cyclotomic_polynomial,
     euler_phi,
     is_algebraic_integer,
@@ -13,7 +12,6 @@ from .exactnum import (
 __all__ = [
     "CycNum",
     "IntPoly",
-    "Rational",
     "cyclotomic_polynomial",
     "euler_phi",
     "is_algebraic_integer",

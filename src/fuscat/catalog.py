@@ -152,8 +152,6 @@ def _su2k_tensor(k: int):
 
 
 def _su2k(k: int) -> Target:
-    if k < 0:
-        raise UnknownKey(f"su2k-{k}")
     rank = k + 1
     conductor = 4 * (k + 2)
     tensor = _su2k_tensor(k)

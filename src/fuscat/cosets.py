@@ -259,7 +259,7 @@ def verify_eq_3_6(target, sub: Subcategory) -> list[CheckRecord]:
 def verify_eq_3_7(target, sub: Subcategory) -> list[CheckRecord]:
     """Second orthogonality, for every pair of blocks t, s: support-weighted
     column sums at two representatives."""
-    ring, table, dec = target.ring, target.table, target.cosets(sub)
+    table, dec = target.table, target.cosets(sub)
     jd, reps, alpha = target.support(sub), dec.reps, table.alpha
     out = []
     for t in range(len(reps)):
@@ -269,7 +269,7 @@ def verify_eq_3_7(target, sub: Subcategory) -> list[CheckRecord]:
             lhs = _dot([(table.class_dims[k], alpha[xt][k], alpha[xss][k])
                         for k in jd])
             if s == t:
-                rhs = (ring.fpdims[xt] * ring.fpdims[reps[s]] * target.global_dim
+                rhs = (target.dim((xt,)) * target.global_dim
                        * target.inverse(dec.reg_dims[t]))
             else:
                 rhs = ZERO
@@ -281,12 +281,11 @@ def verify_eq_3_7(target, sub: Subcategory) -> list[CheckRecord]:
 
 def verify_cor_3_9_1(target, sub: Subcategory) -> list[CheckRecord]:
     """d_Z^2 FPdim(C) / FPdim(R_t) is an algebraic integer, every Z in every block."""
-    ring, dec = target.ring, target.cosets(sub)
-    total = target.global_dim
+    dec, total = target.cosets(sub), target.global_dim
     return [_integrality(target, "cor-3.9",
                          {"D": list(sub.members), "claim": 1,
                           "block": t, "member": z},
-                         ring.fpdims[z] * ring.fpdims[z] * total
+                         target.dim((z,)) * total
                          * target.inverse(dec.reg_dims[t]))
             for t, block in enumerate(dec.blocks) for z in block]
 

@@ -31,10 +31,29 @@ from fractions import Fraction
 
 from .errors import ConductorNotDivisible, DivisionByZero
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _signed_sum(terms):
+    """The text of a sum of (coefficient, symbol) terms, in the order given.
+
+    Zero terms are skipped.  A term with no symbol is its coefficient; a
+    unit coefficient before a symbol is dropped.  The first term carries its
+    own minus sign, and each later one is joined by " + " or " - ".  An
+    empty sum is "0".
+    """
+    out = ""
+    for c, sym in terms:
+        if not c:
+            continue
+        mag = abs(c)
+        body = str(mag) if sym is None else sym if mag == 1 else f"{mag}*{sym}"
+        if out:
+            out += (" - " if c < 0 else " + ") + body
+        else:
+            out = "-" + body if c < 0 else body
+    return out or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -70,22 +89,9 @@ class IntPoly:
         return len(self.coeffs) - 1
 
     def __str__(self):
-        terms = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                xk = "x" if k == 1 else f"x^{k}"
-                body = xk if mag == 1 else f"{mag}*{xk}"
-            if not terms:
-                terms.append(body if c > 0 else f"-{body}")
-            else:
-                terms.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(terms) if terms else "0"
+        return _signed_sum(
+            (self.coeffs[k], None if k == 0 else "x" if k == 1 else f"x^{k}")
+            for k in range(self.degree, -1, -1))
 
 
 @functools.cache
@@ -521,28 +527,9 @@ class CycNum:
     # -- printing --------------------------------------------------------------
 
     def __str__(self):
-        n = self.conductor
-        terms = []
-        for j, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if j == 0:
-                body = str(c)
-            else:
-                zj = f"z{n}" if j == 1 else f"z{n}^{j}"
-                if c == 1:
-                    body = zj
-                elif c == -1:
-                    body = f"-{zj}"
-                else:
-                    body = f"{c}*{zj}"
-            terms.append(body)
-        if not terms:
-            return "0"
-        out = terms[0]
-        for t in terms[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
+        z = f"z{self.conductor}"
+        return _signed_sum((c, None if j == 0 else z if j == 1 else f"{z}^{j}")
+                           for j, c in enumerate(self.coeffs))
 
     def __repr__(self):
         return f"CycNum({self.conductor}, {[str(c) for c in self.coeffs]})"

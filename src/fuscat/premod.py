@@ -319,10 +319,10 @@ def verify_thm_1_1(target, sub: Subcategory) -> list[CheckRecord]:
     center trivially; cross-checked through singleton matched groups."""
     if target.center_trace(sub).members != (0,):
         raise PreconditionFailed("subcategory meets the center nontrivially")
-    ring, total = target.ring, target.global_dim
+    total = target.global_dim
     out = [_integrality(target, "thm-1.1",
                         {"D": list(sub.members), "Y": y},
-                        total * target.inverse(ring.fpdims[y] * ring.fpdims[y]))
+                        total * target.inverse(target.dim((y,))))
            for y in sub.members]
     sizes = sorted(len(b) for b, _ in target.matched_groups(sub).values())
     singletons = all(n == 1 for n in sizes)
@@ -347,7 +347,7 @@ def verify_thm_1_3(target) -> list[CheckRecord]:
     dim_center = target.dim(center)
     out = []
     for y, g_y in enumerate(stabilizers):
-        d2 = ring.fpdims[y] * ring.fpdims[y]
+        d2 = target.dim((y,))
         out.append(_integrality(target, "thm-1.3", {"Y": y, "item": 1},
                                 total * dim_center * target.inverse(d2)))
         cd = table.class_dims[target.smatrix.M[y]]
@@ -360,7 +360,7 @@ def verify_thm_1_3(target) -> list[CheckRecord]:
                                 total * len(g_y) * target.inverse(d2)))
     if all(len(g) == 1 for g in stabilizers):
         for y in range(ring.rank):
-            d2 = ring.fpdims[y] * ring.fpdims[y]
+            d2 = target.dim((y,))
             out.append(_integrality(target, "thm-1.3",
                                     {"Y": y, "item": 2},
                                     total * target.inverse(dim_center * d2)))
@@ -373,6 +373,6 @@ def verify_rem_4_25(target) -> list[CheckRecord]:
     total = target.global_dim
     dim_center = target.dim(target.center)
     return [_integrality(target, "rem-4.25", {"i": i},
-                         ring.fpdims[i] * ring.fpdims[i] * total
+                         target.dim((i,)) * total
                          * target.inverse(dim_center * table.class_dims[m[i]]))
             for i in range(ring.rank)]

@@ -340,16 +340,13 @@ def run_checks(target: Target, *,
         target.cosets(sub)
 
     records: list[CheckRecord] = []
-    reasons: dict[str, Optional[str]] = {}
     for row in _REGISTRY:
         ids = [cid for cid in row.ids if cid in wanted]
         if not ids:
             continue
-        if row.needs not in reasons:
-            reasons[row.needs] = _missing(target, row.needs)
-        if reasons[row.needs] is not None:
-            records.extend(_skip(cid, dict(row.extra), reasons[row.needs])
-                           for cid in ids)
+        reason = _missing(target, row.needs)
+        if reason is not None:
+            records.extend(_skip(cid, dict(row.extra), reason) for cid in ids)
             continue
         for args in _scope_args(row.scope, pool):
             try:

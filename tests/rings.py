@@ -975,6 +975,54 @@ def document_scalars_loop(doc) -> dict[str, list[CycNum]]:
 
 
 # ---------------------------------------------------------------------------
+# the two text writers of exactnum before `_signed_sum`, bodies unchanged
+# ---------------------------------------------------------------------------
+
+def intpoly_text_loop(self):
+    terms = []
+    for k in range(self.degree, -1, -1):
+        c = self.coeffs[k]
+        if c == 0:
+            continue
+        mag = abs(c)
+        if k == 0:
+            body = str(mag)
+        else:
+            xk = "x" if k == 1 else f"x^{k}"
+            body = xk if mag == 1 else f"{mag}*{xk}"
+        if not terms:
+            terms.append(body if c > 0 else f"-{body}")
+        else:
+            terms.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(terms) if terms else "0"
+
+
+def cycnum_text_loop(self):
+    n = self.conductor
+    terms = []
+    for j, c in enumerate(self.coeffs):
+        if not c:
+            continue
+        if j == 0:
+            body = str(c)
+        else:
+            zj = f"z{n}" if j == 1 else f"z{n}^{j}"
+            if c == 1:
+                body = zj
+            elif c == -1:
+                body = f"-{zj}"
+            else:
+                body = f"{c}*{zj}"
+        terms.append(body)
+    if not terms:
+        return "0"
+    out = terms[0]
+    for t in terms[1:]:
+        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+    return out
+
+
+# ---------------------------------------------------------------------------
 # second routes to the characteristic polynomial and the JSON report
 # ---------------------------------------------------------------------------
 

@@ -49,7 +49,7 @@ def test_commands_leave_no_derived_data_behind():
 
 def test_unknown_keys():
     for bad in ("nosuch", "", "su2k-", "su2k-x", "pointed-z4", "a**b",
-                "pointed-z0-q1", "su2k--1", "*ising"):
+                "pointed-z0-q1", "su2k--1", "*ising", "pointed-z4-q-1"):
         with pytest.raises(UnknownKey):
             builtin(bad)
 

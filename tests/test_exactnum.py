@@ -28,9 +28,9 @@ from fuscat.exactnum import (
     minimal_polynomial,
 )
 
-from rings import (charpoly_faddeev_leverrier, embed_complex_terms,
-                   eq_aligned, int_mul_dense, is_monic, poly_eval,
-                   sum_of_products)
+from rings import (charpoly_faddeev_leverrier, cycnum_text_loop,
+                   embed_complex_terms, eq_aligned, int_mul_dense,
+                   intpoly_text_loop, is_monic, poly_eval, sum_of_products)
 
 
 def F(a, b=1):
@@ -268,6 +268,42 @@ def test_integrality_witness():
 def test_intpoly_str():
     assert str(IntPoly((-1, -1, 1))) == "x^2 - x - 1"
     assert str(IntPoly((5, -5, 1))) == "x^2 - 5*x + 5"
+
+
+# -- the text of a sum, against the loop writers it replaced --------------------
+
+text_coeffs = st.one_of(st.sampled_from([0, 1, -1, F(3, 2), F(-3, 2)]),
+                        st.integers(-12, 12),
+                        st.fractions(min_value=-5, max_value=5,
+                                     max_denominator=6))
+
+
+@st.composite
+def text_cycnums(draw):
+    n = draw(st.sampled_from([1, 2, 4, 5, 8, 12, 24]))
+    k = euler_phi(n)
+    return CycNum(n, draw(st.lists(text_coeffs, min_size=k, max_size=k)))
+
+
+@given(text_cycnums())
+@example(CycNum(1, [0]))
+@example(CycNum(24, [0] * 8))
+@example(CycNum(8, [F(-1, 2), 1, -3, F(3, 2)]))
+@settings(max_examples=300, deadline=None)
+def test_cycnum_str_matches_the_loop_writer(a):
+    assert str(a) == cycnum_text_loop(a)
+
+
+@given(st.lists(st.one_of(st.just(0), st.integers(-9, 9)), max_size=8),
+       st.integers(-9, 9).filter(bool))
+@example([], -1)
+@example([5, 0, 0, 0], -3)
+@example([-1, -1], 1)
+@example([0, 1], 2)
+@settings(max_examples=300, deadline=None)
+def test_intpoly_str_matches_the_loop_writer(lower, lead):
+    p = IntPoly((*lower, lead))
+    assert str(p) == intpoly_text_loop(p)
 
 
 # -- hypothesis property tests -------------------------------------------------

@@ -3,9 +3,11 @@ products that mix conductors.
 
 The builtin digests were recorded before the checks read their inputs from
 a ``Target`` with memoized derived data and ran from a registry, the product
-digests before the sums of products were built on integer numerators; any
-change to a verdict, a value, a conductor, a record's order or the rendering
-changes a digest.  Every command here exits 0.
+digests before the sums of products were built on integer numerators, the
+markdown digests of all subcategories before ``CycNum`` and ``IntPoly`` wrote
+their text through one writer; any change to a verdict, a value, a
+conductor, a record's order or the rendering changes a digest.  Every
+command here exits 0.
 """
 
 import contextlib
@@ -79,6 +81,41 @@ VERIFY_MD = {
         "45065f4f332e6a99ac2edffd49fff942fcf3653af7460aaf345ce94767ecb733",
 }
 
+# fuscat verify KEY --all-subcategories --format md, on the builtins and
+# the products, where every exact value is written by CycNum.__str__
+VERIFY_ALL_MD = {
+    "trivial":
+        "a6846420d5f77911ff60a98febd306d57e434a0e2d30e3982ac18f97d0f6b563",
+    "svec":
+        "e3b5de04975be9257dbe7525f15734a249c1d842c8578fa66a3450274de027b9",
+    "ising":
+        "c5759fa3271ebed8c098914e40ba76c750dd7f118ab2d4ca8060ea0e01fb52d6",
+    "fib":
+        "90e65a1b4a55d713cf1b8962a233c34669699c84baf66094eef23f86edab895c",
+    "rep-s3":
+        "642304d4067df24705ea60c13e059e4eae7ce83795308be09a4fb70e4a21f278",
+    "su2k-2":
+        "6dec6614e55d6bea0028cf685cd74975ac7fd559adc9f5892d1eb58d62028305",
+    "su2k-3":
+        "e3fc5b9ae7234992cdbe3c98a08f5ea8a9e8c430e625736a16d717cb684db0c5",
+    "su2k-4":
+        "25a7ccb0f5675df28739313b412462000b0b029a13fd45677bde067b1e59301a",
+    "pointed-z2-q1":
+        "d214091037383ee5b40a6d5b493210a9456968fa9124dd6991f42fa649e45341",
+    "pointed-z3-q1":
+        "2d2ec0ac570e002356cb1edce312cb646eeea5ff2c74d6c683013d89877b976a",
+    "pointed-z4-q1":
+        "9dd60751b167042faebd1c3752ce99dd6b9ab1b7d07e7987cfa481e182d999f7",
+    "pointed-z4-q2":
+        "1d65e31f455c488441695cd2738496babe068dd02999161f97b95d4a172e40f6",
+    "ising*svec":
+        "4a7fe2acb6c75f0a8b3382670b5e81b34148dd3fd3b2105d24518783f798bc90",
+    "fib*ising":
+        "acc4850e2d252f2349cbb5206f923c892e44cc0ad3741a36cfb60d1c8a9b70a3",
+    "su2k-4*fib":
+        "84754bc1770ea03d872d688ce0f4a8e6888bfa4602ce4061138069622f357d88",
+}
+
 # fuscat report KEY
 REPORT = {
     "trivial":
@@ -133,6 +170,7 @@ def _digest(argv):
 def test_digests_cover_the_builtins():
     for pinned in (VERIFY_ALL_JSON, VERIFY_MD, REPORT):
         assert tuple(pinned) == BUILTIN_KEYS
+    assert tuple(VERIFY_ALL_MD) == BUILTIN_KEYS + tuple(PRODUCTS)
 
 
 @pytest.mark.parametrize("key", BUILTIN_KEYS)
@@ -141,6 +179,8 @@ def test_cli_output_bytes_are_pinned(key):
                     "--format", "json"]) == (0, VERIFY_ALL_JSON[key])
     assert _digest(["verify", key]) == (0, VERIFY_MD[key])
     assert _digest(["report", key]) == (0, REPORT[key])
+    assert _digest(["verify", key, "--all-subcategories",
+                    "--format", "md"]) == (0, VERIFY_ALL_MD[key])
 
 
 @pytest.mark.parametrize("key", PRODUCTS)
@@ -149,6 +189,8 @@ def test_mixed_conductor_output_bytes_are_pinned(key):
     assert _digest(["verify", key, "--all-subcategories",
                     "--format", "json"]) == (0, verify_json)
     assert _digest(["report", key]) == (0, report)
+    assert _digest(["verify", key, "--all-subcategories",
+                    "--format", "md"]) == (0, VERIFY_ALL_MD[key])
 
 
 @pytest.mark.parametrize("key", ["ising", "su2k-4"])
