@@ -38,21 +38,21 @@ _ONE = Fraction(1)
 def _signed_sum(terms):
     """The text of a sum of (coefficient, symbol) terms, in the order given.
 
-    Zero terms are skipped.  A term with no symbol is its coefficient; a
-    unit coefficient before a symbol is dropped.  The first term carries its
-    own minus sign, and each later one is joined by " + " or " - ".  An
-    empty sum is "0".
+    Zero terms are skipped.  A term with no symbol is its coefficient's
+    magnitude; a unit coefficient before a symbol is dropped.  The first term
+    carries its own minus sign, and each later one is joined by " + " or
+    " - ".  An empty sum is "0".  The sign and the magnitude are read off the
+    text of the coefficient, so a term costs one `str` and no arithmetic.
     """
     out = ""
     for c, sym in terms:
-        if not c:
-            continue
-        mag = abs(c)
-        body = str(mag) if sym is None else sym if mag == 1 else f"{mag}*{sym}"
-        if out:
-            out += (" - " if c < 0 else " + ") + body
-        else:
-            out = "-" + body if c < 0 else body
+        if c:
+            text = str(c)
+            neg = text[0] == "-"
+            mag = text[1:] if neg else text
+            sep = (" - " if neg else " + ") if out else "-" if neg else ""
+            out += sep + (mag if sym is None else sym if mag == "1"
+                          else f"{mag}*{sym}")
     return out or "0"
 
 
@@ -527,9 +527,10 @@ class CycNum:
     # -- printing --------------------------------------------------------------
 
     def __str__(self):
-        z = f"z{self.conductor}"
-        return _signed_sum((c, None if j == 0 else z if j == 1 else f"{z}^{j}")
-                           for j, c in enumerate(self.coeffs))
+        z, den = f"z{self.conductor}", self._den
+        return _signed_sum(
+            (Fraction(x, den), None if j == 0 else z if j == 1 else f"{z}^{j}")
+            for j, x in enumerate(self._nums) if x)
 
     def __repr__(self):
         return f"CycNum({self.conductor}, {[str(c) for c in self.coeffs]})"
