@@ -26,14 +26,19 @@ byte-compiled first, so that no timed process compiles modules (under
 PYTHONDONTWRITEBYTECODE only a tree that already held bytecode would be
 spared that cost).  Each side then runs every op once untimed, then ROUNDS
 rounds over the ops, alternating which side runs first, so each op gets
-ROUNDS pairs.
+ROUNDS pairs.  Before each round the script itself times a fixed
+reference computation once per side, in that round's order: the Fraction
+workload of perfbench's `reference_seconds`, copied here as
+`reference_seconds`.  Its times show how the host's speed drifted over the
+rounds, which the op times alone cannot tell from a change in the code.
 
 The JSON file records, per command, side and key, the median and quartiles,
 the repeat count, every time, every peak RSS and their median, the exit code
 and the sha256 of the stdout;
 per command and key, the ratio of the medians, the pairs the change won and
 whether the outputs match; and the Python version, the CPU count, the git
-sha of each side and a sha256 over the files of the `src/` it ran, which
+sha of each side, the reference times of each side and their median, and a
+sha256 over the files of the `src/` it ran, which
 names the timed code also when the working tree is not committed, with
 the line count of that `src/` and its code lines: the lines that hold a
 token of code, so not blank, comment or docstring lines (`code_lines`).  A
@@ -59,6 +64,7 @@ import tarfile
 import tempfile
 import time
 import tokenize
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -80,6 +86,20 @@ COMMANDS = {
     "validate": "python -m fuscat validate DOC, DOC the working tree's "
                 "to_document of KEY",
 }
+
+
+_REF_TERMS = [Fraction(i, 2 * i + 1) for i in range(1, 24)]
+
+
+def reference_seconds() -> float:
+    """Time a fixed Fraction workload, the kind of arithmetic fuscat does."""
+    start = time.perf_counter()
+    for _ in range(10):
+        acc = [Fraction(0)] * (2 * len(_REF_TERMS))
+        for i, x in enumerate(_REF_TERMS):
+            for j, y in enumerate(_REF_TERMS):
+                acc[i + j] += x * y
+    return time.perf_counter() - start
 
 
 def git(*args) -> str:
@@ -244,6 +264,7 @@ def main(argv=None) -> int:
         times = {name: {cmd: {} for cmd in COMMANDS} for name in sides}
         rss = {name: {cmd: {} for cmd in COMMANDS} for name in sides}
         outcome = {name: {cmd: {} for cmd in COMMANDS} for name in sides}
+        reference = {name: [] for name in sides}
         for name, side in sides.items():
             side["src_sha256"] = tree_sha256(side["src"])
             side["size"] = src_size(side["src"])
@@ -256,6 +277,8 @@ def main(argv=None) -> int:
                 rss[name][cmd][key] = []
         for r in range(ROUNDS):
             order = list(sides) if r % 2 == 0 else list(reversed(sides))
+            for name in order:
+                reference[name].append(reference_seconds())
             for cmd, key, op in ops:
                 for name in order:
                     seconds, code, digest, mb = run_op(sides[name]["src"],
@@ -271,7 +294,10 @@ def main(argv=None) -> int:
     runs = {}
     for name, side in sides.items():
         runs[name] = {"git_sha": side["git_sha"], "dirty": side["dirty"],
-                      "src_sha256": side["src_sha256"], **side["size"]}
+                      "src_sha256": side["src_sha256"], **side["size"],
+                      "reference_median_s": round(
+                          statistics.median(reference[name]), 5),
+                      "reference_s": [round(t, 5) for t in reference[name]]}
         for cmd in COMMANDS:
             keys = summary(times[name][cmd], rss[name][cmd],
                            outcome[name][cmd])
@@ -302,6 +328,10 @@ def main(argv=None) -> int:
     print(f"src: {runs['base']['src_lines']} -> {runs['change']['src_lines']} "
           f"lines, {runs['base']['src_code_lines']} -> "
           f"{runs['change']['src_code_lines']} code lines")
+    print("reference: " + ", ".join(
+        f"{name} median {runs[name]['reference_median_s'] * 1e3:.2f} ms "
+        f"(rounds {min(reference[name]) * 1e3:.2f}-"
+        f"{max(reference[name]) * 1e3:.2f})" for name in sides))
     for cmd in COMMANDS:
         for key, d in delta[cmd].items():
             base, change = runs["base"][cmd][key], runs["change"][cmd][key]

@@ -24,7 +24,7 @@ from .errors import (
     SingularTable,
 )
 from .exactnum import ZERO, CycNum, _dot
-from .fusion import (FusionRing, Subcategory, _dense, _first_non_character,
+from .fusion import (FusionRing, Subcategory, _first_non_character,
                      global_fpdim)
 from .reports import CheckRecord, _exact_key
 
@@ -204,7 +204,11 @@ def characters_numeric(ring: FusionRing, seed: int = 0):
     import numpy as np
     rng = np.random.default_rng(seed)
     r = ring.rank
-    tensor = np.array(_dense(ring), dtype=float)
+    tensor = np.zeros((r, r, r))
+    for i, plane in enumerate(ring.nonzero):
+        for j, row in enumerate(plane):
+            for k, n in row:
+                tensor[i, j, k] = n
     upper = np.triu_indices(r, 1)
     for _ in range(MAX_RETRIES):
         coeff = rng.uniform(0.5, 1.5, size=r)

@@ -198,8 +198,7 @@ def _nonzero(tensor):
 
 
 def _dense(ring):
-    """The dense tensor N[i][j][k] as nested lists: the form of documents
-    and of the numeric cross-check."""
+    """The dense tensor N[i][j][k] as nested lists: the form of documents."""
     return [[[row.get(k, 0) for k in range(ring.rank)] for row in map(dict, plane)]
             for plane in ring.nonzero]
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import marshal
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -42,13 +43,30 @@ def cycnum_from_json(obj, memo: dict | None = None) -> CycNum:
     """The scalar a document object writes; SchemaError names its first
     structural fault.
 
-    `memo`, when given, maps (conductor, repr(coeffs)) of each scalar parsed
-    so far to its value, and a repeated scalar is read from it with no pair
-    checked again.  The key is exact about types: True == 1 == 1.0 and the
-    three hash alike, but repr writes them apart, so on the values JSON
-    decodes to a hit is a coefficient list that the same checks passed at
-    the same conductor.  A list that repr cannot write (nested past the
-    stack, or with an int past the int-to-str digit limit) skips the memo."""
+    `memo`, when given, maps `marshal.dumps(obj, 2)` of each scalar object
+    parsed so far to its value, and is looked up before any check, so a
+    repeated scalar is read from it with nothing checked again.  The key is
+    exact.  Format version 2 writes no back-references (version 3 added
+    them), so the bytes do not depend on which objects are shared: at
+    version 4 `marshal.dumps([x, x], 4) != marshal.dumps([[1, 2], [1, 2]],
+    4)`, at version 2 the two are equal.  Marshal writes only the exact
+    built-in types, each under its own type code (bool, int and float
+    apart, so True == 1 == 1.0 do not collide), and a dict in its order.
+    So equal bytes load back to equal objects of the same exact types and
+    the same key order, and the checks, which read only those, give them
+    the same verdict: a hit is an object that passed every check, and a
+    value is stored only once they pass.  An object marshal cannot write
+    (an int subclass, nesting past marshal's depth limit, any other type)
+    raises ValueError, has no key and skips the memo."""
+    key = None
+    if memo is not None:
+        try:
+            key = marshal.dumps(obj, 2)
+        except ValueError:
+            pass
+        else:
+            if key in memo:
+                return memo[key]
     if not isinstance(obj, dict):
         raise SchemaError(f"scalar must be an object, got {type(obj).__name__}")
     if not obj.keys() <= _SCALAR_KEYS:
@@ -68,14 +86,6 @@ def cycnum_from_json(obj, memo: dict | None = None) -> CycNum:
     if not isinstance(coeffs, list) or count != euler_phi(n):
         raise SchemaError(
             f"scalar of conductor {n} needs exactly {euler_phi(n)} coefficients")
-    key = None
-    if memo is not None:
-        try:
-            key = (n, repr(coeffs))
-        except (RecursionError, ValueError):
-            pass
-        if key in memo:
-            return memo[key]
     for pair in coeffs:
         if (not isinstance(pair, list) or len(pair) != 2
                 or not isinstance(pair[0], int) or isinstance(pair[0], bool)
@@ -215,9 +225,10 @@ def from_document(obj):
         for row in plane:
             if not isinstance(row, list) or len(row) != rank:
                 raise SchemaError("tensor must be rank x rank x rank")
-            for v in row:
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise SchemaError("tensor entries must be integers")
+            if not set(map(type, row)) <= {int}:
+                for v in row:
+                    if not isinstance(v, int) or isinstance(v, bool):
+                        raise SchemaError("tensor entries must be integers")
 
     dual = _require(obj, "dual", list, rank)
     for v in dual:

@@ -236,6 +236,16 @@ def test_product_ising_svec():
     assert center.members == (0, 1)
 
 
+@pytest.mark.parametrize("key", [k for k in BUILTIN_KEYS if "*" not in k])
+def test_center_of_product_with_svec_is_the_product_of_centers(key):
+    """Metamorphic: svec is symmetric, so its center is all of it, and the
+    center of A ⊠ svec is center(A) × center(svec) under the (i, i') ->
+    2 i + i' flattening of `deligne_product`."""
+    a, s = builtin(key).center.members, builtin("svec").center.members
+    expected = tuple(sorted(i * 2 + ip for i in a for ip in s))
+    assert builtin(f"{key}*svec").center.members == expected
+
+
 def test_product_svec_svec_is_symmetric():
     entry = product("svec", "svec")
     assert entry.ring.rank == 4

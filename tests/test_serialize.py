@@ -70,6 +70,22 @@ def test_schema_rejects_non_object():
         from_document([1, 2, 3])
 
 
+@pytest.mark.parametrize("entry", [True, 1.0, "1", None])
+def test_schema_rejects_non_integer_tensor_entry(entry):
+    doc = _base_doc()
+    assert doc["tensor"][1][1][0] == 1
+    doc["tensor"][1][1][0] = entry
+    with pytest.raises(SchemaError, match="tensor entries must be integers"):
+        from_document(doc)
+
+
+def test_schema_accepts_int_subclass_tensor_entry():
+    doc = _base_doc()
+    doc["tensor"][1][1][0] = _Int(1)
+    ring, _, _ = from_document(doc)
+    assert ring.nonzero == from_document(_base_doc())[0].nonzero
+
+
 def test_schema_rejects_missing_field():
     doc = _base_doc()
     del doc["dual"]
@@ -289,6 +305,15 @@ def _set_pair(obj, slot, value):
     return dict(obj, coeffs=pairs)
 
 
+class _Int(int):
+    """An int subclass: the schema accepts it, marshal cannot write it."""
+
+
+def _aliased(obj):
+    zero = [0, 1]
+    return dict(obj, coeffs=[zero if p == [0, 1] else p for p in obj["coeffs"]])
+
+
 # Each maps a valid scalar object to another.  Those that the schema accepts
 # keep its value, so that the validators accept the document.
 SCALAR_MUTATIONS = {
@@ -313,6 +338,9 @@ SCALAR_MUTATIONS = {
     "triple": lambda o: dict(o, coeffs=[o["coeffs"][0] + [1]] + o["coeffs"][1:]),
     "nested past the stack": lambda o: _set_pair(o, 0, _nested(5000)),
     "extra key": lambda o: dict(o, twist=1),
+    "int-subclass numerator": lambda o: _set_pair(o, 0, _Int(o["coeffs"][0][0])),
+    "keys reordered": lambda o: {"coeffs": o["coeffs"], **o},
+    "aliased pairs": _aliased,
 }
 
 
