@@ -192,6 +192,9 @@ def verify_eq_2_4(target) -> list[CheckRecord]:
 #: Random combinations `characters_numeric` draws before it gives up.
 MAX_RETRIES = 8
 
+#: Relative tolerance of `match_numeric_columns`, which `validate` prints.
+MATCH_TOLERANCE = 1e-8
+
 
 def characters_numeric(ring: FusionRing, seed: int = 0):
     """Eigenvector characters of a random combination of fusion matrices.
@@ -249,7 +252,7 @@ def _is_numeric_character_table(tensor, alpha_num) -> bool:
 
 
 def match_numeric_columns(table: CharacterTable, numeric,
-                          tol: float = 1e-8) -> list[int]:
+                          tol: float = MATCH_TOLERANCE) -> list[int]:
     """Bijection from exact columns to numeric ones.  Row i, the eigenvalues
     of N_i, is matched to within tol * max(1, largest |exact value in row i|)."""
     import numpy as np

@@ -13,7 +13,7 @@ import os
 import sys
 
 from .catalog import BUILTIN_KEYS, builtin, entry_summary
-from .chartab import characters_numeric, match_numeric_columns
+from .chartab import MATCH_TOLERANCE, characters_numeric, match_numeric_columns
 from .cosets import hecke_constants
 from .errors import FuscatError, SchemaError, UnknownKey, ValidationError
 from .exactnum import CycNum
@@ -47,7 +47,7 @@ def cmd_validate(args) -> int:
         print("char_table: columns are distinct algebra maps")
         try:
             match_numeric_columns(table, characters_numeric(ring))
-            outcome = "matches within 1e-08"
+            outcome = f"matches within {MATCH_TOLERANCE}"
         except (FuscatError, ArithmeticError, ValueError) as exc:
             outcome = f"inconclusive: {exc}"
         print(f"char_table: numeric cross-check {outcome}")

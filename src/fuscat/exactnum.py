@@ -242,7 +242,10 @@ def _cos_table(n, q):
 # ---------------------------------------------------------------------------
 
 class CycNum:
-    """An element of Q(zeta_N) in canonical power-basis form."""
+    """An element of Q(zeta_N) in canonical power-basis form.
+
+    Immutable by contract: only the two normalizers, `_from_ints` and
+    `_rational`, write the slots, and a test checks `src/` for that."""
 
     __slots__ = ("conductor", "_nums", "_den")
 
@@ -263,9 +266,7 @@ class CycNum:
             nums = [x // g for x in nums]
             den //= g
         obj = object.__new__(cls)
-        _set_conductor(obj, n)
-        _set_nums(obj, tuple(nums))
-        _set_den(obj, den)
+        obj.conductor, obj._nums, obj._den = n, tuple(nums), den
         return obj
 
     @classmethod
@@ -278,13 +279,8 @@ class CycNum:
             num //= g
             den //= g
         obj = object.__new__(cls)
-        _set_conductor(obj, n)
-        _set_nums(obj, (num,) + _zero_tail(n))
-        _set_den(obj, den)
+        obj.conductor, obj._nums, obj._den = n, (num,) + _zero_tail(n), den
         return obj
-
-    def __setattr__(self, *a):
-        raise AttributeError("CycNum is immutable")
 
     def __reduce__(self):
         return CycNum._from_ints, (self.conductor, self._nums, self._den)
@@ -386,9 +382,6 @@ class CycNum:
             # an integer scales the numerators; no CycNum is built for it
             if other == 1:
                 return self
-            if self.is_rational():
-                return CycNum._rational(self.conductor, other * self._nums[0],
-                                        self._den)
             return CycNum._from_ints(self.conductor,
                                      [other * x for x in self._nums], self._den)
         other = self._coerce(other)
@@ -464,31 +457,27 @@ class CycNum:
     # -- comparisons ---------------------------------------------------------
 
     def __eq__(self, other):
-        """Equality of field elements, decided on the numerators with no
-        `CycNum` built.  Values are normalized, so at one conductor they are
-        equal iff their numerators and denominators are.  A value with a
-        nonzero coefficient past the first is irrational at every conductor.
-        Two irrationals at different conductors are compared with their
-        numerators spread to the lcm and cross-multiplied by the
-        denominators."""
+        """Equality of field elements.  Values are normalized, so at one
+        conductor they are equal iff their numerators and denominators are.
+        A value with a nonzero coefficient past the first is irrational at
+        every conductor, so a rational is compared with a rational only, by
+        cross-multiplying, with no `CycNum` built.  Two irrationals at
+        different conductors are re-embedded at the lcm by `_aligned` and
+        compared there."""
         nums, den = self._nums, self._den
         if not isinstance(other, CycNum):
             if isinstance(other, (int, Fraction)):
                 return (not any(nums[1:]) and
                         nums[0] * other.denominator == other.numerator * den)
             return NotImplemented
-        n, on, od = self.conductor, other._nums, other._den
-        if n == other.conductor:
+        on, od = other._nums, other._den
+        if self.conductor == other.conductor:
             return den == od and nums == on
         if not any(nums[1:]) or not any(on[1:]):
             return (not any(nums[1:]) and not any(on[1:])
                     and nums[0] * od == on[0] * den)
-        m = math.lcm(n, other.conductor)
-        if n != m:
-            nums = _spread(nums, m // n, m)
-        if other.conductor != m:
-            on = _spread(on, m // other.conductor, m)
-        return [x * od for x in nums] == [y * den for y in on]
+        a, b = CycNum._aligned(self, other)
+        return a._den == b._den and a._nums == b._nums
 
     # equality crosses conductors, so there is no consistent hash
     __hash__ = None
@@ -535,11 +524,6 @@ class CycNum:
     def __repr__(self):
         return f"CycNum({self.conductor}, {[str(c) for c in self.coeffs]})"
 
-
-# the slots' own setters, since CycNum.__setattr__ refuses every write
-_set_conductor = CycNum.conductor.__set__
-_set_nums = CycNum._nums.__set__
-_set_den = CycNum._den.__set__
 
 ZERO = CycNum.from_rational(0)
 ONE = CycNum.from_rational(1)

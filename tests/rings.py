@@ -21,7 +21,7 @@ from fuscat.fusion import (FusionRing, Subcategory, _dense,
                            _first_non_character, _generators, _supports,
                            check_subcategory, validate_fusion_ring)
 from fuscat.premod import SMatrix, validate_smatrix
-from fuscat.serialize import value_to_json
+from fuscat.serialize import cycnum_to_json, value_to_json
 from fuscat.verify import _report_fields
 
 ONE = CycNum.from_rational(1)
@@ -655,6 +655,41 @@ def eq_aligned(a, b):
         return NotImplemented
     a, b = CycNum._aligned(a, b)
     return a._den == b._den and a._nums == b._nums
+
+
+def restrict(target, members) -> dict:
+    """The document of the fusion subcategory D on `members` of a
+    premodular target, in `to_document`'s schema: N, the dimensions and S
+    restricted to D, and the distinct restrictions of the table's columns
+    in the order they first occur.
+
+    The braiding and the spherical structure restrict to D, so D is again
+    premodular, with S restricted to D x D.  Every character of the subring
+    K(D) extends to the commutative semisimple K(C), so the restrictions of
+    the columns are all the characters of K(D): there are |D| of them."""
+    ring, alpha, s = target.ring, target.table.alpha, target.smatrix.s
+    d = sorted(members)
+    pos = {i: a for a, i in enumerate(d)}
+    dense = _dense(ring)
+    columns = []
+    for j in range(ring.rank):
+        column = [alpha[i][j] for i in d]
+        if column not in columns:
+            columns.append(column)
+    fpdims = [ring.fpdims[i] for i in d]
+    rows = [[column[a] for column in columns] for a in range(len(d))]
+    smatrix = [[s[i][k] for k in d] for i in d]
+    scalars = fpdims + [v for row in rows + smatrix for v in row]
+    return {
+        "rank": len(d),
+        "names": [ring.names[i] for i in d],
+        "tensor": [[[dense[i][j][k] for k in d] for j in d] for i in d],
+        "dual": [pos[ring.dual[i]] for i in d],
+        "conductor": math.lcm(*(v.conductor for v in scalars)),
+        "fpdims": [cycnum_to_json(v) for v in fpdims],
+        "char_table": [[cycnum_to_json(v) for v in row] for row in rows],
+        "smatrix": [[cycnum_to_json(v) for v in row] for row in smatrix],
+    }
 
 
 def relabel_document(doc: dict, perm) -> dict:

@@ -12,12 +12,19 @@ Every annotated field of a class in ``src/`` is read there too, as an
 attribute or by a name held as a string: a field that only tests read is
 a second copy of data the program does not use.  ``UNREAD_FIELDS`` names
 the exceptions, with the reason.
+
+A `CycNum` is immutable by contract, with no runtime guard: only its two
+normalizers write its slots, and a check over ``src/`` holds every other
+function to that.
 """
 
 import ast
 import pathlib
 
+import pytest
+
 import fuscat
+from fuscat.exactnum import CycNum
 
 SRC = pathlib.Path(fuscat.__file__).resolve().parent
 
@@ -139,3 +146,77 @@ def test_check_subcategory_runs_only_on_outside_input():
                     for node in ast.walk(fn)):
                 callers.add(f"{path.stem}.{fn.name}")
     assert callers == {"cli.cmd_verify"}
+
+
+SLOTS = {"conductor", "_nums", "_den"}
+SLOT_WRITERS = {"exactnum.CycNum._from_ints", "exactnum.CycNum._rational"}
+
+
+def _writes_a_slot(node) -> bool:
+    """Whether the node stores to (or deletes) an attribute named like a
+    `CycNum` slot, or is a `setattr`/`object.__setattr__` call that names
+    one as a string."""
+    if isinstance(node, ast.Attribute):
+        return not isinstance(node.ctx, ast.Load) and node.attr in SLOTS
+    if not isinstance(node, ast.Call) or len(node.args) < 2:
+        return False
+    func = node.func
+    setter = ((isinstance(func, ast.Name) and func.id == "setattr")
+              or (isinstance(func, ast.Attribute)
+                  and func.attr == "__setattr__"))
+    name = node.args[1]
+    return (setter and isinstance(name, ast.Constant)
+            and name.value in SLOTS)
+
+
+def _slot_writers(tree, module) -> set[str]:
+    """The qualified names of the innermost functions (or classes, or the
+    module) that hold a write to a slot name."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if _writes_a_slot(node):
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, module)
+    return found
+
+
+def test_only_the_normalizers_write_cycnum_slots():
+    writers = set()
+    for path in sorted(SRC.glob("*.py")):
+        writers |= _slot_writers(
+            ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert writers == SLOT_WRITERS
+
+
+@pytest.mark.parametrize("line", [
+    "x._den = 1",
+    "x.conductor, y = 1, 2",
+    "x._nums += (0,)",
+    "del x._nums",
+    "setattr(x, '_den', 1)",
+    "object.__setattr__(x, 'conductor', 1)",
+])
+def test_slot_write_check_sees_each_form(line):
+    tree = ast.parse(f"def f(x, y):\n    {line}\n")
+    assert _slot_writers(tree, "m") == {"m.f"}
+
+
+def test_no_module_reads_a_descriptor_setter():
+    readers = [path.stem for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr == "__set__"]
+    assert readers == []
+
+
+def test_cycnum_has_no_instance_dict():
+    x = CycNum.zeta(8)
+    assert not hasattr(x, "__dict__")
+    with pytest.raises(AttributeError):
+        x.value = 1

@@ -47,6 +47,8 @@ def test_validate_accepts_valid_document(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "axioms hold" in out
     assert "numeric cross-check" in out
+    assert ("char_table: numeric cross-check matches within 1e-08"
+            in out.splitlines())
     assert out.strip().endswith("valid")
 
 

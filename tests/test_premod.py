@@ -1,7 +1,9 @@
 """S-matrix validation, centralizers, central elements, and the divisibility
 theorems, on hand-built exact data."""
 
+import functools
 import itertools
+import json
 import math
 
 import pytest
@@ -35,7 +37,8 @@ from fuscat.premod import (
     verify_thm_4_6,
     verify_thm_4_10,
 )
-from fuscat.verify import Target
+from fuscat.serialize import dump_document, from_document
+from fuscat.verify import Target, run_checks
 
 from rings import (
     all_passed,
@@ -53,6 +56,7 @@ from rings import (
     pointed_smatrix_rows,
     reps3_ring,
     reps3_table_rows,
+    restrict,
     smatrix_rows_scan_first,
     sqrt2,
     stabilizers_loop,
@@ -514,3 +518,43 @@ def test_validate_smatrix_inverts_no_dimension(monkeypatch):
     assert sm.s == entry.smatrix.s
     assert sm.M == entry.smatrix.M
     assert calls == []
+
+
+# -- a premodular corpus by restriction -----------------------------------------
+#
+# Every proper subcategory of a premodular key is premodular, so each one is
+# written as a document (`rings.restrict`) and run through `validate` and
+# every check.  svec^4 is left out: its 65 pointed subcategories would
+# dominate the corpus and the time.
+
+RESTRICTED_KEYS = BUILTIN_KEYS + ("su2k-4*fib", "fib*ising")
+
+
+@functools.cache
+def _restricted_corpus(key):
+    """(members, document, parsed target) of each proper subcategory."""
+    entry = builtin(key)
+    out = []
+    for sub in enumerate_subcategories(entry.ring):
+        if len(sub) < entry.ring.rank:
+            doc = restrict(entry, sub.members)
+            ring, table, sm = from_document(json.loads(dump_document(doc)))
+            out.append((sub.members, doc, Target(key, ring, table, sm)))
+    return out
+
+
+@pytest.mark.parametrize("key", RESTRICTED_KEYS)
+def test_restricted_documents_validate_and_pass_every_check(key):
+    for members, doc, target in _restricted_corpus(key):
+        assert doc["rank"] == len(members)
+        assert all(len(row) == len(members) for row in doc["char_table"])
+        report = run_checks(
+            target, subcategories=enumerate_subcategories(target.ring))
+        assert report.summary["failed"] == 0, members
+
+
+def test_restricted_corpus_has_seventeen_nontrivial_centers():
+    targets = [target for key in RESTRICTED_KEYS
+               for _, _, target in _restricted_corpus(key)]
+    assert len(targets) == 39
+    assert sum(t.center.members != (0,) for t in targets) == 17
