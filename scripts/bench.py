@@ -7,10 +7,11 @@ Usage (from the root of a git checkout):
     python3 scripts/bench.py --base REV --out BENCH_<n>.json
 
 Each op is one whole process, so cold import and output are counted.  There
-are four kinds of op: `python -m fuscat verify KEY --all-subcategories
---format json` for each ladder key, `python -m fuscat verify KEY --format
-json` (the default pool: the unit and the whole ring) for each key of
-VALIDATE_EXTRA, whose ranks exceed the enumeration bound of
+are five kinds of op: `python -m fuscat verify KEY --all-subcategories
+--format json` for each ladder key, the same with `--format md` for each
+ladder key, which times the Markdown writer, `python -m fuscat verify KEY
+--format json` (the default pool: the unit and the whole ring) for each key
+of VALIDATE_EXTRA, whose ranks exceed the enumeration bound of
 `--all-subcategories`, `python -m fuscat report KEY` for each ladder key,
 the only command that prints the Hecke constants, and `python -m fuscat
 validate DOC` for each ladder key and for VALIDATE_EXTRA.  The documents
@@ -81,6 +82,7 @@ VALIDATE_EXTRA = ("su2k-20", "su2k-30", "pointed-z50-q1")
 ROUNDS = 10
 COMMANDS = {
     "verify": "python -m fuscat verify KEY --all-subcategories --format json",
+    "verify_md": "python -m fuscat verify KEY --all-subcategories --format md",
     "verify_default": "python -m fuscat verify KEY --format json",
     "report": "python -m fuscat report KEY",
     "validate": "python -m fuscat validate DOC, DOC the working tree's "
@@ -248,8 +250,10 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         (tmp / "docs").mkdir()
         docs = write_documents(tmp / "docs", LADDER + VALIDATE_EXTRA)
-        ops = [("verify", key, ["verify", key, "--all-subcategories",
-                                "--format", "json"]) for key in LADDER]
+        ops = [(cmd, key, ["verify", key, "--all-subcategories",
+                           "--format", fmt])
+               for cmd, fmt in (("verify", "json"), ("verify_md", "md"))
+               for key in LADDER]
         ops += [("verify_default", key, ["verify", key, "--format", "json"])
                 for key in VALIDATE_EXTRA]
         ops += [("report", key, ["report", key]) for key in LADDER]

@@ -17,26 +17,24 @@ import math
 from dataclasses import dataclass
 
 from .errors import ExactDataMissing, InconsistentCoset, PreconditionFailed
-from .exactnum import ZERO, CycNum, _dot, _int_mul, _over
+from .exactnum import ZERO, _dot, _int_mul, _numerators
 from .fusion import FusionRing, Subcategory, restricted_blocks
 from .reports import CheckRecord, _integrality
 
 
 @dataclass(frozen=True)
 class CosetDecomposition:
-    """Blocks (sorted by least member), representatives, block dims and
-    dual action."""
+    """Blocks (sorted by least member), representatives and dual action.
+    The dimension R_t of block t is `target.dim(blocks[t])`."""
 
     blocks: tuple[tuple[int, ...], ...]
     reps: tuple[int, ...]
-    reg_dims: tuple[CycNum, ...]
     dual_map: tuple[int, ...]
 
 
 def coset_partition(target, sub: Subcategory) -> CosetDecomposition:
     """Partition the target's basis into the cosets of `sub`, with
-    representatives, block dimensions (`target.dim`) and the dual action on
-    blocks.
+    representatives and the dual action on blocks.
 
     Two facts of a validated ring hold, so they are not checked.  The block
     of the unit is `sub`: N_0s^k = delta_sk reaches every member of `sub`
@@ -65,7 +63,6 @@ def coset_partition(target, sub: Subcategory) -> CosetDecomposition:
             reps[td] = ring.dual[block[0]]
 
     return CosetDecomposition(blocks=tuple(blocks), reps=tuple(reps),
-                              reg_dims=tuple(map(target.dim, blocks)),
                               dual_map=tuple(dual_map))
 
 
@@ -78,14 +75,23 @@ def hecke_closure(target, sub: Subcategory) -> tuple[bool, ...]:
     [X] R_D / d_X = FPdim(D) e_t for every X in t.  Decided once per
     subcategory and kept on the target.
 
-    With d_i = A_i / den (`Target.numerators`), the coefficient of [X] R_D
-    at X_k is Q_X[k] / den, where Q_X[k] = sum_{j in D} N_Xj^k A_j is a sum
-    of integer vectors.  FPdim(D) e_t has coefficient dim(D) d_k / R_t at k
-    in t and 0 elsewhere.  Q_X[k] is an empty sum off t: the blocks are the
-    components of X ~ k iff N_Xj^k > 0 for some j in D (`restricted_blocks`),
-    so every such k lies in X's block.  With R_t and dim(D) read as
-    numerators over den^2, block t holds iff den Q_X[k] R_t = dim(D) A_X A_k
-    for every X and k in t; A_X A_k comes from `target.pair`.
+    The kernel reads integers only.  (m, den, A) = `_numerators` of the
+    target's dimensions, built once per target: d_i = A_i / den with A_i
+    phi(m) integers.  Each A_i A_j mod Phi_m, i <= j, is built once per
+    target and shared by every subcategory.  dim(D) and R_t are sums of
+    d_i^2, so den^2 dim(D) and den^2 R_t are the sums of the A_i^2 over D
+    and over t: reduction mod Phi_m is linear and the power-basis vector of
+    a value at conductor m is unique, so these are the vectors of
+    den^2 `target.dim(sub)` and den^2 `target.dim(t)`, read with no
+    `CycNum` built.
+
+    The coefficient of [X] R_D at X_k is Q_X[k] / den, where
+    Q_X[k] = sum_{j in D} N_Xj^k A_j is a sum of integer vectors.
+    FPdim(D) e_t has coefficient dim(D) d_k / R_t at k in t and 0 elsewhere.
+    Q_X[k] is an empty sum off t: the blocks are the components of X ~ k
+    iff N_Xj^k > 0 for some j in D (`restricted_blocks`), so every such k
+    lies in X's block.  Block t holds iff
+    den Q_X[k] (den^2 R_t) = (den^2 dim(D)) A_X A_k for every X and k in t.
 
     The verdicts decide the Hecke closure.  If all hold, then
     e_m e_n = sum_p H_{mn}^p e_p with
@@ -104,13 +110,24 @@ def hecke_closure(target, sub: Subcategory) -> tuple[bool, ...]:
     """
     def verdicts():
         ring, dec = target.ring, target.cosets(sub)
-        cond, den, nums = target.numerators
-        sq = den * den
-        dim_d = _over(target.dim(sub), cond, sq)
+        cond, den, nums = target._once("numerators",
+                                       lambda: _numerators(ring.fpdims))
+        pairs = target._once("pairs", dict)
+
+        def pair(i, j):
+            key = (i, j) if i <= j else (j, i)
+            if key not in pairs:
+                pairs[key] = _int_mul(nums[i], nums[j], cond)
+            return pairs[key]
+
+        def squares(members):
+            return [sum(col) for col in zip(*(pair(i, i) for i in members))]
+
+        dim_d = squares(sub.members)
         zero = [0] * len(dim_d)
         out = []
-        for block, reg in zip(dec.blocks, dec.reg_dims):
-            scale = [den * x for x in _over(reg, cond, sq)]
+        for block in dec.blocks:
+            scale = [den * x for x in squares(block)]
             ok = True
             for x in block:
                 row, q = ring.nonzero[x], {}
@@ -119,7 +136,7 @@ def hecke_closure(target, sub: Subcategory) -> tuple[bool, ...]:
                         q[k] = ([u + c * v for u, v in zip(q[k], nums[j])]
                                 if k in q else [c * v for v in nums[j]])
                 ok = ok and all(_int_mul(q.get(k, zero), scale, cond)
-                                == _int_mul(dim_d, target.pair(x, k), cond)
+                                == _int_mul(dim_d, pair(x, k), cond)
                                 for k in block)
             out.append(ok)
         return tuple(out)
@@ -137,7 +154,7 @@ def hecke_constants(target, sub: Subcategory) -> tuple:
     with x and y the first members of m and n, as `hecke_closure` proves.
 
     Each value is put at the conductor the report prints it at: the lcm of
-    the conductors of R_m, R_n and R_p (`reg_dims`) when it is nonzero, and
+    the conductors of R_m, R_n and R_p (`target.dim`) when it is nonzero, and
     that of R_p when it is zero.  R_t = sum_{i in t} d_i^2 lands at the lcm
     of the conductors of its d_i (`sub_fpdim`), so the conductor of every
     factor d_l, 1/d_x and 1/d_y divides that lcm.
@@ -148,7 +165,7 @@ def hecke_constants(target, sub: Subcategory) -> tuple:
             f"eq-3.1 fails on block {verdicts.index(False)}")
     dec, ring = target.cosets(sub), target.ring
     block_of = {i: t for t, block in enumerate(dec.blocks) for i in block}
-    conds = [reg.conductor for reg in dec.reg_dims]
+    conds = [target.dim(block).conductor for block in dec.blocks]
     zeros = [ZERO.change_conductor(c) for c in conds]
     inv = [target.inverse(ring.fpdims[block[0]]) for block in dec.blocks]
     structure = []
@@ -242,7 +259,7 @@ def verify_eq_3_6(target, sub: Subcategory) -> list[CheckRecord]:
     reps, dual_map, alpha = dec.reps, dec.dual_map, table.alpha
     # the weight FPdim(R_t)/d_{X_t}^2 of every block t
     inv = [target.inverse(target.ring.fpdims[x]) for x in reps]
-    weights = [r * (v * v) for r, v in zip(dec.reg_dims, inv)]
+    weights = [target.dim(b) * (v * v) for b, v in zip(dec.blocks, inv)]
     out = []
     for k in jd:
         for l in jd:
@@ -270,7 +287,7 @@ def verify_eq_3_7(target, sub: Subcategory) -> list[CheckRecord]:
                         for k in jd])
             if s == t:
                 rhs = (target.dim((xt,)) * target.global_dim
-                       * target.inverse(dec.reg_dims[t]))
+                       * target.inverse(target.dim(dec.blocks[t])))
             else:
                 rhs = ZERO
             out.append(CheckRecord(id="eq-3.7",
@@ -282,11 +299,11 @@ def verify_eq_3_7(target, sub: Subcategory) -> list[CheckRecord]:
 def verify_cor_3_9_1(target, sub: Subcategory) -> list[CheckRecord]:
     """d_Z^2 FPdim(C) / FPdim(R_t) is an algebraic integer, every Z in every block."""
     dec, total = target.cosets(sub), target.global_dim
+    inv = [target.inverse(target.dim(block)) for block in dec.blocks]
     return [_integrality(target, "cor-3.9",
                          {"D": list(sub.members), "claim": 1,
                           "block": t, "member": z},
-                         target.dim((z,)) * total
-                         * target.inverse(dec.reg_dims[t]))
+                         target.dim((z,)) * total * inv[t])
             for t, block in enumerate(dec.blocks) for z in block]
 
 

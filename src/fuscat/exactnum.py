@@ -539,16 +539,12 @@ def _numerators(values):
     no `CycNum` is built."""
     m = math.lcm(*(v.conductor for v in values))
     den = math.lcm(*(v._den for v in values))
-    return m, den, [_over(v, m, den) for v in values]
-
-
-def _over(v, m, den):
-    """den * v as phi(m) integers, for v in Q(zeta_m) with a denominator
-    that divides den."""
-    n = v.conductor
-    nums = v._nums if n == m else _spread(v._nums, m // n, m)
-    scale = den // v._den
-    return [scale * x for x in nums]
+    nums = []
+    for v in values:
+        n, scale = v.conductor, den // v._den
+        vec = v._nums if n == m else _spread(v._nums, m // n, m)
+        nums.append([scale * x for x in vec])
+    return m, den, nums
 
 
 def _dot(terms):

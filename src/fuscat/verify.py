@@ -3,8 +3,9 @@
 A target is a ring plus optional character table and symmetric matrix,
 together with the derived data the checks read (global dimension, supports,
 coset decompositions, centralizers, the Müger center, blocks, the matched
-groups, the reciprocal of each divisor, the dimensions as integer numerators
-and the products of pairs of them), each computed at most once per target.
+groups, the reciprocal of each divisor), each computed at most once per
+target.  eq-3.1's integer form of the dimensions belongs to its kernel,
+`cosets.hecke_closure`, which keeps it in the target's memo.
 Every check has a stable string id and a row in the registry that names what
 it requires and over what it ranges; checks whose inputs are missing, or whose
 mathematical hypotheses fail, are reported as skipped with a reason rather
@@ -23,7 +24,7 @@ from .cosets import (CosetDecomposition, coset_partition, verify_cor_3_9_1,
                      verify_cor_3_9_2, verify_eq_3_1, verify_eq_3_6,
                      verify_eq_3_7, verify_lemma_3_12, verify_prop_3_4)
 from .errors import PreconditionFailed, UnknownKey
-from .exactnum import CycNum, _int_mul, _numerators
+from .exactnum import CycNum
 from .fusion import (FusionRing, Subcategory, global_fpdim, pointed_part,
                      restricted_blocks, sub_fpdim)
 from .premod import (SMatrix, centralizer, m_map,
@@ -131,24 +132,6 @@ class Target:
         """The Müger center C', the centralizer of the whole ring
         (`premod.m_map`)."""
         return self._once("center", lambda: m_map(self))
-
-    @property
-    def numerators(self) -> tuple[int, int, list[list[int]]]:
-        """(m, den, A): the dimensions over their lcm conductor m and one
-        common denominator den, d_i = A_i / den with A_i phi(m) integers."""
-        return self._once("numerators", lambda: _numerators(self.ring.fpdims))
-
-    def pair(self, i: int, j: int) -> list[int]:
-        """A_i A_j mod Phi_m (see `numerators`), built once per unordered
-        pair and shared by every subcategory."""
-        if i > j:
-            i, j = j, i
-        pairs = self._once("pairs", dict)
-        product = pairs.get((i, j))
-        if product is None:
-            m, _, nums = self.numerators
-            product = pairs[i, j] = _int_mul(nums[i], nums[j], m)
-        return product
 
     def inverse(self, value: CycNum) -> CycNum:
         """1/value, computed once per command for each distinct divisor and

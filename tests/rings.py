@@ -19,7 +19,7 @@ from fuscat.exactnum import (CycNum, _divide, _dot, _int_mul, _numerators,
                              _reduce, euler_phi)
 from fuscat.fusion import (FusionRing, Subcategory, _dense,
                            _first_non_character, _generators, _supports,
-                           check_subcategory, validate_fusion_ring)
+                           check_subcategory, sub_fpdim, validate_fusion_ring)
 from fuscat.premod import SMatrix, validate_smatrix
 from fuscat.serialize import cycnum_to_json, value_to_json
 from fuscat.verify import _report_fields
@@ -247,7 +247,7 @@ def k_mul(ring, x, y) -> tuple[CycNum, ...]:
 
 def block_element(ring, dec, t) -> tuple[CycNum, ...]:
     """e_t: the regular element of block t divided by its dimension."""
-    block, inv = set(dec.blocks[t]), dec.reg_dims[t].inverse()
+    block, inv = set(dec.blocks[t]), sub_fpdim(ring, dec.blocks[t]).inverse()
     return tuple(ring.fpdims[i] * inv if i in block else ZERO
                  for i in range(ring.rank))
 
@@ -286,16 +286,16 @@ def hecke_closure_by_products(target, sub) -> bool:
     on integer numerators.  It is the second route to the closure that
     `cosets.hecke_closure` reads off eq-3.1's block verdicts.
 
-    With d_i = A_i / den (`Target.numerators`) and R_t = FPdim(R_t) from
-    `reg_dims`, e_m e_n has coefficient c_k = P_k / (den^2 R_m R_n) at X_k,
-    where P_k is the sum over i in block m and j in block n of
+    With d_i = A_i / den (`_numerators` of the dimensions) and
+    R_t = FPdim(R_t), e_m e_n has coefficient c_k = P_k / (den^2 R_m R_n)
+    at X_k, where P_k is the sum over i in block m and j in block n of
     N_ij^k A_i A_j.  It is dimension-proportional on block p iff
     c_k / d_k does not depend on k in p: iff P_k A_{k0} = P_{k0} A_k for k0
     the first member of p and each k in p.  Only m <= n is checked: N is
     commutative, so e_n e_m has the same coefficients.
     """
     dec, nonzero = target.cosets(sub), target.ring.nonzero
-    cond, _, nums = target.numerators
+    cond, _, nums = _numerators(target.ring.fpdims)
     zero = [0] * len(nums[0])
     for m, n in itertools.combinations_with_replacement(range(len(dec.blocks)), 2):
         P = {}
@@ -322,8 +322,8 @@ def hecke_constants_loop(target, sub) -> tuple:
     are a character."""
     ring, dec = target.ring, target.cosets(sub)
     nb, es = len(dec.blocks), block_elements(ring, dec)
-    ratio = {i: dec.reg_dims[p] / ring.fpdims[i]
-             for p, block in enumerate(dec.blocks) for i in block}
+    ratio = {i: sub_fpdim(ring, block) / ring.fpdims[i]
+             for block in dec.blocks for i in block}
     structure = [[None] * nb for _ in range(nb)]
     for m in range(nb):
         for n in range(m, nb):
@@ -454,8 +454,8 @@ def eq_3_6_lhs_loop(target, sub, k, l) -> CycNum:
     """sum_t w_t alpha[X_t][k] alpha[X_{t*}][l], w_t = FPdim(R_t)/d_{X_t}^2."""
     dec, alpha, fpdims = target.cosets(sub), target.table.alpha, target.ring.fpdims
     lhs = ZERO
-    for t, (r, x) in enumerate(zip(dec.reg_dims, dec.reps)):
-        w = r / (fpdims[x] * fpdims[x])
+    for t, (block, x) in enumerate(zip(dec.blocks, dec.reps)):
+        w = sub_fpdim(target.ring, block) / (fpdims[x] * fpdims[x])
         lhs = lhs + w * alpha[x][k] * alpha[dec.reps[dec.dual_map[t]]][l]
     return lhs
 

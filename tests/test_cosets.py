@@ -54,10 +54,12 @@ def _ising_pointed():
 
 def test_partition_ising_pointed():
     ring, sub = _ising_pointed()
-    dec = coset_partition(Target("", ring), sub)
+    target = Target("", ring)
+    dec = coset_partition(target, sub)
     assert dec.blocks == ((0, 1), (2,))
     assert dec.reps == (0, 2)
-    assert dec.reg_dims == (CycNum.from_rational(2), CycNum.from_rational(2))
+    assert [target.dim(block) for block in dec.blocks] == [
+        CycNum.from_rational(2), CycNum.from_rational(2)]
     assert dec.dual_map == (0, 1)
 
 

@@ -9,12 +9,14 @@ mutated inputs.  The ring stores N once, as the `nonzero` view that one
 input from the factors' nonzero rows, matching the six-loop dense oracle.
 
 eq-3.1 is decided once per subcategory, by `hecke_closure`, on integer
-numerators of the dimensions (`Target.numerators`, `Target.pair`), and
-its block verdicts decide the Hecke closure.  The verdicts, the closure,
+numerators of the dimensions and their pair products, which the kernel
+alone builds, once per target, and its block verdicts decide the Hecke
+closure.  The verdicts, the closure,
 the constants `hecke_constants` reads off one representative per block,
 and whether it raises equal those of the `CycNum` loops over block
 elements and of the block-product closure in `rings.py`, also on rings
-whose dimensions were corrupted after validation.  The kernel runs once
+whose dimensions were corrupted after validation, by fixed changes or by
+generated values at conductors 5, 8 and 12 with 80-bit numerators.  The kernel runs once
 per subcategory across eq-3.1, prop-3.4 and `hecke_constants`.
 `verify_prop_3_4`'s associativity and dual-symmetry records take the
 closure's verdict, by a proof, so the scans that recompute them,
@@ -339,42 +341,52 @@ def test_support_and_centralizers_make_no_sum_and_no_product(monkeypatch):
 @pytest.mark.parametrize("key", KEYS)
 def test_hecke_constants_multiplies_each_unordered_pair_once(key, monkeypatch):
     """eq-3.1, prop-3.4 and `hecke_constants` read one set of block
-    verdicts.  The kernel of `hecke_closure` puts dim(D) and each R_t over
-    the common denominator with one `_over` call each, so it runs once per
-    (target, subcategory) whichever of the three comes first.  The two that
-    follow make no `_over` or `_int_mul` call in `cosets`, and prop-3.4
-    makes no `_int_mul` call anywhere.  Each product A_i A_j of dimension
-    numerators is built once per unordered pair and target (`Target.pair`)."""
+    verdicts.  The kernel of `hecke_closure` runs once per (target,
+    subcategory) whichever of the three comes first: the two that follow
+    make no `_numerators` or `_int_mul` call in `cosets`, and prop-3.4 then
+    makes no `_int_mul` call anywhere.  `_numerators` runs once per target.
+    Each product A_i A_j of dimension numerators, the `_int_mul` call on two
+    of the vectors `_numerators` gave, is built once per unordered pair and
+    target: their count is the size of the memo's pair dict, whose keys all
+    have i <= j."""
     entry = builtin(key)
-    calls = Counter()
-    for module in (fuscat.cosets, fuscat.exactnum, fuscat.verify):
-        for name in ("_over", "_int_mul"):
+    calls, pairs = Counter(), []
+    for module in (fuscat.cosets, fuscat.exactnum):
+        for name in ("_numerators", "_int_mul"):
             if name in vars(module):
                 def counted(*args, _key=(module.__name__, name),
                             _original=getattr(module, name)):
                     calls[_key] += 1
+                    if _key == ("fuscat.cosets", "_int_mul"):
+                        nums = target._memo["numerators"][2]
+                        if any(args[0] is v for v in nums):
+                            pairs.append(args[:2])
                     return _original(*args)
                 monkeypatch.setattr(module, name, counted)
     runners = (verify_eq_3_1, verify_prop_3_4, hecke_constants)
     for first in range(len(runners)):
         order = runners[first:] + runners[:first]
         target = Target(key, entry.ring, entry.table)
-        pairs = 0
+        pairs.clear()
+        numerators = 0
         for sub in enumerate_subcategories(entry.ring):
-            nb = len(target.cosets(sub).blocks)
+            target.cosets(sub)
             target.support(sub)
             calls.clear()
             order[0](target, sub)
-            assert calls["fuscat.cosets", "_over"] == 1 + nb, sub.members
-            pairs += calls["fuscat.verify", "_int_mul"]
+            assert calls["fuscat.cosets", "_int_mul"], sub.members
+            numerators += calls["fuscat.cosets", "_numerators"]
             for run in order[1:]:
                 calls.clear()
                 run(target, sub)
-                assert not calls["fuscat.cosets", "_over"]
+                assert not calls["fuscat.cosets", "_numerators"]
                 assert not calls["fuscat.cosets", "_int_mul"]
                 if run is verify_prop_3_4:
                     assert not calls, (sub.members, calls)
-        assert pairs == len(target._memo["pairs"])
+        built = target._memo["pairs"]
+        assert numerators == 1
+        assert len(pairs) == len(built) > 0
+        assert all(i <= j for i, j in built)
 
 
 @pytest.mark.parametrize("key", ("ising", "rep-s3", "su2k-4", "ising*svec",
@@ -608,6 +620,46 @@ def test_corrupted_dimensions_get_the_loops_verdicts_and_raises(key):
             verdicts.update(got[0])
             raised.add(got[2] == "raised")
     assert verdicts == {True, False} and True in raised
+
+
+GENERATED_CORRUPTION_KEYS = ("ising*svec", "su2k-4", "fib*ising",
+                             "rep-s3*svec", "pointed-z4-q2")
+
+
+def _multiplier(draw):
+    """A nonzero value at conductor 5, 8 or 12 (phi = 4), with integer
+    numerators and one denominator up to 2^80."""
+    n = draw(st.sampled_from((5, 8, 12)))
+    nums = draw(st.lists(st.integers(-2 ** 80, 2 ** 80), min_size=4,
+                         max_size=4))
+    if not any(nums):
+        nums[0] = 1
+    den = draw(st.integers(1, 2 ** 80))
+    return CycNum(n, [Fraction(x, den) for x in nums])
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_generated_dimensions_get_the_loops_verdicts_and_raises(data):
+    """Several d_i, i > 0, multiplied after validation by generated values
+    that mix conductors and pass one machine word: the eq-3.1 verdicts, the
+    closure, H and whether `hecke_constants` raises equal the oracles' on
+    every subcategory whose blocks have nonzero dimensions, where every e_t
+    is defined.  Here the kernel's sums of pair squares and a route through
+    `target.dim` would part if either were wrong."""
+    key = data.draw(st.sampled_from(GENERATED_CORRUPTION_KEYS))
+    ring = builtin(key).ring
+    dims = list(ring.fpdims)
+    for i in data.draw(st.sets(st.integers(1, ring.rank - 1), min_size=1,
+                               max_size=3)):
+        dims[i] = dims[i] * _multiplier(data.draw)
+    target = Target(key, dataclasses.replace(ring, fpdims=tuple(dims)))
+    for sub in enumerate_subcategories(ring):
+        if any(target.dim(block).is_zero()
+               for block in target.cosets(sub).blocks):
+            continue
+        got, want = _loop_outcomes(target, sub)
+        assert got == want, sub.members
 
 
 def _base_ring(draw):

@@ -5,12 +5,15 @@ import functools
 import itertools
 import json
 import math
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuscat.catalog import BUILTIN_KEYS, builtin
 from fuscat.chartab import validate_character_table
+from fuscat.cosets import hecke_closure, hecke_constants
 from fuscat.errors import (
     AsymmetricS,
     BadFirstRow,
@@ -42,7 +45,9 @@ from fuscat.verify import Target, run_checks
 
 from rings import (
     all_passed,
+    centralizer_loop,
     dd_smatrix_rows,
+    eq_3_1_loop,
     eq_4_3_loop,
     f_Q,
     fib_ring,
@@ -50,17 +55,22 @@ from rings import (
     fib_table_rows,
     group_ring,
     group_table_rows,
+    hecke_associative,
+    hecke_closure_by_products,
+    hecke_dual_symmetric,
     ising_ring,
     ising_smatrix_rows,
     ising_table_rows,
     pointed_smatrix_rows,
     reps3_ring,
+    relabel_document,
     reps3_table_rows,
     restrict,
     smatrix_rows_scan_first,
     sqrt2,
     stabilizers_loop,
     su2k4_adjoint_smatrix_rows,
+    support_jd_loop,
 )
 
 ONE = CycNum.from_rational(1)
@@ -528,6 +538,12 @@ def test_validate_smatrix_inverts_no_dimension(monkeypatch):
 # dominate the corpus and the time.
 
 RESTRICTED_KEYS = BUILTIN_KEYS + ("su2k-4*fib", "fib*ising")
+# A second corpus, with larger ranks and more centers.  For K = 6, 10 and 14
+# the even half of su2k-K is PSU(2)_K, the super-modular case of [Yu20,
+# Cor. 3.4] that thm-1.3 extends.
+SECOND_RESTRICTED_KEYS = ("su2k-6", "su2k-8", "su2k-10", "su2k-14",
+                          "pointed-z12-q1", "pointed-z8-q3",
+                          "pointed-z4-q1*pointed-z4-q2", "rep-s3*rep-s3")
 
 
 @functools.cache
@@ -538,12 +554,16 @@ def _restricted_corpus(key):
     for sub in enumerate_subcategories(entry.ring):
         if len(sub) < entry.ring.rank:
             doc = restrict(entry, sub.members)
-            ring, table, sm = from_document(json.loads(dump_document(doc)))
-            out.append((sub.members, doc, Target(key, ring, table, sm)))
+            out.append((sub.members, doc, _parsed(key, doc)))
     return out
 
 
-@pytest.mark.parametrize("key", RESTRICTED_KEYS)
+def _parsed(key, doc):
+    """The target of a document, read back from its JSON text."""
+    return Target(key, *from_document(json.loads(dump_document(doc))))
+
+
+@pytest.mark.parametrize("key", RESTRICTED_KEYS + SECOND_RESTRICTED_KEYS)
 def test_restricted_documents_validate_and_pass_every_check(key):
     for members, doc, target in _restricted_corpus(key):
         assert doc["rank"] == len(members)
@@ -558,3 +578,81 @@ def test_restricted_corpus_has_seventeen_nontrivial_centers():
                for _, _, target in _restricted_corpus(key)]
     assert len(targets) == 39
     assert sum(t.center.members != (0,) for t in targets) == 17
+
+
+def test_second_restricted_corpus_has_twenty_nine_nontrivial_centers():
+    targets = [target for key in SECOND_RESTRICTED_KEYS
+               for _, _, target in _restricted_corpus(key)]
+    assert len(targets) == 43
+    assert sum(t.center.members != (0,) for t in targets) == 29
+
+
+@pytest.mark.parametrize("k", (6, 10, 14))
+def test_super_modular_even_half_of_su2k_passes_thm_1_3(k):
+    """The even half of su2k-K, K = 2 mod 4, has a Müger center of two
+    invertible objects, the unit and the last even spin, and every thm-1.3
+    record on it passes."""
+    [target] = [t for members, _, t in _restricted_corpus(f"su2k-{k}")
+                if members == tuple(range(0, k + 1, 2))]
+    center = target.center.members
+    assert center == (0, k // 2)
+    assert set(center) <= set(target.pointed.members)
+    records = run_checks(target, subcategories=enumerate_subcategories(
+        target.ring), check_ids=["thm-1.3"]).checks
+    assert records and all(r.passed for r in records)
+
+
+@pytest.mark.parametrize("key", RESTRICTED_KEYS + SECOND_RESTRICTED_KEYS)
+def test_restricted_documents_get_the_oracles_verdicts(key):
+    """The verdicts that a proof or an integer kernel gives equal those of
+    the oracles that multiply them out, on every subcategory of every
+    restricted document: eq-3.1's blocks and the Hecke closure, prop-3.4's
+    associativity and dual symmetry of H, J_D, the centralizers and
+    eq-4.3."""
+    for members, doc, parsed in _restricted_corpus(key):
+        target = Target(key, parsed.ring, parsed.table, parsed.smatrix)
+        ring, table, sm = target.ring, target.table, target.smatrix
+        assert all(eq_4_3_loop(target)), members
+        for sub in enumerate_subcategories(ring):
+            where = (members, sub.members)
+            assert eq_3_1_loop(target, sub) == [*hecke_closure(target, sub),
+                                                True], where
+            assert hecke_closure_by_products(target, sub), where
+            H = hecke_constants(target, sub)
+            assert hecke_associative(H), where
+            assert hecke_dual_symmetric(H, target.cosets(sub).dual_map), where
+            assert support_jd_loop(ring, table, sub.members) == \
+                target.support(sub), where
+            assert centralizer_loop(ring, sm, sub) == \
+                target.centralizer(sub), where
+
+
+def _verdicts(target):
+    """The summary and the multiset of (id, passed, skipped_reason, detail)
+    of every check over every subcategory."""
+    report = run_checks(target,
+                        subcategories=enumerate_subcategories(target.ring))
+    return report.summary, Counter((r.id, r.passed, r.skipped_reason,
+                                    r.detail) for r in report.checks)
+
+
+@pytest.mark.parametrize("key", RESTRICTED_KEYS + SECOND_RESTRICTED_KEYS)
+def test_relabelled_restricted_documents_get_the_same_verdicts(key):
+    """A seeded non-identity permutation of the non-unit basis changes no
+    verdict.  Documents of rank 2 or less have no such permutation."""
+    rng = random.Random(key)
+    for members, doc, target in _restricted_corpus(key):
+        perm = list(range(1, doc["rank"]))
+        if len(perm) < 2:
+            continue
+        while perm == sorted(perm):
+            rng.shuffle(perm)
+        relabelled = _parsed(key, relabel_document(doc, [0] + perm))
+        assert _verdicts(relabelled) == _verdicts(target), (members, perm)
+
+
+def test_restricted_corpora_have_documents_to_relabel():
+    """10 and 23 documents of the two corpora have rank 3 or more."""
+    assert [sum(doc["rank"] >= 3 for key in keys
+                for _, doc, _ in _restricted_corpus(key))
+            for keys in (RESTRICTED_KEYS, SECOND_RESTRICTED_KEYS)] == [10, 23]
