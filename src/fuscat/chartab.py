@@ -23,7 +23,7 @@ from .errors import (
     NotAlgebraMap,
     SingularTable,
 )
-from .exactnum import ZERO, CycNum, _dot
+from .exactnum import ONE, ZERO, CycNum, _gram
 from .fusion import (FusionRing, Subcategory, _first_non_character,
                      global_fpdim)
 from .reports import CheckRecord, _exact_key
@@ -75,9 +75,11 @@ def validate_character_table(ring: FusionRing, rows) -> CharacterTable:
     sum_k c_k X_k, c_k = sum_i N_{i i*}^k, with integer coefficients: the
     column j is a character, so cod_j = sum_i chi_j(X_i X_{i*}) =
     sum_k c_k alpha[k][j] (Ostrik, "On formal codegrees of fusion
-    categories", 2009).  Every alpha[k][j] is a factor of that `_dot`, as
-    of the sum of products sum_i alpha[i][j] alpha[i*][j], so it lands at
-    the lcm of the column's conductors, in the same canonical form.
+    categories", 2009).  All codegrees are one `_gram` over k, with int
+    weights c_k, x_{kj} = alpha[k][j] and y_k = 1.  Every alpha[k][j] is a
+    factor of entry j, as of the sum of products
+    sum_i alpha[i][j] alpha[i*][j], so it lands at the lcm of the column's
+    conductors, in the same canonical form.
     """
     if ring.fpdims is None:
         raise ExactDataMissing("character table validation needs exact dimensions")
@@ -107,8 +109,7 @@ def validate_character_table(ring: FusionRing, rows) -> CharacterTable:
             casimir[k] += n
     total_dim = global_fpdim(ring)
     codegrees, class_dims, inverses = [], [], {}
-    for j in range(r):
-        cod = _dot([(c, alpha[k][j]) for k, c in enumerate(casimir)])
+    for (cod,) in _gram(casimir, alpha, [(ONE,)] * r):
         codegrees.append(cod)
         # dim(C) / cod, with each distinct codegree inverted once
         key = _exact_key(cod)
@@ -159,13 +160,13 @@ def verify_eq_2_4(target) -> list[CheckRecord]:
 
     No sum is computed here.  The (k, k) sum is the codegree of column k.
     The validator read it off the Casimir element at the lcm of the
-    column's conductors, where `_dot` puts the (k, k) sum too, so
+    column's conductors, where the sum of products lands too, so
     `table.codegrees[k]` is its value, conductor and canonical form.  For
     l != k the sum is 0, at the lcm of the conductors of columns l and k
-    (zero entries included), where `_dot` puts it.  The Casimir `_dot` has
-    every alpha[i][k] of column k as a factor, so the conductor of
-    `table.codegrees[k]` is that column's lcm, and it is read from there.  Let
-    z_k = sum_i alpha[i*][k] X_i.  Frobenius reciprocity and
+    (zero entries included), where the sum of products lands.  The Casimir
+    `_gram` has every alpha[i][k] of column k as a factor, so the
+    conductor of `table.codegrees[k]` is that column's lcm, and it is read
+    from there.  Let z_k = sum_i alpha[i*][k] X_i.  Frobenius reciprocity and
     N_ij^k = N_{i* j*}^{k*} give X_a z_k = chi_k(X_a) z_k.  Applying chi_l
     gives chi_l(X_a) chi_l(z_k) = chi_k(X_a) chi_l(z_k) for every a.  The validator proved chi_l != chi_k, so chi_l(z_k) = 0, and
     chi_l(z_k) is the (l, k) sum.

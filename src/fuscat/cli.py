@@ -19,8 +19,8 @@ from .errors import FuscatError, SchemaError, UnknownKey, ValidationError
 from .exactnum import CycNum
 from .fusion import check_subcategory, enumerate_subcategories
 from .serialize import from_document, load_document
-from .verify import (Target, _braces, _show, render_json, render_markdown,
-                     run_checks)
+from .verify import (Target, _braces, _show, render_json_to,
+                     render_markdown, run_checks)
 
 _INTEGRALITY_IDS = ("cor-3.9", "cor-4.16", "thm-1.1", "thm-1.3", "rem-4.25")
 
@@ -73,7 +73,7 @@ def cmd_verify(args) -> int:
     check_ids = args.checks.split(",") if args.checks is not None else None
     report = run_checks(target, subcategories=pool, check_ids=check_ids)
     if args.format == "json":
-        sys.stdout.write(render_json(report))
+        render_json_to(report, sys.stdout)
     else:
         sys.stdout.write(render_markdown(report))
     return 0 if report.ok else 1

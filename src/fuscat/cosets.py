@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ExactDataMissing, InconsistentCoset, PreconditionFailed
-from .exactnum import ZERO, _dot, _int_mul, _numerators
+from .exactnum import ZERO, _gram, _int_mul, _numerators
 from .fusion import FusionRing, Subcategory, restricted_blocks
 from .reports import CheckRecord, _integrality
 
@@ -158,27 +158,39 @@ def hecke_constants(target, sub: Subcategory) -> tuple:
     that of R_p when it is zero.  R_t = sum_{i in t} d_i^2 lands at the lcm
     of the conductors of its d_i (`sub_fpdim`), so the conductor of every
     factor d_l, 1/d_x and 1/d_y divides that lcm.
+
+    Each row H[m][n] is one `_gram` over the l of X_x X_y, with x and y
+    the first members of m and n: weight 1/d_x, x_l = N_xy^l / d_y, and
+    y_{lp} = d_l for l in p and ZERO, of conductor 1, elsewhere, for the
+    blocks p that X_x X_y meets.  Entry p is H_{mn}^p, at the lcm of the
+    conductors of 1/d_x, 1/d_y and the d_l of block p, which divides the
+    lcm above; `change_conductor` puts it there.  H_{mn}^p is zero exactly
+    when X_x X_y meets no l of p, as every term is positive.
     """
     verdicts = hecke_closure(target, sub)
     if not all(verdicts):
         raise InconsistentCoset(
             f"eq-3.1 fails on block {verdicts.index(False)}")
     dec, ring = target.cosets(sub), target.ring
-    block_of = {i: t for t, block in enumerate(dec.blocks) for i in block}
-    conds = [target.dim(block).conductor for block in dec.blocks]
+    blocks, fpdims = dec.blocks, ring.fpdims
+    block_of = {i: t for t, block in enumerate(blocks) for i in block}
+    conds = [target.dim(block).conductor for block in blocks]
     zeros = [ZERO.change_conductor(c) for c in conds]
-    inv = [target.inverse(ring.fpdims[block[0]]) for block in dec.blocks]
+    inv = [target.inverse(fpdims[block[0]]) for block in blocks]
     structure = []
-    for m, bm in enumerate(dec.blocks):
+    for m, bm in enumerate(blocks):
         plane = []
-        for n, bn in enumerate(dec.blocks):
-            terms = [[] for _ in dec.blocks]
-            for l, c in ring.nonzero[bm[0]][bn[0]]:
-                terms[block_of[l]].append((c, ring.fpdims[l], inv[m], inv[n]))
+        for n, bn in enumerate(blocks):
+            hit = ring.nonzero[bm[0]][bn[0]]
+            seen = sorted({block_of[l] for l, _ in hit})
+            row = dict(zip(seen, _gram(
+                [inv[m]] * len(hit), [(inv[n] * c,) for _, c in hit],
+                [[fpdims[l] if block_of[l] == p else ZERO for p in seen]
+                 for l, _ in hit])[0]))
             plane.append(tuple(
-                _dot(t).change_conductor(math.lcm(conds[m], conds[n], cp))
-                if t else zero
-                for t, cp, zero in zip(terms, conds, zeros)))
+                row[p].change_conductor(math.lcm(conds[m], conds[n], cp))
+                if p in row else zero
+                for p, (cp, zero) in enumerate(zip(conds, zeros))))
         structure.append(tuple(plane))
     return tuple(structure)
 
@@ -254,17 +266,22 @@ def verify_prop_3_4(target, sub: Subcategory) -> list[CheckRecord]:
 def verify_eq_3_6(target, sub: Subcategory) -> list[CheckRecord]:
     """First orthogonality, for every k, l in J_D: block sums of products of
     normalized character values at the representatives, against the class
-    dimension of column k."""
+    dimension of column k.
+
+    The lhs over J_D x J_D is one weighted Gram matrix (`_gram`): over the
+    blocks t, with weight FPdim(R_t)/d_{X_t}^2, x_{tk} = alpha[X_t][k] and
+    y_{tl} = alpha[X_{t*}][l].  Each entry lands at the lcm of the
+    conductors of its factors, where the sum of its products lands."""
     table, dec, jd = target.table, target.cosets(sub), target.support(sub)
     reps, dual_map, alpha = dec.reps, dec.dual_map, table.alpha
     # the weight FPdim(R_t)/d_{X_t}^2 of every block t
     inv = [target.inverse(target.ring.fpdims[x]) for x in reps]
     weights = [target.dim(b) * (v * v) for b, v in zip(dec.blocks, inv)]
+    xs = [[alpha[x][k] for k in jd] for x in reps]
+    gram = _gram(weights, xs, [xs[t] for t in dual_map])
     out = []
-    for k in jd:
-        for l in jd:
-            lhs = _dot([(w, alpha[reps[t]][k], alpha[reps[dual_map[t]]][l])
-                        for t, w in enumerate(weights)])
+    for k, row in zip(jd, gram):
+        for l, lhs in zip(jd, row):
             rhs = (target.global_dim * target.inverse(table.class_dims[k])
                    if k == l else ZERO)
             out.append(CheckRecord(id="eq-3.6",
@@ -275,16 +292,20 @@ def verify_eq_3_6(target, sub: Subcategory) -> list[CheckRecord]:
 
 def verify_eq_3_7(target, sub: Subcategory) -> list[CheckRecord]:
     """Second orthogonality, for every pair of blocks t, s: support-weighted
-    column sums at two representatives."""
+    column sums at two representatives.
+
+    The lhs over the blocks is one weighted Gram matrix (`_gram`): over
+    k in J_D, with weight dim(C^k), x_{kt} = alpha[X_t][k] and
+    y_{ks} = alpha[X_{s*}][k].  Each entry lands at the lcm of the
+    conductors of its factors, where the sum of its products lands."""
     table, dec = target.table, target.cosets(sub)
     jd, reps, alpha = target.support(sub), dec.reps, table.alpha
+    xs = [[alpha[x][k] for x in reps] for k in jd]
+    gram = _gram([table.class_dims[k] for k in jd], xs,
+                 [[row[d] for d in dec.dual_map] for row in xs])
     out = []
-    for t in range(len(reps)):
-        xt = reps[t]
-        for s in range(len(reps)):
-            xss = reps[dec.dual_map[s]]
-            lhs = _dot([(table.class_dims[k], alpha[xt][k], alpha[xss][k])
-                        for k in jd])
+    for t, xt in enumerate(reps):
+        for s, lhs in enumerate(gram[t]):
             if s == t:
                 rhs = (target.dim((xt,)) * target.global_dim
                        * target.inverse(target.dim(dec.blocks[t])))

@@ -398,17 +398,49 @@ def _cycnum_text(obj: dict) -> str:
 
 def render_json(report: VerificationReport) -> str:
     """The report as ``json.dumps(obj, sort_keys=True, indent=2)`` plus a
-    newline, byte for byte.  obj holds `_report_fields` and "checks", one
-    object per record: its id, params, lhs, rhs and pass, its skipped_reason
-    if it has one and its detail if nonempty, each value as `value_to_json`
-    writes it (lhs and rhs with approx).  The tests build obj with the
-    stdlib and compare.
+    newline, byte for byte: the chunks `render_json_to` writes, joined.
+    obj holds `_report_fields` and "checks", one object per record: its id,
+    params, lhs, rhs and pass, its skipped_reason if it has one and its
+    detail if nonempty, each value as `value_to_json` writes it (lhs and
+    rhs with approx).  The tests build obj with the stdlib and compare."""
+    return "".join(_json_chunks(report))
+
+
+def render_json_to(report: VerificationReport, stream) -> None:
+    """Write `render_json(report)` to the text stream `stream`, one record
+    at a time, so that the report is never held as one string.
+
+    Nothing is written before `_json_chunks` has the text of every field
+    but the records.  After that only a record's values are turned into
+    text, and that cannot raise on a record `run_checks` makes, so a
+    report is written whole or not at all (the stream's own errors aside).
+    `value_text` writes str, bool, int and None by exact type, a `CycNum`
+    through `value_to_json`, which catches the `OverflowError` of a float
+    embedding out of range and leaves out an approx that is not finite, and
+    a list or tuple element by element.  Only a value of any other type
+    reaches `value_to_json`'s `SchemaError`.  Every record that
+    `run_checks` makes holds values of those types alone: its id is a
+    registry id, which `CHECK_LEGEND` holds; its detail and skipped reason
+    are str; params map str keys to ints, strs and lists of ints; lhs and
+    rhs are a `CycNum` (the sides of every exact identity and each
+    `_integrality` value), an int (counts and sizes), a str (the named
+    sides of a proven or membership record), None (a skipped record), a
+    list of `CycNum`s (thm-4.6's rows) or a list of ints or of lists of
+    ints (members, images, blocks and sizes).
+    """
+    stream.writelines(_json_chunks(report))
+
+
+def _json_chunks(report: VerificationReport):
+    """The text of `render_json`, as the opening with the first record, then
+    one chunk per further record, then the closing fields.
 
     A record is written as head + params + tail: the head holds its detail,
     id and lhs, the tail its pass, rhs and skipped reason.  Both are kept
-    for this call under (id, detail, pass, skipped reason, lhs, rhs), each
-    side by `_exact_key` (a `CycNum` by its canonical form, not by ``==``),
-    so a repeated pair is written once.  Params take their key order once
+    for the whole report under (id, detail, pass, skipped reason, lhs,
+    rhs), each side by `_exact_key` (a `CycNum` by its canonical form, not
+    by ``==``), so a repeated pair is written once; the memo grows with the
+    distinct pairs, not with the records.  Params take their key order once
     per key tuple, and each exact value and list of ints its text once.
     """
     halves, values, int_lists, orders = {}, {}, {}, {}
@@ -450,7 +482,12 @@ def render_json(report: VerificationReport) -> str:
                 f',{_NL6}"pass": {value_text(c.passed, True, _NL6)},{_NL6}'
                 f'"rhs": {value_text(c.rhs, True, _NL6)}{reason}{_NL4}}}')
 
-    records = []
+    # the other fields sort after "checks"; their text opens with "{"
+    rest = "," + _indented(_report_fields(report))[1:] + "\n"
+    sep = "{" + _NL2 + '"checks": [' + _NL4
+    if not report.checks:
+        yield "{" + _NL2 + '"checks": []' + rest
+        return
     for c in report.checks:
         key = (c.id, c.detail, c.passed, c.skipped_reason,
                _exact_key(c.lhs), _exact_key(c.rhs))
@@ -469,12 +506,9 @@ def render_json(report: VerificationReport) -> str:
                  for k, lead in order]) + _NL6 + "}")
         else:
             text = "{}"
-        records.append(pair[0] + text + pair[1])
-    checks = ("[" + _NL4 + ("," + _NL4).join(records) + _NL2 + "]"
-              if records else "[]")
-    # the other fields sort after "checks"; their text opens with "{"
-    rest = _indented(_report_fields(report))
-    return "{" + _NL2 + '"checks": ' + checks + "," + rest[1:] + "\n"
+        yield sep + pair[0] + text + pair[1]
+        sep = "," + _NL4
+    yield _NL2 + "]" + rest
 
 
 def _show(value) -> str:

@@ -15,8 +15,8 @@ from fuscat.chartab import validate_character_table
 from fuscat.errors import (DegenerateSpectrum, ExactDataMissing,
                            InconsistentCoset, NotAlgebraMap, PsiNotCharacter,
                            SchemaError, ValidationError)
-from fuscat.exactnum import (CycNum, _divide, _dot, _int_mul, _numerators,
-                             _reduce, euler_phi)
+from fuscat.exactnum import (CycNum, _divide, _int_mul, _numerators,
+                             _phi_tail, _reduce, _spread, euler_phi)
 from fuscat.fusion import (FusionRing, Subcategory, _dense,
                            _first_non_character, _generators, _supports,
                            check_subcategory, sub_fpdim, validate_fusion_ring)
@@ -394,6 +394,67 @@ def sum_of_products(terms) -> CycNum:
             prod = prod * f
         total = total + prod
     return total
+
+
+def _dot(terms):
+    """The sum of products that `exactnum` had before `exactnum._gram`,
+    kept as its oracle: the sum over `terms` of the product of each term's
+    factors, which are `CycNum`s or `int`s, as one `CycNum` at the lcm m of
+    the conductors of every `CycNum` factor given (conductor 1 for none).
+
+    That is the value, conductor and canonical form of the loop
+    ``ZERO + a*b*... + ...``: each operation there lands at the lcm of its
+    operands' conductors.  Here the sum is built on integer numerators over
+    one running denominator.  Rational factors and ints scale a term; the
+    other factors multiply through `_int_mul` at the lcm of their own
+    conductors, and the product is re-embedded at m once.  A term with a
+    zero factor adds nothing but its conductors.
+    """
+    m = math.lcm(*{f.conductor for term in terms for f in term
+                   if type(f) is not int})
+    acc, den = [0] * _phi_tail(m)[0], 1
+    for term in terms:
+        num, d, vec, n = 1, 1, None, 1
+        for f in term:
+            if type(f) is int:
+                num *= f
+                continue
+            nums = f._nums
+            d *= f._den
+            if not any(nums[1:]):
+                num *= nums[0]
+            elif vec is None:
+                vec, n = nums, f.conductor
+            else:
+                c = f.conductor
+                if c != n:
+                    joint = math.lcm(n, c)
+                    if joint != n:
+                        vec = _spread(vec, joint // n, joint)
+                    if joint != c:
+                        nums = _spread(nums, joint // c, joint)
+                    n = joint
+                vec = _int_mul(vec, nums, n)
+        if not num:
+            continue
+        if den % d:
+            common = math.lcm(den, d)
+            acc = [x * (common // den) for x in acc]
+            den = common
+        num *= den // d
+        if vec is None:
+            acc[0] += num
+        else:
+            if n != m:
+                vec = _spread(vec, m // n, m)
+            acc = [x + num * y for x, y in zip(acc, vec)]
+    return CycNum._from_ints(m, acc, den)
+
+
+def gram_by_dot(weights, xs, ys):
+    """`exactnum._gram` entry by entry, one `_dot` per entry."""
+    return [[_dot([(w, x[a], y[b]) for w, x, y in zip(weights, xs, ys)])
+             for b in range(len(ys[0]))] for a in range(len(xs[0]))]
 
 
 def k_mul_loop(ring, x, y) -> tuple[CycNum, ...]:

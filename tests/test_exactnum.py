@@ -1,9 +1,11 @@
 """Cyclotomic field arithmetic: canonical forms, field axioms, integrality."""
 
+import ast
 import cmath
 import copy
 import json
 import math
+import pathlib
 import pickle
 import re
 from fractions import Fraction
@@ -18,7 +20,7 @@ from fuscat.errors import ConductorNotDivisible, DivisionByZero
 from fuscat.exactnum import (
     CycNum,
     IntPoly,
-    _dot,
+    _gram,
     _int_mul,
     characteristic_polynomial,
     cyclotomic_polynomial,
@@ -28,9 +30,10 @@ from fuscat.exactnum import (
     minimal_polynomial,
 )
 
-from rings import (charpoly_faddeev_leverrier, cycnum_text_loop,
-                   embed_complex_terms, eq_aligned, int_mul_dense,
-                   intpoly_text_loop, is_monic, poly_eval, sum_of_products)
+from rings import (_dot, charpoly_faddeev_leverrier, cycnum_text_loop,
+                   embed_complex_terms, eq_aligned, gram_by_dot,
+                   int_mul_dense, intpoly_text_loop, is_monic, poly_eval,
+                   sum_of_products)
 
 
 def F(a, b=1):
@@ -830,6 +833,100 @@ def test_dot_matches_the_cycnum_loop(terms):
     got, want = _dot(terms), sum_of_products(terms)
     assert (got.conductor, got._nums, got._den) == \
         (want.conductor, want._nums, want._den)
+
+
+# -- the Kronecker Gram kernel -------------------------------------------------
+
+_HUGE = 2 ** 1000
+
+# Conductors that meet in one entry: lcm 120 and 248, phi 32 and 120.
+GRAM_FAMILIES = ([1, 5, 8, 12], [1, 8, 248])
+
+
+@st.composite
+def gram_values(draw, conductors):
+    """A CycNum over a drawn conductor: zero, a rational carried there, or a
+    sum of up to three powers of zeta, with numerators and denominators of
+    either sign, small or of 1,000 bits."""
+    n = draw(st.sampled_from(conductors))
+    kind = draw(st.sampled_from(("zero", "rational", "general")))
+    if kind == "zero":
+        return CycNum(n, [0])
+    part = st.integers(-3, 3) | st.integers(-_HUGE, _HUGE)
+    den = st.integers(1, 4) | st.integers(1, _HUGE)
+
+    def coeff():
+        return Fraction(draw(part), draw(den))
+    if kind == "rational":
+        return CycNum(n, [coeff()])
+    coeffs = [0] * n
+    for _ in range(draw(st.integers(1, 3))):
+        coeffs[draw(st.integers(0, n - 1))] = coeff()
+    return CycNum(n, coeffs)
+
+
+@st.composite
+def grams(draw):
+    """(weights, xs, ys) of n rows and A x B columns, n, A, B in 1..3.
+    Either every value draws its conductor from one family of
+    GRAM_FAMILIES, or each x column has its own conductor among 1, 5, 8, 12
+    and 248 with rational weights and ys, so that the entries of one Gram
+    land at different conductors.  Weights may be ints; ys may be xs
+    itself, as `fusion.sub_fpdim` passes them."""
+    n, na, nb = (draw(st.integers(1, 3)) for _ in range(3))
+    if draw(st.booleans()):
+        family = draw(st.sampled_from(GRAM_FAMILIES))
+        w_conds = y_conds = family
+        col_conds = [family] * na
+    else:
+        w_conds, y_conds = [1, 2], [1, 2]
+        col_conds = [[1, c] for c in draw(st.lists(
+            st.sampled_from([1, 5, 8, 12, 248]), min_size=na, max_size=na))]
+    weights = [draw(st.integers(-3, 3) | st.integers(-_HUGE, _HUGE))
+               if draw(st.booleans()) else draw(gram_values(w_conds))
+               for _ in range(n)]
+    xs = [[draw(gram_values(c)) for c in col_conds] for _ in range(n)]
+    if na == nb and draw(st.booleans()):
+        return weights, xs, xs
+    ys = [[draw(gram_values(y_conds)) for _ in range(nb)] for _ in range(n)]
+    return weights, xs, ys
+
+
+def _forms(matrix):
+    return [[(v.conductor, v._nums, v._den) for v in row] for row in matrix]
+
+
+@given(grams())
+@example(([1], [[CycNum(1, [0])]], [[CycNum(1, [0])]]))
+@example(([2, -3], [[CycNum.zeta(5)], [CycNum.zeta(8)]],
+          [[CycNum.zeta(12)], [CycNum(248, [0, 0, F(1, _HUGE)])]]))
+@example(([0], [[CycNum.zeta(248, 7), CycNum.zeta(5, 2)]],
+          [[CycNum(1, [F(-_HUGE, 3)])]]))
+@settings(max_examples=100, deadline=None)
+def test_gram_matches_the_dot_oracle(gram):
+    """Every entry of `_gram` has the conductor, numerators and denominator
+    of the `_dot` of its terms, with zero values, 1,000-bit numerators and
+    denominators, int weights and entries at different conductors."""
+    weights, xs, ys = gram
+    got = _gram(weights, xs, ys)
+    assert _forms(got) == _forms(gram_by_dot(weights, xs, ys))
+    assert len(got) == len(xs[0]) and all(len(r) == len(ys[0]) for r in got)
+
+
+def test_no_module_under_src_defines_or_imports_dot():
+    """Every sum of products in `src/` goes through `_gram`; `_dot` lives
+    in the tests as its oracle."""
+    src = pathlib.Path(fuscat.exactnum.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                assert node.name != "_dot", path.name
+            if isinstance(node, ast.ImportFrom):
+                assert "_dot" not in {a.name for a in node.names}, path.name
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                assert getattr(node, "id", getattr(node, "attr", "")) \
+                    != "_dot", path.name
 
 
 # -- the sparse integer product kernel ---------------------------------------

@@ -21,7 +21,8 @@ from fuscat.errors import (
     PsiNotCharacter,
 )
 from fuscat.exactnum import CycNum, minimal_polynomial
-from fuscat.fusion import Subcategory, check_subcategory, enumerate_subcategories
+from fuscat.fusion import (Subcategory, _dense, check_subcategory,
+                           deligne_product, enumerate_subcategories)
 from fuscat.premod import (
     centralizer,
     class_sum,
@@ -47,6 +48,7 @@ from rings import (
     all_passed,
     centralizer_loop,
     dd_smatrix_rows,
+    eq_2_4_lhs_loop,
     eq_3_1_loop,
     eq_4_3_loop,
     f_Q,
@@ -625,6 +627,79 @@ def test_restricted_documents_get_the_oracles_verdicts(key):
                 target.support(sub), where
             assert centralizer_loop(ring, sm, sub) == \
                 target.centralizer(sub), where
+
+
+@pytest.mark.parametrize("key", RESTRICTED_KEYS + SECOND_RESTRICTED_KEYS)
+def test_restricted_documents_get_the_stabilizer_and_eq_2_4_oracles(key):
+    """The records that read eq-2.4 off the codegrees and G_Y off the
+    supports agree with the oracles that multiply them out, on every
+    restricted document: each eq-2.4 lhs has the form of the loop sum and
+    its verdict, and, where the center is pointed, each eq-4.23
+    stabilizer is G_Y by the invertible filter; elsewhere thm-1.3 refuses
+    its precondition."""
+    for members, doc, parsed in _restricted_corpus(key):
+        target = Target(key, parsed.ring, parsed.table, parsed.smatrix)
+        records = run_checks(target, check_ids=["eq-2.4", "eq-4.23"]).checks
+        sums = [r for r in records if r.id == "eq-2.4"]
+        assert len(sums) == target.ring.rank ** 2, members
+        for r in sums:
+            want = eq_2_4_lhs_loop(target, r.params["l"], r.params["k"])
+            assert (r.lhs.conductor, r.lhs._nums, r.lhs._den) == \
+                (want.conductor, want._nums, want._den), (members, r.params)
+            assert r.passed == (want == r.rhs), (members, r.params)
+        if set(target.center.members) <= set(target.pointed.members):
+            assert [r.params["stabilizer"] for r in records
+                    if r.id == "eq-4.23"] == \
+                [list(g) for g in stabilizers_loop(target)], members
+        else:
+            assert [r.skipped_reason for r in records
+                    if r.id == "eq-4.23"] == ["center is not pointed"]
+            with pytest.raises(PreconditionFailed):
+                verify_thm_1_3(target)
+
+
+# Pairs of small keys whose Deligne products restrict to every D1 x D2.
+DELIGNE_PAIRS = (("fib", "ising"), ("su2k-4", "fib"), ("rep-s3", "svec"),
+                 ("pointed-z4-q2", "svec"), ("ising", "pointed-z3-q1"))
+
+
+def _as_target(doc):
+    return Target("doc", *from_document(json.loads(dump_document(doc))))
+
+
+def _column_set(table):
+    return {tuple((v.conductor, v._nums, v._den) for v in column)
+            for column in zip(*table.alpha)}
+
+
+@pytest.mark.parametrize("a,b", DELIGNE_PAIRS)
+def test_restriction_commutes_with_deligne_products(a, b):
+    """For every subcategory D1 of A and D2 of B, restricting A*B to
+    D1 x D2 gives the Deligne product of the two restrictions: the same
+    names, fusion tensor, duals and dimensions in the same basis order, and
+    the same set of table columns, by conductor, numerators and
+    denominator."""
+    left, right, product = builtin(a), builtin(b), builtin(f"{a}*{b}")
+    rb = right.ring.rank
+    for d1 in enumerate_subcategories(left.ring):
+        one = _as_target(restrict(left, d1.members))
+        for d2 in enumerate_subcategories(right.ring):
+            two = _as_target(restrict(right, d2.members))
+            members = [i * rb + j for i in d1.members for j in d2.members]
+            assert members == sorted(members)
+            got = _as_target(restrict(product, members))
+            want = deligne_product(one.ring, two.ring)
+            where = (d1.members, d2.members)
+            assert got.ring.names == want.names, where
+            assert _dense(got.ring) == _dense(want), where
+            assert got.ring.dual == want.dual, where
+            assert [(d.conductor, d._nums, d._den) for d in got.ring.fpdims] \
+                == [(d.conductor, d._nums, d._den) for d in want.fpdims], where
+            assert _column_set(got.table) == {
+                tuple((v.conductor, v._nums, v._den)
+                      for v in (x * y for x in c for y in d))
+                for c in zip(*one.table.alpha)
+                for d in zip(*two.table.alpha)}, where
 
 
 def _verdicts(target):

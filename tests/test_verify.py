@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import io
 import json
 from collections import Counter
 from fractions import Fraction
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import fuscat.catalog
 import fuscat.chartab
+import fuscat.cli
 import fuscat.cosets
 import fuscat.fusion
 import fuscat.premod
@@ -27,8 +29,8 @@ from fuscat.fusion import enumerate_subcategories
 from fuscat.premod import validate_smatrix
 from fuscat.verify import (CHECK_IDS, CHECK_LEGEND, CheckRecord, Target,
                            VerificationReport, default_subcategories,
-                           render_json, render_markdown, report_to_json,
-                           run_checks)
+                           render_json, render_json_to, render_markdown,
+                           report_to_json, run_checks)
 
 from rings import (fp_column, ising_ring, ising_table_rows,
                    report_to_json_builder)
@@ -290,6 +292,104 @@ def test_render_json_matches_the_stdlib_encoder_on_built_reports(report,
 
     with mock.patch.object(fuscat.serialize, "advisory_complex", approx):
         assert render_json(report) == _oracle(report)
+
+
+class _ChunkStream(io.StringIO):
+    """A text stream that keeps each chunk it is given."""
+
+    def __init__(self):
+        super().__init__()
+        self.chunks = []
+
+    def write(self, text):
+        self.chunks.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize("key", BUILTIN_KEYS + PRODUCT_KEYS)
+def test_streamed_json_equals_render_json_and_the_stdlib(key):
+    """`render_json_to` writes the bytes of `render_json` and of the stdlib
+    encoder, one record per chunk after the first, so no chunk holds the
+    report."""
+    report = _cached_full_run(key)
+    stream = _ChunkStream()
+    assert render_json_to(report, stream) is None
+    assert stream.getvalue() == render_json(report) == _oracle(report)
+    assert len(stream.chunks) == len(report.checks) + 1
+
+
+def _skipping_key():
+    """A builtin whose full run skips some records and fails none."""
+    for key in BUILTIN_KEYS:
+        report = _cached_full_run(key)
+        if report.ok and report.summary["skipped"]:
+            return key, report
+    raise AssertionError("no builtin skips a record")
+
+
+def test_failing_and_skipped_reports_stream_their_bytes_and_exit_codes(
+        monkeypatch, capsys):
+    """Through the CLI's stream, a report with a failed record writes
+    `render_json`'s bytes and exits 1; one with skipped records and no
+    failure writes them and exits 0."""
+    key, skipped = _skipping_key()
+    base = _cached_full_run("ising")
+    first = next(i for i, c in enumerate(base.checks) if c.passed)
+    failing = dataclasses.replace(base, checks=(
+        base.checks[:first]
+        + (dataclasses.replace(base.checks[first], passed=False),)
+        + base.checks[first + 1:]))
+    assert failing.summary["failed"] == 1
+    for report, code in ((failing, 1), (skipped, 0)):
+        monkeypatch.setattr(fuscat.cli, "run_checks",
+                            lambda *args, report=report, **kw: report)
+        assert main(["verify", key, "--format", "json"]) == code
+        assert capsys.readouterr().out == render_json(report) == \
+            _oracle(report)
+
+
+def _value_shape(value):
+    """The type of a report value, with the shapes of a list's elements."""
+    if isinstance(value, (list, tuple)):
+        return ("list", frozenset(map(_value_shape, value)))
+    return type(value).__name__
+
+
+_SCALAR_SHAPES = {"CycNum", "int", "str", "NoneType"}
+_LIST_SHAPES = {("list", frozenset({s})) for s in ("CycNum", "int")} | {
+    ("list", frozenset({("list", frozenset({"int"}))})),
+    ("list", frozenset())}
+
+
+def test_the_streamed_writer_takes_every_record_run_checks_makes():
+    """The premise of `render_json_to`'s proof that it cannot raise once it
+    has written: over the full runs of the builtins and the product keys,
+    which make every check id, executed and skipped, each record holds
+    only the value types that the proof names.  Each record kind (its id,
+    whether it is skipped, and the shapes of its lhs, rhs and params)
+    then streams alone as the stdlib encoder writes it."""
+    kinds, ids = {}, set()
+    for key in BUILTIN_KEYS + PRODUCT_KEYS:
+        for c in _cached_full_run(key).checks:
+            ids.add((c.id, c.passed is None))
+            shapes = (_value_shape(c.lhs), _value_shape(c.rhs),
+                      tuple(sorted((k, _value_shape(v))
+                                   for k, v in c.params.items())))
+            assert {shapes[0], shapes[1]} <= _SCALAR_SHAPES | _LIST_SHAPES, c
+            assert {s for _, s in shapes[2]} <= {
+                "int", "str", ("list", frozenset({"int"}))}, c
+            assert type(c.detail) is str and type(c.passed) in (
+                bool, type(None)) and type(c.skipped_reason) in (
+                    str, type(None)), c
+            kinds.setdefault((c.id, c.passed is None, shapes), c)
+    assert {cid for cid, _ in ids} == set(CHECK_IDS)
+    assert any(skipped for _, skipped in ids)
+    for record in kinds.values():
+        report = VerificationReport(target="t", subcategories=((0,),),
+                                    checks=(record,))
+        stream = io.StringIO()
+        render_json_to(report, stream)
+        assert stream.getvalue() == _oracle(report)
 
 
 def test_rendering_is_deterministic():
@@ -573,19 +673,20 @@ def test_run_checks_makes_no_division(key, every_subcategory, monkeypatch):
 
 def test_eq_2_4_reads_the_codegrees(monkeypatch):
     """eq-2.4 takes its diagonal from `CharacterTable.codegrees` and puts
-    0 off it, so it sums nothing: 441 `_dot` sums on su2k-20 when each
-    entry was summed."""
+    0 off it, so it sums nothing: no call of the sum-of-products kernel
+    `_gram` in `chartab`, where each of the 441 entries on su2k-20 was
+    once a sum."""
     target = builtin("su2k-20")
     calls = Counter()
-    dot = fuscat.chartab._dot
+    gram = fuscat.chartab._gram
 
-    def counting(terms):
-        calls["dot"] += 1
-        return dot(terms)
-    monkeypatch.setattr(fuscat.chartab, "_dot", counting)
+    def counting(*args):
+        calls["gram"] += 1
+        return gram(*args)
+    monkeypatch.setattr(fuscat.chartab, "_gram", counting)
     report = run_checks(target, check_ids=["eq-2.4"])
     assert report.ok and len(report.checks) == 21 ** 2
-    assert calls["dot"] == 0
+    assert calls["gram"] == 0
 
 
 def test_eq_4_3_multiplies_nothing(monkeypatch):
