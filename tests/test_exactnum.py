@@ -902,6 +902,10 @@ def _forms(matrix):
           [[CycNum.zeta(12)], [CycNum(248, [0, 0, F(1, _HUGE)])]]))
 @example(([0], [[CycNum.zeta(248, 7), CycNum.zeta(5, 2)]],
           [[CycNum(1, [F(-_HUGE, 3)])]]))
+# a digit of 12 * 14^3 = 32928 against the bound 16 * 14^3 = 43904: it
+# needs the sign bit above the bound's 16 bits
+@example(([CycNum(5, [14] * 4)], [[CycNum(5, [14] * 4)]],
+          [[CycNum(5, [14] * 4)]]))
 @settings(max_examples=100, deadline=None)
 def test_gram_matches_the_dot_oracle(gram):
     """Every entry of `_gram` has the conductor, numerators and denominator
