@@ -1,7 +1,6 @@
 #!/usr/bin/env python3
 """End-to-end wall time of `fuscat verify`, `fuscat report` and `fuscat
-validate` over the north-star key ladder and three large keys, with a scale
-section and the cold import.
+validate` over the north-star key ladder and three large keys.
 
 Usage (from the root of a git checkout):
 
@@ -50,16 +49,6 @@ range.  The peak RSS of a run is the child's own `VmHWM`, which a launcher
 (`LAUNCHER`) reads from `/proc/self/status` as the child exits.
 `ru_maxrss` would not do: Linux carries the high-water mark across `exec`,
 so a child's `ru_maxrss` is at least this script's own peak at the spawn.
-
-After the rounds, each side runs the scale section once: `python -m fuscat
-verify KEY --format json` for each key of SCALE, the largest keys the
-default pool is run on, with time, peak RSS and stdout sha256, each sha256
-checked against its pin in SCALE.  Then each side's cold start, `python -X
-importtime -c "import fuscat"`, is run once: its wall time and the
-cumulative import time of `fuscat` that `-X importtime` reports.  Both are
-recorded under "scale" and "cold_import" and printed on their own lines.
-The script exits 1 when an output differs between the sides or a scale
-sha256 misses its pin.
 """
 
 import argparse
@@ -91,10 +80,6 @@ LADDER = ("trivial", "svec", "ising", "fib", "rep-s3", "su2k-2", "su2k-3",
 # pool, where the checks' sums and divisions do.
 VALIDATE_EXTRA = ("su2k-20", "su2k-30", "pointed-z50-q1")
 ROUNDS = 10
-# The default pool of the largest keys, with the sha256 prefix of each
-# report: `su2k-60` at conductor 248, `pointed-z100-q1` with 10,000 eq-3.7
-# entries in its unit Gram.
-SCALE = {"su2k-60": "db3dd524fda7", "pointed-z100-q1": "52b5de4a0fa3"}
 COMMANDS = {
     "verify": "python -m fuscat verify KEY --all-subcategories --format json",
     "verify_md": "python -m fuscat verify KEY --all-subcategories --format md",
@@ -237,22 +222,6 @@ def run_op(src: Path, argv, cwd: Path) -> tuple[float, int, str, float]:
     return seconds, proc.returncode, digest.hexdigest(), kib / 1024
 
 
-def cold_import(src: Path) -> dict:
-    """Wall time of `python -X importtime -c "import fuscat"` with `src` on
-    the path, and the cumulative microseconds it reports for `fuscat`."""
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-c",
-                           "import fuscat"], env=dict(os.environ,
-                                                      PYTHONPATH=str(src)),
-                          check=True, capture_output=True, text=True)
-    seconds = time.perf_counter() - start
-    # lines read "import time: self [us] | cumulative | imported package"
-    cumulative = next(int(line.split("|")[1])
-                      for line in proc.stderr.splitlines()
-                      if line.split("|")[-1].strip() == "fuscat")
-    return {"wall_s": round(seconds, 4), "fuscat_cumulative_us": cumulative}
-
-
 def summary(times, rss, outcome) -> dict:
     """Per key: median, quartiles, repeats, times, peak RSS, exit code,
     stdout sha256."""
@@ -325,16 +294,6 @@ def main(argv=None) -> int:
                     times[name][cmd][key].append(seconds)
                     rss[name][cmd][key].append(mb)
             print(f"round {r + 1}/{ROUNDS} done", file=sys.stderr)
-        scale = {name: {} for name in sides}
-        for key, pin in SCALE.items():
-            for name, side in sides.items():
-                seconds, code, digest, mb = run_op(
-                    side["src"], ["verify", key, "--format", "json"], tmp)
-                scale[name][key] = {"seconds": round(seconds, 3),
-                                    "peak_rss_mb": round(mb, 1), "exit": code,
-                                    "stdout_sha256": digest,
-                                    "pin_ok": digest.startswith(pin)}
-        cold = {name: cold_import(side["src"]) for name, side in sides.items()}
 
     runs = {}
     for name, side in sides.items():
@@ -368,8 +327,6 @@ def main(argv=None) -> int:
         "validate_extra": list(VALIDATE_EXTRA),
         "runs": runs,
         "delta": delta,
-        "scale": scale,
-        "cold_import": cold,
     }
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     print(f"src: {runs['base']['src_lines']} -> {runs['change']['src_lines']} "
@@ -388,19 +345,8 @@ def main(argv=None) -> int:
                   f"{change['peak_rss_median_mb']:6.1f} MB  "
                   f"won {d['change_won_pairs']:2d}/{ROUNDS}  "
                   f"outputs {'match' if d['outputs_match'] else 'DIFFER'}")
-    for key in SCALE:
-        print(f"{'scale':>14} {key:>16}: " + "  ".join(
-            f"{name} {scale[name][key]['seconds']:7.2f} s "
-            f"{scale[name][key]['peak_rss_mb']:6.1f} MB "
-            f"pin {'ok' if scale[name][key]['pin_ok'] else 'MISSED'}"
-            for name in sides))
-    print("cold import: " + ", ".join(
-        f"{name} {cold[name]['wall_s']:.3f} s "
-        f"(fuscat {cold[name]['fuscat_cumulative_us'] / 1e3:.1f} ms)"
-        for name in sides))
     return 0 if all(d["outputs_match"] for per in delta.values()
-                    for d in per.values()) and all(
-        run["pin_ok"] for per in scale.values() for run in per.values()) else 1
+                    for d in per.values()) else 1
 
 
 if __name__ == "__main__":

@@ -159,38 +159,34 @@ def hecke_constants(target, sub: Subcategory) -> tuple:
     of the conductors of its d_i (`sub_fpdim`), so the conductor of every
     factor d_l, 1/d_x and 1/d_y divides that lcm.
 
-    Each row H[m][n] is one `_gram` over the l of X_x X_y, with x and y
-    the first members of m and n: weight 1/d_x, x_l = N_xy^l / d_y, and
-    y_{lp} = d_l for l in p and ZERO, of conductor 1, elsewhere, for the
-    blocks p that X_x X_y meets.  Entry p is H_{mn}^p, at the lcm of the
-    conductors of 1/d_x, 1/d_y and the d_l of block p, which divides the
-    lcm above; `change_conductor` puts it there.  H_{mn}^p is zero exactly
-    when X_x X_y meets no l of p, as every term is positive.
+    The sum over l in p is built by `int` scaling and addition, at the lcm
+    of the conductors of its d_l, and then multiplied once by 1/(d_x d_y):
+    a sum with one factor per term, which no product kernel shortens.
+    H_{mn}^p is zero exactly when X_x X_y meets no l of p, as every term is
+    positive.
     """
     verdicts = hecke_closure(target, sub)
     if not all(verdicts):
         raise InconsistentCoset(
             f"eq-3.1 fails on block {verdicts.index(False)}")
     dec, ring = target.cosets(sub), target.ring
-    blocks, fpdims = dec.blocks, ring.fpdims
-    block_of = {i: t for t, block in enumerate(blocks) for i in block}
-    conds = [target.dim(block).conductor for block in blocks]
+    block_of = {i: t for t, block in enumerate(dec.blocks) for i in block}
+    conds = [target.dim(block).conductor for block in dec.blocks]
     zeros = [ZERO.change_conductor(c) for c in conds]
-    inv = [target.inverse(fpdims[block[0]]) for block in blocks]
+    inv = [target.inverse(ring.fpdims[block[0]]) for block in dec.blocks]
     structure = []
-    for m, bm in enumerate(blocks):
+    for m, bm in enumerate(dec.blocks):
         plane = []
-        for n, bn in enumerate(blocks):
-            hit = ring.nonzero[bm[0]][bn[0]]
-            seen = sorted({block_of[l] for l, _ in hit})
-            row = dict(zip(seen, _gram(
-                [inv[m]] * len(hit), [(inv[n] * c,) for _, c in hit],
-                [[fpdims[l] if block_of[l] == p else ZERO for p in seen]
-                 for l, _ in hit])[0]))
+        for n, bn in enumerate(dec.blocks):
+            sums = [None] * len(dec.blocks)
+            for l, c in ring.nonzero[bm[0]][bn[0]]:
+                p, term = block_of[l], c * ring.fpdims[l]
+                sums[p] = term if sums[p] is None else sums[p] + term
+            scale = inv[m] * inv[n]
             plane.append(tuple(
-                row[p].change_conductor(math.lcm(conds[m], conds[n], cp))
-                if p in row else zero
-                for p, (cp, zero) in enumerate(zip(conds, zeros))))
+                (scale * t).change_conductor(math.lcm(conds[m], conds[n], cp))
+                if t is not None else zero
+                for t, cp, zero in zip(sums, conds, zeros)))
         structure.append(tuple(plane))
     return tuple(structure)
 

@@ -12,11 +12,12 @@ Phi_N; a rational operand only scales the other, and an `int` operand scales
 the numerators with no `CycNum` built for it.  When both operands are
 rational, the sum or product is built from two integers and one two-integer
 gcd, at the lcm conductor, in the same canonical form.  A matrix of weighted
-sums of products, sum_i w_i x_ia y_ib, is one `_gram`: each factor is packed
-into one integer (Kronecker substitution), and each entry is reduced modulo
-Phi_N once.  The inverse of a non-rational a is P / N(a), with P the
-product of the conjugates sigma_k(a), k != 1, and N(a) = a * P a nonzero
-rational (the norm).
+sums of products, sum_i w_i x_ia y_ib, is one `_gram`: from three columns a
+side, each factor is packed into one integer (Kronecker substitution) and
+each entry is reduced modulo Phi_N once; a smaller matrix is summed entry
+by entry on integer numerators.  The inverse of a non-rational a is
+P / N(a), with P the product of the conjugates sigma_k(a), k != 1, and
+N(a) = a * P a nonzero rational (the norm).
 
 Z[zeta_N] is the ring of integers of Q(zeta_N) with Z-basis the power basis
 (Washington, *Introduction to Cyclotomic Fields*, Thm 2.6), so a value is an
@@ -31,8 +32,6 @@ import functools
 import itertools
 import math
 import operator
-import sys
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -555,8 +554,11 @@ def _numerators(values):
 
 
 def _at(v, m, d):
-    """d / den times the numerators of the `CycNum` v = nums / den,
-    re-embedded at m: one int when v is rational, else phi(m) ints."""
+    """d / den times the numerators of v = nums / den, an int (den 1) or a
+    `CycNum` re-embedded at m: one int when v is rational, else phi(m)
+    ints."""
+    if type(v) is int:
+        return v * d
     nums, s = v._nums, d // v._den
     if not any(nums[1:]):
         return s * nums[0]
@@ -566,46 +568,18 @@ def _at(v, m, d):
 
 
 def _top(vecs):
-    """(t, rational): t the largest absolute numerator of `_at`'s outputs
-    `vecs`, and whether every one of them is an int, a rational value."""
-    ints = [abs(v) for v in vecs if type(v) is int]
-    if len(ints) == len(vecs):
-        return max(ints, default=0), True
-    return max(ints + [max(map(abs, v)) for v in vecs if type(v) is not int]), \
-        False
+    """The largest absolute numerator of `_at`'s outputs `vecs`."""
+    return max([abs(v) if type(v) is int else max(map(abs, v)) for v in vecs])
 
 
 def _pack(vec, bits):
-    """sum_j vec[j] 2^(bits j); an int stands for itself.
-
-    For a word of 1, 2, 4 or 8 bytes on a little-endian machine, the bytes
-    of the signed array of vec read as one int U hold vec[j] mod 2^bits in
-    word j, which is vec[j] + 2^bits exactly when vec[j] < 0, that is when
-    the top bit of word j is set (each |vec[j]| < 2^(bits - 1), or the
-    array refuses it).  Subtracting 2^bits for each such word gives the
-    sum."""
+    """sum_j vec[j] 2^(bits j); an int stands for itself."""
     if type(vec) is int:
         return vec
-    code = _WORDS.get(bits)
-    if code is not None:
-        u = int.from_bytes(array(code[0], vec).tobytes(), "little")
-        return u - (((u >> (bits - 1)) & _word_ones(bits, len(vec))) << bits)
     p = 0
     for x in reversed(vec):
         p = (p << bits) + x
     return p
-
-
-# bits -> the signed `array` and unsigned `memoryview.cast` codes of a word
-# of that many bits, on a little-endian machine, for 8, 16, 32 and 64.
-_WORDS = {8 * array(c).itemsize: (c, c.upper()) for c in "qihb"
-          } if sys.byteorder == "little" else {}
-
-
-@functools.cache
-def _word_ones(bits, n):
-    """sum_j 2^(bits j) over j < n."""
-    return int.from_bytes((b"\x01" + bytes(bits // 8 - 1)) * n, "little")
 
 
 def _gram(weights, xs, ys):
@@ -617,123 +591,129 @@ def _gram(weights, xs, ys):
     ``ZERO + w_0 x_0a y_0b + ...``, where each operation lands at the lcm
     of its operands' conductors.
 
-    The entries are grouped by that lcm M, and each group is computed on
-    integers by Kronecker substitution (von zur Gathen and Gerhard, *Modern
-    Computer Algebra*, 8.4).  The weights, the xs and the ys are each put
-    over one common denominator, so that each factor is an integer vector
-    of phi = phi(M) numerators at M.  Each is packed once as the integer
-    P(v) = sum_j v_j 2^(B j), each product P(w_i) P(x_ia) is formed once
-    per (i, a), and the entry is S = sum_i P(w_i) P(x_ia) P(y_ib).
+    A Gram with one or two columns on a side sums each entry on its own
+    (`_entry`), as nothing packed would be reused enough to pay for the
+    packing: on the eq-3.6 and eq-3.7 Grams of the verify workloads,
+    Kronecker substitution takes 1.3 to 1.7 times as long as the entry
+    sums at 2 x 2, 0.8 to 1.05 times at 3 x 3 and 0.25 to 0.7 times from
+    4 x 4 on.  A larger Gram groups its entries by their conductor M and
+    computes each group on integers by Kronecker substitution (von zur
+    Gathen and Gerhard, *Modern Computer Algebra*, 8.4).  The weights, the
+    xs and the ys are each put over one common denominator, so that each
+    factor is an integer vector of phi = phi(M) numerators at M, or one
+    integer when it is rational (`_at`).  Each is packed once as the
+    integer P(v) = sum_j v_j 2^(B j), each product P(w_i) P(x_ia) is formed
+    once per (i, a), and the entry is S = sum_i P(w_i) P(x_ia) P(y_ib).
     Evaluation at 2^B is a ring map Z[t] -> Z, so S = Q(2^B), where
     Q = sum_i w_i(t) x_ia(t) y_ib(t) has degree at most 3 phi - 3.
 
     Exactness.  The coefficient of t^k in Q sums at most n phi^2 products
     of three numerators (n rows; the exponents of two factors fix the
-    third's), so |Q_k| <= n phi^2 |w| |x| |y|, each |.| the largest
-    absolute numerator of its role in the group.  B is the bit length of
-    that bound (or of a larger numerator, which a digit must hold too)
-    plus a sign bit, rounded up to whole bytes, so |Q_k| < 2^(B - 1).  Q's 3 phi - 2 coefficients are then the signed
+    third's), so |Q_k| <= n phi^2 |w| |x| |y|, each |.|
+    the largest absolute numerator of its role in the group.  B is the bit
+    length of that bound plus a sign bit, rounded up to whole bytes, so
+    |Q_k| < 2^(B - 1).  Q's 3 phi - 2 coefficients are then the signed
     base-2^B digits of S: the bytes of S + sum_k 2^(B - 1) 2^(B k) hold
     Q_k + 2^(B - 1), in [0, 2^B), digit by digit.  Only the digits up to
     t = bitlen(|S|) // B are read: were Q_u != 0 for some u > t, the top
     such u would give |S| > 2^(B u) - 2^(B u - 1), as the digits below it
     are integers of absolute value at most 2^(B - 1) - 1 and sum to less
     than (2^(B - 1) - 1) 2^(B u) / (2^B - 1) < 2^(B u - 1) in absolute
-    value; so bitlen(|S|) >= B u.  Q mod Phi_M over the
-    product of the three denominators is the entry, and
-    `CycNum._from_ints` divides by the gcd, so any common denominator
-    gives the canonical form.  A rational factor packs as its one
-    numerator, whatever B is; when every factor of a group is rational (at
-    phi = 1 every one is), S is the entry's numerator with nothing to
-    unpack.  A row of weight zero adds nothing to any entry, so it counts
-    for the conductors and denominators only.
+    value; so bitlen(|S|) >= B u.  In particular |S| < 2^(B - 1) leaves
+    Q = S, a rational entry, built with no digit read (every entry when
+    each factor of the group is rational; the shortcut takes a quarter off
+    the kernel's time on the verify workloads' Grams).  Q mod Phi_M over the product of the three
+    denominators is the entry, and `CycNum._from_ints` divides by the gcd,
+    so any common denominator gives the canonical form.
     """
-    lcm, mul, flat = math.lcm, operator.mul, itertools.chain.from_iterable
-    plain = set(map(type, weights)) == {int}
-    if plain:
-        cw = dw = 1
-    else:
-        weights = [CycNum._rational(1, w, 1) if type(w) is int else w
-                   for w in weights]
-        cw, dw = lcm(*map(_CONDUCTOR, weights)), lcm(*map(_DEN, weights))
-    same = ys is xs
-    cols_x = list(zip(*xs))
-    cols_y = cols_x if same else list(zip(*ys))
+    lcm, mul = math.lcm, operator.mul
+    cols_x, cols_y = list(zip(*xs)), list(zip(*ys))
+    if min(len(cols_x), len(cols_y)) < 3:
+        return [[_entry(list(zip(weights, cx, cy))) for cy in cols_y]
+                for cx in cols_x]
+    cyc = [w for w in weights if type(w) is not int]
+    cw, dw = lcm(*map(_CONDUCTOR, cyc)), lcm(*map(_DEN, cyc))
+    cx = [lcm(cw, *map(_CONDUCTOR, col)) for col in cols_x]
     cy = [lcm(*map(_CONDUCTOR, col)) for col in cols_y]
-    cx = ([lcm(cw, c) for c in cy] if same
-          else [lcm(cw, *map(_CONDUCTOR, col)) for col in cols_x])
-    dx = lcm(*map(_DEN, flat(xs)))
-    dy = dx if same else lcm(*map(_DEN, flat(ys)))
+    dx = lcm(*[v._den for col in cols_x for v in col])
+    dy = lcm(*[v._den for col in cols_y for v in col])
     den = dw * dx * dy
-    # a zero weight adds nothing but its conductors, which are counted
-    if not all(weights):
-        live = [i for i, w in enumerate(weights) if w]
-        weights = [weights[i] for i in live]
-        cols_x = [[col[i] for i in live] for col in cols_x]
-        cols_y = cols_x if same else [[col[i] for i in live] for col in cols_y]
-    if len(set(cx)) == 1 and len(set(cy)) == 1:
-        groups = {lcm(cx[0], cy[0]): None}
-    else:
-        groups = {}
-        for a, c in enumerate(cx):
-            for b, e in enumerate(cy):
-                groups.setdefault(lcm(c, e), []).append((a, b))
+    groups = {}
+    for a, c in enumerate(cx):
+        for b, e in enumerate(cy):
+            groups.setdefault(lcm(c, e), []).append((a, b))
     out = [[None] * len(cy) for _ in cx]
     for m, entries in groups.items():
-        # each needed column's numerators at m (`_at`): ints for rationals
-        if entries is None:
-            need_x, need_y = range(len(cx)), range(len(cy))
-        else:
-            need_x, need_y = {a for a, _ in entries}, {b for _, b in entries}
-        wv = weights if plain else [_at(w, m, dw) for w in weights]
-        xv = [[_at(v, m, dx) for v in col]
-              if a in need_x or same and a in need_y else None
-              for a, col in enumerate(cols_x)]
-        yv = xv if same else [[_at(v, m, dy) for v in col] if b in need_y
-                              else None for b, col in enumerate(cols_y)]
+        wv = [_at(w, m, dw) for w in weights]
+        xv = {a: [_at(v, m, dx) for v in cols_x[a]]
+              for a in {a for a, _ in entries}}
+        yv = {b: [_at(v, m, dy) for v in cols_y[b]]
+              for b in {b for _, b in entries}}
         phi = _phi_tail(m)[0]
-        if phi > 1:
-            (tw, rw), (tx, rx), (ty, ry) = (
-                _top(wv), _top([v for col in xv if col is not None
-                                for v in col]),
-                _top([v for col in yv if col is not None for v in col]))
-            if rw and rx and ry:
-                phi = 1  # every factor is rational: sum ints, as at phi 1
-        if phi > 1:
-            bound = len(wv) * phi * phi * tw * tx * ty
-            # whole bytes per digit; words of 1, 2, 4 or 8 bytes pack and
-            # unpack at C speed (`_WORDS`)
-            step = (max(bound, tw, tx, ty).bit_length() + 8) // 8
-            bits, digits = 8 * step, 3 * phi - 2
-            size, half = step * digits, 1 << (bits - 1)
-            offset = _offset(step, digits)
-            wv = [_pack(v, bits) for v in wv]
-            packed = [None if col is None else [_pack(v, bits) for v in col]
-                      for col in xv]
-            yv = packed if same else [
-                None if col is None else [_pack(v, bits) for v in col]
-                for col in yv]
-            xv = packed
-        wx = [None if col is None else list(map(mul, wv, col)) for col in xv]
-        for a, b in (((a, b) for a in need_x for b in need_y)
-                     if entries is None else entries):
+        bound = (len(wv) * phi * phi * _top(wv) * _top(_flat(xv.values()))
+                 * _top(_flat(yv.values())))
+        step = (bound.bit_length() + 8) // 8
+        bits, digits = 8 * step, 3 * phi - 2
+        half = 1 << (bits - 1)
+        wv = [_pack(v, bits) for v in wv]
+        wx = {a: list(map(mul, wv, [_pack(v, bits) for v in col]))
+              for a, col in xv.items()}
+        yv = {b: [_pack(v, bits) for v in col] for b, col in yv.items()}
+        for a, b in entries:
             s = sum(map(mul, wx[a], yv[b]))
-            if phi == 1 or not s:
+            if -half < s < half:
                 out[a][b] = CycNum._rational(m, s, den)
                 continue
-            raw = (s + offset).to_bytes(size, "little")
-            top = abs(s).bit_length() // bits + 1
-            code = _WORDS.get(bits)
-            nums = ([d - half for d in memoryview(raw).cast(code[1])[:top]]
-                    if code else
-                    [int.from_bytes(raw[k:k + step], "little") - half
-                     for k in range(0, step * top, step)])
+            raw = (s + _offset(step, digits)).to_bytes(step * digits, "little")
+            top = step * (abs(s).bit_length() // bits + 1)
+            nums = [int.from_bytes(raw[k:k + step], "little") - half
+                    for k in range(0, top, step)]
             out[a][b] = CycNum._from_ints(m, _reduce(nums, m), den)
     return out
 
 
+def _entry(terms):
+    """sum over the (w, x, y) of `terms` of w x y, each w an `int` or a
+    `CycNum` and x, y `CycNum`s, at the lcm m of the conductors of every
+    `CycNum` factor (1 for none): one entry of `_gram`.
+
+    The sum is built on integer numerators over one running denominator.
+    Rational factors and ints scale a term; the other factors multiply at m
+    through `_int_mul`.  A term with a zero rational factor adds nothing
+    but its conductors."""
+    m = math.lcm(*[f.conductor for t in terms for f in t if type(f) is not int])
+    acc, den = [0] * _phi_tail(m)[0], 1
+    for term in terms:
+        num, d, vec = 1, 1, None
+        for f in term:
+            if type(f) is int:
+                num *= f
+                continue
+            nums = f._nums
+            d *= f._den
+            if not any(nums[1:]):
+                num *= nums[0]
+                continue
+            if f.conductor != m:
+                nums = _spread(nums, m // f.conductor, m)
+            vec = nums if vec is None else _int_mul(vec, nums, m)
+        if not num:
+            continue
+        if den % d:
+            common = math.lcm(den, d)
+            acc = [x * (common // den) for x in acc]
+            den = common
+        num *= den // d
+        if vec is None:
+            acc[0] += num
+        else:
+            acc = [x + num * y for x, y in zip(acc, vec)]
+    return CycNum._from_ints(m, acc, den)
+
+
 _CONDUCTOR = operator.attrgetter("conductor")
 _DEN = operator.attrgetter("_den")
+_flat = itertools.chain.from_iterable
 
 
 @functools.cache

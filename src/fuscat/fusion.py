@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ExactDataMissing, RankTooLarge, ValidationError
-from .exactnum import CycNum, _gram, _int_mul, _numerators
+from .exactnum import ZERO, CycNum, _gram, _int_mul, _numerators
 
 #: Largest rank whose subcategories are enumerated.
 ENUMERATION_BOUND = 16
@@ -419,11 +419,12 @@ def pointed_part(ring: FusionRing) -> Subcategory:
 def sub_fpdim(ring: FusionRing, members) -> CycNum:
     """Sum of squared dimensions over basis indices: a subcategory, a block
     or a fiber of them, or the whole basis.  It is a 1 x 1 `_gram`, so it
-    lands at the lcm of the conductors of the d_i."""
+    lands at the lcm of the conductors of the d_i; the empty sum is `ZERO`,
+    at conductor 1."""
     if ring.fpdims is None:
         raise ExactDataMissing("subcategory dimension needs exact dimensions")
     dims = [(ring.fpdims[i],) for i in members]
-    return _gram([1] * len(dims), dims, dims)[0][0]
+    return _gram([1] * len(dims), dims, dims)[0][0] if dims else ZERO
 
 
 def deligne_product(a: FusionRing, b: FusionRing) -> FusionRing:

@@ -18,6 +18,7 @@ from fuscat.catalog import BUILTIN_KEYS, builtin
 from fuscat.cli import main
 from fuscat.errors import ConductorNotDivisible, DivisionByZero
 from fuscat.exactnum import (
+    ONE,
     CycNum,
     IntPoly,
     _gram,
@@ -867,13 +868,15 @@ def gram_values(draw, conductors):
 
 @st.composite
 def grams(draw):
-    """(weights, xs, ys) of n rows and A x B columns, n, A, B in 1..3.
-    Either every value draws its conductor from one family of
-    GRAM_FAMILIES, or each x column has its own conductor among 1, 5, 8, 12
-    and 248 with rational weights and ys, so that the entries of one Gram
-    land at different conductors.  Weights may be ints; ys may be xs
-    itself, as `fusion.sub_fpdim` passes them."""
-    n, na, nb = (draw(st.integers(1, 3)) for _ in range(3))
+    """(weights, xs, ys) of n rows and A x B columns, n, A, B in 1..4, so
+    that both of `_gram`'s ways are drawn: entry by entry below three
+    columns on a side, Kronecker substitution from 3 x 3 on.  Either every
+    value draws its conductor from one family of GRAM_FAMILIES, or each x
+    column has its own conductor among 1, 5, 8, 12 and 248 with rational
+    weights and ys, so that the entries of one Gram land at different
+    conductors.  Weights may be ints; ys may be xs itself, as
+    `fusion.sub_fpdim` passes them."""
+    n, na, nb = (draw(st.integers(1, 4)) for _ in range(3))
     if draw(st.booleans()):
         family = draw(st.sampled_from(GRAM_FAMILIES))
         w_conds = y_conds = family
@@ -896,25 +899,54 @@ def _forms(matrix):
     return [[(v.conductor, v._nums, v._den) for v in row] for row in matrix]
 
 
+_V14 = CycNum(5, [14] * 4)
+
+
 @given(grams())
 @example(([1], [[CycNum(1, [0])]], [[CycNum(1, [0])]]))
 @example(([2, -3], [[CycNum.zeta(5)], [CycNum.zeta(8)]],
           [[CycNum.zeta(12)], [CycNum(248, [0, 0, F(1, _HUGE)])]]))
 @example(([0], [[CycNum.zeta(248, 7), CycNum.zeta(5, 2)]],
           [[CycNum(1, [F(-_HUGE, 3)])]]))
+# 3 x 3, each x column at its own conductor, a zero weight at conductor 7
+@example(([CycNum(7, [0]), 5, CycNum.zeta(8)],
+          [[CycNum.zeta(5), CycNum.zeta(12), CycNum.zeta(248, 3)]] * 3,
+          [[CycNum(1, [F(1, 3)]), CycNum.zeta(8, 3), CycNum(1, [0])]] * 3))
 # a digit of 12 * 14^3 = 32928 against the bound 16 * 14^3 = 43904: it
 # needs the sign bit above the bound's 16 bits
-@example(([CycNum(5, [14] * 4)], [[CycNum(5, [14] * 4)]],
-          [[CycNum(5, [14] * 4)]]))
-@settings(max_examples=100, deadline=None)
+@example(([_V14], [[_V14] * 3], [[_V14] * 3]))
+@settings(max_examples=150, deadline=None)
 def test_gram_matches_the_dot_oracle(gram):
     """Every entry of `_gram` has the conductor, numerators and denominator
-    of the `_dot` of its terms, with zero values, 1,000-bit numerators and
-    denominators, int weights and entries at different conductors."""
+    of the `_dot` of its terms and of the `CycNum` loop, with zero values,
+    1,000-bit numerators and denominators, int weights and entries at
+    different conductors."""
     weights, xs, ys = gram
-    got = _gram(weights, xs, ys)
-    assert _forms(got) == _forms(gram_by_dot(weights, xs, ys))
+    got = _forms(_gram(weights, xs, ys))
+    assert got == _forms(gram_by_dot(weights, xs, ys))
+    assert got == _forms([[sum_of_products(
+        [(w, x[a], y[b]) for w, x, y in zip(weights, xs, ys)])
+        for b in range(len(ys[0]))] for a in range(len(xs[0]))])
     assert len(got) == len(xs[0]) and all(len(r) == len(ys[0]) for r in got)
+
+
+@pytest.mark.parametrize("shape, entries", [
+    ((1, 1), 1), ((2, 2), 4), ((1, 5), 5), ((5, 2), 10), ((3, 3), 0),
+    ((3, 5), 0)])
+def test_gram_sums_entries_alone_below_three_columns(monkeypatch, shape,
+                                                     entries):
+    """A Gram with one or two columns on a side calls `_entry` once per
+    entry; from 3 x 3 on, none: Kronecker substitution builds them all."""
+    calls = []
+    entry = fuscat.exactnum._entry
+    monkeypatch.setattr(fuscat.exactnum, "_entry",
+                        lambda terms: calls.append(1) or entry(terms))
+    z = CycNum.zeta(8)
+    xs = [[z] * shape[0], [ONE] * shape[0]]
+    ys = [[z] * shape[1], [z] * shape[1]]
+    got = _gram([1, 2], xs, ys)
+    assert len(calls) == entries
+    assert _forms(got) == _forms(gram_by_dot([1, 2], xs, ys))
 
 
 def test_no_module_under_src_defines_or_imports_dot():

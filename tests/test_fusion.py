@@ -319,6 +319,13 @@ def test_regular_element_and_sub_fpdim():
     assert sub_fpdim(ring, check_subcategory(ring, (0, 1))) == 2
 
 
+def test_sub_fpdim_of_no_members_is_zero_at_conductor_1():
+    """The empty sum of squared dimensions is ZERO, at conductor 1, for a
+    ring whose dimensions lie at conductor 8."""
+    got = sub_fpdim(ising_ring(), ())
+    assert (got.conductor, got._nums, got._den) == (1, (0,), 1)
+
+
 def test_regular_element_squares_to_dim_multiple():
     # R_D * R_D = dim(D) R_D for a fusion subcategory
     ring = reps3_ring()
