@@ -23,7 +23,7 @@ from .errors import (
     NotAlgebraMap,
     SingularTable,
 )
-from .exactnum import ONE, ZERO, CycNum, _gram
+from .exactnum import ZERO, CycNum, _entry
 from .fusion import (FusionRing, Subcategory, _first_non_character,
                      global_fpdim)
 from .reports import CheckRecord, _exact_key
@@ -75,11 +75,10 @@ def validate_character_table(ring: FusionRing, rows) -> CharacterTable:
     sum_k c_k X_k, c_k = sum_i N_{i i*}^k, with integer coefficients: the
     column j is a character, so cod_j = sum_i chi_j(X_i X_{i*}) =
     sum_k c_k alpha[k][j] (Ostrik, "On formal codegrees of fusion
-    categories", 2009).  All codegrees are one `_gram` over k, with int
-    weights c_k, x_{kj} = alpha[k][j] and y_k = 1.  Every alpha[k][j] is a
-    factor of entry j, as of the sum of products
-    sum_i alpha[i][j] alpha[i*][j], so it lands at the lcm of the column's
-    conductors, in the same canonical form.
+    categories", 2009).  Each codegree is one `_entry` over k of the
+    products c_k alpha[k][j].  Every alpha[k][j] is a factor of it, as of
+    the sum of products sum_i alpha[i][j] alpha[i*][j], so it lands at the
+    lcm of the column's conductors, in the same canonical form.
     """
     if ring.fpdims is None:
         raise ExactDataMissing("character table validation needs exact dimensions")
@@ -108,16 +107,16 @@ def validate_character_table(ring: FusionRing, rows) -> CharacterTable:
         for k, n in ring.nonzero[i][ring.dual[i]]:
             casimir[k] += n
     total_dim = global_fpdim(ring)
-    codegrees, class_dims, inverses = [], [], {}
-    for (cod,) in _gram(casimir, alpha, [(ONE,)] * r):
-        codegrees.append(cod)
+    codegrees = tuple(_entry(list(zip(casimir, col))) for col in zip(*alpha))
+    class_dims, inverses = [], {}
+    for cod in codegrees:
         # dim(C) / cod, with each distinct codegree inverted once
         key = _exact_key(cod)
         if key not in inverses:
             inverses[key] = cod.inverse()
         class_dims.append(total_dim * inverses[key])
 
-    return CharacterTable(alpha=alpha, codegrees=tuple(codegrees),
+    return CharacterTable(alpha=alpha, codegrees=codegrees,
                           class_dims=tuple(class_dims))
 
 
@@ -164,7 +163,7 @@ def verify_eq_2_4(target) -> list[CheckRecord]:
     `table.codegrees[k]` is its value, conductor and canonical form.  For
     l != k the sum is 0, at the lcm of the conductors of columns l and k
     (zero entries included), where the sum of products lands.  The Casimir
-    `_gram` has every alpha[i][k] of column k as a factor, so the
+    `_entry` of column k has every alpha[i][k] as a factor, so the
     conductor of `table.codegrees[k]` is that column's lcm, and it is read
     from there.  Let z_k = sum_i alpha[i*][k] X_i.  Frobenius reciprocity and
     N_ij^k = N_{i* j*}^{k*} give X_a z_k = chi_k(X_a) z_k.  Applying chi_l

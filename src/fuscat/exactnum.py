@@ -11,13 +11,15 @@ smaller field.  A product is an integer convolution reduced modulo the monic
 Phi_N; a rational operand only scales the other, and an `int` operand scales
 the numerators with no `CycNum` built for it.  When both operands are
 rational, the sum or product is built from two integers and one two-integer
-gcd, at the lcm conductor, in the same canonical form.  A matrix of weighted
-sums of products, sum_i w_i x_ia y_ib, is one `_gram`: from three columns a
-side, each factor is packed into one integer (Kronecker substitution) and
-each entry is reduced modulo Phi_N once; a smaller matrix is summed entry
-by entry on integer numerators.  The inverse of a non-rational a is
-P / N(a), with P the product of the conjugates sigma_k(a), k != 1, and
-N(a) = a * P a nonzero rational (the norm).
+gcd, at the lcm conductor, in the same canonical form.  A sum of products
+is one `_entry`, summed on integer numerators.  The Gram matrix of weighted
+sums of products, sum_i w_i x_ia y_ib, of eq-3.6 or eq-3.7 is one `_gram`:
+from three columns a side, with every entry at one conductor, each factor
+is packed into one integer (Kronecker substitution) and each entry is
+reduced modulo Phi_N once; any other Gram is one `_entry` per entry.  The
+inverse of a non-rational a is P / N(a), with P the product of the
+conjugates sigma_k(a), k != 1, and N(a) = a * P a nonzero rational (the
+norm).
 
 Z[zeta_N] is the ring of integers of Q(zeta_N) with Z-basis the power basis
 (Washington, *Introduction to Cyclotomic Fields*, Thm 2.6), so a value is an
@@ -554,11 +556,8 @@ def _numerators(values):
 
 
 def _at(v, m, d):
-    """d / den times the numerators of v = nums / den, an int (den 1) or a
-    `CycNum` re-embedded at m: one int when v is rational, else phi(m)
-    ints."""
-    if type(v) is int:
-        return v * d
+    """d / den times the numerators of the `CycNum` v = nums / den,
+    re-embedded at m: one int when v is rational, else phi(m) ints."""
     nums, s = v._nums, d // v._den
     if not any(nums[1:]):
         return s * nums[0]
@@ -583,11 +582,11 @@ def _pack(vec, bits):
 
 
 def _gram(weights, xs, ys):
-    """The weighted Gram matrix G[a][b] = sum_i w_i x_ia y_ib, with
-    w_i = weights[i] a `CycNum` or an `int`, and x_ia = xs[i][a] and
-    y_ib = ys[i][b] `CycNum`s.  G[a][b] is a `CycNum` at the lcm of the
-    conductors of every `CycNum` factor of its terms, zero values included
-    (an int has none): the value, conductor and canonical form of the loop
+    """The weighted Gram matrix G[a][b] = sum_i w_i x_ia y_ib of the
+    `CycNum`s w_i = weights[i], x_ia = xs[i][a] and y_ib = ys[i][b]: the
+    block sums of eq-3.6 and eq-3.7.  G[a][b] is at the lcm of the
+    conductors of the factors of its terms, zero values included: the
+    value, conductor and canonical form of the loop
     ``ZERO + w_0 x_0a y_0b + ...``, where each operation lands at the lcm
     of its operands' conductors.
 
@@ -596,71 +595,69 @@ def _gram(weights, xs, ys):
     packing: on the eq-3.6 and eq-3.7 Grams of the verify workloads,
     Kronecker substitution takes 1.3 to 1.7 times as long as the entry
     sums at 2 x 2, 0.8 to 1.05 times at 3 x 3 and 0.25 to 0.7 times from
-    4 x 4 on.  A larger Gram groups its entries by their conductor M and
-    computes each group on integers by Kronecker substitution (von zur
-    Gathen and Gerhard, *Modern Computer Algebra*, 8.4).  The weights, the
-    xs and the ys are each put over one common denominator, so that each
-    factor is an integer vector of phi = phi(M) numerators at M, or one
-    integer when it is rational (`_at`).  Each is packed once as the
-    integer P(v) = sum_j v_j 2^(B j), each product P(w_i) P(x_ia) is formed
-    once per (i, a), and the entry is S = sum_i P(w_i) P(x_ia) P(y_ib).
+    4 x 4 on.  So does a Gram whose entries land at more than one
+    conductor, which only a document with scalars at different conductors
+    can give.  A larger Gram whose entries all land at one conductor M is
+    computed on integers by Kronecker substitution (von zur Gathen and
+    Gerhard, *Modern Computer Algebra*, 8.4).  The weights, the xs and the
+    ys are each put over one common denominator, so that each factor is an
+    integer vector of phi = phi(M) numerators at M, or one integer when it
+    is rational (`_at`).  Each is packed once as the integer
+    P(v) = sum_j v_j 2^(B j), each product P(w_i) P(x_ia) is formed once
+    per (i, a), and the entry is S = sum_i P(w_i) P(x_ia) P(y_ib).
     Evaluation at 2^B is a ring map Z[t] -> Z, so S = Q(2^B), where
     Q = sum_i w_i(t) x_ia(t) y_ib(t) has degree at most 3 phi - 3.
 
     Exactness.  The coefficient of t^k in Q sums at most n phi^2 products
     of three numerators (n rows; the exponents of two factors fix the
-    third's), so |Q_k| <= n phi^2 |w| |x| |y|, each |.|
-    the largest absolute numerator of its role in the group.  B is the bit
-    length of that bound plus a sign bit, rounded up to whole bytes, so
-    |Q_k| < 2^(B - 1).  Q's 3 phi - 2 coefficients are then the signed
-    base-2^B digits of S: the bytes of S + sum_k 2^(B - 1) 2^(B k) hold
-    Q_k + 2^(B - 1), in [0, 2^B), digit by digit.  Only the digits up to
-    t = bitlen(|S|) // B are read: were Q_u != 0 for some u > t, the top
-    such u would give |S| > 2^(B u) - 2^(B u - 1), as the digits below it
-    are integers of absolute value at most 2^(B - 1) - 1 and sum to less
-    than (2^(B - 1) - 1) 2^(B u) / (2^B - 1) < 2^(B u - 1) in absolute
-    value; so bitlen(|S|) >= B u.  In particular |S| < 2^(B - 1) leaves
-    Q = S, a rational entry, built with no digit read (every entry when
-    each factor of the group is rational; the shortcut takes a quarter off
-    the kernel's time on the verify workloads' Grams).  Q mod Phi_M over the product of the three
+    third's), so |Q_k| <= n phi^2 |w| |x| |y|, each |.| the largest
+    absolute numerator of its role.  B is the bit length of that bound plus
+    a sign bit, rounded up to whole bytes, so |Q_k| < 2^(B - 1).  Q's
+    3 phi - 2 coefficients are then the signed base-2^B digits of S: the
+    bytes of S + sum_k 2^(B - 1) 2^(B k) hold Q_k + 2^(B - 1), in
+    [0, 2^B), digit by digit.  Only the digits up to t = bitlen(|S|) // B
+    are read: were Q_u != 0 for some u > t, the top such u would give
+    |S| > 2^(B u) - 2^(B u - 1), as the digits below it are integers of
+    absolute value at most 2^(B - 1) - 1 and sum to less than
+    (2^(B - 1) - 1) 2^(B u) / (2^B - 1) < 2^(B u - 1) in absolute value;
+    so bitlen(|S|) >= B u.  In particular |S| < 2^(B - 1) leaves Q = S, a
+    rational entry, built with no digit read (every entry when each factor
+    is rational; the shortcut takes a quarter off the kernel's time on the
+    verify workloads' Grams).  Q mod Phi_M over the product of the three
     denominators is the entry, and `CycNum._from_ints` divides by the gcd,
     so any common denominator gives the canonical form.
     """
     lcm, mul = math.lcm, operator.mul
     cols_x, cols_y = list(zip(*xs)), list(zip(*ys))
-    if min(len(cols_x), len(cols_y)) < 3:
-        return [[_entry(list(zip(weights, cx, cy))) for cy in cols_y]
-                for cx in cols_x]
-    cyc = [w for w in weights if type(w) is not int]
-    cw, dw = lcm(*map(_CONDUCTOR, cyc)), lcm(*map(_DEN, cyc))
-    cx = [lcm(cw, *map(_CONDUCTOR, col)) for col in cols_x]
-    cy = [lcm(*map(_CONDUCTOR, col)) for col in cols_y]
-    dx = lcm(*[v._den for col in cols_x for v in col])
-    dy = lcm(*[v._den for col in cols_y for v in col])
+    ms = ()
+    if min(len(cols_x), len(cols_y)) >= 3:
+        cw = lcm(*map(_CONDUCTOR, weights))
+        cx = {lcm(cw, *map(_CONDUCTOR, col)) for col in cols_x}
+        cy = {lcm(*map(_CONDUCTOR, col)) for col in cols_y}
+        ms = {lcm(c, e) for c in cx for e in cy}
+    if len(ms) != 1:
+        return [[_entry(list(zip(weights, x, y))) for y in cols_y]
+                for x in cols_x]
+    (m,) = ms
+    dw = lcm(*map(_DEN, weights))
+    dx = lcm(*map(_DEN, _flat(cols_x)))
+    dy = lcm(*map(_DEN, _flat(cols_y)))
     den = dw * dx * dy
-    groups = {}
-    for a, c in enumerate(cx):
-        for b, e in enumerate(cy):
-            groups.setdefault(lcm(c, e), []).append((a, b))
-    out = [[None] * len(cy) for _ in cx]
-    for m, entries in groups.items():
-        wv = [_at(w, m, dw) for w in weights]
-        xv = {a: [_at(v, m, dx) for v in cols_x[a]]
-              for a in {a for a, _ in entries}}
-        yv = {b: [_at(v, m, dy) for v in cols_y[b]]
-              for b in {b for _, b in entries}}
-        phi = _phi_tail(m)[0]
-        bound = (len(wv) * phi * phi * _top(wv) * _top(_flat(xv.values()))
-                 * _top(_flat(yv.values())))
-        step = (bound.bit_length() + 8) // 8
-        bits, digits = 8 * step, 3 * phi - 2
-        half = 1 << (bits - 1)
-        wv = [_pack(v, bits) for v in wv]
-        wx = {a: list(map(mul, wv, [_pack(v, bits) for v in col]))
-              for a, col in xv.items()}
-        yv = {b: [_pack(v, bits) for v in col] for b, col in yv.items()}
-        for a, b in entries:
-            s = sum(map(mul, wx[a], yv[b]))
+    wv = [_at(w, m, dw) for w in weights]
+    xv = [[_at(v, m, dx) for v in col] for col in cols_x]
+    yv = [[_at(v, m, dy) for v in col] for col in cols_y]
+    phi = _phi_tail(m)[0]
+    bound = len(wv) * phi * phi * _top(wv) * _top(_flat(xv)) * _top(_flat(yv))
+    step = (bound.bit_length() + 8) // 8
+    bits, digits = 8 * step, 3 * phi - 2
+    half = 1 << (bits - 1)
+    wv = [_pack(v, bits) for v in wv]
+    wx = [list(map(mul, wv, [_pack(v, bits) for v in col])) for col in xv]
+    yv = [[_pack(v, bits) for v in col] for col in yv]
+    out = [[None] * len(yv) for _ in wx]
+    for a, row in enumerate(wx):
+        for b, col in enumerate(yv):
+            s = sum(map(mul, row, col))
             if -half < s < half:
                 out[a][b] = CycNum._rational(m, s, den)
                 continue
@@ -673,9 +670,12 @@ def _gram(weights, xs, ys):
 
 
 def _entry(terms):
-    """sum over the (w, x, y) of `terms` of w x y, each w an `int` or a
-    `CycNum` and x, y `CycNum`s, at the lcm m of the conductors of every
-    `CycNum` factor (1 for none): one entry of `_gram`.
+    """The sum over `terms` of the product of each term's factors, `int`s
+    or `CycNum`s, at the lcm m of the conductors of every `CycNum` factor
+    (1 for none, so the empty sum is 0 at conductor 1): the value,
+    conductor and canonical form of the loop ``ZERO + a*b*... + ...``.  It
+    is each entry of a small or mixed-conductor `_gram`, each codegree
+    (`chartab`) and each sum of squared dimensions (`fusion.sub_fpdim`).
 
     The sum is built on integer numerators over one running denominator.
     Rational factors and ints scale a term; the other factors multiply at m

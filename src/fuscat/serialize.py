@@ -16,7 +16,6 @@ from __future__ import annotations
 import cmath
 import json
 import marshal
-from fractions import Fraction
 from math import gcd, lcm
 
 from .chartab import CharacterTable, validate_character_table
@@ -124,8 +123,6 @@ def value_to_json(value, approx: bool = True):
         return out
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
-    if isinstance(value, Fraction):
-        return [value.numerator, value.denominator]
     if isinstance(value, (list, tuple)):
         return [value_to_json(v, approx) for v in value]
     raise SchemaError(f"cannot serialize value of type {type(value).__name__}")

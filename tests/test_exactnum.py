@@ -21,6 +21,7 @@ from fuscat.exactnum import (
     ONE,
     CycNum,
     IntPoly,
+    _entry,
     _gram,
     _int_mul,
     characteristic_polynomial,
@@ -866,28 +867,61 @@ def gram_values(draw, conductors):
     return CycNum(n, coeffs)
 
 
+ENTRY_CONDUCTORS = [1, 5, 8, 12, 248]
+
+
+@st.composite
+def entry_factors(draw):
+    """An int, small or of 1,000 bits, 0 included, or a `gram_values`
+    CycNum over one of ENTRY_CONDUCTORS."""
+    if draw(st.booleans()):
+        return draw(st.integers(-3, 3) | st.integers(-_HUGE, _HUGE))
+    return draw(gram_values(ENTRY_CONDUCTORS))
+
+
+@given(st.lists(st.lists(entry_factors(), min_size=1, max_size=3),
+                max_size=5))
+@example([])
+@example([[0, CycNum.zeta(248, 5)], [_HUGE, CycNum.zeta(12), CycNum(5, [0])],
+          [CycNum(8, [F(1, 3)])]])
+@settings(max_examples=150, deadline=None)
+def test_entry_matches_the_dot_oracle(terms):
+    """`_entry` has the conductor, numerators and denominator of the `_dot`
+    of its terms, with int factors, zero values, 1,000-bit numerators and
+    denominators and factors at different conductors; the empty sum is 0
+    at conductor 1."""
+    got, want = _entry(terms), _dot(terms)
+    assert (got.conductor, got._nums, got._den) == \
+        (want.conductor, want._nums, want._den)
+    if not terms:
+        assert (got.conductor, got._nums, got._den) == (1, (0,), 1)
+
+
 @st.composite
 def grams(draw):
     """(weights, xs, ys) of n rows and A x B columns, n, A, B in 1..4, so
     that both of `_gram`'s ways are drawn: entry by entry below three
-    columns on a side, Kronecker substitution from 3 x 3 on.  Either every
-    value draws its conductor from one family of GRAM_FAMILIES, or each x
-    column has its own conductor among 1, 5, 8, 12 and 248 with rational
-    weights and ys, so that the entries of one Gram land at different
-    conductors.  Weights may be ints; ys may be xs itself, as
-    `fusion.sub_fpdim` passes them."""
+    columns on a side or with entries at different conductors, Kronecker
+    substitution from 3 x 3 on with every entry at one conductor.  Every
+    value sits at one conductor among ENTRY_CONDUCTORS, or every value
+    draws its conductor from one family of GRAM_FAMILIES, or each x column
+    has its own conductor among ENTRY_CONDUCTORS with rational weights and
+    ys, so that the entries of one Gram land at different conductors.  ys
+    may be xs itself."""
     n, na, nb = (draw(st.integers(1, 4)) for _ in range(3))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(("one", "family", "mixed")))
+    if kind == "one":
+        w_conds = y_conds = [draw(st.sampled_from(ENTRY_CONDUCTORS))]
+        col_conds = [w_conds] * na
+    elif kind == "family":
         family = draw(st.sampled_from(GRAM_FAMILIES))
         w_conds = y_conds = family
         col_conds = [family] * na
     else:
         w_conds, y_conds = [1, 2], [1, 2]
         col_conds = [[1, c] for c in draw(st.lists(
-            st.sampled_from([1, 5, 8, 12, 248]), min_size=na, max_size=na))]
-    weights = [draw(st.integers(-3, 3) | st.integers(-_HUGE, _HUGE))
-               if draw(st.booleans()) else draw(gram_values(w_conds))
-               for _ in range(n)]
+            st.sampled_from(ENTRY_CONDUCTORS), min_size=na, max_size=na))]
+    weights = [draw(gram_values(w_conds)) for _ in range(n)]
     xs = [[draw(gram_values(c)) for c in col_conds] for _ in range(n)]
     if na == nb and draw(st.booleans()):
         return weights, xs, xs
@@ -903,13 +937,15 @@ _V14 = CycNum(5, [14] * 4)
 
 
 @given(grams())
-@example(([1], [[CycNum(1, [0])]], [[CycNum(1, [0])]]))
-@example(([2, -3], [[CycNum.zeta(5)], [CycNum.zeta(8)]],
+@example(([ONE], [[CycNum(1, [0])]], [[CycNum(1, [0])]]))
+@example(([CycNum(1, [2]), CycNum(1, [-3])],
+          [[CycNum.zeta(5)], [CycNum.zeta(8)]],
           [[CycNum.zeta(12)], [CycNum(248, [0, 0, F(1, _HUGE)])]]))
-@example(([0], [[CycNum.zeta(248, 7), CycNum.zeta(5, 2)]],
+@example(([CycNum(1, [0])], [[CycNum.zeta(248, 7), CycNum.zeta(5, 2)]],
           [[CycNum(1, [F(-_HUGE, 3)])]]))
-# 3 x 3, each x column at its own conductor, a zero weight at conductor 7
-@example(([CycNum(7, [0]), 5, CycNum.zeta(8)],
+# 3 x 3, each x column at its own conductor, a zero weight at conductor 7:
+# summed entry by entry
+@example(([CycNum(7, [0]), CycNum(1, [5]), CycNum.zeta(8)],
           [[CycNum.zeta(5), CycNum.zeta(12), CycNum.zeta(248, 3)]] * 3,
           [[CycNum(1, [F(1, 3)]), CycNum.zeta(8, 3), CycNum(1, [0])]] * 3))
 # a digit of 12 * 14^3 = 32928 against the bound 16 * 14^3 = 43904: it
@@ -919,7 +955,7 @@ _V14 = CycNum(5, [14] * 4)
 def test_gram_matches_the_dot_oracle(gram):
     """Every entry of `_gram` has the conductor, numerators and denominator
     of the `_dot` of its terms and of the `CycNum` loop, with zero values,
-    1,000-bit numerators and denominators, int weights and entries at
+    1,000-bit numerators and denominators and entries at one or at
     different conductors."""
     weights, xs, ys = gram
     got = _forms(_gram(weights, xs, ys))
@@ -932,26 +968,33 @@ def test_gram_matches_the_dot_oracle(gram):
 
 @pytest.mark.parametrize("shape, entries", [
     ((1, 1), 1), ((2, 2), 4), ((1, 5), 5), ((5, 2), 10), ((3, 3), 0),
-    ((3, 5), 0)])
+    ((3, 5), 0), ((3, 3, 5), 9), ((3, 3, 1), 0)])
 def test_gram_sums_entries_alone_below_three_columns(monkeypatch, shape,
                                                      entries):
-    """A Gram with one or two columns on a side calls `_entry` once per
-    entry; from 3 x 3 on, none: Kronecker substitution builds them all."""
+    """A Gram with one or two columns on a side, or whose entries land at
+    more than one conductor, calls `_entry` once per entry; from 3 x 3 on
+    with every entry at one conductor, none: Kronecker substitution builds
+    them all.  The shape is A x B, and a third number c puts zeta_c in the
+    corner ys[1][0] (zeta_8 without one).  Every entry lands at 8, but
+    zeta_5 there puts the first column's entries at 40."""
     calls = []
     entry = fuscat.exactnum._entry
     monkeypatch.setattr(fuscat.exactnum, "_entry",
                         lambda terms: calls.append(1) or entry(terms))
+    na, nb, corner = (*shape, 8)[:3]
     z = CycNum.zeta(8)
-    xs = [[z] * shape[0], [ONE] * shape[0]]
-    ys = [[z] * shape[1], [z] * shape[1]]
-    got = _gram([1, 2], xs, ys)
+    weights = [ONE, CycNum(1, [2])]
+    xs = [[z] * na, [ONE] * na]
+    ys = [[z] * nb, [CycNum.zeta(corner)] + [z] * (nb - 1)]
+    got = _gram(weights, xs, ys)
     assert len(calls) == entries
-    assert _forms(got) == _forms(gram_by_dot([1, 2], xs, ys))
+    assert _forms(got) == _forms(gram_by_dot(weights, xs, ys))
 
 
 def test_no_module_under_src_defines_or_imports_dot():
-    """Every sum of products in `src/` goes through `_gram`; `_dot` lives
-    in the tests as its oracle."""
+    """Every sum of products in `src/` goes through `_entry`, or `_gram`
+    for the eq-3.6 and eq-3.7 Grams, which only `cosets` imports; `_dot`
+    lives in the tests as its oracle."""
     src = pathlib.Path(fuscat.exactnum.__file__).parent
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -959,7 +1002,10 @@ def test_no_module_under_src_defines_or_imports_dot():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 assert node.name != "_dot", path.name
             if isinstance(node, ast.ImportFrom):
-                assert "_dot" not in {a.name for a in node.names}, path.name
+                names = {a.name for a in node.names}
+                assert "_dot" not in names, path.name
+                assert "_gram" not in names or path.name == "cosets.py", \
+                    path.name
             if isinstance(node, (ast.Name, ast.Attribute)):
                 assert getattr(node, "id", getattr(node, "attr", "")) \
                     != "_dot", path.name

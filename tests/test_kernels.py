@@ -30,9 +30,9 @@ denominator.  A
 commutative H takes its symmetric-triple-product path, which perturbing
 H_{mn}^p and H_{nm}^p together reaches; any other H takes the two-sided
 loop, which a single perturbed H_{mn}^p with m != n reaches.
-`k_mul`, the codegrees, subcategory dimensions, Hecke constants and
-eq-3.6/3.7 sums, built by the Kronecker kernel `_gram`, and the eq-2.4
-sums, read from the codegrees
+`k_mul`, the codegrees and subcategory dimensions (each one `_entry`),
+the Hecke constants, the eq-3.6/3.7 sums (the Gram kernel `_gram`) and
+the eq-2.4 sums, read from the codegrees
 and the column conductors, give the conductor and canonical form of the
 `CycNum` loops in `rings.py`, `support_JD` gives the support of the
 class-function route, and `centralizer` and the center `m_map` gives
@@ -305,14 +305,14 @@ def test_centralizers_match_the_pair_product_scan(key):
 
 def test_support_and_centralizers_make_no_sum_and_no_product(monkeypatch):
     """With the catalog built, every check over every subcategory of
-    su2k-4*fib calls the sum-of-products kernel `chartab._gram` zero times
+    su2k-4*fib calls the sum-of-products kernel `chartab._entry` zero times
     (J_D is read by restriction), and `premod.centralizer` multiplies no
     `CycNum` (D' is read off the matching)."""
     target = builtin("su2k-4*fib")
-    grams, muls, inside, calls = [], [], [], []
-    gram = fuscat.chartab._gram
-    monkeypatch.setattr(fuscat.chartab, "_gram",
-                        lambda *args: grams.append(1) or gram(*args))
+    entries, muls, inside, calls = [], [], [], []
+    entry = fuscat.chartab._entry
+    monkeypatch.setattr(fuscat.chartab, "_entry",
+                        lambda *args: entries.append(1) or entry(*args))
 
     def counted(fn):
         def wrapper(self, other):
@@ -336,7 +336,7 @@ def test_support_and_centralizers_make_no_sum_and_no_product(monkeypatch):
     report = run_checks(target,
                         subcategories=enumerate_subcategories(target.ring))
     assert report.ok and calls
-    assert grams == [] and muls == []
+    assert entries == [] and muls == []
 
 
 @pytest.mark.parametrize("key", KEYS)
