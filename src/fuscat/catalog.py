@@ -49,7 +49,7 @@ def _sqrt5() -> CycNum:
     return ONE + (z + z ** 4) * 2
 
 
-def _entry(key, ring, table_rows, smatrix_rows) -> Target:
+def _target(key, ring, table_rows, smatrix_rows) -> Target:
     table = validate_character_table(ring, table_rows)
     sm = None
     if smatrix_rows is not None:
@@ -59,7 +59,7 @@ def _entry(key, ring, table_rows, smatrix_rows) -> Target:
 
 def _trivial() -> Target:
     ring = validate_fusion_ring([[[1]]], (0,), names=("1",), fpdims=(ONE,))
-    return _entry("trivial", ring, [[ONE]], [[ONE]])
+    return _target("trivial", ring, [[ONE]], [[ONE]])
 
 
 def _group_ring(n: int, names) -> FusionRing:
@@ -80,9 +80,9 @@ def _group_table_rows(powers):
 def _svec() -> Target:
     ring = _group_ring(2, ("1", "f"))
     smatrix = [[ONE, ONE], [ONE, ONE]]
-    return _entry("svec", ring,
-                  _group_table_rows([CycNum.zeta(2, e) for e in range(2)]),
-                  smatrix)
+    return _target("svec", ring,
+                   _group_table_rows([CycNum.zeta(2, e) for e in range(2)]),
+                   smatrix)
 
 
 def _ising() -> Target:
@@ -104,7 +104,7 @@ def _ising() -> Target:
         [ONE, ONE, -r2],
         [r2, -r2, ZERO],
     ]
-    return _entry("ising", ring, table, smatrix)
+    return _target("ising", ring, table, smatrix)
 
 
 def _fib() -> Target:
@@ -117,7 +117,7 @@ def _fib() -> Target:
                                 fpdims=(ONE, phi))
     table = [[ONE, ONE], [phi, ONE - phi]]
     smatrix = [[ONE, phi], [phi, -ONE]]
-    return _entry("fib", ring, table, smatrix)
+    return _target("fib", ring, table, smatrix)
 
 
 def _rep_s3() -> Target:
@@ -136,7 +136,7 @@ def _rep_s3() -> Target:
     ]
     dims = ring.fpdims
     smatrix = [[dims[i] * dims[j] for j in range(3)] for i in range(3)]
-    return _entry("rep-s3", ring, table, smatrix)
+    return _target("rep-s3", ring, table, smatrix)
 
 
 def _su2k_tensor(k: int):
@@ -176,7 +176,7 @@ def _su2k(k: int) -> Target:
                                 names=tuple(f"X{i}" for i in range(rank)),
                                 fpdims=dims)
     table = [[qint(i + 1, j + 1) for j in range(rank)] for i in range(rank)]
-    return _entry(f"su2k-{k}", ring, table, smatrix)
+    return _target(f"su2k-{k}", ring, table, smatrix)
 
 
 def _pointed(n: int, c: int) -> Target:
@@ -187,8 +187,8 @@ def _pointed(n: int, c: int) -> Target:
     powers = [CycNum.zeta(n, e) for e in range(n)]
     cc = c % n
     smatrix = [[powers[(cc * a * b) % n] for b in range(n)] for a in range(n)]
-    return _entry(f"pointed-z{n}-q{c}", ring, _group_table_rows(powers),
-                  smatrix)
+    return _target(f"pointed-z{n}-q{c}", ring, _group_table_rows(powers),
+                   smatrix)
 
 
 def _product_entry(a: Target, b: Target) -> Target:
@@ -202,7 +202,7 @@ def _product_entry(a: Target, b: Target) -> Target:
         smatrix = [[a.smatrix.s[i][j] * b.smatrix.s[ip][jp]
                     for j in range(ra) for jp in range(rb)]
                    for i in range(ra) for ip in range(rb)]
-    return _entry(f"{a.label}*{b.label}", ring, table, smatrix)
+    return _target(f"{a.label}*{b.label}", ring, table, smatrix)
 
 
 _SU2K = re.compile(r"su2k-(\d+)\Z")

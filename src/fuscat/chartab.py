@@ -108,16 +108,9 @@ def validate_character_table(ring: FusionRing, rows) -> CharacterTable:
             casimir[k] += n
     total_dim = global_fpdim(ring)
     codegrees = tuple(_entry(list(zip(casimir, col))) for col in zip(*alpha))
-    class_dims, inverses = [], {}
-    for cod in codegrees:
-        # dim(C) / cod, with each distinct codegree inverted once
-        key = _exact_key(cod)
-        if key not in inverses:
-            inverses[key] = cod.inverse()
-        class_dims.append(total_dim * inverses[key])
-
+    class_dims = tuple(total_dim * cod.inverse() for cod in codegrees)
     return CharacterTable(alpha=alpha, codegrees=codegrees,
-                          class_dims=tuple(class_dims))
+                          class_dims=class_dims)
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,15 @@ is one `_entry`, summed on integer numerators.  The Gram matrix of weighted
 sums of products, sum_i w_i x_ia y_ib, of eq-3.6 or eq-3.7 is one `_gram`:
 from three columns a side, with every entry at one conductor, each factor
 is packed into one integer (Kronecker substitution) and each entry is
-reduced modulo Phi_N once; any other Gram is one `_entry` per entry.  The
-inverse of a non-rational a is P / N(a), with P the product of the
-conjugates sigma_k(a), k != 1, and N(a) = a * P a nonzero rational (the
-norm).
+reduced modulo Phi_N once; any other Gram is one `_entry` per entry.
 
-Z[zeta_N] is the ring of integers of Q(zeta_N) with Z-basis the power basis
-(Washington, *Introduction to Cyclotomic Fields*, Thm 2.6), so a value is an
-algebraic integer iff its denominator is 1.  The minimal polynomial is the
-product of (x - c) over the distinct Galois conjugates c.
+`_orbit` is the one walk over the Galois group: the distinct conjugates
+sigma_k(a), gcd(k, N) = 1.  The inverse of a non-rational a is P / N(a),
+with P the product of the rest of a's orbit and N(a) = a * P the norm from
+Q(a), a nonzero rational.  Z[zeta_N] is the ring of integers of Q(zeta_N)
+with Z-basis the power basis (Washington, *Introduction to Cyclotomic
+Fields*, Thm 2.6), so a value is an algebraic integer iff its denominator
+is 1.  The minimal polynomial is the product of (x - c) over the orbit.
 """
 
 from __future__ import annotations
@@ -201,6 +201,13 @@ def _spread(nums, step, m):
     return _reduce(out, m)
 
 
+def _orbit(nums, n):
+    """The distinct sigma_k(nums), gcd(k, n) = 1, in increasing k, as tuples
+    of numerators over conductor n: nums itself first."""
+    return list(dict.fromkeys(tuple(_spread(nums, k, n))
+                              for k in range(1, n + 1) if math.gcd(k, n) == 1))
+
+
 @functools.cache
 def _roots(n):
     """exp(2 pi i j/n) for j < phi(n), the floats `embed_complex` weights."""
@@ -303,8 +310,9 @@ class CycNum:
 
     @classmethod
     def zeta(cls, n: int, power: int = 1) -> "CycNum":
-        e = power % n
-        return cls(n, (0,) * e + (1,))
+        if n < 1:
+            raise ValueError("conductor must be positive")
+        return cls(n, (0,) * (power % n) + (1,))
 
     # -- structure ---------------------------------------------------------
 
@@ -417,11 +425,14 @@ class CycNum:
         n, nums, den = self.conductor, self._nums, self._den
         if self.is_rational():
             return CycNum._rational(n, den, nums[0])
-        # a = A/den; P = prod_{k != 1} sigma_k(A), and A*P = N(A) is rational
+        # a = A/den.  sigma_k fixes A iff it fixes Q(A), so the orbit of A
+        # holds its deg = [Q(A) : Q] conjugates once each, and A*P, with P
+        # the product of the rest of the orbit, is the norm of A from
+        # Q(A) = Q(a).  Each sigma_k permutes the orbit, so fixes A*P, which
+        # is therefore rational, and nonzero as A is: 1/a = den*P / (A*P).
         cofactor = [1]
-        for k in range(2, n):
-            if math.gcd(k, n) == 1:
-                cofactor = _int_mul(cofactor, _spread(nums, k, n), n)
+        for c in _orbit(nums, n)[1:]:
+            cofactor = _int_mul(cofactor, c, n)
         norm = _int_mul(nums, cofactor, n)
         if any(norm[1:]) or not norm[0]:
             raise ArithmeticError(f"norm of {self} is not a nonzero rational")
@@ -453,14 +464,9 @@ class CycNum:
             k >>= 1
         return result
 
-    def _galois(self, k: int) -> "CycNum":
-        n = self.conductor
-        if math.gcd(k, n) != 1:
-            raise ValueError(f"zeta -> zeta^{k} is not a field map for conductor {n}")
-        return CycNum._from_ints(n, _spread(self._nums, k, n), self._den)
-
     def conjugate(self) -> "CycNum":
-        return self._galois(self.conductor - 1) if self.conductor > 1 else self
+        n = self.conductor
+        return CycNum._from_ints(n, _spread(self._nums, n - 1, n), self._den)
 
     # -- comparisons ---------------------------------------------------------
 
@@ -729,29 +735,25 @@ def _offset(step, digits):
 def minimal_polynomial(a: CycNum) -> tuple[Fraction, ...]:
     """Monic minimal polynomial of a over Q, constant term first.
 
-    The roots are the distinct conjugates sigma_k(a), gcd(k, N) = 1, so the
-    polynomial is their product of (x - c); its coefficients are fixed by
-    the Galois group and are read back as rationals, which raises
-    ValueError if the orbit was incomplete.
+    The roots are the distinct conjugates sigma_k(a), gcd(k, N) = 1: with
+    a = A/den, the product of (x - c) over the `_orbit` c of A is multiplied
+    out on integer numerators, and its x^i coefficient over den^(deg - i)
+    is a's.  The coefficients are fixed by the Galois group, so rational;
+    one that is not raises ValueError.
     """
     if a.is_rational():
         return (-a.as_rational(), _ONE)
-    n = a.conductor
-    seen = set()
-    poly = [ONE]
-    for k in range(1, n):
-        if math.gcd(k, n) != 1:
-            continue
-        c = a._galois(k)
-        key = (c._nums, c._den)
-        if key in seen:
-            continue
-        seen.add(key)
+    n, den = a.conductor, a._den
+    zero = [0] * len(a._nums)
+    poly = [[1] + zero[1:]]
+    for c in _orbit(a._nums, n):
         # poly * (x - c)
-        poly = ([-(c * poly[0])]
-                + [poly[i - 1] - c * poly[i] for i in range(1, len(poly))]
-                + [poly[-1]])
-    return tuple(p.as_rational() for p in poly)
+        poly = [[x - y for x, y in zip(hi, _int_mul(c, lo, n))]
+                for hi, lo in zip([zero] + poly, poly)] + [poly[-1]]
+    deg = len(poly) - 1
+    if any(any(p[1:]) for p in poly):
+        raise ValueError(f"minimal polynomial of {a} is not rational")
+    return tuple(Fraction(p[0], den ** (deg - i)) for i, p in enumerate(poly))
 
 
 def characteristic_polynomial(a: CycNum) -> tuple[Fraction, ...]:

@@ -451,6 +451,50 @@ def _dot(terms):
     return CycNum._from_ints(m, acc, den)
 
 
+# ---------------------------------------------------------------------------
+# routes over every k coprime to the conductor, before `exactnum._orbit`
+# ---------------------------------------------------------------------------
+
+def inverse_all_conjugates(a: CycNum) -> CycNum:
+    """`CycNum.inverse` before the Galois orbit: 1/a = den*P / N(A), with
+    a = A/den, P the product of sigma_k(A) over every k != 1 coprime to
+    the conductor, repeats included, and N(A) = A*P the norm from
+    Q(zeta_N)."""
+    n, nums, den = a.conductor, a._nums, a._den
+    if a.is_rational():
+        return CycNum._rational(n, den, nums[0])
+    cofactor = [1]
+    for k in range(2, n):
+        if math.gcd(k, n) == 1:
+            cofactor = _int_mul(cofactor, _spread(nums, k, n), n)
+    norm = _int_mul(nums, cofactor, n)
+    assert not any(norm[1:]) and norm[0]
+    return CycNum._from_ints(n, [den * x for x in cofactor], norm[0])
+
+
+def minimal_polynomial_loop(a: CycNum) -> tuple[Fraction, ...]:
+    """`exactnum.minimal_polynomial` before the Galois orbit: the product
+    of (x - c) over the conjugates c = sigma_k(a), one `CycNum` per k and
+    repeats skipped by a seen-set, multiplied out in `CycNum` arithmetic."""
+    if a.is_rational():
+        return (-a.as_rational(), Fraction(1))
+    n = a.conductor
+    seen = set()
+    poly = [ONE]
+    for k in range(1, n):
+        if math.gcd(k, n) != 1:
+            continue
+        c = CycNum._from_ints(n, _spread(a._nums, k, n), a._den)
+        key = (c._nums, c._den)
+        if key in seen:
+            continue
+        seen.add(key)
+        poly = ([-(c * poly[0])]
+                + [poly[i - 1] - c * poly[i] for i in range(1, len(poly))]
+                + [poly[-1]])
+    return tuple(p.as_rational() for p in poly)
+
+
 def gram_by_dot(weights, xs, ys):
     """`exactnum._gram` entry by entry, one `_dot` per entry."""
     return [[_dot([(w, x[a], y[b]) for w, x, y in zip(weights, xs, ys)])

@@ -2,6 +2,7 @@
 
 import ast
 import cmath
+import contextlib
 import copy
 import json
 import math
@@ -24,6 +25,7 @@ from fuscat.exactnum import (
     _entry,
     _gram,
     _int_mul,
+    _orbit,
     characteristic_polynomial,
     cyclotomic_polynomial,
     euler_phi,
@@ -34,7 +36,8 @@ from fuscat.exactnum import (
 
 from rings import (_dot, charpoly_faddeev_leverrier, cycnum_text_loop,
                    embed_complex_terms, eq_aligned, gram_by_dot,
-                   int_mul_dense, intpoly_text_loop, is_monic, poly_eval,
+                   int_mul_dense, intpoly_text_loop, inverse_all_conjugates,
+                   is_monic, minimal_polynomial_loop, poly_eval,
                    sum_of_products)
 
 
@@ -101,6 +104,13 @@ def test_zeta_power_reduction():
     assert (z * z).coeffs == (F(-1), F(0))
     assert z * z == -1
     assert CycNum.zeta(4, 5) == z  # exponents mod N
+
+
+@pytest.mark.parametrize("n", (0, -1, -4))
+def test_zeta_refuses_a_conductor_below_one(n):
+    for power in (0, 1, 5):
+        with pytest.raises(ValueError, match="conductor must be positive"):
+            CycNum.zeta(n, power)
 
 
 def test_zeta2_is_minus_one():
@@ -1009,6 +1019,89 @@ def test_no_module_under_src_defines_or_imports_dot():
             if isinstance(node, (ast.Name, ast.Attribute)):
                 assert getattr(node, "id", getattr(node, "attr", "")) \
                     != "_dot", path.name
+
+
+# -- the Galois orbit, against the routes over every k ------------------------
+
+ORBIT_CONDUCTORS = (5, 8, 12, 60, 105, 248)
+
+
+@st.composite
+def orbit_values(draw, max_phi=None):
+    """A nonzero value at one of `ORBIT_CONDUCTORS`, spread from a divisor
+    conductor d, so that its orbit may be shorter than phi.  Coefficients
+    have denominators 1 to 6; half the values are real (a + conj a), whose
+    orbit is at most half of Q(zeta_d)'s degree.  `max_phi` bounds phi(d)."""
+    n = draw(st.sampled_from(ORBIT_CONDUCTORS))
+    d = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0
+                              and (max_phi is None or euler_phi(d) <= max_phi)]))
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    a = CycNum(d, draw(st.lists(coeffs, min_size=euler_phi(d),
+                                max_size=euler_phi(d))))
+    if draw(st.booleans()):
+        a = a + a.conjugate()
+    assume(not a.is_zero())
+    return a.change_conductor(n)
+
+
+def _form(a):
+    return a.conductor, a._nums, a._den
+
+
+@given(orbit_values())
+@example(CycNum(8, [0, 1, 0, -1]).change_conductor(248))
+@example(CycNum(105, [F(1, 3)] + [0] * 47))
+@settings(max_examples=25, deadline=None)
+def test_orbit_inverse_matches_the_product_of_every_conjugate(a):
+    assert _form(a.inverse()) == _form(inverse_all_conjugates(a))
+
+
+@given(orbit_values(max_phi=30))
+@example(CycNum(8, [0, 1, 0, -1]).change_conductor(248))
+@example(CycNum(12, [F(1, 2), F(-3, 4), 0, 1]))
+@settings(max_examples=40, deadline=None)
+def test_orbit_minimal_polynomial_matches_the_loop_over_every_k(a):
+    assert minimal_polynomial(a) == minimal_polynomial_loop(a)
+
+
+@contextlib.contextmanager
+def _int_mul_calls():
+    """The conductors of the `_int_mul` calls made inside the block."""
+    calls, mul = [], fuscat.exactnum._int_mul
+
+    def counting(x, y, n):
+        calls.append(n)
+        return mul(x, y, n)
+    fuscat.exactnum._int_mul = counting
+    try:
+        yield calls
+    finally:
+        fuscat.exactnum._int_mul = mul
+
+
+@given(orbit_values(max_phi=30))
+@settings(max_examples=40, deadline=None)
+def test_inverse_makes_one_product_per_orbit_member(a):
+    """An irrational value is inverted with |orbit| `_int_mul` calls: the
+    rest of the orbit multiplied into [1], then the norm.  The orbit is
+    the minimal polynomial's roots, so |orbit| is its degree."""
+    with _int_mul_calls() as calls:
+        a.inverse()
+    orbit = _orbit(a._nums, a.conductor)
+    assert orbit[0] == a._nums and len(set(orbit)) == len(orbit)
+    assert len(orbit) == len(minimal_polynomial(a)) - 1
+    assert len(calls) == (0 if a.is_rational() else len(orbit))
+
+
+def test_sqrt2_at_conductor_248_inverts_with_two_products():
+    """sqrt 2 = z8 - z8^3 has two conjugates, so its inverse at conductor
+    248 costs two `_int_mul` calls, where the product of all phi(248) - 1
+    = 119 conjugates and the norm cost 120."""
+    rt2 = CycNum(8, [0, 1, 0, -1]).change_conductor(248)
+    with _int_mul_calls() as calls:
+        inv = rt2.inverse()
+    assert calls == [248, 248]
+    assert inv * rt2 == 1 and 2 * inv == rt2
 
 
 # -- the sparse integer product kernel ---------------------------------------
