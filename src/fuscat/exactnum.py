@@ -17,6 +17,9 @@ sums of products, sum_i w_i x_ia y_ib, of eq-3.6 or eq-3.7 is one `_gram`:
 from three columns a side, with every entry at one conductor, each factor
 is packed into one integer (Kronecker substitution) and each entry is
 reduced modulo Phi_N once; any other Gram is one `_entry` per entry.
+`_at` is the one helper that re-embeds values as integers, for
+`_numerators` (the integer form of eq-3.1's kernel and the multiplicativity
+checks) and for `_gram`.
 
 `_orbit` is the one walk over the Galois group: the distinct conjugates
 sigma_k(a), gcd(k, N) = 1.  The inverse of a non-rational a is P / N(a),
@@ -24,7 +27,9 @@ with P the product of the rest of a's orbit and N(a) = a * P the norm from
 Q(a), a nonzero rational.  Z[zeta_N] is the ring of integers of Q(zeta_N)
 with Z-basis the power basis (Washington, *Introduction to Cyclotomic
 Fields*, Thm 2.6), so a value is an algebraic integer iff its denominator
-is 1.  The minimal polynomial is the product of (x - c) over the orbit.
+is 1.  The minimal polynomial is the product of (x - c) over the orbit,
+and the integrality witness is read off its integer coefficients, with no
+`Fraction` -> `int` pass.
 """
 
 from __future__ import annotations
@@ -81,16 +86,6 @@ class IntPoly:
     def __post_init__(self):
         if not self.coeffs or self.coeffs[-1] == 0:
             raise ValueError("leading coefficient must be nonzero")
-
-    @classmethod
-    def from_fractions(cls, coeffs):
-        out = []
-        for c in coeffs:
-            c = Fraction(c)
-            if c.denominator != 1:
-                raise ValueError(f"non-integer coefficient {c}")
-            out.append(c.numerator)
-        return cls(tuple(out))
 
     @property
     def degree(self):
@@ -265,7 +260,7 @@ class CycNum:
     __slots__ = ("conductor", "_nums", "_den")
 
     def __new__(cls, conductor: int, coeffs):
-        n = int(conductor)
+        n = operator.index(conductor)
         coeffs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in coeffs))
         nums = [c.numerator * (den // c.denominator) for c in coeffs]
@@ -337,6 +332,8 @@ class CycNum:
         n = self.conductor
         if m == n:
             return self
+        if m < 1:
+            raise ValueError("conductor must be positive")
         if m % n != 0:
             raise ConductorNotDivisible(f"{n} does not divide {m}")
         if self.is_rational():
@@ -549,16 +546,15 @@ ONE = CycNum.from_rational(1)
 
 def _numerators(values):
     """(m, den, nums): the values over their lcm conductor m and one common
-    denominator den, values[i] = nums[i] / den with nums[i] phi(m) integers;
-    no `CycNum` is built."""
-    m = math.lcm(*(v.conductor for v in values))
-    den = math.lcm(*(v._den for v in values))
-    nums = []
-    for v in values:
-        n, scale = v.conductor, den // v._den
-        vec = v._nums if n == m else _spread(v._nums, m // n, m)
-        nums.append([scale * x for x in vec])
-    return m, den, nums
+    denominator den, values[i] = nums[i] / den with nums[i] phi(m) integers:
+    `_at`'s vector, a rational's one int widened with zeros; no `CycNum` is
+    built.  A vector may be the value's own numerator tuple, so callers
+    only read them."""
+    m = math.lcm(*map(_CONDUCTOR, values))
+    den = math.lcm(*map(_DEN, values))
+    tail = _zero_tail(m)
+    vecs = [_at(v, m, den) for v in values]
+    return m, den, [(x, *tail) if type(x) is int else x for x in vecs]
 
 
 def _at(v, m, d):
@@ -786,7 +782,9 @@ def integrality_witness(a: CycNum) -> IntPoly:
     """Minimal polynomial as an IntPoly; raises if a is not an algebraic integer.
 
     Integrality is decided from the power basis before the polynomial is built.
+    With den = 1, `minimal_polynomial`'s x^i coefficient is an integer over
+    den^(deg - i) = 1, so its numerator is the coefficient itself.
     """
     if not is_algebraic_integer(a):
         raise ValueError(f"{a} is not an algebraic integer")
-    return IntPoly.from_fractions(minimal_polynomial(a))
+    return IntPoly(tuple(c.numerator for c in minimal_polynomial(a)))

@@ -15,8 +15,10 @@ from fuscat.chartab import validate_character_table
 from fuscat.errors import (DegenerateSpectrum, ExactDataMissing,
                            InconsistentCoset, NotAlgebraMap, PsiNotCharacter,
                            SchemaError, ValidationError)
-from fuscat.exactnum import (CycNum, _divide, _int_mul, _numerators,
-                             _phi_tail, _reduce, _spread, euler_phi)
+from fuscat.exactnum import (CycNum, IntPoly, _divide, _int_mul,
+                             _numerators, _phi_tail, _reduce, _spread,
+                             euler_phi, is_algebraic_integer,
+                             minimal_polynomial)
 from fuscat.fusion import (FusionRing, Subcategory, _dense,
                            _first_non_character, _generators, _supports,
                            check_subcategory, sub_fpdim, validate_fusion_ring)
@@ -493,6 +495,39 @@ def minimal_polynomial_loop(a: CycNum) -> tuple[Fraction, ...]:
                 + [poly[i - 1] - c * poly[i] for i in range(1, len(poly))]
                 + [poly[-1]])
     return tuple(p.as_rational() for p in poly)
+
+
+# ---------------------------------------------------------------------------
+# routes into and out of integers before `exactnum._at` and `IntPoly`'s ints
+# ---------------------------------------------------------------------------
+
+def numerators_loop(values):
+    """`exactnum._numerators` with its own re-embedding loop: each value's
+    numerators spread to the lcm conductor m and scaled to the common
+    denominator, as fresh lists."""
+    m = math.lcm(*(v.conductor for v in values))
+    den = math.lcm(*(v._den for v in values))
+    nums = []
+    for v in values:
+        n, scale = v.conductor, den // v._den
+        vec = v._nums if n == m else _spread(v._nums, m // n, m)
+        nums.append([scale * x for x in vec])
+    return m, den, nums
+
+
+def witness_by_fractions(a: CycNum) -> IntPoly:
+    """`exactnum.integrality_witness` through `Fraction`s: each coefficient
+    of the minimal polynomial is checked to be an integer and turned into
+    one; ValueError when a is not an algebraic integer or one is not."""
+    if not is_algebraic_integer(a):
+        raise ValueError(f"{a} is not an algebraic integer")
+    out = []
+    for c in minimal_polynomial(a):
+        c = Fraction(c)
+        if c.denominator != 1:
+            raise ValueError(f"non-integer coefficient {c}")
+        out.append(c.numerator)
+    return IntPoly(tuple(out))
 
 
 def gram_by_dot(weights, xs, ys):

@@ -25,6 +25,7 @@ from fuscat.exactnum import (
     _entry,
     _gram,
     _int_mul,
+    _numerators,
     _orbit,
     characteristic_polynomial,
     cyclotomic_polynomial,
@@ -37,8 +38,8 @@ from fuscat.exactnum import (
 from rings import (_dot, charpoly_faddeev_leverrier, cycnum_text_loop,
                    embed_complex_terms, eq_aligned, gram_by_dot,
                    int_mul_dense, intpoly_text_loop, inverse_all_conjugates,
-                   is_monic, minimal_polynomial_loop, poly_eval,
-                   sum_of_products)
+                   is_monic, minimal_polynomial_loop, numerators_loop,
+                   poly_eval, sum_of_products, witness_by_fractions)
 
 
 def F(a, b=1):
@@ -146,6 +147,23 @@ def test_no_conductor_descent():
     assert two.conductor == 8
     with pytest.raises(ConductorNotDivisible):
         two.change_conductor(4)
+
+
+@pytest.mark.parametrize("m", (0, -1, -4))
+@pytest.mark.parametrize("value", (ONE, CycNum.zeta(4)), ids=("one", "zeta4"))
+def test_change_conductor_refuses_a_conductor_below_one(value, m):
+    with pytest.raises(ValueError, match="conductor must be positive"):
+        value.change_conductor(m)
+
+
+@pytest.mark.parametrize("conductor", (2.5, 4.9, 4.0, "4", F(4)))
+def test_constructor_refuses_a_conductor_that_is_not_an_int(conductor):
+    with pytest.raises(TypeError):
+        CycNum(conductor, [0, 1])
+    assert CycNum(4, [0, 1]) == CycNum.zeta(4)
+    for n in (0, -4):
+        with pytest.raises(ValueError, match="conductor must be positive"):
+            CycNum(n, [1])
 
 
 def test_alignment_in_mixed_ops():
@@ -1102,6 +1120,51 @@ def test_sqrt2_at_conductor_248_inverts_with_two_products():
         inv = rt2.inverse()
     assert calls == [248, 248]
     assert inv * rt2 == 1 and 2 * inv == rt2
+
+
+# -- one way into integers and one way out -----------------------------------
+
+NUMERATOR_FAMILIES = ([1, 5, 8, 12, 60], [1, 8, 248])
+
+
+@given(st.sampled_from(NUMERATOR_FAMILIES).flatmap(
+    lambda family: st.lists(gram_values(family), min_size=1, max_size=5)))
+@example([CycNum(1, [0])])
+@example([CycNum(1, [F(-5, 6)]), CycNum(8, [0, 1, 0, -1]),
+          CycNum(248, [F(1, 3)])])
+@example([CycNum(60, [0, F(1, 4)]), CycNum(12, [F(2, 3)]), CycNum(5, [0])])
+@settings(max_examples=100, deadline=None)
+def test_numerators_match_the_loop_over_each_value(values):
+    """Values at conductors 1 to 248, zero, rational or not, spread to the
+    lcm of their conductors from its divisors, over denominators of up to
+    1,000 bits: `_numerators`, built on `_at`, gives the loop's conductor,
+    denominator and vectors."""
+    m, den, nums = _numerators(values)
+    assert (m, den, [list(v) for v in nums]) == numerators_loop(values)
+
+
+def _witness_or_error(route, a):
+    try:
+        return route(a).coeffs
+    except ValueError as err:
+        return str(err)
+
+
+@given(orbit_values(max_phi=30) | gram_values([1, 5, 8, 12]), st.booleans())
+@example(CycNum(1, [0]), False)
+@example(CycNum(1, [F(3, 2)]), False)
+@example(CycNum(8, [0, 1, 0, -1]).change_conductor(248), False)
+@example(CycNum(60, [F(1, 2), 0, 1]), True)
+@settings(max_examples=60, deadline=None)
+def test_witness_matches_the_fraction_route(a, integral):
+    """The witness read off `minimal_polynomial`'s numerators is the one
+    the `Fraction` route checks coefficient by coefficient, and both refuse
+    a value with a denominator other than 1.  Half the values are scaled
+    by their denominator, which makes them algebraic integers."""
+    if integral:
+        a = a * a._den
+    assert (_witness_or_error(integrality_witness, a)
+            == _witness_or_error(witness_by_fractions, a))
 
 
 # -- the sparse integer product kernel ---------------------------------------

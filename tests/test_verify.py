@@ -15,6 +15,7 @@ import fuscat.catalog
 import fuscat.chartab
 import fuscat.cli
 import fuscat.cosets
+import fuscat.errors
 import fuscat.fusion
 import fuscat.premod
 import fuscat.reports
@@ -752,3 +753,46 @@ def test_render_json_keeps_apart_records_that_are_written_differently():
     report = VerificationReport(target="memo", subcategories=((0,), (0, 1)),
                                 checks=checks)
     assert render_json(report) == _oracle(report)
+
+
+FUZZ_KEYS = ("svec", "ising", "fib", "rep-s3", "su2k-3", "pointed-z4-q2",
+             "ising*svec")
+FUZZ_VALUES = (0, -1, 2 ** 70, None, [], {}, "x", True, 1.5)
+
+
+def _fuzz_paths(obj, path=()):
+    """The path of every value below the JSON value `obj`, in order."""
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for k, v in items:
+        yield path + (k,)
+        yield from _fuzz_paths(v, path + (k,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_catalog_documents_raise_only_fuscat_errors(data):
+    """A catalog document with one or two positions mutated: a value
+    replaced by one of `FUZZ_VALUES`, or a list shortened or doubled.
+    Parsing it, running every check over every subcategory and rendering
+    the report raise nothing but a `FuscatError`."""
+    entry = builtin(data.draw(st.sampled_from(FUZZ_KEYS)))
+    doc = json.loads(fuscat.serialize.dump_document(
+        fuscat.serialize.to_document(entry.ring, entry.table,
+                                     entry.smatrix)))
+    for _ in range(data.draw(st.integers(1, 2))):
+        *head, last = data.draw(st.sampled_from(list(_fuzz_paths(doc))))
+        parent = functools.reduce(lambda o, k: o[k], head, doc)
+        old = parent[last]
+        how = data.draw(st.sampled_from(
+            FUZZ_VALUES + (("shorten", "double") if isinstance(old, list)
+                           else ())))
+        parent[last] = (old[:-1] if how == "shorten"
+                        else old + old if how == "double" else how)
+    try:
+        ring, table, smatrix = fuscat.serialize.from_document(doc)
+        report = run_checks(Target("fuzz", ring, table, smatrix),
+                            subcategories=enumerate_subcategories(ring))
+        render_json(report)
+    except fuscat.errors.FuscatError:
+        pass
